@@ -104,12 +104,11 @@ runTransition(const par::ParallelConfig &from, const par::ParallelConfig &to,
                 p_full.peakBufferBytes / 1e9, p_plain.peakBufferBytes / 1e9,
                 s.params.migrationBufferBytes / 1e9);
     std::printf("  data plane: link-level makespan %5.2fs vs serialized "
-                "cursor %5.2fs (%.2fx)%s\n\n",
+                "cursor %5.2fs (%.2fx)\n\n",
                 p_full.totalDuration, p_full.serializedDuration,
                 p_full.totalDuration > 0.0
                     ? p_full.serializedDuration / p_full.totalDuration
-                    : 0.0,
-                p_full.linkScheduled ? "" : " [serialized fallback]");
+                    : 0.0);
     return {p_full.totalDuration, p_full.serializedDuration};
 }
 

@@ -4,9 +4,8 @@
  *
  * Prints: (a/b) the rescaled arrival-rate trace, (c/d) the availability
  * traces A'_S+O and B'_S+O, (e/f) end-to-end latency statistics per
- * system plus the batching/admission ablation rows (rigid, fixed-B,
- * Reserve-vs-Optimistic KV admission, and token-vs-block KV granularity
- * on an early-stopping variant of the
+ * system plus the batching/admission ablation rows (rigid, and
+ * Reserve-vs-Optimistic KV admission on an early-stopping variant of the
  * workload), and (g/h) the per-request latency timeline (30 s buckets)
  * with each system's (D,P,M) reconfiguration points annotated.
  *
@@ -22,7 +21,6 @@
 #include <deque>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -205,7 +203,7 @@ main(int argc, char **argv)
         {
             core::SpotServeOptions rigid;
             rigid.designArrivalRate = 0.55;
-            rigid.continuousBatching = false;
+            rigid.engine.continuousBatching = false;
             const auto r_rigid = serving::runExperiment(
                 spec, params, trace, workload,
                 presets::spotServeFactory(spec, params, seq, rigid));
@@ -217,30 +215,6 @@ main(int argc, char **argv)
                         r_rigid.latencies.mean() /
                             results[0].latencies.mean());
             keep(trace.name(), "SpotServe-rigid", r_rigid);
-        }
-        // Admission ablation: fixed-B admission (trust the batch cap B)
-        // vs the default KV-token-budget admission on the same trace and
-        // workload.  The budget mode must be no worse on P99 while being
-        // the only one that provably never exceeds the memory model's
-        // per-replica KV budget (tests/memory_admission_test.cc).
-        {
-            core::SpotServeOptions fixedb;
-            fixedb.designArrivalRate = 0.55;
-            fixedb.kvBudgetAdmission = false;
-            const auto r_fixedb = serving::runExperiment(
-                spec, params, trace, workload,
-                presets::spotServeFactory(spec, params, seq, fixedb));
-            std::printf("  %-18s avg %7.2f  P99 %7.2f  peak KV %ld tok  "
-                        "(fixed-B admission ablation; P99 ratio "
-                        "fixed-B/KV-budget %.2fx, KV-budget peak KV "
-                        "%ld tok)\n",
-                        "SpotServe-fixedB", r_fixedb.latencies.mean(),
-                        r_fixedb.latencies.percentile(99),
-                        r_fixedb.peakKvReservedTokens,
-                        r_fixedb.latencies.percentile(99) /
-                            results[0].latencies.percentile(99),
-                        results[0].peakKvReservedTokens);
-            keep(trace.name(), "SpotServe-fixedB", r_fixedb);
         }
         // KV-charging ablation: Reserve (worst-case prompt + cap
         // reservation, PR 2's mode) vs Optimistic (predicted-output
@@ -261,7 +235,7 @@ main(int argc, char **argv)
             auto run_mode = [&](engine::KvAdmissionMode mode) {
                 core::SpotServeOptions o;
                 o.designArrivalRate = 0.55;
-                o.kvAdmissionMode = mode;
+                o.engine.kvAdmissionMode = mode;
                 return serving::runExperiment(
                     spec, params, trace, capped,
                     presets::spotServeFactory(spec, params, seq, o));
@@ -294,61 +268,6 @@ main(int argc, char **argv)
                         r_opt.completed - r_res.completed);
             keep(trace.name(), "SpotServe-reserve", r_res);
             keep(trace.name(), "SpotServe-optimistic", r_opt);
-
-            // KV-granularity ablation: token-granular accounting
-            // (kvBlockTokens = 1, the pre-paged behaviour) vs the
-            // default 16-token blocks on the same early-stopping
-            // workload.  Token mode admits into the per-request rounding
-            // slack (up to blockTokens - 1 tokens each) a paged
-            // allocator does not actually have — the admitted
-            // concurrency it reports is memory a real engine could not
-            // back — while block mode charges whole blocks up front.
-            {
-                core::SpotServeOptions t;
-                t.designArrivalRate = 0.55;
-                t.kvBlockTokens = 1;
-                // The token run accounts in tokens, so its own
-                // peakKvHeldBlocks is just tokens; observe the footprint
-                // a 16-token paged allocator would really have been
-                // asked for (sum of per-request ceils — an aggregate
-                // ceil would understate it).
-                long peak_real_blocks = 0;
-                auto token_factory =
-                    [&](sim::Executor &sim,
-                        cluster::InstanceManager &instances,
-                        serving::RequestManager &requests)
-                    -> std::unique_ptr<serving::ServingSystem> {
-                    auto sys = std::make_unique<core::SpotServeSystem>(
-                        sim, instances, requests, spec, params, seq, t);
-                    sys->setKvObserver(
-                        [&peak_real_blocks](
-                            const engine::InferencePipeline &p) {
-                            long blocks = 0;
-                            for (const auto &r : p.batch())
-                                blocks += r.kvBlocksHeld(16);
-                            peak_real_blocks =
-                                std::max(peak_real_blocks, blocks);
-                        });
-                    return sys;
-                };
-                const auto r_token = serving::runExperiment(
-                    spec, params, trace, capped, token_factory);
-                std::printf(
-                    "  token-vs-block KV accounting (16-token blocks):\n");
-                std::printf("  %-18s peak conc %d  peak KV held %ld tok "
-                            "(= %ld real 16-tok blocks)  evictions %ld\n",
-                            "SpotServe-tokenKV",
-                            r_token.peakConcurrentRequests,
-                            r_token.peakKvHeldTokens, peak_real_blocks,
-                            r_token.evictions);
-                std::printf("  %-18s peak conc %d  peak KV held %ld tok "
-                            "(%ld blocks charged)  evictions %ld\n",
-                            "SpotServe-blockKV",
-                            r_opt.peakConcurrentRequests,
-                            r_opt.peakKvHeldTokens, r_opt.peakKvHeldBlocks,
-                            r_opt.evictions);
-                keep(trace.name(), "SpotServe-tokenKV", r_token);
-            }
         }
         // Overlapped-reconfiguration ablation: the same stack with
         // synchronous reconfiguration (instantaneous global planning +
@@ -483,7 +402,7 @@ main(int argc, char **argv)
             auto run_sharing = [&](bool on) {
                 core::SpotServeOptions o;
                 o.designArrivalRate = 0.55;
-                o.prefixSharing = on;
+                o.engine.prefixSharing = on;
                 return serving::runExperiment(
                     spec, params, trace, shared,
                     presets::spotServeFactory(spec, params, seq, o),

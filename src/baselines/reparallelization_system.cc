@@ -12,18 +12,12 @@ ReparallelizationSystem::ReparallelizationSystem(
     serving::RequestManager &requests, const model::ModelSpec &spec,
     const cost::CostParams &params, const cost::SeqSpec &seq,
     ReparallelizationOptions options)
-    : BaseServingSystem(executor, instances, requests, spec, params, seq),
+    : BaseServingSystem(executor, instances, requests, spec, params, seq,
+                        options.engine),
       options_(options),
       controller_(spec, params, seq, cost::ConfigSpaceOptions{},
-                  options.controller),
-      dataPlane_(executor, params)
+                  options.controller)
 {
-    setContinuousBatching(options_.continuousBatching);
-    setKvBudgetAdmission(options_.kvBudgetAdmission);
-    setPrefillChunkTokens(options_.prefillChunkTokens);
-    setKvAdmissionMode(options_.kvAdmissionMode);
-    setKvBlockTokens(options_.kvBlockTokens);
-    setPrefixSharing(options_.prefixSharing);
     sim_.scheduleAfter(options_.workloadCheckInterval,
                        [this] { workloadTick(); });
 }

@@ -21,7 +21,6 @@
 #include <optional>
 
 #include "core/controller.h"
-#include "core/transfer_data_plane.h"
 #include "serving/base_system.h"
 
 namespace spotserve {
@@ -36,24 +35,8 @@ struct ReparallelizationOptions
     /** Workload monitor period. */
     double workloadCheckInterval = 30.0;
 
-    /** Iteration-level batching (same engine setting as SpotServe). */
-    bool continuousBatching = true;
-
-    /** KV-token-budget admission (same engine setting as SpotServe). */
-    bool kvBudgetAdmission = true;
-
-    /** Chunked-prefill chunk size in tokens (0 = unchunked). */
-    int prefillChunkTokens = 0;
-
-    /** KV charging mode (same engine setting as SpotServe). */
-    engine::KvAdmissionMode kvAdmissionMode =
-        engine::KvAdmissionMode::Optimistic;
-
-    /** Tokens per KV block (paged accounting; 1 = token-granular). */
-    int kvBlockTokens = 16;
-
-    /** Prefix sharing + copy-on-write (same engine setting as SpotServe). */
-    bool prefixSharing = true;
+    /** Inference-engine knobs (the same struct SpotServe carries). */
+    serving::EngineOptions engine{};
 
     core::ControllerOptions controller{};
 };
@@ -80,11 +63,6 @@ class ReparallelizationSystem : public serving::BaseServingSystem
 
     int restartsCompleted() const { return restarts_; }
 
-    /** The disk-link data plane cold weight loads run through. */
-    const core::TransferDataPlane &dataPlane() const { return dataPlane_; }
-    /** Mutable data plane access (fault injection hooks). */
-    core::TransferDataPlane &dataPlaneMutable() { return dataPlane_; }
-
   private:
     enum class Phase
     {
@@ -102,7 +80,6 @@ class ReparallelizationSystem : public serving::BaseServingSystem
 
     ReparallelizationOptions options_;
     core::ParallelizationController controller_;
-    core::TransferDataPlane dataPlane_;
 
     Phase phase_ = Phase::Idle;
     bool evalScheduled_ = false;

@@ -14,17 +14,12 @@ ReroutingSystem::ReroutingSystem(sim::Executor &executor,
                                  const cost::CostParams &params,
                                  const cost::SeqSpec &seq,
                                  ReroutingOptions options)
-    : BaseServingSystem(executor, instances, requests, spec, params, seq),
-      options_(options), dataPlane_(executor, params),
+    : BaseServingSystem(executor, instances, requests, spec, params, seq,
+                        options.engine),
+      options_(options),
       controller_(spec, params, seq, cost::ConfigSpaceOptions{},
                   options.controller)
 {
-    setContinuousBatching(options_.continuousBatching);
-    setKvBudgetAdmission(options_.kvBudgetAdmission);
-    setPrefillChunkTokens(options_.prefillChunkTokens);
-    setKvAdmissionMode(options_.kvAdmissionMode);
-    setKvBlockTokens(options_.kvBlockTokens);
-    setPrefixSharing(options_.prefixSharing);
 }
 
 long

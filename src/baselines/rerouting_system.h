@@ -25,7 +25,6 @@
 #include <unordered_set>
 
 #include "core/controller.h"
-#include "core/transfer_data_plane.h"
 #include "serving/base_system.h"
 
 namespace spotserve {
@@ -37,24 +36,8 @@ struct ReroutingOptions
     /** Expected workload rate used to pre-define (P, M, B). */
     double designArrivalRate = 0.0;
 
-    /** Iteration-level batching (same engine setting as SpotServe). */
-    bool continuousBatching = true;
-
-    /** KV-token-budget admission (same engine setting as SpotServe). */
-    bool kvBudgetAdmission = true;
-
-    /** Chunked-prefill chunk size in tokens (0 = unchunked). */
-    int prefillChunkTokens = 0;
-
-    /** KV charging mode (same engine setting as SpotServe). */
-    engine::KvAdmissionMode kvAdmissionMode =
-        engine::KvAdmissionMode::Optimistic;
-
-    /** Tokens per KV block (paged accounting; 1 = token-granular). */
-    int kvBlockTokens = 16;
-
-    /** Prefix sharing + copy-on-write (same engine setting as SpotServe). */
-    bool prefixSharing = true;
+    /** Inference-engine knobs (the same struct SpotServe carries). */
+    serving::EngineOptions engine{};
 
     core::ControllerOptions controller{};
 };
@@ -86,9 +69,6 @@ class ReroutingSystem : public serving::BaseServingSystem
 
     /** Currently online pipelines. */
     int onlinePipelines() const;
-
-    /** Mutable data plane access (fault injection hooks). */
-    core::TransferDataPlane &dataPlaneMutable() { return dataPlane_; }
 
   protected:
     void onPipelineIdle(engine::InferencePipeline &pipeline) override;
@@ -123,7 +103,6 @@ class ReroutingSystem : public serving::BaseServingSystem
     int instancesPerPipeline() const;
 
     ReroutingOptions options_;
-    core::TransferDataPlane dataPlane_;
     core::ParallelizationController controller_;
 
     std::optional<par::ParallelConfig> fixed_;

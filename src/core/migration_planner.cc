@@ -393,10 +393,9 @@ MigrationPlanner::assemble(const Analysis &analysis,
     //    the bench gate compares against.  With linkSchedule on, the
     //    plan's actual timeline comes from the link-level schedule
     //    instead: steps interleave across disjoint instance pairs, and
-    //    transfers sharing a port serialize honestly.  The interleaved
-    //    schedule is never adopted when it cannot beat the serialized
-    //    cursor (the scheduler is a heuristic; the planner takes the
-    //    better of the two timelines).
+    //    transfers sharing a port serialize honestly.  The link schedule
+    //    is adopted as is; core_planner_test and the bench gates check
+    //    that it never exceeds the serialized cursor.
     // ------------------------------------------------------------------
     const double setup = params_.migrationSetupTime;
     const std::size_t n = plan.steps.size();
@@ -423,20 +422,16 @@ MigrationPlanner::assemble(const Analysis &analysis,
             plan.serializedDuration = std::max(plan.serializedDuration, f);
     }
 
-    plan.linkScheduled = false;
     if (options.linkSchedule) {
         cost::LinkScheduleOptions lopts;
         lopts.interleave = true;
         lopts.startTime = 0.0;
         lopts.setupTime = setup;
         const auto sched = linkScheduler_.build(transferSteps(plan), lopts);
-        if (sched.makespan <= plan.serializedDuration + 1e-9) {
-            plan.linkScheduled = true;
-            retime(plan, target, options, sched.stepStart, sched.stepFinish);
-        }
-    }
-    if (!plan.linkScheduled)
+        retime(plan, target, options, sched.stepStart, sched.stepFinish);
+    } else {
         retime(plan, target, options, ser_start, ser_finish);
+    }
 
     return plan;
 }

@@ -106,12 +106,9 @@ struct MigrationPlan
      * closed-form port-bottleneck wire time back to back (disk loads
      * overlapped).  Kept as the planner's cheap screening estimate and
      * the bench's comparison baseline; equals totalDuration when the
-     * link scheduler is disabled (or when it could not beat it).
+     * link scheduler is disabled.
      */
     double serializedDuration = 0.0;
-
-    /** True when the timing came from the interleaved link schedule. */
-    bool linkScheduled = false;
 
     /**
      * Step indices each (replica d, stage p) depends on — the cache step
@@ -141,8 +138,8 @@ struct PlannerOptions
      * steps interleave across disjoint instance pairs instead of
      * serializing on a global wire cursor.  The serialized cursor stays
      * computed as the screening estimate (MigrationPlan::
-     * serializedDuration) and is used verbatim when it is not beaten.
-     * Disable for the legacy serialized-cursor timing (ablation).
+     * serializedDuration).  Disable for the legacy serialized-cursor
+     * timing (ablation).
      */
     bool linkSchedule = true;
 };

@@ -5,6 +5,7 @@
 #include <set>
 #include <utility>
 
+#include "serving/experiment.h"
 #include "simcore/logging.h"
 
 namespace spotserve {
@@ -17,7 +18,8 @@ SpotServeSystem::SpotServeSystem(sim::Executor &executor,
                                  const cost::CostParams &params,
                                  const cost::SeqSpec &seq,
                                  SpotServeOptions options)
-    : BaseServingSystem(executor, instances, requests, spec, params, seq),
+    : BaseServingSystem(executor, instances, requests, spec, params, seq,
+                        options.engine),
       options_(options),
       controller_(spec, params, seq,
                   [&options] {
@@ -30,15 +32,8 @@ SpotServeSystem::SpotServeSystem(sim::Executor &executor,
               DeviceMapperOptions{options.enableDeviceMapper,
                                   options.enableArranger,
                                   /*identityFastPath=*/true}),
-      planner_(spec, params), arranger_(latency_),
-      dataPlane_(executor, params)
+      planner_(spec, params), arranger_(latency_)
 {
-    setContinuousBatching(options_.continuousBatching);
-    setKvBudgetAdmission(options_.kvBudgetAdmission);
-    setPrefillChunkTokens(options_.prefillChunkTokens);
-    setKvAdmissionMode(options_.kvAdmissionMode);
-    setKvBlockTokens(options_.kvBlockTokens);
-    setPrefixSharing(options_.prefixSharing);
     // The KV budget must deduct the same migration reserve the
     // feasibility check assumed (naive double-buffering when the
     // memory-optimised planner is ablated).
@@ -51,6 +46,19 @@ SpotServeSystem::SpotServeSystem(sim::Executor &executor,
         // fleet from the declared workload.
         scheduleEval();
     }
+}
+
+void
+SpotServeSystem::report(serving::ExperimentResult &result) const
+{
+    BaseServingSystem::report(result);
+    result.migrationsCompleted = migrationsCompleted_;
+    result.migrationMakespanTotal = totalMigrationMakespan_;
+    result.contendedMigrations = dataPlane_.contendedSubmissions();
+    result.migrationAborts = migrationAborts_;
+    result.migrationRetries = migrationRetries_;
+    result.requestsRecovered = requestsRecovered_;
+    result.salvagedBlocks = salvagedBlocks_;
 }
 
 std::string
@@ -620,6 +628,9 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
                         std::move(kept),
                         std::move(touched),
                         {},
+                        {},
+                        -1,
+                        false,
                         {}};
 
     // Arranger: decide whether moving the cache beats recomputation and
@@ -798,13 +809,9 @@ SpotServeSystem::startMigration()
     // stageReady and per-replica resumes are re-derived from the quoted
     // step finishes, so contention propagates into the activation events.
     if (options_.linkDataPlane) {
-        // A plan whose interleaved schedule could not beat the serialized
-        // cursor still runs through the data plane, just with per-step
-        // wire barriers — either way the executed timeline is a feasible
-        // link schedule built from live link state.
         const auto quote = dataPlane_.preview(
             MigrationPlanner::transferSteps(pm.plan),
-            params_.migrationSetupTime, pm.plan.linkScheduled);
+            params_.migrationSetupTime);
         planner_.retime(pm.plan, pm.target, popts, quote.stepStart,
                         quote.stepFinish);
     }
@@ -835,7 +842,7 @@ SpotServeSystem::startMigration()
             if (options_.linkDataPlane) {
                 const auto quote = dataPlane_.preview(
                     MigrationPlanner::transferSteps(pm.plan),
-                    params_.migrationSetupTime, pm.plan.linkScheduled);
+                    params_.migrationSetupTime);
                 planner_.retime(pm.plan, pm.target, popts, quote.stepStart,
                                 quote.stepFinish);
             }
@@ -935,7 +942,8 @@ SpotServeSystem::startMigration()
             // allocator could hand out.
             const long budget = replicaKvBudgetBlocks(pm.target);
             const int blk = effectiveKvBlockTokens(pm.target);
-            const engine::KvAdmissionMode mode = kvAdmissionMode();
+            const engine::KvAdmissionMode mode =
+                engineOptions().kvAdmissionMode;
             // With prefix sharing the inheriting replica holds (and the
             // migration transfers) each complete shared prefix block
             // once for the whole cohort: later members carrying a
@@ -950,7 +958,8 @@ SpotServeSystem::startMigration()
                    static_cast<int>(keep) < pm.target.batch) {
                 const auto &r = recovered[keep];
                 long charge = r.kvChargedBlocks(mode, blk);
-                if (prefixSharing() && r.request.prefixId >= 0) {
+                if (engineOptions().prefixSharing &&
+                    r.request.prefixId >= 0) {
                     const long shared = std::min<long>(
                         r.kvTokensHeld(), r.request.prefixLen);
                     for (long l = 0; l < shared / blk; ++l) {
@@ -961,8 +970,7 @@ SpotServeSystem::startMigration()
                     }
                     charge = std::max(charge, 0L);
                 }
-                if (budget != engine::kUnboundedKvBlocks &&
-                    charged + charge > budget)
+                if (charged + charge > budget)
                     break;
                 charged += charge;
                 ++keep;
@@ -1011,8 +1019,7 @@ SpotServeSystem::startMigration()
         }
         const auto committed = dataPlane_.submit(
             MigrationPlanner::transferSteps(pm.plan),
-            params_.migrationSetupTime, pm.plan.linkScheduled,
-            std::move(so));
+            params_.migrationSetupTime, /*interleave=*/true, std::move(so));
         pm.planId = committed.planId;
     }
 

@@ -59,60 +59,8 @@ struct SpotServeOptions
     /** JIT arrangement and cache-context migration (§4). */
     bool enableArranger = true;
 
-    /**
-     * Iteration-level (continuous) batching: admit queued requests into
-     * live batches at decode-iteration boundaries instead of waiting for
-     * a whole batch to run to completion.  Disable for the rigid
-     * FasterTransformer-style batching the paper inherits.
-     */
-    bool continuousBatching = true;
-
-    /**
-     * Memory-aware admission: enforce the MemoryModel's per-replica
-     * KV-cache token budget at batch formation and at every iteration
-     * boundary, instead of trusting the fixed batch cap B to imply the
-     * footprint the optimizer planned for.  Disable for the fixed-B
-     * ablation.
-     */
-    bool kvBudgetAdmission = true;
-
-    /**
-     * Chunked prefill: cap one request's prefill work per iteration at
-     * this many input tokens (0 = the whole input in one iteration),
-     * bounding the decode stall a long-input newcomer can inflict on the
-     * in-flight batch.
-     */
-    int prefillChunkTokens = 0;
-
-    /**
-     * How requests are charged against the KV budget.  Optimistic
-     * (default) charges held + predicted-output tokens, learns the
-     * output-length distribution from completions, and evicts LIFO
-     * victims at watermark pressure; Reserve keeps the worst-case
-     * (prompt + output cap) reservation for the ablation.
-     */
-    engine::KvAdmissionMode kvAdmissionMode =
-        engine::KvAdmissionMode::Optimistic;
-
-    /**
-     * KV allocation granularity in tokens per block (paged KV cache).
-     * Admission charges ceil-rounded whole blocks per request and the
-     * per-replica budget is floored to whole blocks, so the enforced
-     * budget matches what a PagedAttention-style allocator can actually
-     * hand out.  1 reproduces token-granular accounting bit-for-bit
-     * (the ablation).
-     */
-    int kvBlockTokens = 16;
-
-    /**
-     * Block-level prefix sharing with copy-on-write
-     * (engine::KvBlockStore): each replica deduplicates shared prompt
-     * prefixes, full prefix hits skip the matched prefill compute, and
-     * admission charges the post-prefix-hit physical demand.  Disable to
-     * reproduce the scalar per-request block accounting bit-for-bit (the
-     * ablation; also arithmetically identical on prefix-free workloads).
-     */
-    bool prefixSharing = true;
+    /** Inference-engine knobs (the same struct both baselines carry). */
+    serving::EngineOptions engine{};
 
     /**
      * Expected workload rate used to size the very first deployment (the
@@ -223,11 +171,12 @@ class SpotServeSystem : public serving::BaseServingSystem
     void onInstancePreempted(const cluster::Instance &instance) override;
     void onInstanceReleased(const cluster::Instance &instance) override;
 
+    /** The base counters, then migration and fault-recovery counters. */
+    void report(serving::ExperimentResult &result) const override;
+
     /** Diagnostics for tests and benches. @{ */
     int migrationsCompleted() const { return migrationsCompleted_; }
     double totalMigrationStall() const { return totalMigrationStall_; }
-    /** Cumulative end-to-end migration makespan (full plan spans). */
-    double totalMigrationMakespan() const { return totalMigrationMakespan_; }
     double totalBytesMigrated() const { return totalBytesMigrated_; }
     double totalBytesReused() const { return totalBytesReused_; }
     /** Planning passes charged as scheduled events (overlapped mode). */
@@ -241,25 +190,8 @@ class SpotServeSystem : public serving::BaseServingSystem
     /** Reconfigurations where at least one replica never stopped. */
     int partialReconfigs() const { return partialReconfigs_; }
     const SpotServeOptions &options() const { return options_; }
-    /** Migrations aborted by instance death, link fault, or deadline. */
-    long migrationAborts() const { return migrationAborts_; }
-    /** Re-plan rounds scheduled after migration failures. */
-    long migrationRetries() const { return migrationRetries_; }
-    /** Requests requeued through the failure-recovery paths. */
-    long requestsRecovered() const { return requestsRecovered_; }
-    /** KV blocks whose migrated context survived a failed plan. */
-    long salvagedBlocks() const { return salvagedBlocks_; }
     /** Preemption notices currently outstanding (stale ones pruned). */
     int activeNotices() const { return static_cast<int>(notices_.size()); }
-    /** The migration transfer data plane (link busy state, counters). */
-    const TransferDataPlane &dataPlane() const { return dataPlane_; }
-    /** Mutable data plane access (fault injection hooks). */
-    TransferDataPlane &dataPlaneMutable() { return dataPlane_; }
-    /** Migrations whose schedule hit links still busy from another. */
-    long contendedMigrations() const
-    {
-        return dataPlane_.contendedSubmissions();
-    }
     /** @} */
 
   protected:
@@ -355,7 +287,6 @@ class SpotServeSystem : public serving::BaseServingSystem
     DeviceMapper mapper_;
     MigrationPlanner planner_;
     InterruptionArranger arranger_;
-    TransferDataPlane dataPlane_;
 
     Phase phase_ = Phase::Idle;
     bool evalScheduled_ = false;

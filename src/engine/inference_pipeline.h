@@ -56,8 +56,8 @@ struct BatchingOptions
      * <= the block budget (floor(kvBudgetTokens / kvBlockTokens)) at
      * startBatch and at every admission, and (optimistic mode) keeps the
      * *held* blocks under the block budget at every iteration boundary
-     * by evicting victims.  kUnboundedKvTokens disables the check
-     * (fixed-B ablation mode).
+     * by evicting victims.  kUnboundedKvTokens disables the check (the
+     * bare-engine default; serving systems always pass a real budget).
      */
     long kvBudgetTokens = kUnboundedKvTokens;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "serving/experiment.h"
 #include "simcore/logging.h"
 
 namespace spotserve {
@@ -13,25 +14,47 @@ BaseServingSystem::BaseServingSystem(sim::Executor &executor,
                                      RequestManager &requests,
                                      const model::ModelSpec &spec,
                                      const cost::CostParams &params,
-                                     const cost::SeqSpec &seq)
+                                     const cost::SeqSpec &seq,
+                                     const EngineOptions &engine_options)
     : sim_(executor), instances_(instances), requests_(requests),
       spec_(spec), params_(params), seq_(seq), latency_(spec, params),
-      memory_(spec, params), throughput_(latency_)
+      memory_(spec, params), throughput_(latency_),
+      dataPlane_(executor, params), engine_(engine_options)
 {
+    if (engine_.kvBlockTokens < 1)
+        throw std::invalid_argument(
+            "EngineOptions: kvBlockTokens must be >= 1 token");
+}
+
+void
+BaseServingSystem::report(ExperimentResult &result) const
+{
+    result.peakKvReservedTokens = peakKvReservedTokens_;
+    result.peakKvHeldTokens = peakKvHeldTokens_;
+    result.peakKvHeldBlocks = peakKvHeldBlocks_;
+    result.peakKvPhysicalBlocks = peakKvPhysicalBlocks_;
+    result.prefixHits = prefixHitsTotal_;
+    result.prefixMatchedTokens = prefixMatchedTokensTotal_;
+    result.cowCopies = cowCopiesTotal_;
+    result.savedPrefillSeconds = savedPrefillSecondsTotal_;
+    result.peakConcurrentRequests = peakConcurrentRequests_;
+    result.evictions = evictionsTotal_;
+    result.evictedWorkSeconds = evictedWorkSeconds_;
+    result.restartedRequeues = restartedRequeues_;
+    result.liveKvRefsAtEnd = liveKvRefs();
 }
 
 long
 BaseServingSystem::rejectUnservableHeads(long budget_blocks, int block_tokens)
 {
     long rejected = 0;
-    while (budget_blocks != engine::kUnboundedKvBlocks &&
-           !requests_.pendingEmpty()) {
+    while (!requests_.pendingEmpty()) {
         const engine::ActiveRequest &head = requests_.pending().front();
         // A head that fits *because* of prefix sharing is servable: its
         // physical peak shrinks by the matched-and-live shared blocks
         // some replica already holds.  Restarted heads stay undiscounted
         // (the eviction-storm guard — they must fit worst case alone).
-        const long discount = (prefixSharing_ && head.restarts == 0)
+        const long discount = (engine_.prefixSharing && head.restarts == 0)
                                   ? bestPrefixDiscount(head)
                                   : 0;
         if (head.kvPeakBlocks(block_tokens) - discount <= budget_blocks)
@@ -61,20 +84,9 @@ BaseServingSystem::bestPrefixDiscount(const engine::ActiveRequest &head) const
     return best;
 }
 
-void
-BaseServingSystem::setKvBlockTokens(int tokens)
-{
-    if (tokens < 1)
-        throw std::invalid_argument(
-            "setKvBlockTokens: block size must be >= 1 token");
-    kvBlockTokens_ = tokens;
-}
-
 long
 BaseServingSystem::replicaKvBudget(const par::ParallelConfig &config) const
 {
-    if (!kvBudgetAdmission_)
-        return engine::kUnboundedKvTokens;
     const long budget = memory_.kvBudgetTokens(config, memOptReserve_);
     // A deployed configuration passed MemoryModel::fits, so the budget is
     // positive; hand-built deployments that don't fit get a loud 1-token
@@ -95,17 +107,14 @@ BaseServingSystem::effectiveKvBlockTokens(
     // granularity, so the pop-path charges match what the pipeline
     // built for this config enforces.
     return engine::effectiveKvBlockTokens(replicaKvBudget(config),
-                                          kvBlockTokens_);
+                                          engine_.kvBlockTokens);
 }
 
 long
 BaseServingSystem::replicaKvBudgetBlocks(
     const par::ParallelConfig &config) const
 {
-    const long tokens = replicaKvBudget(config);
-    if (tokens == engine::kUnboundedKvTokens)
-        return engine::kUnboundedKvBlocks;
-    return tokens / effectiveKvBlockTokens(config);
+    return replicaKvBudget(config) / effectiveKvBlockTokens(config);
 }
 
 void
@@ -214,7 +223,7 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
     cb.onHalted = [this](engine::InferencePipeline &p) {
         onPipelineHalted(p);
     };
-    if (continuousBatching_) {
+    if (engine_.continuousBatching) {
         cb.onAdmit = [this](engine::InferencePipeline &p, int free_slots) {
             return admitAtBoundary(p, free_slots);
         };
@@ -268,14 +277,13 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
     };
     engine::BatchingOptions batching;
     batching.kvBudgetTokens = replicaKvBudget(config);
-    batching.kvBlockTokens = kvBlockTokens_;
-    batching.prefillChunkTokens = prefillChunkTokens_;
-    batching.prefixSharing = prefixSharing_;
-    batching.kvAdmissionMode = kvAdmissionMode_;
-    if (kvBudgetAdmission_ &&
-        kvAdmissionMode_ == engine::KvAdmissionMode::Optimistic) {
-        const cost::KvWatermarks wm =
-            memory_.kvWatermarks(config, kvBlockTokens_, memOptReserve_);
+    batching.kvBlockTokens = engine_.kvBlockTokens;
+    batching.prefillChunkTokens = engine_.prefillChunkTokens;
+    batching.prefixSharing = engine_.prefixSharing;
+    batching.kvAdmissionMode = engine_.kvAdmissionMode;
+    if (engine_.kvAdmissionMode == engine::KvAdmissionMode::Optimistic) {
+        const cost::KvWatermarks wm = memory_.kvWatermarks(
+            config, engine_.kvBlockTokens, memOptReserve_);
         batching.kvHighWatermarkBlocks = wm.high;
         batching.kvLowWatermarkBlocks = wm.low;
     }
@@ -371,7 +379,7 @@ BaseServingSystem::dispatchAll()
     // pipelines enforce.
     const long budget = replicaKvBudgetBlocks(deployment_->config);
     const int blk = effectiveKvBlockTokens(deployment_->config);
-    const engine::KvAdmissionMode mode = kvAdmissionMode_;
+    const engine::KvAdmissionMode mode = engine_.kvAdmissionMode;
     std::vector<std::vector<engine::ActiveRequest>> batches(ready.size());
     std::vector<long> charged(ready.size(), 0);
     while (!requests_.pendingEmpty()) {
@@ -391,7 +399,7 @@ BaseServingSystem::dispatchAll()
         const long head_charge = requests_.headKvCharge(mode, blk);
         const engine::ActiveRequest &head = requests_.pending().front();
         std::vector<long> quote(ready.size(), 0);
-        if (prefixSharing_ && head.restarts == 0) {
+        if (engine_.prefixSharing && head.restarts == 0) {
             for (std::size_t i = 0; i < ready.size(); ++i)
                 quote[i] = ready[i]->prefixQuoteBlocks(head);
         }
@@ -400,8 +408,7 @@ BaseServingSystem::dispatchAll()
             if (static_cast<int>(batches[i].size()) >=
                 deployment_->config.batch)
                 continue;
-            if (budget != engine::kUnboundedKvBlocks &&
-                charged[i] + head_charge - quote[i] > budget)
+            if (charged[i] + head_charge - quote[i] > budget)
                 continue;
             if (best < 0 || quote[i] > quote[best] ||
                 (quote[i] == quote[best] &&
@@ -413,10 +420,8 @@ BaseServingSystem::dispatchAll()
         }
         if (best < 0)
             break;
-        const long headroom = budget == engine::kUnboundedKvBlocks
-                                  ? engine::kUnboundedKvBlocks
-                                  : budget - charged[best];
-        auto got = requests_.nextBatch(1, headroom, mode, budget, blk,
+        auto got = requests_.nextBatch(1, budget - charged[best], mode,
+                                       budget, blk,
                                        ready[best]->kvStore());
         if (got.empty())
             break;

@@ -4,9 +4,10 @@
  *
  * SpotServe and both baselines run on the same engine substrate ("they are
  * implemented with the same inference engine as SpotServe to avoid
- * unfairness", §6.1): this base class owns the deployment (configuration,
- * device mesh, pipelines), the dispatch loop, context-daemon holdings, and
- * configuration history.
+ * unfairness", §6.1): this base class owns the engine options, the
+ * deployment (configuration, device mesh, pipelines), the transfer data
+ * plane, the dispatch loop, context-daemon holdings, and configuration
+ * history.
  */
 
 #ifndef SPOTSERVE_SERVING_BASE_SYSTEM_H
@@ -17,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/transfer_data_plane.h"
 #include "costmodel/latency_model.h"
 #include "costmodel/memory_model.h"
 #include "costmodel/throughput_model.h"
@@ -30,32 +32,88 @@
 namespace spotserve {
 namespace serving {
 
+/**
+ * The inference-engine knobs.  SpotServe and both baselines each carry one
+ * of these and hand it to BaseServingSystem, which builds every pipeline
+ * from it, so the engine the three systems run is one value declared
+ * once.  Defaults are the serving defaults.
+ */
+struct EngineOptions
+{
+    /**
+     * Iteration-level (continuous) batching: admit queued requests into
+     * live batches at decode-iteration boundaries.  false = rigid
+     * run-to-completion batching, the FasterTransformer-style engine the
+     * paper inherits (batches only form when a pipeline is idle).
+     */
+    bool continuousBatching = true;
+
+    /**
+     * Chunked prefill: cap one request's prefill work per iteration at
+     * this many input tokens (0 = the whole input in one iteration),
+     * bounding the decode stall a long-input newcomer can inflict on the
+     * in-flight batch.
+     */
+    int prefillChunkTokens = 0;
+
+    /**
+     * How requests are charged against the KV budget.  Optimistic charges
+     * held + predicted-output tokens, learns the output-length
+     * distribution from completions, and evicts LIFO victims at watermark
+     * pressure; Reserve charges the worst case (prompt + output cap), the
+     * ablation.
+     */
+    engine::KvAdmissionMode kvAdmissionMode =
+        engine::KvAdmissionMode::Optimistic;
+
+    /**
+     * KV allocation granularity in tokens per block (paged KV cache; must
+     * be >= 1).  Admission charges ceil-rounded whole blocks per request
+     * and the per-replica budget is floored to whole blocks, so the
+     * enforced budget matches what a PagedAttention-style allocator can
+     * hand out.  1 reproduces token-granular accounting bit-for-bit.
+     */
+    int kvBlockTokens = 16;
+
+    /**
+     * Block-level prefix sharing with copy-on-write
+     * (engine::KvBlockStore): each replica holds shared prompt prefixes
+     * once, full prefix hits skip the matched prefill compute, and every
+     * admission path quotes the post-prefix-hit physical demand.  false
+     * reproduces the scalar per-request block accounting bit-for-bit (the
+     * ablation; also identical on prefix-free workloads).
+     */
+    bool prefixSharing = true;
+};
+
 /** Common deployment + dispatch machinery. */
 class BaseServingSystem : public ServingSystem
 {
   public:
+    /** @throws std::invalid_argument if engine_options.kvBlockTokens < 1 */
     BaseServingSystem(sim::Executor &executor,
                       cluster::InstanceManager &instances,
                       RequestManager &requests, const model::ModelSpec &spec,
                       const cost::CostParams &params,
-                      const cost::SeqSpec &seq);
+                      const cost::SeqSpec &seq,
+                      const EngineOptions &engine_options);
 
     void onRequestArrival(const wl::Request &request) override;
     const std::vector<ConfigChange> &configHistory() const override
     {
         return history_;
     }
+    core::TransferDataPlane &dataPlane() override { return dataPlane_; }
+    void setTokenObserver(
+        std::function<void(const engine::ActiveRequest &)> observer) override
+    {
+        tokenObserver_ = std::move(observer);
+    }
+    /** KV, prefix-sharing, eviction and restart counters. */
+    void report(ExperimentResult &result) const override;
 
     /** Current configuration if a deployment is active. */
     std::optional<par::ParallelConfig> currentConfig() const;
-
-    /**
-     * Requests that went through the shared restart path (progress reset
-     * and requeued) over the whole run.  Crash-consistency audit signal:
-     * every request a fault knocks off a pipeline must pass through here
-     * exactly as many times as it was knocked off.
-     */
-    long restartedRequeues() const { return restartedRequeues_; }
 
     /**
      * Live KV block references summed over every deployed replica's
@@ -78,49 +136,6 @@ class BaseServingSystem : public ServingSystem
         kvObserver_ = std::move(observer);
     }
 
-    /**
-     * Observer forwarded to every pipeline's per-token callback: fired
-     * once per request per committed output token.  The socket ingress
-     * streams tokens from here; experiments leave it unset.  Read at
-     * fire time, so it takes effect immediately for live pipelines too.
-     */
-    void setTokenObserver(
-        std::function<void(const engine::ActiveRequest &)> observer)
-    {
-        tokenObserver_ = std::move(observer);
-    }
-
-    /** Largest KV holding any replica reached at a boundary (tokens). */
-    long peakKvHeldTokens() const { return peakKvHeldTokens_; }
-    /** Largest worst-case KV reservation any replica reached (tokens). */
-    long peakKvReservedTokens() const { return peakKvReservedTokens_; }
-    /** Largest KV holding any replica reached at a boundary, in whole
-     *  KV blocks (per-request ceil rounding — what a paged allocator
-     *  would really have handed out).  Logical: shared prefix blocks
-     *  count once per referencing request. */
-    long peakKvHeldBlocks() const { return peakKvHeldBlocks_; }
-    /** Largest *physical* (deduplicated) block holding any replica
-     *  reached at a boundary.  Equals peakKvHeldBlocks without prefix
-     *  sharing; strictly smaller whenever prefixes were shared. */
-    long peakKvPhysicalBlocks() const { return peakKvPhysicalBlocks_; }
-    /** Prefix-cache hits across all pipelines (attaches that matched). */
-    long prefixHitsTotal() const { return prefixHitsTotal_; }
-    /** Prefix tokens whose prefill compute was skipped, total. */
-    long prefixMatchedTokensTotal() const { return prefixMatchedTokensTotal_; }
-    /** Copy-on-write block copies across all pipelines. */
-    long cowCopiesTotal() const { return cowCopiesTotal_; }
-    /** Prefill seconds skipped thanks to prefix hits (LatencyModel). */
-    double savedPrefillSecondsTotal() const
-    {
-        return savedPrefillSecondsTotal_;
-    }
-    /** Largest live batch any replica reached at a boundary (requests). */
-    int peakConcurrentRequests() const { return peakConcurrentRequests_; }
-    /** Requests evicted by optimistic admission across all pipelines. */
-    long evictionsTotal() const { return evictionsTotal_; }
-    /** Committed work (seconds to recompute) those evictions discarded. */
-    double evictedWorkSeconds() const { return evictedWorkSeconds_; }
-
   protected:
     /** Active deployment: configuration, mesh, one pipeline per replica. */
     struct Deployment
@@ -139,6 +154,9 @@ class BaseServingSystem : public ServingSystem
     bool hasDeployment() const { return deployment_.has_value(); }
     Deployment &deployment() { return *deployment_; }
     const Deployment &deployment() const { return *deployment_; }
+
+    /** The engine knobs every pipeline is built with. */
+    const EngineOptions &engineOptions() const { return engine_; }
 
     /**
      * Pack the configuration's positions onto @p instance_list in order:
@@ -248,68 +266,6 @@ class BaseServingSystem : public ServingSystem
     admitAtBoundary(engine::InferencePipeline &pipeline, int free_slots);
 
     /**
-     * Disable to fall back to rigid run-to-completion batching (batches
-     * only form when a pipeline is idle); used by benches to quantify the
-     * continuous-batching win.  Takes effect for pipelines built after
-     * the call.
-     */
-    void setContinuousBatching(bool enabled) { continuousBatching_ = enabled; }
-    bool continuousBatching() const { return continuousBatching_; }
-
-    /**
-     * Memory-aware admission: enforce the per-replica KV-cache token
-     * budget MemoryModel::kvBudgetTokens promises for the deployed
-     * configuration (on by default).  Disable to fall back to fixed-B
-     * admission for the ablation benches.  Takes effect for pipelines
-     * built after the call.
-     */
-    void setKvBudgetAdmission(bool enabled) { kvBudgetAdmission_ = enabled; }
-    bool kvBudgetAdmission() const { return kvBudgetAdmission_; }
-
-    /** Chunked-prefill chunk size in tokens (0 = unchunked). */
-    void setPrefillChunkTokens(int tokens) { prefillChunkTokens_ = tokens; }
-    int prefillChunkTokens() const { return prefillChunkTokens_; }
-
-    /**
-     * KV allocation granularity in tokens per block (paged KV cache,
-     * default 16).  Admission charges every request ceil-rounded whole
-     * blocks and the per-replica budget is floored to whole blocks, so
-     * the budget the engine enforces matches what a PagedAttention-style
-     * allocator can actually hand out.  1 reproduces the token-granular
-     * accounting bit-for-bit (the ablation).  Takes effect for pipelines
-     * built after the call.
-     */
-    void setKvBlockTokens(int tokens);
-    int kvBlockTokens() const { return kvBlockTokens_; }
-
-    /**
-     * Block-level prefix sharing + copy-on-write (engine::KvBlockStore):
-     * each replica holds shared prompt prefixes once, full prefix hits
-     * skip the matched prefill compute, and every admission path quotes
-     * the post-prefix-hit physical demand.  Off reproduces the PR 5
-     * scalar block accounting bit-for-bit (the ablation); the serving
-     * systems' option structs default it on.  Takes effect for pipelines
-     * built after the call.
-     */
-    void setPrefixSharing(bool enabled) { prefixSharing_ = enabled; }
-    bool prefixSharing() const { return prefixSharing_; }
-
-    /**
-     * How admission charges requests against the KV budget (takes effect
-     * for pipelines built after the call).  Optimistic (default) charges
-     * held + predicted tokens and relies on watermark eviction; Reserve
-     * keeps PR 2's worst-case reservation for the ablation.
-     */
-    void setKvAdmissionMode(engine::KvAdmissionMode mode)
-    {
-        kvAdmissionMode_ = mode;
-    }
-    engine::KvAdmissionMode kvAdmissionMode() const
-    {
-        return kvAdmissionMode_;
-    }
-
-    /**
      * Whether the migration reserve deducted from the KV budget assumes
      * the memory-optimised planner (Algorithm 2).  Must match the
      * feasibility check that picked the deployment
@@ -317,18 +273,17 @@ class BaseServingSystem : public ServingSystem
      * overstates the real headroom during migrations.
      */
     void setMemOptReserve(bool enabled) { memOptReserve_ = enabled; }
-    bool memOptReserve() const { return memOptReserve_; }
 
     /** The KV token budget one replica of @p config gets at runtime. */
     long replicaKvBudget(const par::ParallelConfig &config) const;
 
     /**
      * Block granularity actually in force for replicas of @p config:
-     * kvBlockTokens(), except that a (degenerate, loudly warned) budget
-     * smaller than one block degrades to token granularity — the same
-     * fallback InferencePipeline applies — so a 1-token no-headroom
-     * budget keeps starving admission instead of rounding up to a whole
-     * block.  Every serving-side pop pairs this with
+     * EngineOptions::kvBlockTokens, except that a (degenerate, loudly
+     * warned) budget smaller than one block degrades to token granularity
+     * — the same fallback InferencePipeline applies — so a 1-token
+     * no-headroom budget keeps starving admission instead of rounding up
+     * to a whole block.  Every serving-side pop pairs this with
      * replicaKvBudgetBlocks.
      */
     int effectiveKvBlockTokens(const par::ParallelConfig &config) const;
@@ -373,19 +328,15 @@ class BaseServingSystem : public ServingSystem
     cost::LatencyModel latency_;
     cost::MemoryModel memory_;
     cost::ThroughputModel throughput_;
+    /** Link-level data plane every migration and cold load runs through. */
+    core::TransferDataPlane dataPlane_;
 
   private:
+    EngineOptions engine_;
     std::optional<Deployment> deployment_;
     std::vector<ConfigChange> history_;
     long restartedRequeues_ = 0;
-    bool continuousBatching_ = true;
-    bool kvBudgetAdmission_ = true;
-    int prefillChunkTokens_ = 0;
-    int kvBlockTokens_ = 16;
     bool memOptReserve_ = true;
-    bool prefixSharing_ = false;
-    engine::KvAdmissionMode kvAdmissionMode_ =
-        engine::KvAdmissionMode::Optimistic;
     std::function<void(const engine::InferencePipeline &)> kvObserver_;
     std::function<void(const engine::ActiveRequest &)> tokenObserver_;
     long peakKvHeldTokens_ = 0;

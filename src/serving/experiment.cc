@@ -1,9 +1,6 @@
 #include "serving/experiment.h"
 
-#include "baselines/reparallelization_system.h"
-#include "baselines/rerouting_system.h"
 #include "cluster/fault_injector.h"
-#include "core/spotserve_system.h"
 #include "simcore/simulation.h"
 
 namespace spotserve {
@@ -41,14 +38,7 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
     if (options.faultPlan != nullptr) {
         injector = std::make_unique<sim::FaultInjector>(executor, instances,
                                                         *options.faultPlan);
-        if (auto *spot = dynamic_cast<core::SpotServeSystem *>(system.get()))
-            injector->attachDataPlane(&spot->dataPlaneMutable());
-        else if (auto *repar = dynamic_cast<baselines::ReparallelizationSystem *>(
-                     system.get()))
-            injector->attachDataPlane(&repar->dataPlaneMutable());
-        else if (auto *rer =
-                     dynamic_cast<baselines::ReroutingSystem *>(system.get()))
-            injector->attachDataPlane(&rer->dataPlaneMutable());
+        injector->attachDataPlane(&system->dataPlane());
         injector->arm();
     }
 
@@ -89,36 +79,8 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
     result.spotInstanceHours = instances.spotInstanceHours(trace.duration());
     result.ondemandInstanceHours =
         instances.ondemandInstanceHours(trace.duration());
-    if (const auto *base =
-            dynamic_cast<const BaseServingSystem *>(system.get())) {
-        result.peakKvReservedTokens = base->peakKvReservedTokens();
-        result.peakKvHeldTokens = base->peakKvHeldTokens();
-        result.peakKvHeldBlocks = base->peakKvHeldBlocks();
-        result.peakKvPhysicalBlocks = base->peakKvPhysicalBlocks();
-        result.prefixHits = base->prefixHitsTotal();
-        result.prefixMatchedTokens = base->prefixMatchedTokensTotal();
-        result.cowCopies = base->cowCopiesTotal();
-        result.savedPrefillSeconds = base->savedPrefillSecondsTotal();
-        result.peakConcurrentRequests = base->peakConcurrentRequests();
-        result.evictions = base->evictionsTotal();
-        result.evictedWorkSeconds = base->evictedWorkSeconds();
-    }
-    if (const auto *spot =
-            dynamic_cast<const core::SpotServeSystem *>(system.get())) {
-        result.migrationsCompleted = spot->migrationsCompleted();
-        result.migrationMakespanTotal = spot->totalMigrationMakespan();
-        result.contendedMigrations = spot->contendedMigrations();
-        result.migrationAborts = spot->migrationAborts();
-        result.migrationRetries = spot->migrationRetries();
-        result.requestsRecovered = spot->requestsRecovered();
-        result.salvagedBlocks = spot->salvagedBlocks();
-    }
     result.hardPreemptions = instances.hardPreemptions();
-    if (const auto *base =
-            dynamic_cast<const BaseServingSystem *>(system.get())) {
-        result.restartedRequeues = base->restartedRequeues();
-        result.liveKvRefsAtEnd = base->liveKvRefs();
-    }
+    system->report(result);
     return result;
 }
 

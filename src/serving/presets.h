@@ -24,9 +24,8 @@ spotServeFactory(const model::ModelSpec &spec, const cost::CostParams &params,
                  const cost::SeqSpec &seq, core::SpotServeOptions options);
 
 /**
- * Factory for the request-rerouting baseline.  @p options carries the
- * shared engine knobs (continuous batching, KV admission mode,
- * kvBlockTokens, chunked prefill); @p design_rate overrides its
+ * Factory for the request-rerouting baseline.  @p options.engine carries
+ * the shared EngineOptions; @p design_rate overrides its
  * designArrivalRate.
  */
 serving::SystemFactory

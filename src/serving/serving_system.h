@@ -6,6 +6,7 @@
 #ifndef SPOTSERVE_SERVING_SERVING_SYSTEM_H
 #define SPOTSERVE_SERVING_SERVING_SYSTEM_H
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,15 @@
 #include "workload/request.h"
 
 namespace spotserve {
+namespace core {
+class TransferDataPlane;
+}
+namespace engine {
+struct ActiveRequest;
+}
 namespace serving {
+
+struct ExperimentResult;
 
 /** One (re)configuration of the deployment, for Figure 8 annotations. */
 struct ConfigChange
@@ -42,6 +51,22 @@ class ServingSystem : public cluster::ClusterListener
 
     /** Every configuration (re)activation since start. */
     virtual const std::vector<ConfigChange> &configHistory() const = 0;
+
+    /** The link data plane migrations and cold loads run through (the
+     *  fault injector attaches its link faults here). */
+    virtual core::TransferDataPlane &dataPlane() = 0;
+
+    /**
+     * Observer fired once per request per committed output token.  The
+     * socket ingress streams tokens from here; experiments leave it
+     * unset.  Read at fire time, so it takes effect immediately for live
+     * pipelines too.
+     */
+    virtual void setTokenObserver(
+        std::function<void(const engine::ActiveRequest &)> observer) = 0;
+
+    /** Fill this system's diagnostic counters into @p result. */
+    virtual void report(ExperimentResult &result) const = 0;
 };
 
 } // namespace serving

@@ -14,7 +14,7 @@
 #include <stdexcept>
 #include <system_error>
 
-#include "serving/base_system.h"
+#include "engine/active_request.h"
 
 namespace spotserve {
 namespace serving {
@@ -46,7 +46,6 @@ std::string errnoMessage()
 SocketIngress::SocketIngress(sim::Executor &executor, ServingSystem &system,
                              RequestManager &requests, Options options)
     : executor_(executor), system_(system), requests_(requests),
-      baseSystem_(dynamic_cast<BaseServingSystem *>(&system)),
       options_(std::move(options))
 {
 }
@@ -124,16 +123,13 @@ void SocketIngress::start()
         sendToRequest(id, "rejected " + std::to_string(id),
                       /*final_line=*/true);
     });
-    if (baseSystem_ != nullptr) {
-        baseSystem_->setTokenObserver(
-            [this, alive](const engine::ActiveRequest &r) {
-                if (!alive->load())
-                    return;
-                std::ostringstream line;
-                line << "token " << r.request.id << ' ' << r.committedTokens;
-                sendToRequest(r.request.id, line.str(), /*final_line=*/false);
-            });
-    }
+    system_.setTokenObserver([this, alive](const engine::ActiveRequest &r) {
+        if (!alive->load())
+            return;
+        std::ostringstream line;
+        line << "token " << r.request.id << ' ' << r.committedTokens;
+        sendToRequest(r.request.id, line.str(), /*final_line=*/false);
+    });
 
     stopRequested_.store(false);
     running_.store(true);
@@ -158,12 +154,11 @@ void SocketIngress::stop()
     if (observersAlive_)
         observersAlive_->store(false);
     RequestManager *req = &requests_;
-    BaseServingSystem *base = baseSystem_;
-    executor_.schedule(executor_.now(), [req, base] {
+    ServingSystem *sys = &system_;
+    executor_.schedule(executor_.now(), [req, sys] {
         req->setCompletionObserver(nullptr);
         req->setRejectionObserver(nullptr);
-        if (base != nullptr)
-            base->setTokenObserver(nullptr);
+        sys->setTokenObserver(nullptr);
     });
     {
         sim::MutexLock lk(clientsMutex_);

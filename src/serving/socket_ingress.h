@@ -67,8 +67,6 @@
 namespace spotserve {
 namespace serving {
 
-class BaseServingSystem;
-
 class SocketIngress
 {
   public:
@@ -104,10 +102,9 @@ class SocketIngress
     };
 
     /**
-     * @param system   the serving system arrivals are injected into.  When
-     *                 it is a BaseServingSystem the ingress also registers
-     *                 the per-token observer for streaming; otherwise only
-     *                 queued/done/rejected lines are sent.
+     * @param system   the serving system arrivals are injected into; the
+     *                 ingress registers its per-token observer to stream
+     *                 token lines.
      */
     SocketIngress(sim::Executor &executor, ServingSystem &system,
                   RequestManager &requests, Options options);
@@ -190,7 +187,6 @@ class SocketIngress
     sim::Executor &executor_;
     ServingSystem &system_;
     RequestManager &requests_;
-    BaseServingSystem *baseSystem_ = nullptr; ///< token streaming, if any
     Options options_;
 
     std::thread pollThread_;

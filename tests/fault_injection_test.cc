@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/fault_injector.h"
@@ -380,8 +381,17 @@ struct ChaosCase
     bool prefixSharing;
 };
 
+const std::vector<ChaosCase> kChaosCases = {
+    {101, engine::KvAdmissionMode::Optimistic, true},
+    {202, engine::KvAdmissionMode::Optimistic, false},
+    {303, engine::KvAdmissionMode::Reserve, true},
+    {404, engine::KvAdmissionMode::Reserve, false},
+};
+
+/** @param system "SpotServe", "Rerouting" or "Reparallelization". */
 serving::ExperimentResult
-runChaos(const ChaosCase &c, bool fault_recovery = true)
+runChaos(const ChaosCase &c, bool fault_recovery = true,
+         const std::string &system = "SpotServe")
 {
     const auto spec = model::ModelSpec::opt6_7b();
     const cost::SeqSpec seq{};
@@ -395,11 +405,26 @@ runChaos(const ChaosCase &c, bool fault_recovery = true)
         c.seed, trace.duration(), /*hard_kills=*/1, /*migration_kills=*/1,
         /*link_faults=*/2);
 
-    core::SpotServeOptions options;
-    options.designArrivalRate = rate;
-    options.kvAdmissionMode = c.admission;
-    options.prefixSharing = c.prefixSharing;
-    options.faultRecovery = fault_recovery;
+    serving::EngineOptions engine;
+    engine.kvAdmissionMode = c.admission;
+    engine.prefixSharing = c.prefixSharing;
+    serving::SystemFactory factory;
+    if (system == "Rerouting") {
+        baselines::ReroutingOptions options;
+        options.engine = engine;
+        factory = presets::reroutingFactory(spec, kParams, seq, rate, options);
+    } else if (system == "Reparallelization") {
+        baselines::ReparallelizationOptions options;
+        options.engine = engine;
+        factory = presets::reparallelizationFactory(spec, kParams, seq, rate,
+                                                    options);
+    } else {
+        core::SpotServeOptions options;
+        options.designArrivalRate = rate;
+        options.engine = engine;
+        options.faultRecovery = fault_recovery;
+        factory = presets::spotServeFactory(spec, kParams, seq, options);
+    }
 
     sim::Rng rng(c.seed);
     const auto workload =
@@ -407,11 +432,8 @@ runChaos(const ChaosCase &c, bool fault_recovery = true)
 
     serving::ExperimentOptions eo;
     eo.faultPlan = &plan;
-    return serving::runExperiment(
-        spec, cost::CostParams::awsG4dn(), trace, workload,
-        presets::spotServeFactory(spec, cost::CostParams::awsG4dn(), seq,
-                                  options),
-        eo);
+    return serving::runExperiment(spec, kParams, trace, workload, factory,
+                                  eo);
 }
 
 void
@@ -433,14 +455,8 @@ expectCrashConsistent(const serving::ExperimentResult &r)
 
 TEST(ChaosSweepTest, SpotServeSurvivesRandomFaultSchedules)
 {
-    const std::vector<ChaosCase> cases = {
-        {101, engine::KvAdmissionMode::Optimistic, true},
-        {202, engine::KvAdmissionMode::Optimistic, false},
-        {303, engine::KvAdmissionMode::Reserve, true},
-        {404, engine::KvAdmissionMode::Reserve, false},
-    };
     long aborts = 0, recovered = 0, restarts = 0;
-    for (const auto &c : cases) {
+    for (const auto &c : kChaosCases) {
         SCOPED_TRACE("seed=" + std::to_string(c.seed));
         const auto r = runChaos(c);
         expectCrashConsistent(r);
@@ -454,6 +470,18 @@ TEST(ChaosSweepTest, SpotServeSurvivesRandomFaultSchedules)
     EXPECT_GT(aborts, 0);
     EXPECT_GT(restarts, 0);
     (void)recovered; // may be 0 if every abort salvaged in-flight work
+}
+
+TEST(ChaosSweepTest, BaselinesSurviveRandomFaultSchedules)
+{
+    // The baselines' cold loads run through the same data plane the
+    // injector attaches to; the conservation invariants hold for them too.
+    for (const std::string system : {"Rerouting", "Reparallelization"}) {
+        for (const auto &c : kChaosCases) {
+            SCOPED_TRACE(system + " seed=" + std::to_string(c.seed));
+            expectCrashConsistent(runChaos(c, true, system));
+        }
+    }
 }
 
 TEST(ChaosSweepTest, AblationWithoutRecoveryStaysConsistent)

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "cluster/availability_trace.h"
-#include "serving/base_system.h"
+#include "serving/experiment.h"
 #include "serving/presets.h"
 #include "serving/socket_ingress.h"
 #include "simcore/wallclock_executor.h"
@@ -251,15 +251,16 @@ TEST_F(IngressFixture, PrefixDeclarationsFlowThroughAndBadOnesAreNonFatal)
     EXPECT_EQ(client.readUntil("done").back().substr(0, 4), "done");
     client.sendLine("gen 64 2 prefix=0:32");
     EXPECT_EQ(client.readUntil("done").back().substr(0, 4), "done");
-    auto *base = dynamic_cast<serving::BaseServingSystem *>(system_.get());
-    ASSERT_NE(base, nullptr);
     // The stats counters are plain fields owned by the executor thread
     // (boundary commits keep writing them after `done` reaches the
     // wire), so read them on that thread instead of racing it from the
     // test thread — TSan flags the direct read.
     std::promise<long> hitsOnDriver;
-    executor_->scheduleAfter(
-        0.0, [&] { hitsOnDriver.set_value(base->prefixHitsTotal()); });
+    executor_->scheduleAfter(0.0, [&] {
+        serving::ExperimentResult stats;
+        system_->report(stats);
+        hitsOnDriver.set_value(stats.prefixHits);
+    });
     EXPECT_GE(hitsOnDriver.get_future().get(), 1);
 
     // Bare prefix=<id> declares the whole prompt as the class prefix.

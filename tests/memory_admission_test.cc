@@ -410,7 +410,7 @@ runSystemInvariant(const wl::Workload &workload, int chunk_tokens)
     serving::RequestManager requests(sim);
     core::SpotServeOptions options;
     options.designArrivalRate = 0.35;
-    options.prefillChunkTokens = chunk_tokens;
+    options.engine.prefillChunkTokens = chunk_tokens;
     core::SpotServeSystem system(sim, instances, requests, spec, kParams,
                                  seq, options);
 
@@ -766,7 +766,8 @@ struct TestSystem : serving::BaseServingSystem
 {
     TestSystem(sim::Executor &s, cluster::InstanceManager &im,
                serving::RequestManager &rm, const model::ModelSpec &spec)
-        : BaseServingSystem(s, im, rm, spec, kParams, cost::SeqSpec{})
+        : BaseServingSystem(s, im, rm, spec, kParams, cost::SeqSpec{},
+                            serving::EngineOptions{.prefixSharing = false})
     {
     }
     std::string name() const override { return "TestSystem"; }
@@ -1281,8 +1282,9 @@ runOptimisticSystemInvariant(const wl::Workload &workload, int chunk_tokens)
     serving::RequestManager requests(sim);
     core::SpotServeOptions options;
     options.designArrivalRate = 0.35;
-    options.prefillChunkTokens = chunk_tokens;
-    EXPECT_EQ(options.kvAdmissionMode, engine::KvAdmissionMode::Optimistic)
+    options.engine.prefillChunkTokens = chunk_tokens;
+    EXPECT_EQ(options.engine.kvAdmissionMode,
+              engine::KvAdmissionMode::Optimistic)
         << "optimistic admission should be the default";
     core::SpotServeSystem system(sim, instances, requests, spec, kParams,
                                  seq, options);
@@ -1615,9 +1617,9 @@ runBlockSystemInvariant(const wl::Workload &workload, int chunk_tokens,
     serving::RequestManager requests(sim);
     core::SpotServeOptions options;
     options.designArrivalRate = 0.35;
-    options.prefillChunkTokens = chunk_tokens;
-    options.kvAdmissionMode = mode;
-    options.kvBlockTokens = block_tokens;
+    options.engine.prefillChunkTokens = chunk_tokens;
+    options.engine.kvAdmissionMode = mode;
+    options.engine.kvBlockTokens = block_tokens;
     core::SpotServeSystem system(sim, instances, requests, spec, kParams,
                                  seq, options);
 

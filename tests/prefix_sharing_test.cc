@@ -295,10 +295,10 @@ runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
     serving::RequestManager requests(sim);
     core::SpotServeOptions options;
     options.designArrivalRate = 0.35;
-    options.prefillChunkTokens = chunk_tokens;
-    options.kvAdmissionMode = mode;
-    options.kvBlockTokens = block_tokens;
-    options.prefixSharing = true;
+    options.engine.prefillChunkTokens = chunk_tokens;
+    options.engine.kvAdmissionMode = mode;
+    options.engine.kvBlockTokens = block_tokens;
+    options.engine.prefixSharing = true;
     core::SpotServeSystem system(sim, instances, requests, spec, kParams,
                                  seq, options);
 
@@ -333,8 +333,10 @@ runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
     }
     sim.run(trace.duration() + 900.0);
 
-    out.prefixHits = system.prefixHitsTotal();
-    out.cowCopies = system.cowCopiesTotal();
+    serving::ExperimentResult stats;
+    system.report(stats);
+    out.prefixHits = stats.prefixHits;
+    out.cowCopies = stats.cowCopies;
     out.migrations = system.migrationsCompleted();
     out.completed = requests.completedCount();
     out.arrived = requests.arrivedCount();
@@ -424,7 +426,7 @@ runSpotServe(const wl::Workload &workload, bool prefix_sharing)
             serving::RequestManager &req) {
             core::SpotServeOptions options;
             options.designArrivalRate = 0.35;
-            options.prefixSharing = prefix_sharing;
+            options.engine.prefixSharing = prefix_sharing;
             return std::make_unique<core::SpotServeSystem>(
                 exec, inst, req, spec, kParams, seq, options);
         };
