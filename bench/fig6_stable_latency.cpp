@@ -67,20 +67,6 @@ main(int argc, char **argv)
             for (const auto &r : results)
                 printRow(r);
 
-            // Overlapped-reconfiguration ablation: the same SpotServe
-            // stack with synchronous planning + whole-deployment drains.
-            // Overlapping must never lose to it.
-            {
-                const auto r_sync =
-                    presets::runStable(spec, trace, "SpotServe-sync");
-                printRow(r_sync);
-                std::printf(
-                    "  overlapped vs sync reconfig: P99 %.2fx, avg %.2fx\n",
-                    r_sync.latencies.percentile(99) /
-                        results[0].latencies.percentile(99),
-                    r_sync.latencies.mean() / results[0].latencies.mean());
-            }
-
             const double spot_p99 = results[0].latencies.percentile(99);
             const double repar_p99 = results[1].latencies.percentile(99);
             const double rerout_p99 = results[2].latencies.percentile(99);

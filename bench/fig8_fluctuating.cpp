@@ -15,7 +15,6 @@
  * regressions.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -268,110 +267,6 @@ main(int argc, char **argv)
                         r_opt.completed - r_res.completed);
             keep(trace.name(), "SpotServe-reserve", r_res);
             keep(trace.name(), "SpotServe-optimistic", r_opt);
-        }
-        // Overlapped-reconfiguration ablation: the same stack with
-        // synchronous reconfiguration (instantaneous global planning +
-        // whole-deployment drain, the pre-overlap behaviour).  Overlapped
-        // mode must strictly improve goodput and P99 inside the
-        // reconfiguration windows — the spans where the synchronous
-        // variant serves nothing.
-        {
-            core::SpotServeOptions sync_opt;
-            sync_opt.designArrivalRate = 0.55;
-            sync_opt.overlappedReconfig = false;
-            const auto r_sync = serving::runExperiment(
-                spec, params, trace, workload,
-                presets::spotServeFactory(spec, params, seq, sync_opt));
-            // Windows anchored on the synchronous run's reconfigurations
-            // (same trace, so the disruptions land at the same times).
-            std::vector<double> windows;
-            for (std::size_t i = 1; i < r_sync.configHistory.size(); ++i)
-                windows.push_back(r_sync.configHistory[i].time);
-            auto in_window = [&windows](double t) {
-                for (double w : windows) {
-                    if (t >= w - 5.0 && t < w + 90.0)
-                        return true;
-                }
-                return false;
-            };
-            auto window_stats = [&](const serving::ExperimentResult &r,
-                                    long &goodput, double &p99) {
-                std::vector<double> lat;
-                goodput = 0;
-                for (const auto &c : r.perRequest) {
-                    if (in_window(c.arrival + c.latency))
-                        ++goodput;
-                    if (in_window(c.arrival))
-                        lat.push_back(c.latency);
-                }
-                std::sort(lat.begin(), lat.end());
-                p99 = lat.empty()
-                          ? 0.0
-                          : lat[static_cast<std::size_t>(0.99 *
-                                                         (lat.size() - 1))];
-            };
-            long g_over = 0, g_sync = 0;
-            double p99_over = 0.0, p99_sync = 0.0;
-            window_stats(results[0], g_over, p99_over);
-            window_stats(r_sync, g_sync, p99_sync);
-            std::printf("  %-18s avg %7.2f  P99 %7.2f  (sync-reconfig "
-                        "ablation)\n",
-                        "SpotServe-sync", r_sync.latencies.mean(),
-                        r_sync.latencies.percentile(99));
-            std::printf("  reconfig windows (%zu): goodput overlapped %ld "
-                        "vs sync %ld (%+ld), window P99 %.2f vs %.2f "
-                        "(%.2fx)\n",
-                        windows.size(), g_over, g_sync, g_over - g_sync,
-                        p99_over, p99_sync,
-                        p99_over > 0.0 ? p99_sync / p99_over : 0.0);
-            keep(trace.name(), "SpotServe-syncReconfig", r_sync);
-        }
-        // Transfer-scheduling ablation: the same stack timing every
-        // migration with the legacy serialized wire cursor instead of
-        // the link-level data-plane schedule (ISSUE 7).  Compared inside
-        // churn windows anchored on the default run's reconfigurations —
-        // the only spans where transfer timing matters.
-        {
-            core::SpotServeOptions serial_opt;
-            serial_opt.designArrivalRate = 0.55;
-            serial_opt.linkDataPlane = false;
-            const auto r_serial = serving::runExperiment(
-                spec, params, trace, workload,
-                presets::spotServeFactory(spec, params, seq, serial_opt));
-            std::vector<double> windows;
-            for (std::size_t i = 1; i < results[0].configHistory.size(); ++i)
-                windows.push_back(results[0].configHistory[i].time);
-            auto in_window = [&windows](double t) {
-                for (double w : windows) {
-                    if (t >= w - 5.0 && t < w + 90.0)
-                        return true;
-                }
-                return false;
-            };
-            auto window_goodput = [&](const serving::ExperimentResult &r) {
-                long goodput = 0;
-                for (const auto &c : r.perRequest) {
-                    if (in_window(c.arrival + c.latency))
-                        ++goodput;
-                }
-                return goodput;
-            };
-            const long g_link = window_goodput(results[0]);
-            const long g_serial = window_goodput(r_serial);
-            std::printf("  %-18s avg %7.2f  P99 %7.2f  (serialized-wire "
-                        "ablation)\n",
-                        "SpotServe-serialWire", r_serial.latencies.mean(),
-                        r_serial.latencies.percentile(99));
-            std::printf("  migrations: link-level %d plans, makespan total "
-                        "%.2fs (%ld contended) vs serialized %d plans, "
-                        "%.2fs; churn-window goodput %ld vs %ld (%+ld)\n",
-                        results[0].migrationsCompleted,
-                        results[0].migrationMakespanTotal,
-                        results[0].contendedMigrations,
-                        r_serial.migrationsCompleted,
-                        r_serial.migrationMakespanTotal, g_link, g_serial,
-                        g_link - g_serial);
-            keep(trace.name(), "SpotServe-serialWire", r_serial);
         }
         // Prefix-sharing ablation: the same arrivals with a few-shot
         // template mix prepended (4 classes x 768 tokens), run with the

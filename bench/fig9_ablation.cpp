@@ -33,11 +33,6 @@ variants()
     std::vector<Variant> out;
     core::SpotServeOptions o;
     out.push_back({"SpotServe (full)", o});
-    // Newest optimization first: fall back to synchronous
-    // reconfiguration (instantaneous global planning + whole-deployment
-    // drain) before the paper's cumulative component chain.
-    o.overlappedReconfig = false;
-    out.push_back({"- Overlapped Reconfig", o});
     o.enableController = false;
     out.push_back({"- Controller", o});
     o.enableMigrationPlanner = false;

@@ -18,8 +18,7 @@ ReparallelizationSystem::ReparallelizationSystem(
       controller_(spec, params, seq, cost::ConfigSpaceOptions{},
                   options.controller)
 {
-    sim_.scheduleAfter(options_.workloadCheckInterval,
-                       [this] { workloadTick(); });
+    sim_.scheduleAfter(kWorkloadCheckInterval, [this] { workloadTick(); });
 }
 
 std::string
@@ -126,8 +125,7 @@ ReparallelizationSystem::evaluate()
 void
 ReparallelizationSystem::workloadTick()
 {
-    sim_.scheduleAfter(options_.workloadCheckInterval,
-                       [this] { workloadTick(); });
+    sim_.scheduleAfter(kWorkloadCheckInterval, [this] { workloadTick(); });
     if (phase_ != Phase::Serving || !hasDeployment())
         return;
     const double alpha = std::max(requests_.estimatedArrivalRate(120.0),

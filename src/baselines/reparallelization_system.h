@@ -32,9 +32,6 @@ struct ReparallelizationOptions
     /** Expected workload rate for the first deployment sizing. */
     double designArrivalRate = 0.0;
 
-    /** Workload monitor period. */
-    double workloadCheckInterval = 30.0;
-
     /** Inference-engine knobs (the same struct SpotServe carries). */
     serving::EngineOptions engine{};
 
@@ -77,6 +74,9 @@ class ReparallelizationSystem : public serving::BaseServingSystem
     void beginRestart(const par::ParallelConfig &target,
                       const std::string &reason);
     void activate();
+
+    /** Workload monitor period (SpotServe's 30 s). */
+    static constexpr double kWorkloadCheckInterval = 30.0;
 
     ReparallelizationOptions options_;
     core::ParallelizationController controller_;

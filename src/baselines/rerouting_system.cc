@@ -50,6 +50,17 @@ ReroutingSystem::onlinePipelines() const
     return n;
 }
 
+long
+ReroutingSystem::liveKvRefs() const
+{
+    long refs = 0;
+    for (const auto &s : slots_) {
+        if (s->pipeline && s->pipeline->kvStore() != nullptr)
+            refs += s->pipeline->kvStore()->totalLiveRefs();
+    }
+    return refs;
+}
+
 int
 ReroutingSystem::instancesPerPipeline() const
 {

@@ -10,10 +10,10 @@
  * pipelines and recomputed from scratch.  Newly acquired instances
  * rebuild pipelines after a full engine launch and weight load.
  *
- * Pipeline add/drop is synchronous by construction (there is no
- * reconfiguration to plan or migrate — surviving pipelines are simply
- * never touched), so the baseline needs no overlappedReconfig analogue;
- * it is the §6.1 comparison point for SpotServe's overlapped pipeline.
+ * Pipeline add/drop is synchronous by construction: there is no
+ * reconfiguration to plan or migrate, and surviving pipelines are simply
+ * never touched.  It is the §6.1 comparison point for SpotServe's
+ * overlapped pipeline.
  */
 
 #ifndef SPOTSERVE_BASELINES_REROUTING_SYSTEM_H
@@ -69,6 +69,9 @@ class ReroutingSystem : public serving::BaseServingSystem
 
     /** Currently online pipelines. */
     int onlinePipelines() const;
+
+    /** Live KV block references summed over the slot pipelines' stores. */
+    long liveKvRefs() const override;
 
   protected:
     void onPipelineIdle(engine::InferencePipeline &pipeline) override;

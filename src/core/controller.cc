@@ -169,7 +169,7 @@ ParallelizationController::chooseConfig(int available_instances,
     if (any_meets) {
         // Line 3: among configs sustaining alpha_t, take the latency
         // minimum; within the tolerance band prefer lower monetary cost.
-        const double band = best_latency * options_.latencyTolerance;
+        const double band = best_latency * kSimilarLatencyFactor;
         for (const auto &e : evals) {
             if (e.phi < arrival_rate || e.latency > band)
                 continue;

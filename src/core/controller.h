@@ -42,15 +42,6 @@ struct ControllerOptions
      * plain latency minimisation.
      */
     double sloLatency = 0.0;
-
-    /**
-     * Configurations within this factor of the minimum estimated latency
-     * count as "similar"; the cheapest of them wins (Alg. 1 line 3
-     * tie-break: "if there are multiple configurations that can achieve
-     * similar minimum inference latency, SpotServe selects the
-     * configuration with lower monetary cost").
-     */
-    double latencyTolerance = 1.10;
 };
 
 /** One optimizer decision. */
@@ -141,6 +132,15 @@ class ParallelizationController
      * bit-for-bit.
      */
     static double bucketAlpha(double arrival_rate);
+
+    /**
+     * Configurations within this factor of the minimum estimated latency
+     * count as "similar"; the cheapest of them wins (Alg. 1 line 3
+     * tie-break: "if there are multiple configurations that can achieve
+     * similar minimum inference latency, SpotServe selects the
+     * configuration with lower monetary cost").
+     */
+    static constexpr double kSimilarLatencyFactor = 1.10;
 
     /** Evaluation work done by the most recent chooseConfig call. */
     const SweepStats &lastSweepStats() const { return lastSweep_; }

@@ -39,8 +39,7 @@ SpotServeSystem::SpotServeSystem(sim::Executor &executor,
     // memory-optimised planner is ablated).
     setMemOptReserve(options_.enableMigrationPlanner);
     // Periodic workload monitor (overload and scale-down detection, §3.2).
-    sim_.scheduleAfter(options_.workloadCheckInterval,
-                       [this] { workloadTick(); });
+    sim_.scheduleAfter(kWorkloadCheckInterval, [this] { workloadTick(); });
     if (options_.dynamicAllocation) {
         // Nothing may ever join on its own in dynamic mode: bootstrap the
         // fleet from the declared workload.
@@ -64,9 +63,7 @@ SpotServeSystem::report(serving::ExperimentResult &result) const
 std::string
 SpotServeSystem::name() const
 {
-    // The synchronous-reconfiguration ablation names itself so bench
-    // tables and logs stay unambiguous.
-    return options_.overlappedReconfig ? "SpotServe" : "SpotServe-sync";
+    return "SpotServe";
 }
 
 void
@@ -113,15 +110,14 @@ SpotServeSystem::onInstancePreempted(const cluster::Instance &instance)
     }
     if ((phase_ == Phase::Draining || phase_ == Phase::Migrating) &&
         pending_) {
-        // Overlapped mode keeps unaffected replicas serving on the OLD
-        // mesh through the transition; any of them standing on the victim
-        // must stop now — their cache context is gone with the instance.
-        // activate() revalidates the *target* side (§4.2).  A victim that
-        // was still draining fires onPipelineHalted from inside
-        // removePipeline, so the all-drained transition is deferred past
-        // the loop exactly like the arrangement loop defers it.
-        if (options_.overlappedReconfig && hasDeployment() &&
-            meshUsesInstance(instance.id())) {
+        // Unaffected replicas keep serving on the OLD mesh through the
+        // transition; any of them standing on the victim must stop now —
+        // their cache context is gone with the instance.  activate()
+        // revalidates the *target* side (§4.2).  A victim that was still
+        // draining fires onPipelineHalted from inside removePipeline, so
+        // the all-drained transition is deferred past the loop exactly
+        // like the arrangement loop defers it.
+        if (hasDeployment() && meshUsesInstance(instance.id())) {
             arrangingHalts_ = true;
             for (int d : pipelinesUsingInstance(instance.id()))
                 restartAndRequeue(removePipeline(d));
@@ -312,27 +308,27 @@ SpotServeSystem::planningDuration(const par::ParallelConfig &target,
             }
         }
     }
-    return options_.planning.totalTime(stats.candidates, stats.coldEvals,
-                                       survivors, slots, identity,
-                                       spec_.numLayers(), survivors * gpi);
+    return planningModel_.totalTime(stats.candidates, stats.coldEvals,
+                                    survivors, slots, identity,
+                                    spec_.numLayers(), survivors * gpi);
 }
 
 void
 SpotServeSystem::requestReconfig(const par::ParallelConfig &target,
                                  const std::string &reason)
 {
-    if (!options_.overlappedReconfig || !hasDeployment()) {
-        // Synchronous ablation — or nothing is serving, so there is
-        // nothing to overlap the planning pass with.
+    if (!hasDeployment()) {
+        // Nothing is serving, so there is nothing to overlap the
+        // planning pass with.
         beginReconfig(target, reason);
         return;
     }
     if (phase_ != Phase::Serving)
         return;
-    // Overlapped mode: the evaluation that just ran costs real wall-clock
-    // on a real controller; charge it as a scheduled planning event while
-    // every pipeline keeps admitting and decoding.  The commit re-reads
-    // the fleet, so changes that land during the pass are honoured.
+    // The evaluation that just ran costs real wall-clock on a real
+    // controller; charge it as a scheduled planning event while every
+    // pipeline keeps admitting and decoding.  The commit re-reads the
+    // fleet, so changes that land during the pass are honoured.
     phase_ = Phase::Planning;
     planReason_ = reason;
     const double duration = planningDuration(
@@ -378,12 +374,9 @@ SpotServeSystem::manageFleet(double alpha)
                                   options_.candidatePoolSize);
     const int have = instances_.planningCount();
     if (have < want) {
-        // Line 8: allocate immediately; instances join after the
+        // Line 8: allocate Spot immediately; instances join after the
         // acquisition lead time and trigger another evaluation.
-        instances_.requestInstances(
-            want - have, options_.dynamicUseOnDemand
-                             ? cluster::InstanceType::OnDemand
-                             : cluster::InstanceType::Spot);
+        instances_.requestInstances(want - have, cluster::InstanceType::Spot);
     } else if (have > want) {
         // Line 10: release over-provisioned capacity (on-demand first),
         // but never an instance the active mesh is standing on.
@@ -410,8 +403,7 @@ SpotServeSystem::manageFleet(double alpha)
 void
 SpotServeSystem::workloadTick()
 {
-    sim_.scheduleAfter(options_.workloadCheckInterval,
-                       [this] { workloadTick(); });
+    sim_.scheduleAfter(kWorkloadCheckInterval, [this] { workloadTick(); });
     if (phase_ != Phase::Serving || !hasDeployment())
         return;
 
@@ -504,45 +496,43 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
     // every live pipeline broken.  Pinned replicas are the partial-drain
     // keep set.
     std::vector<ReplicaPin> pins;
-    if (options_.overlappedReconfig && hasDeployment()) {
+    if (same_shape &&
+        (target.pp * target.tp) % params_.gpusPerInstance == 0) {
         const auto &dep = deployment();
-        const int per_replica = target.pp * target.tp;
-        if (same_shape && per_replica % params_.gpusPerInstance == 0) {
-            std::unordered_set<cluster::InstanceId> surv;
-            for (const auto *inst : survivors)
-                surv.insert(inst->id());
-            std::vector<int> keepable;
-            for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-                if (!dep.pipelines[od])
-                    continue;
-                bool alive = true;
-                for (par::GpuId g :
-                     dep.mesh.pipelineGpus(static_cast<int>(od))) {
-                    if (surv.find(cluster::Instance::instanceOfGpu(
-                            g, params_.gpusPerInstance)) == surv.end())
-                        alive = false;
-                }
-                if (alive)
-                    keepable.push_back(static_cast<int>(od));
+        std::unordered_set<cluster::InstanceId> surv;
+        for (const auto *inst : survivors)
+            surv.insert(inst->id());
+        std::vector<int> keepable;
+        for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
+            if (!dep.pipelines[od])
+                continue;
+            bool alive = true;
+            for (par::GpuId g :
+                 dep.mesh.pipelineGpus(static_cast<int>(od))) {
+                if (surv.find(cluster::Instance::instanceOfGpu(
+                        g, params_.gpusPerInstance)) == surv.end())
+                    alive = false;
             }
-            if (static_cast<int>(keepable.size()) > target.dp) {
-                // More survivors than target slots: keep the most
-                // progressed batches serving (§3.3).
-                std::stable_sort(
-                    keepable.begin(), keepable.end(), [&](int a, int b) {
-                        return old_tokens[a] > old_tokens[b];
-                    });
-                keepable.resize(target.dp);
-            }
-            std::sort(keepable.begin(), keepable.end());
-            int next_new = 0;
-            for (int od : keepable) {
-                ReplicaPin pin;
-                pin.newReplica = next_new++;
-                pin.oldReplica = od;
-                pin.gpus = dep.mesh.pipelineGpus(od);
-                pins.push_back(std::move(pin));
-            }
+            if (alive)
+                keepable.push_back(static_cast<int>(od));
+        }
+        if (static_cast<int>(keepable.size()) > target.dp) {
+            // More survivors than target slots: keep the most
+            // progressed batches serving (§3.3).
+            std::stable_sort(
+                keepable.begin(), keepable.end(), [&](int a, int b) {
+                    return old_tokens[a] > old_tokens[b];
+                });
+            keepable.resize(target.dp);
+        }
+        std::sort(keepable.begin(), keepable.end());
+        int next_new = 0;
+        for (int od : keepable) {
+            ReplicaPin pin;
+            pin.newReplica = next_new++;
+            pin.oldReplica = od;
+            pin.gpus = dep.mesh.pipelineGpus(od);
+            pins.push_back(std::move(pin));
         }
     }
     auto mapping =
@@ -554,17 +544,17 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
         deadline = std::min(deadline, at);
 
     // ------------------------------------------------------------------
-    // Partial drain (overlapped mode): a new replica whose GPUs the
-    // mapping keeps exactly in place, under an unchanged (P, M, B)
-    // shape, never needs to stop — its model context, cache context and
-    // live batch are already where the target wants them.
+    // Partial drain: a new replica whose GPUs the mapping keeps exactly
+    // in place, under an unchanged (P, M, B) shape, never needs to stop —
+    // its model context, cache context and live batch are already where
+    // the target wants them.
     // ------------------------------------------------------------------
     const int old_dp =
         hasDeployment() ? static_cast<int>(deployment().pipelines.size())
                         : 0;
     std::vector<int> kept(target.dp, -1);
     std::vector<bool> touched(old_dp, true);
-    if (options_.overlappedReconfig && hasDeployment()) {
+    if (hasDeployment()) {
         const auto &dep = deployment();
         if (!pins.empty()) {
             // The mapper bound the pins verbatim and set their
@@ -608,7 +598,6 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
     popts.progressive = options_.enableMigrationPlanner;
     popts.memoryOpt = options_.enableMigrationPlanner;
     popts.migrateCache = options_.enableArranger;
-    popts.linkSchedule = options_.linkDataPlane;
     // One analysis pass yields both cache variants; the arranger's
     // migrate-vs-recompute flip below reads the memoised no-cache
     // sibling instead of re-running the planner.
@@ -800,7 +789,6 @@ SpotServeSystem::startMigration()
     popts.progressive = options_.enableMigrationPlanner;
     popts.memoryOpt = options_.enableMigrationPlanner;
     popts.migrateCache = pm.migrateCache;
-    popts.linkSchedule = options_.linkDataPlane;
 
     // Quote the plan against the data plane's *current* link state: a
     // previous migration's tail may still occupy NIC/disk ports, and the
@@ -808,13 +796,14 @@ SpotServeSystem::startMigration()
     // deadline decision below must judge.  The plan's step offsets,
     // stageReady and per-replica resumes are re-derived from the quoted
     // step finishes, so contention propagates into the activation events.
-    if (options_.linkDataPlane) {
+    auto quote_on_links = [&] {
         const auto quote = dataPlane_.preview(
             MigrationPlanner::transferSteps(pm.plan),
             params_.migrationSetupTime);
         planner_.retime(pm.plan, pm.target, popts, quote.stepStart,
                         quote.stepFinish);
-    }
+    };
+    quote_on_links();
 
     double duration = pm.plan.totalDuration;
     double resume = pm.plan.resumeOffset;
@@ -839,13 +828,7 @@ SpotServeSystem::startMigration()
             const auto snapshot = snapshotContext();
             pm.plan = planner_.plan(snapshot, pm.mapping, pm.target,
                                     pm.oldTokens, popts);
-            if (options_.linkDataPlane) {
-                const auto quote = dataPlane_.preview(
-                    MigrationPlanner::transferSteps(pm.plan),
-                    params_.migrationSetupTime);
-                planner_.retime(pm.plan, pm.target, popts, quote.stepStart,
-                                quote.stepFinish);
-            }
+            quote_on_links();
             duration = pm.plan.totalDuration;
             resume = pm.plan.resumeOffset;
             resumes = pm.plan.pipelineResume;
@@ -1005,23 +988,19 @@ SpotServeSystem::startMigration()
     // of a source/destination, or a link fault stretching the plan past
     // its deadline, aborts into the recovery path instead of pretending
     // the context landed.
-    if (options_.linkDataPlane) {
-        TransferDataPlane::SubmitOptions so;
-        so.onFail = [this, fault_epoch](
-                        const TransferDataPlane::PlanFailure &failure) {
-            onMigrationFailed(fault_epoch, failure);
-        };
-        if (options_.migrationDeadlineFactor > 0.0) {
-            // Headroom over the quoted makespan: only a link fault that
-            // stretches the realized schedule can trip it.
-            so.deadline = options_.migrationDeadlineFactor *
-                          std::max(pm.plan.totalDuration, 1.0);
-        }
-        const auto committed = dataPlane_.submit(
-            MigrationPlanner::transferSteps(pm.plan),
-            params_.migrationSetupTime, /*interleave=*/true, std::move(so));
-        pm.planId = committed.planId;
-    }
+    TransferDataPlane::SubmitOptions so;
+    so.onFail = [this, fault_epoch](
+                    const TransferDataPlane::PlanFailure &failure) {
+        onMigrationFailed(fault_epoch, failure);
+    };
+    // Headroom over the quoted makespan: only a link fault that stretches
+    // the realized schedule can trip it.
+    so.deadline =
+        kMigrationDeadlineFactor * std::max(pm.plan.totalDuration, 1.0);
+    const auto committed = dataPlane_.submit(
+        MigrationPlanner::transferSteps(pm.plan), params_.migrationSetupTime,
+        /*interleave=*/true, std::move(so));
+    pm.planId = committed.planId;
 
     // Activate as soon as the first affected replica's context is ready;
     // the rest come online at their own progressive-resume times and the
@@ -1067,6 +1046,7 @@ SpotServeSystem::activate()
     installDeployment(pm.target, std::move(pm.mapping.mesh),
                       std::move(carried));
     deployment().readyAt = pm.resumeAbs;
+    deployment().awaitingBatch.assign(pm.target.dp, false);
     recordConfig(pm.target, pm.reason);
     const long epoch = ++deployEpoch_;
 
@@ -1118,12 +1098,14 @@ SpotServeSystem::activate()
         // progressive migration completes.
         auto batch = std::make_shared<std::vector<engine::ActiveRequest>>(
             std::move(pm.inherited[d]));
+        deployment().awaitingBatch[d] = !batch->empty();
         sim_.schedule(pm.resumeAbs[d], [this, epoch, d, batch] {
             if (epoch != deployEpoch_ || !hasDeployment() ||
                 !deployment().pipelines[d]) {
                 restartAndRequeue(std::move(*batch));
                 return;
             }
+            deployment().awaitingBatch[d] = false;
             if (!batch->empty())
                 loadBatch(d, std::move(*batch));
             dispatchAll();
@@ -1255,7 +1237,7 @@ SpotServeSystem::coldRestartAfterFault()
 void
 SpotServeSystem::scheduleRetryEval()
 {
-    if (migrationRetryCount_ >= options_.migrationMaxRetries) {
+    if (migrationRetryCount_ >= kMigrationMaxRetries) {
         // Bounded: beyond the retry budget stop thrashing, tear down and
         // rebuild cold.
         migrationRetryCount_ = 0;
@@ -1265,8 +1247,8 @@ SpotServeSystem::scheduleRetryEval()
     }
     ++migrationRetryCount_;
     ++migrationRetries_;
-    const double delay = options_.migrationRetryBackoff *
-                         std::pow(2.0, migrationRetryCount_ - 1);
+    const double delay =
+        kMigrationRetryBackoff * std::pow(2.0, migrationRetryCount_ - 1);
     sim_.scheduleAfter(delay, [this] { scheduleEval(); });
 }
 

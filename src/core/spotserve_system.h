@@ -19,11 +19,10 @@
  *
  * Reconfiguration overlaps with serving end to end: planning is a costed,
  * scheduled event (PlanningLatencyModel) rather than an instantaneous
- * global stall, and only the replicas whose mesh members are lost or
- * reassigned drain.  The pre-overlap behaviour — instantaneous planning,
- * whole-deployment drain — stays selectable as overlappedReconfig = false
- * for the Figure 9-style ablation.  Every paper component can likewise be
- * disabled independently.
+ * global stall, only the replicas whose mesh members are lost or
+ * reassigned drain, and every migration runs on the link-level
+ * TransferDataPlane, where the fault plane can see (and kill) it.  Each
+ * paper component can be disabled independently (Figure 9).
  */
 
 #ifndef SPOTSERVE_CORE_SPOTSERVE_SYSTEM_H
@@ -70,9 +69,6 @@ struct SpotServeOptions
      */
     double designArrivalRate = 0.0;
 
-    /** Workload monitor period (the paper samples alpha_t over 30 s). */
-    double workloadCheckInterval = 30.0;
-
     /**
      * Algorithm 1 lines 6-10 live: allocate instances when the chosen
      * configuration needs more than the fleet holds and release
@@ -91,38 +87,6 @@ struct SpotServeOptions
      */
     int candidatePoolSize = 2;
 
-    /** Allocate on-demand (true) or spot (false) in dynamic mode. */
-    bool dynamicUseOnDemand = false;
-
-    /**
-     * Overlap reconfiguration with serving (the default, §4.1-4.2):
-     * controller + mapper + planner evaluation becomes a scheduled
-     * planning event costed by the PlanningLatencyModel while every
-     * pipeline keeps admitting and decoding, and only the pipelines whose
-     * mesh members are lost or reassigned by the mapping drain — replicas
-     * the mapping keeps in place serve straight through Migrating and the
-     * request queue rebalances onto them.  Disable for the synchronous
-     * ablation: instantaneous (free) planning followed by a
-     * whole-deployment drain, the pre-overlap behaviour.
-     */
-    bool overlappedReconfig = true;
-
-    /** Wall-clock model of one planning pass (overlapped mode). */
-    cost::PlanningLatencyModel planning{};
-
-    /**
-     * Drive context migration through the link-level transfer data plane
-     * (the default): the planner times its steps with cost::LinkSchedule
-     * (interleaved, contention-free link slices) and startMigration
-     * schedules them on core::TransferDataPlane, so concurrent
-     * migrations contend for shared NIC/PCIe/disk links and disjoint
-     * instance pairs genuinely overlap.  Disable for the legacy
-     * serialized-cursor timing (the fig-style ablation): every step's
-     * closed-form port-bottleneck time back to back, no cross-migration
-     * contention.
-     */
-    bool linkDataPlane = true;
-
     /**
      * Crash-consistent recovery from unannounced faults (hard
      * preemptions and mid-migration deaths): when an in-flight transfer
@@ -133,20 +97,6 @@ struct SpotServeOptions
      * fresh cold start.
      */
     bool faultRecovery = true;
-
-    /** Re-plan attempts after a failed migration before cold restart. */
-    int migrationMaxRetries = 3;
-
-    /** Base seconds of the exponential retry backoff (base * 2^k). */
-    double migrationRetryBackoff = 1.0;
-
-    /**
-     * Per-plan deadline as a multiple of the quoted link-schedule
-     * makespan: a transfer stretched past it by link faults is failed
-     * and re-planned instead of stalling the reconfiguration forever.
-     * 0 disables.
-     */
-    double migrationDeadlineFactor = 3.0;
 
     ControllerOptions controller{};
 };
@@ -179,7 +129,7 @@ class SpotServeSystem : public serving::BaseServingSystem
     double totalMigrationStall() const { return totalMigrationStall_; }
     double totalBytesMigrated() const { return totalBytesMigrated_; }
     double totalBytesReused() const { return totalBytesReused_; }
-    /** Planning passes charged as scheduled events (overlapped mode). */
+    /** Planning passes charged as scheduled events. */
     long planningEvents() const { return planningEvents_; }
     /** Simulated seconds spent in Phase::Planning (serving continued). */
     double totalPlanningTime() const { return totalPlanningTime_; }
@@ -205,7 +155,7 @@ class SpotServeSystem : public serving::BaseServingSystem
         Planning,  ///< Costed planning pass in flight; serving continues.
         Draining,  ///< Arranged halts pending on the affected replicas.
         Migrating, ///< Context migration in flight; untouched replicas
-                   ///< keep serving (overlapped mode).
+                   ///< keep serving.
     };
 
     /** Coalesced deferred reconfiguration evaluation. */
@@ -213,10 +163,10 @@ class SpotServeSystem : public serving::BaseServingSystem
     void evaluate();
 
     /**
-     * Route a reconfiguration decision: synchronous mode (or no live
-     * deployment) commits immediately; overlapped mode enters
-     * Phase::Planning and commits after the modeled planning latency,
-     * re-validating the decision against the then-current fleet.
+     * Route a reconfiguration decision: with no live deployment it
+     * commits immediately; otherwise it enters Phase::Planning and
+     * commits after the modeled planning latency, re-validating the
+     * decision against the then-current fleet.
      */
     void requestReconfig(const par::ParallelConfig &target,
                          const std::string &reason);
@@ -282,7 +232,22 @@ class SpotServeSystem : public serving::BaseServingSystem
     /** Tear everything down and queue all work (cannot serve). */
     void suspendServing();
 
+    /** Workload monitor period (the paper samples alpha_t over 30 s). */
+    static constexpr double kWorkloadCheckInterval = 30.0;
+    /** Re-plan attempts after a failed migration before cold restart. */
+    static constexpr int kMigrationMaxRetries = 3;
+    /** Base seconds of the exponential retry backoff (base * 2^k). */
+    static constexpr double kMigrationRetryBackoff = 1.0;
+    /**
+     * Per-plan deadline as a multiple of the quoted link-schedule
+     * makespan: a transfer stretched past it by link faults is failed
+     * and re-planned instead of stalling the reconfiguration forever.
+     */
+    static constexpr double kMigrationDeadlineFactor = 3.0;
+
     SpotServeOptions options_;
+    /** Wall-clock model of one planning pass. */
+    cost::PlanningLatencyModel planningModel_;
     ParallelizationController controller_;
     DeviceMapper mapper_;
     MigrationPlanner planner_;
@@ -329,7 +294,7 @@ class SpotServeSystem : public serving::BaseServingSystem
          * replica d keeps in place (identical GPUs at identical
          * positions, same shape), or -1.  Kept replicas never drain:
          * their pipeline objects move into the new deployment at
-         * activation (overlapped mode only).
+         * activation.
          */
         std::vector<int> keptOldPipeline;
         /** Old replicas that must drain (complement of the kept set). */

@@ -298,7 +298,7 @@ BaseServingSystem::installDeployment(
 {
     if (deployment_)
         throw std::logic_error("installDeployment: clear the old one first");
-    Deployment dep{config, std::move(mesh), {}, {}};
+    Deployment dep{config, std::move(mesh), {}, {}, {}};
     dep.pipelines.reserve(config.dp);
     for (int d = 0; d < config.dp; ++d) {
         if (d < static_cast<int>(carried.size()) && carried[d]) {
@@ -366,6 +366,10 @@ BaseServingSystem::dispatchAll()
         if (d < deployment_->readyAt.size() &&
             deployment_->readyAt[d] > sim_.now()) {
             continue; // still finishing its progressive migration
+        }
+        if (d < deployment_->awaitingBatch.size() &&
+            deployment_->awaitingBatch[d]) {
+            continue; // its resume event loads a recovered batch first
         }
         ready.push_back(p.get());
     }

@@ -149,6 +149,13 @@ class BaseServingSystem : public ServingSystem
          * resume); empty means all replicas are ready immediately.
          */
         std::vector<sim::SimTime> readyAt;
+        /**
+         * Replicas whose recovered batch waits for their resume event to
+         * load it; dispatchAll deals them nothing until then, even once
+         * readyAt has arrived (another replica resuming at the same
+         * instant dispatches first).  Empty means none wait.
+         */
+        std::vector<bool> awaitingBatch;
     };
 
     bool hasDeployment() const { return deployment_.has_value(); }

@@ -90,8 +90,7 @@ struct ExperimentResult
     /**
      * Migration data-plane diagnostics (SpotServe systems only): plans
      * executed, their cumulative end-to-end makespan, and how many found
-     * at least one of their links still busy from an earlier migration
-     * (fig8 serialized-wire ablation row).
+     * at least one of their links still busy from an earlier migration.
      * @{ */
     int migrationsCompleted = 0;
     double migrationMakespanTotal = 0.0;

@@ -62,15 +62,6 @@ factoryByName(const std::string &name, const model::ModelSpec &spec,
         options.designArrivalRate = design_rate;
         return spotServeFactory(spec, params, seq, options);
     }
-    if (name == "SpotServe-sync") {
-        // Synchronous-reconfiguration ablation: instantaneous global
-        // planning plus whole-deployment drain (the pre-overlap
-        // behaviour).
-        core::SpotServeOptions options;
-        options.designArrivalRate = design_rate;
-        options.overlappedReconfig = false;
-        return spotServeFactory(spec, params, seq, options);
-    }
     if (name == "Rerouting")
         return reroutingFactory(spec, params, seq, design_rate);
     if (name == "Reparallelization")

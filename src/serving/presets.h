@@ -40,10 +40,7 @@ reparallelizationFactory(const model::ModelSpec &spec,
                          const cost::SeqSpec &seq, double design_rate,
                          baselines::ReparallelizationOptions options = {});
 
-/**
- * Factory by name: "SpotServe", "Rerouting", "Reparallelization", or
- * "SpotServe-sync" (the synchronous-reconfiguration ablation).
- */
+/** Factory by name: "SpotServe", "Rerouting" or "Reparallelization". */
 serving::SystemFactory
 factoryByName(const std::string &name, const model::ModelSpec &spec,
               const cost::CostParams &params, const cost::SeqSpec &seq,

@@ -231,7 +231,8 @@ referenceChoose(const cost::ConfigSpace &space,
             return best;
     }
     if (any_meets) {
-        const double band = best_latency * options.latencyTolerance;
+        const double band =
+            best_latency * ParallelizationController::kSimilarLatencyFactor;
         for (const auto &c : candidates) {
             const double phi = thr.throughput(c, kSeq);
             if (phi < rate)

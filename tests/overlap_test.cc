@@ -4,8 +4,8 @@
  * migration must stay off the serving hot path.
  *
  *  - No request is lost or served twice across an overlapped migration.
- *  - Goodput during the grace windows of a fig8-style churn trace is at
- *    least the synchronous baseline's, and the tail improves.
+ *  - Reconfigurations that keep (P, M, B) drain only part of the
+ *    deployment.
  *  - Replicas the mapping keeps in place never observe a halt: their
  *    pipeline objects keep hitting iteration boundaries straight through
  *    the Draining/Migrating window.
@@ -65,12 +65,8 @@ struct RunResult
     int migrations = 0;
     int partialReconfigs = 0;
     long keptServing = 0;
-    long drained = 0;
     long planningEvents = 0;
     double planningTime = 0.0;
-    double stall = 0.0;
-    double p99 = 0.0;
-    double mean = 0.0;
     std::vector<serving::CompletionRecord> completions;
     std::vector<serving::ConfigChange> configs;
     /**
@@ -84,16 +80,15 @@ struct RunResult
 };
 
 RunResult
-runChurn(bool overlapped, const AvailabilityTrace &trace,
-         double rate = 0.60)
+runChurn(const AvailabilityTrace &trace)
 {
     const auto spec = model::ModelSpec::gpt20b();
+    const double rate = 0.60;
     sim::Simulation sim;
     cluster::InstanceManager instances(sim, kParams);
     serving::RequestManager requests(sim);
     core::SpotServeOptions options;
     options.designArrivalRate = rate;
-    options.overlappedReconfig = overlapped;
     core::SpotServeSystem system(sim, instances, requests, spec, kParams,
                                  kSeq, options);
     RunResult out;
@@ -119,33 +114,11 @@ runChurn(bool overlapped, const AvailabilityTrace &trace,
     out.migrations = system.migrationsCompleted();
     out.partialReconfigs = system.partialReconfigs();
     out.keptServing = system.pipelinesKeptServing();
-    out.drained = system.pipelinesDrained();
     out.planningEvents = system.planningEvents();
     out.planningTime = system.totalPlanningTime();
-    out.stall = system.totalMigrationStall();
-    out.p99 = requests.latencies().percentile(99);
-    out.mean = requests.latencies().mean();
     out.completions = requests.completions();
     out.configs = system.configHistory();
     return out;
-}
-
-/** Completions finishing inside any [t, t+width) window. */
-long
-completionsInWindows(const RunResult &r,
-                     const std::vector<double> &starts, double width)
-{
-    long n = 0;
-    for (const auto &c : r.completions) {
-        const double done = c.arrival + c.latency;
-        for (double t : starts) {
-            if (done >= t && done < t + width) {
-                ++n;
-                break;
-            }
-        }
-    }
-    return n;
 }
 
 /** Reconfiguration times after the initial deployment. */
@@ -160,36 +133,29 @@ reconfigTimes(const RunResult &r)
 
 TEST(OverlapTest, NoRequestLostOrServedTwice)
 {
-    for (bool overlapped : {true, false}) {
-        const auto r = runChurn(overlapped, growShrinkTrace());
-        EXPECT_EQ(r.unfinished, 0) << "overlapped=" << overlapped;
-        EXPECT_EQ(r.arrived, r.completed + r.rejected);
-        std::set<wl::RequestId> seen;
-        for (const auto &c : r.completions) {
-            EXPECT_TRUE(seen.insert(c.id).second)
-                << "request " << c.id << " completed twice";
-        }
-        EXPECT_GE(r.migrations, 3);
+    const auto r = runChurn(growShrinkTrace());
+    EXPECT_EQ(r.unfinished, 0);
+    EXPECT_EQ(r.arrived, r.completed + r.rejected);
+    std::set<wl::RequestId> seen;
+    for (const auto &c : r.completions) {
+        EXPECT_TRUE(seen.insert(c.id).second)
+            << "request " << c.id << " completed twice";
     }
+    EXPECT_GE(r.migrations, 3);
 }
 
 TEST(OverlapTest, PartialDrainKeepsUntouchedReplicasServing)
 {
-    const auto r = runChurn(true, growShrinkTrace());
+    const auto r = runChurn(growShrinkTrace());
     // The D-only transitions of this trace must be partial: at least one
     // replica served straight through at least one reconfiguration.
     EXPECT_GE(r.partialReconfigs, 1);
     EXPECT_GE(r.keptServing, 1);
-    // And the sync ablation drains strictly more pipelines for the same
-    // trace.
-    const auto sync = runChurn(false, growShrinkTrace());
-    EXPECT_EQ(sync.partialReconfigs, 0);
-    EXPECT_GT(sync.drained, r.drained);
 }
 
 TEST(OverlapTest, UntouchedReplicasNeverObserveHalt)
 {
-    const auto r = runChurn(true, growShrinkTrace());
+    const auto r = runChurn(growShrinkTrace());
     ASSERT_GE(r.partialReconfigs, 1);
     // For at least one reconfiguration, some pipeline object's iteration
     // boundaries straddle the change with no serving gap: the kept
@@ -233,32 +199,9 @@ TEST(OverlapTest, UntouchedReplicasNeverObserveHalt)
         << "no pipeline kept hitting boundaries through a reconfiguration";
 }
 
-TEST(OverlapTest, GoodputThroughGraceWindowsAtLeastSynchronous)
-{
-    const auto trace = growShrinkTrace();
-    const auto over = runChurn(true, trace);
-    const auto sync = runChurn(false, trace);
-
-    // Grace windows of the preemption notices (30 s each), plus the
-    // sync run's own reconfiguration windows — the spans where the
-    // synchronous ablation drains the whole deployment.
-    std::vector<double> windows{700.0, 1000.0};
-    for (double t : reconfigTimes(sync))
-        windows.push_back(t - 30.0);
-    const long g_over = completionsInWindows(over, windows, 90.0);
-    const long g_sync = completionsInWindows(sync, windows, 90.0);
-    EXPECT_GE(g_over, g_sync)
-        << "overlapped mode served less through the churn windows";
-
-    // End-to-end, overlapping must not cost tail latency — on this trace
-    // it must win it.
-    EXPECT_LT(over.p99, sync.p99);
-    EXPECT_LE(over.mean, sync.mean);
-}
-
 TEST(OverlapTest, PlanningIsCostedAndOffHotPath)
 {
-    const auto r = runChurn(true, growShrinkTrace());
+    const auto r = runChurn(growShrinkTrace());
     // Every post-initial reconfiguration of a live deployment went
     // through a scheduled planning pass.
     EXPECT_GE(r.planningEvents, 1);
@@ -266,11 +209,6 @@ TEST(OverlapTest, PlanningIsCostedAndOffHotPath)
     // The paper's bound: online optimizer overhead is negligible (<1 s
     // per pass at testbed scale).
     EXPECT_LT(r.planningTime / static_cast<double>(r.planningEvents), 1.0);
-
-    // The sync ablation never plans asynchronously.
-    const auto sync = runChurn(false, growShrinkTrace());
-    EXPECT_EQ(sync.planningEvents, 0);
-    EXPECT_EQ(sync.planningTime, 0.0);
 }
 
 } // namespace

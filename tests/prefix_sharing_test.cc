@@ -24,6 +24,7 @@
 
 #include <stdexcept>
 
+#include "baselines/rerouting_system.h"
 #include "cluster/trace_library.h"
 #include "core/spotserve_system.h"
 #include "costmodel/memory_model.h"
@@ -410,6 +411,45 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
         }
         ++variant;
     }
+}
+
+TEST(PrefixSystemTest, ReroutingLeakAuditCountsSlotPipelines)
+{
+    // Rerouting keeps its pipelines in slots, not in the base deployment;
+    // the leak audit behind liveKvRefsAtEnd must still see their stores.
+    const auto spec = model::ModelSpec::gpt20b();
+    const auto trace = churnTrace();
+    const cost::SeqSpec seq{};
+    sim::Rng rng(74);
+    auto workload = wl::stationaryPoisson(0.3, trace.duration(), seq, rng);
+    wl::withFewShotPrefixes(workload, /*num_classes=*/3,
+                            /*class_tokens=*/168, rng);
+
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    baselines::ReroutingOptions options;
+    options.designArrivalRate = 0.3;
+    options.engine.kvBlockTokens = testBlockTokens();
+    options.engine.prefixSharing = true;
+    baselines::ReroutingSystem system(sim, instances, requests, spec,
+                                      kParams, seq, options);
+    long resident_refs = 0;
+    system.setKvObserver([&](const engine::InferencePipeline &p) {
+        if (!p.batch().empty())
+            resident_refs = std::max(resident_refs, system.liveKvRefs());
+    });
+    instances.setListener(&system);
+    instances.loadTrace(trace);
+    for (const auto &req : workload) {
+        sim.schedule(req.arrival,
+                     [&system, req] { system.onRequestArrival(req); });
+    }
+    sim.run(trace.duration() + 900.0);
+
+    EXPECT_GT(resident_refs, 0);
+    EXPECT_EQ(requests.completedCount(), requests.arrivedCount());
+    EXPECT_EQ(system.liveKvRefs(), 0);
 }
 
 // ---------------------------------------------------------------------

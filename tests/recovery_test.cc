@@ -3,10 +3,13 @@
  * End-to-end stateful-recovery properties (§4): a surgically placed
  * preemption must not cost interrupted requests their committed tokens,
  * and the recovered requests must finish faster than a recompute-based
- * system would allow.
+ * system would allow; replicas resuming at the same instant must each
+ * load their own recovered batch.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "simcore/simulation.h"
 #include "cluster/trace_library.h"
@@ -121,6 +124,54 @@ TEST(StatefulRecoveryTest, MigrationStatsExposed)
     EXPECT_GT(system.totalBytesReused(), 0.0);
     EXPECT_GT(system.totalBytesMigrated(), 0.0);
     EXPECT_GT(system.totalMigrationStall(), 0.0);
+}
+
+/**
+ * Fleet-scale wave churn: 64 instances; from t = 180 s four get a
+ * preemption notice every 120 s and four replacements join 60 s after
+ * each notice.
+ */
+AvailabilityTrace
+waveChurn()
+{
+    const double duration = 1800.0;
+    std::vector<TraceEvent> events{
+        {0.0, TraceEventKind::Join, InstanceType::Spot, 64}};
+    for (double t = 180.0; t < duration; t += 120.0) {
+        events.push_back({t, TraceEventKind::PreemptNotice,
+                          InstanceType::Spot, 4});
+        if (t + 60.0 < duration)
+            events.push_back(
+                {t + 60.0, TraceEventKind::Join, InstanceType::Spot, 4});
+    }
+    return AvailabilityTrace("wave64", duration, std::move(events));
+}
+
+TEST(StatefulRecoveryTest, SimultaneousResumesEachLoadTheirOwnBatch)
+{
+    // On this seed two replicas come online at the same progressive-
+    // resume instant.  The first one's dispatch must not deal queued work
+    // to the second, whose own resume event then loads its inherited
+    // batch — that used to throw "InferencePipeline::startBatch: not
+    // idle".
+    const auto spec = model::ModelSpec::gpt20b();
+    const auto trace = waveChurn();
+    sim::Rng rng(2);
+    const auto workload =
+        wl::stationaryGamma(4.0, 2.0, trace.duration(), kSeq, rng);
+    core::SpotServeOptions options;
+    options.designArrivalRate = 4.0;
+    serving::ExperimentResult r;
+    ASSERT_NO_THROW(r = serving::runExperiment(
+                        spec, kParams, trace, workload,
+                        presets::spotServeFactory(spec, kParams, kSeq,
+                                                  options)));
+    EXPECT_EQ(r.arrived, r.completed + r.rejected);
+    std::set<wl::RequestId> ids;
+    for (const auto &rec : r.perRequest)
+        EXPECT_TRUE(ids.insert(rec.id).second)
+            << "request " << rec.id << " completed twice";
+    EXPECT_EQ(r.liveKvRefsAtEnd, 0);
 }
 
 } // namespace
