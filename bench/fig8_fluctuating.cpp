@@ -9,12 +9,12 @@
  * workload), and (g/h) the per-request latency timeline (30 s buckets)
  * with each system's (D,P,M) reconfiguration points annotated.
  *
- * Flags: --smoke runs only trace A'_S+O (a CI-sized run, well under a
- * second); --json PATH additionally writes a machine-readable summary of
+ * Flags: --json PATH additionally writes a machine-readable summary of
  * every row so CI can archive the numbers and catch perf-trajectory
  * regressions.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -130,13 +130,10 @@ timeline(const std::vector<serving::ExperimentResult> &results,
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
     int exit_code = 0;
     std::string json_path;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
             json_path = argv[++i];
     }
 
@@ -157,7 +154,7 @@ main(int argc, char **argv)
     };
 
     std::printf("=== Figure 8: fluctuating workload (GPT-20B, MAF-style "
-                "trace) ===%s\n", smoke ? " [smoke]" : "");
+                "trace) ===\n");
 
     std::printf("\n(a/b) arrival-rate trace (req/s per minute bucket):\n ");
     for (double r : maf.rates())
@@ -165,10 +162,7 @@ main(int argc, char **argv)
     std::printf("\n  mean %.2f req/s, peak %.2f req/s\n", maf.meanRate(),
                 maf.peakRate());
 
-    std::vector<cluster::AvailabilityTrace> traces{cluster::traceFig8A()};
-    if (!smoke)
-        traces.push_back(cluster::traceFig8B());
-    for (const auto &trace : traces) {
+    for (const auto &trace : {cluster::traceFig8A(), cluster::traceFig8B()}) {
         std::printf("\n(c/d) availability trace %s:\n", trace.name().c_str());
         for (const auto &s : trace.series(60.0, params.gracePeriod)) {
             std::printf("  t=%5.0f  spot %2d  od %2d  total %2d\n", s.time,
@@ -269,18 +263,19 @@ main(int argc, char **argv)
             keep(trace.name(), "SpotServe-optimistic", r_opt);
         }
         // Prefix-sharing ablation: the same arrivals with a few-shot
-        // template mix prepended (4 classes x 768 tokens), run with the
-        // refcounted paged-KV prefix store on vs off.  Sharing
-        // must deduplicate the template blocks (physical peak strictly
-        // below the logical holding) and, because matched prefill is
-        // skipped and the freed budget admits more work, finish at least
-        // as many requests within the same horizon and budget — the CI
-        // exit gate below enforces both.
+        // template mix prepended (4 classes x 768 tokens), run as is vs a
+        // copy with the prefix ids stripped (same tokens, nothing the
+        // block store could share).  Sharing must deduplicate the
+        // template blocks (physical peak strictly below the logical
+        // holding) and, because matched prefill is skipped and the freed
+        // budget admits more work, finish at least as many requests
+        // within the same horizon and budget — the CI exit gate below
+        // enforces both.
         {
             sim::Rng prefix_rng(37);
             // Denser arrivals than the headline run: the prepended
             // templates make prefill the bottleneck, and at 1.6x the MAF
-            // rate the scalar baseline cannot keep up — the run is
+            // rate the unshared baseline cannot keep up — the run is
             // throughput-bound, so the sharing win is measured in
             // completions rather than just latency.
             auto shared = wl::fluctuating(
@@ -294,17 +289,21 @@ main(int argc, char **argv)
             // strictly more completions, not only lower averages.
             serving::ExperimentOptions horizon;
             horizon.drainTimeout = 60.0;
-            auto run_sharing = [&](bool on) {
+            auto run_sharing = [&](const wl::Workload &w) {
                 core::SpotServeOptions o;
                 o.designArrivalRate = 0.55;
-                o.engine.prefixSharing = on;
                 return serving::runExperiment(
-                    spec, params, trace, shared,
+                    spec, params, trace, w,
                     presets::spotServeFactory(spec, params, seq, o),
                     horizon);
             };
-            const auto r_off = run_sharing(false);
-            const auto r_on = run_sharing(true);
+            auto unshared = shared;
+            for (auto &r : unshared) {
+                r.prefixId = -1;
+                r.prefixLen = 0;
+            }
+            const auto r_off = run_sharing(unshared);
+            const auto r_on = run_sharing(shared);
             std::printf("  shared-prefix workload (4 few-shot classes x "
                         "768 tok prepended, 60 s drain):\n");
             auto sharing_row = [](const char *label,
@@ -331,7 +330,7 @@ main(int argc, char **argv)
                         r_on.peakKvPhysicalBlocks - r_on.peakKvHeldBlocks);
             if (r_on.completed < r_off.completed) {
                 std::printf("  FAIL: prefix sharing completed fewer "
-                            "requests than the scalar baseline\n");
+                            "requests than the unshared baseline\n");
                 exit_code = 1;
             }
             if (r_on.prefixHits == 0 ||
@@ -352,21 +351,34 @@ main(int argc, char **argv)
         // (faultRecovery=false).  Gates: both runs conserve every
         // request (arrived == completed + rejected, nothing unfinished,
         // no leaked KV refs), and recovery strictly beats cold restart
-        // in churn-window completions.
+        // in churn-window completions, with the kill actually landing
+        // (a migration aborted) in both.
         {
             const auto hostile = cluster::hardenPreemptions(trace, 0.5, 13);
             cluster::FaultPlan plan;
             plan.seed = 13;
             cluster::FaultEvent kill;
-            // Armed over the first noticed-preemption reconfig window
-            // (notice at t=120, grace 30): that migration keeps most
-            // replicas in place, so shooting its source while transfers
-            // are in flight is exactly the case where keep-serving
-            // recovery and cold restart diverge.  A tight patience stops
-            // the kill from deferring into a later full-remap migration
-            // where nothing is kept and both paths degenerate to the
-            // same rebuild.
-            kill.time = 130.0;
+            // Armed 10 s into the grace window of the first preemption
+            // notice hardening left in place: that reconfiguration keeps
+            // most replicas, so shooting its source while transfers are
+            // in flight is exactly the case where keep-serving recovery
+            // and cold restart diverge.  (Hard kills give no notice and
+            // start no migration to shoot.)  A tight patience stops the
+            // kill from deferring into a later full-remap migration where
+            // nothing is kept and both paths degenerate to the same
+            // rebuild.
+            const auto &events = hostile.events();
+            const auto notice = std::find_if(
+                events.begin(), events.end(), [](const auto &e) {
+                    return e.kind == cluster::TraceEventKind::PreemptNotice;
+                });
+            if (notice == events.end()) {
+                std::printf("  FAIL: hostile trace %s has no preemption "
+                            "notice to arm the migration kill on\n",
+                            hostile.name().c_str());
+                return 1;
+            }
+            kill.time = notice->time + 10.0;
             kill.patience = 30.0;
             kill.kind = cluster::FaultEvent::Kind::KillMigrationSource;
             plan.events.push_back(kill);
@@ -439,6 +451,11 @@ main(int argc, char **argv)
                 if (r->liveKvRefsAtEnd != 0) {
                     std::printf("  FAIL: %ld KV block refs leaked\n",
                                 r->liveKvRefsAtEnd);
+                    exit_code = 1;
+                }
+                if (r->migrationAborts == 0) {
+                    std::printf("  FAIL: the armed migration kill never "
+                                "fired (no migration aborted)\n");
                     exit_code = 1;
                 }
             }

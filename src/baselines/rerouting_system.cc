@@ -28,7 +28,8 @@ ReroutingSystem::bestPrefixDiscount(const engine::ActiveRequest &head) const
     long best = 0;
     for (const auto &s : slots_) {
         if (s->pipeline)
-            best = std::max(best, s->pipeline->prefixQuoteBlocks(head));
+            best = std::max(best,
+                            s->pipeline->kvStore().quoteSharedBlocks(head));
     }
     return best;
 }
@@ -55,8 +56,8 @@ ReroutingSystem::liveKvRefs() const
 {
     long refs = 0;
     for (const auto &s : slots_) {
-        if (s->pipeline && s->pipeline->kvStore() != nullptr)
-            refs += s->pipeline->kvStore()->totalLiveRefs();
+        if (s->pipeline)
+            refs += s->pipeline->kvStore().totalLiveRefs();
     }
     return refs;
 }
@@ -252,7 +253,7 @@ ReroutingSystem::dispatchSlots()
                                          s->pipeline->kvAdmissionMode(),
                                          s->pipeline->kvBudgetBlocks(),
                                          s->pipeline->kvBlockTokens(),
-                                         s->pipeline->kvStore());
+                                         &s->pipeline->kvStore());
         if (batch.empty())
             return;
         s->pipeline->startBatch(std::move(batch));

@@ -466,7 +466,7 @@ SpotServeSystem::pipelineCacheTokens() const
         if (!dep.pipelines[d])
             continue;
         // Physical (deduplicated) tokens: the KV bytes a migration must
-        // actually move; equals the logical sum without prefix sharing.
+        // actually move; equals the logical sum when nothing is shared.
         tokens[d] =
             static_cast<double>(dep.pipelines[d]->kvTokensHeldPhysical());
     }
@@ -927,9 +927,9 @@ SpotServeSystem::startMigration()
             const int blk = effectiveKvBlockTokens(pm.target);
             const engine::KvAdmissionMode mode =
                 engineOptions().kvAdmissionMode;
-            // With prefix sharing the inheriting replica holds (and the
-            // migration transfers) each complete shared prefix block
-            // once for the whole cohort: later members carrying a
+            // The inheriting replica holds (and the migration transfers)
+            // each complete shared prefix block once for the whole
+            // cohort: later members carrying a
             // (class, level) pair an earlier kept member already brought
             // are not charged for it again.  The store re-attaches the
             // inherited batch with exactly this dedup, so the trim
@@ -941,8 +941,7 @@ SpotServeSystem::startMigration()
                    static_cast<int>(keep) < pm.target.batch) {
                 const auto &r = recovered[keep];
                 long charge = r.kvChargedBlocks(mode, blk);
-                if (engineOptions().prefixSharing &&
-                    r.request.prefixId >= 0) {
+                if (r.request.prefixId >= 0) {
                     const long shared = std::min<long>(
                         r.kvTokensHeld(), r.request.prefixLen);
                     for (long l = 0; l < shared / blk; ++l) {

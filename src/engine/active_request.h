@@ -122,18 +122,17 @@ struct ActiveRequest
     /**
      * Physical KV block ids this request holds references on, one per
      * block level (level k covers tokens [k*B, (k+1)*B)), owned by the
-     * pipeline's KvBlockStore.  Empty when the pipeline runs without
-     * prefix sharing (scalar block counters remain the source of truth)
-     * or whenever the request holds no cache.  Never travels across
-     * pipelines: release() clears it and the inheriting replica's store
-     * rebuilds it (deduplicating shared prefix levels) at attach.
+     * pipeline's KvBlockStore.  Empty whenever the request is outside a
+     * pipeline.  Never travels across pipelines: release() clears it and
+     * the inheriting replica's store rebuilds it (deduplicating shared
+     * prefix levels) at attach.
      */
     std::vector<int> kvBlockIds;
 
     /**
      * Prefix tokens satisfied from the store's radix index at attach
      * (prefill compute for these tokens was skipped).  Diagnostic;
-     * 0 when the request missed or sharing is off.
+     * 0 when the request missed or declares no shared prefix.
      */
     int sharedPrefixTokens = 0;
 

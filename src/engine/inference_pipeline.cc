@@ -83,13 +83,11 @@ InferencePipeline::InferencePipeline(sim::Executor &executor,
             throw std::invalid_argument(
                 "InferencePipeline: need low <= high <= budget watermarks");
     }
-    if (batching_.prefixSharing) {
-        // The store's physical capacity IS the block budget: prefix
-        // sharing may never let resident blocks exceed what admission
-        // promised (allocation throws instead of over-committing).
-        store_ = std::make_unique<KvBlockStore>(budgetBlocks_,
-                                                batching_.kvBlockTokens);
-    }
+    // The store's physical capacity IS the block budget: prefix sharing
+    // may never let resident blocks exceed what admission promised
+    // (allocation throws instead of over-committing).
+    store_ = std::make_unique<KvBlockStore>(budgetBlocks_,
+                                            batching_.kvBlockTokens);
 }
 
 InferencePipeline::~InferencePipeline()
@@ -136,8 +134,6 @@ InferencePipeline::startBatch(std::vector<ActiveRequest> batch)
 void
 InferencePipeline::attachToStore(ActiveRequest &r)
 {
-    if (!store_)
-        return;
     const int matched = store_->attach(r);
     if (matched > 0)
         savedPrefillSeconds_ += latency_.prefillSavedTime(config_, matched);
@@ -197,20 +193,14 @@ InferencePipeline::kvBlocksHeld() const
 long
 InferencePipeline::kvBlocksReserved() const
 {
+    // Physical form: resident live blocks (shared levels counted once)
+    // plus each request's worst-case future growth — the levels it has
+    // yet to allocate and the pending CoW copy.
     const int blk = batching_.kvBlockTokens;
-    if (store_) {
-        // Physical form: resident live blocks (shared levels counted
-        // once) plus each request's worst-case future growth — the
-        // levels it has yet to allocate and the pending CoW copy.
-        long reserved = store_->liveBlocks();
-        for (const auto &r : batch_)
-            reserved += r.kvPeakBlocks(blk) - r.kvBlocksHeld(blk) +
-                        store_->pendingCowBlocks(r);
-        return reserved;
-    }
-    long reserved = 0;
+    long reserved = store_->liveBlocks();
     for (const auto &r : batch_)
-        reserved += r.kvPeakBlocks(blk);
+        reserved += r.kvPeakBlocks(blk) - r.kvBlocksHeld(blk) +
+                    store_->pendingCowBlocks(r);
     return reserved;
 }
 
@@ -218,16 +208,10 @@ long
 InferencePipeline::kvBlocksCharged() const
 {
     const int blk = batching_.kvBlockTokens;
-    if (store_) {
-        long charged = store_->liveBlocks();
-        for (const auto &r : batch_)
-            charged += r.kvChargedBlocks(batching_.kvAdmissionMode, blk) -
-                       r.kvBlocksHeld(blk) + store_->pendingCowBlocks(r);
-        return charged;
-    }
-    long charged = 0;
+    long charged = store_->liveBlocks();
     for (const auto &r : batch_)
-        charged += r.kvChargedBlocks(batching_.kvAdmissionMode, blk);
+        charged += r.kvChargedBlocks(batching_.kvAdmissionMode, blk) -
+                   r.kvBlocksHeld(blk) + store_->pendingCowBlocks(r);
     return charged;
 }
 
@@ -301,14 +285,12 @@ InferencePipeline::takeBatch()
     if (executing())
         throw std::logic_error(
             "InferencePipeline::takeBatch: pipeline still executing");
-    if (store_) {
-        // Block ids are meaningless outside this pipeline's store: drop
-        // the references (committed progress is untouched) and let the
-        // inheriting replica's store rebuild — deduplicating shared
-        // prefix levels — at attach.
-        for (auto &r : batch_)
-            store_->release(r);
-    }
+    // Block ids are meaningless outside this pipeline's store: drop the
+    // references (committed progress is untouched) and let the inheriting
+    // replica's store rebuild — deduplicating shared prefix levels — at
+    // attach.
+    for (auto &r : batch_)
+        store_->release(r);
     return std::exchange(batch_, {});
 }
 
@@ -346,12 +328,11 @@ InferencePipeline::enforceKvPressure()
     const long low = batching_.kvLowWatermarkBlocks;
 
     std::vector<bool> gone(batch_.size(), false);
-    // Survivor scan, in block space, with the yield decision applied:
-    // decode growth is at most one block per prefilled member (one token
-    // may cross a block boundary); prefill growth is the blocks one
-    // chunk adds per non-frozen prefiller — ceil-rounded against the
-    // request's current holding, never per chunk, so chunks sharing a
-    // block are not double-charged.
+    // Survivor scan, in physical block space, with the yield decision
+    // applied: growth is the new block levels plus the pending tail CoW
+    // copy — one decode token per prefilled member, one chunk per
+    // non-frozen prefiller — and the held count comes from the store's
+    // refcount arithmetic (shared levels once).
     struct Scan
     {
         long held = 0;
@@ -364,46 +345,22 @@ InferencePipeline::enforceKvPressure()
         Scan s;
         std::vector<const ActiveRequest *> victims;
         for (std::size_t i = 0; i < batch_.size(); ++i) {
-            if (gone[i]) {
-                if (store_)
-                    victims.push_back(&batch_[i]);
-                continue;
-            }
             const ActiveRequest &r = batch_[i];
-            if (store_) {
-                // Physical growth: new block levels plus the pending
-                // tail CoW copy; the held count comes from the store's
-                // refcount arithmetic below (shared levels once).
-                if (r.prefilled) {
-                    s.anyDecoder = true;
-                    s.decodeGrowth += store_->projectedGrowthBlocks(r, 1);
-                } else {
-                    s.anyPrefiller = true;
-                    s.prefillGrowth +=
-                        store_->projectedGrowthBlocks(r, prefillChunkFor(r));
-                }
-                continue;
-            }
-            const long cur = r.kvBlocksHeld(blk);
-            s.held += cur;
-            if (r.prefilled) {
+            if (gone[i]) {
+                victims.push_back(&r);
+            } else if (r.prefilled) {
                 s.anyDecoder = true;
-                s.decodeGrowth +=
-                    kvBlocksFor(r.kvTokensHeld() + 1, blk) - cur;
+                s.decodeGrowth += store_->projectedGrowthBlocks(r, 1);
             } else {
                 s.anyPrefiller = true;
                 s.prefillGrowth +=
-                    kvBlocksFor(r.kvTokensHeld() + prefillChunkFor(r),
-                                blk) -
-                    cur;
+                    store_->projectedGrowthBlocks(r, prefillChunkFor(r));
             }
         }
-        if (store_) {
-            // A block frees only when every live reference belongs to a
-            // victim: shared prefix blocks survive partial evictions, so
-            // evicting one sharer relieves exactly its sole blocks.
-            s.held = store_->liveBlocksExcluding(victims);
-        }
+        // A block frees only when every live reference belongs to a
+        // victim: shared prefix blocks survive partial evictions, so
+        // evicting one sharer relieves exactly its sole blocks.
+        s.held = store_->liveBlocksExcluding(victims);
         return s;
     };
     // Decode-priority boundary scheduling: when the next step threatens
@@ -473,14 +430,14 @@ InferencePipeline::enforceKvPressure()
         if (pressure(s) <= budget)
             break;
         if (next >= order.size()) {
-            // Only the protected oldest remains.  Without sharing,
-            // admission rejects any head whose worst-case peak exceeds
+            // Only the protected oldest remains.  Without a shared
+            // prefix, admission rejects any head whose worst-case peak exceeds
             // the replica budget, so this is unreachable.  A head
             // admitted into a prefix-sharing discount, however, can
             // outgrow the budget alone once its co-sharers leave —
             // evict it too rather than overflow physical memory (it
             // re-admits under the storm guard's full-peak charge).
-            if (store_ && !gone[oldest]) {
+            if (!gone[oldest]) {
                 gone[oldest] = true;
                 evicted.push_back(batch_[oldest]);
                 continue;
@@ -512,14 +469,12 @@ InferencePipeline::enforceKvPressure()
         }
         batch_ = std::move(survivors);
         evictions_ += static_cast<long>(evicted.size());
-        if (store_) {
-            // Drop the victims' references now, before the final yield
-            // decision re-scans the store: their sole blocks free,
-            // shared prefix blocks stay (cached once the last sharer
-            // leaves, reclaimed LRU only under allocation pressure).
-            for (auto &e : evicted)
-                store_->release(e);
-        }
+        // Drop the victims' references now, before the final yield
+        // decision re-scans the store: their sole blocks free, shared
+        // prefix blocks stay (cached once the last sharer leaves,
+        // reclaimed LRU only under allocation pressure).
+        for (auto &e : evicted)
+            store_->release(e);
     }
     // Final yield decision over the surviving batch: this is the flag the
     // upcoming scheduleStep honours.
@@ -618,21 +573,18 @@ InferencePipeline::onBoundary()
         ++itersExecuted_;
         tokensCommitted_ += decoded;
     }
-    if (store_) {
-        // Extend every request's physical blocks over the tokens that
-        // just committed: first divergence past a shared tail fires the
-        // CoW copy, freshly completed prefix levels publish to the index.
-        for (auto &r : batch_)
-            store_->commitProgress(r);
-    }
+    // Extend every request's physical blocks over the tokens that just
+    // committed: first divergence past a shared tail fires the CoW copy,
+    // freshly completed prefix levels publish to the index.
+    for (auto &r : batch_)
+        store_->commitProgress(r);
 
     // Requests leave the batch individually on completion.
     std::vector<ActiveRequest> still_running;
     still_running.reserve(batch_.size());
     for (auto &r : batch_) {
         if (r.done()) {
-            if (store_)
-                store_->release(r);
+            store_->release(r);
             if (callbacks_.onRequestComplete)
                 callbacks_.onRequestComplete(r);
         } else {

@@ -20,6 +20,7 @@
 #ifndef SPOTSERVE_ENGINE_INFERENCE_PIPELINE_H
 #define SPOTSERVE_ENGINE_INFERENCE_PIPELINE_H
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -96,18 +97,6 @@ struct BatchingOptions
      */
     long kvHighWatermarkBlocks = 0;
     long kvLowWatermarkBlocks = 0;
-
-    /**
-     * Block-level prefix sharing + copy-on-write: the pipeline owns a
-     * refcounted KvBlockStore, requests hold physical block-id sequences
-     * (deduplicated across shared prefixes, published to a radix index as
-     * prefix levels commit), admission and watermark eviction charge
-     * *physical* blocks, full prefix hits skip the matched prefill
-     * compute, and divergence from a shared partial tail copies the
-     * split block.  false (the ablation) keeps the PR 5 scalar block
-     * counters bit-for-bit; serving systems default it on.
-     */
-    bool prefixSharing = false;
 };
 
 /**
@@ -284,31 +273,18 @@ class InferencePipeline
     long prefillYields() const { return prefillYields_; }
 
     /**
-     * The prefix-sharing block store (nullptr when prefixSharing is off
-     * and the scalar counters remain the source of truth).
+     * The replica's refcounted physical block pool and prefix index: the
+     * one source of truth for the KV the live batch holds.  Requests
+     * without a shared prefix own private blocks, so physical equals
+     * logical for them.
      */
-    const KvBlockStore *kvStore() const { return store_.get(); }
+    const KvBlockStore &kvStore() const { return *store_; }
 
     /**
-     * Admission quote: matched-and-live shared prefix blocks the given
-     * (unattached) request would reference instead of allocating.  The
-     * serving layers subtract this from the scalar block charge; 0
-     * without a store.
-     */
-    long prefixQuoteBlocks(const ActiveRequest &r) const
-    {
-        return store_ ? store_->quoteSharedBlocks(r) : 0;
-    }
-
-    /**
-     * Physical (deduplicated) blocks the live batch holds: the store's
-     * live blocks, or the scalar count when sharing is off.  This — not
+     * Physical (deduplicated) blocks the live batch holds.  This — not
      * the logical per-request sum — is what the budget bounds.
      */
-    long kvPhysicalBlocksHeld() const
-    {
-        return store_ ? store_->liveBlocks() : kvBlocksHeld();
-    }
+    long kvPhysicalBlocksHeld() const { return store_->liveBlocks(); }
 
     /**
      * Token-space view of the physical holding, for migration volume:
@@ -317,22 +293,11 @@ class InferencePipeline
      */
     long kvTokensHeldPhysical() const
     {
-        if (!store_)
-            return kvTokensHeld();
         return std::min(kvTokensHeld(),
                         store_->liveBlocks() *
                             static_cast<long>(batching_.kvBlockTokens));
     }
 
-    /** Attaches that matched prefix tokens from the store's index. */
-    long prefixHits() const { return store_ ? store_->prefixHits() : 0; }
-    /** Prefix tokens whose prefill compute was skipped, total. */
-    long prefixMatchedTokens() const
-    {
-        return store_ ? store_->prefixMatchedTokens() : 0;
-    }
-    /** Copy-on-write block copies performed on divergence. */
-    long cowCopies() const { return store_ ? store_->cowCopies() : 0; }
     /** Prefill seconds skipped thanks to prefix hits (LatencyModel-
      *  costed diagnostic). */
     double savedPrefillSeconds() const { return savedPrefillSeconds_; }
@@ -350,7 +315,7 @@ class InferencePipeline
     /** Recompute prefilled/prefillTokens consistency on (re)entry. */
     static void normalizeProgress(ActiveRequest &r);
     /** Give @p r its physical blocks (prefix hits skip prefill compute
-     *  and are costed into savedPrefillSeconds_).  No-op without store. */
+     *  and are costed into savedPrefillSeconds_). */
     void attachToStore(ActiveRequest &r);
     /** Fire the onBoundary observer. */
     void observeBoundary();
@@ -376,7 +341,7 @@ class InferencePipeline
     BatchingOptions batching_;
     /** floor(kvBudgetTokens / kvBlockTokens); the enforced budget. */
     long budgetBlocks_ = kUnboundedKvBlocks;
-    /** Physical block pool + prefix index (only with prefixSharing). */
+    /** Physical block pool + prefix index. */
     std::unique_ptr<KvBlockStore> store_;
     double savedPrefillSeconds_ = 0.0;
 

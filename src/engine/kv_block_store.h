@@ -3,10 +3,10 @@
  * Refcounted physical KV block store with radix prefix sharing and
  * copy-on-write.
  *
- * PR 5 made KV memory block-granular but kept per-request scalar
- * counters: two requests whose prompts start with the same system prompt
- * or few-shot template pay for those blocks twice.  This store gives
- * blocks *identity* — a per-replica pool of physical block ids with
+ * Every replica keeps its KV here.  Per-request block counters alone
+ * would make two requests whose prompts start with the same system
+ * prompt or few-shot template pay for those blocks twice; the store
+ * gives blocks *identity* — a per-replica pool of physical block ids with
  * refcounts, a free list, and a prefix index in the paged-attention +
  * prefix-caching lineage (vLLM's radix/trie prefix cache): block level k
  * of prefix class c always holds the same tokens, so its content key is
@@ -71,7 +71,7 @@ class KvBlockStore
     /**
      * Admission quote: how many of @p r's prefix blocks are matched by
      * the index *and currently live* (referenced by a resident request).
-     * The serving layers subtract this from the scalar charge — live
+     * The serving layers subtract this from the per-request charge — live
      * matches are already counted in liveBlocks(), so the discounted
      * charge is exactly the marginal physical demand.  Cached matches
      * are excluded (reviving them re-consumes budget).

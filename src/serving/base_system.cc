@@ -54,9 +54,8 @@ BaseServingSystem::rejectUnservableHeads(long budget_blocks, int block_tokens)
         // physical peak shrinks by the matched-and-live shared blocks
         // some replica already holds.  Restarted heads stay undiscounted
         // (the eviction-storm guard — they must fit worst case alone).
-        const long discount = (engine_.prefixSharing && head.restarts == 0)
-                                  ? bestPrefixDiscount(head)
-                                  : 0;
+        const long discount =
+            head.restarts == 0 ? bestPrefixDiscount(head) : 0;
         if (head.kvPeakBlocks(block_tokens) - discount <= budget_blocks)
             break;
         // Even an empty replica cannot host this request: reject it
@@ -79,7 +78,7 @@ BaseServingSystem::bestPrefixDiscount(const engine::ActiveRequest &head) const
         return best;
     for (const auto &p : deployment_->pipelines) {
         if (p)
-            best = std::max(best, p->prefixQuoteBlocks(head));
+            best = std::max(best, p->kvStore().quoteSharedBlocks(head));
     }
     return best;
 }
@@ -246,12 +245,14 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
         peakKvHeldBlocks_ = std::max(peakKvHeldBlocks_, p.kvBlocksHeld());
         peakKvPhysicalBlocks_ =
             std::max(peakKvPhysicalBlocks_, p.kvPhysicalBlocksHeld());
-        prefixHitsTotal_ += p.prefixHits() - seen->hits;
-        seen->hits = p.prefixHits();
-        prefixMatchedTokensTotal_ += p.prefixMatchedTokens() - seen->tokens;
-        seen->tokens = p.prefixMatchedTokens();
-        cowCopiesTotal_ += p.cowCopies() - seen->cows;
-        seen->cows = p.cowCopies();
+        const engine::KvBlockStore &store = p.kvStore();
+        prefixHitsTotal_ += store.prefixHits() - seen->hits;
+        seen->hits = store.prefixHits();
+        prefixMatchedTokensTotal_ +=
+            store.prefixMatchedTokens() - seen->tokens;
+        seen->tokens = store.prefixMatchedTokens();
+        cowCopiesTotal_ += store.cowCopies() - seen->cows;
+        seen->cows = store.cowCopies();
         savedPrefillSecondsTotal_ += p.savedPrefillSeconds() - seen->saved;
         seen->saved = p.savedPrefillSeconds();
         peakConcurrentRequests_ = std::max(
@@ -279,7 +280,6 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
     batching.kvBudgetTokens = replicaKvBudget(config);
     batching.kvBlockTokens = engine_.kvBlockTokens;
     batching.prefillChunkTokens = engine_.prefillChunkTokens;
-    batching.prefixSharing = engine_.prefixSharing;
     batching.kvAdmissionMode = engine_.kvAdmissionMode;
     if (engine_.kvAdmissionMode == engine::KvAdmissionMode::Optimistic) {
         const cost::KvWatermarks wm = memory_.kvWatermarks(
@@ -353,6 +353,20 @@ BaseServingSystem::loadBatch(int pipeline_idx,
     p->startBatch(std::move(batch));
 }
 
+bool
+BaseServingSystem::dispatchable(std::size_t d) const
+{
+    const auto &p = deployment_->pipelines[d];
+    if (!p || !p->idle() || p->haltPending())
+        return false;
+    if (d < deployment_->readyAt.size() &&
+        deployment_->readyAt[d] > sim_.now())
+        return false; // still finishing its progressive migration
+    // Its resume event loads a recovered batch first.
+    return d >= deployment_->awaitingBatch.size() ||
+           !deployment_->awaitingBatch[d];
+}
+
 void
 BaseServingSystem::dispatchAll()
 {
@@ -360,18 +374,8 @@ BaseServingSystem::dispatchAll()
         return;
     std::vector<engine::InferencePipeline *> ready;
     for (std::size_t d = 0; d < deployment_->pipelines.size(); ++d) {
-        auto &p = deployment_->pipelines[d];
-        if (!p || !p->idle() || p->haltPending())
-            continue;
-        if (d < deployment_->readyAt.size() &&
-            deployment_->readyAt[d] > sim_.now()) {
-            continue; // still finishing its progressive migration
-        }
-        if (d < deployment_->awaitingBatch.size() &&
-            deployment_->awaitingBatch[d]) {
-            continue; // its resume event loads a recovered batch first
-        }
-        ready.push_back(p.get());
+        if (dispatchable(d))
+            ready.push_back(deployment_->pipelines[d].get());
     }
     if (ready.empty() || requests_.pendingEmpty())
         return;
@@ -393,19 +397,19 @@ BaseServingSystem::dispatchAll()
             break;
         // Least-loaded replica with a free slot AND enough KV headroom
         // for the FIFO head; stop only when the head fits no replica
-        // (strict head-blocking — nothing slips past it).  With prefix
-        // sharing each replica quotes its own discount for the head
-        // (matched-and-live shared blocks it already holds), and the
-        // replica offering the biggest discount wins — colocating the
-        // head with its prefix both frees budget and skips prefill.
-        // All quotes are zero without sharing, reducing the selection to
-        // the plain least-loaded rule.
+        // (strict head-blocking — nothing slips past it).  Each replica
+        // quotes its own discount for the head (matched-and-live shared
+        // blocks it already holds), and the replica offering the biggest
+        // discount wins — colocating the head with its prefix both frees
+        // budget and skips prefill.  All quotes are zero for a head with
+        // no shared prefix (or a restarted one), reducing the selection
+        // to the plain least-loaded rule.
         const long head_charge = requests_.headKvCharge(mode, blk);
         const engine::ActiveRequest &head = requests_.pending().front();
         std::vector<long> quote(ready.size(), 0);
-        if (engine_.prefixSharing && head.restarts == 0) {
+        if (head.restarts == 0) {
             for (std::size_t i = 0; i < ready.size(); ++i)
-                quote[i] = ready[i]->prefixQuoteBlocks(head);
+                quote[i] = ready[i]->kvStore().quoteSharedBlocks(head);
         }
         int best = -1;
         for (int i = 0; i < static_cast<int>(ready.size()); ++i) {
@@ -426,7 +430,7 @@ BaseServingSystem::dispatchAll()
             break;
         auto got = requests_.nextBatch(1, budget - charged[best], mode,
                                        budget, blk,
-                                       ready[best]->kvStore());
+                                       &ready[best]->kvStore());
         if (got.empty())
             break;
         charged[best] += std::max(
@@ -486,8 +490,8 @@ BaseServingSystem::liveKvRefs() const
         return 0;
     long refs = 0;
     for (const auto &p : deployment().pipelines) {
-        if (p != nullptr && p->kvStore() != nullptr)
-            refs += p->kvStore()->totalLiveRefs();
+        if (p != nullptr)
+            refs += p->kvStore().totalLiveRefs();
     }
     return refs;
 }
@@ -517,9 +521,9 @@ BaseServingSystem::snapshotContext() const
             const auto &p = deployment_->pipelines[d];
             if (!p)
                 continue;
-            // Physical (deduplicated) tokens: with prefix sharing the KV
-            // bytes a migration must move are the store's live blocks,
-            // not the per-request logical sum.
+            // Physical (deduplicated) tokens: the KV bytes a migration
+            // must move are the store's live blocks, not the per-request
+            // logical sum.
             const double tokens =
                 static_cast<double>(p->kvTokensHeldPhysical());
             if (tokens <= 0.0)
@@ -607,14 +611,9 @@ BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
     int idle_others = 0;
     if (deployment_) {
         for (std::size_t d = 0; d < deployment_->pipelines.size(); ++d) {
-            auto &p = deployment_->pipelines[d];
-            if (!p || p.get() == &pipeline || !p->idle() ||
-                p->haltPending())
-                continue;
-            if (d < deployment_->readyAt.size() &&
-                deployment_->readyAt[d] > sim_.now())
-                continue;
-            ++idle_others;
+            if (deployment_->pipelines[d].get() != &pipeline &&
+                dispatchable(d))
+                ++idle_others;
         }
     }
     int slots = free_slots;
@@ -628,7 +627,7 @@ BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
                                               pipeline.kvAdmissionMode(),
                                               pipeline.kvBudgetBlocks(),
                                               pipeline.kvBlockTokens(),
-                                              pipeline.kvStore());
+                                              &pipeline.kvStore());
     // The asking pipeline is mid-boundary (not idle), so dispatchAll only
     // touches the others.
     if (idle_others > 0 && !requests_.pendingEmpty())

@@ -74,16 +74,6 @@ struct EngineOptions
      * hand out.  1 reproduces token-granular accounting bit-for-bit.
      */
     int kvBlockTokens = 16;
-
-    /**
-     * Block-level prefix sharing with copy-on-write
-     * (engine::KvBlockStore): each replica holds shared prompt prefixes
-     * once, full prefix hits skip the matched prefill compute, and every
-     * admission path quotes the post-prefix-hit physical demand.  false
-     * reproduces the scalar per-request block accounting bit-for-bit (the
-     * ablation; also identical on prefix-free workloads).
-     */
-    bool prefixSharing = true;
 };
 
 /** Common deployment + dispatch machinery. */
@@ -117,7 +107,7 @@ class BaseServingSystem : public ServingSystem
 
     /**
      * Live KV block references summed over every deployed replica's
-     * KvBlockStore (0 with prefix sharing off or no deployment).  Leak
+     * KvBlockStore (0 with no deployment).  Leak
      * audit for the fault tests: once every request has completed or
      * been rejected, any nonzero value is a reference a recovery path
      * failed to release.
@@ -307,8 +297,8 @@ class BaseServingSystem : public ServingSystem
      * Drop queue heads whose worst-case KV (in blocks of
      * @p block_tokens) exceeds @p budget_blocks (they can never be
      * served by any replica of the active configuration, so leaving them
-     * would head-block the strict-FIFO queue forever).  With prefix
-     * sharing, the peak is discounted by the best matched-and-live quote
+     * would head-block the strict-FIFO queue forever).  The peak is
+     * discounted by the best matched-and-live prefix quote
      * any replica offers (bestPrefixDiscount): a head that fits *because*
      * of sharing is not rejected.  Returns how many were rejected.
      */
@@ -318,7 +308,7 @@ class BaseServingSystem : public ServingSystem
      * Best prefix-sharing admission quote (matched-and-live shared
      * blocks) any live replica offers @p head.  The default scans the
      * deployment's pipelines; systems with their own pipeline pools
-     * (rerouting slots) override.  0 without sharing.
+     * (rerouting slots) override.  0 for a head with no shared prefix.
      */
     virtual long bestPrefixDiscount(const engine::ActiveRequest &head) const;
 
@@ -339,6 +329,14 @@ class BaseServingSystem : public ServingSystem
     core::TransferDataPlane dataPlane_;
 
   private:
+    /**
+     * Replica @p d can take a fresh batch from dispatchAll right now:
+     * idle, no halt pending, its progressive migration finished, and no
+     * recovered batch waiting for its resume event.  Boundary admission
+     * counts the same replicas when it leaves them a share of the queue.
+     */
+    bool dispatchable(std::size_t d) const;
+
     EngineOptions engine_;
     std::optional<Deployment> deployment_;
     std::vector<ConfigChange> history_;

@@ -62,15 +62,16 @@ struct ExperimentResult
     long peakKvHeldBlocks = 0;
 
     /** Largest *physical* (deduplicated) block holding any replica
-     *  reached at a boundary.  Equals peakKvHeldBlocks without prefix
-     *  sharing; strictly smaller whenever prompt prefixes were shared. */
+     *  reached at a boundary.  Equals peakKvHeldBlocks on a prefix-free
+     *  workload; strictly smaller whenever prompt prefixes were shared. */
     long peakKvPhysicalBlocks = 0;
 
     /**
      * Prefix-sharing diagnostics (KvBlockStore): attaches that matched a
      * cached prefix, prefix tokens whose prefill compute was skipped,
      * copy-on-write block copies, and the prefill seconds the hits saved
-     * (LatencyModel::prefillSavedTime).  All zero with sharing off.
+     * (LatencyModel::prefillSavedTime).  All zero on a prefix-free
+     * workload.
      * @{ */
     long prefixHits = 0;
     long prefixMatchedTokens = 0;

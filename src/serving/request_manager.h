@@ -81,9 +81,9 @@ class RequestManager
      * decode progress == 0); recovered batches are handed to pipelines
      * directly by the serving systems.
      *
-     * When the target replica runs a prefix-sharing block store, pass it
-     * as @p store: each pop quotes the *post-prefix-hit* physical demand
-     * (the scalar charge minus the head's matched-and-live shared
+     * Pass the target replica's block store as @p store (nullptr quotes
+     * no discount): each pop quotes the *post-prefix-hit* physical demand
+     * (the per-request charge minus the head's matched-and-live shared
      * blocks), so a request that fits because of sharing is neither
      * head-blocked nor rejected.
      */
@@ -117,7 +117,7 @@ class RequestManager
      * KV blocks (of @p block_tokens tokens; 1 = tokens) the queue head
      * would be charged under @p mode (stamping a fresh prediction on it
      * first).  Used by idle-batch formation to pick a replica with
-     * enough headroom before popping.  The scalar (undiscounted) charge:
+     * enough headroom before popping.  The undiscounted charge:
      * dispatch subtracts each candidate replica's own prefix quote.
      * @pre the queue is not empty.
      */
@@ -238,7 +238,7 @@ class RequestManager
      * a multi-request pop exposes new heads mid-call.  All budgets and
      * charges are in KV blocks of @p block_tokens tokens (1 = tokens).
      *
-     * With a prefix-sharing @p store, both the peak and the charge are
+     * With a block @p store, both the peak and the charge are
      * discounted by the head's matched-and-live shared blocks — those
      * blocks are already resident and counted in the pipeline's charged
      * total, so the discounted value is the request's exact marginal

@@ -74,7 +74,8 @@ struct PrefixClass
  * template attached in front of the user turn.  Without it the prefix is
  * declared *within* the existing prompt (prefixLen =
  * min(class tokens, inputLen)), leaving lengths — and therefore every
- * latency and KV figure with sharing off — untouched.
+ * latency and KV figure of a copy with the prefix ids stripped —
+ * untouched.
  */
 void withSharedPrefixes(Workload &workload,
                         const std::vector<PrefixClass> &classes,

@@ -378,7 +378,9 @@ struct ChaosCase
 {
     std::uint64_t seed;
     engine::KvAdmissionMode admission;
-    bool prefixSharing;
+    /** Stamp few-shot prefixes (4 classes x 256 tokens) on the workload,
+     *  so the replicas' block stores share blocks under the faults. */
+    bool prefixed;
 };
 
 const std::vector<ChaosCase> kChaosCases = {
@@ -407,7 +409,6 @@ runChaos(const ChaosCase &c, bool fault_recovery = true,
 
     serving::EngineOptions engine;
     engine.kvAdmissionMode = c.admission;
-    engine.prefixSharing = c.prefixSharing;
     serving::SystemFactory factory;
     if (system == "Rerouting") {
         baselines::ReroutingOptions options;
@@ -427,8 +428,10 @@ runChaos(const ChaosCase &c, bool fault_recovery = true,
     }
 
     sim::Rng rng(c.seed);
-    const auto workload =
-        wl::stationaryGamma(rate, 6.0, trace.duration(), seq, rng);
+    auto workload = wl::stationaryGamma(rate, 6.0, trace.duration(), seq, rng);
+    if (c.prefixed)
+        wl::withFewShotPrefixes(workload, /*num_classes=*/4,
+                                /*class_tokens=*/256, rng);
 
     serving::ExperimentOptions eo;
     eo.faultPlan = &plan;
@@ -460,6 +463,8 @@ TEST(ChaosSweepTest, SpotServeSurvivesRandomFaultSchedules)
         SCOPED_TRACE("seed=" + std::to_string(c.seed));
         const auto r = runChaos(c);
         expectCrashConsistent(r);
+        if (c.prefixed)
+            EXPECT_GT(r.prefixHits, 0);
         aborts += r.migrationAborts;
         recovered += r.requestsRecovered;
         restarts += r.restartedRequeues;
@@ -479,7 +484,10 @@ TEST(ChaosSweepTest, BaselinesSurviveRandomFaultSchedules)
     for (const std::string system : {"Rerouting", "Reparallelization"}) {
         for (const auto &c : kChaosCases) {
             SCOPED_TRACE(system + " seed=" + std::to_string(c.seed));
-            expectCrashConsistent(runChaos(c, true, system));
+            const auto r = runChaos(c, true, system);
+            expectCrashConsistent(r);
+            if (c.prefixed)
+                EXPECT_GT(r.prefixHits, 0);
         }
     }
 }
@@ -488,7 +496,7 @@ TEST(ChaosSweepTest, AblationWithoutRecoveryStaysConsistent)
 {
     // faultRecovery=false gives up salvage and pays cold restarts, but
     // the conservation invariants are not allowed to depend on the flag.
-    const ChaosCase c{505, engine::KvAdmissionMode::Optimistic, true};
+    const ChaosCase c{505, engine::KvAdmissionMode::Optimistic, false};
     const auto r = runChaos(c, /*fault_recovery=*/false);
     expectCrashConsistent(r);
     EXPECT_EQ(r.salvagedBlocks, 0);

@@ -767,7 +767,7 @@ struct TestSystem : serving::BaseServingSystem
     TestSystem(sim::Executor &s, cluster::InstanceManager &im,
                serving::RequestManager &rm, const model::ModelSpec &spec)
         : BaseServingSystem(s, im, rm, spec, kParams, cost::SeqSpec{},
-                            serving::EngineOptions{.prefixSharing = false})
+                            serving::EngineOptions{})
     {
     }
     std::string name() const override { return "TestSystem"; }
@@ -815,6 +815,46 @@ TEST(ReplicaBalancingTest, IdleBatchFormationSpreadsAcrossReplicas)
     EXPECT_EQ(system.deployment().pipelines[0]->batch().size(), 3u);
     EXPECT_EQ(system.deployment().pipelines[1]->batch().size(), 3u);
     EXPECT_TRUE(requests.pendingEmpty());
+}
+
+TEST(ReplicaBalancingTest, BoundaryAdmissionSkipsReplicaAwaitingItsBatch)
+{
+    // A replica whose recovered batch waits for its resume event gets
+    // nothing from dispatchAll, so boundary admission must not leave it
+    // an even share of the queue either: with the only other replica
+    // awaiting its batch, the asking replica takes min(free, pending).
+    const auto spec = model::ModelSpec::opt6_7b();
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    TestSystem system(sim, instances, requests, spec);
+
+    instances.loadTrace(AvailabilityTrace(
+        "steady", 100.0,
+        {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 2}}));
+    sim.run(1.0);
+    const par::ParallelConfig config{2, 2, 2, 8};
+    system.installDeployment(config,
+                             system.packedMesh(config,
+                                               instances.usableInstances()));
+    auto &dep = system.deployment();
+    dep.awaitingBatch = {false, true};
+
+    // Replica 0 runs one request (mid-batch, so it is the asker); six
+    // more queue up behind it.
+    requests.submit(makeRequest(0, sim.now()));
+    system.dispatchAll();
+    ASSERT_EQ(dep.pipelines[0]->batch().size(), 1u);
+    ASSERT_TRUE(dep.pipelines[1]->idle());
+    for (int i = 1; i <= 6; ++i)
+        requests.submit(makeRequest(i, sim.now()));
+
+    auto &pipeline = *dep.pipelines[0];
+    const int free = pipeline.freeSlots();
+    const auto admitted = system.admitAtBoundary(pipeline, free);
+    EXPECT_EQ(static_cast<int>(admitted.size()), std::min(free, 6));
+    EXPECT_TRUE(requests.pendingEmpty());
+    EXPECT_TRUE(dep.pipelines[1]->batch().empty());
 }
 
 TEST(ReplicaBalancingTest, OversizedRequestIsRejectedNotHeadBlocking)

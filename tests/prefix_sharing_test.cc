@@ -9,10 +9,11 @@
  * admission modes, asserting at every boundary of every replica that the
  * *physical* (deduplicated) block holding fits the block budget and that
  * no reference leaks (the store's live refs equal the batch's block-id
- * holdings).  The ablation pin replays a prefix-free experiment with
- * sharing on and off and demands byte-identical results — sharing
- * default-on must reproduce the scalar (PR 5) accounting exactly when no
- * prefixes exist to share.
+ * holdings).  The oracle pin checks, at every boundary of a prefix-free
+ * churn run, that the store's physical accounting collapses to the
+ * per-request block formulas when nothing exists to share; the sharing
+ * ablation compares a shared-prefix workload against a copy with the
+ * prefix ids stripped.
  */
 
 #include <gtest/gtest.h>
@@ -299,7 +300,6 @@ runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
     options.engine.prefillChunkTokens = chunk_tokens;
     options.engine.kvAdmissionMode = mode;
     options.engine.kvBlockTokens = block_tokens;
-    options.engine.prefixSharing = true;
     core::SpotServeSystem system(sim, instances, requests, spec, kParams,
                                  seq, options);
 
@@ -312,18 +312,17 @@ runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
             ++out.violations;
         if (p.kvBlocksHeld() > budget_blocks)
             ++out.violations;
-        if (const engine::KvBlockStore *store = p.kvStore()) {
-            if (store->capacityBlocks() != engine::kUnboundedKvBlocks &&
-                store->physicalBlocks() > store->capacityBlocks())
-                ++out.violations;
-            long held_refs = 0;
-            for (const auto &r : p.batch())
-                held_refs += static_cast<long>(r.kvBlockIds.size());
-            if (held_refs != store->totalLiveRefs())
-                ++out.refLeaks;
-            if (p.batch().empty() && store->liveBlocks() != 0)
-                ++out.refLeaks;
-        }
+        const engine::KvBlockStore &store = p.kvStore();
+        if (store.capacityBlocks() != engine::kUnboundedKvBlocks &&
+            store.physicalBlocks() > store.capacityBlocks())
+            ++out.violations;
+        long held_refs = 0;
+        for (const auto &r : p.batch())
+            held_refs += static_cast<long>(r.kvBlockIds.size());
+        if (held_refs != store.totalLiveRefs())
+            ++out.refLeaks;
+        if (p.batch().empty() && store.liveBlocks() != 0)
+            ++out.refLeaks;
     });
 
     instances.setListener(&system);
@@ -431,7 +430,6 @@ TEST(PrefixSystemTest, ReroutingLeakAuditCountsSlotPipelines)
     baselines::ReroutingOptions options;
     options.designArrivalRate = 0.3;
     options.engine.kvBlockTokens = testBlockTokens();
-    options.engine.prefixSharing = true;
     baselines::ReroutingSystem system(sim, instances, requests, spec,
                                       kParams, seq, options);
     long resident_refs = 0;
@@ -453,11 +451,14 @@ TEST(PrefixSystemTest, ReroutingLeakAuditCountsSlotPipelines)
 }
 
 // ---------------------------------------------------------------------
-// Ablation pin and sharing win (experiment level)
+// Per-request oracle and sharing win (experiment level)
 // ---------------------------------------------------------------------
 
 serving::ExperimentResult
-runSpotServe(const wl::Workload &workload, bool prefix_sharing)
+runSpotServe(const wl::Workload &workload,
+             engine::KvAdmissionMode mode = engine::KvAdmissionMode::Optimistic,
+             std::function<void(const engine::InferencePipeline &)> observer =
+                 {})
 {
     const auto spec = model::ModelSpec::gpt20b();
     const cost::SeqSpec seq{};
@@ -466,43 +467,59 @@ runSpotServe(const wl::Workload &workload, bool prefix_sharing)
             serving::RequestManager &req) {
             core::SpotServeOptions options;
             options.designArrivalRate = 0.35;
-            options.engine.prefixSharing = prefix_sharing;
-            return std::make_unique<core::SpotServeSystem>(
+            options.engine.kvAdmissionMode = mode;
+            auto system = std::make_unique<core::SpotServeSystem>(
                 exec, inst, req, spec, kParams, seq, options);
+            if (observer)
+                system->setKvObserver(observer);
+            return system;
         };
     return serving::runExperiment(spec, kParams, churnTrace(), workload,
                                   factory);
 }
 
-TEST(PrefixAblationTest, SharingOffAndOnIdenticalOnPrefixFreeWorkload)
+TEST(PrefixAblationTest, StoreMatchesPerRequestOracleOnPrefixFreeWorkload)
 {
-    // The ablation contract both ways at once: with no prefixes in the
-    // workload, the store matches nothing, so sharing ON must reproduce
-    // the scalar (PR 5) accounting byte for byte — same completions,
-    // same per-request timings, same restarts, same peaks.  This is the
-    // pin that lets the serving systems default sharing on.
+    // With no prefixes in the workload the store shares nothing, so at
+    // every boundary of every replica — across preemption-driven
+    // migrations, in both admission modes — its physical accounting must
+    // equal the per-request block formulas: live blocks == the logical
+    // holding, and the charged / reserved totals == the per-request sums
+    // (no pending CoW, no shared level counted once).
     sim::Rng rng(81);
     auto w = wl::stationaryPoisson(0.3, 600.0, cost::SeqSpec{}, rng);
     wl::capOutputs(w, 512, 16, 128, rng);
 
-    const auto off = runSpotServe(w, false);
-    const auto on = runSpotServe(w, true);
-    EXPECT_EQ(on.completed, off.completed);
-    EXPECT_EQ(on.rejected, off.rejected);
-    EXPECT_EQ(on.evictions, off.evictions);
-    EXPECT_EQ(on.peakKvHeldBlocks, off.peakKvHeldBlocks);
-    EXPECT_EQ(on.peakKvHeldTokens, off.peakKvHeldTokens);
-    EXPECT_EQ(on.prefixHits, 0);
-    EXPECT_EQ(on.cowCopies, 0);
-    EXPECT_EQ(on.savedPrefillSeconds, 0.0);
-    // Physical equals logical when nothing is shared.
-    EXPECT_EQ(on.peakKvPhysicalBlocks, on.peakKvHeldBlocks);
-    ASSERT_EQ(on.perRequest.size(), off.perRequest.size());
-    for (std::size_t i = 0; i < on.perRequest.size(); ++i) {
-        EXPECT_EQ(on.perRequest[i].id, off.perRequest[i].id);
-        EXPECT_EQ(on.perRequest[i].arrival, off.perRequest[i].arrival);
-        EXPECT_EQ(on.perRequest[i].latency, off.perRequest[i].latency);
-        EXPECT_EQ(on.perRequest[i].restarts, off.perRequest[i].restarts);
+    for (const auto mode : {engine::KvAdmissionMode::Reserve,
+                            engine::KvAdmissionMode::Optimistic}) {
+        SCOPED_TRACE(engine::toString(mode));
+        long boundaries = 0, physical = 0, charged = 0, reserved = 0;
+        const auto r = runSpotServe(
+            w, mode, [&](const engine::InferencePipeline &p) {
+                ++boundaries;
+                const int blk = p.kvBlockTokens();
+                long charge = 0, peak = 0;
+                for (const auto &req : p.batch()) {
+                    charge += req.kvChargedBlocks(p.kvAdmissionMode(), blk);
+                    peak += req.kvPeakBlocks(blk);
+                }
+                if (p.kvPhysicalBlocksHeld() != p.kvBlocksHeld())
+                    ++physical;
+                if (p.kvBlocksCharged() != charge)
+                    ++charged;
+                if (p.kvBlocksReserved() != peak)
+                    ++reserved;
+            });
+        EXPECT_GT(boundaries, 0);
+        EXPECT_EQ(physical, 0);
+        EXPECT_EQ(charged, 0);
+        EXPECT_EQ(reserved, 0);
+        EXPECT_GE(r.migrationsCompleted, 2); // initial + preemption-driven
+        EXPECT_EQ(r.completed, r.arrived);
+        EXPECT_EQ(r.prefixHits, 0);
+        EXPECT_EQ(r.cowCopies, 0);
+        EXPECT_EQ(r.savedPrefillSeconds, 0.0);
+        EXPECT_EQ(r.peakKvPhysicalBlocks, r.peakKvHeldBlocks);
     }
 }
 
@@ -511,14 +528,20 @@ TEST(PrefixAblationTest, SharingWinsOnSharedPrefixWorkload)
     // On a workload dominated by few-shot templates, sharing must hit
     // (skipping real prefill seconds), deduplicate physical blocks below
     // the logical holding, and never complete fewer requests than the
-    // scalar baseline at the same budget.
+    // same workload with its prefix ids stripped (same tokens, nothing
+    // to share) at the same budget.
     sim::Rng rng(82);
     auto w = wl::stationaryPoisson(0.3, 600.0, cost::SeqSpec{}, rng);
     wl::capOutputs(w, 512, 16, 128, rng);
     wl::withFewShotPrefixes(w, /*num_classes=*/2, /*class_tokens=*/256, rng);
+    auto stripped = w;
+    for (auto &r : stripped) {
+        r.prefixId = -1;
+        r.prefixLen = 0;
+    }
 
-    const auto off = runSpotServe(w, false);
-    const auto on = runSpotServe(w, true);
+    const auto off = runSpotServe(stripped);
+    const auto on = runSpotServe(w);
     EXPECT_GT(on.prefixHits, 0);
     EXPECT_GT(on.prefixMatchedTokens, 0);
     EXPECT_GT(on.savedPrefillSeconds, 0.0);
