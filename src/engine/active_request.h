@@ -143,6 +143,14 @@ struct ActiveRequest
      */
     bool kvTailShared = false;
 
+    /**
+     * Levels of kvBlockIds inside the shared prefix that this request
+     * wrote and has not published to the store's index yet: the level is
+     * still filling, or a classmate published the same level first.
+     * While 0, commitProgress skips the publish walk.
+     */
+    int kvPrivatePrefixLevels = 0;
+
     /** All output tokens generated? */
     bool done() const { return committedTokens >= request.outputLen; }
 
@@ -236,6 +244,7 @@ struct ActiveRequest
         kvBlockIds.clear();
         sharedPrefixTokens = 0;
         kvTailShared = false;
+        kvPrivatePrefixLevels = 0;
         ++restarts;
     }
 };

@@ -327,7 +327,9 @@ InferencePipeline::enforceKvPressure()
     const long high = batching_.kvHighWatermarkBlocks;
     const long low = batching_.kvLowWatermarkBlocks;
 
-    std::vector<bool> gone(batch_.size(), false);
+    // Members chosen as victims so far (empty: none, so the common
+    // no-eviction boundary allocates nothing).
+    std::vector<bool> gone;
     // Survivor scan, in physical block space, with the yield decision
     // applied: growth is the new block levels plus the pending tail CoW
     // copy — one decode token per prefilled member, one chunk per
@@ -346,7 +348,7 @@ InferencePipeline::enforceKvPressure()
         std::vector<const ActiveRequest *> victims;
         for (std::size_t i = 0; i < batch_.size(); ++i) {
             const ActiveRequest &r = batch_[i];
-            if (gone[i]) {
+            if (i < gone.size() && gone[i]) {
                 victims.push_back(&r);
             } else if (r.prefilled) {
                 s.anyDecoder = true;
@@ -382,6 +384,16 @@ InferencePipeline::enforceKvPressure()
             p += s.prefillGrowth;
         return p;
     };
+
+    // Common case: the next step fits the budget as is.  This is the
+    // yield decision the final re-scan below would reach, since nothing
+    // was evicted.
+    const Scan first = scan();
+    if (pressure(first) <= budget) {
+        if (decideDefer(first))
+            ++prefillYields_;
+        return;
+    }
 
     // Victim order: LIFO — youngest arrival first, least progress first.
     // Restarted members are spared first (their full worst case is
@@ -420,6 +432,7 @@ InferencePipeline::enforceKvPressure()
                          return ra.request.id > rb.request.id;
                      });
 
+    gone.assign(batch_.size(), false);
     std::vector<ActiveRequest> evicted;
     // Mandatory pass: the OOM-free invariant — evict one victim at a
     // time, re-deciding the yield after each, until the next step's held
@@ -478,7 +491,7 @@ InferencePipeline::enforceKvPressure()
     }
     // Final yield decision over the surviving batch: this is the flag the
     // upcoming scheduleStep honours.
-    gone.assign(batch_.size(), false);
+    gone.clear();
     decideDefer(scan());
     if (deferPrefill_)
         ++prefillYields_;
@@ -579,19 +592,21 @@ InferencePipeline::onBoundary()
     for (auto &r : batch_)
         store_->commitProgress(r);
 
-    // Requests leave the batch individually on completion.
-    std::vector<ActiveRequest> still_running;
-    still_running.reserve(batch_.size());
+    // Requests leave the batch individually on completion.  Completions
+    // fire while the batch is still intact; the survivors then close the
+    // gaps in place, in order, by move.
     for (auto &r : batch_) {
         if (r.done()) {
             store_->release(r);
             if (callbacks_.onRequestComplete)
                 callbacks_.onRequestComplete(r);
-        } else {
-            still_running.push_back(r);
         }
     }
-    batch_ = std::move(still_running);
+    batch_.erase(std::remove_if(batch_.begin(), batch_.end(),
+                                [](const ActiveRequest &r) {
+                                    return r.done();
+                                }),
+                 batch_.end());
 
     if (haltPending_) {
         observeBoundary();

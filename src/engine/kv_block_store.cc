@@ -199,6 +199,10 @@ KvBlockStore::attach(ActiveRequest &r)
 {
     if (!r.kvBlockIds.empty())
         throw std::logic_error("KvBlockStore: request already attached");
+    // Size the block list once for the request's worst case, so the
+    // per-token commits never regrow it.
+    r.kvBlockIds.reserve(static_cast<std::size_t>(
+        kvBlocksFor(r.kvPeakTokens(), blockTokens_)));
     const long held = r.kvTokensHeld();
     if (held > 0) {
         // Carried progress (migration / inherited batch): rebuild the
@@ -231,6 +235,8 @@ KvBlockStore::attach(ActiveRequest &r)
             const int id = allocate();
             blocks_[id].writer = r.request.id;
             r.kvBlockIds.push_back(id);
+            if (in_prefix)
+                ++r.kvPrivatePrefixLevels;
         }
         maybeRegisterTail(r);
         return 0;
@@ -258,11 +264,11 @@ KvBlockStore::attach(ActiveRequest &r)
 }
 
 void
-KvBlockStore::promoteCompletedLevels(const ActiveRequest &r)
+KvBlockStore::promoteCompletedLevels(ActiveRequest &r)
 {
+    if (r.kvPrivatePrefixLevels == 0)
+        return; // every in-prefix level is indexed or someone else's
     const int limit = shareLimitTokens(r);
-    if (limit <= 0)
-        return;
     const long held = r.kvTokensHeld();
     const long prefix_levels =
         std::min<long>(static_cast<long>(r.kvBlockIds.size()),
@@ -282,6 +288,7 @@ KvBlockStore::promoteCompletedLevels(const ActiveRequest &r)
         b.indexKey = key;
         b.writer = wl::kInvalidRequest; // full: nobody appends here again
         fullIndex_[key] = id;
+        --r.kvPrivatePrefixLevels;
     }
 }
 
@@ -299,8 +306,8 @@ KvBlockStore::maybeRegisterTail(const ActiveRequest &r)
     if (level >= static_cast<int>(r.kvBlockIds.size()))
         return;
     const int id = r.kvBlockIds[static_cast<std::size_t>(level)];
-    if (blocks_[id].writer != r.request.id)
-        return; // shared or foreign block: not ours to donate
+    if (blocks_[id].writer != r.request.id || blocks_[id].tailDonor)
+        return; // shared, foreign, or already our donation
     const std::uint64_t key = tailKeyOf(cls, level, p, blockTokens_);
     if (tailIndex_.count(key))
         return;
@@ -352,6 +359,8 @@ KvBlockStore::commitProgress(ActiveRequest &r)
         const int id = allocate();
         blocks_[id].writer = r.request.id;
         r.kvBlockIds.push_back(id);
+        if (end <= limit)
+            ++r.kvPrivatePrefixLevels; // published once it fills
     }
     maybeRegisterTail(r);
 }
@@ -363,6 +372,7 @@ KvBlockStore::release(ActiveRequest &r)
         dropRef(id, r.request.id);
     r.kvBlockIds.clear();
     r.kvTailShared = false;
+    r.kvPrivatePrefixLevels = 0;
 }
 
 long
@@ -387,6 +397,8 @@ long
 KvBlockStore::liveBlocksExcluding(
     const std::vector<const ActiveRequest *> &gone) const
 {
+    if (gone.empty())
+        return liveBlocks_;
     std::unordered_map<int, int> drops;
     for (const ActiveRequest *r : gone) {
         if (!r)

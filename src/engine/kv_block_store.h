@@ -185,7 +185,7 @@ class KvBlockStore
     void takeRef(int id);
     void dropRef(int id, wl::RequestId releaser);
     void maybeRegisterTail(const ActiveRequest &r);
-    void promoteCompletedLevels(const ActiveRequest &r);
+    void promoteCompletedLevels(ActiveRequest &r);
 
     std::vector<Block> blocks_;
     std::vector<int> freeList_;

@@ -595,6 +595,8 @@ std::vector<engine::ActiveRequest>
 BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
                                    int free_slots)
 {
+    if (requests_.pendingEmpty())
+        return {}; // the common boundary: nothing waits
     // A head whose worst-case peak exceeds the whole replica budget is
     // unservable on every admission path.  Optimistic charging could
     // admit it (its *predicted* footprint fits), but if the output then

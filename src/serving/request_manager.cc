@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace spotserve {
 namespace serving {
@@ -92,7 +93,7 @@ RequestManager::popAdmissible(int max_count, long kv_budget,
                 break; // strict FIFO: nothing may slip past the head
             remaining -= charge;
         }
-        batch.push_back(head);
+        batch.push_back(std::move(head));
         pending_.pop_front();
     }
     return batch;

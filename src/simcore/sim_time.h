@@ -32,7 +32,7 @@ hours(double h)
     return h * 3600.0;
 }
 
-/** Monotonically increasing identifier for scheduled events. */
+/** Opaque handle of a scheduled event (compare only for equality). */
 using EventId = std::uint64_t;
 
 /** Sentinel for "no event". */

@@ -185,6 +185,59 @@ TEST(InferencePipelineTest, TakeBatchWhileExecutingThrows)
     EXPECT_THROW(h.pipeline->takeBatch(), std::logic_error);
 }
 
+// Regression: a boundary where a middle member completes.  Its completion
+// fires while the batch is still intact (the finished request is still
+// batch()[1]); then the survivors close the gap in place, keeping their
+// order and their own block ids.
+TEST(InferencePipelineTest, MiddleCompletionKeepsSurvivorsInOrder)
+{
+    sim::Simulation sim;
+    const model::ModelSpec spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency{spec, kParams};
+    const InferencePipeline *pipe = nullptr;
+    std::vector<wl::RequestId> completed;
+    std::vector<std::vector<wl::RequestId>> ids;
+    std::vector<std::vector<std::vector<int>>> blocks;
+    InferencePipeline::Callbacks cb;
+    cb.onRequestComplete = [&](const ActiveRequest &r) {
+        completed.push_back(r.request.id);
+        ASSERT_EQ(pipe->batch().size(), 4u);
+        EXPECT_EQ(&r, &pipe->batch()[1]);
+        EXPECT_EQ(pipe->batch()[0].request.id, 1);
+        EXPECT_EQ(pipe->batch()[3].request.id, 4);
+    };
+    cb.onBoundary = [&](const InferencePipeline &p) {
+        ids.emplace_back();
+        blocks.emplace_back();
+        for (const auto &r : p.batch()) {
+            ids.back().push_back(r.request.id);
+            blocks.back().push_back(r.kvBlockIds);
+        }
+    };
+    BatchingOptions batching;
+    batching.kvBlockTokens = 16;
+    InferencePipeline pipeline(sim, latency, par::ParallelConfig{1, 1, 4, 8},
+                               0, cb, batching);
+    pipe = &pipeline;
+    // Recovered members hold 612 tokens: the next two stay inside their
+    // 39th block, so no survivor gains a block over the two boundaries.
+    pipeline.startBatch({makeRequest(1, 100), makeRequest(2, 126),
+                         makeRequest(3, 100), makeRequest(4, 100)});
+    ASSERT_TRUE(sim.step());
+    ASSERT_TRUE(sim.step());
+
+    EXPECT_EQ(completed, (std::vector<wl::RequestId>{2}));
+    ASSERT_EQ(ids.size(), 3u); // batch start + two boundaries
+    EXPECT_EQ(ids[1], (std::vector<wl::RequestId>{1, 2, 3, 4}));
+    EXPECT_EQ(ids[2], (std::vector<wl::RequestId>{1, 3, 4}));
+    ASSERT_EQ(blocks[0].size(), 4u);
+    EXPECT_EQ(blocks[0][0].size(), 39u);
+    EXPECT_EQ(blocks[2], (std::vector<std::vector<int>>{
+                             blocks[0][0], blocks[0][2], blocks[0][3]}));
+    EXPECT_EQ(pipeline.kvStore().totalLiveRefs(), 3 * 39);
+    EXPECT_EQ(pipeline.batch()[1].committedTokens, 102);
+}
+
 TEST(ActiveRequestTest, RestartResetsProgress)
 {
     ActiveRequest r = makeRequest(1, 40);

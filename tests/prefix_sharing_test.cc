@@ -237,6 +237,55 @@ TEST(KvBlockStoreTest, CarriedBatchesDeduplicateSharedLevels)
     EXPECT_EQ(store.totalLiveRefs(), 0);
 }
 
+// Regression for the publish race: two classmates fill the same prefix
+// level privately; A publishes first, so B's copy stays private.  Once
+// A's copy is reclaimed from the index, B's next commit publishes its
+// own — commits between must not forget that B still has a level to
+// publish, even though they cross no level boundary of their own.
+TEST(KvBlockStoreTest, LevelLosingThePublishRaceIsPublishedOnceFreed)
+{
+    engine::KvBlockStore store(/*capacity=*/3, 16);
+    auto probe = makeActive(9, 40, 8, 0, 32);
+
+    // Both fill level 0 in 8-token prefill chunks, A first.
+    auto a = makeActive(1, /*input=*/40, 8, 0, /*prefix_len=*/32);
+    auto b = makeActive(2, 40, 8, 0, 32);
+    store.attach(a);
+    store.attach(b);
+    commitTo(store, a, 8, 0);
+    commitTo(store, b, 8, 0);
+    EXPECT_EQ(b.kvPrivatePrefixLevels, 1);
+    commitTo(store, a, 16, 0); // A publishes level 0
+    EXPECT_EQ(a.kvPrivatePrefixLevels, 0);
+    commitTo(store, b, 16, 0); // B completes it too, but lost the race
+    ASSERT_EQ(b.kvBlockIds.size(), 1u);
+    EXPECT_NE(a.kvBlockIds[0], b.kvBlockIds[0]);
+    EXPECT_EQ(b.kvPrivatePrefixLevels, 1);
+    EXPECT_EQ(store.quoteSharedBlocks(probe), 1); // A's copy is indexed
+
+    // A leaves: its level-0 copy stays indexed, cached.  B's level 1
+    // publishes on completion; its private level 2 needs the room, which
+    // reclaims A's copy after this commit's publish walk.
+    store.release(a);
+    commitTo(store, b, 32, 0);
+    commitTo(store, b, 40, 0);
+    EXPECT_EQ(store.cachedReclaims(), 1);
+    EXPECT_EQ(b.kvPrivatePrefixLevels, 1);
+    EXPECT_EQ(store.quoteSharedBlocks(probe), 0); // level 0 unindexed
+
+    // The next token crosses no level boundary, yet publishes B's copy.
+    commitTo(store, b, 40, 1);
+    ASSERT_EQ(b.kvBlockIds.size(), 3u);
+    EXPECT_EQ(b.kvPrivatePrefixLevels, 0);
+    EXPECT_EQ(store.quoteSharedBlocks(probe), 2);
+    EXPECT_EQ(store.attach(probe), 32);
+    EXPECT_EQ(probe.kvBlockIds[0], b.kvBlockIds[0]);
+    EXPECT_EQ(probe.kvBlockIds[1], b.kvBlockIds[1]);
+    store.release(b);
+    store.release(probe);
+    EXPECT_EQ(store.totalLiveRefs(), 0);
+}
+
 // ---------------------------------------------------------------------
 // System-level invariant matrix
 // ---------------------------------------------------------------------

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -99,9 +100,10 @@ TEST(EventQueueTest, CancelAfterFireDoesNotCorruptLiveCount)
     EXPECT_TRUE(fired);
 }
 
-// Tombstones from genuine cancellations are purged as their heap entries
-// surface, so the cancelled-id set stays bounded on a long-running
-// (wall-clock) process.
+// Heap nodes of genuine cancellations are purged as they surface, so the
+// backlog stays bounded on a long-running (wall-clock) process.  The
+// heap top is kept live: cancelling the earliest event (t = 0) purges
+// its node at once, the other 49 wait until they surface.
 TEST(EventQueueTest, CancelledTombstonesArePurged)
 {
     EventQueue q;
@@ -110,10 +112,150 @@ TEST(EventQueueTest, CancelledTombstonesArePurged)
         ids.push_back(q.schedule(static_cast<SimTime>(i), [] {}));
     for (std::size_t i = 0; i < ids.size(); i += 2)
         EXPECT_TRUE(q.cancel(ids[i]));
-    EXPECT_EQ(q.cancelledBacklog(), 50u);
+    EXPECT_EQ(q.cancelledBacklog(), 49u);
+    EXPECT_DOUBLE_EQ(q.nextTime(), 1.0);
     while (!q.empty())
         q.pop();
     EXPECT_EQ(q.cancelledBacklog(), 0u);
+}
+
+// Regression: ids are (slot, generation) handles and slots are recycled.
+// Cancelling an id whose event already fired must not hit the newer
+// event that now occupies the same slot.
+TEST(EventQueueTest, CancelOfFiredIdLeavesSlotReuserAlone)
+{
+    EventQueue q;
+    const EventId old_id = q.schedule(1.0, [] {});
+    EXPECT_EQ(q.pop().id, old_id);
+    bool fired = false;
+    const EventId new_id = q.schedule(2.0, [&] { fired = true; });
+    EXPECT_NE(new_id, old_id);
+    EXPECT_FALSE(q.cancel(old_id));
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_DOUBLE_EQ(q.nextTime(), 2.0);
+    q.pop().fn();
+    EXPECT_TRUE(fired);
+
+    // The same holds for a cancelled (not fired) id.
+    const EventId cancelled = q.schedule(3.0, [] {});
+    EXPECT_TRUE(q.cancel(cancelled));
+    const EventId reuser = q.schedule(4.0, [] {});
+    EXPECT_FALSE(q.cancel(cancelled));
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_TRUE(q.cancel(reuser));
+    EXPECT_TRUE(q.empty());
+}
+
+/** Callback that counts how often it is copied (moves are free). */
+struct CopyCounter
+{
+    int *copies;
+    int *calls;
+    CopyCounter(int *copies_, int *calls_) : copies(copies_), calls(calls_)
+    {
+    }
+    CopyCounter(const CopyCounter &o) : copies(o.copies), calls(o.calls)
+    {
+        ++*copies;
+    }
+    CopyCounter(CopyCounter &&) noexcept = default;
+    CopyCounter &operator=(const CopyCounter &) = delete;
+    CopyCounter &operator=(CopyCounter &&) = delete;
+    void operator()() const { ++*calls; }
+};
+
+// Scheduling, popping and running hand the callback along by move only:
+// a copy would duplicate every capture on the hot path.
+TEST(EventQueueTest, CallbacksAreNeverCopied)
+{
+    int copies = 0;
+    int calls = 0;
+    EventQueue q;
+    for (int i = 0; i < 64; ++i)
+        q.schedule(static_cast<SimTime>(64 - i), CopyCounter(&copies, &calls));
+    while (!q.empty())
+        q.pop().fn();
+    EXPECT_EQ(calls, 64);
+
+    Simulation sim;
+    for (int i = 0; i < 64; ++i)
+        sim.schedule(static_cast<SimTime>(i % 7),
+                     CopyCounter(&copies, &calls));
+    sim.scheduleAfter(0.5, CopyCounter(&copies, &calls));
+    EXPECT_TRUE(sim.step());
+    sim.run();
+    EXPECT_EQ(calls, 64 + 65);
+    EXPECT_EQ(copies, 0);
+}
+
+// Heavy schedule/cancel/pop churn against a reference model: size() and
+// empty() stay exact throughout, pops come out in (time, schedule order),
+// and once the queue drains no cancelled node is left behind.
+TEST(EventQueueTest, ChurnKeepsCountsExactAndBacklogDrains)
+{
+    EventQueue q;
+    Rng rng(42);
+    struct Pending
+    {
+        EventId id;
+        SimTime time;
+        int order;
+    };
+    std::vector<Pending> live;
+    std::vector<EventId> stale;
+    int order = 0;
+    SimTime now = 0.0;
+    auto earliest = [&] {
+        return std::min_element(live.begin(), live.end(),
+                                [](const Pending &a, const Pending &b) {
+                                    if (a.time != b.time)
+                                        return a.time < b.time;
+                                    return a.order < b.order;
+                                });
+    };
+    for (int round = 0; round < 20000; ++round) {
+        const double u = rng.uniform();
+        if (u < 0.5 || live.empty()) {
+            // Coarse times so same-instant ties are common.
+            const SimTime t = now + std::floor(rng.uniform(0.0, 20.0));
+            const int k = order++;
+            live.push_back({q.schedule(t, [] {}), t, k});
+        } else if (u < 0.8) {
+            const auto pick = static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(live.size()) - 1));
+            EXPECT_TRUE(q.cancel(live[pick].id));
+            stale.push_back(live[pick].id);
+            live.erase(live.begin() + static_cast<long>(pick));
+        } else if (u < 0.9 && !stale.empty()) {
+            EXPECT_FALSE(q.cancel(stale[stale.size() / 2]));
+        } else {
+            const auto want = earliest();
+            EXPECT_DOUBLE_EQ(q.nextTime(), want->time);
+            const auto ev = q.pop();
+            EXPECT_EQ(ev.id, want->id);
+            now = ev.time;
+            stale.push_back(ev.id);
+            live.erase(want);
+        }
+        ASSERT_EQ(q.size(), live.size());
+        ASSERT_EQ(q.empty(), live.empty());
+    }
+    ASSERT_FALSE(live.empty());
+    // Cancel the rest latest-first, so their nodes pile up behind a live
+    // head until the final cancel drains them all.
+    std::sort(live.begin(), live.end(),
+              [](const Pending &a, const Pending &b) {
+                  return a.time > b.time ||
+                         (a.time == b.time && a.order > b.order);
+              });
+    for (const Pending &p : live)
+        EXPECT_TRUE(q.cancel(p.id));
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_EQ(q.cancelledBacklog(), 0u);
+    EXPECT_DOUBLE_EQ(q.nextTime(), kTimeInfinity);
+    for (EventId id : stale)
+        EXPECT_FALSE(q.cancel(id));
 }
 
 TEST(EventQueueTest, SizeTracksLiveEvents)
