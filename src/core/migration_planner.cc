@@ -331,7 +331,6 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
 MigrationPlan
 MigrationPlanner::assemble(const Analysis &analysis,
                            const par::ParallelConfig &target,
-                           const PlannerOptions &options,
                            bool include_cache) const
 {
     MigrationPlan plan;
@@ -383,19 +382,25 @@ MigrationPlanner::assemble(const Analysis &analysis,
         }
     }
 
+    return plan;
+}
+
+void
+MigrationPlanner::timeOnIdleLinks(MigrationPlan &plan,
+                                  const par::ParallelConfig &target,
+                                  const PlannerOptions &options) const
+{
     // ------------------------------------------------------------------
     // 5. Timing.  The serialized cursor — setup charged exactly once,
     //    then every step's closed-form port-bottleneck wire time back to
     //    back, with per-instance disk/S3 cold loads overlapped — is
-    //    always computed: it is the cheap screening estimate the
-    //    arranger's migrate-vs-recompute flip and the §4.2 deadline
-    //    check can consume without building a schedule, and the baseline
-    //    the bench gate compares against.  With linkSchedule on, the
-    //    plan's actual timeline comes from the link-level schedule
-    //    instead: steps interleave across disjoint instance pairs, and
-    //    transfers sharing a port serialize honestly.  The link schedule
-    //    is adopted as is; core_planner_test and the bench gates check
-    //    that it never exceeds the serialized cursor.
+    //    always computed: it is the cheap screening estimate and the
+    //    baseline the bench gate compares against.  With linkSchedule
+    //    on, the plan's actual timeline comes from the link-level
+    //    schedule instead: steps interleave across disjoint instance
+    //    pairs, and transfers sharing a port serialize honestly.  The
+    //    link schedule is adopted as is; core_planner_test and the bench
+    //    gates check that it never exceeds the serialized cursor.
     // ------------------------------------------------------------------
     const double setup = params_.migrationSetupTime;
     const std::size_t n = plan.steps.size();
@@ -424,7 +429,6 @@ MigrationPlanner::assemble(const Analysis &analysis,
 
     if (options.linkSchedule) {
         cost::LinkScheduleOptions lopts;
-        lopts.interleave = true;
         lopts.startTime = 0.0;
         lopts.setupTime = setup;
         const auto sched = linkScheduler_.build(transferSteps(plan), lopts);
@@ -432,8 +436,6 @@ MigrationPlanner::assemble(const Analysis &analysis,
     } else {
         retime(plan, target, options, ser_start, ser_finish);
     }
-
-    return plan;
 }
 
 std::vector<cost::TransferStep>
@@ -484,6 +486,7 @@ MigrationPlanner::retime(MigrationPlan &plan,
         }
     }
     plan.totalDuration = last_end;
+    plan.timed = true;
 
     // ------------------------------------------------------------------
     // 6. Progressive resume, per replica: stage p of replica d must be
@@ -534,7 +537,9 @@ MigrationPlanner::plan(const engine::ContextSnapshot &snapshot,
 {
     const Analysis analysis =
         analyze(snapshot, mapping, target, old_pipeline_tokens, options);
-    return assemble(analysis, target, options, options.migrateCache);
+    MigrationPlan out = assemble(analysis, target, options.migrateCache);
+    timeOnIdleLinks(out, target, options);
+    return out;
 }
 
 MigrationPlanPair
@@ -547,9 +552,14 @@ MigrationPlanner::planBoth(const engine::ContextSnapshot &snapshot,
     const Analysis analysis =
         analyze(snapshot, mapping, target, old_pipeline_tokens, options);
     MigrationPlanPair pair;
-    pair.withCache =
-        assemble(analysis, target, options, options.migrateCache);
-    pair.withoutCache = assemble(analysis, target, options, false);
+    pair.withCache = assemble(analysis, target, options.migrateCache);
+    timeOnIdleLinks(pair.withCache, target, options);
+    // Without cache to migrate, dropping it changes nothing: the two
+    // plans are identical, timing included.
+    if (pair.withCache.cacheMigrated)
+        pair.withoutCache = assemble(analysis, target, false);
+    else
+        pair.withoutCache = pair.withCache;
     return pair;
 }
 

@@ -102,6 +102,14 @@ struct MigrationPlan
     bool cacheMigrated = false;
 
     /**
+     * Whether the timing fields (step offsets and durations, stageReady,
+     * the resumes, totalDuration, serializedDuration) have been derived.
+     * plan() always times; planBoth() may leave the no-cache sibling
+     * untimed until MigrationPlanner::timeOnIdleLinks is called on it.
+     */
+    bool timed = false;
+
+    /**
      * The legacy serialized-cursor duration: setup + every step's
      * closed-form port-bottleneck wire time back to back (disk loads
      * overlapped).  Kept as the planner's cheap screening estimate and
@@ -148,9 +156,11 @@ struct PlannerOptions
  * A with-cache plan and its no-cache sibling, produced from ONE analysis
  * pass over the snapshot.  The interruption arranger compares
  * withCache.totalDuration against the recompute cost and may flip to the
- * no-cache variant (§4.1), and the fault-tolerance path (§4.2) falls back
- * to it when the grace deadline cannot be met — both used to trigger a
- * second full planning pass; now they read the memoised sibling.
+ * no-cache variant (§4.1) without a second planning pass.  Only
+ * withCache is timed: when it migrates no cache the sibling is a copy of
+ * it, and otherwise the sibling's link timing is left to whoever flips to
+ * it (MigrationPlanner::timeOnIdleLinks) — most reconfigurations never
+ * do, and timing is the expensive part of assembly.
  */
 struct MigrationPlanPair
 {
@@ -182,8 +192,9 @@ class MigrationPlanner
      * Both cache variants from a single snapshot analysis (the per-layer
      * transfer/ordering computation dominates planning and is shared;
      * only the cheap assembly differs).  withCache honours
-     * @p options.migrateCache — when the caller already disabled the
-     * cache, the two plans are identical.  Byte-identical to calling
+     * @p options.migrateCache and is timed; withoutCache is timed only
+     * when it is a copy of withCache (no cache to migrate).  After
+     * timeOnIdleLinks on the sibling, both are byte-identical to calling
      * plan() twice with migrateCache toggled.
      */
     MigrationPlanPair
@@ -191,6 +202,15 @@ class MigrationPlanner
              const MappingResult &mapping, const par::ParallelConfig &target,
              const std::vector<double> &old_pipeline_tokens,
              PlannerOptions options = {}) const;
+
+    /**
+     * Time @p plan on idle links: the serialized cursor, then (with
+     * options.linkSchedule) the link-level schedule from origin 0, and
+     * retime from its step offsets.  Sets plan.timed.
+     */
+    void timeOnIdleLinks(MigrationPlan &plan,
+                         const par::ParallelConfig &target,
+                         const PlannerOptions &options) const;
 
     /**
      * Re-derive every timing field of @p plan (step offsets, stageReady,
@@ -220,10 +240,10 @@ class MigrationPlanner
                      const std::vector<double> &old_pipeline_tokens,
                      const PlannerOptions &options) const;
 
-    /** Cheap per-variant assembly: steps, timing, progressive resume. */
+    /** Cheap per-variant assembly: steps, bytes and dependency sets,
+     *  untimed. */
     MigrationPlan assemble(const Analysis &analysis,
                            const par::ParallelConfig &target,
-                           const PlannerOptions &options,
                            bool include_cache) const;
 
     model::ModelSpec spec_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "serving/experiment.h"
@@ -599,15 +600,17 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
     popts.memoryOpt = options_.enableMigrationPlanner;
     popts.migrateCache = options_.enableArranger;
     // One analysis pass yields both cache variants; the arranger's
-    // migrate-vs-recompute flip below reads the memoised no-cache
-    // sibling instead of re-running the planner.
+    // migrate-vs-recompute flip below takes the no-cache sibling instead
+    // of re-running the planner, and times it only if it flips.  (The
+    // §4.2 grace-deadline fallback in startMigration deliberately
+    // re-plans fresh instead — it fires after the drain, when sources
+    // may have died.)
     auto plans =
         planner_.planBoth(snapshot, mapping, target, old_tokens, popts);
 
     PendingMigration pm{target,
                         std::move(mapping),
                         std::move(plans.withCache),
-                        std::move(plans.withoutCache),
                         std::move(old_tokens),
                         reason,
                         0,
@@ -646,8 +649,13 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
     }
     pm.migrateCache = options_.enableArranger &&
                       pm.plan.totalDuration < committed_work;
-    if (!pm.migrateCache && pm.plan.cacheMigrated)
-        pm.plan = pm.noCachePlan;
+    if (!pm.migrateCache && pm.plan.cacheMigrated) {
+        pm.plan = std::move(plans.withoutCache);
+        planner_.timeOnIdleLinks(pm.plan, target, popts);
+    }
+    // The arranger below reads pm.plan.totalDuration.
+    if (!pm.plan.timed)
+        throw std::logic_error("beginReconfig: plan in force is untimed");
 
     phase_ = Phase::Draining;
     pending_ = std::move(pm);
@@ -796,12 +804,15 @@ SpotServeSystem::startMigration()
     // deadline decision below must judge.  The plan's step offsets,
     // stageReady and per-replica resumes are re-derived from the quoted
     // step finishes, so contention propagates into the activation events.
+    // The last quote is what the data plane commits below: nothing between
+    // here and the submit touches the link state, so it is committed as
+    // built instead of being scheduled a second time.
+    std::optional<TransferDataPlane::Quote> quote;
     auto quote_on_links = [&] {
-        const auto quote = dataPlane_.preview(
-            MigrationPlanner::transferSteps(pm.plan),
-            params_.migrationSetupTime);
-        planner_.retime(pm.plan, pm.target, popts, quote.stepStart,
-                        quote.stepFinish);
+        quote = dataPlane_.preview(MigrationPlanner::transferSteps(pm.plan),
+                                   params_.migrationSetupTime);
+        planner_.retime(pm.plan, pm.target, popts, quote->result.stepStart,
+                        quote->result.stepFinish);
     };
     quote_on_links();
 
@@ -816,10 +827,11 @@ SpotServeSystem::startMigration()
     // earliest grace deadline, first give up the cache context; weights
     // that still cannot move in time reload from cloud storage at disk
     // bandwidth.  Unlike the arranger's flip (which happens at planning
-    // time and reads the memoised no-cache sibling), this fallback fires
-    // after the drain consumed most of the grace period, so it re-plans
-    // against the *current* holdings — a migration source may have died
-    // since beginReconfig and the schedule must not pretend otherwise.
+    // time and takes the no-cache sibling of the same analysis pass),
+    // this fallback fires after the drain consumed most of the grace
+    // period, so it re-plans against the *current* holdings — a
+    // migration source may have died since beginReconfig and the
+    // schedule must not pretend otherwise.
     if (pm.deadline != sim::kTimeInfinity) {
         double remaining = pm.deadline - sim_.now();
         if (duration > remaining && cache_ok) {
@@ -996,9 +1008,8 @@ SpotServeSystem::startMigration()
     // the realized schedule can trip it.
     so.deadline =
         kMigrationDeadlineFactor * std::max(pm.plan.totalDuration, 1.0);
-    const auto committed = dataPlane_.submit(
-        MigrationPlanner::transferSteps(pm.plan), params_.migrationSetupTime,
-        /*interleave=*/true, std::move(so));
+    const auto committed =
+        dataPlane_.submit(std::move(*quote), std::move(so));
     pm.planId = committed.planId;
 
     // Activate as soon as the first affected replica's context is ready;

@@ -274,15 +274,8 @@ class SpotServeSystem : public serving::BaseServingSystem
     {
         par::ParallelConfig target;
         MappingResult mapping;
+        /** The plan in force; always timed (MigrationPlan::timed). */
         MigrationPlan plan;
-        /**
-         * The no-cache sibling of plan, memoised from the same analysis
-         * pass (planBoth): read by the arranger's migrate-vs-recompute
-         * flip instead of invoking the planner a second time.  (The §4.2
-         * grace-deadline fallback deliberately re-plans fresh instead —
-         * it fires after the drain, when sources may have died.)
-         */
-        MigrationPlan noCachePlan;
         std::vector<double> oldTokens;
         std::string reason;
         int waitingHalts = 0;

@@ -27,17 +27,6 @@ TransferDataPlane::TransferDataPlane(sim::Executor &executor,
 {
 }
 
-cost::LinkScheduleResult
-TransferDataPlane::buildSchedule(const std::vector<cost::TransferStep> &steps,
-                                 double setup_time, bool interleave) const
-{
-    cost::LinkScheduleOptions opts;
-    opts.interleave = interleave;
-    opts.startTime = executor_.now();
-    opts.setupTime = setup_time;
-    return scheduler_.build(steps, opts, busyUntil_);
-}
-
 bool
 TransferDataPlane::touchesBusyLink(
     const std::vector<cost::TransferStep> &steps) const
@@ -98,55 +87,52 @@ TransferDataPlane::planRemainderTouches(const InFlight &plan,
     return false;
 }
 
-TransferDataPlane::Result
-TransferDataPlane::preview(const std::vector<cost::TransferStep> &steps,
-                           double setup_time, bool interleave) const
+TransferDataPlane::Quote
+TransferDataPlane::preview(std::vector<cost::TransferStep> steps,
+                           double setup_time) const
 {
-    const double now = executor_.now();
-    const auto sched = buildSchedule(steps, setup_time, interleave);
-    Result out;
-    out.stepStart.reserve(sched.stepStart.size());
-    out.stepFinish.reserve(sched.stepFinish.size());
-    for (double s : sched.stepStart)
-        out.stepStart.push_back(s - now);
-    for (double f : sched.stepFinish)
-        out.stepFinish.push_back(f - now);
-    out.makespan = sched.makespan - now;
+    Quote quote;
+    quote.now = executor_.now();
+    quote.epoch = busyEpoch_;
+    quote.setupTime = setup_time;
+    cost::LinkScheduleOptions opts;
+    opts.startTime = quote.now;
+    opts.setupTime = setup_time;
+    quote.schedule = scheduler_.build(steps, opts, busyUntil_);
+    ++schedulesBuilt_;
+
+    Result &out = quote.result;
+    out.stepStart.reserve(quote.schedule.stepStart.size());
+    out.stepFinish.reserve(quote.schedule.stepFinish.size());
+    for (double s : quote.schedule.stepStart)
+        out.stepStart.push_back(s - quote.now);
+    for (double f : quote.schedule.stepFinish)
+        out.stepFinish.push_back(f - quote.now);
+    out.makespan = quote.schedule.makespan - quote.now;
     out.contended = touchesBusyLink(steps);
-    return out;
+    quote.steps = std::move(steps);
+    return quote;
 }
 
 TransferDataPlane::Result
-TransferDataPlane::submit(const std::vector<cost::TransferStep> &steps,
-                          double setup_time, bool interleave,
-                          std::function<void()> on_done)
+TransferDataPlane::submit(Quote quote)
 {
-    SubmitOptions options;
-    options.onDone = std::move(on_done);
-    return submit(steps, setup_time, interleave, std::move(options));
+    return submit(std::move(quote), SubmitOptions{});
 }
 
 TransferDataPlane::Result
-TransferDataPlane::submit(const std::vector<cost::TransferStep> &steps,
-                          double setup_time, bool interleave,
-                          SubmitOptions options)
+TransferDataPlane::submit(Quote quote, SubmitOptions options)
 {
     const double now = executor_.now();
-    const auto sched = buildSchedule(steps, setup_time, interleave);
-
-    Result out;
-    out.stepStart.reserve(sched.stepStart.size());
-    out.stepFinish.reserve(sched.stepFinish.size());
-    for (double s : sched.stepStart)
-        out.stepStart.push_back(s - now);
-    for (double f : sched.stepFinish)
-        out.stepFinish.push_back(f - now);
-    out.makespan = sched.makespan - now;
-    out.contended = touchesBusyLink(steps);
+    // A quote is the schedule of the link state it was built against;
+    // once the clock or the horizons moved, schedule its steps afresh.
+    if (quote.epoch != busyEpoch_ || quote.now != now)
+        quote = preview(std::move(quote.steps), quote.setupTime);
+    const cost::LinkScheduleResult &sched = quote.schedule;
+    Result out = std::move(quote.result);
 
     InFlight plan;
     plan.id = nextPlanId_++;
-    plan.steps = steps;
     plan.stepFinishAbs = sched.stepFinish;
     plan.finishAbs = now + std::max(out.makespan, 0.0);
     plan.onDone = std::move(options.onDone);
@@ -167,14 +153,16 @@ TransferDataPlane::submit(const std::vector<cost::TransferStep> &steps,
     }
 
     // Commit: the schedule's link occupancy becomes the new busy state.
-    busyUntil_ = sched.linkBusyUntil;
+    busyUntil_ = std::move(quote.schedule.linkBusyUntil);
     prune();
+    ++busyEpoch_;
 
     ++submissions_;
     if (out.contended)
         ++contendedSubmissions_;
-    for (const auto &s : steps)
+    for (const auto &s : quote.steps)
         totalBytesScheduled_ += stepBytes(s);
+    plan.steps = std::move(quote.steps);
 
     out.planId = plan.id;
     if (options.deadline > 0.0) {
@@ -200,10 +188,11 @@ TransferDataPlane::submitColdLoad(
 {
     std::vector<cost::TransferStep> steps(1);
     steps[0].coldLoads = loads;
-    const Result r =
-        submit(steps, /*setup_time=*/0.0, /*interleave=*/true,
-               std::move(on_done));
-    return r.makespan;
+    SubmitOptions options;
+    options.onDone = std::move(on_done);
+    return submit(preview(std::move(steps), /*setup_time=*/0.0),
+                  std::move(options))
+        .makespan;
 }
 
 void
@@ -274,6 +263,7 @@ void
 TransferDataPlane::releasePlanLinks(const InFlight &plan)
 {
     const double now = executor_.now();
+    ++busyEpoch_;
     for (const auto &[l, horizon] : plan.planBusy) {
         auto it = busyUntil_.find(l);
         if (it == busyUntil_.end())
@@ -320,6 +310,7 @@ void
 TransferDataPlane::delayPlan(InFlight &plan, double delay)
 {
     const double now = executor_.now();
+    ++busyEpoch_;
     for (double &finish : plan.stepFinishAbs) {
         if (finish > now + kEps)
             finish += delay;
@@ -345,6 +336,7 @@ TransferDataPlane::stallInstanceLinks(int instance, double duration)
     if (duration <= 0.0)
         return;
     const double now = executor_.now();
+    ++busyEpoch_;
     // The blackout also blocks plans submitted while it lasts.
     for (cost::LinkType type :
          {cost::LinkType::NicSend, cost::LinkType::NicRecv,

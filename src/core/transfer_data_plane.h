@@ -11,13 +11,19 @@
  * interleaved around) the first, in both the deterministic simulator and
  * the wall-clock executor.
  *
- * Protocol: preview() quotes a schedule against the current link state
- * without reserving anything (the §4.2 grace-deadline decision and the
- * no-cache fallback both want quotes for plans they may discard);
- * submit() builds the same schedule, reserves the links it occupies, and
- * schedules a completion event at the makespan.  Both are deterministic:
- * a preview followed by a submit in the same executor event returns the
- * identical timeline.
+ * Protocol: quote, then commit.  preview() schedules the steps against
+ * the current link state without reserving anything and returns a Quote:
+ * the offsets, the built schedule, the steps themselves, the instant and
+ * the epoch of the busy horizons it was built against (the §4.2
+ * grace-deadline decision and the arranger want quotes for plans they
+ * may discard).  submit(quote) reserves the links the schedule occupies
+ * and schedules a completion event at the makespan.  Every write to the
+ * busy horizons bumps the epoch; a quote whose epoch and instant still
+ * match is committed as built, and a stale one is re-scheduled from its
+ * steps against the current state.  Either way a preview followed by a
+ * submit in the same executor event commits the identical timeline, and
+ * in that case the schedule is built once.  There is one scheduling
+ * mode: steps interleave (see cost::LinkSchedule).
  *
  * Every submission is tracked in flight until its completion event fires,
  * which makes transfers cancellable: failInstance() aborts any plan whose
@@ -94,24 +100,39 @@ class TransferDataPlane
     };
 
     /**
+     * A schedule quoted against the link state of one instant.  The
+     * fields past @c result are what submit() needs to commit it as is,
+     * or to re-schedule it when the state moved.
+     */
+    struct Quote
+    {
+        Result result;
+        cost::LinkScheduleResult schedule;
+        std::vector<cost::TransferStep> steps;
+        double setupTime = 0.0;
+        /** Executor time the quote was built at. */
+        double now = 0.0;
+        /** Busy-horizon epoch the quote was built against. */
+        long epoch = 0;
+    };
+
+    /**
      * Quote @p steps against the current link state without reserving
      * links.  @p setup_time is charged once at the front.
      */
-    Result preview(const std::vector<cost::TransferStep> &steps,
-                   double setup_time, bool interleave = true) const;
+    Quote preview(std::vector<cost::TransferStep> steps,
+                  double setup_time) const;
 
     /**
-     * Schedule @p steps now: reserve every link slice the schedule
-     * occupies and fire @p on_done (if any) at the makespan.
+     * Commit @p quote: reserve every link slice its schedule occupies and
+     * fire options.onDone (if any) at the makespan.  A quote built at
+     * another instant, or followed by a write to the busy horizons, is
+     * re-scheduled from its steps first.
      */
-    Result submit(const std::vector<cost::TransferStep> &steps,
-                  double setup_time, bool interleave = true,
-                  std::function<void()> on_done = {});
+    Result submit(Quote quote, SubmitOptions options);
 
-    /** As above, with failure callbacks and a per-plan deadline. */
-    Result submit(const std::vector<cost::TransferStep> &steps,
-                  double setup_time, bool interleave,
-                  SubmitOptions options);
+    /** As above, with no callbacks and no deadline. */
+    Result submit(Quote quote);
 
     /**
      * Convenience for the restart-style baselines: per-instance cold
@@ -164,6 +185,8 @@ class TransferDataPlane
 
     /** Submissions executed (migrations + cold-load batches). @{ */
     long submissions() const { return submissions_; }
+    /** Link schedules built: one per preview, plus one per stale submit. */
+    long schedulesBuilt() const { return schedulesBuilt_; }
     /** Submissions that found at least one of their links busy. */
     long contendedSubmissions() const { return contendedSubmissions_; }
     double totalBytesScheduled() const { return totalBytesScheduled_; }
@@ -193,9 +216,6 @@ class TransferDataPlane
         long rev = 0;
     };
 
-    cost::LinkScheduleResult
-    buildSchedule(const std::vector<cost::TransferStep> &steps,
-                  double setup_time, bool interleave) const;
     bool touchesBusyLink(const std::vector<cost::TransferStep> &steps) const;
     static bool stepTouches(const cost::TransferStep &step, int instance);
     bool planRemainderTouches(const InFlight &plan, int instance) const;
@@ -210,9 +230,12 @@ class TransferDataPlane
     sim::Executor &executor_;
     cost::LinkSchedule scheduler_;
     std::map<cost::LinkId, double> busyUntil_;
+    /** Bumped on every write to busyUntil_; stamps and checks quotes. */
+    long busyEpoch_ = 0;
     std::map<PlanId, InFlight> inFlight_;
     PlanId nextPlanId_ = 0;
     long submissions_ = 0;
+    mutable long schedulesBuilt_ = 0;
     long contendedSubmissions_ = 0;
     double totalBytesScheduled_ = 0.0;
     long plansCancelled_ = 0;

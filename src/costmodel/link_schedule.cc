@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace spotserve {
 namespace cost {
 
 namespace {
+
+constexpr double kEps = 1e-12;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr int kLinkTypes = 4;
 
 /** One schedulable work item: a wire transfer or a cold disk load. */
 struct Item
@@ -20,14 +25,13 @@ struct Item
     LinkId links[2];
     int numLinks = 0;
 
-    double firstStart = -1.0;
+    /** First instant the item ran (+inf until it does). */
+    double firstStart = kInf;
     double finish = 0.0;
-    bool done = false;
-    /** Open slice being extended while the item keeps running. */
+    /** Its latest slice, and the event it last ran at. */
     int openSlice = -1;
+    int lastEvent = std::numeric_limits<int>::min();
 };
-
-constexpr double kEps = 1e-12;
 
 } // namespace
 
@@ -47,6 +51,12 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
     // earlier step's transfers immune to later steps at every grant.
     // ------------------------------------------------------------------
     std::vector<Item> items;
+    int min_inst = std::numeric_limits<int>::max();
+    int max_inst = std::numeric_limits<int>::min();
+    auto note = [&](int inst) {
+        min_inst = std::min(min_inst, inst);
+        max_inst = std::max(max_inst, inst);
+    };
     for (std::size_t s = 0; s < steps.size(); ++s) {
         for (std::size_t i = 0; i < steps[s].transfers.size(); ++i) {
             const Transfer &t = steps[s].transfers[i];
@@ -66,6 +76,8 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
                 item.links[1] = LinkId{LinkType::NicRecv, t.dstInstance};
                 item.numLinks = 2;
             }
+            note(t.srcInstance);
+            note(t.dstInstance);
             items.push_back(item);
         }
         for (std::size_t i = 0; i < steps[s].coldLoads.size(); ++i) {
@@ -80,136 +92,161 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
             item.rate = params_.diskBandwidth;
             item.links[0] = LinkId{LinkType::Disk, inst};
             item.numLinks = 1;
+            note(inst);
             items.push_back(item);
         }
     }
 
-    // Per-step wire-item bookkeeping for the serialized barrier.
-    std::vector<int> wirePending(steps.size(), 0);
-    for (const Item &it : items) {
-        if (!it.coldLoad)
-            ++wirePending[static_cast<std::size_t>(it.step)];
+    // ------------------------------------------------------------------
+    // Dense per-link state over (type, instance - min_inst): the event
+    // that last took each link, and the latest finish of any item riding
+    // it (-inf: no item rides it).
+    // ------------------------------------------------------------------
+    const int span = items.empty() ? 0 : max_inst - min_inst + 1;
+    auto slotOf = [&](const LinkId &l) {
+        return static_cast<int>(l.type) * span + (l.instance - min_inst);
+    };
+    const std::size_t num_slots = static_cast<std::size_t>(kLinkTypes) *
+                                  static_cast<std::size_t>(span);
+    std::vector<int> taken(num_slots, -1);
+    std::vector<double> last_finish(num_slots, -kInf);
+
+    // Every external horizon is an event candidate — a link no item
+    // uses included — read in time order through a monotone cursor.  At
+    // each event the holds not yet lifted take their links (slot -1: a
+    // link outside the dense range, which no item uses) before any item.
+    std::vector<std::pair<double, int>> holds; // (until, slot)
+    holds.reserve(initial_busy.size());
+    for (const auto &[link, until] : initial_busy) {
+        const bool in_range =
+            link.instance >= min_inst && link.instance <= max_inst;
+        holds.emplace_back(until, in_range ? slotOf(link) : -1);
     }
+    std::sort(holds.begin(), holds.end());
+    std::size_t first_hold = 0;
 
     // ------------------------------------------------------------------
     // Event-driven preemptive list schedule.  At every event the running
-    // set is rebuilt from scratch in priority order; items already flat-
-    // tened in that order, so a plain scan grants links deterministically.
+    // set is rebuilt by scanning the unfinished items in priority order;
+    // the same scan compacts out the items the previous event finished,
+    // so the order never changes.  An item keeps extending its open slice
+    // for as long as it runs at consecutive events.
     // ------------------------------------------------------------------
-    std::map<LinkId, double> busy = initial_busy; // external holds only
-    auto linkFreeAt = [&](const LinkId &l) {
-        auto it = busy.find(l);
-        return it == busy.end() ? -std::numeric_limits<double>::infinity()
-                                : it->second;
+    struct Pending
+    {
+        int item;
+        int a, b; ///< the item's link slots (b == a for one link)
+        bool done;
     };
+    std::vector<Pending> pending;
+    pending.reserve(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const Item &it = items[i];
+        const int a = slotOf(it.links[0]);
+        const int b = it.numLinks == 2 ? slotOf(it.links[1]) : a;
+        pending.push_back({static_cast<int>(i), a, b, false});
+    }
+    /** Positions in pending of the items running at this event. */
+    std::vector<std::size_t> running(items.size());
+    out.slices.reserve(items.size());
 
-    // A step's wire items are eligible once every earlier step's wire
-    // items completed (serialized mode); disk loads are always eligible —
-    // the legacy cursor overlapped them with the whole wire schedule.
-    auto eligible = [&](const Item &it) {
-        if (options.interleave || it.coldLoad)
-            return true;
-        for (int s = 0; s < it.step; ++s) {
-            if (wirePending[static_cast<std::size_t>(s)] > 0)
-                return false;
-        }
-        return true;
-    };
-
-    std::size_t doneCount = 0;
     double t = t0;
-    // Never start before an externally-held link frees if that is the
-    // only work available; collect those horizons as candidate events.
-    while (doneCount < items.size()) {
-        // Rebuild the running set.
-        std::vector<LinkId> held;
-        std::vector<Item *> running;
-        for (Item &it : items) {
-            if (it.done || !eligible(it))
-                continue;
-            bool free = true;
-            for (int k = 0; k < it.numLinks; ++k) {
-                if (linkFreeAt(it.links[k]) > t + kEps ||
-                    std::find(held.begin(), held.end(), it.links[k]) !=
-                        held.end()) {
-                    free = false;
-                    break;
-                }
-            }
-            if (!free) {
-                // Preempted/blocked: close its open slice, if any.
-                it.openSlice = -1;
-                continue;
-            }
-            for (int k = 0; k < it.numLinks; ++k)
-                held.push_back(it.links[k]);
-            running.push_back(&it);
+    for (int event = 0;; ++event) {
+        const double horizon = t + kEps;
+        while (first_hold < holds.size() && holds[first_hold].first <= horizon)
+            ++first_hold;
+        for (std::size_t h = first_hold; h < holds.size(); ++h) {
+            if (holds[h].second >= 0)
+                taken[static_cast<std::size_t>(holds[h].second)] = event;
         }
 
-        if (running.empty()) {
-            // Everything pending is blocked on externally-busy links
-            // (or, in serialized mode, on a barrier that resolves at a
-            // completion — impossible without running items).  Hop to the
-            // next external release.
-            double next = std::numeric_limits<double>::infinity();
-            for (const auto &[link, until] : busy) {
-                if (until > t + kEps)
-                    next = std::min(next, until);
+        // Branch-free grant and compaction: whether an item is blocked is
+        // data-dependent and unpredictable, and this scan is the build's
+        // inner loop.
+        std::size_t kept = 0;
+        std::size_t num_running = 0;
+        for (const Pending p : pending) {
+            int &a = taken[static_cast<std::size_t>(p.a)];
+            int &b = taken[static_cast<std::size_t>(p.b)];
+            const bool granted = !p.done & (a != event) & (b != event);
+            a = granted ? event : a;
+            b = granted ? event : b;
+            pending[kept] = p;
+            running[num_running] = kept;
+            num_running += granted;
+            kept += !p.done;
+        }
+        pending.resize(kept);
+        if (pending.empty())
+            break;
+
+        const double release =
+            first_hold < holds.size() ? holds[first_hold].first : kInf;
+
+        if (num_running == 0) {
+            // Everything pending is blocked on externally-busy links:
+            // hop to the next external release.  A blocked item's link
+            // holds a horizon past t, so one exists unless that horizon
+            // is infinite.
+            if (!std::isfinite(release)) {
+                throw std::logic_error(
+                    "LinkSchedule::build: a transfer's link never frees");
             }
-            if (!std::isfinite(next))
-                break; // defensive: nothing can ever run
-            t = next;
+            t = release;
             continue;
         }
 
         // Next event: earliest completion among running items or the
         // earliest external link release (which may unblock a
         // higher-priority item and preempt a running one).
-        double tNext = std::numeric_limits<double>::infinity();
-        for (const Item *it : running)
-            tNext = std::min(tNext, t + it->remaining / it->rate);
-        for (const auto &[link, until] : busy) {
-            if (until > t + kEps)
-                tNext = std::min(tNext, until);
+        const auto run_end =
+            running.begin() + static_cast<std::ptrdiff_t>(num_running);
+        double tNext = kInf;
+        for (auto r = running.begin(); r != run_end; ++r) {
+            const Item &it =
+                items[static_cast<std::size_t>(pending[*r].item)];
+            tNext = std::min(tNext, t + it.remaining / it.rate);
         }
+        tNext = std::min(tNext, release);
 
         // Advance every running item to tNext, extending open slices.
-        for (Item *it : running) {
-            if (it->firstStart < 0.0)
-                it->firstStart = t;
-            if (it->openSlice >= 0 &&
-                out.slices[static_cast<std::size_t>(it->openSlice)].finish >=
-                    t - kEps) {
+        for (auto r = running.begin(); r != run_end; ++r) {
+            Pending &p = pending[*r];
+            Item &it = items[static_cast<std::size_t>(p.item)];
+            it.firstStart = std::min(it.firstStart, t);
+            if (it.lastEvent == event - 1) {
                 LinkSlice &sl =
-                    out.slices[static_cast<std::size_t>(it->openSlice)];
+                    out.slices[static_cast<std::size_t>(it.openSlice)];
                 sl.finish = tNext;
-                sl.bytes += (tNext - t) * it->rate;
+                sl.bytes += (tNext - t) * it.rate;
             } else {
                 LinkSlice sl;
-                sl.step = it->step;
-                sl.transfer = it->index;
-                sl.coldLoad = it->coldLoad;
+                sl.step = it.step;
+                sl.transfer = it.index;
+                sl.coldLoad = it.coldLoad;
                 sl.start = t;
                 sl.finish = tNext;
-                sl.bytes = (tNext - t) * it->rate;
-                sl.numLinks = it->numLinks;
-                for (int k = 0; k < it->numLinks; ++k)
-                    sl.links[k] = it->links[k];
-                it->openSlice = static_cast<int>(out.slices.size());
+                sl.bytes = (tNext - t) * it.rate;
+                sl.numLinks = it.numLinks;
+                for (int k = 0; k < it.numLinks; ++k)
+                    sl.links[k] = it.links[k];
+                it.openSlice = static_cast<int>(out.slices.size());
                 out.slices.push_back(sl);
             }
-            const double span = it->remaining / it->rate;
-            if (t + span <= tNext + kEps * (1.0 + span)) {
+            it.lastEvent = event;
+            const double span_s = it.remaining / it.rate;
+            if (t + span_s <= tNext + kEps * (1.0 + span_s)) {
                 // Completed at (numerically) this event.
-                it->remaining = 0.0;
-                it->done = true;
-                it->finish = tNext;
-                it->openSlice = -1;
-                if (!it->coldLoad)
-                    --wirePending[static_cast<std::size_t>(it->step)];
-                ++doneCount;
+                it.remaining = 0.0;
+                it.finish = tNext;
+                p.done = true;
+                for (int k = 0; k < it.numLinks; ++k) {
+                    double &last = last_finish[static_cast<std::size_t>(
+                        slotOf(it.links[k]))];
+                    last = std::max(last, tNext);
+                }
             } else {
-                it->remaining -= (tNext - t) * it->rate;
+                it.remaining -= (tNext - t) * it.rate;
             }
         }
         t = tNext;
@@ -218,31 +255,15 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
     // ------------------------------------------------------------------
     // Per-step start/finish and the busy horizons left behind.
     // ------------------------------------------------------------------
-    out.stepStart.assign(steps.size(), t0);
+    out.stepStart.assign(steps.size(), kInf); // +inf: no item ran yet
     out.stepFinish.assign(steps.size(), t0);
-    // Serialized mode: an idle step still waits behind its predecessors.
-    if (!options.interleave) {
-        double barrier = t0;
-        for (std::size_t s = 0; s < steps.size(); ++s) {
-            out.stepStart[s] = barrier;
-            out.stepFinish[s] = barrier;
-            for (const Item &it : items) {
-                if (static_cast<std::size_t>(it.step) == s && !it.coldLoad)
-                    barrier = std::max(barrier, it.finish);
-            }
-        }
-    }
     for (const Item &it : items) {
         const auto s = static_cast<std::size_t>(it.step);
-        if (it.firstStart >= 0.0) {
-            out.stepStart[s] = out.stepStart[s] == t0
-                                   ? it.firstStart
-                                   : std::min(out.stepStart[s],
-                                              it.firstStart);
-        }
+        out.stepStart[s] = std::min(out.stepStart[s], it.firstStart);
         out.stepFinish[s] = std::max(out.stepFinish[s], it.finish);
     }
-    // An idle step's start must not precede setup nor exceed its finish.
+    // An idle step's start must not precede setup nor exceed its finish
+    // (an unset start clamps to the idle step's finish, the origin).
     for (std::size_t s = 0; s < steps.size(); ++s) {
         out.stepStart[s] = std::min(std::max(out.stepStart[s], t0),
                                     std::max(out.stepFinish[s], t0));
@@ -253,11 +274,19 @@ LinkSchedule::build(const std::vector<TransferStep> &steps,
     for (double f : out.stepFinish)
         out.makespan = std::max(out.makespan, f);
 
+    // An item's last slice ends at its finish, so each touched link's new
+    // horizon is the latest finish among the items riding it.
     out.linkBusyUntil = initial_busy;
-    for (const LinkSlice &sl : out.slices) {
-        for (int k = 0; k < sl.numLinks; ++k) {
-            double &until = out.linkBusyUntil[sl.links[k]];
-            until = std::max(until, sl.finish);
+    for (int type = 0; type < kLinkTypes; ++type) {
+        for (int k = 0; k < span; ++k) {
+            const double last =
+                last_finish[static_cast<std::size_t>(type * span + k)];
+            if (last == -kInf)
+                continue;
+            const LinkId l{static_cast<LinkType>(type), min_inst + k};
+            double &until =
+                out.linkBusyUntil.try_emplace(l, 0.0).first->second;
+            until = std::max(until, last);
         }
     }
     return out;

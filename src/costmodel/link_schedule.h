@@ -20,14 +20,16 @@
  * lower-priority transfer never delays a higher-priority one (it is
  * preempted at the next event when the earlier step's transfer can run),
  * which yields the key guarantee the planner and the bench gate rely on:
- * scheduling the steps interleaved is never slower than scheduling them
- * behind per-step barriers, and on single-pair/single-link topologies the
- * makespan equals the closed-form port-bottleneck estimate exactly.
+ * the schedule is never slower than the planner's serialized cursor
+ * (every step's closed-form wire time back to back, disk loads
+ * overlapped), and on single-pair/single-link topologies the makespan
+ * equals the closed-form port-bottleneck estimate exactly.
  *
- * Disk (cold weight load) slices never barrier: the legacy cursor already
- * overlapped per-instance disk loads with the whole wire schedule, and the
- * serialized mode here keeps that semantics so the two timelines stay
- * comparable.
+ * There is one mode: steps always interleave.  A build works on flat
+ * arrays — a dense per-link index over (type, instance), the pending
+ * items in priority order, and the external release horizons sorted once
+ * and read through a monotone cursor — so an event costs a scan of the
+ * unfinished items and nothing else.
  */
 
 #ifndef SPOTSERVE_COSTMODEL_LINK_SCHEDULE_H
@@ -117,18 +119,9 @@ struct LinkScheduleResult
     std::map<LinkId, double> linkBusyUntil;
 };
 
-/** Scheduler knobs. */
+/** Where a schedule starts. */
 struct LinkScheduleOptions
 {
-    /**
-     * true: steps interleave — a transfer runs as soon as its links free
-     * up, regardless of earlier steps still in flight elsewhere.
-     * false: per-step wire barrier — step k's wire transfers only become
-     * eligible once every earlier step's wire transfers completed (the
-     * legacy serialized-cursor semantics; disk loads stay overlapped).
-     */
-    bool interleave = true;
-
     /** Schedule origin (absolute time the migration is submitted at). */
     double startTime = 0.0;
 
@@ -146,7 +139,11 @@ class LinkSchedule
      * Schedule @p steps over the link set, starting from the per-link
      * busy horizons in @p initial_busy (absolute times; links absent from
      * the map are free).  Pass the busy map of a previous result to make
-     * successive migrations contend for shared links.
+     * successive migrations contend for shared links.  Every horizon in
+     * @p initial_busy is an event, even on a link no transfer uses.
+     *
+     * @throws std::logic_error if a transfer could never be granted its
+     *         links (an infinite horizon on one of them).
      */
     LinkScheduleResult
     build(const std::vector<TransferStep> &steps,

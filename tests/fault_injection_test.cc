@@ -237,7 +237,7 @@ TEST(DataPlaneFaultTest, FailInstancePartialCompletionAccounting)
         seen = f;
     };
     const auto committed =
-        plane.submit(steps, 0.0, /*interleave=*/false, std::move(so));
+        plane.submit(plane.preview(steps, 0.0), std::move(so));
     EXPECT_GE(committed.planId, 0);
     EXPECT_NEAR(committed.makespan, 6.0, 1e-9);
     EXPECT_EQ(plane.inFlightCount(), 1);
@@ -261,8 +261,8 @@ TEST(DataPlaneFaultTest, FailInstancePartialCompletionAccounting)
     EXPECT_EQ(plane.plansCancelled(), 1);
 
     // The dead plan's links are free again: a fresh submit starts now.
-    const auto after = plane.preview({step(2, 1, bw)}, 0.0, false);
-    EXPECT_NEAR(after.makespan, 1.0, 1e-9);
+    const auto after = plane.preview({step(2, 1, bw)}, 0.0);
+    EXPECT_NEAR(after.result.makespan, 1.0, 1e-9);
 }
 
 TEST(DataPlaneFaultTest, UnrelatedPlansSurviveAnInstanceDeath)
@@ -271,9 +271,10 @@ TEST(DataPlaneFaultTest, UnrelatedPlansSurviveAnInstanceDeath)
     core::TransferDataPlane plane(simulation, kParams);
     const double bw = kParams.interBandwidth;
     int done02 = 0;
-    plane.submit({step(0, 1, 2.0 * bw)}, 0.0, false);
-    plane.submit({step(2, 3, 2.0 * bw)}, 0.0, false,
-                 [&] { ++done02; });
+    plane.submit(plane.preview({step(0, 1, 2.0 * bw)}, 0.0));
+    core::TransferDataPlane::SubmitOptions so;
+    so.onDone = [&] { ++done02; };
+    plane.submit(plane.preview({step(2, 3, 2.0 * bw)}, 0.0), std::move(so));
     EXPECT_EQ(plane.inFlightCount(), 2);
     EXPECT_EQ(plane.failInstance(0), 1);
     EXPECT_EQ(plane.inFlightCount(), 1);
@@ -296,7 +297,7 @@ TEST(DataPlaneFaultTest, BlackoutDelaysAndDeadlineTrips)
         sawTimeout = f.timedOut;
     };
     so.deadline = 5.0; // quote is 2 s; plenty — unless a fault stretches it
-    plane.submit({step(0, 1, 2.0 * bw)}, 0.0, false, std::move(so));
+    plane.submit(plane.preview({step(0, 1, 2.0 * bw)}, 0.0), std::move(so));
 
     simulation.run(1.0);
     plane.stallInstanceLinks(0, 2.5); // finishes at 4.5 < 5: survives
@@ -311,7 +312,7 @@ TEST(DataPlaneFaultTest, BlackoutDelaysAndDeadlineTrips)
         sawTimeout = f.timedOut;
     };
     so2.deadline = 4.0;
-    plane.submit({step(2, 3, 2.0 * bw)}, 0.0, false, std::move(so2));
+    plane.submit(plane.preview({step(2, 3, 2.0 * bw)}, 0.0), std::move(so2));
     simulation.run(7.0);
     plane.degradeInstanceLinks(2, 0.25); // 1 s left becomes 4 s: misses
     simulation.run(20.0);
