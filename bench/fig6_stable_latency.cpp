@@ -8,6 +8,10 @@
  * P90..P99 tail latencies plus SpotServe's improvement factors over both
  * baselines, the numbers printed on each subplot.
  *
+ * Exits non-zero if any run leaves a request unfinished or a KV block
+ * reference live at the end (the conservation and leak audits every
+ * system must pass).
+ *
  * Usage: fig6_stable_latency [model-substring] [trace-substring]
  */
 
@@ -44,6 +48,7 @@ main(int argc, char **argv)
     std::printf("=== Figure 6: end-to-end latency on stable workloads "
                 "(seconds) ===\n");
 
+    int exit_code = 0;
     const std::vector<std::string> systems = {"SpotServe",
                                               "Reparallelization",
                                               "Rerouting"};
@@ -64,8 +69,16 @@ main(int argc, char **argv)
             std::vector<serving::ExperimentResult> results;
             for (const auto &system : systems)
                 results.push_back(presets::runStable(spec, trace, system));
-            for (const auto &r : results)
+            for (const auto &r : results) {
                 printRow(r);
+                if (r.unfinished != 0 || r.liveKvRefsAtEnd != 0) {
+                    std::printf("  FAIL: %s left %ld unfinished and %ld "
+                                "KV block refs live\n",
+                                r.systemName.c_str(), r.unfinished,
+                                r.liveKvRefsAtEnd);
+                    exit_code = 1;
+                }
+            }
 
             const double spot_p99 = results[0].latencies.percentile(99);
             const double repar_p99 = results[1].latencies.percentile(99);
@@ -80,5 +93,5 @@ main(int argc, char **argv)
                         repar_avg / spot_avg, rerout_avg / spot_avg);
         }
     }
-    return 0;
+    return exit_code;
 }

@@ -22,44 +22,10 @@ ReroutingSystem::ReroutingSystem(sim::Executor &executor,
 {
 }
 
-long
-ReroutingSystem::bestPrefixDiscount(const engine::ActiveRequest &head) const
-{
-    long best = 0;
-    for (const auto &s : slots_) {
-        if (s->pipeline)
-            best = std::max(best,
-                            s->pipeline->kvStore().quoteSharedBlocks(head));
-    }
-    return best;
-}
-
 std::string
 ReroutingSystem::name() const
 {
     return "Rerouting";
-}
-
-int
-ReroutingSystem::onlinePipelines() const
-{
-    int n = 0;
-    for (const auto &s : slots_) {
-        if (s->online)
-            ++n;
-    }
-    return n;
-}
-
-long
-ReroutingSystem::liveKvRefs() const
-{
-    long refs = 0;
-    for (const auto &s : slots_) {
-        if (s->pipeline)
-            refs += s->pipeline->kvStore().totalLiveRefs();
-    }
-    return refs;
 }
 
 int
@@ -109,13 +75,13 @@ ReroutingSystem::onInstancePreempted(const cluster::Instance &inst)
 {
     // Rerouting gets no notice: the death is always abrupt, so any cold
     // load still streaming toward the instance is lost and its link
-    // reservations must not keep throttling surviving slots.
+    // reservations must not keep throttling surviving replicas.
     dataPlane_.failInstance(inst.id());
     forgetInstance(inst.id());
     lastRole_.erase(inst.id());
     pool_.erase(std::remove(pool_.begin(), pool_.end(), inst.id()),
                 pool_.end());
-    dropSlotsUsing(inst.id());
+    dropReplicasUsing(inst.id());
     assemble();
 }
 
@@ -126,35 +92,35 @@ ReroutingSystem::onInstanceReleased(const cluster::Instance &inst)
     lastRole_.erase(inst.id());
     pool_.erase(std::remove(pool_.begin(), pool_.end(), inst.id()),
                 pool_.end());
-    dropSlotsUsing(inst.id());
+    dropReplicasUsing(inst.id());
     assemble();
 }
 
 void
-ReroutingSystem::dropSlotsUsing(cluster::InstanceId id)
+ReroutingSystem::dropReplicasUsing(cluster::InstanceId id)
 {
-    for (auto it = slots_.begin(); it != slots_.end();) {
-        Slot &slot = **it;
-        if (std::find(slot.members.begin(), slot.members.end(), id) ==
-            slot.members.end()) {
-            ++it;
-            continue;
-        }
+    const std::vector<int> doomed = pipelinesUsingInstance(id);
+    if (doomed.empty())
+        return;
+    for (int d : doomed) {
         // The preemption hangs the whole pipeline: interrupted requests
         // are rerouted and recomputed from the beginning.
-        if (slot.pipeline) {
-            slot.pipeline->haltNow();
-            restartAndRequeue(slot.pipeline->takeBatch());
-        }
-        for (cluster::InstanceId m : slot.members) {
-            if (m == id)
+        restartAndRequeue(removePipeline(d));
+        // Its surviving members idle until re-assembled (GPUs run in
+        // role order, so each member's GPUs are consecutive).
+        cluster::InstanceId last = cluster::kInvalidInstance;
+        for (par::GpuId g : deployment().mesh.pipelineGpus(d)) {
+            const auto m =
+                cluster::Instance::instanceOfGpu(g, params_.gpusPerInstance);
+            if (m == last)
                 continue;
+            last = m;
             const auto *inst = instances_.get(m);
-            if (inst && inst->usable())
-                pool_.push_back(m); // survivors idle until re-assembled
+            if (m != id && inst && inst->usable())
+                pool_.push_back(m);
         }
-        it = slots_.erase(it);
     }
+    redeploy({}, {});
 }
 
 void
@@ -163,9 +129,12 @@ ReroutingSystem::assemble()
     if (!fixed_)
         return;
     const int k = instancesPerPipeline();
+    const int gpp = fixed_->gpusPerPipeline();
+    std::vector<std::vector<par::GpuId>> fresh_gpus;
+    std::vector<sim::SimTime> fresh_ready;
     while (static_cast<int>(pool_.size()) >= k) {
-        auto slot = std::make_unique<Slot>();
-        slot->members.assign(k, cluster::kInvalidInstance);
+        std::vector<cluster::InstanceId> members(k,
+                                                 cluster::kInvalidInstance);
 
         // Fill each role with an instance that held the same role before
         // (its shards are resident), falling back to any pooled instance.
@@ -177,13 +146,13 @@ ReroutingSystem::assemble()
                                               f->second == r;
                                    });
             if (it != pool_.end()) {
-                slot->members[r] = *it;
+                members[r] = *it;
                 pool_.erase(it);
             }
         }
         for (int r = 0; r < k; ++r) {
-            if (slot->members[r] == cluster::kInvalidInstance) {
-                slot->members[r] = pool_.front();
+            if (members[r] == cluster::kInvalidInstance) {
+                members[r] = pool_.front();
                 pool_.pop_front();
             }
         }
@@ -193,7 +162,7 @@ ReroutingSystem::assemble()
         // their shards from storage.
         bool all_warm = true;
         for (int r = 0; r < k; ++r) {
-            auto f = lastRole_.find(slot->members[r]);
+            auto f = lastRole_.find(members[r]);
             if (f == lastRole_.end() || f->second != r)
                 all_warm = false;
         }
@@ -201,76 +170,68 @@ ReroutingSystem::assemble()
         pipe_cfg.dp = 1;
         // Cold members pull their shards over the data plane's disk
         // links (identical to coldLoadTime when the disks are idle; a
-        // member re-pooled from a just-destroyed slot may still have a
-        // load in flight and honestly delays the new slot).
+        // member re-pooled from a just-dropped replica may still have a
+        // load in flight and honestly delays the new replica).
         double delay = params_.engineRestartTime;
         if (!all_warm) {
             const double bytes = latency_.coldLoadBytesPerInstance(pipe_cfg);
             std::vector<std::pair<int, double>> loads;
             loads.reserve(static_cast<std::size_t>(k));
             for (int r = 0; r < k; ++r)
-                loads.emplace_back(static_cast<int>(slot->members[r]), bytes);
+                loads.emplace_back(static_cast<int>(members[r]), bytes);
             delay += dataPlane_.submitColdLoad(loads);
         }
-        for (int r = 0; r < k; ++r)
-            lastRole_[slot->members[r]] = r;
-        slot->pipeline = makePipeline(pipe_cfg, nextSlotIndex_++);
-        Slot *raw = slot.get();
-        slots_.push_back(std::move(slot));
-        sim_.scheduleAfter(delay, [this, raw] {
-            // The slot may have died while initialising.
-            for (const auto &s : slots_) {
-                if (s.get() == raw) {
-                    raw->online = true;
-                    dispatchSlots();
-                    return;
-                }
-            }
-        });
-    }
-}
-
-void
-ReroutingSystem::dispatchSlots()
-{
-    if (!fixed_)
-        return;
-    // Same policy as BaseServingSystem::dispatchAll: a head that exceeds
-    // a whole (fixed-configuration) replica's budget can never be served.
-    par::ParallelConfig pipe_cfg = *fixed_;
-    pipe_cfg.dp = 1;
-    rejectUnservableHeads(replicaKvBudgetBlocks(pipe_cfg),
-                          effectiveKvBlockTokens(pipe_cfg));
-    for (auto &s : slots_) {
-        if (!s->online || !s->pipeline || !s->pipeline->idle() ||
-            s->pipeline->haltPending()) {
-            continue;
+        std::vector<par::GpuId> gpus;
+        for (int r = 0; r < k; ++r) {
+            lastRole_[members[r]] = r;
+            for (par::GpuId g : instances_.get(members[r])->gpuIds())
+                gpus.push_back(g);
         }
-        if (requests_.pendingEmpty())
-            return;
-        auto batch = requests_.nextBatch(fixed_->batch,
-                                         s->pipeline->freeKvBlocks(),
-                                         s->pipeline->kvAdmissionMode(),
-                                         s->pipeline->kvBudgetBlocks(),
-                                         s->pipeline->kvBlockTokens(),
-                                         &s->pipeline->kvStore());
-        if (batch.empty())
-            return;
-        s->pipeline->startBatch(std::move(batch));
+        gpus.resize(static_cast<std::size_t>(gpp));
+        fresh_gpus.push_back(std::move(gpus));
+        fresh_ready.push_back(sim_.now() + delay);
+        // A replica dropped while initialising is simply gone by then.
+        sim_.scheduleAfter(delay, [this] { dispatchAll(); });
     }
+    if (!fresh_gpus.empty())
+        redeploy(fresh_gpus, fresh_ready);
 }
 
 void
-ReroutingSystem::onPipelineIdle(engine::InferencePipeline &)
+ReroutingSystem::redeploy(
+    const std::vector<std::vector<par::GpuId>> &fresh_gpus,
+    const std::vector<sim::SimTime> &fresh_ready)
 {
-    dispatchSlots();
-}
+    std::vector<std::vector<par::GpuId>> gpus;
+    std::vector<std::unique_ptr<engine::InferencePipeline>> carried;
+    std::vector<sim::SimTime> ready;
+    if (hasDeployment()) {
+        auto &old = deployment();
+        for (int d = 0; d < old.config.dp; ++d) {
+            if (!old.pipelines[d])
+                continue; // dropped
+            gpus.push_back(old.mesh.pipelineGpus(d));
+            carried.push_back(std::move(old.pipelines[d]));
+            ready.push_back(old.readyAt[d]);
+        }
+        clearDeployment();
+    }
+    gpus.insert(gpus.end(), fresh_gpus.begin(), fresh_gpus.end());
+    ready.insert(ready.end(), fresh_ready.begin(), fresh_ready.end());
+    if (gpus.empty())
+        return;
 
-void
-ReroutingSystem::handleArrival(const wl::Request &request)
-{
-    requests_.submit(request);
-    dispatchSlots();
+    par::ParallelConfig cfg = *fixed_;
+    cfg.dp = static_cast<int>(gpus.size());
+    par::DeviceMesh mesh(cfg, spec_.numLayers());
+    const auto &topo = mesh.topology();
+    const int gpp = cfg.gpusPerPipeline();
+    for (int d = 0; d < cfg.dp; ++d) {
+        for (int i = 0; i < gpp; ++i)
+            mesh.assign(topo.position(d * gpp + i), gpus[d][i]);
+    }
+    installDeployment(cfg, std::move(mesh), std::move(carried));
+    deployment().readyAt = std::move(ready);
 }
 
 } // namespace baselines

@@ -10,19 +10,21 @@
  * pipelines and recomputed from scratch.  Newly acquired instances
  * rebuild pipelines after a full engine launch and weight load.
  *
- * Pipeline add/drop is synchronous by construction: there is no
- * reconfiguration to plan or migrate, and surviving pipelines are simply
- * never touched.  It is the §6.1 comparison point for SpotServe's
- * overlapped pipeline.
+ * Every pipeline is a replica of the base Deployment (the fixed (P, M, B)
+ * with D = the live replica count), so Rerouting dispatches, admits at
+ * iteration boundaries and audits KV exactly like the other two systems;
+ * it differs only in *when* replicas are built and dropped.  Each replica
+ * owns whole instances, one per pipeline role; a new replica is
+ * dispatchable from its Deployment::readyAt.  Surviving replicas are
+ * never touched: there is no reconfiguration to plan or migrate.
  */
 
 #ifndef SPOTSERVE_BASELINES_REROUTING_SYSTEM_H
 #define SPOTSERVE_BASELINES_REROUTING_SYSTEM_H
 
 #include <deque>
-#include <memory>
 #include <optional>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "core/controller.h"
 #include "serving/base_system.h"
@@ -61,46 +63,24 @@ class ReroutingSystem : public serving::BaseServingSystem
     void onInstancePreempted(const cluster::Instance &instance) override;
     void onInstanceReleased(const cluster::Instance &instance) override;
 
-    /** The locked parallelism, once chosen. */
-    std::optional<par::ParallelConfig> fixedParallelism() const
-    {
-        return fixed_;
-    }
-
-    /** Currently online pipelines. */
-    int onlinePipelines() const;
-
-    /** Live KV block references summed over the slot pipelines' stores. */
-    long liveKvRefs() const override;
-
-  protected:
-    void onPipelineIdle(engine::InferencePipeline &pipeline) override;
-    void handleArrival(const wl::Request &request) override;
-    void dispatchPending() override { dispatchSlots(); }
-    /** Rerouting keeps its pipelines in slots, not the deployment. */
-    long bestPrefixDiscount(
-        const engine::ActiveRequest &head) const override;
-
   private:
-    /** One independent inference pipeline over whole instances. */
-    struct Slot
-    {
-        std::vector<cluster::InstanceId> members;
-        std::unique_ptr<engine::InferencePipeline> pipeline;
-        bool online = false;
-    };
-
     /** Lock (P, M, B) on first use. */
     void ensureFixedConfig();
 
-    /** Build pipelines out of pooled instances while enough are idle. */
+    /** Build replicas out of pooled instances while enough are idle. */
     void assemble();
 
-    /** Kill every slot using @p id; reroute its requests. */
-    void dropSlotsUsing(cluster::InstanceId id);
+    /** Kill the replica using @p id; reroute its requests. */
+    void dropReplicasUsing(cluster::InstanceId id);
 
-    /** Dispatch queued requests to online idle slots. */
-    void dispatchSlots();
+    /**
+     * Reinstall the deployment as the current replicas whose pipeline
+     * is still live (pipelines, GPUs and online times carried over, in
+     * order) followed by fresh replicas on @p fresh_gpus, online at
+     * @p fresh_ready.  No replica left clears the deployment.
+     */
+    void redeploy(const std::vector<std::vector<par::GpuId>> &fresh_gpus,
+                  const std::vector<sim::SimTime> &fresh_ready);
 
     /** Instances per pipeline under the fixed parallelism. */
     int instancesPerPipeline() const;
@@ -109,7 +89,6 @@ class ReroutingSystem : public serving::BaseServingSystem
     core::ParallelizationController controller_;
 
     std::optional<par::ParallelConfig> fixed_;
-    std::vector<std::unique_ptr<Slot>> slots_;
     std::deque<cluster::InstanceId> pool_;
 
     /**
@@ -119,8 +98,6 @@ class ReroutingSystem : public serving::BaseServingSystem
      * storage.
      */
     std::unordered_map<cluster::InstanceId, int> lastRole_;
-
-    int nextSlotIndex_ = 0;
 };
 
 } // namespace baselines

@@ -119,12 +119,6 @@ BaseServingSystem::replicaKvBudgetBlocks(
 void
 BaseServingSystem::onRequestArrival(const wl::Request &request)
 {
-    handleArrival(request);
-}
-
-void
-BaseServingSystem::handleArrival(const wl::Request &request)
-{
     requests_.submit(request);
     dispatchAll();
 }
@@ -274,7 +268,7 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
         requests_.requeueRestarted(std::move(evicted));
         // The evicting pipeline is mid-boundary; let idle replicas with
         // real headroom pick the work up once this event settles.
-        sim_.schedule(sim_.now(), [this] { dispatchPending(); });
+        sim_.schedule(sim_.now(), [this] { dispatchAll(); });
     };
     engine::BatchingOptions batching;
     batching.kvBudgetTokens = replicaKvBudget(config);
@@ -361,7 +355,7 @@ BaseServingSystem::dispatchable(std::size_t d) const
         return false;
     if (d < deployment_->readyAt.size() &&
         deployment_->readyAt[d] > sim_.now())
-        return false; // still finishing its progressive migration
+        return false; // not online yet
     // Its resume event loads a recovered batch first.
     return d >= deployment_->awaitingBatch.size() ||
            !deployment_->awaitingBatch[d];

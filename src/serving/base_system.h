@@ -8,6 +8,13 @@
  * deployment (configuration, device mesh, pipelines), the transfer data
  * plane, the dispatch loop, context-daemon holdings, and configuration
  * history.
+ *
+ * One deployment model serves all three systems: every system's pipelines
+ * are the replicas of its Deployment, so dispatch, boundary admission and
+ * the KV leak audit run one code path.  The systems differ only in when
+ * and how they rebuild the deployment (the ClusterListener callbacks);
+ * the one engine hook a subclass overrides is onPipelineHalted, for
+ * SpotServe's just-in-time halts.
  */
 
 #ifndef SPOTSERVE_SERVING_BASE_SYSTEM_H
@@ -112,7 +119,7 @@ class BaseServingSystem : public ServingSystem
      * been rejected, any nonzero value is a reference a recovery path
      * failed to release.
      */
-    virtual long liveKvRefs() const;
+    long liveKvRefs() const;
 
     /**
      * Observer forwarded to every pipeline's iteration-boundary callback
@@ -135,8 +142,9 @@ class BaseServingSystem : public ServingSystem
         /** Index d; broken replicas are nullptr. */
         std::vector<std::unique_ptr<engine::InferencePipeline>> pipelines;
         /**
-         * Absolute time each replica comes online (progressive migration
-         * resume); empty means all replicas are ready immediately.
+         * Absolute time each replica comes online (a progressive
+         * migration's resume, or a new Rerouting replica's engine launch);
+         * empty means all replicas are ready immediately.
          */
         std::vector<sim::SimTime> readyAt;
         /**
@@ -234,32 +242,21 @@ class BaseServingSystem : public ServingSystem
     /** Replicas of (P, M) that fit on @p num_instances. */
     int maxReplicas(int pp, int tp, int num_instances) const;
 
-    /** Hook: a replica finished its batch (default: refill from queue). */
-    virtual void onPipelineIdle(engine::InferencePipeline &pipeline);
+    /** A replica finished its batch: refill it from the queue. */
+    void onPipelineIdle(engine::InferencePipeline &pipeline);
 
-    /**
-     * Hook: hand queued work to idle replicas (used by the eviction
-     * path's deferred redispatch).  Default: dispatchAll over the
-     * deployment; systems with their own pipeline pools (rerouting
-     * slots) override with their dispatcher.
-     */
-    virtual void dispatchPending() { dispatchAll(); }
-
-    /** Hook: a replica drained after haltAfter(). */
+    /** Hook: a replica drained after haltAfter() (default: nothing). */
     virtual void onPipelineHalted(engine::InferencePipeline &pipeline);
 
-    /** Hook: request arrivals (default: submit + dispatch). */
-    virtual void handleArrival(const wl::Request &request);
-
     /**
-     * Hook: iteration-level admission (continuous batching).  Called by an
+     * Iteration-level admission (continuous batching).  Called by an
      * executing pipeline at every iteration boundary with its free slot
-     * count; the default packs the batch back toward capacity from the
-     * FIFO queue, bounded by the replica's remaining KV-token budget and
-     * by an even share of the queue when other idle replicas could take
-     * the work.  Never called once a halt is pending on the pipeline.
+     * count; packs the batch back toward capacity from the FIFO queue,
+     * bounded by the replica's remaining KV-token budget and by an even
+     * share of the queue when other idle replicas could take the work.
+     * Never called once a halt is pending on the pipeline.
      */
-    virtual std::vector<engine::ActiveRequest>
+    std::vector<engine::ActiveRequest>
     admitAtBoundary(engine::InferencePipeline &pipeline, int free_slots);
 
     /**
@@ -306,11 +303,10 @@ class BaseServingSystem : public ServingSystem
 
     /**
      * Best prefix-sharing admission quote (matched-and-live shared
-     * blocks) any live replica offers @p head.  The default scans the
-     * deployment's pipelines; systems with their own pipeline pools
-     * (rerouting slots) override.  0 for a head with no shared prefix.
+     * blocks) any deployed replica offers @p head.  0 for a head with no
+     * shared prefix.
      */
-    virtual long bestPrefixDiscount(const engine::ActiveRequest &head) const;
+    long bestPrefixDiscount(const engine::ActiveRequest &head) const;
 
     /** Build a pipeline wired to this system's callbacks. */
     std::unique_ptr<engine::InferencePipeline>
@@ -331,7 +327,7 @@ class BaseServingSystem : public ServingSystem
   private:
     /**
      * Replica @p d can take a fresh batch from dispatchAll right now:
-     * idle, no halt pending, its progressive migration finished, and no
+     * idle, no halt pending, past its readyAt, and no
      * recovered batch waiting for its resume event.  Boundary admission
      * counts the same replicas when it leaves them a share of the queue.
      */

@@ -463,8 +463,10 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
 
 TEST(PrefixSystemTest, ReroutingLeakAuditCountsSlotPipelines)
 {
-    // Rerouting keeps its pipelines in slots, not in the base deployment;
-    // the leak audit behind liveKvRefsAtEnd must still see their stores.
+    // Rerouting's pipelines are the replicas of its base deployment,
+    // dropped and rebuilt as instances churn; the leak audit behind
+    // liveKvRefsAtEnd must see their stores while they serve and read 0
+    // once every request is done.
     const auto spec = model::ModelSpec::gpt20b();
     const auto trace = churnTrace();
     const cost::SeqSpec seq{};

@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "baselines/reparallelization_system.h"
 #include "baselines/rerouting_system.h"
 #include "cluster/trace_library.h"
 #include "core/spotserve_system.h"
 #include "serving/experiment.h"
 #include "serving/presets.h"
+#include "serving/request_manager.h"
+#include "simcore/simulation.h"
 
 namespace spotserve {
 namespace {
@@ -205,6 +211,116 @@ TEST(SystemsIntegration, ReroutingKeepsFixedParallelism)
     ASSERT_FALSE(r.configHistory.empty());
     // Exactly one configuration decision, never re-parallelized.
     EXPECT_EQ(r.configHistory.size(), 1u);
+}
+
+/** A Rerouting system driven directly, so a test can schedule its own
+ *  arrivals and instance faults. */
+struct ReroutingRig
+{
+    explicit ReroutingRig(double design_rate)
+        : system(sim, instances, requests, model::ModelSpec::opt6_7b(),
+                 kParams, kSeq, options(design_rate))
+    {
+        instances.setListener(&system);
+    }
+
+    static baselines::ReroutingOptions options(double design_rate)
+    {
+        baselines::ReroutingOptions o;
+        o.designArrivalRate = design_rate;
+        return o;
+    }
+
+    /** Queue @p n requests at time @p t. */
+    void arrive(sim::SimTime t, int n)
+    {
+        for (int i = 0; i < n; ++i) {
+            wl::Request r;
+            r.id = nextId++;
+            r.arrival = t;
+            sim.schedule(t, [this, r] { system.onRequestArrival(r); });
+        }
+    }
+
+    sim::Simulation sim;
+    cluster::InstanceManager instances{sim, kParams};
+    serving::RequestManager requests{sim};
+    baselines::ReroutingSystem system;
+    wl::RequestId nextId = 0;
+};
+
+TEST(SystemsIntegration, ReroutingDealsABacklogAcrossReplicas)
+{
+    // Two replicas come online together.  The backlog queued while they
+    // initialise is dealt across both (least-loaded dispatch), not handed
+    // whole to whichever replica's online event fires first.
+    ReroutingRig rig(0.5);
+    std::map<const engine::InferencePipeline *, std::size_t> first_batch;
+    rig.system.setKvObserver([&](const engine::InferencePipeline &p) {
+        first_batch.emplace(&p, p.batch().size());
+    });
+    rig.instances.loadTrace(steadyTrace(2, 600.0));
+    rig.arrive(1.0, 4);
+    rig.sim.run(600.0);
+
+    ASSERT_EQ(rig.system.configHistory().size(), 1u);
+    const auto &config = rig.system.configHistory().front().config;
+    EXPECT_EQ(config.dp, 2);
+    EXPECT_EQ(config.pp, 1);
+    EXPECT_EQ(config.tp, 4);
+    EXPECT_EQ(config.batch, 8);
+    std::vector<std::size_t> sizes;
+    for (const auto &[pipeline, size] : first_batch)
+        sizes.push_back(size);
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 2}));
+    EXPECT_EQ(rig.requests.completedCount(), 4);
+}
+
+TEST(SystemsIntegration, ReroutingReplicaDroppedWhileInitialisingNeverServes)
+{
+    // Kill one member instance 5 s in, long before the two replicas come
+    // online (the engine launch alone takes 30 s).  The dead replica must
+    // leave the deployment at once and never start a batch; a replica is
+    // rebuilt once a fresh instance joins.
+    ReroutingRig rig(0.5);
+    std::map<const engine::InferencePipeline *, std::vector<sim::SimTime>>
+        boundaries;
+    rig.system.setKvObserver([&](const engine::InferencePipeline &p) {
+        boundaries[&p].push_back(rig.sim.now());
+    });
+    rig.instances.loadTrace(AvailabilityTrace(
+        "drop-while-initialising", 900.0,
+        {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 2},
+         TraceEvent{200.0, TraceEventKind::Join, InstanceType::Spot, 1}}));
+    int dp_after_kill = -1;
+    rig.sim.schedule(5.0, [&] {
+        rig.instances.hardPreemptInstance(
+            rig.instances.usableInstances().back()->id());
+        const auto config = rig.system.currentConfig();
+        dp_after_kill = config ? config->dp : 0;
+    });
+    rig.arrive(1.0, 4);   // queued before the kill and
+    rig.arrive(10.0, 4);  // after it: the survivor alone serves both
+    rig.arrive(400.0, 8); // dealt across the survivor and the rebuilt one
+    rig.sim.run(900.0);
+
+    EXPECT_EQ(dp_after_kill, 1);
+    // Only the survivor ran a batch before the fresh instance joined, and
+    // not before its own engine launch: the drop kept its online time.
+    std::size_t served_early = 0;
+    for (const auto &[pipeline, times] : boundaries) {
+        EXPECT_GE(times.front(), kParams.engineRestartTime);
+        if (times.front() < 200.0)
+            ++served_early;
+    }
+    EXPECT_EQ(served_early, 1u);
+    const auto config = rig.system.currentConfig();
+    ASSERT_TRUE(config.has_value());
+    EXPECT_EQ(config->dp, 2);
+    EXPECT_EQ(boundaries.size(), 2u); // the survivor and the rebuilt one
+    EXPECT_EQ(rig.requests.completedCount(), 16);
+    EXPECT_EQ(rig.requests.arrivedCount(), 16);
+    EXPECT_EQ(rig.system.liveKvRefs(), 0);
 }
 
 TEST(SystemsIntegration, SpotServeAdaptsConfiguration)
