@@ -7,6 +7,10 @@
  * fleets of N on-demand instances: cost falls with N while latency
  * rises).  The paper's headline: spot serving saves up to 54% per token
  * versus on-demand at a modest latency increase.
+ *
+ * Exits non-zero if any run leaves a request unfinished, a KV block
+ * reference live, or an arrival unaccounted for (arrived != completed +
+ * rejected + unfinished).
  */
 
 #include <cstdio>
@@ -28,6 +32,21 @@ printPoint(const char *label, const serving::ExperimentResult &r)
                 r.ondemandInstanceHours);
 }
 
+/** The run's conservation and leak audit; prints a FAIL line if broken. */
+bool
+audited(const char *label, const serving::ExperimentResult &r)
+{
+    if (r.unfinished == 0 && r.liveKvRefsAtEnd == 0 &&
+        r.arrived == r.completed + r.rejected + r.unfinished) {
+        return true;
+    }
+    std::printf("  FAIL: %s arrived %ld, completed %ld, rejected %ld, "
+                "unfinished %ld, %ld KV block refs live\n",
+                label, r.arrived, r.completed, r.rejected, r.unfinished,
+                r.liveKvRefsAtEnd);
+    return false;
+}
+
 } // namespace
 
 int
@@ -42,6 +61,7 @@ main()
     std::printf("spot $%.1f/h vs on-demand $%.1f/h per 4-GPU instance\n\n",
                 params.spotPricePerHour, params.ondemandPricePerHour);
 
+    int exit_code = 0;
     std::printf("Serving systems on the spot traces:\n");
     serving::ExperimentResult spotserve_best;
     bool have_best = false;
@@ -53,6 +73,8 @@ main()
             std::snprintf(label, sizeof(label), "%s/%s", system,
                           trace.name().c_str());
             printPoint(label, r);
+            if (!audited(label, r))
+                exit_code = 1;
             if (std::string(system) == "SpotServe" &&
                 (!have_best ||
                  r.costPerToken() < spotserve_best.costPerToken())) {
@@ -79,6 +101,8 @@ main()
         char label[64];
         std::snprintf(label, sizeof(label), "on-demand N=%d", n);
         printPoint(label, r);
+        if (!audited(label, r))
+            exit_code = 1;
         if (n == 8) {
             od_match = r;
             have_match = true;
@@ -102,5 +126,5 @@ main()
                     saving * 100.0, avg_increase * 100.0,
                     p99_increase * 100.0);
     }
-    return 0;
+    return exit_code;
 }

@@ -8,6 +8,11 @@
  * latency relative to the full system, plus the planner's side effect on
  * GPT-20B's minimum GPU count (16 -> 12 with the memory-optimised
  * planner).
+ *
+ * Exits non-zero if any run leaves a request unfinished, a KV block
+ * reference live, or an arrival unaccounted for (arrived != completed +
+ * rejected + unfinished).  Only this bench runs the controller-ablated
+ * fixed-parallelism path.
  */
 
 #include <cstdio>
@@ -54,6 +59,7 @@ main()
     const cost::SeqSpec seq{};
 
     std::printf("=== Figure 9: ablation study (GPT-20B) ===\n");
+    int exit_code = 0;
 
     cost::MemoryModel mem(spec, params);
     std::printf("memory-optimised migration planner: min #GPUs %d -> %d "
@@ -84,10 +90,19 @@ main()
                         "   done %ld/%ld\n",
                         v.name, p99, p99 / base_p99, avg, avg / base_avg,
                         r.completed, r.arrived);
+            if (r.unfinished != 0 || r.liveKvRefsAtEnd != 0 ||
+                r.arrived != r.completed + r.rejected + r.unfinished) {
+                std::printf("  FAIL: %s arrived %ld, completed %ld, "
+                            "rejected %ld, unfinished %ld, %ld KV block "
+                            "refs live\n",
+                            v.name, r.arrived, r.completed, r.rejected,
+                            r.unfinished, r.liveKvRefsAtEnd);
+                exit_code = 1;
+            }
         }
         std::printf("\n");
     }
     std::printf("(paper: cumulative ablation raises P99 up to 1.61x on "
                 "A_S and 3.41x on B_S)\n");
-    return 0;
+    return exit_code;
 }

@@ -1,7 +1,5 @@
 #include "baselines/reparallelization_system.h"
 
-#include <algorithm>
-
 #include "simcore/logging.h"
 
 namespace spotserve {
@@ -14,11 +12,12 @@ ReparallelizationSystem::ReparallelizationSystem(
     ReparallelizationOptions options)
     : BaseServingSystem(executor, instances, requests, spec, params, seq,
                         options.engine),
-      options_(options),
       controller_(spec, params, seq, cost::ConfigSpaceOptions{},
-                  options.controller)
+                  options.controller),
+      policy_(controller_, requests, options.designArrivalRate)
 {
-    sim_.scheduleAfter(kWorkloadCheckInterval, [this] { workloadTick(); });
+    sim_.scheduleAfter(core::ReconfigPolicy::kCheckInterval,
+                       [this] { workloadTick(); });
 }
 
 std::string
@@ -79,18 +78,12 @@ ReparallelizationSystem::evaluate()
     // Reactive view: every usable instance counts, including those in an
     // unnoticed grace period.
     const auto usable = instances_.usableInstances();
-    // Same planning floor as SpotServe (see SpotServeSystem::evaluate).
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
+    const double alpha = policy_.planningRate();
 
     const auto decision =
         controller_.chooseConfig(static_cast<int>(usable.size()), alpha);
     if (!decision) {
-        if (hasDeployment()) {
-            for (auto &b : haltAndCollectAll())
-                restartAndRequeue(std::move(b));
-            clearDeployment();
-        }
+        tearDownDeployment();
         phase_ = Phase::Idle;
         return;
     }
@@ -103,20 +96,11 @@ ReparallelizationSystem::evaluate()
                 forced = true;
         }
     }
-    if (!forced) {
-        // Same voluntary-change gate as SpotServe: a full restart must be
-        // forced, fix an overload, or buy a substantial latency win.
-        const double sustained =
-            std::max(requests_.estimatedArrivalRate(60.0),
-                     options_.designArrivalRate);
-        if (!core::worthReconfiguring(
-                controller_.throughputModel(), seq_, deployment().config,
-                controller_.space().instancesNeeded(deployment().config),
-                *decision, alpha, sustained, requests_.pendingCount(),
-                options_.controller.arrivalCv,
-                options_.controller.sloLatency)) {
-            return;
-        }
+    // Same voluntary-change gate as SpotServe: a full restart must be
+    // forced, fix an overload, or buy a substantial latency win.
+    if (!forced &&
+        !policy_.worthChanging(deployment().config, *decision, alpha)) {
+        return;
     }
     beginRestart(decision->config, hasDeployment() ? "availability change"
                                                    : "initial deployment");
@@ -125,44 +109,17 @@ ReparallelizationSystem::evaluate()
 void
 ReparallelizationSystem::workloadTick()
 {
-    sim_.scheduleAfter(kWorkloadCheckInterval, [this] { workloadTick(); });
+    sim_.scheduleAfter(core::ReconfigPolicy::kCheckInterval,
+                       [this] { workloadTick(); });
     if (phase_ != Phase::Serving || !hasDeployment())
         return;
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
+    const double alpha = policy_.planningRate();
     const auto usable = instances_.usableInstances();
     const auto decision =
         controller_.chooseConfig(static_cast<int>(usable.size()), alpha);
-    if (!decision || decision->config == deployment().config) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        return;
-    }
-    const double current_phi = controller_.throughputModel().throughput(
-        deployment().config, seq_);
-    const double sustained = std::max(requests_.estimatedArrivalRate(60.0),
-                                      options_.designArrivalRate);
-    const bool overloaded = current_phi < sustained;
-    if (!core::worthReconfiguring(
-            controller_.throughputModel(), seq_, deployment().config,
-            controller_.space().instancesNeeded(deployment().config),
-            *decision, alpha, sustained, requests_.pendingCount(),
-            options_.controller.arrivalCv,
-            options_.controller.sloLatency)) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        return;
-    }
-    if (lastSuggestion_ && *lastSuggestion_ == decision->config)
-        ++suggestionStreak_;
-    else
-        suggestionStreak_ = 1;
-    lastSuggestion_ = decision->config;
-    if (overloaded || suggestionStreak_ >= 2) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        beginRestart(decision->config,
-                     overloaded ? "overload detected" : "workload change");
+    if (const auto reason =
+            policy_.periodic(deployment().config, decision, alpha)) {
+        beginRestart(decision->config, *reason);
     }
 }
 
@@ -172,11 +129,7 @@ ReparallelizationSystem::beginRestart(const par::ParallelConfig &target,
 {
     // Full system restart: every in-flight request recomputes from
     // scratch, and all instances reload weights from persistent storage.
-    if (hasDeployment()) {
-        for (auto &b : haltAndCollectAll())
-            restartAndRequeue(std::move(b));
-        clearDeployment();
-    }
+    tearDownDeployment();
     phase_ = Phase::Restarting;
     pending_ = PendingRestart{target, reason};
 

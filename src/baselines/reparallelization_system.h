@@ -75,11 +75,9 @@ class ReparallelizationSystem : public serving::BaseServingSystem
                       const std::string &reason);
     void activate();
 
-    /** Workload monitor period (SpotServe's 30 s). */
-    static constexpr double kWorkloadCheckInterval = 30.0;
-
-    ReparallelizationOptions options_;
     core::ParallelizationController controller_;
+    /** SpotServe's reconfiguration policy, over this controller. */
+    core::ReconfigPolicy policy_;
 
     Phase phase_ = Phase::Idle;
     bool evalScheduled_ = false;
@@ -92,8 +90,6 @@ class ReparallelizationSystem : public serving::BaseServingSystem
     };
     std::optional<PendingRestart> pending_;
 
-    std::optional<par::ParallelConfig> lastSuggestion_;
-    int suggestionStreak_ = 0;
     int restarts_ = 0;
 };
 

@@ -16,9 +16,9 @@ ReroutingSystem::ReroutingSystem(sim::Executor &executor,
                                  ReroutingOptions options)
     : BaseServingSystem(executor, instances, requests, spec, params, seq,
                         options.engine),
-      options_(options),
       controller_(spec, params, seq, cost::ConfigSpaceOptions{},
-                  options.controller)
+                  options.controller),
+      policy_(controller_, requests, options.designArrivalRate)
 {
 }
 
@@ -43,9 +43,7 @@ ReroutingSystem::ensureFixedConfig()
     if (fixed_)
         return;
     const int n = instances_.usableCount();
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
-    const auto decision = controller_.chooseConfig(n, alpha);
+    const auto decision = controller_.chooseConfig(n, policy_.planningRate());
     if (!decision)
         return;
     fixed_ = decision->config;

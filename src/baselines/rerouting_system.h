@@ -85,8 +85,9 @@ class ReroutingSystem : public serving::BaseServingSystem
     /** Instances per pipeline under the fixed parallelism. */
     int instancesPerPipeline() const;
 
-    ReroutingOptions options_;
     core::ParallelizationController controller_;
+    /** Supplies the rate the fixed configuration is chosen for. */
+    core::ReconfigPolicy policy_;
 
     std::optional<par::ParallelConfig> fixed_;
     std::deque<cluster::InstanceId> pool_;

@@ -1,42 +1,13 @@
 #include "core/controller.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "serving/request_manager.h"
+
 namespace spotserve {
 namespace core {
-
-bool
-worthReconfiguring(const cost::ThroughputModel &model,
-                   const cost::SeqSpec &seq,
-                   const par::ParallelConfig &current,
-                   int current_instances,
-                   const ControllerDecision &decision, double alpha_plan,
-                   double sustained_rate, std::size_t queue_length,
-                   double arrival_cv, double slo_latency)
-{
-    if (decision.config == current)
-        return false;
-    const double current_phi = model.throughput(current, seq);
-    if (current_phi < sustained_rate)
-        return true; // demand exceeds capacity: must upgrade
-    const bool backlog =
-        queue_length >
-        3 * static_cast<std::size_t>(current.concurrentRequests());
-    if (backlog && decision.throughput > 1.2 * current_phi)
-        return true; // a real capacity bump would drain the backlog
-    if (slo_latency > 0.0 && decision.meetsDemand &&
-        decision.instancesNeeded + 1 < current_instances &&
-        decision.estimatedLatency <= slo_latency) {
-        // SLO objective: shedding instances is the point.  Require at
-        // least two instances of savings so borderline alternatives do
-        // not flap the deployment back and forth.
-        return true;
-    }
-    const double current_lat =
-        model.requestLatency(current, seq, alpha_plan, arrival_cv);
-    return decision.estimatedLatency <= 0.8 * current_lat;
-}
 
 ParallelizationController::ParallelizationController(
     const model::ModelSpec &spec, const cost::CostParams &params,
@@ -195,6 +166,94 @@ ParallelizationController::chooseConfig(int available_instances,
     if (!best)
         return std::nullopt;
     return decisionOf(*best, false);
+}
+
+bool
+ParallelizationController::worthReconfiguring(
+    const par::ParallelConfig &current, const ControllerDecision &decision,
+    double alpha_plan, double sustained_rate, std::size_t queue_length) const
+{
+    if (decision.config == current)
+        return false;
+    const double current_phi = throughput_.throughput(current, seq_);
+    if (current_phi < sustained_rate)
+        return true; // demand exceeds capacity: must upgrade
+    const bool backlog =
+        queue_length >
+        3 * static_cast<std::size_t>(current.concurrentRequests());
+    if (backlog && decision.throughput > 1.2 * current_phi)
+        return true; // a real capacity bump would drain the backlog
+    if (options_.sloLatency > 0.0 && decision.meetsDemand &&
+        decision.instancesNeeded + 1 < space_.instancesNeeded(current) &&
+        decision.estimatedLatency <= options_.sloLatency) {
+        // SLO objective: shedding instances is the point.  Require at
+        // least two instances of savings so borderline alternatives do
+        // not flap the deployment back and forth.
+        return true;
+    }
+    const double current_lat = throughput_.requestLatency(
+        current, seq_, alpha_plan, options_.arrivalCv);
+    return decision.estimatedLatency <= 0.8 * current_lat;
+}
+
+ReconfigPolicy::ReconfigPolicy(const ParallelizationController &controller,
+                               const serving::RequestManager &requests,
+                               double design_arrival_rate)
+    : controller_(controller), requests_(requests),
+      designArrivalRate_(design_arrival_rate)
+{
+}
+
+double
+ReconfigPolicy::planningRate() const
+{
+    return std::max(requests_.estimatedArrivalRate(120.0),
+                    designArrivalRate_);
+}
+
+double
+ReconfigPolicy::sustainedRate() const
+{
+    return std::max(requests_.estimatedArrivalRate(60.0),
+                    designArrivalRate_);
+}
+
+bool
+ReconfigPolicy::worthChanging(const par::ParallelConfig &current,
+                              const ControllerDecision &decision,
+                              double alpha) const
+{
+    return controller_.worthReconfiguring(current, decision, alpha,
+                                          sustainedRate(),
+                                          requests_.pendingCount());
+}
+
+std::optional<std::string>
+ReconfigPolicy::periodic(const par::ParallelConfig &current,
+                         const std::optional<ControllerDecision> &decision,
+                         double alpha)
+{
+    std::optional<std::string> reason;
+    if (decision && decision->config != current) {
+        const double sustained = sustainedRate();
+        if (controller_.worthReconfiguring(current, *decision, alpha,
+                                           sustained,
+                                           requests_.pendingCount())) {
+            streak_ = lastSuggestion_ == decision->config ? streak_ + 1 : 1;
+            lastSuggestion_ = decision->config;
+            // Overload = sustained demand (60 s window) above capacity.
+            if (controller_.throughputModel().throughput(
+                    current, controller_.seq()) < sustained)
+                reason = "overload detected";
+            else if (streak_ < 2)
+                return std::nullopt;
+            else
+                reason = "workload change";
+        }
+    }
+    lastSuggestion_.reset();
+    streak_ = 0;
+    return reason;
 }
 
 } // namespace core

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <map>
 #include <optional>
+#include <string>
 #include <tuple>
 
 #include "costmodel/config_space.h"
@@ -25,6 +26,10 @@
 #include "model/model_spec.h"
 
 namespace spotserve {
+namespace serving {
+class RequestManager;
+} // namespace serving
+
 namespace core {
 
 /** Controller tuning knobs. */
@@ -57,28 +62,6 @@ struct ControllerDecision
     /** Instances the configuration occupies. */
     int instancesNeeded = 0;
 };
-
-/**
- * Shared gate for *voluntary* reconfigurations (no mesh member lost).
- * A disruption is worth it only when the deployment is genuinely
- * struggling — sustained demand above capacity, or a large backlog that a
- * meaningfully higher-throughput configuration would drain — when the
- * estimated request latency improves by at least 20%, or (under an SLO
- * objective) when the decision saves instances while still meeting the
- * SLO.  Without this gate bursty CV-6 arrival estimates thrash every
- * system through marginal config changes.
- *
- * @param current_instances instances the current deployment occupies.
- * @param slo_latency the SLO in seconds, or 0 when latency-minimising.
- */
-bool worthReconfiguring(const cost::ThroughputModel &model,
-                        const cost::SeqSpec &seq,
-                        const par::ParallelConfig &current,
-                        int current_instances,
-                        const ControllerDecision &decision,
-                        double alpha_plan, double sustained_rate,
-                        std::size_t queue_length, double arrival_cv,
-                        double slo_latency = 0.0);
 
 /**
  * How much model-evaluation work the most recent chooseConfig sweep did —
@@ -142,10 +125,26 @@ class ParallelizationController
      */
     static constexpr double kSimilarLatencyFactor = 1.10;
 
+    /**
+     * The gate for *voluntary* reconfigurations (no mesh member lost).
+     * A disruption is worth it only when the deployment is genuinely
+     * struggling — sustained demand above capacity, or a large backlog
+     * that a meaningfully higher-throughput configuration would drain —
+     * when the estimated request latency improves by at least 20%, or
+     * (under an SLO objective) when the decision saves instances while
+     * still meeting the SLO.  Without this gate bursty CV-6 arrival
+     * estimates thrash every system through marginal config changes.
+     */
+    bool worthReconfiguring(const par::ParallelConfig &current,
+                            const ControllerDecision &decision,
+                            double alpha_plan, double sustained_rate,
+                            std::size_t queue_length) const;
+
     /** Evaluation work done by the most recent chooseConfig call. */
     const SweepStats &lastSweepStats() const { return lastSweep_; }
 
     const cost::ConfigSpace &space() const { return space_; }
+    const cost::SeqSpec &seq() const { return seq_; }
     const cost::ThroughputModel &throughputModel() const
     {
         return throughput_;
@@ -180,6 +179,60 @@ class ParallelizationController
     mutable std::map<LatencyKey, double> latencyCache_;
     static constexpr std::size_t kLatencyCacheCap = 1 << 18;
     mutable SweepStats lastSweep_{};
+};
+
+/**
+ * The reconfiguration policy the three systems share (§3.2): the rate
+ * they plan for, the voluntary-change gate and the workload monitor's
+ * hysteresis.  Reparallelization changes configuration through this same
+ * policy, so "the configuration of Reparallelization is always
+ * consistent with SpotServe" (Figure 8).
+ */
+class ReconfigPolicy
+{
+  public:
+    /** Workload monitor period (the paper samples alpha_t over 30 s). */
+    static constexpr double kCheckInterval = 30.0;
+
+    ReconfigPolicy(const ParallelizationController &controller,
+                   const serving::RequestManager &requests,
+                   double design_arrival_rate);
+
+    /**
+     * The 120 s arrival estimate, floored at the design rate: the 30 s
+     * estimator is extremely noisy under CV = 6 burstiness, and scaling
+     * down during a lull only to be overloaded by the next burst would
+     * thrash.
+     */
+    double planningRate() const;
+
+    /** The controller's gate, at the 60 s sustained rate and the queue. */
+    bool worthChanging(const par::ParallelConfig &current,
+                       const ControllerDecision &decision,
+                       double alpha) const;
+
+    /**
+     * One workload-monitor check: the reason to move to @p decision, or
+     * nothing.  Sustained demand above phi(@p current) is "overload
+     * detected" at once; any other gate-passing change is a "workload
+     * change" once suggested on two consecutive checks.  A different
+     * suggestion restarts the count; anything else resets it.
+     */
+    std::optional<std::string>
+    periodic(const par::ParallelConfig &current,
+             const std::optional<ControllerDecision> &decision,
+             double alpha);
+
+  private:
+    /** The 60 s arrival estimate, floored at the design rate. */
+    double sustainedRate() const;
+
+    const ParallelizationController &controller_;
+    const serving::RequestManager &requests_;
+    double designArrivalRate_;
+
+    std::optional<par::ParallelConfig> lastSuggestion_;
+    int streak_ = 0;
 };
 
 } // namespace core

@@ -395,23 +395,19 @@ MigrationPlanner::timeOnIdleLinks(MigrationPlan &plan,
     //    then every step's closed-form port-bottleneck wire time back to
     //    back, with per-instance disk/S3 cold loads overlapped — is
     //    always computed: it is the cheap screening estimate and the
-    //    baseline the bench gate compares against.  With linkSchedule
-    //    on, the plan's actual timeline comes from the link-level
-    //    schedule instead: steps interleave across disjoint instance
-    //    pairs, and transfers sharing a port serialize honestly.  The
-    //    link schedule is adopted as is; core_planner_test and the bench
-    //    gates check that it never exceeds the serialized cursor.
+    //    baseline the bench gate compares against.  The plan's actual
+    //    timeline comes from the link-level schedule: steps interleave
+    //    across disjoint instance pairs, and transfers sharing a port
+    //    serialize honestly.  The link schedule is adopted as is;
+    //    core_planner_test and the bench gates check that it never
+    //    exceeds the serialized cursor.
     // ------------------------------------------------------------------
     const double setup = params_.migrationSetupTime;
-    const std::size_t n = plan.steps.size();
-    std::vector<double> ser_start(n, setup);
-    std::vector<double> ser_finish(n, setup);
     {
         double wire_cursor = setup;
         std::map<int, double> disk_cursor; // per-instance disk completion
-        for (std::size_t i = 0; i < n; ++i) {
-            const MigrationStep &step = plan.steps[i];
-            ser_start[i] = wire_cursor;
+        plan.serializedDuration = setup;
+        for (const MigrationStep &step : plan.steps) {
             wire_cursor += costModel_.wireTime(step.transfers);
             double step_end = wire_cursor;
             for (const auto &[inst, bytes] : step.coldLoads) {
@@ -420,22 +416,16 @@ MigrationPlanner::timeOnIdleLinks(MigrationPlan &plan,
                          bytes / params_.diskBandwidth;
                 step_end = std::max(step_end, cursor);
             }
-            ser_finish[i] = step_end;
+            plan.serializedDuration =
+                std::max(plan.serializedDuration, step_end);
         }
-        plan.serializedDuration = setup;
-        for (double f : ser_finish)
-            plan.serializedDuration = std::max(plan.serializedDuration, f);
     }
 
-    if (options.linkSchedule) {
-        cost::LinkScheduleOptions lopts;
-        lopts.startTime = 0.0;
-        lopts.setupTime = setup;
-        const auto sched = linkScheduler_.build(transferSteps(plan), lopts);
-        retime(plan, target, options, sched.stepStart, sched.stepFinish);
-    } else {
-        retime(plan, target, options, ser_start, ser_finish);
-    }
+    cost::LinkScheduleOptions lopts;
+    lopts.startTime = 0.0;
+    lopts.setupTime = setup;
+    const auto sched = linkScheduler_.build(transferSteps(plan), lopts);
+    retime(plan, target, options, sched.stepStart, sched.stepFinish);
 }
 
 std::vector<cost::TransferStep>

@@ -113,8 +113,8 @@ struct MigrationPlan
      * The legacy serialized-cursor duration: setup + every step's
      * closed-form port-bottleneck wire time back to back (disk loads
      * overlapped).  Kept as the planner's cheap screening estimate and
-     * the bench's comparison baseline; equals totalDuration when the
-     * link scheduler is disabled.
+     * the bench's comparison baseline; the link-scheduled totalDuration
+     * never exceeds it.
      */
     double serializedDuration = 0.0;
 
@@ -140,16 +140,6 @@ struct PlannerOptions
 
     /** Move the cache context (the arranger may decide not to, §4.1). */
     bool migrateCache = true;
-
-    /**
-     * Time the plan with the link-level scheduler (cost::LinkSchedule):
-     * steps interleave across disjoint instance pairs instead of
-     * serializing on a global wire cursor.  The serialized cursor stays
-     * computed as the screening estimate (MigrationPlan::
-     * serializedDuration).  Disable for the legacy serialized-cursor
-     * timing (ablation).
-     */
-    bool linkSchedule = true;
 };
 
 /**
@@ -204,9 +194,10 @@ class MigrationPlanner
              PlannerOptions options = {}) const;
 
     /**
-     * Time @p plan on idle links: the serialized cursor, then (with
-     * options.linkSchedule) the link-level schedule from origin 0, and
-     * retime from its step offsets.  Sets plan.timed.
+     * Time @p plan on idle links: the serialized cursor (the screening
+     * estimate, MigrationPlan::serializedDuration), then the link-level
+     * schedule from origin 0, and retime from its step offsets.  Sets
+     * plan.timed.
      */
     void timeOnIdleLinks(MigrationPlan &plan,
                          const par::ParallelConfig &target,

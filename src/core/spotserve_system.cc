@@ -33,14 +33,16 @@ SpotServeSystem::SpotServeSystem(sim::Executor &executor,
               DeviceMapperOptions{options.enableDeviceMapper,
                                   options.enableArranger,
                                   /*identityFastPath=*/true}),
-      planner_(spec, params), arranger_(latency_)
+      planner_(spec, params), arranger_(latency_),
+      policy_(controller_, requests, options.designArrivalRate)
 {
     // The KV budget must deduct the same migration reserve the
     // feasibility check assumed (naive double-buffering when the
     // memory-optimised planner is ablated).
     setMemOptReserve(options_.enableMigrationPlanner);
     // Periodic workload monitor (overload and scale-down detection, §3.2).
-    sim_.scheduleAfter(kWorkloadCheckInterval, [this] { workloadTick(); });
+    sim_.scheduleAfter(ReconfigPolicy::kCheckInterval,
+                       [this] { workloadTick(); });
     if (options_.dynamicAllocation) {
         // Nothing may ever join on its own in dynamic mode: bootstrap the
         // fleet from the declared workload.
@@ -234,11 +236,7 @@ SpotServeSystem::evaluate()
         return;
     }
 
-    // Plan for at least the declared expected load: the 30 s estimator is
-    // extremely noisy under CV = 6 burstiness, and scaling down during a
-    // lull only to be overloaded by the next burst would thrash.
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
+    const double alpha = policy_.planningRate();
 
     if (options_.dynamicAllocation)
         manageFleet(alpha);
@@ -278,13 +276,7 @@ SpotServeSystem::shouldReconfigure(const ControllerDecision &decision,
     // Voluntary change (e.g. new capacity joined): only worth a
     // reconfiguration when the deployment is struggling or the win is
     // substantial; otherwise the newcomers wait in the candidate pool.
-    const double sustained = std::max(requests_.estimatedArrivalRate(60.0),
-                                      options_.designArrivalRate);
-    return worthReconfiguring(
-        controller_.throughputModel(), seq_, deployment().config,
-        controller_.space().instancesNeeded(deployment().config), decision,
-        alpha, sustained, requests_.pendingCount(),
-        options_.controller.arrivalCv, options_.controller.sloLatency);
+    return policy_.worthChanging(deployment().config, decision, alpha);
 }
 
 double
@@ -350,8 +342,7 @@ SpotServeSystem::finishPlanning()
 
     // Re-validate the decision against the fleet as it stands now: joins,
     // notices or preemptions may have landed while the pass ran.
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
+    const double alpha = policy_.planningRate();
     const auto survivors = instances_.survivingInstances();
     const auto decision = decide(static_cast<int>(survivors.size()), alpha);
     if (!decision) {
@@ -404,54 +395,19 @@ SpotServeSystem::manageFleet(double alpha)
 void
 SpotServeSystem::workloadTick()
 {
-    sim_.scheduleAfter(kWorkloadCheckInterval, [this] { workloadTick(); });
+    sim_.scheduleAfter(ReconfigPolicy::kCheckInterval,
+                       [this] { workloadTick(); });
     if (phase_ != Phase::Serving || !hasDeployment())
         return;
 
-    const double alpha = std::max(requests_.estimatedArrivalRate(120.0),
-                                  options_.designArrivalRate);
+    const double alpha = policy_.planningRate();
     if (options_.dynamicAllocation)
         manageFleet(alpha);
     const auto survivors = instances_.survivingInstances();
     const auto decision = decide(static_cast<int>(survivors.size()), alpha);
-    if (!decision || decision->config == deployment().config) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        return;
-    }
-
-    // Overload = sustained demand (60 s window) above capacity.
-    const double current_phi = controller_.throughputModel().throughput(
-        deployment().config, seq_);
-    const double sustained = std::max(requests_.estimatedArrivalRate(60.0),
-                                      options_.designArrivalRate);
-    const bool overloaded = current_phi < sustained;
-
-    if (!worthReconfiguring(
-            controller_.throughputModel(), seq_, deployment().config,
-            controller_.space().instancesNeeded(deployment().config),
-            *decision, alpha, sustained, requests_.pendingCount(),
-            options_.controller.arrivalCv,
-            options_.controller.sloLatency)) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        return;
-    }
-
-    // Hysteresis: act immediately on overload, otherwise require the same
-    // suggestion on consecutive checks to avoid flapping on bursty
-    // arrival estimates (CV = 6).
-    if (lastSuggestion_ && *lastSuggestion_ == decision->config)
-        ++suggestionStreak_;
-    else
-        suggestionStreak_ = 1;
-    lastSuggestion_ = decision->config;
-
-    if (overloaded || suggestionStreak_ >= 2) {
-        lastSuggestion_.reset();
-        suggestionStreak_ = 0;
-        requestReconfig(decision->config,
-                        overloaded ? "overload detected" : "workload change");
+    if (const auto reason =
+            policy_.periodic(deployment().config, decision, alpha)) {
+        requestReconfig(decision->config, *reason);
     }
 }
 
@@ -1265,12 +1221,7 @@ SpotServeSystem::scheduleRetryEval()
 void
 SpotServeSystem::suspendServing()
 {
-    if (hasDeployment()) {
-        auto batches = haltAndCollectAll();
-        for (auto &b : batches)
-            restartAndRequeue(std::move(b));
-        clearDeployment();
-    }
+    tearDownDeployment();
     phase_ = Phase::Idle;
     sim::logWarn("t=" + std::to_string(sim_.now()) +
                  " SpotServe: no feasible configuration; serving suspended");

@@ -62,10 +62,9 @@ struct SpotServeOptions
     serving::EngineOptions engine{};
 
     /**
-     * Expected workload rate used to size the very first deployment (the
-     * arrival-rate estimator has no history at t=0); subsequent decisions
-     * use max(estimate, designArrivalRate) only while no deployment
-     * exists.
+     * Expected workload rate: the floor of every rate the
+     * ReconfigPolicy plans for (the arrival-rate estimator has no history
+     * at t=0, and a lull must not shrink the deployment below it).
      */
     double designArrivalRate = 0.0;
 
@@ -178,7 +177,7 @@ class SpotServeSystem : public serving::BaseServingSystem
      * The one reconfiguration gate evaluate() and finishPlanning() share:
      * true when the remap is forced (no deployment, a mesh member dying
      * or gone, a broken replica) or the voluntary change passes
-     * worthReconfiguring.
+     * ReconfigPolicy::worthChanging.
      */
     bool shouldReconfigure(const ControllerDecision &decision,
                            double alpha) const;
@@ -232,8 +231,6 @@ class SpotServeSystem : public serving::BaseServingSystem
     /** Tear everything down and queue all work (cannot serve). */
     void suspendServing();
 
-    /** Workload monitor period (the paper samples alpha_t over 30 s). */
-    static constexpr double kWorkloadCheckInterval = 30.0;
     /** Re-plan attempts after a failed migration before cold restart. */
     static constexpr int kMigrationMaxRetries = 3;
     /** Base seconds of the exponential retry backoff (base * 2^k). */
@@ -252,6 +249,8 @@ class SpotServeSystem : public serving::BaseServingSystem
     DeviceMapper mapper_;
     MigrationPlanner planner_;
     InterruptionArranger arranger_;
+    /** Planning rate, voluntary-change gate and monitor hysteresis. */
+    ReconfigPolicy policy_;
 
     Phase phase_ = Phase::Idle;
     bool evalScheduled_ = false;
@@ -320,10 +319,6 @@ class SpotServeSystem : public serving::BaseServingSystem
 
     /** Fixed parallelism once chosen (controller ablation). */
     mutable std::optional<par::ParallelConfig> fixedParallelism_;
-
-    /** Workload-monitor hysteresis. */
-    std::optional<par::ParallelConfig> lastSuggestion_;
-    int suggestionStreak_ = 0;
 
     /** Reason carried from the planning request to the commit. */
     std::string planReason_;

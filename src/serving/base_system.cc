@@ -437,21 +437,23 @@ BaseServingSystem::dispatchAll()
     }
 }
 
-std::vector<std::vector<engine::ActiveRequest>>
-BaseServingSystem::haltAndCollectAll()
+void
+BaseServingSystem::tearDownDeployment()
 {
-    std::vector<std::vector<engine::ActiveRequest>> out;
     if (!deployment_)
-        return out;
-    out.resize(deployment_->pipelines.size());
+        return;
+    std::vector<std::vector<engine::ActiveRequest>> batches(
+        deployment_->pipelines.size());
     for (std::size_t d = 0; d < deployment_->pipelines.size(); ++d) {
         auto &p = deployment_->pipelines[d];
         if (!p)
             continue;
         p->haltNow();
-        out[d] = p->takeBatch();
+        batches[d] = p->takeBatch();
     }
-    return out;
+    for (auto &b : batches)
+        restartAndRequeue(std::move(b));
+    clearDeployment();
 }
 
 std::vector<engine::ActiveRequest>

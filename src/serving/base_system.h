@@ -214,11 +214,12 @@ class BaseServingSystem : public ServingSystem
     void dispatchAll();
 
     /**
-     * Halt every executing pipeline immediately and collect all batches,
-     * indexed by replica.  Committed progress is preserved; the caller
-     * decides whether the cache context survives.
+     * Stop serving entirely: halt every replica, then restart and requeue
+     * their batches in replica order, then clear the deployment.  The
+     * cache context is lost, so every interrupted request recomputes.
+     * No-op without a deployment.
      */
-    std::vector<std::vector<engine::ActiveRequest>> haltAndCollectAll();
+    void tearDownDeployment();
 
     /** Remove one replica's pipeline and return its batch. */
     std::vector<engine::ActiveRequest> removePipeline(int idx);

@@ -7,13 +7,7 @@
 namespace spotserve {
 namespace serving {
 
-RequestManager::RequestManager(sim::Executor &executor,
-                               double rate_window_seconds)
-    : sim_(executor), rateWindow_(rate_window_seconds)
-{
-    if (rate_window_seconds <= 0.0)
-        throw std::invalid_argument("RequestManager: bad rate window");
-}
+RequestManager::RequestManager(sim::Executor &executor) : sim_(executor) {}
 
 void
 RequestManager::submit(const wl::Request &request)
@@ -141,12 +135,6 @@ RequestManager::rejectHead()
     if (rejectionObserver_)
         rejectionObserver_(id);
     return id;
-}
-
-double
-RequestManager::estimatedArrivalRate() const
-{
-    return estimatedArrivalRate(rateWindow_);
 }
 
 double

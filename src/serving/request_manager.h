@@ -4,9 +4,9 @@
  *
  * The inference server's request manager receives input requests,
  * partitions them into batches for the inference pipelines, and collects
- * outputs (§3.1).  It also estimates the arrival rate alpha_t by observing
- * arrivals over a short trailing window (30 s, §3.2 footnote), which the
- * parallelization controller consumes.
+ * outputs (§3.1).  It also estimates the arrival rate alpha_t by counting
+ * arrivals over a caller-chosen trailing window, which the
+ * reconfiguration policy (core::ReconfigPolicy) consumes.
  */
 
 #ifndef SPOTSERVE_SERVING_REQUEST_MANAGER_H
@@ -43,8 +43,7 @@ struct CompletionRecord
 class RequestManager
 {
   public:
-    explicit RequestManager(sim::Executor &executor,
-                            double rate_window_seconds = 30.0);
+    explicit RequestManager(sim::Executor &executor);
 
     /** A new request arrived (from the workload). */
     void submit(const wl::Request &request);
@@ -143,12 +142,11 @@ class RequestManager
     std::size_t pendingCount() const { return pending_.size(); }
 
     /**
-     * Arrivals per second over a trailing window (alpha_t).  The default
-     * window is the construction-time one (30 s, §3.2 footnote); longer
-     * windows (up to 180 s of retained history) give smoother estimates
-     * for scale-down and overload decisions.
+     * Arrivals per second over the trailing @p window_seconds (alpha_t).
+     * The paper samples 30 s (§3.2 footnote); longer windows (up to 180 s
+     * of retained history) give the smoother estimates the
+     * reconfiguration policy plans and detects overload with.
      */
-    double estimatedArrivalRate() const;
     double estimatedArrivalRate(double window_seconds) const;
 
     /** Record a finished request (feeds the output-length predictor). */
@@ -257,7 +255,6 @@ class RequestManager
                          engine::KvAdmissionMode mode);
 
     sim::Executor &sim_;
-    double rateWindow_;
     OutputLengthPredictor predictor_;
 
     std::deque<engine::ActiveRequest> pending_;

@@ -8,8 +8,11 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 
 #include "core/controller.h"
+#include "serving/request_manager.h"
+#include "simcore/simulation.h"
 
 namespace spotserve::core {
 namespace {
@@ -132,15 +135,14 @@ TEST(ControllerTest, MonotoneInInstances)
 
 TEST(WorthReconfiguringTest, GatesMarginalChanges)
 {
-    const auto spec = model::ModelSpec::gpt20b();
-    cost::LatencyModel lat(spec, kParams);
-    cost::ThroughputModel thr(lat);
+    const auto ctrl = gptController();
+    const auto &thr = ctrl.throughputModel();
 
     par::ParallelConfig current{2, 2, 8, 8};
     ControllerDecision d;
     d.config = current;
     // Identical config: never worth it.
-    EXPECT_FALSE(worthReconfiguring(thr, kSeq, current, 8, d, 0.35, 0.35, 0, 6.0));
+    EXPECT_FALSE(ctrl.worthReconfiguring(current, d, 0.35, 0.35, 0));
 
     // A change that does NOT substantially improve latency: gated.
     d.config = par::ParallelConfig{2, 3, 4, 8};
@@ -148,23 +150,104 @@ TEST(WorthReconfiguringTest, GatesMarginalChanges)
     d.estimatedLatency = thr.requestLatency(d.config, kSeq, 0.35, 6.0);
     ASSERT_GT(d.estimatedLatency,
               0.8 * thr.requestLatency(current, kSeq, 0.35, 6.0));
-    EXPECT_FALSE(
-        worthReconfiguring(thr, kSeq, current, 8, d, 0.35, 0.35, 0, 6.0));
+    EXPECT_FALSE(ctrl.worthReconfiguring(current, d, 0.35, 0.35, 0));
 
     // Sustained demand above capacity: must act.
     const double phi = thr.throughput(current, kSeq);
-    EXPECT_TRUE(worthReconfiguring(thr, kSeq, current, 8, d, phi * 2.0,
-                                   phi * 2.0, 0, 6.0));
+    EXPECT_TRUE(
+        ctrl.worthReconfiguring(current, d, phi * 2.0, phi * 2.0, 0));
 
     // Backlog alone only matters with a real capacity bump.
-    EXPECT_FALSE(worthReconfiguring(thr, kSeq, current, 8, d, 0.35, 0.35, 500,
-                                    6.0));
+    EXPECT_FALSE(ctrl.worthReconfiguring(current, d, 0.35, 0.35, 500));
     ControllerDecision big = d;
     big.config = par::ParallelConfig{4, 2, 8, 8};
     big.throughput = 2.0 * phi;
     big.estimatedLatency = d.estimatedLatency;
-    EXPECT_TRUE(
-        worthReconfiguring(thr, kSeq, current, 8, big, 0.35, 0.35, 500, 6.0));
+    EXPECT_TRUE(ctrl.worthReconfiguring(current, big, 0.35, 0.35, 500));
+}
+
+/** The workload monitor's hysteresis over one controller. */
+class ReconfigPolicyTest : public ::testing::Test
+{
+  protected:
+    const par::ParallelConfig current{2, 2, 8, 8};
+
+    /** A suggestion passing the gate on latency alone (no overload). */
+    ControllerDecision better(const par::ParallelConfig &config) const
+    {
+        ControllerDecision d;
+        d.config = config;
+        d.throughput = ctrl.throughputModel().throughput(config, kSeq);
+        d.estimatedLatency = 0.5 * ctrl.throughputModel().requestLatency(
+                                       current, kSeq, 0.35, 6.0);
+        d.meetsDemand = true;
+        return d;
+    }
+
+    sim::Simulation sim;
+    serving::RequestManager requests{sim};
+    ParallelizationController ctrl = gptController();
+    ReconfigPolicy policy{ctrl, requests, 0.35};
+};
+
+TEST_F(ReconfigPolicyTest, PlanningRateIsTheFlooredLongEstimate)
+{
+    // No arrivals yet: the declared design rate.
+    EXPECT_DOUBLE_EQ(policy.planningRate(), 0.35);
+    // 2 req/s over the last 120 s lifts it to the estimate.
+    for (int i = 0; i < 240; ++i) {
+        sim.schedule(i * 0.5, [this, i] {
+            wl::Request r;
+            r.id = i;
+            r.arrival = i * 0.5;
+            requests.submit(r);
+        });
+    }
+    sim.run(120.0);
+    EXPECT_NEAR(policy.planningRate(), 2.0, 1e-9);
+}
+
+TEST_F(ReconfigPolicyTest, OverloadActsOnTheFirstCheck)
+{
+    const double phi = ctrl.throughputModel().throughput(current, kSeq);
+    ReconfigPolicy overloaded(ctrl, requests, 2.0 * phi);
+    ControllerDecision big = better(par::ParallelConfig{4, 2, 8, 8});
+    EXPECT_EQ(overloaded.periodic(current, big, 2.0 * phi),
+              std::optional<std::string>("overload detected"));
+}
+
+TEST_F(ReconfigPolicyTest, WorkloadChangeNeedsTwoIdenticalChecks)
+{
+    const auto a = better(par::ParallelConfig{2, 3, 4, 8});
+    EXPECT_TRUE(policy.worthChanging(current, a, 0.35));
+    EXPECT_EQ(policy.periodic(current, a, 0.35), std::nullopt);
+    EXPECT_EQ(policy.periodic(current, a, 0.35),
+              std::optional<std::string>("workload change"));
+    // Acting resets the count: the next identical check starts over.
+    EXPECT_EQ(policy.periodic(current, a, 0.35), std::nullopt);
+}
+
+TEST_F(ReconfigPolicyTest, DifferentSuggestionRestartsTheCount)
+{
+    const auto a = better(par::ParallelConfig{2, 3, 4, 8});
+    const auto b = better(par::ParallelConfig{1, 2, 8, 8});
+    EXPECT_EQ(policy.periodic(current, a, 0.35), std::nullopt);
+    EXPECT_EQ(policy.periodic(current, b, 0.35), std::nullopt);
+    EXPECT_EQ(policy.periodic(current, a, 0.35), std::nullopt);
+    EXPECT_EQ(policy.periodic(current, a, 0.35),
+              std::optional<std::string>("workload change"));
+}
+
+TEST_F(ReconfigPolicyTest, CurrentConfigOrNoDecisionResets)
+{
+    const auto a = better(par::ParallelConfig{2, 3, 4, 8});
+    EXPECT_EQ(policy.periodic(current, a, 0.35), std::nullopt);
+    EXPECT_EQ(policy.periodic(current, better(current), 0.35), std::nullopt);
+    EXPECT_EQ(policy.periodic(current, a, 0.35), std::nullopt);
+    EXPECT_EQ(policy.periodic(current, std::nullopt, 0.35), std::nullopt);
+    EXPECT_EQ(policy.periodic(current, a, 0.35), std::nullopt);
+    EXPECT_EQ(policy.periodic(current, a, 0.35),
+              std::optional<std::string>("workload change"));
 }
 
 /**

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the inference-pipeline simulator and context arithmetic.
+ * Tests for the inference-pipeline simulator (including batches whose
+ * members want different output lengths) and context arithmetic.
  */
 
 #include <gtest/gtest.h>
@@ -338,6 +339,70 @@ TEST(ContextStateTest, SnapshotFind)
     snap.gpus.push_back(a);
     EXPECT_NE(snap.find(5), nullptr);
     EXPECT_EQ(snap.find(6), nullptr);
+}
+
+TEST(HeterogeneousBatchTest, ShorterRequestsFinishEarly)
+{
+    // A batch whose members want different output lengths: the short ones
+    // complete and leave; the batch shrinks and continues.
+    sim::Simulation sim;
+    const auto spec = model::ModelSpec::opt6_7b();
+    cost::LatencyModel latency(spec, kParams);
+    std::vector<std::pair<wl::RequestId, double>> completions;
+    engine::InferencePipeline::Callbacks cb;
+    cb.onRequestComplete = [&](const engine::ActiveRequest &r) {
+        completions.push_back({r.request.id, sim.now()});
+    };
+    engine::InferencePipeline pipeline(
+        sim, latency, par::ParallelConfig{1, 1, 4, 8}, 0, cb);
+
+    engine::ActiveRequest short_req, long_req;
+    short_req.request.id = 1;
+    short_req.request.outputLen = 32;
+    long_req.request.id = 2;
+    long_req.request.outputLen = 128;
+    pipeline.startBatch({short_req, long_req});
+    sim.run();
+
+    ASSERT_EQ(completions.size(), 2u);
+    EXPECT_EQ(completions[0].first, 1);
+    EXPECT_EQ(completions[1].first, 2);
+    EXPECT_LT(completions[0].second, completions[1].second);
+    // 32 shared iterations + 96 solo ones.
+    EXPECT_EQ(pipeline.iterationsExecuted(), 128);
+    EXPECT_EQ(pipeline.tokensCommitted(), 32 + 128);
+}
+
+TEST(HeterogeneousBatchTest, SoloTailRunsFasterPerIteration)
+{
+    // After the B=2 phase ends, iterations continue at B=1 cost.
+    sim::Simulation sim;
+    const auto spec = model::ModelSpec::opt6_7b();
+    cost::LatencyModel latency(spec, kParams);
+    engine::InferencePipeline::Callbacks cb;
+    double first_done = 0.0, second_done = 0.0;
+    cb.onRequestComplete = [&](const engine::ActiveRequest &r) {
+        (r.request.outputLen == 32 ? first_done : second_done) = sim.now();
+    };
+    engine::InferencePipeline pipeline(
+        sim, latency, par::ParallelConfig{1, 1, 4, 8}, 0, cb);
+    engine::ActiveRequest a, b;
+    a.request.id = 1;
+    a.request.outputLen = 32;
+    b.request.id = 2;
+    b.request.outputLen = 128;
+    pipeline.startBatch({a, b});
+    sim.run();
+
+    par::ParallelConfig b1{1, 1, 4, 1};
+    par::ParallelConfig b2{1, 1, 4, 2};
+    const double tail_expected =
+        latency.decodeSpanTime(b1, 512 + 33, 96); // iterations 33..128 solo
+    EXPECT_NEAR(second_done - first_done, tail_expected,
+                tail_expected * 0.02);
+    const double head_expected = latency.prefillTime(b2, 512) +
+                                 latency.decodeSpanTime(b2, 513, 32);
+    EXPECT_NEAR(first_done, head_expected, head_expected * 0.02);
 }
 
 } // namespace

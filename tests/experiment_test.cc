@@ -78,7 +78,7 @@ TEST(RequestManagerTest, ArrivalRateWindows)
                      [&mgr, i] { mgr.submit(req(i, i)); });
     }
     sim.run(30.0);
-    EXPECT_NEAR(mgr.estimatedArrivalRate(), 1.0, 0.1);
+    EXPECT_NEAR(mgr.estimatedArrivalRate(30.0), 1.0, 0.1);
     sim.run(60.0);
     // Short window decays; longer window remembers.
     EXPECT_LT(mgr.estimatedArrivalRate(30.0), 0.05);

@@ -1778,15 +1778,15 @@ TEST(RequestManagerTest, ArrivalRateColdStartUsesElapsedTime)
     sim.schedule(0.1, [&] { mgr.submit(makeRequest(1, 0.1)); });
     sim.schedule(0.3, [&] { mgr.submit(makeRequest(2, 0.3)); });
     double at_half = 0.0;
-    sim.schedule(0.5, [&] { at_half = mgr.estimatedArrivalRate(); });
+    sim.schedule(0.5, [&] { at_half = mgr.estimatedArrivalRate(30.0); });
     double at_two = 0.0;
-    sim.schedule(2.0, [&] { at_two = mgr.estimatedArrivalRate(); });
+    sim.schedule(2.0, [&] { at_two = mgr.estimatedArrivalRate(30.0); });
     // Steady state far past the window is unchanged: the full 30 s
     // window divides.
     double steady = 0.0;
     sim.schedule(100.0, [&] {
         mgr.submit(makeRequest(3, 100.0));
-        steady = mgr.estimatedArrivalRate();
+        steady = mgr.estimatedArrivalRate(30.0);
     });
     sim.run();
     EXPECT_NEAR(at_half, 4.0, 1e-9);  // 2 arrivals / 0.5 s elapsed
