@@ -76,7 +76,6 @@ writeJson(const std::string &path, const std::vector<JsonRow> &rows)
            << ", \"migration_aborts\": " << r.migrationAborts
            << ", \"migration_retries\": " << r.migrationRetries
            << ", \"requests_recovered\": " << r.requestsRecovered
-           << ", \"salvaged_blocks\": " << r.salvagedBlocks
            << ", \"live_kv_refs\": " << r.liveKvRefsAtEnd
            << ", \"cost_usd\": " << r.costUsd << "}"
            << (i + 1 < rows.size() ? "," : "") << "\n";
@@ -346,7 +345,7 @@ main(int argc, char **argv)
         // the trace — half the preemption notices become zero-notice
         // kills — plus a seeded fault plan that shoots a migration
         // source while its transfer schedule is in flight.  Recovery on
-        // (salvage landed blocks, re-plan with backoff) is compared
+        // (abort, requeue, re-plan with backoff) is compared
         // against the abort-and-cold-restart ablation
         // (faultRecovery=false).  Gates: both runs conserve every
         // request (arrived == completed + rejected, nothing unfinished,
@@ -426,12 +425,12 @@ main(int argc, char **argv)
                                      const serving::ExperimentResult &r) {
                 std::printf("  %-18s avg %7.2f  P99 %7.2f  done %ld/%ld  "
                             "aborts %ld  retries %ld  recovered %ld  "
-                            "salvaged %ld blk  restarted %ld\n",
+                            "restarted %ld\n",
                             label, r.latencies.mean(),
                             r.latencies.percentile(99), r.completed,
                             r.arrived, r.migrationAborts,
                             r.migrationRetries, r.requestsRecovered,
-                            r.salvagedBlocks, r.restartedRequeues);
+                            r.restartedRequeues);
             };
             resilience_row("SpotServe-recovery", r_rec);
             resilience_row("SpotServe-coldRestart", r_cold);

@@ -178,7 +178,6 @@ ReparallelizationSystem::activate()
     usable.resize(controller_.space().instancesNeeded(target));
     installDeployment(target, packedMesh(target, usable));
     recordConfig(target, pm.reason);
-    ++restarts_;
     phase_ = Phase::Serving;
     dispatchAll();
     if (pendingReconfig_) {

@@ -58,8 +58,6 @@ class ReparallelizationSystem : public serving::BaseServingSystem
     void onInstancePreempted(const cluster::Instance &instance) override;
     void onInstanceReleased(const cluster::Instance &instance) override;
 
-    int restartsCompleted() const { return restarts_; }
-
   private:
     enum class Phase
     {
@@ -89,8 +87,6 @@ class ReparallelizationSystem : public serving::BaseServingSystem
         std::string reason;
     };
     std::optional<PendingRestart> pending_;
-
-    int restarts_ = 0;
 };
 
 } // namespace baselines

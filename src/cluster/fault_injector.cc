@@ -45,13 +45,10 @@ FaultInjector::fire(const cluster::FaultEvent &event)
     using Kind = cluster::FaultEvent::Kind;
     switch (event.kind) {
       case Kind::HardPreempt:
-        if (event.instance >= 0) {
-            if (instances_.hardPreemptInstance(event.instance))
-                ++hardKillsFired_;
-        } else {
-            hardKillsFired_ += static_cast<long>(
-                instances_.hardPreempt(event.count).size());
-        }
+        if (event.instance >= 0)
+            instances_.hardPreemptInstance(event.instance);
+        else
+            instances_.hardPreempt(event.count);
         break;
       case Kind::KillMigrationSource:
       case Kind::KillMigrationTarget:
@@ -83,7 +80,6 @@ FaultInjector::fireMigrationKill(const cluster::FaultEvent &event,
         victim = pickVictim(alive);
     }
     if (victim >= 0 && instances_.hardPreemptInstance(victim)) {
-        ++migrationKillsFired_;
         sim::logDebug("t=" + std::to_string(sim_.now()) +
                       " fault injector: mid-migration kill of instance " +
                       std::to_string(victim));
@@ -98,9 +94,7 @@ FaultInjector::fireMigrationKill(const cluster::FaultEvent &event,
         return;
     }
     // Patience exhausted: degrade to a plain unannounced kill.
-    ++migrationKillFallbacks_;
-    hardKillsFired_ +=
-        static_cast<long>(instances_.hardPreempt(1).size());
+    instances_.hardPreempt(1);
 }
 
 void
@@ -120,7 +114,6 @@ FaultInjector::fireLinkFault(const cluster::FaultEvent &event)
     }
     if (victim < 0)
         return;
-    ++linkFaultsFired_;
     if (event.kind == Kind::LinkBlackout)
         dataPlane_->stallInstanceLinks(victim, event.duration);
     else

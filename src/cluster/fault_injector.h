@@ -49,14 +49,6 @@ class FaultInjector
     /** Schedule every event of the plan; call once before running. */
     void arm();
 
-    /** Faults fired, by family. @{ */
-    long hardKillsFired() const { return hardKillsFired_; }
-    long migrationKillsFired() const { return migrationKillsFired_; }
-    long linkFaultsFired() const { return linkFaultsFired_; }
-    /** Kill* events that never found an in-flight transfer in time. */
-    long migrationKillFallbacks() const { return migrationKillFallbacks_; }
-    /** @} */
-
   private:
     void fire(const cluster::FaultEvent &event);
     void fireMigrationKill(const cluster::FaultEvent &event,
@@ -71,10 +63,6 @@ class FaultInjector
     core::TransferDataPlane *dataPlane_ = nullptr;
     Rng rng_;
     bool armed_ = false;
-    long hardKillsFired_ = 0;
-    long migrationKillsFired_ = 0;
-    long linkFaultsFired_ = 0;
-    long migrationKillFallbacks_ = 0;
 };
 
 } // namespace sim

@@ -126,6 +126,7 @@ class DeviceMapper
 
     const DeviceMapperOptions &options() const { return options_; }
 
+  private:
     /**
      * The single source of batch-inheritance policy (§3.3): rank old
      * replicas by committed progress, descending, and deal them to the
@@ -134,16 +135,14 @@ class DeviceMapper
      * pairs up front: a pinned new replica keeps exactly that old
      * replica's batch in place (or nothing, when it has no progress) and
      * takes part in no further ranking.  Used by the default solve, the
-     * identity fast path, the ReplicaPin path, and the serving system's
-     * kept-replica override — one policy, one implementation.
+     * identity fast path and the ReplicaPin path — one policy, one
+     * implementation.
      */
     std::vector<int>
     planInheritance(int new_dp,
                     const std::vector<double> &old_pipeline_tokens,
                     const std::vector<std::pair<int, int>> &pinned = {})
         const;
-
-  private:
 
     /**
      * Try the identity mapping (see DeviceMapperOptions::identityFastPath);

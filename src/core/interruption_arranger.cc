@@ -44,31 +44,6 @@ InterruptionArranger::arrangeForPreemption(const par::ParallelConfig &config,
     return a;
 }
 
-Arrangement
-InterruptionArranger::arrangeForAcquisition(const par::ParallelConfig &config,
-                                            int current_ctx,
-                                            int remaining_tokens,
-                                            double committed_work,
-                                            double remaining_lead,
-                                            double migration_time) const
-{
-    Arrangement a;
-    a.migrateCache = migration_time < committed_work;
-    if (remaining_lead <= 0.0 || remaining_tokens <= 0) {
-        a.iterations = 0;
-        return a;
-    }
-    // Smallest S whose execution reaches the join point: halting earlier
-    // would idle the engine while the instance is not yet usable.
-    int s = 0;
-    while (s < remaining_tokens &&
-           latency_.decodeSpanTime(config, current_ctx, s) < remaining_lead) {
-        ++s;
-    }
-    a.iterations = s;
-    return a;
-}
-
 double
 InterruptionArranger::recomputeTime(const par::ParallelConfig &config,
                                     int input_len, int committed_tokens) const

@@ -7,8 +7,7 @@
  * iterations the engine can still run inside the grace period while
  * leaving room for context migration:
  *     S_t = argmax { S : l_exe(S | C_t) < T^- - T_mig }.
- * On an acquisition it minimises iterations run past the join point.
- * Both arrangements must not increase request latency: if migrating the
+ * The arrangement must not increase request latency: if migrating the
  * cache costs more than recomputing the committed progress, the request
  * is simply rerouted (cache dropped).
  */
@@ -54,18 +53,6 @@ class InterruptionArranger
                          int remaining_tokens, double committed_work,
                          double remaining_grace,
                          double migration_time) const;
-
-    /**
-     * Acquisition arrangement: the smallest iteration count whose
-     * execution covers the remaining acquisition lead time T^+ (the new
-     * instance is not usable earlier, so stopping sooner only wastes
-     * time).
-     */
-    Arrangement
-    arrangeForAcquisition(const par::ParallelConfig &config, int current_ctx,
-                          int remaining_tokens, double committed_work,
-                          double remaining_lead,
-                          double migration_time) const;
 
     /**
      * Time to recompute a batch state of @p committed tokens from scratch

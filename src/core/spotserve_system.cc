@@ -60,7 +60,6 @@ SpotServeSystem::report(serving::ExperimentResult &result) const
     result.migrationAborts = migrationAborts_;
     result.migrationRetries = migrationRetries_;
     result.requestsRecovered = requestsRecovered_;
-    result.salvagedBlocks = salvagedBlocks_;
 }
 
 std::string
@@ -96,15 +95,31 @@ SpotServeSystem::onInstancePreempted(const cluster::Instance &instance)
     forgetInstance(instance.id());
     if (unannounced)
         dataPlane_.failInstance(instance.id());
+    dropVictimReplicas(instance.id());
+}
 
+void
+SpotServeSystem::onInstanceReleased(const cluster::Instance &instance)
+{
+    // A noticed instance can be released before its preemption fires (or
+    // the trace can revoke capacity another way); the stale notice would
+    // otherwise pin every later reconfiguration to a dead deadline.
+    notices_.erase(instance.id());
+    forgetInstance(instance.id());
+    dropVictimReplicas(instance.id());
+}
+
+void
+SpotServeSystem::dropVictimReplicas(cluster::InstanceId id)
+{
     // Normal path: the grace-period migration already moved everything
     // off the victim.  The checks below handle the fault-tolerance cases
     // (§4.2): the victim was still serving (including through an
     // overlapped planning pass), or it was a planned member of the
     // in-flight migration target.
     if ((phase_ == Phase::Serving || phase_ == Phase::Planning) &&
-        hasDeployment() && meshUsesInstance(instance.id())) {
-        for (int d : pipelinesUsingInstance(instance.id())) {
+        hasDeployment() && meshUsesInstance(id)) {
+        for (int d : pipelinesUsingInstance(id)) {
             // The victim's pipelines lose their cache context.
             restartAndRequeue(removePipeline(d));
         }
@@ -120,9 +135,9 @@ SpotServeSystem::onInstancePreempted(const cluster::Instance &instance)
         // draining fires onPipelineHalted from inside removePipeline, so
         // the all-drained transition is deferred past the loop exactly
         // like the arrangement loop defers it.
-        if (hasDeployment() && meshUsesInstance(instance.id())) {
+        if (hasDeployment() && meshUsesInstance(id)) {
             arrangingHalts_ = true;
-            for (int d : pipelinesUsingInstance(instance.id()))
+            for (int d : pipelinesUsingInstance(id))
                 restartAndRequeue(removePipeline(d));
             arrangingHalts_ = false;
             if (phase_ == Phase::Draining && pending_ &&
@@ -131,22 +146,6 @@ SpotServeSystem::onInstancePreempted(const cluster::Instance &instance)
             }
         }
         pendingReconfig_ = true;
-    }
-}
-
-void
-SpotServeSystem::onInstanceReleased(const cluster::Instance &instance)
-{
-    // A noticed instance can be released before its preemption fires (or
-    // the trace can revoke capacity another way); the stale notice would
-    // otherwise pin every later reconfiguration to a dead deadline.
-    notices_.erase(instance.id());
-    forgetInstance(instance.id());
-    if ((phase_ == Phase::Serving || phase_ == Phase::Planning) &&
-        hasDeployment() && meshUsesInstance(instance.id())) {
-        for (int d : pipelinesUsingInstance(instance.id()))
-            restartAndRequeue(removePipeline(d));
-        scheduleEval();
     }
 }
 
@@ -500,55 +499,19 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
     for (const auto &[id, at] : notices_)
         deadline = std::min(deadline, at);
 
-    // ------------------------------------------------------------------
-    // Partial drain: a new replica whose GPUs the mapping keeps exactly
-    // in place, under an unchanged (P, M, B) shape, never needs to stop —
-    // its model context, cache context and live batch are already where
-    // the target wants them.
-    // ------------------------------------------------------------------
+    // Partial drain: a pinned replica keeps its GPUs in place under an
+    // unchanged (P, M, B) shape, so it never needs to stop — its model
+    // context, cache context and live batch are already where the target
+    // wants them.  The mapper bound the pins verbatim and set their
+    // inheritance; the kept set IS the pin set.
     const int old_dp =
         hasDeployment() ? static_cast<int>(deployment().pipelines.size())
                         : 0;
     std::vector<int> kept(target.dp, -1);
     std::vector<bool> touched(old_dp, true);
-    if (hasDeployment()) {
-        const auto &dep = deployment();
-        if (!pins.empty()) {
-            // The mapper bound the pins verbatim and set their
-            // inheritance; the kept set IS the pin set.
-            for (const auto &pin : pins) {
-                kept[pin.newReplica] = pin.oldReplica;
-                touched[pin.oldReplica] = false;
-            }
-        } else if (same_shape) {
-            // No pins were eligible (e.g. sub-instance replicas), but the
-            // identity fast path or the free solve may still have kept
-            // placements in place — detect them and pin their
-            // inheritance to themselves so their batch stays put.
-            std::vector<bool> claimed(old_dp, false);
-            for (int d = 0; d < target.dp; ++d) {
-                const auto gpus = mapping.mesh.pipelineGpus(d);
-                for (int od = 0; od < old_dp; ++od) {
-                    if (claimed[od] || !dep.pipelines[od])
-                        continue;
-                    if (dep.mesh.pipelineGpus(od) == gpus) {
-                        kept[d] = od;
-                        claimed[od] = true;
-                        touched[od] = false;
-                        break;
-                    }
-                }
-            }
-            std::vector<std::pair<int, int>> kept_pairs;
-            for (int d = 0; d < target.dp; ++d) {
-                if (kept[d] >= 0)
-                    kept_pairs.emplace_back(d, kept[d]);
-            }
-            if (!kept_pairs.empty()) {
-                mapping.inheritedOldPipeline = mapper_.planInheritance(
-                    target.dp, old_tokens, kept_pairs);
-            }
-        }
+    for (const auto &pin : pins) {
+        kept[pin.newReplica] = pin.oldReplica;
+        touched[pin.oldReplica] = false;
     }
 
     PlannerOptions popts;
@@ -576,9 +539,6 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
                         std::move(kept),
                         std::move(touched),
                         {},
-                        {},
-                        -1,
-                        false,
                         {}};
 
     // Arranger: decide whether moving the cache beats recomputation and
@@ -633,7 +593,6 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
             ++kept_live;
     }
     pending_->waitingHalts = waiting;
-    pipelinesDrained_ += waiting;
     pipelinesKeptServing_ += kept_live;
     if (kept_live > 0)
         ++partialReconfigs_;
@@ -724,7 +683,6 @@ SpotServeSystem::startMigration()
     phase_ = Phase::Migrating;
     auto &pm = *pending_;
     const long fault_epoch = ++migrationEpoch_;
-    pm.failedReplica.assign(pm.target.dp, false);
 
     bool any_kept = false;
     for (int od : pm.keptOldPipeline) {
@@ -773,10 +731,7 @@ SpotServeSystem::startMigration()
     quote_on_links();
 
     double duration = pm.plan.totalDuration;
-    double resume = pm.plan.resumeOffset;
     std::vector<double> resumes = pm.plan.pipelineResume;
-    if (resumes.empty())
-        resumes.assign(pm.target.dp, resume);
     bool cache_ok = pm.migrateCache && pm.plan.cacheMigrated;
 
     // Fault tolerance (§4.2): if the plan cannot finish inside the
@@ -798,17 +753,13 @@ SpotServeSystem::startMigration()
                                     pm.oldTokens, popts);
             quote_on_links();
             duration = pm.plan.totalDuration;
-            resume = pm.plan.resumeOffset;
             resumes = pm.plan.pipelineResume;
-            if (resumes.empty())
-                resumes.assign(pm.target.dp, resume);
         }
         if (duration > remaining && remaining >= 0.0) {
             const double overflow = duration - remaining;
             const double slowdown =
                 params_.interBandwidth / params_.diskBandwidth;
             duration = remaining + overflow * slowdown;
-            resume = duration;
             resumes.assign(pm.target.dp, duration);
         }
     }
@@ -816,7 +767,6 @@ SpotServeSystem::startMigration()
     // A deployment built from nothing also pays the engine launch.
     if (!pm.hadDeployment) {
         duration += params_.engineRestartTime;
-        resume += params_.engineRestartTime;
         for (double &r : resumes)
             r += params_.engineRestartTime;
     }
@@ -964,9 +914,7 @@ SpotServeSystem::startMigration()
     // the realized schedule can trip it.
     so.deadline =
         kMigrationDeadlineFactor * std::max(pm.plan.totalDuration, 1.0);
-    const auto committed =
-        dataPlane_.submit(std::move(*quote), std::move(so));
-    pm.planId = committed.planId;
+    dataPlane_.submit(std::move(*quote), std::move(so));
 
     // Activate as soon as the first affected replica's context is ready;
     // the rest come online at their own progressive-resume times and the
@@ -1017,8 +965,6 @@ SpotServeSystem::activate()
     const long epoch = ++deployEpoch_;
 
     bool broken = false;
-    bool fault_broken = false;
-    const int salvage_blk = effectiveKvBlockTokens(pm.target);
     for (int d = 0; d < pm.target.dp; ++d) {
         // Revalidate the replica's instances: a preemption or release may
         // have hit a planned member while the migration ran (§4.2).
@@ -1029,32 +975,15 @@ SpotServeSystem::activate()
             if (!inst || !inst->usable())
                 alive = false;
         }
-        // A replica whose context depended on a lost transfer step must
-        // not come up on garbage, even though its own instances live.
-        const bool failed = pm.hadFailure && !was_kept[d] &&
-                            d < static_cast<int>(pm.failedReplica.size()) &&
-                            pm.failedReplica[d];
-        if (!alive || failed) {
+        if (!alive) {
             // A kept pipeline's live batch is requeued with the rest.
-            if (pm.hadFailure) {
-                requestsRecovered_ +=
-                    static_cast<long>(pm.inherited[d].size());
-            }
             restartAndRequeue(removePipeline(d));
             restartAndRequeue(std::move(pm.inherited[d]));
             broken = true;
-            fault_broken = fault_broken || failed;
             continue;
         }
         if (was_kept[d])
             continue; // never stopped serving
-        if (pm.hadFailure) {
-            // Crash-consistent salvage: this replica's steps all landed
-            // before the fault, so its inherited cache context survives
-            // the aborted plan instead of recomputing.
-            for (const auto &r : pm.inherited[d])
-                salvagedBlocks_ += r.kvBlocksHeld(salvage_blk);
-        }
         if (pm.resumeAbs[d] <= sim_.now() + 1e-9) {
             if (!pm.inherited[d].empty())
                 loadBatch(d, std::move(pm.inherited[d]));
@@ -1080,15 +1009,10 @@ SpotServeSystem::activate()
 
     ++migrationsCompleted_;
     phase_ = Phase::Serving;
-    if (!pm.hadFailure)
-        migrationRetryCount_ = 0; // clean activation resets the backoff
+    migrationRetryCount_ = 0; // an activation resets the backoff
     dispatchAll();
 
-    if (fault_broken) {
-        // The repair reconfiguration is a bounded, backed-off retry.
-        pendingReconfig_ = false;
-        scheduleRetryEval();
-    } else if (pendingReconfig_ || broken) {
+    if (pendingReconfig_ || broken) {
         pendingReconfig_ = false;
         scheduleEval();
     }
@@ -1101,9 +1025,6 @@ SpotServeSystem::onMigrationFailed(
     if (epoch != migrationEpoch_ || phase_ != Phase::Migrating || !pending_)
         return; // stale: that migration already activated or tore down
     ++migrationAborts_;
-    auto &pm = *pending_;
-    pm.hadFailure = true;
-    pm.planId = -1; // the data plane already dropped the plan
     sim::logWarn("t=" + std::to_string(sim_.now()) +
                  " SpotServe: migration schedule failed (" +
                  (failure.timedOut
@@ -1112,92 +1033,36 @@ SpotServeSystem::onMigrationFailed(
                             std::to_string(failure.failedInstance)) +
                  "); recovering");
 
-    if (!options_.faultRecovery) {
-        coldRestartAfterFault();
-        return;
-    }
-
-    // Attribute the lost steps to the target replicas that depended on
-    // them (dpStepDeps): a replica whose steps all landed before the
-    // fault is salvageable and activates on schedule; one that depended
-    // on a lost step must requeue.  A timeout (or a plan without step
-    // attribution) dooms every non-kept replica.
-    const bool attributable = !failure.timedOut &&
-                              !pm.plan.dpStepDeps.empty() &&
-                              !failure.stepLanded.empty();
-    int compromised = 0;
-    int affected_total = 0;
-    for (int d = 0; d < pm.target.dp; ++d) {
-        if (pm.keptOldPipeline[d] >= 0)
-            continue; // kept replicas serve on their own resident context
-        ++affected_total;
-        bool bad = !attributable;
-        if (attributable &&
-            d < static_cast<int>(pm.plan.dpStepDeps.size())) {
-            for (const auto &stage : pm.plan.dpStepDeps[d]) {
-                for (int s : stage) {
-                    if (s >= 0 &&
-                        s < static_cast<int>(failure.stepLanded.size()) &&
-                        !failure.stepLanded[s]) {
-                        bad = true;
-                    }
-                }
-            }
-        }
-        if (bad) {
-            pm.failedReplica[d] = true;
-            ++compromised;
-        }
-    }
-    if (affected_total == 0 || compromised >= affected_total) {
-        // Nothing to salvage on the target side: fall back to the §4.2
-        // no-cache route by re-planning fresh (the retry's beginReconfig
-        // snapshots current holdings, where the dead source holds
-        // nothing), with the kept replicas serving through.
-        abortFailedMigration();
-    }
-    // Partial loss: the scheduled activation proceeds; activate()
-    // requeues the compromised replicas' work, salvages the rest, and
-    // schedules the backed-off repair reconfiguration.
-}
-
-void
-SpotServeSystem::abortFailedMigration()
-{
+    // The data plane already dropped the plan.  Abort the whole
+    // migration; the scheduled activate() no-ops on the phase check.
     auto pm = std::move(*pending_);
     pending_.reset();
     migrationTailUntil_ = sim_.now();
-    if (pm.planId >= 0)
-        dataPlane_.cancelPlan(pm.planId);
+
+    if (!options_.faultRecovery) {
+        // The ablation still must not lose work — crash consistency of
+        // the request queue is an invariant, not a feature flag — but it
+        // gives up every kept replica, then pays a cold deployment from
+        // scratch.
+        for (auto &batch : pm.inherited)
+            restartAndRequeue(std::move(batch));
+        suspendServing();
+        scheduleEval();
+        return;
+    }
+
+    // Requeue the inherited work and re-plan fresh: the retry's
+    // beginReconfig snapshots current holdings, where a dead source holds
+    // nothing (the §4.2 no-cache route).  Kept replicas are still live
+    // inside the old deployment and serve through the retry.
     for (auto &batch : pm.inherited) {
         requestsRecovered_ += static_cast<long>(batch.size());
         restartAndRequeue(std::move(batch));
     }
-    // Kept replicas (if any) are still live inside the old deployment and
-    // keep serving through the retry; the scheduled activate() no-ops on
-    // the phase check.
     phase_ = hasDeployment() ? Phase::Serving : Phase::Idle;
     pendingReconfig_ = false;
     dispatchAll();
     scheduleRetryEval();
-}
-
-void
-SpotServeSystem::coldRestartAfterFault()
-{
-    auto pm = std::move(*pending_);
-    pending_.reset();
-    migrationTailUntil_ = sim_.now();
-    if (pm.planId >= 0)
-        dataPlane_.cancelPlan(pm.planId);
-    // The ablation still must not lose work — crash consistency of the
-    // request queue is an invariant, not a feature flag — but it gives
-    // up every kept replica and all landed context, then pays a cold
-    // deployment from scratch.
-    for (auto &batch : pm.inherited)
-        restartAndRequeue(std::move(batch));
-    suspendServing();
-    scheduleEval();
 }
 
 void

@@ -89,11 +89,11 @@ struct SpotServeOptions
     /**
      * Crash-consistent recovery from unannounced faults (hard
      * preemptions and mid-migration deaths): when an in-flight transfer
-     * schedule dies, salvage the replicas whose context already landed,
-     * requeue the rest, and re-plan with bounded retry + exponential
-     * backoff.  Disable for the abort-and-cold-restart ablation: any
-     * mid-migration failure tears the whole deployment down and pays a
-     * fresh cold start.
+     * schedule dies, abort the pending migration, requeue its inherited
+     * work, keep the untouched replicas serving, and re-plan with bounded
+     * retry + exponential backoff.  Disable for the abort-and-cold-restart
+     * ablation: any mid-migration failure tears the whole deployment down
+     * and pays a fresh cold start.
      */
     bool faultRecovery = true;
 
@@ -132,15 +132,11 @@ class SpotServeSystem : public serving::BaseServingSystem
     long planningEvents() const { return planningEvents_; }
     /** Simulated seconds spent in Phase::Planning (serving continued). */
     double totalPlanningTime() const { return totalPlanningTime_; }
-    /** Replicas drained for migration, cumulative over reconfigs. */
-    long pipelinesDrained() const { return pipelinesDrained_; }
     /** Replicas that served straight through a reconfiguration. */
     long pipelinesKeptServing() const { return pipelinesKeptServing_; }
     /** Reconfigurations where at least one replica never stopped. */
     int partialReconfigs() const { return partialReconfigs_; }
     const SpotServeOptions &options() const { return options_; }
-    /** Preemption notices currently outstanding (stale ones pruned). */
-    int activeNotices() const { return static_cast<int>(notices_.size()); }
     /** @} */
 
   protected:
@@ -209,18 +205,22 @@ class SpotServeSystem : public serving::BaseServingSystem
     /** Migration (front) finished: install and resume. */
     void activate();
 
-    /** The in-flight transfer schedule died (kill/timeout): recover. */
+    /**
+     * The in-flight transfer schedule died (kill/timeout): abort the
+     * pending migration, requeue its inherited work and re-plan with
+     * backoff (or cold restart under faultRecovery = false).
+     */
     void onMigrationFailed(long epoch,
                            const TransferDataPlane::PlanFailure &failure);
 
-    /** Whole-plan abort: requeue all inherited work and re-plan. */
-    void abortFailedMigration();
-
-    /** faultRecovery = false ablation: tear down and cold restart. */
-    void coldRestartAfterFault();
-
     /** Retry with exponential backoff (bounded; cold restart beyond). */
     void scheduleRetryEval();
+
+    /**
+     * An instance left the fleet (preempted or released): stop every live
+     * replica standing on it and requeue its batch, in any phase.
+     */
+    void dropVictimReplicas(cluster::InstanceId id);
 
     /** Drop notices whose instance is no longer awaiting preemption. */
     void pruneStaleNotices();
@@ -295,16 +295,6 @@ class SpotServeSystem : public serving::BaseServingSystem
         std::vector<std::vector<engine::ActiveRequest>> inherited;
         /** Absolute per-replica progressive-resume times. */
         std::vector<sim::SimTime> resumeAbs;
-        /** Data-plane handle of the submitted schedule (-1: none). */
-        TransferDataPlane::PlanId planId = -1;
-        /** A fault hit the in-flight schedule. */
-        bool hadFailure = false;
-        /**
-         * failedReplica[d]: replica d's context depends on a transfer
-         * step that was lost — activate() requeues its inherited batch
-         * instead of bringing it up on garbage.
-         */
-        std::vector<bool> failedReplica;
     };
     std::optional<PendingMigration> pending_;
 
@@ -330,13 +320,11 @@ class SpotServeSystem : public serving::BaseServingSystem
     double totalBytesReused_ = 0.0;
     long planningEvents_ = 0;
     double totalPlanningTime_ = 0.0;
-    long pipelinesDrained_ = 0;
     long pipelinesKeptServing_ = 0;
     int partialReconfigs_ = 0;
     long migrationAborts_ = 0;
     long migrationRetries_ = 0;
     long requestsRecovered_ = 0;
-    long salvagedBlocks_ = 0;
 };
 
 } // namespace core

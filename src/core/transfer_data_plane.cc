@@ -8,17 +8,6 @@ namespace core {
 
 namespace {
 constexpr double kEps = 1e-9;
-
-double
-stepBytes(const cost::TransferStep &step)
-{
-    double bytes = 0.0;
-    for (const auto &t : step.transfers)
-        bytes += std::max(t.bytes, 0.0);
-    for (const auto &[inst, b] : step.coldLoads)
-        bytes += std::max(b, 0.0);
-    return bytes;
-}
 } // namespace
 
 TransferDataPlane::TransferDataPlane(sim::Executor &executor,
@@ -160,8 +149,6 @@ TransferDataPlane::submit(Quote quote, SubmitOptions options)
     ++submissions_;
     if (out.contended)
         ++contendedSubmissions_;
-    for (const auto &s : quote.steps)
-        totalBytesScheduled_ += stepBytes(s);
     plan.steps = std::move(quote.steps);
 
     out.planId = plan.id;
@@ -209,7 +196,7 @@ TransferDataPlane::completePlan(PlanId id, long rev)
 {
     auto it = inFlight_.find(id);
     if (it == inFlight_.end() || it->second.rev != rev)
-        return; // Cancelled, failed, or rescheduled behind a link fault.
+        return; // Failed, or rescheduled behind a link fault.
     auto on_done = std::move(it->second.onDone);
     inFlight_.erase(it);
     if (on_done)
@@ -229,20 +216,6 @@ TransferDataPlane::failPlan(PlanId id, int failed_instance, bool timed_out)
     failure.planId = id;
     failure.failedInstance = failed_instance;
     failure.timedOut = timed_out;
-    failure.stepLanded.reserve(plan.steps.size());
-    for (std::size_t s = 0; s < plan.steps.size(); ++s) {
-        const double finish =
-            s < plan.stepFinishAbs.size() ? plan.stepFinishAbs[s]
-                                          : plan.finishAbs;
-        const bool landed = finish <= now + kEps;
-        failure.stepLanded.push_back(landed);
-        const double bytes = stepBytes(plan.steps[s]);
-        if (landed)
-            failure.landedBytes += bytes;
-        else
-            failure.lostBytes += bytes;
-    }
-    totalBytesLost_ += failure.lostBytes;
     if (timed_out)
         ++planTimeouts_;
     else
@@ -292,18 +265,6 @@ TransferDataPlane::failInstance(int instance)
     for (PlanId id : doomed)
         failPlan(id, instance, /*timed_out=*/false);
     return static_cast<int>(doomed.size());
-}
-
-bool
-TransferDataPlane::cancelPlan(PlanId id)
-{
-    auto it = inFlight_.find(id);
-    if (it == inFlight_.end())
-        return false;
-    releasePlanLinks(it->second);
-    inFlight_.erase(it);
-    ++plansCancelled_;
-    return true;
 }
 
 void

@@ -26,12 +26,12 @@
  * mode: steps interleave (see cost::LinkSchedule).
  *
  * Every submission is tracked in flight until its completion event fires,
- * which makes transfers cancellable: failInstance() aborts any plan whose
- * remaining steps touch a dead instance (partial-completion accounting
- * says which steps landed before the kill), per-plan deadlines turn
- * straggling transfers into explicit failures, and stallInstanceLinks() /
+ * so faults can reach it: failInstance() aborts any plan whose remaining
+ * steps touch a dead instance, per-plan deadlines turn straggling
+ * transfers into explicit failures, and stallInstanceLinks() /
  * degradeInstanceLinks() model link blackouts and realized bandwidth
- * below the schedule's quote.
+ * below the schedule's quote.  A failed plan hands back its unused link
+ * reservations and its onFail learns why it died (PlanFailure).
  */
 
 #ifndef SPOTSERVE_CORE_TRANSFER_DATA_PLANE_H
@@ -68,21 +68,13 @@ class TransferDataPlane
         PlanId planId = -1;
     };
 
-    /**
-     * Why an in-flight plan died, and how much of it landed first.
-     * Accounting is step-granular: a step counts as landed iff its finish
-     * time had passed when the fault hit.
-     */
+    /** Why an in-flight plan died. */
     struct PlanFailure
     {
         PlanId planId = -1;
         /** Dead instance that doomed the plan (-1 on a pure timeout). */
         int failedInstance = -1;
         bool timedOut = false;
-        /** Per submitted step: did it finish before the fault? */
-        std::vector<bool> stepLanded;
-        double landedBytes = 0.0;
-        double lostBytes = 0.0;
     };
 
     /** Per-submission callbacks and policy. */
@@ -146,14 +138,11 @@ class TransferDataPlane
     /**
      * An instance died: abort every in-flight plan whose *remaining*
      * steps touch it (as transfer endpoint or cold-load target), release
-     * the links those plans still held, and fire each plan's onFail with
-     * partial-completion accounting.  Plans whose remaining steps do not
-     * involve the instance are untouched.  Returns plans aborted.
+     * the links those plans still held, and fire each plan's onFail.
+     * Plans whose remaining steps do not involve the instance are
+     * untouched.  Returns plans aborted.
      */
     int failInstance(int instance);
-
-    /** Cancel one plan (no callbacks fired). Returns false if unknown. */
-    bool cancelPlan(PlanId id);
 
     /**
      * Link blackout: the instance's links carry no traffic for
@@ -189,13 +178,10 @@ class TransferDataPlane
     long schedulesBuilt() const { return schedulesBuilt_; }
     /** Submissions that found at least one of their links busy. */
     long contendedSubmissions() const { return contendedSubmissions_; }
-    double totalBytesScheduled() const { return totalBytesScheduled_; }
     /** Plans aborted by instance death. */
     long plansCancelled() const { return plansCancelled_; }
     /** Plans failed by their deadline. */
     long planTimeouts() const { return planTimeouts_; }
-    /** Bytes of aborted plans that never landed. */
-    double totalBytesLost() const { return totalBytesLost_; }
     /** @} */
 
   private:
@@ -237,10 +223,8 @@ class TransferDataPlane
     long submissions_ = 0;
     mutable long schedulesBuilt_ = 0;
     long contendedSubmissions_ = 0;
-    double totalBytesScheduled_ = 0.0;
     long plansCancelled_ = 0;
     long planTimeouts_ = 0;
-    double totalBytesLost_ = 0.0;
 };
 
 } // namespace core

@@ -102,16 +102,14 @@ struct ExperimentResult
      * Fault-plane diagnostics: unannounced (zero-notice) preemptions the
      * cluster delivered, migration schedules that died mid-flight
      * (instance kill or deadline), backed-off re-plans after such a
-     * death, requests whose lost context the recovery path requeued, KV
-     * blocks that landed before a fault and were salvaged instead of
-     * re-transferred, and total requests that crossed the shared restart
-     * path.  All zero in a fault-free run.
+     * death, requests whose lost context the recovery path requeued, and
+     * total requests that crossed the shared restart path.  All zero in a
+     * fault-free run.
      * @{ */
     long hardPreemptions = 0;
     long migrationAborts = 0;
     long migrationRetries = 0;
     long requestsRecovered = 0;
-    long salvagedBlocks = 0;
     long restartedRequeues = 0;
     /** Live KV block references still held when the run ended.  With
      *  unfinished == 0 any nonzero value is a refcount a recovery path

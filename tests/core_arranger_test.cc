@@ -67,24 +67,6 @@ TEST_F(ArrangerFixture, CacheMigrationGuard)
     EXPECT_FALSE(drop.migrateCache);
 }
 
-TEST_F(ArrangerFixture, AcquisitionMinimizesIterations)
-{
-    // Smallest S whose execution covers the remaining lead time.
-    const double lead = 10.0;
-    const auto a =
-        arranger.arrangeForAcquisition(cfg, 560, 128, 100.0, lead, 1.0);
-    ASSERT_GT(a.iterations, 0);
-    EXPECT_GE(latency.decodeSpanTime(cfg, 560, a.iterations), lead);
-    EXPECT_LT(latency.decodeSpanTime(cfg, 560, a.iterations - 1), lead);
-}
-
-TEST_F(ArrangerFixture, AcquisitionZeroLeadStopsNow)
-{
-    const auto a =
-        arranger.arrangeForAcquisition(cfg, 560, 128, 100.0, 0.0, 1.0);
-    EXPECT_EQ(a.iterations, 0);
-}
-
 TEST_F(ArrangerFixture, RecomputeTimeMatchesModel)
 {
     const double t = arranger.recomputeTime(cfg, 512, 50);

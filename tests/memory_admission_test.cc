@@ -28,6 +28,7 @@
 #include "costmodel/memory_model.h"
 #include "engine/inference_pipeline.h"
 #include "model/model_spec.h"
+#include "serving/experiment.h"
 #include "serving/request_manager.h"
 #include "workload/workload.h"
 
@@ -765,9 +766,10 @@ TEST(AdmissionBookkeepingTest, RequeuePreservesPrefillChunksOnly)
 struct TestSystem : serving::BaseServingSystem
 {
     TestSystem(sim::Executor &s, cluster::InstanceManager &im,
-               serving::RequestManager &rm, const model::ModelSpec &spec)
+               serving::RequestManager &rm, const model::ModelSpec &spec,
+               const serving::EngineOptions &engine = {})
         : BaseServingSystem(s, im, rm, spec, kParams, cost::SeqSpec{},
-                            serving::EngineOptions{})
+                            engine)
     {
     }
     std::string name() const override { return "TestSystem"; }
@@ -1380,6 +1382,64 @@ TEST(OptimisticSystemTest, InvariantHoldsAcrossMigrationsWithEarlyStopping)
         EXPECT_GE(r.migrations, 2); // initial + preemption-driven
         EXPECT_EQ(r.completed, r.arrived) << "chunk " << chunk;
     }
+}
+
+TEST(OptimisticSystemTest, MispredictedOutputsEvictThroughTheServingSystem)
+{
+    // The serving-level eviction path: a deployed replica's pipeline
+    // evicts at watermark pressure and BaseServingSystem's onEvict
+    // requeues the victims.  The predictor is primed on short outputs,
+    // so admission packs the replica on ~16-token charges; the actual
+    // outputs run close to their cap and outgrow the KV budget.
+    const auto spec = model::ModelSpec::opt6_7b();
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    serving::EngineOptions engine;
+    engine.kvBlockTokens = testBlockTokens();
+    TestSystem system(sim, instances, requests, spec, engine);
+
+    instances.loadTrace(AvailabilityTrace(
+        "steady", 100.0,
+        {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 1}}));
+    sim.run(1.0);
+    const par::ParallelConfig config{1, 1, 4, 32};
+    system.installDeployment(config,
+                             system.packedMesh(config,
+                                               instances.usableInstances()));
+    const long budget = system.replicaKvBudget(config);
+
+    for (int i = 0; i < 32; ++i)
+        requests.outputPredictor().observe(16);
+    ASSERT_TRUE(requests.outputPredictor().warm());
+
+    // Every request fits the budget alone at its worst case (so none is
+    // rejected), but the batch's actual growth does not fit together.
+    const int input = 512;
+    const int cap = static_cast<int>(budget / 8) - input;
+    ASSERT_GT(cap, 64);
+    const int requests_n = 24;
+    for (int i = 0; i < requests_n; ++i) {
+        system.onRequestArrival(
+            makeCapped(i, sim.now(), input, cap - 8, cap));
+    }
+    sim.run();
+
+    serving::ExperimentResult r;
+    system.report(r);
+    r.arrived = requests.arrivedCount();
+    r.completed = requests.completedCount();
+    EXPECT_GT(r.evictions, 0);
+    EXPECT_GT(r.evictedWorkSeconds, 0.0);
+    EXPECT_EQ(r.completed, r.arrived);
+    EXPECT_EQ(r.arrived, requests_n);
+    EXPECT_EQ(r.liveKvRefsAtEnd, 0);
+    // Eviction is the only restart path in this run: a completion with
+    // restarts >= 1 is an evicted request that was requeued and finished.
+    long restarted = 0;
+    for (const auto &c : requests.completions())
+        restarted += c.restarts >= 1 ? 1 : 0;
+    EXPECT_GT(restarted, 0);
 }
 
 TEST(ReplicaBalancingTest, BoundaryAdmissionRejectsUnservablePeaks)

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -209,6 +210,125 @@ TEST(OverlapTest, PlanningIsCostedAndOffHotPath)
     // The paper's bound: online optimizer overhead is negligible (<1 s
     // per pass at testbed scale).
     EXPECT_LT(r.planningTime / static_cast<double>(r.planningEvents), 1.0);
+}
+
+/** SpotServe with its live replicas' placement exposed to the test. */
+class ProbedSpotServe : public core::SpotServeSystem
+{
+  public:
+    using core::SpotServeSystem::SpotServeSystem;
+
+    struct LiveReplica
+    {
+        cluster::InstanceId instance = -1;
+        std::size_t batch = 0;
+    };
+
+    /** Instance of each live replica's first GPU, and its batch size. */
+    std::vector<LiveReplica> liveReplicas() const
+    {
+        std::vector<LiveReplica> out;
+        if (!hasDeployment())
+            return out;
+        const auto &dep = deployment();
+        for (std::size_t d = 0; d < dep.pipelines.size(); ++d) {
+            if (!dep.pipelines[d])
+                continue;
+            const par::GpuId g =
+                dep.mesh.pipelineGpus(static_cast<int>(d)).front();
+            out.push_back({cluster::Instance::instanceOfGpu(
+                               g, params_.gpusPerInstance),
+                           dep.pipelines[d]->batch().size()});
+        }
+        return out;
+    }
+
+    long restartedRequeues() const
+    {
+        serving::ExperimentResult r;
+        report(r);
+        return r.restartedRequeues;
+    }
+};
+
+TEST(OverlapTest, ReleasedKeptReplicaRequeuesAtTheReleaseInstant)
+{
+    // The t=300 scale-out keeps every old replica serving while the new
+    // ones migrate in.  Releasing a kept replica's instance mid-migration
+    // must stop that replica and requeue its batch right then, exactly
+    // like a preemption would, not when the migration activates.
+    const auto spec = model::ModelSpec::gpt20b();
+    const double rate = 0.60;
+    const auto trace = growShrinkTrace();
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    core::SpotServeOptions options;
+    options.designArrivalRate = rate;
+    ProbedSpotServe system(sim, instances, requests, spec, kParams, kSeq,
+                           options);
+    instances.setListener(&system);
+    instances.loadTrace(trace);
+    sim::Rng rng(7);
+    const auto workload =
+        wl::stationaryGamma(rate, 6.0, trace.duration(), kSeq, rng);
+    for (const auto &req : workload) {
+        sim.schedule(req.arrival,
+                     [&system, req] { system.onRequestArrival(req); });
+    }
+
+    sim.run(300.0);
+    const int partial_before = system.partialReconfigs();
+    const std::size_t history_before = system.configHistory().size();
+    bool released = false;
+    std::size_t requeued_batch = 0;
+    long requeues_before = 0;
+    long requeues_at_release = 0;
+    std::size_t live_after = 0, live_before = 0;
+    std::function<void()> probe = [&] {
+        // Mid-migration: the partial reconfiguration began, its transfers
+        // are in flight and it has not activated yet.
+        const bool migrating =
+            system.partialReconfigs() > partial_before &&
+            system.configHistory().size() == history_before &&
+            system.dataPlane().inFlightCount() > 0;
+        if (!migrating) {
+            if (sim.now() < 400.0)
+                sim.scheduleAfter(0.05, probe);
+            return;
+        }
+        const auto live = system.liveReplicas();
+        const auto busiest = std::max_element(
+            live.begin(), live.end(), [](const auto &a, const auto &b) {
+                return a.batch < b.batch;
+            });
+        if (busiest == live.end() || busiest->batch == 0) {
+            sim.scheduleAfter(0.05, probe);
+            return;
+        }
+        live_before = live.size();
+        requeued_batch = busiest->batch;
+        requeues_before = system.restartedRequeues();
+        instances.releaseInstance(busiest->instance);
+        requeues_at_release = system.restartedRequeues();
+        live_after = system.liveReplicas().size();
+        released = true;
+    };
+    sim.schedule(300.0, probe);
+    sim.run(trace.duration() + 900.0);
+
+    ASSERT_TRUE(released) << "no kept replica was busy mid-migration";
+    EXPECT_EQ(live_after + 1, live_before);
+    EXPECT_GE(requeues_at_release - requeues_before,
+              static_cast<long>(requeued_batch));
+    // Nothing lost or served twice afterwards.
+    EXPECT_EQ(requests.unfinishedCount(), 0);
+    EXPECT_EQ(requests.arrivedCount(),
+              requests.completedCount() + requests.rejectedCount());
+    std::set<wl::RequestId> seen;
+    for (const auto &c : requests.completions())
+        EXPECT_TRUE(seen.insert(c.id).second)
+            << "request " << c.id << " completed twice";
 }
 
 } // namespace
