@@ -100,15 +100,13 @@ DeviceMapper::edgeWeight(const engine::GpuContext *held,
     return w;
 }
 
-bool
-DeviceMapper::tryIdentityMapping(
+std::vector<ReplicaPin>
+DeviceMapper::identityPins(
     const engine::ContextSnapshot &snapshot,
     const par::ParallelConfig &target,
-    const std::vector<const cluster::Instance *> &instance_list,
-    const std::vector<double> &old_pipeline_tokens,
-    MappingResult &result) const
+    const std::vector<const cluster::Instance *> &instance_list) const
 {
-    const par::Topology &topo = result.mesh.topology();
+    const par::Topology topo(target, spec_.numLayers());
     std::unordered_set<cluster::InstanceId> usable;
     for (const auto *inst : instance_list)
         usable.insert(inst->id());
@@ -123,37 +121,26 @@ DeviceMapper::tryIdentityMapping(
             continue;
         const int idx = topo.flatIndex(g.position);
         if (holder[idx] != nullptr)
-            return false; // stale duplicate holdings: run the full solve
+            return {}; // stale duplicate holdings: run the full solve
         holder[idx] = &g;
     }
-    for (int i = 0; i < topo.size(); ++i) {
-        if (holder[i] == nullptr)
-            return false;
+    for (const auto *held : holder) {
+        if (held == nullptr)
+            return {};
     }
 
-    // Identity placement.  Inheritance is pinned to the identity
-    // permutation: every replica keeps its own batch exactly where its
-    // cache already lives, so the plan moves zero bytes — any other
-    // inheritance permutation of the same replica set could only equal
-    // that, never beat it.
-    std::vector<std::pair<int, int>> identity_pins;
-    identity_pins.reserve(target.dp);
-    for (int d = 0; d < target.dp; ++d)
-        identity_pins.emplace_back(d, d);
-    result.inheritedOldPipeline =
-        planInheritance(target.dp, old_pipeline_tokens, identity_pins);
-    for (int i = 0; i < topo.size(); ++i) {
-        const par::Position pos = topo.position(i);
-        const engine::GpuContext *held = holder[i];
-        result.mesh.assign(pos, held->gpu);
-        result.reusedModelBytes +=
-            engine::modelOverlapBytes(spec_, *held, topo, pos);
-        if (result.inheritedOldPipeline[pos.d] == held->position.d) {
-            result.reusedCacheBytes +=
-                engine::cacheOverlapBytes(spec_, *held, topo, pos);
-        }
+    // Every replica keeps its own placement and its own batch exactly
+    // where its cache already lives, so the plan moves zero bytes.
+    const int per_replica = target.pp * target.tp;
+    std::vector<ReplicaPin> pins(target.dp);
+    for (int d = 0; d < target.dp; ++d) {
+        pins[d].newReplica = d;
+        pins[d].oldReplica = d;
+        pins[d].gpus.reserve(per_replica);
+        for (int k = 0; k < per_replica; ++k)
+            pins[d].gpus.push_back(holder[d * per_replica + k]->gpu);
     }
-    return true;
+    return pins;
 }
 
 MappingResult
@@ -164,95 +151,93 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
                   const std::vector<ReplicaPin> &pins) const
 {
     const int gpi = params_.gpusPerInstance;
-    par::DeviceMesh mesh(target, spec_.numLayers());
-    const par::Topology &topo = mesh.topology();
-
-    const int total_gpus = target.totalGpus();
-    if (static_cast<int>(instance_list.size()) * gpi < total_gpus)
+    if (static_cast<int>(instance_list.size()) * gpi < target.totalGpus())
         throw std::invalid_argument("DeviceMapper::map: not enough GPUs");
 
-    MappingResult result{std::move(mesh), {}, 0.0, 0.0, 0.0};
-    result.inheritedOldPipeline =
-        planInheritance(target.dp, old_pipeline_tokens);
-
+    MappingResult result{par::DeviceMesh(target, spec_.numLayers()),
+                         {}, 0.0, 0.0, 0.0};
+    const par::Topology &topo = result.mesh.topology();
     for (int i = 0; i < topo.size(); ++i) {
         result.neededModelBytes +=
             engine::neededModelBytes(spec_, topo, topo.position(i));
     }
 
-    if (pins.empty() && options_.useKuhnMunkres &&
-        options_.identityFastPath &&
-        tryIdentityMapping(snapshot, target, instance_list,
-                           old_pipeline_tokens, result)) {
-        return result;
-    }
+    // Keeping the snapshot's exact placement is the all-pinned case.
+    std::vector<ReplicaPin> identity;
+    if (pins.empty() && options_.useKuhnMunkres && options_.identityFastPath)
+        identity = identityPins(snapshot, target, instance_list);
+    const std::vector<ReplicaPin> &bound = identity.empty() ? pins : identity;
 
     // ------------------------------------------------------------------
-    // Caller-pinned replicas: bind them verbatim, pin their inheritance
-    // to their own batch, and carve their GPUs/instances/slots out of the
-    // matching problem below.
+    // Pinned replicas: bind them verbatim, pin their inheritance to their
+    // own batch, and carve their GPUs/instances/slots out of the matching
+    // problem below.
     // ------------------------------------------------------------------
-    std::unordered_set<par::GpuId> pinned_gpus;
+    const int per_replica = target.pp * target.tp;
+    const bool all_pinned = static_cast<int>(bound.size()) == target.dp;
+    if (!bound.empty() && !all_pinned && per_replica % gpi != 0) {
+        throw std::invalid_argument(
+            "DeviceMapper::map: pinned replicas must tile instances");
+    }
     std::vector<bool> pinned_new(target.dp, false);
-    if (!pins.empty()) {
-        const int per_replica = target.pp * target.tp;
-        if (per_replica % gpi != 0) {
+    std::vector<std::pair<int, int>> pinned_pairs;
+    pinned_pairs.reserve(bound.size());
+    for (const auto &pin : bound) {
+        if (pin.newReplica < 0 || pin.newReplica >= target.dp ||
+            static_cast<int>(pin.gpus.size()) != per_replica ||
+            pinned_new[pin.newReplica]) {
             throw std::invalid_argument(
-                "DeviceMapper::map: pinned replicas must tile instances");
+                "DeviceMapper::map: malformed replica pin");
         }
-        for (const auto &pin : pins) {
-            if (pin.newReplica < 0 || pin.newReplica >= target.dp ||
-                static_cast<int>(pin.gpus.size()) != per_replica ||
-                pinned_new[pin.newReplica]) {
-                throw std::invalid_argument(
-                    "DeviceMapper::map: malformed replica pin");
-            }
-            pinned_new[pin.newReplica] = true;
-            for (int k = 0; k < per_replica; ++k) {
-                if (!pinned_gpus.insert(pin.gpus[k]).second) {
-                    throw std::invalid_argument(
-                        "DeviceMapper::map: GPU pinned twice");
-                }
-                result.mesh.assign(
-                    topo.position(pin.newReplica * per_replica + k),
-                    pin.gpus[k]);
-            }
-        }
-        // Pinned replicas keep their own batch in place; the remaining
-        // new replicas re-rank the remaining old replicas by progress —
-        // one policy, one implementation (planInheritance).
-        std::vector<std::pair<int, int>> pinned_pairs;
-        pinned_pairs.reserve(pins.size());
-        for (const auto &pin : pins)
-            pinned_pairs.emplace_back(pin.newReplica, pin.oldReplica);
-        result.inheritedOldPipeline =
-            planInheritance(target.dp, old_pipeline_tokens, pinned_pairs);
-        // Reuse accounting for the pinned positions.
-        for (const auto &pin : pins) {
-            for (int k = 0; k < per_replica; ++k) {
-                const par::Position pos =
-                    topo.position(pin.newReplica * per_replica + k);
-                const auto *held = snapshot.find(pin.gpus[k]);
-                if (!held)
-                    continue;
-                result.reusedModelBytes +=
-                    engine::modelOverlapBytes(spec_, *held, topo, pos);
-                if (result.inheritedOldPipeline[pos.d] ==
-                        held->position.d &&
-                    held->hasModelContext) {
-                    result.reusedCacheBytes += engine::cacheOverlapBytes(
-                        spec_, *held, topo, pos);
-                }
-            }
+        pinned_new[pin.newReplica] = true;
+        pinned_pairs.emplace_back(pin.newReplica, pin.oldReplica);
+        // DeviceMesh::assign rejects a GPU pinned twice.
+        for (int k = 0; k < per_replica; ++k) {
+            result.mesh.assign(
+                topo.position(pin.newReplica * per_replica + k),
+                pin.gpus[k]);
         }
     }
+    // Pinned replicas keep their own batch in place; the remaining new
+    // replicas rank the remaining old replicas by progress.
+    result.inheritedOldPipeline =
+        planInheritance(target.dp, old_pipeline_tokens, pinned_pairs);
 
-    // Matching problem over the unpinned remainder.
+    if (!all_pinned)
+        matchUnpinned(snapshot, instance_list, pinned_new, result);
+
+    // Reuse of the final placement: every mapped GPU keeps the overlap of
+    // its held model context, and its cache when its new replica inherits
+    // the batch that cache belongs to.
+    for (const auto &held : snapshot.gpus) {
+        if (!result.mesh.contains(held.gpu))
+            continue;
+        const par::Position pos = result.mesh.positionOf(held.gpu);
+        result.reusedModelBytes +=
+            engine::modelOverlapBytes(spec_, held, topo, pos);
+        if (result.inheritedOldPipeline[pos.d] == held.position.d) {
+            result.reusedCacheBytes +=
+                engine::cacheOverlapBytes(spec_, held, topo, pos);
+        }
+    }
+    return result;
+}
+
+void
+DeviceMapper::matchUnpinned(
+    const engine::ContextSnapshot &snapshot,
+    const std::vector<const cluster::Instance *> &instance_list,
+    const std::vector<bool> &pinned_new, MappingResult &result) const
+{
+    const int gpi = params_.gpusPerInstance;
+    const par::Topology &topo = result.mesh.topology();
+
+    // Matching problem over the instances and slots no pin touches.
     std::vector<const cluster::Instance *> free_instances;
     for (const auto *inst : instance_list) {
         bool owns_pinned = false;
         for (par::GpuId g : inst->gpuIds()) {
-            if (pinned_gpus.find(g) != pinned_gpus.end())
+            if (result.mesh.contains(g))
                 owns_pinned = true;
         }
         if (!owns_pinned)
@@ -276,16 +261,10 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
         std::size_t s = 0;
         for (std::size_t i = 0; i < num_instances && s < num_slots; ++i, ++s) {
             const auto gpus = free_instances[i]->gpuIds();
-            for (std::size_t k = 0; k < slots[s].positions.size(); ++k) {
-                const par::Position &pos = slots[s].positions[k];
-                result.mesh.assign(pos, gpus[k]);
-                const auto *held = snapshot.find(gpus[k]);
-                result.reusedModelBytes +=
-                    held ? engine::modelOverlapBytes(spec_, *held, topo, pos)
-                         : 0.0;
-            }
+            for (std::size_t k = 0; k < slots[s].positions.size(); ++k)
+                result.mesh.assign(slots[s].positions[k], gpus[k]);
         }
-        return result;
+        return;
     }
 
     // Step 1 (intra-instance): score every (instance, slot) pair by its
@@ -340,20 +319,9 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
             const int v = assignment[u];
             if (v < 0)
                 continue;
-            const par::Position &pos = positions[v];
-            result.mesh.assign(pos, gpus[u]);
+            result.mesh.assign(positions[v], gpus[u]);
             pos_taken[v] = true;
             gpu_used[u] = true;
-            const auto *held = snapshot.find(gpus[u]);
-            if (held) {
-                result.reusedModelBytes +=
-                    engine::modelOverlapBytes(spec_, *held, topo, pos);
-                if (result.inheritedOldPipeline[pos.d] == held->position.d &&
-                    held->hasModelContext) {
-                    result.reusedCacheBytes += engine::cacheOverlapBytes(
-                        spec_, *held, topo, pos);
-                }
-            }
         }
         std::size_t next_gpu = 0;
         for (std::size_t v = 0; v < positions.size(); ++v) {
@@ -367,8 +335,6 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
             gpu_used[next_gpu] = true;
         }
     }
-
-    return result;
 }
 
 } // namespace core

@@ -65,14 +65,14 @@ struct DeviceMapperOptions
      * Skip the two-step Hungarian solve when the surviving snapshot
      * already holds the exact target placement: every target position is
      * held, with model context, by exactly one surviving GPU of the same
-     * (D, P, M) shape.  Identity keeps every byte (and every live batch)
-     * in place, which is a maximum of the matching objective, so the
-     * O(n^3) solve cannot do better; with in-flight cache on every
-     * replica it is the unique optimum and the fast path is byte-
-     * identical to the full solve (regression-tested).  Inheritance is
-     * pinned to the identity permutation so each replica keeps its own
-     * batch where its cache already lives.  Disable to force the full
-     * solve (used by the regression test and worst-case benches).
+     * (D, P, M) shape.  Keeping that placement is the all-pinned case of
+     * ReplicaPin: each replica d is pinned to its own GPUs and its own
+     * batch (d -> d), so every byte and every live batch stays in place.
+     * That is a maximum of the matching objective, so the O(n^3) solve
+     * cannot do better; with in-flight cache on every replica it is the
+     * unique optimum and the fast path is byte-identical to the full
+     * solve (regression-tested).  Disable to force the full solve (used
+     * by the regression test and worst-case benches).
      */
     bool identityFastPath = true;
 };
@@ -112,9 +112,9 @@ class DeviceMapper
      * @param pins replicas whose placement is fixed by the caller (see
      *        ReplicaPin).  Pinned GPUs/instances are excluded from the
      *        matching; the remaining positions are solved normally.
-     *        Each pin's replica must tile whole instances
-     *        ((P*M) %% gpusPerInstance == 0) and its GPUs must belong to
-     *        @p instance_list.
+     *        Unless every replica is pinned, each pin's replica must
+     *        tile whole instances ((P*M) %% gpusPerInstance == 0); its
+     *        GPUs must belong to @p instance_list.
      * @pre The target fits: target.totalGpus() <= GPUs in instance_list.
      */
     MappingResult
@@ -134,9 +134,8 @@ class DeviceMapper
      * replica count shrinks.  @p pinned fixes (new replica, old replica)
      * pairs up front: a pinned new replica keeps exactly that old
      * replica's batch in place (or nothing, when it has no progress) and
-     * takes part in no further ranking.  Used by the default solve, the
-     * identity fast path and the ReplicaPin path — one policy, one
-     * implementation.
+     * takes part in no further ranking.  One policy for the free solve
+     * and every ReplicaPin, the identity placement's included.
      */
     std::vector<int>
     planInheritance(int new_dp,
@@ -145,16 +144,23 @@ class DeviceMapper
         const;
 
     /**
-     * Try the identity mapping (see DeviceMapperOptions::identityFastPath);
-     * fills @p result and returns true when the snapshot covers every
-     * target position in place.
+     * The identity placement (see DeviceMapperOptions::identityFastPath)
+     * as one ReplicaPin{d, d, gpus} per replica, or nothing when the
+     * snapshot does not cover every target position in place.
      */
-    bool tryIdentityMapping(
+    std::vector<ReplicaPin> identityPins(
         const engine::ContextSnapshot &snapshot,
         const par::ParallelConfig &target,
+        const std::vector<const cluster::Instance *> &instance_list) const;
+
+    /**
+     * Bind the replicas @p pinned_new leaves open to the instances no pin
+     * touches: the two-step Kuhn-Munkres solve, or id order when ablated.
+     */
+    void matchUnpinned(
+        const engine::ContextSnapshot &snapshot,
         const std::vector<const cluster::Instance *> &instance_list,
-        const std::vector<double> &old_pipeline_tokens,
-        MappingResult &result) const;
+        const std::vector<bool> &pinned_new, MappingResult &result) const;
 
     /** Reuse weight of putting GPU (with daemon state) at a position. */
     double edgeWeight(const engine::GpuContext *held,

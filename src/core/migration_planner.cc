@@ -58,10 +58,10 @@ coveredFraction(const engine::GpuContext &held, int layer,
 } // namespace
 
 /**
- * Everything the expensive snapshot pass produces, shared by both cache
- * variants: per-layer transfer lists and buffer deltas, the cache step's
- * transfers, byte accounting, per-(d,p) dependency sets and the
- * Algorithm-2 layer order.
+ * Everything the expensive snapshot pass produces: per-layer transfer
+ * lists and buffer deltas, the cache step's transfers (empty unless the
+ * options migrate cache), byte accounting, per-(d,p) dependency sets and
+ * the Algorithm-2 layer order.
  */
 struct MigrationPlanner::Analysis
 {
@@ -112,7 +112,6 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
     std::vector<TransferAccumulator> layer_acc(layers);
     out.layerCold.assign(layers, {});
     TransferAccumulator cache_acc;
-    double cache_cold = 0.0;
 
     // Algorithm 2's buffer model: migrating layer l raises each receiving
     // instance's footprint by the bytes received and lowers it by the
@@ -214,14 +213,13 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
                 const double bytes = cache_missing_frac * cache_layer_bytes;
                 out.movedCacheBytes += bytes;
                 out.cacheInvolves[pos.d] = true;
+                // Cache with no live holder is lost: recomputed, never
+                // reloaded.
                 if (best_cache)
                     cache_acc.add(best_cache->instance, dst_inst, bytes);
-                else
-                    cache_cold += bytes; // unrecoverable; treated as loss
             }
         }
     }
-    (void)cache_cold;
 
     // ------------------------------------------------------------------
     // 2. Per-layer memory deltas: stale copies freed on each instance.
@@ -330,8 +328,7 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
 
 MigrationPlan
 MigrationPlanner::assemble(const Analysis &analysis,
-                           const par::ParallelConfig &target,
-                           bool include_cache) const
+                           const par::ParallelConfig &target) const
 {
     MigrationPlan plan;
     const int layers = analysis.layers;
@@ -343,13 +340,12 @@ MigrationPlanner::assemble(const Analysis &analysis,
     // ------------------------------------------------------------------
     // 4. Assemble the step list: cache first, then the ordered layers.
     // ------------------------------------------------------------------
-    plan.cacheMigrated = include_cache && analysis.movedCacheBytes > 0.0;
-    plan.movedCacheBytes = include_cache ? analysis.movedCacheBytes : 0.0;
+    plan.cacheMigrated = analysis.movedCacheBytes > 0.0;
+    plan.movedCacheBytes = analysis.movedCacheBytes;
     if (plan.cacheMigrated) {
         MigrationStep step;
         step.layer = -1;
         step.transfers = analysis.cacheTransfers;
-        step.coldBytes = 0.0; // lost cache is dropped, not reloaded
         plan.steps.push_back(std::move(step));
     }
     std::vector<int> step_of_layer(layers, -1);
@@ -357,10 +353,8 @@ MigrationPlanner::assemble(const Analysis &analysis,
         MigrationStep step;
         step.layer = l;
         step.transfers = analysis.layerTransfers[l];
-        for (const auto &[inst, bytes] : analysis.layerCold[l]) {
-            step.coldBytes = std::max(step.coldBytes, bytes);
+        for (const auto &[inst, bytes] : analysis.layerCold[l])
             step.coldLoads.emplace_back(inst, bytes);
-        }
         step_of_layer[l] = static_cast<int>(plan.steps.size());
         plan.steps.push_back(std::move(step));
     }
@@ -476,7 +470,6 @@ MigrationPlanner::retime(MigrationPlan &plan,
         }
     }
     plan.totalDuration = last_end;
-    plan.timed = true;
 
     // ------------------------------------------------------------------
     // 6. Progressive resume, per replica: stage p of replica d must be
@@ -527,30 +520,9 @@ MigrationPlanner::plan(const engine::ContextSnapshot &snapshot,
 {
     const Analysis analysis =
         analyze(snapshot, mapping, target, old_pipeline_tokens, options);
-    MigrationPlan out = assemble(analysis, target, options.migrateCache);
+    MigrationPlan out = assemble(analysis, target);
     timeOnIdleLinks(out, target, options);
     return out;
-}
-
-MigrationPlanPair
-MigrationPlanner::planBoth(const engine::ContextSnapshot &snapshot,
-                           const MappingResult &mapping,
-                           const par::ParallelConfig &target,
-                           const std::vector<double> &old_pipeline_tokens,
-                           PlannerOptions options) const
-{
-    const Analysis analysis =
-        analyze(snapshot, mapping, target, old_pipeline_tokens, options);
-    MigrationPlanPair pair;
-    pair.withCache = assemble(analysis, target, options.migrateCache);
-    timeOnIdleLinks(pair.withCache, target, options);
-    // Without cache to migrate, dropping it changes nothing: the two
-    // plans are identical, timing included.
-    if (pair.withCache.cacheMigrated)
-        pair.withoutCache = assemble(analysis, target, false);
-    else
-        pair.withoutCache = pair.withCache;
-    return pair;
 }
 
 } // namespace core

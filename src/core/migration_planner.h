@@ -34,10 +34,10 @@ struct MigrationStep
     /** Tensor movements of this step. */
     std::vector<cost::Transfer> transfers;
 
-    /** Bytes that must come from disk/S3 (no live replica), per step. */
-    double coldBytes = 0.0;
-
-    /** The same cold bytes split by loading instance (disk-link loads). */
+    /**
+     * Bytes that must come from disk/S3 (no live replica), by loading
+     * instance (disk-link loads).
+     */
     std::vector<std::pair<int, double>> coldLoads;
 
     /** Wire time of this step (computed by the planner). */
@@ -102,14 +102,6 @@ struct MigrationPlan
     bool cacheMigrated = false;
 
     /**
-     * Whether the timing fields (step offsets and durations, stageReady,
-     * the resumes, totalDuration, serializedDuration) have been derived.
-     * plan() always times; planBoth() may leave the no-cache sibling
-     * untimed until MigrationPlanner::timeOnIdleLinks is called on it.
-     */
-    bool timed = false;
-
-    /**
      * The legacy serialized-cursor duration: setup + every step's
      * closed-form port-bottleneck wire time back to back (disk loads
      * overlapped).  Kept as the planner's cheap screening estimate and
@@ -142,22 +134,6 @@ struct PlannerOptions
     bool migrateCache = true;
 };
 
-/**
- * A with-cache plan and its no-cache sibling, produced from ONE analysis
- * pass over the snapshot.  The interruption arranger compares
- * withCache.totalDuration against the recompute cost and may flip to the
- * no-cache variant (§4.1) without a second planning pass.  Only
- * withCache is timed: when it migrates no cache the sibling is a copy of
- * it, and otherwise the sibling's link timing is left to whoever flips to
- * it (MigrationPlanner::timeOnIdleLinks) — most reconfigurations never
- * do, and timing is the expensive part of assembly.
- */
-struct MigrationPlanPair
-{
-    MigrationPlan withCache;
-    MigrationPlan withoutCache;
-};
-
 /** The migration planner. */
 class MigrationPlanner
 {
@@ -179,25 +155,9 @@ class MigrationPlanner
                        PlannerOptions options = {}) const;
 
     /**
-     * Both cache variants from a single snapshot analysis (the per-layer
-     * transfer/ordering computation dominates planning and is shared;
-     * only the cheap assembly differs).  withCache honours
-     * @p options.migrateCache and is timed; withoutCache is timed only
-     * when it is a copy of withCache (no cache to migrate).  After
-     * timeOnIdleLinks on the sibling, both are byte-identical to calling
-     * plan() twice with migrateCache toggled.
-     */
-    MigrationPlanPair
-    planBoth(const engine::ContextSnapshot &snapshot,
-             const MappingResult &mapping, const par::ParallelConfig &target,
-             const std::vector<double> &old_pipeline_tokens,
-             PlannerOptions options = {}) const;
-
-    /**
      * Time @p plan on idle links: the serialized cursor (the screening
      * estimate, MigrationPlan::serializedDuration), then the link-level
-     * schedule from origin 0, and retime from its step offsets.  Sets
-     * plan.timed.
+     * schedule from origin 0, and retime from its step offsets.
      */
     void timeOnIdleLinks(MigrationPlan &plan,
                          const par::ParallelConfig &target,
@@ -224,18 +184,16 @@ class MigrationPlanner
   private:
     struct Analysis;
 
-    /** The expensive shared pass: transfers, buffer deltas, layer order. */
+    /** The expensive pass: transfers, buffer deltas, layer order. */
     Analysis analyze(const engine::ContextSnapshot &snapshot,
                      const MappingResult &mapping,
                      const par::ParallelConfig &target,
                      const std::vector<double> &old_pipeline_tokens,
                      const PlannerOptions &options) const;
 
-    /** Cheap per-variant assembly: steps, bytes and dependency sets,
-     *  untimed. */
+    /** Cheap assembly: steps, bytes and dependency sets, untimed. */
     MigrationPlan assemble(const Analysis &analysis,
-                           const par::ParallelConfig &target,
-                           bool include_cache) const;
+                           const par::ParallelConfig &target) const;
 
     model::ModelSpec spec_;
     cost::CostParams params_;

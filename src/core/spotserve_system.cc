@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <stdexcept>
 #include <utility>
 
 #include "serving/experiment.h"
@@ -514,22 +513,12 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
         touched[pin.oldReplica] = false;
     }
 
-    PlannerOptions popts;
-    popts.progressive = options_.enableMigrationPlanner;
-    popts.memoryOpt = options_.enableMigrationPlanner;
-    popts.migrateCache = options_.enableArranger;
-    // One analysis pass yields both cache variants; the arranger's
-    // migrate-vs-recompute flip below takes the no-cache sibling instead
-    // of re-running the planner, and times it only if it flips.  (The
-    // §4.2 grace-deadline fallback in startMigration deliberately
-    // re-plans fresh instead — it fires after the drain, when sources
-    // may have died.)
-    auto plans =
-        planner_.planBoth(snapshot, mapping, target, old_tokens, popts);
+    auto plan = planner_.plan(snapshot, mapping, target, old_tokens,
+                              plannerOptions(options_.enableArranger));
 
     PendingMigration pm{target,
                         std::move(mapping),
-                        std::move(plans.withCache),
+                        std::move(plan),
                         std::move(old_tokens),
                         reason,
                         0,
@@ -565,13 +554,8 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
     }
     pm.migrateCache = options_.enableArranger &&
                       pm.plan.totalDuration < committed_work;
-    if (!pm.migrateCache && pm.plan.cacheMigrated) {
-        pm.plan = std::move(plans.withoutCache);
-        planner_.timeOnIdleLinks(pm.plan, target, popts);
-    }
-    // The arranger below reads pm.plan.totalDuration.
-    if (!pm.plan.timed)
-        throw std::logic_error("beginReconfig: plan in force is untimed");
+    if (!pm.migrateCache && pm.plan.cacheMigrated)
+        pm.plan = planWithoutCache(pm);
 
     phase_ = Phase::Draining;
     pending_ = std::move(pm);
@@ -707,10 +691,7 @@ SpotServeSystem::startMigration()
             clearDeployment();
     }
 
-    PlannerOptions popts;
-    popts.progressive = options_.enableMigrationPlanner;
-    popts.memoryOpt = options_.enableMigrationPlanner;
-    popts.migrateCache = pm.migrateCache;
+    const PlannerOptions popts = plannerOptions(pm.migrateCache);
 
     // Quote the plan against the data plane's *current* link state: a
     // previous migration's tail may still occupy NIC/disk ports, and the
@@ -737,20 +718,15 @@ SpotServeSystem::startMigration()
     // Fault tolerance (§4.2): if the plan cannot finish inside the
     // earliest grace deadline, first give up the cache context; weights
     // that still cannot move in time reload from cloud storage at disk
-    // bandwidth.  Unlike the arranger's flip (which happens at planning
-    // time and takes the no-cache sibling of the same analysis pass),
-    // this fallback fires after the drain consumed most of the grace
-    // period, so it re-plans against the *current* holdings — a
+    // bandwidth.  The fallback fires after the drain consumed most of the
+    // grace period, so it re-plans against the *current* holdings — a
     // migration source may have died since beginReconfig and the
     // schedule must not pretend otherwise.
     if (pm.deadline != sim::kTimeInfinity) {
         double remaining = pm.deadline - sim_.now();
         if (duration > remaining && cache_ok) {
             cache_ok = false;
-            popts.migrateCache = false;
-            const auto snapshot = snapshotContext();
-            pm.plan = planner_.plan(snapshot, pm.mapping, pm.target,
-                                    pm.oldTokens, popts);
+            pm.plan = planWithoutCache(pm);
             quote_on_links();
             duration = pm.plan.totalDuration;
             resumes = pm.plan.pipelineResume;
@@ -919,7 +895,30 @@ SpotServeSystem::startMigration()
     // Activate as soon as the first affected replica's context is ready;
     // the rest come online at their own progressive-resume times and the
     // kept replicas never left.
-    sim_.scheduleAfter(first_resume, [this] { activate(); });
+    // The epoch guard drops the event when this migration aborted: a
+    // backed-off retry may be Migrating by then, and it activates on its
+    // own schedule.
+    sim_.scheduleAfter(first_resume, [this, fault_epoch] {
+        if (fault_epoch == migrationEpoch_)
+            activate();
+    });
+}
+
+PlannerOptions
+SpotServeSystem::plannerOptions(bool migrate_cache) const
+{
+    PlannerOptions popts;
+    popts.progressive = options_.enableMigrationPlanner;
+    popts.memoryOpt = options_.enableMigrationPlanner;
+    popts.migrateCache = migrate_cache;
+    return popts;
+}
+
+MigrationPlan
+SpotServeSystem::planWithoutCache(const PendingMigration &pm) const
+{
+    return planner_.plan(snapshotContext(), pm.mapping, pm.target,
+                         pm.oldTokens, plannerOptions(false));
 }
 
 void
@@ -1034,7 +1033,7 @@ SpotServeSystem::onMigrationFailed(
                  "); recovering");
 
     // The data plane already dropped the plan.  Abort the whole
-    // migration; the scheduled activate() no-ops on the phase check.
+    // migration; its scheduled activate() no-ops on the epoch check.
     auto pm = std::move(*pending_);
     pending_.reset();
     migrationTailUntil_ = sim_.now();

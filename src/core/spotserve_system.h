@@ -273,7 +273,7 @@ class SpotServeSystem : public serving::BaseServingSystem
     {
         par::ParallelConfig target;
         MappingResult mapping;
-        /** The plan in force; always timed (MigrationPlan::timed). */
+        /** The plan in force. */
         MigrationPlan plan;
         std::vector<double> oldTokens;
         std::string reason;
@@ -298,10 +298,23 @@ class SpotServeSystem : public serving::BaseServingSystem
     };
     std::optional<PendingMigration> pending_;
 
+    /** The planner switches this system runs with, cache as given. */
+    PlannerOptions plannerOptions(bool migrate_cache) const;
+
+    /**
+     * @p pm's plan re-planned without the cache context, on the current
+     * holdings: the arranger's recompute flip (§4.1) and the §4.2
+     * grace-deadline fallback.
+     */
+    MigrationPlan planWithoutCache(const PendingMigration &pm) const;
+
     /** Bumped at every activation; guards deferred replica start events. */
     long deployEpoch_ = 0;
 
-    /** Bumped at every startMigration; guards failure callbacks. */
+    /**
+     * Bumped at every startMigration; guards the failure callback and the
+     * scheduled activation.
+     */
     long migrationEpoch_ = 0;
 
     /** Consecutive failed re-plan rounds (reset on clean activation). */

@@ -130,14 +130,6 @@ MemoryModel::kvBudgetBlocks(const par::ParallelConfig &config,
     return kvBudgetTokens(config, mem_opt_planner) / block_tokens;
 }
 
-KvWatermarks
-MemoryModel::kvWatermarks(const par::ParallelConfig &config, int block_tokens,
-                          bool mem_opt_planner) const
-{
-    return deriveKvWatermarks(
-        kvBudgetBlocks(config, block_tokens, mem_opt_planner), config.batch);
-}
-
 int
 MemoryModel::minGpus(bool mem_opt_planner) const
 {

@@ -134,20 +134,6 @@ class MemoryModel
                         bool mem_opt_planner = true) const;
 
     /**
-     * Eviction watermarks the optimistic admission mode enforces over a
-     * replica of @p config, derived from kvBudgetBlocks with one decode
-     * round of margin per batch slot (deriveKvWatermarks — one decode
-     * round grows every slot by at most one block, so the same margin
-     * formula applies in block space).  block_tokens = 1 is the
-     * token-denominated form.  A single signature on purpose: a
-     * bool-vs-int overload pair would let a literal argument silently
-     * pick the wrong denomination.
-     */
-    KvWatermarks kvWatermarks(const par::ParallelConfig &config,
-                              int block_tokens = 1,
-                              bool mem_opt_planner = true) const;
-
-    /**
      * Smallest number of GPUs on which the model can serve at all
      * (minimum over feasible configs with D=1, B=1), mirroring Table 1's
      * "min #GPUs" column.  Returns 0 if nothing fits.

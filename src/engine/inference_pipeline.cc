@@ -70,18 +70,7 @@ InferencePipeline::InferencePipeline(sim::Executor &executor,
                 "InferencePipeline: optimistic admission under a bounded "
                 "budget requires the onEvict callback (evicted requests "
                 "must be requeued, not dropped)");
-        if (batching_.kvHighWatermarkBlocks <= 0 ||
-            batching_.kvLowWatermarkBlocks <= 0) {
-            const auto wm =
-                cost::deriveKvWatermarks(budgetBlocks_, config_.batch);
-            batching_.kvHighWatermarkBlocks = wm.high;
-            batching_.kvLowWatermarkBlocks = wm.low;
-        }
-        if (batching_.kvLowWatermarkBlocks >
-                batching_.kvHighWatermarkBlocks ||
-            batching_.kvHighWatermarkBlocks > budgetBlocks_)
-            throw std::invalid_argument(
-                "InferencePipeline: need low <= high <= budget watermarks");
+        watermarks_ = cost::deriveKvWatermarks(budgetBlocks_, config_.batch);
     }
     // The store's physical capacity IS the block budget: prefix sharing
     // may never let resident blocks exceed what admission promised
@@ -324,8 +313,8 @@ InferencePipeline::enforceKvPressure()
         return;
 
     const long budget = budgetBlocks_;
-    const long high = batching_.kvHighWatermarkBlocks;
-    const long low = batching_.kvLowWatermarkBlocks;
+    const long high = watermarks_.high;
+    const long low = watermarks_.low;
 
     // Members chosen as victims so far (empty: none, so the common
     // no-eviction boundary allocates nothing).

@@ -88,15 +88,6 @@ struct BatchingOptions
      * onEvict callback.
      */
     KvAdmissionMode kvAdmissionMode = KvAdmissionMode::Optimistic;
-
-    /**
-     * Eviction watermarks over the held KV *blocks* (optimistic mode;
-     * see cost::KvWatermarks — with kvBlockTokens = 1 a block is a
-     * token).  Leave 0 to derive both from the block budget and batch
-     * size via cost::deriveKvWatermarks.
-     */
-    long kvHighWatermarkBlocks = 0;
-    long kvLowWatermarkBlocks = 0;
 };
 
 /**
@@ -341,6 +332,11 @@ class InferencePipeline
     BatchingOptions batching_;
     /** floor(kvBudgetTokens / kvBlockTokens); the enforced budget. */
     long budgetBlocks_ = kUnboundedKvBlocks;
+    /**
+     * Eviction watermarks over the held KV blocks (optimistic mode; see
+     * cost::KvWatermarks), derived from budgetBlocks_ and the batch size.
+     */
+    cost::KvWatermarks watermarks_;
     /** Physical block pool + prefix index. */
     std::unique_ptr<KvBlockStore> store_;
     double savedPrefillSeconds_ = 0.0;

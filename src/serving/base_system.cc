@@ -275,12 +275,6 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
     batching.kvBlockTokens = engine_.kvBlockTokens;
     batching.prefillChunkTokens = engine_.prefillChunkTokens;
     batching.kvAdmissionMode = engine_.kvAdmissionMode;
-    if (engine_.kvAdmissionMode == engine::KvAdmissionMode::Optimistic) {
-        const cost::KvWatermarks wm = memory_.kvWatermarks(
-            config, engine_.kvBlockTokens, memOptReserve_);
-        batching.kvHighWatermarkBlocks = wm.high;
-        batching.kvLowWatermarkBlocks = wm.low;
-    }
     return std::make_unique<engine::InferencePipeline>(
         sim_, latency_, config, index, std::move(cb), batching);
 }
@@ -391,44 +385,30 @@ BaseServingSystem::dispatchAll()
             break;
         // Least-loaded replica with a free slot AND enough KV headroom
         // for the FIFO head; stop only when the head fits no replica
-        // (strict head-blocking — nothing slips past it).  Each replica
-        // quotes its own discount for the head (matched-and-live shared
-        // blocks it already holds), and the replica offering the biggest
-        // discount wins — colocating the head with its prefix both frees
-        // budget and skips prefill.  All quotes are zero for a head with
-        // no shared prefix (or a restarted one), reducing the selection
-        // to the plain least-loaded rule.
+        // (strict head-blocking — nothing slips past it).  No prefix
+        // discount: a ready replica is idle and the batches dealt here
+        // start only below, so its store holds no live blocks to share.
         const long head_charge = requests_.headKvCharge(mode, blk);
-        const engine::ActiveRequest &head = requests_.pending().front();
-        std::vector<long> quote(ready.size(), 0);
-        if (head.restarts == 0) {
-            for (std::size_t i = 0; i < ready.size(); ++i)
-                quote[i] = ready[i]->kvStore().quoteSharedBlocks(head);
-        }
         int best = -1;
         for (int i = 0; i < static_cast<int>(ready.size()); ++i) {
             if (static_cast<int>(batches[i].size()) >=
                 deployment_->config.batch)
                 continue;
-            if (charged[i] + head_charge - quote[i] > budget)
+            if (charged[i] + head_charge > budget)
                 continue;
-            if (best < 0 || quote[i] > quote[best] ||
-                (quote[i] == quote[best] &&
-                 (batches[i].size() < batches[best].size() ||
-                  (batches[i].size() == batches[best].size() &&
-                   charged[i] < charged[best])))) {
+            if (best < 0 || batches[i].size() < batches[best].size() ||
+                (batches[i].size() == batches[best].size() &&
+                 charged[i] < charged[best])) {
                 best = i;
             }
         }
         if (best < 0)
             break;
         auto got = requests_.nextBatch(1, budget - charged[best], mode,
-                                       budget, blk,
-                                       &ready[best]->kvStore());
+                                       budget, blk);
         if (got.empty())
             break;
-        charged[best] += std::max(
-            0L, got.front().kvChargedBlocks(mode, blk) - quote[best]);
+        charged[best] += got.front().kvChargedBlocks(mode, blk);
         batches[best].push_back(std::move(got.front()));
     }
     for (std::size_t i = 0; i < ready.size(); ++i) {

@@ -96,10 +96,10 @@ RequestManager::popAdmissible(int max_count, long kv_budget,
 std::vector<engine::ActiveRequest>
 RequestManager::nextBatch(int max_size, long kv_budget,
                           engine::KvAdmissionMode mode, long replica_budget,
-                          int block_tokens, const engine::KvBlockStore *store)
+                          int block_tokens)
 {
     return popAdmissible(max_size, kv_budget, mode, replica_budget,
-                         block_tokens, store);
+                         block_tokens, nullptr);
 }
 
 std::vector<engine::ActiveRequest>

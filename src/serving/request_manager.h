@@ -78,20 +78,14 @@ class RequestManager
      * token-granular form), matching the charges the pipelines enforce.
      * Only fresh/restarted/mid-prefill work lives in the queue (committed
      * decode progress == 0); recovered batches are handed to pipelines
-     * directly by the serving systems.
-     *
-     * Pass the target replica's block store as @p store (nullptr quotes
-     * no discount): each pop quotes the *post-prefix-hit* physical demand
-     * (the per-request charge minus the head's matched-and-live shared
-     * blocks), so a request that fits because of sharing is neither
-     * head-blocked nor rejected.
+     * directly by the serving systems.  No prefix discount: an idle
+     * replica holds no live blocks to share.
      */
     std::vector<engine::ActiveRequest>
     nextBatch(int max_size, long kv_budget = engine::kUnboundedKvBlocks,
               engine::KvAdmissionMode mode = engine::KvAdmissionMode::Reserve,
               long replica_budget = engine::kUnboundedKvBlocks,
-              int block_tokens = 1,
-              const engine::KvBlockStore *store = nullptr);
+              int block_tokens = 1);
 
     /**
      * Iteration-level scheduler (continuous batching): pack a live batch
@@ -116,8 +110,7 @@ class RequestManager
      * KV blocks (of @p block_tokens tokens; 1 = tokens) the queue head
      * would be charged under @p mode (stamping a fresh prediction on it
      * first).  Used by idle-batch formation to pick a replica with
-     * enough headroom before popping.  The undiscounted charge:
-     * dispatch subtracts each candidate replica's own prefix quote.
+     * enough headroom before popping.
      * @pre the queue is not empty.
      */
     long headKvCharge(engine::KvAdmissionMode mode, int block_tokens = 1);

@@ -196,10 +196,13 @@ TEST_F(MapperFixture, IdentityFastPathByteIdenticalToFullSolve)
     // placement.  With live cache on every replica the identity is the
     // full solve's unique optimum, so the fast path must reproduce the
     // Hungarian result byte for byte — mesh, inheritance and both reuse
-    // accumulators.
+    // accumulators.  The last two shapes put several replicas on one
+    // instance (and leave one instance partly empty): identity is the
+    // all-pinned case, which needs no instance tiling.
     for (const par::ParallelConfig cfg :
          {par::ParallelConfig{2, 2, 8, 8}, par::ParallelConfig{2, 3, 4, 8},
-          par::ParallelConfig{3, 2, 4, 8}}) {
+          par::ParallelConfig{3, 2, 4, 8}, par::ParallelConfig{4, 1, 2, 8},
+          par::ParallelConfig{6, 1, 1, 8}}) {
         makeInstances((cfg.totalGpus() + 3) / 4 + 1); // one cold spare
         const auto snap = packedSnapshot(cfg, /*cache_tokens=*/600.0);
         const std::vector<double> tokens(cfg.dp, 600.0);
@@ -224,6 +227,17 @@ TEST_F(MapperFixture, IdentityFastPathByteIdenticalToFullSolve)
         EXPECT_DOUBLE_EQ(a.reusedCacheBytes, b.reusedCacheBytes);
         EXPECT_DOUBLE_EQ(a.neededModelBytes, b.neededModelBytes);
     }
+
+    // A partial pin set of such replicas is still rejected: the free
+    // solve below it matches whole instances to whole slots.
+    const par::ParallelConfig cfg{4, 1, 2, 8};
+    makeInstances(3);
+    const auto snap = packedSnapshot(cfg, 600.0);
+    const std::vector<ReplicaPin> partial{ReplicaPin{0, 0, {0, 1}}};
+    DeviceMapper mapper(spec, kParams);
+    EXPECT_THROW(mapper.map(snap, cfg, instances,
+                            std::vector<double>(cfg.dp, 600.0), partial),
+                 std::invalid_argument);
 }
 
 TEST_F(MapperFixture, IdentityFastPathDeclinesPartialCoverage)

@@ -381,84 +381,5 @@ TEST_F(PlannerFixture, RetimeShiftsResumesWithStepFinishes)
         EXPECT_LE(plan.pipelineResume[d], plan.totalDuration + 1e-9);
 }
 
-TEST_F(PlannerFixture, PlanBothMatchesTwoSeparatePasses)
-{
-    // planBoth must be byte-identical to invoking plan() twice with
-    // migrateCache toggled — it exists so beginReconfig stops paying a
-    // second full analysis pass when the arranger flips to recompute.
-    // The no-cache sibling of a plan that migrates cache comes back
-    // untimed; timing it on idle links completes it.
-    par::ParallelConfig old_cfg{2, 2, 8, 8};
-    par::ParallelConfig new_cfg{2, 3, 4, 8};
-    makeInstances(8);
-    const auto snap = packedSnapshot(old_cfg, 600.0);
-    const auto mapping = mapper.map(snap, new_cfg, instances, {600.0, 600.0});
-
-    auto pair = planner.planBoth(snap, mapping, new_cfg, {600.0, 600.0});
-    ASSERT_TRUE(pair.withCache.timed);
-    ASSERT_TRUE(pair.withCache.cacheMigrated);
-    EXPECT_FALSE(pair.withoutCache.timed);
-    planner.timeOnIdleLinks(pair.withoutCache, new_cfg, PlannerOptions{});
-    EXPECT_TRUE(pair.withoutCache.timed);
-    const auto with = planner.plan(snap, mapping, new_cfg, {600.0, 600.0});
-    PlannerOptions no_cache;
-    no_cache.migrateCache = false;
-    const auto without =
-        planner.plan(snap, mapping, new_cfg, {600.0, 600.0}, no_cache);
-
-    auto expect_equal = [](const MigrationPlan &a, const MigrationPlan &b) {
-        EXPECT_DOUBLE_EQ(a.totalDuration, b.totalDuration);
-        EXPECT_DOUBLE_EQ(a.serializedDuration, b.serializedDuration);
-        EXPECT_DOUBLE_EQ(a.resumeOffset, b.resumeOffset);
-        EXPECT_DOUBLE_EQ(a.movedModelBytes, b.movedModelBytes);
-        EXPECT_DOUBLE_EQ(a.movedCacheBytes, b.movedCacheBytes);
-        EXPECT_DOUBLE_EQ(a.reusedBytes, b.reusedBytes);
-        EXPECT_DOUBLE_EQ(a.peakBufferBytes, b.peakBufferBytes);
-        EXPECT_EQ(a.cacheMigrated, b.cacheMigrated);
-        ASSERT_EQ(a.steps.size(), b.steps.size());
-        for (std::size_t i = 0; i < a.steps.size(); ++i) {
-            EXPECT_EQ(a.steps[i].layer, b.steps[i].layer);
-            EXPECT_DOUBLE_EQ(a.steps[i].startOffset, b.steps[i].startOffset);
-            EXPECT_DOUBLE_EQ(a.steps[i].finishOffset,
-                             b.steps[i].finishOffset);
-            EXPECT_DOUBLE_EQ(a.steps[i].duration, b.steps[i].duration);
-        }
-        ASSERT_EQ(a.pipelineResume.size(), b.pipelineResume.size());
-        for (std::size_t d = 0; d < a.pipelineResume.size(); ++d)
-            EXPECT_DOUBLE_EQ(a.pipelineResume[d], b.pipelineResume[d]);
-    };
-    expect_equal(pair.withCache, with);
-    expect_equal(pair.withoutCache, without);
-    EXPECT_TRUE(pair.withCache.cacheMigrated);
-    EXPECT_FALSE(pair.withoutCache.cacheMigrated);
-    EXPECT_DOUBLE_EQ(pair.withoutCache.movedCacheBytes, 0.0);
-}
-
-TEST_F(PlannerFixture, PlanBothSiblingWithoutCacheIsATimedCopy)
-{
-    // Nothing to migrate in the cache (no tokens in flight): dropping the
-    // cache changes nothing, so the sibling is the with-cache plan,
-    // timing included.
-    par::ParallelConfig old_cfg{2, 2, 8, 8};
-    par::ParallelConfig new_cfg{2, 3, 4, 8};
-    makeInstances(8);
-    const auto snap = packedSnapshot(old_cfg);
-    const auto mapping = mapper.map(snap, new_cfg, instances, {0.0, 0.0});
-    const auto pair = planner.planBoth(snap, mapping, new_cfg, {0.0, 0.0});
-    ASSERT_FALSE(pair.withCache.cacheMigrated);
-    EXPECT_TRUE(pair.withoutCache.timed);
-    EXPECT_DOUBLE_EQ(pair.withoutCache.totalDuration,
-                     pair.withCache.totalDuration);
-    EXPECT_EQ(pair.withoutCache.pipelineResume,
-              pair.withCache.pipelineResume);
-    ASSERT_EQ(pair.withoutCache.steps.size(), pair.withCache.steps.size());
-    for (std::size_t i = 0; i < pair.withCache.steps.size(); ++i) {
-        EXPECT_EQ(pair.withoutCache.steps[i].layer,
-                  pair.withCache.steps[i].layer);
-        EXPECT_EQ(pair.withoutCache.steps[i].finishOffset,
-                  pair.withCache.steps[i].finishOffset);
-    }
-}
-
 } // namespace
 } // namespace spotserve::core

@@ -180,8 +180,7 @@ TEST(MemoryModelTest, WatermarkOrderingInvariant)
     // deriveKvWatermarks must keep low < high <= budget for every
     // budget > 1 (the old double max(1, ...) clamp collapsed both onto
     // 1 on tiny budgets, erasing hysteresis so eviction could thrash at
-    // every boundary), and block-denominated watermarks follow the
-    // block budget.
+    // every boundary).
     for (long budget : {2L, 3L, 5L, 9L, 10L, 17L, 64L, 1500L, 100000L}) {
         for (int slots : {1, 4, 8, 64}) {
             const auto wm = deriveKvWatermarks(budget, slots);
@@ -200,13 +199,6 @@ TEST(MemoryModelTest, WatermarkOrderingInvariant)
     const auto wm = deriveKvWatermarks(1500, 8);
     EXPECT_EQ(wm.high, 1407);
     EXPECT_EQ(wm.low, 1220);
-    // Block-denominated watermarks derive from the block budget.
-    MemoryModel mem(ModelSpec::opt6_7b(), kParams);
-    const ParallelConfig c{1, 2, 2, 8};
-    const auto blockWm = mem.kvWatermarks(c, /*block_tokens=*/16);
-    const auto expect = deriveKvWatermarks(mem.kvBudgetBlocks(c, 16), c.batch);
-    EXPECT_EQ(blockWm.high, expect.high);
-    EXPECT_EQ(blockWm.low, expect.low);
 }
 
 TEST(MemoryModelTest, KvScalesWithBatch)

@@ -434,7 +434,6 @@ TEST_F(LinkScheduleFixture, NeverSlowerThanThePlannersSerializedCursor)
         }
         plan.dpStepDeps.assign(1, std::vector<std::vector<int>>(1));
         planner.timeOnIdleLinks(plan, target, core::PlannerOptions{});
-        ASSERT_TRUE(plan.timed);
         EXPECT_LE(plan.totalDuration, plan.serializedDuration + 1e-9)
             << "fleet=" << fleet;
 

@@ -331,5 +331,126 @@ TEST(OverlapTest, ReleasedKeptReplicaRequeuesAtTheReleaseInstant)
             << "request " << c.id << " completed twice";
 }
 
+/** What one run of the t=300 scale-out saw of its migrations. */
+struct ScaleOutRun
+{
+    /** When the first migration's plan was seen in flight. */
+    sim::SimTime firstInFlight = -1.0;
+    /** When the next configuration activated (or -1). */
+    sim::SimTime activation = -1.0;
+    /** When the retry's plan was seen in flight (or -1). */
+    sim::SimTime retryInFlight = -1.0;
+    bool retryKilled = false;
+    long aborts = 0;
+    long arrived = 0;
+    long completed = 0;
+    long rejected = 0;
+    long unfinished = 0;
+};
+
+/**
+ * growShrinkTrace's t=300 scale-out.  With @p kill_first the first
+ * migration's plan is failed on the data plane the moment it is seen in
+ * flight; with @p kill_retry_at >= 0 whatever plan is in flight then (the
+ * backed-off retry's) is failed too.  The probes are identical up to the
+ * first kill, so a run without kills times the first migration's
+ * activation for a run with them.
+ */
+ScaleOutRun
+runScaleOut(bool kill_first, sim::SimTime kill_retry_at)
+{
+    const auto spec = model::ModelSpec::gpt20b();
+    const double rate = 0.60;
+    const auto trace = growShrinkTrace();
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    core::SpotServeOptions options;
+    options.designArrivalRate = rate;
+    core::SpotServeSystem system(sim, instances, requests, spec, kParams,
+                                 kSeq, options);
+    instances.setListener(&system);
+    instances.loadTrace(trace);
+    sim::Rng rng(7);
+    const auto workload =
+        wl::stationaryGamma(rate, 6.0, trace.duration(), kSeq, rng);
+    for (const auto &req : workload) {
+        sim.schedule(req.arrival,
+                     [&system, req] { system.onRequestArrival(req); });
+    }
+
+    sim.run(300.0);
+    ScaleOutRun out;
+    const std::size_t history_before = system.configHistory().size();
+    auto &plane = system.dataPlane();
+    // Fail the plan in flight (if any) through one of its instances.
+    auto kill_in_flight = [&] {
+        const auto victims = plane.inFlightInstances();
+        if (victims.empty())
+            return false;
+        plane.failInstance(victims.front());
+        return true;
+    };
+    std::function<void()> retry_probe = [&] {
+        if (plane.inFlightCount() > 0) {
+            out.retryInFlight = sim.now();
+            return;
+        }
+        if (sim.now() < 400.0)
+            sim.scheduleAfter(0.05, retry_probe);
+    };
+    std::function<void()> first_probe = [&] {
+        if (plane.inFlightInstances().empty()) {
+            if (sim.now() < 400.0)
+                sim.scheduleAfter(0.05, first_probe);
+            return;
+        }
+        out.firstInFlight = sim.now();
+        if (kill_first && kill_in_flight())
+            sim.scheduleAfter(0.05, retry_probe);
+    };
+    sim.schedule(300.0, first_probe);
+    if (kill_retry_at >= 0.0)
+        sim.schedule(kill_retry_at, [&] { out.retryKilled = kill_in_flight(); });
+    sim.run(trace.duration() + 900.0);
+
+    if (system.configHistory().size() > history_before)
+        out.activation = system.configHistory()[history_before].time;
+    serving::ExperimentResult r;
+    system.report(r);
+    out.aborts = r.migrationAborts;
+    out.arrived = requests.arrivedCount();
+    out.completed = requests.completedCount();
+    out.rejected = requests.rejectedCount();
+    out.unfinished = requests.unfinishedCount();
+    return out;
+}
+
+TEST(OverlapTest, AbortedMigrationsActivationLeavesTheRetryMigrating)
+{
+    // An aborted migration's scheduled activation must not fire for the
+    // retry that replaced it.  Kill the first migration's plan at once;
+    // the backed-off retry is Migrating before the aborted migration's
+    // first-resume instant.  A kill of the retry's plan just after that
+    // instant must abort the retry too: a stale activation would have
+    // activated it early and the second failure would be dropped.
+    const ScaleOutRun clean = runScaleOut(false, -1.0);
+    ASSERT_GE(clean.firstInFlight, 300.0);
+    ASSERT_GT(clean.activation, clean.firstInFlight);
+    EXPECT_EQ(clean.aborts, 0);
+
+    const sim::SimTime stale_instant = clean.activation;
+    const ScaleOutRun killed = runScaleOut(true, stale_instant + 0.01);
+    EXPECT_EQ(killed.firstInFlight, clean.firstInFlight);
+    ASSERT_GT(killed.retryInFlight, killed.firstInFlight);
+    ASSERT_LT(killed.retryInFlight, stale_instant)
+        << "the retry must be Migrating before the stale instant";
+    ASSERT_TRUE(killed.retryKilled) << "no plan in flight to kill";
+    EXPECT_EQ(killed.aborts, 2);
+    // Nothing lost across the two aborts.
+    EXPECT_EQ(killed.unfinished, 0);
+    EXPECT_EQ(killed.arrived, killed.completed + killed.rejected);
+}
+
 } // namespace
 } // namespace spotserve
