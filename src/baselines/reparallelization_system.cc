@@ -84,7 +84,7 @@ ReparallelizationSystem::evaluate()
         controller_.chooseConfig(static_cast<int>(usable.size()), alpha);
     if (!decision) {
         tearDownDeployment();
-        phase_ = Phase::Idle;
+        phase_ = Phase::Steady;
         return;
     }
 
@@ -111,7 +111,7 @@ ReparallelizationSystem::workloadTick()
 {
     sim_.scheduleAfter(core::ReconfigPolicy::kCheckInterval,
                        [this] { workloadTick(); });
-    if (phase_ != Phase::Serving || !hasDeployment())
+    if (phase_ != Phase::Steady || !hasDeployment())
         return;
     const double alpha = policy_.planningRate();
     const auto usable = instances_.usableInstances();
@@ -170,7 +170,7 @@ ReparallelizationSystem::activate()
         target.dp = maxReplicas(target.pp, target.tp,
                                 static_cast<int>(usable.size()));
         if (target.dp < 1) {
-            phase_ = Phase::Idle;
+            phase_ = Phase::Steady;
             scheduleEval();
             return;
         }
@@ -178,7 +178,7 @@ ReparallelizationSystem::activate()
     usable.resize(controller_.space().instancesNeeded(target));
     installDeployment(target, packedMesh(target, usable));
     recordConfig(target, pm.reason);
-    phase_ = Phase::Serving;
+    phase_ = Phase::Steady;
     dispatchAll();
     if (pendingReconfig_) {
         pendingReconfig_ = false;

@@ -61,8 +61,7 @@ class ReparallelizationSystem : public serving::BaseServingSystem
   private:
     enum class Phase
     {
-        Idle,
-        Serving,
+        Steady,     ///< Deployed or not; no restart in flight.
         Restarting,
     };
 
@@ -77,7 +76,7 @@ class ReparallelizationSystem : public serving::BaseServingSystem
     /** SpotServe's reconfiguration policy, over this controller. */
     core::ReconfigPolicy policy_;
 
-    Phase phase_ = Phase::Idle;
+    Phase phase_ = Phase::Steady;
     bool evalScheduled_ = false;
     bool pendingReconfig_ = false;
 

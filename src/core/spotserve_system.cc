@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "serving/experiment.h"
@@ -84,12 +85,15 @@ SpotServeSystem::onPreemptionNotice(const cluster::Instance &instance,
 void
 SpotServeSystem::onInstancePreempted(const cluster::Instance &instance)
 {
-    // An unannounced (hard) death is the only one the migration plan did
-    // not see coming: announced victims die exactly when the §4.2
-    // deadline fallback modeled, so their in-flight schedules keep their
-    // committed timeline; a hard kill voids every in-flight transfer the
-    // victim still carries and fires the plans' failure callbacks.
-    const bool unannounced = notices_.find(instance.id()) == notices_.end();
+    // Announced victims die exactly when the §4.2 deadline fallback
+    // modeled, so their in-flight schedules keep their committed timeline.
+    // A death without a notice, or before the noticed time (a noticed
+    // source killed mid-migration), is one the plan did not see coming:
+    // it voids every in-flight transfer the victim still carries and
+    // fires the plans' failure callbacks.
+    const auto notice = notices_.find(instance.id());
+    const bool unannounced =
+        notice == notices_.end() || sim_.now() < notice->second;
     notices_.erase(instance.id());
     forgetInstance(instance.id());
     if (unannounced)
@@ -112,40 +116,45 @@ void
 SpotServeSystem::dropVictimReplicas(cluster::InstanceId id)
 {
     // Normal path: the grace-period migration already moved everything
-    // off the victim.  The checks below handle the fault-tolerance cases
-    // (§4.2): the victim was still serving (including through an
-    // overlapped planning pass), or it was a planned member of the
-    // in-flight migration target.
-    if ((phase_ == Phase::Serving || phase_ == Phase::Planning) &&
-        hasDeployment() && meshUsesInstance(id)) {
-        for (int d : pipelinesUsingInstance(id)) {
-            // The victim's pipelines lose their cache context.
-            restartAndRequeue(removePipeline(d));
-        }
-        scheduleEval();
+    // off the victim.  Otherwise (§4.2) a replica still standing on it —
+    // serving, through an overlapped planning pass, still draining, or
+    // kept serving on the OLD mesh through a migration — loses its cache
+    // context with the instance and stops now.  activate() revalidates
+    // the *target* side.  A victim that was still draining fires
+    // onPipelineHalted from inside removePipeline, so the all-drained
+    // transition is deferred past the loop like the arrangement loop
+    // defers it.
+    const bool on_mesh = meshUsesInstance(id);
+    arrangingHalts_ = true;
+    for (int d : pipelinesUsingInstance(id))
+        restartAndRequeue(removePipeline(d));
+    arrangingHalts_ = false;
+    if (!pending_) {
+        if (on_mesh)
+            scheduleEval();
         return;
     }
-    if ((phase_ == Phase::Draining || phase_ == Phase::Migrating) &&
-        pending_) {
-        // Unaffected replicas keep serving on the OLD mesh through the
-        // transition; any of them standing on the victim must stop now —
-        // their cache context is gone with the instance.  activate()
-        // revalidates the *target* side (§4.2).  A victim that was still
-        // draining fires onPipelineHalted from inside removePipeline, so
-        // the all-drained transition is deferred past the loop exactly
-        // like the arrangement loop defers it.
-        if (hasDeployment() && meshUsesInstance(id)) {
-            arrangingHalts_ = true;
-            for (int d : pipelinesUsingInstance(id))
-                restartAndRequeue(removePipeline(d));
-            arrangingHalts_ = false;
-            if (phase_ == Phase::Draining && pending_ &&
-                pending_->waitingHalts <= 0) {
-                startMigration();
-            }
-        }
-        pendingReconfig_ = true;
+    pendingReconfig_ = true;
+    if (phase_ == Phase::Draining && pending_->waitingHalts <= 0)
+        startMigration();
+}
+
+void
+SpotServeSystem::enterPhase(Phase next)
+{
+    const bool steady = phase_ == Phase::Steady;
+    const bool legal =
+        (next == Phase::Steady && phase_ != Phase::Draining) ||
+        (next == Phase::Planning && steady) ||
+        (next == Phase::Draining && (steady || phase_ == Phase::Planning)) ||
+        (next == Phase::Migrating && phase_ == Phase::Draining);
+    if (!legal) {
+        throw std::logic_error(
+            "SpotServeSystem: illegal phase change " +
+            std::to_string(static_cast<int>(phase_)) + " -> " +
+            std::to_string(static_cast<int>(next)));
     }
+    phase_ = next;
 }
 
 void
@@ -196,27 +205,9 @@ SpotServeSystem::decide(int instances, double alpha) const
 }
 
 void
-SpotServeSystem::pruneStaleNotices()
-{
-    // Defensive sweep behind the event-driven erasures: any notice whose
-    // instance is not actually awaiting preemption (dead, released, or
-    // somehow running again) must not bound planning deadlines.
-    for (auto it = notices_.begin(); it != notices_.end();) {
-        const auto *inst = instances_.get(it->first);
-        if (!inst ||
-            inst->state() != cluster::InstanceState::GracePeriod) {
-            it = notices_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-}
-
-void
 SpotServeSystem::evaluate()
 {
     evalScheduled_ = false;
-    pruneStaleNotices();
     if (phase_ == Phase::Planning) {
         // A planning pass is in flight; it re-reads the fleet state when
         // it commits, so this trigger is already covered.
@@ -242,7 +233,7 @@ SpotServeSystem::evaluate()
     const auto survivors = instances_.survivingInstances();
     const auto decision = decide(static_cast<int>(survivors.size()), alpha);
     if (!decision) {
-        if (hasDeployment() || phase_ != Phase::Idle)
+        if (hasDeployment())
             suspendServing();
         return;
     }
@@ -311,33 +302,25 @@ SpotServeSystem::requestReconfig(const par::ParallelConfig &target,
     if (!hasDeployment()) {
         // Nothing is serving, so there is nothing to overlap the
         // planning pass with.
-        beginReconfig(target, reason);
+        beginReconfig(planReconfig(target, reason));
         return;
     }
-    if (phase_ != Phase::Serving)
-        return;
     // The evaluation that just ran costs real wall-clock on a real
     // controller; charge it as a scheduled planning event while every
     // pipeline keeps admitting and decoding.  The commit re-reads the
     // fleet, so changes that land during the pass are honoured.
-    phase_ = Phase::Planning;
-    planReason_ = reason;
+    enterPhase(Phase::Planning);
     const double duration = planningDuration(
         target, static_cast<int>(instances_.survivingInstances().size()));
     ++planningEvents_;
     totalPlanningTime_ += duration;
-    sim_.scheduleAfter(duration, [this] { finishPlanning(); });
+    sim_.scheduleAfter(duration,
+                       [this, reason] { finishPlanning(reason); });
 }
 
 void
-SpotServeSystem::finishPlanning()
+SpotServeSystem::finishPlanning(const std::string &reason)
 {
-    if (phase_ != Phase::Planning)
-        return;
-    phase_ = Phase::Serving;
-    const std::string reason = std::move(planReason_);
-    planReason_.clear();
-
     // Re-validate the decision against the fleet as it stands now: joins,
     // notices or preemptions may have landed while the pass ran.
     const double alpha = policy_.planningRate();
@@ -347,9 +330,11 @@ SpotServeSystem::finishPlanning()
         suspendServing();
         return;
     }
-    if (!shouldReconfigure(*decision, alpha))
-        return; // the trigger evaporated while we planned
-    beginReconfig(decision->config, reason);
+    if (!shouldReconfigure(*decision, alpha)) {
+        enterPhase(Phase::Steady); // the trigger evaporated while we planned
+        return;
+    }
+    beginReconfig(planReconfig(decision->config, reason));
 }
 
 void
@@ -395,7 +380,7 @@ SpotServeSystem::workloadTick()
 {
     sim_.scheduleAfter(ReconfigPolicy::kCheckInterval,
                        [this] { workloadTick(); });
-    if (phase_ != Phase::Serving || !hasDeployment())
+    if (phase_ != Phase::Steady || !hasDeployment())
         return;
 
     const double alpha = policy_.planningRate();
@@ -428,9 +413,9 @@ SpotServeSystem::pipelineCacheTokens() const
     return tokens;
 }
 
-void
-SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
-                               const std::string &reason)
+SpotServeSystem::PendingMigration
+SpotServeSystem::planReconfig(const par::ParallelConfig &target,
+                              const std::string &reason) const
 {
     const auto survivors = instances_.survivingInstances();
 
@@ -516,89 +501,68 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
     auto plan = planner_.plan(snapshot, mapping, target, old_tokens,
                               plannerOptions(options_.enableArranger));
 
-    PendingMigration pm{target,
-                        std::move(mapping),
-                        std::move(plan),
-                        std::move(old_tokens),
-                        reason,
-                        0,
-                        deadline,
-                        true,
-                        hasDeployment(),
-                        std::move(kept),
-                        std::move(touched),
-                        {},
-                        {}};
-
-    // Arranger: decide whether moving the cache beats recomputation and
-    // how long each affected pipeline may keep decoding (JIT, §4.1).
-    // Only drained batches migrate, so only they count here.
+    // Arranger: decide whether moving the cache beats recomputation (JIT,
+    // §4.1).  Only drained batches migrate, so only they count here.
     double committed_work = 0.0;
-    if (pm.hadDeployment) {
-        const auto &dep = deployment();
-        for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-            const auto &p = dep.pipelines[od];
-            if (!p || p->batch().empty() || !pm.touchedOld[od])
-                continue;
-            par::ParallelConfig c = dep.config;
-            c.batch = static_cast<int>(p->batch().size());
-            // Continuous batching: progress differs per request, so the
-            // batch is worth its most-progressed member's recompute time.
-            for (const auto &r : p->batch()) {
-                committed_work = std::max(
-                    committed_work,
-                    arranger_.recomputeTime(c, r.request.inputLen,
-                                            r.committedTokens));
-            }
+    for (int od = 0; od < old_dp; ++od) {
+        const auto &p = deployment().pipelines[od];
+        if (!p || p->batch().empty() || !touched[od])
+            continue;
+        par::ParallelConfig c = deployment().config;
+        c.batch = static_cast<int>(p->batch().size());
+        // Continuous batching: progress differs per request, so the
+        // batch is worth its most-progressed member's recompute time.
+        for (const auto &r : p->batch()) {
+            committed_work = std::max(
+                committed_work, arranger_.recomputeTime(c, r.request.inputLen,
+                                                        r.committedTokens));
         }
     }
+
+    PendingMigration pm{
+        .target = target,
+        .mapping = std::move(mapping),
+        .plan = std::move(plan),
+        .oldTokens = std::move(old_tokens),
+        .reason = reason,
+        .deadline = deadline,
+        .committedWork = committed_work,
+        .hadDeployment = hasDeployment(),
+        .keptOldPipeline = std::move(kept),
+        .touchedOld = std::move(touched),
+    };
     pm.migrateCache = options_.enableArranger &&
                       pm.plan.totalDuration < committed_work;
     if (!pm.migrateCache && pm.plan.cacheMigrated)
         pm.plan = planWithoutCache(pm);
+    return pm;
+}
 
-    phase_ = Phase::Draining;
+void
+SpotServeSystem::beginReconfig(PendingMigration pm)
+{
+    enterPhase(Phase::Draining);
     pending_ = std::move(pm);
-
-    if (!hasDeployment()) {
-        startMigration();
-        return;
-    }
-
-    auto &dep = deployment();
-    int waiting = 0;
-    int kept_live = 0;
-    for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-        if (!dep.pipelines[od])
-            continue;
-        if (pending_->touchedOld[od])
-            ++waiting;
-        else
-            ++kept_live;
-    }
-    pending_->waitingHalts = waiting;
-    pipelinesKeptServing_ += kept_live;
-    if (kept_live > 0)
-        ++partialReconfigs_;
-    if (waiting == 0) {
-        startMigration();
-        return;
-    }
-
     const double remaining_grace =
         pending_->deadline == sim::kTimeInfinity
             ? 0.0
             : pending_->deadline - sim_.now();
 
-    // Defer the all-halted transition until the arrangement loop is done:
-    // synchronous halts would otherwise tear the deployment down while we
-    // are still iterating its pipelines.
+    // How long each affected pipeline may keep decoding (JIT, §4.1); kept
+    // replicas serve straight through.  The all-halted transition waits
+    // for the loop: synchronous halts would otherwise tear the deployment
+    // down while we are still iterating its pipelines.
+    int kept_live = 0;
     arrangingHalts_ = true;
-
-    for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-        auto &p = dep.pipelines[od];
-        if (!p || !pending_->touchedOld[od])
-            continue; // kept replicas serve straight through
+    for (std::size_t od = 0; od < pending_->touchedOld.size(); ++od) {
+        auto &p = deployment().pipelines[od];
+        if (!p)
+            continue;
+        if (!pending_->touchedOld[od]) {
+            ++kept_live;
+            continue;
+        }
+        ++pending_->waitingHalts;
         if (!options_.enableArranger) {
             // Ablated: suspend immediately; in-flight work is lost.
             p->haltNow();
@@ -609,8 +573,8 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
             continue;
         }
         int iters = 0;
-        if (pending_ && remaining_grace > 0.0) {
-            par::ParallelConfig c = dep.config;
+        if (remaining_grace > 0.0) {
+            par::ParallelConfig c = deployment().config;
             c.batch = static_cast<int>(p->batch().size());
             // Mixed-progress batch: time iterations at the longest
             // context (slowest, conservative), but budget them by the
@@ -625,36 +589,29 @@ SpotServeSystem::beginReconfig(const par::ParallelConfig &target,
                     max_remaining, r.request.outputLen - r.committedTokens);
             }
             const Arrangement a = arranger_.arrangeForPreemption(
-                c, max_ctx, max_remaining, committed_work, remaining_grace,
-                pending_->plan.totalDuration);
+                c, max_ctx, max_remaining, pending_->committedWork,
+                remaining_grace, pending_->plan.totalDuration);
             iters = a.iterations;
         }
         p->haltAfter(iters);
     }
     arrangingHalts_ = false;
-    if (pending_ && pending_->waitingHalts <= 0)
+    pipelinesKeptServing_ += kept_live;
+    if (kept_live > 0)
+        ++partialReconfigs_;
+    if (pending_->waitingHalts <= 0)
         startMigration();
 }
 
 void
 SpotServeSystem::onPipelineHalted(engine::InferencePipeline &pipeline)
 {
-    if (phase_ != Phase::Draining || !pending_)
+    // Partial drain: only affected replicas count toward the all-drained
+    // barrier.  (An unaffected replica can only halt here through the
+    // §4.2 victim cleanup, which requeues its work.)
+    if (phase_ != Phase::Draining ||
+        !pending_->touchedOld[pipeline.index()])
         return;
-    if (hasDeployment()) {
-        // Partial drain: only affected replicas count toward the
-        // all-drained barrier.  (An unaffected replica can only halt here
-        // through the §4.2 victim cleanup, which requeues its work.)
-        const auto &dep = deployment();
-        for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-            if (dep.pipelines[od].get() != &pipeline)
-                continue;
-            if (od < pending_->touchedOld.size() &&
-                !pending_->touchedOld[od])
-                return;
-            break;
-        }
-    }
     if (--pending_->waitingHalts <= 0 && !arrangingHalts_)
         startMigration();
 }
@@ -662,9 +619,7 @@ SpotServeSystem::onPipelineHalted(engine::InferencePipeline &pipeline)
 void
 SpotServeSystem::startMigration()
 {
-    if (phase_ != Phase::Draining)
-        return;
-    phase_ = Phase::Migrating;
+    enterPhase(Phase::Migrating);
     auto &pm = *pending_;
     const long fault_epoch = ++migrationEpoch_;
 
@@ -683,7 +638,7 @@ SpotServeSystem::startMigration()
         auto &dep = deployment();
         batches.resize(dep.pipelines.size());
         for (std::size_t od = 0; od < dep.pipelines.size(); ++od) {
-            if (od < pm.touchedOld.size() && !pm.touchedOld[od])
+            if (!pm.touchedOld[od])
                 continue;
             batches[od] = removePipeline(static_cast<int>(od));
         }
@@ -924,10 +879,11 @@ SpotServeSystem::planWithoutCache(const PendingMigration &pm) const
 void
 SpotServeSystem::activate()
 {
-    if (phase_ != Phase::Migrating || !pending_)
+    if (phase_ != Phase::Migrating)
         return;
     auto pm = std::move(*pending_);
     pending_.reset();
+    enterPhase(Phase::Steady);
 
     // Adopt the kept replicas' live pipeline objects — batches, in-flight
     // iterations and KV accounting move across untouched.
@@ -944,14 +900,11 @@ SpotServeSystem::activate()
                 was_kept[d] = true;
             }
         }
-        // Defensive: nothing else should still be live in the old
-        // deployment (affected replicas were removed at startMigration).
-        for (auto &p : old.pipelines) {
-            if (p) {
-                p->haltNow();
-                restartAndRequeue(p->takeBatch());
-                p.reset();
-            }
+        // startMigration removed every affected replica; the kept ones
+        // were carried above.
+        for (const auto &p : old.pipelines) {
+            if (p)
+                throw std::logic_error("activate: a drained replica is live");
         }
         clearDeployment();
     }
@@ -1007,7 +960,6 @@ SpotServeSystem::activate()
     }
 
     ++migrationsCompleted_;
-    phase_ = Phase::Serving;
     migrationRetryCount_ = 0; // an activation resets the backoff
     dispatchAll();
 
@@ -1021,7 +973,7 @@ void
 SpotServeSystem::onMigrationFailed(
     long epoch, const TransferDataPlane::PlanFailure &failure)
 {
-    if (epoch != migrationEpoch_ || phase_ != Phase::Migrating || !pending_)
+    if (epoch != migrationEpoch_ || phase_ != Phase::Migrating)
         return; // stale: that migration already activated or tore down
     ++migrationAborts_;
     sim::logWarn("t=" + std::to_string(sim_.now()) +
@@ -1036,6 +988,7 @@ SpotServeSystem::onMigrationFailed(
     // migration; its scheduled activate() no-ops on the epoch check.
     auto pm = std::move(*pending_);
     pending_.reset();
+    enterPhase(Phase::Steady);
     migrationTailUntil_ = sim_.now();
 
     if (!options_.faultRecovery) {
@@ -1058,7 +1011,6 @@ SpotServeSystem::onMigrationFailed(
         requestsRecovered_ += static_cast<long>(batch.size());
         restartAndRequeue(std::move(batch));
     }
-    phase_ = hasDeployment() ? Phase::Serving : Phase::Idle;
     pendingReconfig_ = false;
     dispatchAll();
     scheduleRetryEval();
@@ -1086,7 +1038,7 @@ void
 SpotServeSystem::suspendServing()
 {
     tearDownDeployment();
-    phase_ = Phase::Idle;
+    enterPhase(Phase::Steady);
     sim::logWarn("t=" + std::to_string(sim_.now()) +
                  " SpotServe: no feasible configuration; serving suspended");
 }

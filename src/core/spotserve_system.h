@@ -23,6 +23,11 @@
  * reassigned drain, and every migration runs on the link-level
  * TransferDataPlane, where the fault plane can see (and kill) it.  Each
  * paper component can be disabled independently (Figure 9).
+ *
+ * One state machine drives it: Steady -> Planning -> Draining ->
+ * Migrating -> Steady, every change through enterPhase().  The mapper,
+ * planner and arranger run in planReconfig(), a const pass that returns
+ * the PendingMigration; beginReconfig() only commits it.
  */
 
 #ifndef SPOTSERVE_CORE_SPOTSERVE_SYSTEM_H
@@ -143,15 +148,57 @@ class SpotServeSystem : public serving::BaseServingSystem
     void onPipelineHalted(engine::InferencePipeline &pipeline) override;
 
   private:
+    /**
+     * The reconfiguration state machine.  enterPhase() is the only writer
+     * and allows Steady->Planning, Steady/Planning->Draining,
+     * Draining->Migrating and ->Steady from any phase but Draining.
+     * pending_ is set exactly in Draining and Migrating.
+     */
     enum class Phase
     {
-        Idle,      ///< No deployment (insufficient instances or startup).
-        Serving,   ///< Normal operation.
+        Steady,    ///< No reconfiguration in flight (deployed or not).
         Planning,  ///< Costed planning pass in flight; serving continues.
         Draining,  ///< Arranged halts pending on the affected replicas.
         Migrating, ///< Context migration in flight; untouched replicas
                    ///< keep serving.
     };
+
+    /** One reconfiguration, planned by planReconfig(). */
+    struct PendingMigration
+    {
+        par::ParallelConfig target;
+        MappingResult mapping;
+        /** The plan in force. */
+        MigrationPlan plan;
+        std::vector<double> oldTokens;
+        std::string reason;
+        int waitingHalts = 0;
+        sim::SimTime deadline = sim::kTimeInfinity;
+        bool migrateCache = true;
+        /** What the drained cache is worth: its recompute time (§4.1). */
+        double committedWork = 0.0;
+        bool hadDeployment = false;
+        /**
+         * keptOldPipeline[d] = old replica whose live pipeline the new
+         * replica d keeps in place (identical GPUs at identical
+         * positions, same shape), or -1.  Kept replicas never drain:
+         * their pipeline objects move into the new deployment at
+         * activation.
+         */
+        std::vector<int> keptOldPipeline;
+        /**
+         * Old replicas that must drain (complement of the kept set): one
+         * entry per old replica, none without a deployment.
+         */
+        std::vector<bool> touchedOld;
+        /** Batches assigned to each new replica at activation. */
+        std::vector<std::vector<engine::ActiveRequest>> inherited{};
+        /** Absolute per-replica progressive-resume times. */
+        std::vector<sim::SimTime> resumeAbs{};
+    };
+
+    /** The one writer of phase_; std::logic_error on an illegal move. */
+    void enterPhase(Phase next);
 
     /** Coalesced deferred reconfiguration evaluation. */
     void scheduleEval();
@@ -167,7 +214,7 @@ class SpotServeSystem : public serving::BaseServingSystem
                          const std::string &reason);
 
     /** The planning pass completed: re-decide on fresh state and commit. */
-    void finishPlanning();
+    void finishPlanning(const std::string &reason);
 
     /**
      * The one reconfiguration gate evaluate() and finishPlanning() share:
@@ -195,9 +242,16 @@ class SpotServeSystem : public serving::BaseServingSystem
     std::optional<ControllerDecision> decide(int instances,
                                              double alpha) const;
 
-    /** Kick off draining toward @p target. */
-    void beginReconfig(const par::ParallelConfig &target,
-                       const std::string &reason);
+    /**
+     * The read-only planning pass toward @p target: context snapshot,
+     * replica pins, device mapping, deadline, kept/touched sets,
+     * migration plan and the arranger's cache-vs-recompute choice.
+     */
+    PendingMigration planReconfig(const par::ParallelConfig &target,
+                                  const std::string &reason) const;
+
+    /** Commit @p pm: enter Draining and arrange the affected halts. */
+    void beginReconfig(PendingMigration pm);
 
     /** All pipelines drained: run the context migration. */
     void startMigration();
@@ -221,9 +275,6 @@ class SpotServeSystem : public serving::BaseServingSystem
      * replica standing on it and requeue its batch, in any phase.
      */
     void dropVictimReplicas(cluster::InstanceId id);
-
-    /** Drop notices whose instance is no longer awaiting preemption. */
-    void pruneStaleNotices();
 
     /** Cached tokens per live replica (inheritance ranking). */
     std::vector<double> pipelineCacheTokens() const;
@@ -252,50 +303,23 @@ class SpotServeSystem : public serving::BaseServingSystem
     /** Planning rate, voluntary-change gate and monitor hysteresis. */
     ReconfigPolicy policy_;
 
-    Phase phase_ = Phase::Idle;
+    Phase phase_ = Phase::Steady;
     bool evalScheduled_ = false;
     bool pendingReconfig_ = false;
-    /** True while beginReconfig iterates the pipelines to arrange halts. */
+    /** True while a loop halts pipelines: defers the all-drained step. */
     bool arrangingHalts_ = false;
     sim::SimTime migrationTailUntil_ = 0.0;
 
     /**
-     * Active preemption notices: instance -> preemption time.  Ordered
-     * map on purpose: pruneStaleNotices() and the planning-deadline scan
-     * iterate it, and this map feeds the golden-hash timeline — an
-     * unordered container here is exactly the bug class the
-     * determinism lint's unordered-iteration rule bans in src/core.
+     * Active preemption notices: instance -> preemption time.  Every exit
+     * from a grace period reaches the listener, which erases the notice.
+     * Ordered map on purpose: the planning-deadline scan iterates it, and
+     * this map feeds the golden-hash timeline — an unordered container
+     * here is exactly the bug class the determinism lint's
+     * unordered-iteration rule bans in src/core.
      */
     std::map<cluster::InstanceId, sim::SimTime> notices_;
 
-    /** In-flight reconfiguration state. */
-    struct PendingMigration
-    {
-        par::ParallelConfig target;
-        MappingResult mapping;
-        /** The plan in force. */
-        MigrationPlan plan;
-        std::vector<double> oldTokens;
-        std::string reason;
-        int waitingHalts = 0;
-        sim::SimTime deadline = sim::kTimeInfinity;
-        bool migrateCache = true;
-        bool hadDeployment = false;
-        /**
-         * keptOldPipeline[d] = old replica whose live pipeline the new
-         * replica d keeps in place (identical GPUs at identical
-         * positions, same shape), or -1.  Kept replicas never drain:
-         * their pipeline objects move into the new deployment at
-         * activation.
-         */
-        std::vector<int> keptOldPipeline;
-        /** Old replicas that must drain (complement of the kept set). */
-        std::vector<bool> touchedOld;
-        /** Batches assigned to each new replica at activation. */
-        std::vector<std::vector<engine::ActiveRequest>> inherited;
-        /** Absolute per-replica progressive-resume times. */
-        std::vector<sim::SimTime> resumeAbs;
-    };
     std::optional<PendingMigration> pending_;
 
     /** The planner switches this system runs with, cache as given. */
@@ -322,9 +346,6 @@ class SpotServeSystem : public serving::BaseServingSystem
 
     /** Fixed parallelism once chosen (controller ablation). */
     mutable std::optional<par::ParallelConfig> fixedParallelism_;
-
-    /** Reason carried from the planning request to the commit. */
-    std::string planReason_;
 
     int migrationsCompleted_ = 0;
     double totalMigrationStall_ = 0.0;

@@ -149,6 +149,40 @@ TEST(InstanceManagerTest, TraceReplayLifecycle)
     EXPECT_EQ(mgr.usableCount(), 2);
 }
 
+TEST(InstanceManagerTest, EveryGraceExitReachesTheListenerOnce)
+{
+    // A listener that erases its notice on release or preemption holds no
+    // stale notice: each way out of a grace period reaches it exactly
+    // once, and the scheduled preemption of an instance that already left
+    // does nothing.
+    sim::Simulation sim;
+    InstanceManager mgr(sim, kParams);
+    ManagerListener listener;
+    mgr.setListener(&listener);
+    mgr.loadTrace(AvailabilityTrace(
+        "t", 300.0,
+        {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 3},
+         TraceEvent{100.0, TraceEventKind::PreemptNotice, InstanceType::Spot,
+                    2}}));
+    sim.run(110.0);
+    ASSERT_EQ(listener.notices.size(), 2u);
+    const InstanceId released = listener.notices[0].first;
+    const InstanceId killed = listener.notices[1].first;
+    ASSERT_LT(sim.now(), listener.notices[1].second);
+
+    mgr.releaseInstance(released);
+    EXPECT_TRUE(mgr.hardPreemptInstance(killed));
+    EXPECT_EQ(listener.released, std::vector<InstanceId>{released});
+    EXPECT_EQ(listener.preempted, std::vector<InstanceId>{killed});
+
+    sim.run(200.0); // past both noticed times
+    EXPECT_EQ(listener.released, std::vector<InstanceId>{released});
+    EXPECT_EQ(listener.preempted, std::vector<InstanceId>{killed});
+    EXPECT_EQ(mgr.get(released)->state(), InstanceState::Released);
+    EXPECT_EQ(mgr.get(killed)->state(), InstanceState::Preempted);
+    EXPECT_EQ(mgr.usableCount(), 1);
+}
+
 TEST(InstanceManagerTest, DynamicAllocationHasLeadTime)
 {
     sim::Simulation sim;

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -364,6 +365,71 @@ TEST(FaultInjectionGoldenTest, EmptyPlanLeavesFig8ARunByteIdentical)
         h = fnv1a(h, bits);
     }
     EXPECT_EQ(h, 0xad0427b5a185a7f7ULL);
+}
+
+// ---------------------------------------------------------------------
+// Early death of a noticed instance.
+// ---------------------------------------------------------------------
+
+TEST(EarlyDeathTest, NoticedSourceKilledBeforeItsNoticedTimeFailsItsPlan)
+{
+    // A noticed instance can die before its noticed time: a mid-migration
+    // kill while its context is being evacuated.  The death is one the
+    // plan did not see coming, so the migration it feeds must abort and
+    // re-plan instead of activating on context that never arrived.
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::SeqSpec seq{};
+    const double rate = presets::stableRate(spec);
+    const auto trace = cluster::traceBS();
+    core::SpotServeOptions options;
+    options.designArrivalRate = rate;
+    const auto spotserve =
+        presets::spotServeFactory(spec, kParams, seq, options);
+
+    sim::SimTime killed_at = -1.0;
+    sim::SimTime noticed_for = -1.0;
+    std::function<void()> probe;
+    const serving::SystemFactory factory =
+        [&](sim::Executor &executor, cluster::InstanceManager &instances,
+            serving::RequestManager &requests) {
+            auto system = spotserve(executor, instances, requests);
+            auto *plane = &system->dataPlane();
+            // Kill the first noticed instance seen sourcing an in-flight
+            // migration, then stop probing.
+            probe = [&, plane] {
+                for (int id : plane->inFlightInstances(/*sources_only=*/
+                                                       true)) {
+                    const auto *inst = instances.get(id);
+                    if (inst->state() !=
+                        cluster::InstanceState::GracePeriod)
+                        continue;
+                    noticed_for = inst->preemptTime();
+                    killed_at = executor.now();
+                    instances.hardPreemptInstance(id);
+                    return;
+                }
+                executor.scheduleAfter(0.05, probe);
+            };
+            executor.schedule(0.0, probe);
+            return system;
+        };
+    sim::Rng rng(7);
+    const auto workload =
+        wl::stationaryGamma(rate, 6.0, trace.duration(), seq, rng);
+    const auto r =
+        serving::runExperiment(spec, kParams, trace, workload, factory);
+
+    ASSERT_GE(killed_at, 0.0) << "no noticed instance sourced a migration";
+    ASSERT_LT(killed_at, noticed_for);
+    EXPECT_EQ(r.hardPreemptions, 1);
+    EXPECT_GE(r.migrationAborts, 1) << "the plan activated on lost context";
+    EXPECT_EQ(r.arrived, r.completed + r.rejected + r.unfinished);
+    EXPECT_EQ(r.unfinished, 0);
+    std::set<wl::RequestId> ids;
+    for (const auto &rec : r.perRequest)
+        EXPECT_TRUE(ids.insert(rec.id).second)
+            << "request " << rec.id << " completed twice";
+    EXPECT_EQ(r.liveKvRefsAtEnd, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -392,44 +393,37 @@ struct SystemInvariantResult
     long arrived = 0;
 };
 
+/** The model every churn-invariant run serves, and its memory line. */
+const model::ModelSpec kChurnSpec = model::ModelSpec::gpt20b();
+const cost::MemoryModel kChurnMem(kChurnSpec, kParams);
+
+/** Violations one replica shows at one iteration boundary. */
+using BoundaryViolations =
+    std::function<long(const engine::InferencePipeline &)>;
+
 /**
- * Run SpotServe over the churn trace and @p workload, asserting at every
- * iteration boundary of every replica that the reserved KV tokens stay
- * within the deployed configuration's budget, and that the implied
- * per-GPU bytes stay under the memory model's line.
+ * Run SpotServe (kChurnSpec, design rate 0.35) with @p options' engine
+ * over the churn trace and @p workload, summing @p violations over every
+ * iteration boundary of every replica across the preemption-driven
+ * migrations.
  */
 SystemInvariantResult
-runSystemInvariant(const wl::Workload &workload, int chunk_tokens)
+runSystemInvariant(const wl::Workload &workload,
+                   core::SpotServeOptions options,
+                   const BoundaryViolations &violations)
 {
-    const auto spec = model::ModelSpec::gpt20b();
     const auto trace = churnTrace();
-    const cost::SeqSpec seq{};
-    const cost::MemoryModel mem(spec, kParams);
-
     sim::Simulation sim;
     cluster::InstanceManager instances(sim, kParams);
     serving::RequestManager requests(sim);
-    core::SpotServeOptions options;
     options.designArrivalRate = 0.35;
-    options.engine.prefillChunkTokens = chunk_tokens;
-    core::SpotServeSystem system(sim, instances, requests, spec, kParams,
-                                 seq, options);
+    core::SpotServeSystem system(sim, instances, requests, kChurnSpec,
+                                 kParams, cost::SeqSpec{}, options);
 
     SystemInvariantResult out;
     system.setKvObserver([&](const engine::InferencePipeline &p) {
         ++out.checks;
-        const long budget = mem.kvBudgetTokens(p.config());
-        if (p.kvTokensReserved() > budget ||
-            p.kvTokensHeld() > p.kvTokensReserved())
-            ++out.violations;
-        const double kv_bytes = static_cast<double>(p.kvTokensHeld()) *
-                                spec.kvBytesPerToken() /
-                                p.config().gpusPerPipeline();
-        if (mem.weightShardBytes(p.config()) + kv_bytes +
-                kParams.workspaceBytes +
-                mem.migrationReserveBytes(p.config(), true) >
-            kParams.gpu.memBytes)
-            ++out.violations;
+        out.violations += violations(p);
     });
 
     instances.setListener(&system);
@@ -444,6 +438,38 @@ runSystemInvariant(const wl::Workload &workload, int chunk_tokens)
     out.completed = requests.completedCount();
     out.arrived = requests.arrivedCount();
     return out;
+}
+
+/** SpotServe options with @p chunk_tokens of prefill per chunk. */
+core::SpotServeOptions
+chunkedOptions(int chunk_tokens)
+{
+    core::SpotServeOptions options;
+    options.engine.prefillChunkTokens = chunk_tokens;
+    return options;
+}
+
+/**
+ * 1 if one GPU of @p p would cross the memory line holding @p kv_bytes of
+ * KV next to its weights, workspace and migration reserve, else 0.
+ */
+long
+overGpuLine(const engine::InferencePipeline &p, double kv_bytes)
+{
+    return kChurnMem.weightShardBytes(p.config()) + kv_bytes +
+                       kParams.workspaceBytes +
+                       kChurnMem.migrationReserveBytes(p.config(), true) >
+                   kParams.gpu.memBytes
+               ? 1
+               : 0;
+}
+
+/** Held KV bytes per GPU, the held tokens spread over the pipeline. */
+double
+heldKvBytesPerGpu(const engine::InferencePipeline &p)
+{
+    return static_cast<double>(p.kvTokensHeld()) *
+           kChurnSpec.kvBytesPerToken() / p.config().gpusPerPipeline();
 }
 
 TEST(MemoryAdmissionTest, InvariantHoldsAcrossTracesAndMigrations)
@@ -479,7 +505,17 @@ TEST(MemoryAdmissionTest, InvariantHoldsAcrossTracesAndMigrations)
                              std::function<wl::Workload()>(longInput)}) {
         const auto workload = make();
         for (int chunk : {0, 256}) {
-            const auto r = runSystemInvariant(workload, chunk);
+            // Reserved KV tokens within the deployed configuration's
+            // budget, held within reserved, and under the memory line.
+            const auto r = runSystemInvariant(
+                workload, chunkedOptions(chunk),
+                [](const engine::InferencePipeline &p) {
+                    const long budget = kChurnMem.kvBudgetTokens(p.config());
+                    const bool over = p.kvTokensReserved() > budget ||
+                                      p.kvTokensHeld() > p.kvTokensReserved();
+                    return (over ? 1 : 0) +
+                           overGpuLine(p, heldKvBytesPerGpu(p));
+                });
             EXPECT_EQ(r.violations, 0)
                 << "workload " << variant << " chunk " << chunk;
             EXPECT_GT(r.checks, 0);
@@ -1305,62 +1341,6 @@ TEST(OptimisticAdmissionTest, EvictionClearsYieldWhenLastDecoderLeaves)
 // Optimistic admission at the system level (migrations, mid-prefill)
 // ---------------------------------------------------------------------
 
-/**
- * Run SpotServe (optimistic admission, default-on) over the churn trace
- * with an early-stopping workload, asserting the held-KV invariant at
- * every boundary of every replica and full completion across
- * preemption-driven migrations.
- */
-SystemInvariantResult
-runOptimisticSystemInvariant(const wl::Workload &workload, int chunk_tokens)
-{
-    const auto spec = model::ModelSpec::gpt20b();
-    const auto trace = churnTrace();
-    const cost::SeqSpec seq{};
-    const cost::MemoryModel mem(spec, kParams);
-
-    sim::Simulation sim;
-    cluster::InstanceManager instances(sim, kParams);
-    serving::RequestManager requests(sim);
-    core::SpotServeOptions options;
-    options.designArrivalRate = 0.35;
-    options.engine.prefillChunkTokens = chunk_tokens;
-    EXPECT_EQ(options.engine.kvAdmissionMode,
-              engine::KvAdmissionMode::Optimistic)
-        << "optimistic admission should be the default";
-    core::SpotServeSystem system(sim, instances, requests, spec, kParams,
-                                 seq, options);
-
-    SystemInvariantResult out;
-    system.setKvObserver([&](const engine::InferencePipeline &p) {
-        ++out.checks;
-        const long budget = mem.kvBudgetTokens(p.config());
-        if (p.kvTokensHeld() > budget)
-            ++out.violations;
-        const double kv_bytes = static_cast<double>(p.kvTokensHeld()) *
-                                spec.kvBytesPerToken() /
-                                p.config().gpusPerPipeline();
-        if (mem.weightShardBytes(p.config()) + kv_bytes +
-                kParams.workspaceBytes +
-                mem.migrationReserveBytes(p.config(), true) >
-            kParams.gpu.memBytes)
-            ++out.violations;
-    });
-
-    instances.setListener(&system);
-    instances.loadTrace(trace);
-    for (const auto &req : workload) {
-        sim.schedule(req.arrival,
-                     [&system, req] { system.onRequestArrival(req); });
-    }
-    sim.run(trace.duration() + 900.0);
-
-    out.migrations = system.migrationsCompleted();
-    out.completed = requests.completedCount();
-    out.arrived = requests.arrivedCount();
-    return out;
-}
-
 TEST(OptimisticSystemTest, InvariantHoldsAcrossMigrationsWithEarlyStopping)
 {
     // Early-stopping workload (cap 4x the planning output) across the
@@ -1376,7 +1356,17 @@ TEST(OptimisticSystemTest, InvariantHoldsAcrossMigrationsWithEarlyStopping)
     };
     const auto workload = make();
     for (int chunk : {0, 256}) {
-        const auto r = runOptimisticSystemInvariant(workload, chunk);
+        const auto options = chunkedOptions(chunk);
+        EXPECT_EQ(options.engine.kvAdmissionMode,
+                  engine::KvAdmissionMode::Optimistic)
+            << "optimistic admission should be the default";
+        // Held KV tokens within the budget and under the memory line.
+        const auto r = runSystemInvariant(
+            workload, options, [](const engine::InferencePipeline &p) {
+                const long budget = kChurnMem.kvBudgetTokens(p.config());
+                return (p.kvTokensHeld() > budget ? 1 : 0) +
+                       overGpuLine(p, heldKvBytesPerGpu(p));
+            });
         EXPECT_EQ(r.violations, 0) << "chunk " << chunk;
         EXPECT_GT(r.checks, 0);
         EXPECT_GE(r.migrations, 2); // initial + preemption-driven
@@ -1697,71 +1687,6 @@ TEST(BlockAdmissionTest, HeldBlocksInvariantEngineMatrix)
     }
 }
 
-/**
- * Run SpotServe over the churn trace with block-granular accounting,
- * asserting at every boundary of every replica that the ceil-rounded
- * held blocks fit the block budget, reservations fit it in Reserve
- * mode, and the bottleneck-stage bytes stay under the GPU line.
- */
-SystemInvariantResult
-runBlockSystemInvariant(const wl::Workload &workload, int chunk_tokens,
-                        engine::KvAdmissionMode mode, int block_tokens)
-{
-    const auto spec = model::ModelSpec::gpt20b();
-    const auto trace = churnTrace();
-    const cost::SeqSpec seq{};
-    const cost::MemoryModel mem(spec, kParams);
-
-    sim::Simulation sim;
-    cluster::InstanceManager instances(sim, kParams);
-    serving::RequestManager requests(sim);
-    core::SpotServeOptions options;
-    options.designArrivalRate = 0.35;
-    options.engine.prefillChunkTokens = chunk_tokens;
-    options.engine.kvAdmissionMode = mode;
-    options.engine.kvBlockTokens = block_tokens;
-    core::SpotServeSystem system(sim, instances, requests, spec, kParams,
-                                 seq, options);
-
-    SystemInvariantResult out;
-    system.setKvObserver([&](const engine::InferencePipeline &p) {
-        ++out.checks;
-        const long budget_blocks =
-            mem.kvBudgetBlocks(p.config(), block_tokens);
-        if (p.kvBlocksHeld() > budget_blocks)
-            ++out.violations;
-        if (mode == engine::KvAdmissionMode::Reserve &&
-            p.kvBlocksReserved() > budget_blocks)
-            ++out.violations;
-        // Bottleneck-stage bytes: the largest stage holds ceil(L/P)
-        // layers of weights and of every held block's KV.
-        const int bl = (spec.numLayers() + p.config().pp - 1) /
-                       p.config().pp;
-        const double kv_bytes = static_cast<double>(p.kvBlocksHeld()) *
-                                block_tokens *
-                                spec.kvBytesPerTokenPerLayer() * bl /
-                                p.config().tp;
-        if (mem.weightShardBytes(p.config()) + kv_bytes +
-                kParams.workspaceBytes +
-                mem.migrationReserveBytes(p.config(), true) >
-            kParams.gpu.memBytes)
-            ++out.violations;
-    });
-
-    instances.setListener(&system);
-    instances.loadTrace(trace);
-    for (const auto &req : workload) {
-        sim.schedule(req.arrival,
-                     [&system, req] { system.onRequestArrival(req); });
-    }
-    sim.run(trace.duration() + 900.0);
-
-    out.migrations = system.migrationsCompleted();
-    out.completed = requests.completedCount();
-    out.arrived = requests.arrivedCount();
-    return out;
-}
-
 TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
 {
     // Full-system matrix at the paged block size (or the value CI
@@ -1806,8 +1731,29 @@ TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
         for (int chunk : {0, 256}) {
             for (const auto mode : {engine::KvAdmissionMode::Reserve,
                                     engine::KvAdmissionMode::Optimistic}) {
-                const auto r =
-                    runBlockSystemInvariant(workload, chunk, mode, blk);
+                auto options = chunkedOptions(chunk);
+                options.engine.kvAdmissionMode = mode;
+                options.engine.kvBlockTokens = blk;
+                // Ceil-rounded held blocks (and, in Reserve mode, the
+                // reservations) fit the block budget, and the
+                // bottleneck stage stays under the memory line: it holds
+                // ceil(L/P) layers of weights and of every held block.
+                const auto r = runSystemInvariant(
+                    workload, options,
+                    [mode, blk](const engine::InferencePipeline &p) {
+                        const auto &c = p.config();
+                        const long budget = kChurnMem.kvBudgetBlocks(c, blk);
+                        long v = p.kvBlocksHeld() > budget ? 1 : 0;
+                        if (mode == engine::KvAdmissionMode::Reserve &&
+                            p.kvBlocksReserved() > budget)
+                            ++v;
+                        const int bl =
+                            (kChurnSpec.numLayers() + c.pp - 1) / c.pp;
+                        const double kv_bytes =
+                            static_cast<double>(p.kvBlocksHeld()) * blk *
+                            kChurnSpec.kvBytesPerTokenPerLayer() * bl / c.tp;
+                        return v + overGpuLine(p, kv_bytes);
+                    });
                 EXPECT_EQ(r.violations, 0)
                     << "workload " << variant << " chunk " << chunk
                     << " mode " << engine::toString(mode) << " blk " << blk;

@@ -25,6 +25,7 @@
 #include "cluster/trace_library.h"
 #include "core/spotserve_system.h"
 #include "serving/experiment.h"
+#include "serving/presets.h"
 #include "workload/workload.h"
 
 namespace spotserve {
@@ -450,6 +451,87 @@ TEST(OverlapTest, AbortedMigrationsActivationLeavesTheRetryMigrating)
     // Nothing lost across the two aborts.
     EXPECT_EQ(killed.unfinished, 0);
     EXPECT_EQ(killed.arrived, killed.completed + killed.rejected);
+}
+
+/**
+ * SpotServe that releases the first instance noticed for preemption
+ * @p delay seconds after its notice.  @p drained is set when that release
+ * completed the drain: the last draining replica stood on the instance,
+ * so the migration was submitted from inside the release.
+ */
+class ReleaseFirstNoticed : public core::SpotServeSystem
+{
+  public:
+    ReleaseFirstNoticed(sim::Executor &executor,
+                        cluster::InstanceManager &instances,
+                        serving::RequestManager &requests,
+                        const model::ModelSpec &spec,
+                        core::SpotServeOptions options, double delay,
+                        bool &drained)
+        : core::SpotServeSystem(executor, instances, requests, spec, kParams,
+                                kSeq, options),
+          delay_(delay), drained_(drained)
+    {
+    }
+
+    void onPreemptionNotice(const cluster::Instance &instance,
+                            sim::SimTime preempt_at) override
+    {
+        core::SpotServeSystem::onPreemptionNotice(instance, preempt_at);
+        if (noticed_)
+            return;
+        noticed_ = true;
+        sim_.scheduleAfter(delay_, [this, id = instance.id()] {
+            const long submitted = dataPlane().submissions();
+            instances_.releaseInstance(id);
+            drained_ = dataPlane().submissions() > submitted;
+        });
+    }
+
+  private:
+    double delay_;
+    bool &drained_;
+    bool noticed_ = false;
+};
+
+TEST(OverlapTest, ReleasedVictimThatCompletesTheDrainStartsTheMigration)
+{
+    // Releasing a noticed instance while its replica is the last one
+    // draining completes the drain: the migration must start right then,
+    // and nothing may be lost or left holding KV.
+    const auto spec = model::ModelSpec::opt6_7b();
+    const double rate = presets::stableRate(spec);
+    const auto trace = cluster::traceAS();
+    core::SpotServeOptions options;
+    options.designArrivalRate = rate;
+    sim::Rng rng(7);
+    const auto workload =
+        wl::stationaryGamma(rate, 6.0, trace.duration(), kSeq, rng);
+
+    int drained_by_release = 0;
+    for (double delay : {0.5, 1.0, 2.0, 3.0, 5.0, 7.5, 10.0}) {
+        SCOPED_TRACE("delay " + std::to_string(delay));
+        bool drained = false;
+        const serving::SystemFactory factory =
+            [&](sim::Executor &executor, cluster::InstanceManager &instances,
+                serving::RequestManager &requests) {
+                return std::make_unique<ReleaseFirstNoticed>(
+                    executor, instances, requests, spec, options, delay,
+                    drained);
+            };
+        const auto r =
+            serving::runExperiment(spec, kParams, trace, workload, factory);
+        drained_by_release += drained ? 1 : 0;
+        EXPECT_EQ(r.unfinished, 0);
+        EXPECT_EQ(r.arrived, r.completed + r.rejected);
+        EXPECT_EQ(r.liveKvRefsAtEnd, 0);
+        std::set<wl::RequestId> seen;
+        for (const auto &c : r.perRequest)
+            EXPECT_TRUE(seen.insert(c.id).second)
+                << "request " << c.id << " completed twice";
+    }
+    EXPECT_GT(drained_by_release, 0)
+        << "no release completed a drain; the victim path went untested";
 }
 
 } // namespace
