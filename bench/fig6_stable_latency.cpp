@@ -8,9 +8,10 @@
  * P90..P99 tail latencies plus SpotServe's improvement factors over both
  * baselines, the numbers printed on each subplot.
  *
- * Exits non-zero if any run leaves a request unfinished or a KV block
- * reference live at the end (the conservation and leak audits every
- * system must pass).
+ * Exits non-zero if any run fails the drained-run audit
+ * (serving::auditDrainedRun: each request completed once, nothing
+ * unfinished, no KV block reference live), or if SpotServe's P99 exceeds
+ * Reparallelization's on any row (the paper's headline claim).
  *
  * Usage: fig6_stable_latency [model-substring] [trace-substring]
  */
@@ -71,11 +72,10 @@ main(int argc, char **argv)
                 results.push_back(presets::runStable(spec, trace, system));
             for (const auto &r : results) {
                 printRow(r);
-                if (r.unfinished != 0 || r.liveKvRefsAtEnd != 0) {
-                    std::printf("  FAIL: %s left %ld unfinished and %ld "
-                                "KV block refs live\n",
-                                r.systemName.c_str(), r.unfinished,
-                                r.liveKvRefsAtEnd);
+                const auto broken = serving::auditDrainedRun(r);
+                if (!broken.empty()) {
+                    std::printf("  FAIL: %s: %s\n", r.systemName.c_str(),
+                                broken.c_str());
                     exit_code = 1;
                 }
             }
@@ -91,6 +91,12 @@ main(int argc, char **argv)
                         "%.2fx vs Rerouting\n",
                         repar_p99 / spot_p99, rerout_p99 / spot_p99,
                         repar_avg / spot_avg, rerout_avg / spot_avg);
+            if (spot_p99 > repar_p99) {
+                std::printf("  FAIL: SpotServe P99 %.2f exceeds "
+                            "Reparallelization's %.2f\n",
+                            spot_p99, repar_p99);
+                exit_code = 1;
+            }
         }
     }
     return exit_code;

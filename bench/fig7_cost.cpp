@@ -8,9 +8,9 @@
  * rises).  The paper's headline: spot serving saves up to 54% per token
  * versus on-demand at a modest latency increase.
  *
- * Exits non-zero if any run leaves a request unfinished, a KV block
- * reference live, or an arrival unaccounted for (arrived != completed +
- * rejected + unfinished).
+ * Exits non-zero if any run fails the drained-run audit
+ * (serving::auditDrainedRun: each request completed once, nothing
+ * unfinished, no KV block reference live).
  */
 
 #include <cstdio>
@@ -32,19 +32,14 @@ printPoint(const char *label, const serving::ExperimentResult &r)
                 r.ondemandInstanceHours);
 }
 
-/** The run's conservation and leak audit; prints a FAIL line if broken. */
+/** The drained-run audit; prints a FAIL line if broken. */
 bool
 audited(const char *label, const serving::ExperimentResult &r)
 {
-    if (r.unfinished == 0 && r.liveKvRefsAtEnd == 0 &&
-        r.arrived == r.completed + r.rejected + r.unfinished) {
-        return true;
-    }
-    std::printf("  FAIL: %s arrived %ld, completed %ld, rejected %ld, "
-                "unfinished %ld, %ld KV block refs live\n",
-                label, r.arrived, r.completed, r.rejected, r.unfinished,
-                r.liveKvRefsAtEnd);
-    return false;
+    const auto broken = serving::auditDrainedRun(r);
+    if (!broken.empty())
+        std::printf("  FAIL: %s: %s\n", label, broken.c_str());
+    return broken.empty();
 }
 
 } // namespace

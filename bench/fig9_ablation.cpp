@@ -9,10 +9,10 @@
  * GPT-20B's minimum GPU count (16 -> 12 with the memory-optimised
  * planner).
  *
- * Exits non-zero if any run leaves a request unfinished, a KV block
- * reference live, or an arrival unaccounted for (arrived != completed +
- * rejected + unfinished).  Only this bench runs the controller-ablated
- * fixed-parallelism path.
+ * Exits non-zero if any run fails the drained-run audit
+ * (serving::auditDrainedRun: each request completed once, nothing
+ * unfinished, no KV block reference live).  Only this bench runs the
+ * controller-ablated fixed-parallelism path.
  */
 
 #include <cstdio>
@@ -90,13 +90,9 @@ main()
                         "   done %ld/%ld\n",
                         v.name, p99, p99 / base_p99, avg, avg / base_avg,
                         r.completed, r.arrived);
-            if (r.unfinished != 0 || r.liveKvRefsAtEnd != 0 ||
-                r.arrived != r.completed + r.rejected + r.unfinished) {
-                std::printf("  FAIL: %s arrived %ld, completed %ld, "
-                            "rejected %ld, unfinished %ld, %ld KV block "
-                            "refs live\n",
-                            v.name, r.arrived, r.completed, r.rejected,
-                            r.unfinished, r.liveKvRefsAtEnd);
+            const auto broken = serving::auditDrainedRun(r);
+            if (!broken.empty()) {
+                std::printf("  FAIL: %s: %s\n", v.name, broken.c_str());
                 exit_code = 1;
             }
         }

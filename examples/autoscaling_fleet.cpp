@@ -37,7 +37,6 @@ main()
     core::SpotServeOptions options;
     options.dynamicAllocation = true;     // Algorithm 1 lines 6-10 live
     options.designArrivalRate = 0.2;      // the declared base load
-    options.candidatePoolSize = 2;        // spares for smooth substitution
     options.maxDynamicInstances = 12;
     options.controller.arrivalCv = 1.0;   // Poisson traffic in this demo
     // Cost-driven objective (§3.2 "other targets"): cheapest

@@ -388,12 +388,12 @@ MigrationPlanner::timeOnIdleLinks(MigrationPlan &plan,
     // 5. Timing.  The serialized cursor — setup charged exactly once,
     //    then every step's closed-form port-bottleneck wire time back to
     //    back, with per-instance disk/S3 cold loads overlapped — is
-    //    always computed: it is the cheap screening estimate and the
-    //    baseline the bench gate compares against.  The plan's actual
+    //    always computed as the reference bound tests and
+    //    bench_ablation_migration compare against.  The plan's actual
     //    timeline comes from the link-level schedule: steps interleave
     //    across disjoint instance pairs, and transfers sharing a port
     //    serialize honestly.  The link schedule is adopted as is;
-    //    core_planner_test and the bench gates check that it never
+    //    tests and bench_ablation_migration check that it never
     //    exceeds the serialized cursor.
     // ------------------------------------------------------------------
     const double setup = params_.migrationSetupTime;

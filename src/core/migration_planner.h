@@ -104,9 +104,9 @@ struct MigrationPlan
     /**
      * The legacy serialized-cursor duration: setup + every step's
      * closed-form port-bottleneck wire time back to back (disk loads
-     * overlapped).  Kept as the planner's cheap screening estimate and
-     * the bench's comparison baseline; the link-scheduled totalDuration
-     * never exceeds it.
+     * overlapped).  Nothing in the planner reads it: it is the reference
+     * bound tests and bench_ablation_migration compare against, and the
+     * link-scheduled totalDuration never exceeds it.
      */
     double serializedDuration = 0.0;
 
@@ -155,8 +155,8 @@ class MigrationPlanner
                        PlannerOptions options = {}) const;
 
     /**
-     * Time @p plan on idle links: the serialized cursor (the screening
-     * estimate, MigrationPlan::serializedDuration), then the link-level
+     * Time @p plan on idle links: the serialized cursor (the reference
+     * bound, MigrationPlan::serializedDuration), then the link-level
      * schedule from origin 0, and retime from its step offsets.
      */
     void timeOnIdleLinks(MigrationPlan &plan,

@@ -345,8 +345,7 @@ SpotServeSystem::manageFleet(double alpha)
     if (!desired)
         return;
     const int want = std::min(options_.maxDynamicInstances,
-                              desired->instancesNeeded +
-                                  options_.candidatePoolSize);
+                              desired->instancesNeeded + kCandidatePoolSize);
     const int have = instances_.planningCount();
     if (have < want) {
         // Line 8: allocate Spot immediately; instances join after the

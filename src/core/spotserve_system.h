@@ -86,12 +86,6 @@ struct SpotServeOptions
     int maxDynamicInstances = 12;
 
     /**
-     * Spare instances kept "as a candidate pool for smoother instance
-     * substitution" (§3.2; the paper keeps two).
-     */
-    int candidatePoolSize = 2;
-
-    /**
      * Crash-consistent recovery from unannounced faults (hard
      * preemptions and mid-migration deaths): when an in-flight transfer
      * schedule dies, abort the pending migration, requeue its inherited
@@ -231,6 +225,9 @@ class SpotServeSystem : public serving::BaseServingSystem
 
     /** Periodic workload monitor (overload / scale-down detection). */
     void workloadTick();
+
+    /** Spares manageFleet keeps as the candidate pool (§3.2: two). */
+    static constexpr int kCandidatePoolSize = 2;
 
     /** Algorithm 1 lines 6-10: grow/shrink the fleet (dynamic mode). */
     void manageFleet(double alpha);

@@ -19,11 +19,11 @@
  * and granting a transfer all of its links when they are free.  A
  * lower-priority transfer never delays a higher-priority one (it is
  * preempted at the next event when the earlier step's transfer can run),
- * which yields the key guarantee the planner and the bench gate rely on:
- * the schedule is never slower than the planner's serialized cursor
- * (every step's closed-form wire time back to back, disk loads
- * overlapped), and on single-pair/single-link topologies the makespan
- * equals the closed-form port-bottleneck estimate exactly.
+ * which yields the key guarantee tests and bench_ablation_migration check:
+ * the schedule is never slower than the planner's serialized cursor (a
+ * reference bound nothing in src/ reads: every step's closed-form wire
+ * time back to back, disk loads overlapped), and on single-pair/single-link
+ * topologies the makespan equals the closed-form port-bottleneck estimate.
  *
  * There is one mode: steps always interleave.  A build works on flat
  * arrays — a dense per-link index over (type, instance), the pending

@@ -46,9 +46,9 @@ class MigrationCostModel
 
     /**
      * The port-bottleneck wire time alone, without the fixed setup cost —
-     * callers composing multi-step schedules (the migration planner, the
-     * link scheduler's screening comparison) charge setup exactly once
-     * themselves instead of subtracting it back out per step.
+     * callers composing multi-step schedules (the planner's serialized
+     * cursor, a reference bound for the link schedule) charge setup exactly
+     * once themselves instead of subtracting it back out per step.
      */
     double wireTime(const std::vector<Transfer> &transfers) const;
 

@@ -1,5 +1,7 @@
 #include "serving/experiment.h"
 
+#include <set>
+
 #include "cluster/fault_injector.h"
 #include "simcore/simulation.h"
 
@@ -82,6 +84,27 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
     result.hardPreemptions = instances.hardPreemptions();
     system->report(result);
     return result;
+}
+
+std::string
+auditDrainedRun(const ExperimentResult &result)
+{
+    std::set<wl::RequestId> ids;
+    for (const auto &rec : result.perRequest)
+        ids.insert(rec.id);
+    const long records = static_cast<long>(result.perRequest.size());
+    std::string broken;
+    auto expect = [&broken](long got, long want, const std::string &what) {
+        if (got != want)
+            broken += (broken.empty() ? "" : "; ") + std::to_string(got) + what;
+    };
+    expect(records - static_cast<long>(ids.size()), 0,
+           " duplicate completion records");
+    expect(records, result.completed, " completion records for " +
+           std::to_string(result.completed) + " completed");
+    expect(result.unfinished, 0, " unfinished");
+    expect(result.liveKvRefsAtEnd, 0, " KV block refs live");
+    return broken;
 }
 
 } // namespace serving

@@ -177,6 +177,11 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
                 const wl::Workload &workload, const SystemFactory &factory,
                 ExperimentOptions options = {});
 
+/** The audit every drained run must pass: distinct completion ids, one
+ *  record per completed request, nothing unfinished, no live KV block
+ *  ref.  "" when it holds, else one line naming each broken clause. */
+std::string auditDrainedRun(const ExperimentResult &result);
+
 } // namespace serving
 } // namespace spotserve
 

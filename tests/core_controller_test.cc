@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -402,6 +403,55 @@ TEST(ControllerTest, MemoisedSweepMatchesReferenceByteForByte)
             }
         }
     }
+}
+
+TEST(ControllerTest, MemoisedSweepIsTwiceAsFastAtFleetScale)
+{
+    // The memoised sweep pays off at 128 instances: cold is the mean of
+    // three fresh controllers' first sweep, warm the mean of 50 repeat
+    // sweeps on one controller, and cold must take at least twice as
+    // long.  The deterministic form of the same claim: the warm sweep
+    // evaluates no candidate and returns the cold decision.
+    const int n = 128;
+    const double rate = 0.35;
+    using Clock = std::chrono::steady_clock;
+    auto seconds_since = [](Clock::time_point start) {
+        return std::chrono::duration<double>(Clock::now() - start).count();
+    };
+
+    const int cold_reps = 3;
+    double cold = 0.0;
+    for (int k = 0; k < cold_reps; ++k) {
+        auto ctrl = gptController();
+        const auto t0 = Clock::now();
+        const auto d = ctrl.chooseConfig(n, rate);
+        cold += seconds_since(t0);
+        ASSERT_TRUE(d.has_value());
+        EXPECT_GT(ctrl.lastSweepStats().coldEvals, 0u);
+    }
+    cold /= cold_reps;
+
+    auto ctrl = gptController();
+    const auto first = ctrl.chooseConfig(n, rate);
+    ASSERT_TRUE(first.has_value());
+    const int warm_reps = 50;
+    std::optional<ControllerDecision> last;
+    std::size_t warm_cold_evals = 0;
+    const auto t0 = Clock::now();
+    for (int k = 0; k < warm_reps; ++k) {
+        last = ctrl.chooseConfig(n, rate);
+        warm_cold_evals += ctrl.lastSweepStats().coldEvals;
+    }
+    const double warm = seconds_since(t0) / warm_reps;
+
+    EXPECT_EQ(warm_cold_evals, 0u) << "warm sweeps re-evaluated candidates";
+    ASSERT_TRUE(last.has_value());
+    EXPECT_EQ(last->config, first->config);
+    EXPECT_EQ(last->estimatedLatency, first->estimatedLatency);
+
+    EXPECT_GE(cold, 2.0 * warm)
+        << "memoised sweep " << warm * 1e3 << " ms vs cold " << cold * 1e3
+        << " ms at " << n << " instances";
 }
 
 TEST(ControllerTest, FeasibleSetHonoursMemOptPlannerFlag)

@@ -315,7 +315,7 @@ TEST_F(PlannerFixture, LinkScheduledPlanBeatsOrMatchesSerializedCursor)
     // stays inside totalDuration, stageReady still tracks the latest
     // finishing step of each stage, the per-replica resumes stay causal,
     // and the adopted makespan never exceeds the serialized-cursor
-    // screening estimate.
+    // reference bound.
     par::ParallelConfig old_cfg{2, 2, 8, 8};
     par::ParallelConfig new_cfg{2, 3, 4, 8};
     makeInstances(8);

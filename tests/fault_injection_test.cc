@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -423,13 +422,7 @@ TEST(EarlyDeathTest, NoticedSourceKilledBeforeItsNoticedTimeFailsItsPlan)
     ASSERT_LT(killed_at, noticed_for);
     EXPECT_EQ(r.hardPreemptions, 1);
     EXPECT_GE(r.migrationAborts, 1) << "the plan activated on lost context";
-    EXPECT_EQ(r.arrived, r.completed + r.rejected + r.unfinished);
-    EXPECT_EQ(r.unfinished, 0);
-    std::set<wl::RequestId> ids;
-    for (const auto &rec : r.perRequest)
-        EXPECT_TRUE(ids.insert(rec.id).second)
-            << "request " << rec.id << " completed twice";
-    EXPECT_EQ(r.liveKvRefsAtEnd, 0);
+    EXPECT_EQ(serving::auditDrainedRun(r), "");
 }
 
 // ---------------------------------------------------------------------
@@ -504,16 +497,8 @@ runChaos(const ChaosCase &c, bool fault_recovery = true,
 void
 expectCrashConsistent(const serving::ExperimentResult &r)
 {
-    // Conservation: every arrival is accounted for exactly once.
-    EXPECT_EQ(r.arrived, r.completed + r.rejected + r.unfinished);
-    EXPECT_EQ(r.unfinished, 0) << "requests lost under faults";
-    // No request served twice.
-    std::set<wl::RequestId> ids;
-    for (const auto &rec : r.perRequest)
-        EXPECT_TRUE(ids.insert(rec.id).second)
-            << "request " << rec.id << " completed twice";
-    // No leaked KV block references once the queue drained.
-    EXPECT_EQ(r.liveKvRefsAtEnd, 0);
+    // Every request completed once, none lost, no KV block ref leaked.
+    EXPECT_EQ(serving::auditDrainedRun(r), "");
     // The faults actually happened.
     EXPECT_GT(r.hardPreemptions, 0);
 }

@@ -124,7 +124,6 @@ TEST(DynamicAllocationTest, KeepsCandidatePool)
     core::SpotServeOptions options;
     options.dynamicAllocation = true;
     options.designArrivalRate = 0.35;
-    options.candidatePoolSize = 2;
     core::SpotServeSystem system(sim, instances, requests,
                                  model::ModelSpec::gpt20b(), kParams, kSeq,
                                  options);
@@ -136,8 +135,8 @@ TEST(DynamicAllocationTest, KeepsCandidatePool)
     }
     sim.run(1200.0);
     ASSERT_TRUE(system.currentConfig().has_value());
-    // Fleet = what the config occupies + the candidate pool, capped at
-    // the dynamic-allocation limit.
+    // Fleet = what the config occupies + the two-instance candidate pool
+    // (§3.2), capped at the dynamic-allocation limit.
     cost::ConfigSpace space(model::ModelSpec::gpt20b(), kParams, kSeq);
     const int needed = space.instancesNeeded(*system.currentConfig());
     EXPECT_EQ(instances.planningCount(),

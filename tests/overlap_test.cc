@@ -522,13 +522,7 @@ TEST(OverlapTest, ReleasedVictimThatCompletesTheDrainStartsTheMigration)
         const auto r =
             serving::runExperiment(spec, kParams, trace, workload, factory);
         drained_by_release += drained ? 1 : 0;
-        EXPECT_EQ(r.unfinished, 0);
-        EXPECT_EQ(r.arrived, r.completed + r.rejected);
-        EXPECT_EQ(r.liveKvRefsAtEnd, 0);
-        std::set<wl::RequestId> seen;
-        for (const auto &c : r.perRequest)
-            EXPECT_TRUE(seen.insert(c.id).second)
-                << "request " << c.id << " completed twice";
+        EXPECT_EQ(serving::auditDrainedRun(r), "");
     }
     EXPECT_GT(drained_by_release, 0)
         << "no release completed a drain; the victim path went untested";

@@ -2,7 +2,9 @@
  * @file
  * Property sweep over configuration transitions: for every (old, new)
  * pair in a realistic set, the mapper + planner pipeline must satisfy
- * byte conservation, co-location, determinism, and timing invariants.
+ * byte conservation, co-location, determinism, and timing invariants
+ * (among them: the link-scheduled makespan never exceeds the serialized
+ * cursor, up to fleet-scale transitions over 128 instances).
  */
 
 #include <gtest/gtest.h>
@@ -126,6 +128,9 @@ TEST_P(TransitionSweep, MapperAndPlannerInvariants)
         sum += s.duration;
     }
     EXPECT_NEAR(sum, plan.totalDuration, 1e-6);
+    // The interleaved link schedule is never slower than the serialized
+    // cursor it is measured against.
+    EXPECT_LE(plan.totalDuration, plan.serializedDuration + 1e-9);
 
     // Every layer appears exactly once after the optional cache step.
     std::set<int> layers;
@@ -165,7 +170,11 @@ INSTANTIATE_TEST_SUITE_P(
         Transition{{1, 6, 2, 8}, {1, 3, 4, 8}},
         Transition{{1, 4, 1, 8}, {1, 1, 4, 8}},
         // Identity (membership-only) remap.
-        Transition{{2, 3, 4, 8}, {2, 3, 4, 8}}),
+        Transition{{2, 3, 4, 8}, {2, 3, 4, 8}},
+        // Fleet scale: P2M8 -> P3M4 filling 32, 64 and 128 instances.
+        Transition{{8, 2, 8, 8}, {10, 3, 4, 8}},
+        Transition{{16, 2, 8, 8}, {21, 3, 4, 8}},
+        Transition{{32, 2, 8, 8}, {42, 3, 4, 8}}),
     [](const ::testing::TestParamInfo<Transition> &info) {
         const auto &t = info.param;
         char buf[64];

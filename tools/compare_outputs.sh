@@ -6,9 +6,8 @@
 # Runs the figure and table benches (fig5/6/7/8/9, table1,
 # ablation_migration) and the five non-server examples in both trees,
 # diffs their stdout and fig8's --json summary, and exits 1 on any
-# difference (0 when every output is byte-identical).  Timing benches
-# (micro_algorithms) and the wall-clock server are left out: their
-# output depends on the machine.  A non-zero exit of a binary is
+# difference (0 when every output is byte-identical).  The wall-clock
+# server is left out: its output depends on the machine.  A non-zero exit of a binary is
 # reported but only a difference in output fails the comparison, so a
 # bench gate that goes red in both trees still compares.
 set -u
