@@ -85,16 +85,16 @@ DeviceMapper::planInheritance(
 }
 
 double
-DeviceMapper::edgeWeight(const engine::GpuContext *held,
+DeviceMapper::edgeWeight(const engine::HeldContext *held,
                          const par::Topology &target_topo,
                          const par::Position &pos,
                          const std::vector<int> &inherited) const
 {
-    if (!held || !held->hasModelContext)
+    if (!held || !held->ctx->hasModelContext)
         return 0.0;
     double w = engine::modelOverlapBytes(spec_, *held, target_topo, pos);
-    if (options_.preferCacheReuse && held->cacheTokens > 0.0 &&
-        inherited[pos.d] == held->position.d) {
+    if (options_.preferCacheReuse && held->ctx->cacheTokens > 0.0 &&
+        inherited[pos.d] == held->ctx->position.d) {
         w += engine::cacheOverlapBytes(spec_, *held, target_topo, pos);
     }
     return w;
@@ -157,9 +157,13 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
     MappingResult result{par::DeviceMesh(target, spec_.numLayers()),
                          {}, 0.0, 0.0, 0.0};
     const par::Topology &topo = result.mesh.topology();
-    for (int i = 0; i < topo.size(); ++i) {
-        result.neededModelBytes +=
-            engine::neededModelBytes(spec_, topo, topo.position(i));
+    for (int d = 0; d < target.dp; ++d) {
+        for (int p = 0; p < target.pp; ++p) {
+            for (int m = 0; m < target.tp; ++m) {
+                result.neededModelBytes += engine::neededModelBytes(
+                    spec_, topo, par::Position{d, p, m});
+            }
+        }
     }
 
     // Keeping the snapshot's exact placement is the all-pinned case.
@@ -192,10 +196,11 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
         pinned_new[pin.newReplica] = true;
         pinned_pairs.emplace_back(pin.newReplica, pin.oldReplica);
         // DeviceMesh::assign rejects a GPU pinned twice.
-        for (int k = 0; k < per_replica; ++k) {
-            result.mesh.assign(
-                topo.position(pin.newReplica * per_replica + k),
-                pin.gpus[k]);
+        for (int p = 0, k = 0; p < target.pp; ++p) {
+            for (int m = 0; m < target.tp; ++m, ++k) {
+                result.mesh.assign(par::Position{pin.newReplica, p, m},
+                                   pin.gpus[k]);
+            }
         }
     }
     // Pinned replicas keep their own batch in place; the remaining new
@@ -203,19 +208,20 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
     result.inheritedOldPipeline =
         planInheritance(target.dp, old_pipeline_tokens, pinned_pairs);
 
+    const engine::ContextIndex index(snapshot, spec_.numLayers());
     if (!all_pinned)
-        matchUnpinned(snapshot, instance_list, pinned_new, result);
+        matchUnpinned(index, instance_list, pinned_new, result);
 
     // Reuse of the final placement: every mapped GPU keeps the overlap of
     // its held model context, and its cache when its new replica inherits
     // the batch that cache belongs to.
-    for (const auto &held : snapshot.gpus) {
-        if (!result.mesh.contains(held.gpu))
+    for (const engine::HeldContext &held : index.entries()) {
+        if (!result.mesh.contains(held.ctx->gpu))
             continue;
-        const par::Position pos = result.mesh.positionOf(held.gpu);
+        const par::Position pos = result.mesh.positionOf(held.ctx->gpu);
         result.reusedModelBytes +=
             engine::modelOverlapBytes(spec_, held, topo, pos);
-        if (result.inheritedOldPipeline[pos.d] == held.position.d) {
+        if (result.inheritedOldPipeline[pos.d] == held.ctx->position.d) {
             result.reusedCacheBytes +=
                 engine::cacheOverlapBytes(spec_, held, topo, pos);
         }
@@ -225,7 +231,7 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
 
 void
 DeviceMapper::matchUnpinned(
-    const engine::ContextSnapshot &snapshot,
+    const engine::ContextIndex &index,
     const std::vector<const cluster::Instance *> &instance_list,
     const std::vector<bool> &pinned_new, MappingResult &result) const
 {
@@ -279,16 +285,18 @@ DeviceMapper::matchUnpinned(
     match::Matrix slot_weight(num_instances,
                               std::vector<double>(num_slots, 0.0));
 
+    std::vector<const engine::HeldContext *> held;
     for (std::size_t i = 0; i < num_instances; ++i) {
-        const auto gpus = free_instances[i]->gpuIds();
+        held.clear();
+        for (par::GpuId g : free_instances[i]->gpuIds())
+            held.push_back(index.find(g));
         for (std::size_t s = 0; s < num_slots; ++s) {
             const auto &positions = slots[s].positions;
-            match::Matrix w(gpus.size(),
+            match::Matrix w(held.size(),
                             std::vector<double>(positions.size(), 0.0));
-            for (std::size_t u = 0; u < gpus.size(); ++u) {
-                const auto *held = snapshot.find(gpus[u]);
+            for (std::size_t u = 0; u < held.size(); ++u) {
                 for (std::size_t v = 0; v < positions.size(); ++v) {
-                    w[u][v] = edgeWeight(held, topo, positions[v],
+                    w[u][v] = edgeWeight(held[u], topo, positions[v],
                                          result.inheritedOldPipeline);
                 }
             }

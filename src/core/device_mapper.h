@@ -158,12 +158,12 @@ class DeviceMapper
      * touches: the two-step Kuhn-Munkres solve, or id order when ablated.
      */
     void matchUnpinned(
-        const engine::ContextSnapshot &snapshot,
+        const engine::ContextIndex &index,
         const std::vector<const cluster::Instance *> &instance_list,
         const std::vector<bool> &pinned_new, MappingResult &result) const;
 
     /** Reuse weight of putting GPU (with daemon state) at a position. */
-    double edgeWeight(const engine::GpuContext *held,
+    double edgeWeight(const engine::HeldContext *held,
                       const par::Topology &target_topo,
                       const par::Position &pos,
                       const std::vector<int> &inherited) const;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <tuple>
 
 #include "costmodel/latency_model.h"
 
@@ -39,21 +40,6 @@ class TransferAccumulator
   private:
     std::map<std::pair<int, int>, double> bytes_;
 };
-
-/** Fraction of a layer's shard interval [lo,hi) covered by a holder. */
-double
-coveredFraction(const engine::GpuContext &held, int layer,
-                const model::ModelSpec &spec, double lo, double hi)
-{
-    if (!held.hasModelContext)
-        return 0.0;
-    const par::Topology held_topo(held.config, spec.numLayers());
-    const auto [first, last] = held_topo.stageLayers(held.position.p);
-    if (layer < first || layer >= last)
-        return 0.0;
-    const auto [hlo, hhi] = held_topo.shardInterval(held.position.m);
-    return std::max(0.0, std::min(hi, hhi) - std::max(lo, hlo));
-}
 
 } // namespace
 
@@ -127,13 +113,17 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
                            std::vector<std::vector<int>>(target.pp));
     out.cacheInvolves.assign(target.dp, false);
 
+    const engine::ContextIndex index(snapshot, layers);
     for (int i = 0; i < topo.size(); ++i) {
         const par::Position pos = topo.position(i);
         const par::GpuId gpu = mapping.mesh.gpuAt(pos);
         const int dst_inst = cluster::Instance::instanceOfGpu(gpu, gpi);
-        const auto *own = snapshot.find(gpu);
+        const engine::HeldContext *own = index.find(gpu);
         const auto [lo, hi] = topo.shardInterval(pos.m);
         const auto [first, last] = topo.stageLayers(pos.p);
+        const double needed_frac = hi - lo;
+        // The part of each of its layer slices this GPU already holds.
+        const double own_cover = own ? own->shardCover(lo, hi) : 0.0;
 
         const int inherit = mapping.inheritedOldPipeline[pos.d];
         const double tokens =
@@ -141,11 +131,12 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
              inherit < static_cast<int>(old_pipeline_tokens.size()))
                 ? old_pipeline_tokens[inherit]
                 : 0.0;
+        const bool own_cache = own && own->ctx->hasModelContext &&
+                               own->ctx->cacheTokens > 0.0 &&
+                               own->ctx->position.d == inherit;
 
         for (int l = first; l < last; ++l) {
-            const double needed_frac = hi - lo;
-            const double own_frac =
-                own ? coveredFraction(*own, l, spec_, lo, hi) : 0.0;
+            const double own_frac = own && own->holds(l) ? own_cover : 0.0;
             double missing_frac = needed_frac - own_frac;
             out.reusedBytes += own_frac * spec_.layerWeightBytes();
             if (missing_frac <= 1e-12)
@@ -159,11 +150,7 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
                     : 0.0;
             double cache_missing_frac = 0.0;
             if (cache_layer_bytes > 0.0) {
-                const bool own_cache =
-                    own && own->hasModelContext && own->cacheTokens > 0.0 &&
-                    own->position.d == inherit;
-                const double own_cache_frac =
-                    own_cache ? coveredFraction(*own, l, spec_, lo, hi) : 0.0;
+                const double own_cache_frac = own_cache ? own_frac : 0.0;
                 cache_missing_frac =
                     std::max(0.0, needed_frac - own_cache_frac);
             }
@@ -172,15 +159,17 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
                 continue;
 
             // Pick a source: a daemon holding this layer with the largest
-            // interval overlap, preferring the destination instance.
+            // interval overlap, preferring the destination instance.  The
+            // holders come in snapshot order, so the first maximum wins.
             const engine::GpuContext *best = nullptr;
             double best_score = 0.0;
             const engine::GpuContext *best_cache = nullptr;
             double best_cache_score = 0.0;
-            for (const auto &g : snapshot.gpus) {
+            for (const engine::HeldContext *h : index.holders(l)) {
+                const engine::GpuContext &g = *h->ctx;
                 if (g.gpu == gpu)
                     continue;
-                const double cover = coveredFraction(g, l, spec_, lo, hi);
+                const double cover = h->shardCover(lo, hi);
                 if (cover <= 0.0)
                     continue;
                 const double local_bonus =
@@ -224,29 +213,28 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
     // ------------------------------------------------------------------
     // 2. Per-layer memory deltas: stale copies freed on each instance.
     // ------------------------------------------------------------------
-    for (const auto &g : snapshot.gpus) {
+    for (const engine::HeldContext &h : index.entries()) {
+        const engine::GpuContext &g = *h.ctx;
         if (!g.hasModelContext)
             continue;
-        const par::Topology held_topo(g.config, spec_.numLayers());
-        const auto [first, last] = held_topo.stageLayers(g.position.p);
         const double old_slice =
             spec_.layerWeightBytes() / g.config.tp;
-        // The part of each old layer slice the GPU keeps in place.
-        const bool mapped = mapping.mesh.contains(g.gpu);
-        par::Position new_pos;
-        if (mapped)
-            new_pos = mapping.mesh.positionOf(g.gpu);
-        for (int l = first; l < last; ++l) {
-            double kept = 0.0;
-            if (mapped) {
-                const auto [nf, nl] = topo.stageLayers(new_pos.p);
-                if (l >= nf && l < nl) {
-                    kept = par::shardOverlapFraction(
-                               g.position.m, g.config.tp, new_pos.m,
-                               topo.config().tp) *
-                           spec_.layerWeightBytes();
-                }
-            }
+        // The part of each old layer slice the GPU keeps in place: its
+        // shard overlap, on the layers its new stage still owns.
+        int kept_first = 0;
+        int kept_last = 0;
+        double kept_slice = 0.0;
+        if (mapping.mesh.contains(g.gpu)) {
+            const par::Position new_pos = mapping.mesh.positionOf(g.gpu);
+            std::tie(kept_first, kept_last) = topo.stageLayers(new_pos.p);
+            kept_slice = par::shardOverlapFraction(g.position.m, g.config.tp,
+                                                   new_pos.m,
+                                                   topo.config().tp) *
+                         spec_.layerWeightBytes();
+        }
+        for (int l = h.firstLayer; l < h.lastLayer; ++l) {
+            const double kept =
+                l >= kept_first && l < kept_last ? kept_slice : 0.0;
             const double freed = std::max(0.0, old_slice - kept);
             if (freed > 0.0)
                 layer_freed[l][g.instance] += freed;

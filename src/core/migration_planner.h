@@ -10,6 +10,14 @@
  * instance's transient communication-buffer usage by U_max, deferring
  * layers that would overflow and ordering the deferred ones by the min-max
  * rule of Algorithm 2.
+ *
+ * One plan() call indexes the context snapshot once (engine::ContextIndex).
+ * Each target position then looks up its own GPU's holding by id and,
+ * for each layer it is missing, walks only that layer's holders, in
+ * snapshot order, to pick the source: the first holder with the largest
+ * shard overlap wins, with a 1e-6 bonus for a holder on the destination
+ * instance.  The stale copies each old GPU frees are counted over its own
+ * held layer range.
  */
 
 #ifndef SPOTSERVE_CORE_MIGRATION_PLANNER_H

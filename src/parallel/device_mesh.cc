@@ -17,11 +17,13 @@ DeviceMesh::assign(const Position &pos, GpuId gpu)
 {
     if (gpu < 0)
         throw std::invalid_argument("DeviceMesh::assign: invalid gpu id");
-    if (indexOfGpu_.count(gpu))
+    if (contains(gpu))
         throw std::invalid_argument("DeviceMesh::assign: gpu already bound");
     const int idx = topology_.flatIndex(pos);
     if (byIndex_[idx] != kInvalidGpu)
-        indexOfGpu_.erase(byIndex_[idx]);
+        indexOfGpu_[byIndex_[idx]] = -1;
+    if (gpu >= static_cast<GpuId>(indexOfGpu_.size()))
+        indexOfGpu_.resize(static_cast<std::size_t>(gpu) + 1, -1);
     byIndex_[idx] = gpu;
     indexOfGpu_[gpu] = idx;
 }
@@ -35,16 +37,16 @@ DeviceMesh::gpuAt(const Position &pos) const
 Position
 DeviceMesh::positionOf(GpuId gpu) const
 {
-    auto it = indexOfGpu_.find(gpu);
-    if (it == indexOfGpu_.end())
+    if (!contains(gpu))
         throw std::out_of_range("DeviceMesh::positionOf: unknown gpu");
-    return topology_.position(it->second);
+    return topology_.position(indexOfGpu_[gpu]);
 }
 
 bool
 DeviceMesh::contains(GpuId gpu) const
 {
-    return indexOfGpu_.count(gpu) > 0;
+    return gpu >= 0 && gpu < static_cast<GpuId>(indexOfGpu_.size()) &&
+           indexOfGpu_[gpu] >= 0;
 }
 
 bool

@@ -11,7 +11,6 @@
 #ifndef SPOTSERVE_PARALLEL_DEVICE_MESH_H
 #define SPOTSERVE_PARALLEL_DEVICE_MESH_H
 
-#include <unordered_map>
 #include <vector>
 
 #include "parallel/parallel_config.h"
@@ -63,7 +62,8 @@ class DeviceMesh
   private:
     Topology topology_;
     std::vector<GpuId> byIndex_;
-    std::unordered_map<GpuId, int> indexOfGpu_;
+    /** GpuId -> flat position index, -1 when unbound. */
+    std::vector<int> indexOfGpu_;
 };
 
 } // namespace par

@@ -484,15 +484,29 @@ BaseServingSystem::recordConfig(const par::ParallelConfig &config,
 engine::ContextSnapshot
 BaseServingSystem::snapshotContext() const
 {
+    // Every GPU whose instance is still usable, in GPU order (a
+    // deterministic order for the mapper).
     engine::ContextSnapshot snap;
+    snap.gpus.reserve(holdings_.size());
+    par::GpuId max_gpu = par::kInvalidGpu;
     for (const auto &[gpu, held] : holdings_) {
-        engine::GpuContext ctx = held;
-        ctx.cacheTokens = 0.0;
-        snap.gpus.push_back(ctx);
+        const auto *inst = instances_.get(held.instance);
+        if (!inst || !inst->usable())
+            continue;
+        snap.gpus.push_back(held);
+        snap.gpus.back().cacheTokens = 0.0;
+        max_gpu = std::max(max_gpu, gpu);
     }
+    std::sort(snap.gpus.begin(), snap.gpus.end(),
+              [](const engine::GpuContext &a, const engine::GpuContext &b) {
+                  return a.gpu < b.gpu;
+              });
     // Fill cache tokens from live batches: every GPU of replica d holds
     // that replica's KV slice for its own stage/shard.
     if (deployment_) {
+        std::vector<int> slot_of(static_cast<std::size_t>(max_gpu + 1), -1);
+        for (std::size_t i = 0; i < snap.gpus.size(); ++i)
+            slot_of[snap.gpus[i].gpu] = static_cast<int>(i);
         for (std::size_t d = 0; d < deployment_->pipelines.size(); ++d) {
             const auto &p = deployment_->pipelines[d];
             if (!p)
@@ -506,26 +520,11 @@ BaseServingSystem::snapshotContext() const
                 continue;
             for (par::GpuId g :
                  deployment_->mesh.pipelineGpus(static_cast<int>(d))) {
-                for (auto &ctx : snap.gpus) {
-                    if (ctx.gpu == g)
-                        ctx.cacheTokens = tokens;
-                }
+                if (g >= 0 && g <= max_gpu && slot_of[g] >= 0)
+                    snap.gpus[slot_of[g]].cacheTokens = tokens;
             }
         }
     }
-    // Drop GPUs whose instance is no longer usable.
-    std::vector<engine::GpuContext> alive;
-    for (const auto &ctx : snap.gpus) {
-        const auto *inst = instances_.get(ctx.instance);
-        if (inst && inst->usable())
-            alive.push_back(ctx);
-    }
-    snap.gpus = std::move(alive);
-    // Deterministic order for the mapper.
-    std::sort(snap.gpus.begin(), snap.gpus.end(),
-              [](const engine::GpuContext &a, const engine::GpuContext &b) {
-                  return a.gpu < b.gpu;
-              });
     return snap;
 }
 

@@ -267,7 +267,7 @@ TEST(ContextStateTest, IdenticalPositionReusesEverything)
     held.config = cfg;
     held.position = par::Position{0, 0, 3};
     const double reuse =
-        modelOverlapBytes(spec, held, topo, par::Position{0, 0, 3});
+        modelOverlapBytes(spec, HeldContext(held, spec.numLayers()), topo, par::Position{0, 0, 3});
     EXPECT_NEAR(reuse, neededModelBytes(spec, topo, par::Position{0, 0, 3}),
                 1.0);
 }
@@ -282,7 +282,7 @@ TEST(ContextStateTest, DifferentStageSharesNothing)
     held.config = cfg;
     held.position = par::Position{0, 0, 0};
     EXPECT_DOUBLE_EQ(
-        modelOverlapBytes(spec, held, topo, par::Position{0, 1, 0}), 0.0);
+        modelOverlapBytes(spec, HeldContext(held, spec.numLayers()), topo, par::Position{0, 1, 0}), 0.0);
 }
 
 TEST(ContextStateTest, ReshardingOverlapIsPartial)
@@ -300,7 +300,7 @@ TEST(ContextStateTest, ReshardingOverlapIsPartial)
     held.position = par::Position{0, 0, 0};
 
     const double reuse =
-        modelOverlapBytes(spec, held, new_topo, par::Position{0, 0, 0});
+        modelOverlapBytes(spec, HeldContext(held, spec.numLayers()), new_topo, par::Position{0, 0, 0});
     // Common layers: old stage 0 = [0,22), new stage 0 = [0,15) -> 15.
     // Shard intersection: [0,1/8) within [0,1/4) -> 1/8.
     EXPECT_NEAR(reuse, 15 * spec.layerWeightBytes() / 8.0, 1.0);
@@ -320,7 +320,7 @@ TEST(ContextStateTest, CacheOverlapScalesWithTokens)
     held.position = par::Position{0, 0, 2};
     held.cacheTokens = 1000.0;
     const double reuse =
-        cacheOverlapBytes(spec, held, topo, par::Position{0, 0, 2});
+        cacheOverlapBytes(spec, HeldContext(held, spec.numLayers()), topo, par::Position{0, 0, 2});
     // 22 layers, shard width 1/8 of per-layer KV for 1000 tokens.
     EXPECT_NEAR(reuse, 1000.0 * spec.kvBytesPerTokenPerLayer() * 22 / 8.0,
                 1.0);
@@ -328,17 +328,51 @@ TEST(ContextStateTest, CacheOverlapScalesWithTokens)
                 reuse, 1.0);
     held.cacheTokens = 0.0;
     EXPECT_DOUBLE_EQ(
-        cacheOverlapBytes(spec, held, topo, par::Position{0, 0, 2}), 0.0);
+        cacheOverlapBytes(spec, HeldContext(held, spec.numLayers()), topo, par::Position{0, 0, 2}), 0.0);
 }
 
-TEST(ContextStateTest, SnapshotFind)
+TEST(ContextStateTest, IndexFindsGpusAndListsHoldersInSnapshotOrder)
 {
+    const auto spec = model::ModelSpec::gpt20b(); // 44 layers
+    const par::ParallelConfig cfg{1, 2, 8, 8};    // stages [0,22), [22,44)
     ContextSnapshot snap;
-    GpuContext a;
-    a.gpu = 5;
-    snap.gpus.push_back(a);
-    EXPECT_NE(snap.find(5), nullptr);
-    EXPECT_EQ(snap.find(6), nullptr);
+    auto add = [&](par::GpuId gpu, int p, int m, bool model) {
+        GpuContext g;
+        g.gpu = gpu;
+        g.hasModelContext = model;
+        g.config = cfg;
+        g.position = par::Position{0, p, m};
+        snap.gpus.push_back(g);
+    };
+    add(9, 1, 3, true);
+    add(5, 0, 1, true);
+    add(7, 0, 0, false); // no model context: holds nothing
+    add(2, 0, 2, true);
+    const ContextIndex index(snap, spec.numLayers());
+
+    ASSERT_NE(index.find(5), nullptr);
+    EXPECT_EQ(index.find(5)->ctx, &snap.gpus[1]);
+    EXPECT_EQ(index.find(6), nullptr);
+    EXPECT_EQ(index.find(100), nullptr);
+    EXPECT_EQ(index.find(par::kInvalidGpu), nullptr);
+
+    const auto *held = index.find(9);
+    EXPECT_EQ(held->firstLayer, 22);
+    EXPECT_EQ(held->lastLayer, 44);
+    EXPECT_DOUBLE_EQ(held->shardLo, 3.0 / 8.0);
+    EXPECT_DOUBLE_EQ(held->shardHi, 4.0 / 8.0);
+    EXPECT_DOUBLE_EQ(held->shardCover(0.25, 0.5), 1.0 / 8.0);
+    EXPECT_DOUBLE_EQ(held->shardCover(0.5, 1.0), 0.0);
+    EXPECT_FALSE(index.find(7)->holds(0));
+
+    // Holders keep snapshot order, not GPU order.
+    const auto front = index.holders(0);
+    ASSERT_EQ(front.size(), 2u);
+    EXPECT_EQ(front[0]->ctx->gpu, 5);
+    EXPECT_EQ(front[1]->ctx->gpu, 2);
+    const auto back = index.holders(43);
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back[0]->ctx->gpu, 9);
 }
 
 TEST(HeterogeneousBatchTest, ShorterRequestsFinishEarly)

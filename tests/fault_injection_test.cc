@@ -547,6 +547,66 @@ TEST(ChaosSweepTest, AblationWithoutRecoveryStaysConsistent)
     EXPECT_EQ(r.migrationRetries, 0);
 }
 
+/**
+ * The chaos schedule at planning scale: GPT-20B on 64 instances, 4 of
+ * which get a notice every 60 s from t = 120 s and are replaced 30 s
+ * later, so every reconfiguration maps and plans a 256-GPU fleet while
+ * hard kills, mid-migration kills and link faults land.
+ */
+serving::ExperimentResult
+runFleetChaos(std::uint64_t seed)
+{
+    using cluster::TraceEvent;
+    using cluster::TraceEventKind;
+    const auto spec = model::ModelSpec::gpt20b();
+    const cost::SeqSpec seq{};
+    const double rate = 3.0;
+    const double duration = 900.0;
+
+    std::vector<TraceEvent> events{
+        {0.0, TraceEventKind::Join, cluster::InstanceType::Spot, 64}};
+    for (double t = 120.0; t < duration; t += 60.0) {
+        events.push_back({t, TraceEventKind::PreemptNotice,
+                          cluster::InstanceType::Spot, 4});
+        if (t + 30.0 < duration)
+            events.push_back({t + 30.0, TraceEventKind::Join,
+                              cluster::InstanceType::Spot, 4});
+    }
+    const auto trace = cluster::hardenPreemptions(
+        cluster::AvailabilityTrace("wave64", duration, events), 0.5, seed);
+    const auto plan = cluster::FaultPlan::chaos(
+        seed, trace.duration(), /*hard_kills=*/1, /*migration_kills=*/1,
+        /*link_faults=*/2);
+
+    core::SpotServeOptions options;
+    options.designArrivalRate = rate;
+    const auto factory = presets::spotServeFactory(spec, kParams, seq, options);
+    sim::Rng rng(seed);
+    const auto workload =
+        wl::stationaryGamma(rate, 1.0, trace.duration(), seq, rng);
+
+    serving::ExperimentOptions eo;
+    eo.faultPlan = &plan;
+    return serving::runExperiment(spec, kParams, trace, workload, factory,
+                                  eo);
+}
+
+TEST(ChaosSweepTest, SpotServeSurvivesFaultsAtPlanningScale)
+{
+    long reconfigs = 0, aborts = 0;
+    for (std::uint64_t seed : {701, 702, 703}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed));
+        const auto r = runFleetChaos(seed);
+        expectCrashConsistent(r);
+        reconfigs += static_cast<long>(r.configHistory.size());
+        aborts += r.migrationAborts;
+    }
+    // The sweep re-planned the fleet, not just its first deployment, and
+    // some fleet-scale migration died mid-flight.
+    EXPECT_GT(reconfigs, 3);
+    EXPECT_GT(aborts, 0);
+}
+
 TEST(ChaosSweepTest, ChaosRunsAreDeterministic)
 {
     const ChaosCase c{606, engine::KvAdmissionMode::Optimistic, true};
