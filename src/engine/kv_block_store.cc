@@ -1,5 +1,6 @@
 #include "engine/kv_block_store.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace spotserve {
@@ -18,19 +19,6 @@ mix(std::uint64_t h, std::uint64_t v)
         h *= kFnvPrime;
     }
     return h;
-}
-
-/** Content key of full block level @p level of prefix class @p cls: the
- *  synthetic workload's prefix tokens are a pure function of (class,
- *  position), so hashing (class, level, block size) is the chain hash of
- *  the whole token prefix up to this level. */
-std::uint64_t
-fullKey(int cls, int level, int block_tokens)
-{
-    std::uint64_t h = mix(kFnvBasis, 0x66756c6cULL); // "full"
-    h = mix(h, static_cast<std::uint64_t>(cls));
-    h = mix(h, static_cast<std::uint64_t>(block_tokens));
-    return mix(h, static_cast<std::uint64_t>(level));
 }
 
 /** Key of the partial tail [level*B, prefix_len) of class @p cls.  Keyed
@@ -74,13 +62,17 @@ KvBlockStore::matchPrefix(const ActiveRequest &r) const
     if (cls < 0 || limit <= 0)
         return m;
     const int full_max = limit / blockTokens_;
-    for (int k = 0; k < full_max; ++k) {
-        auto it = fullIndex_.find(fullKey(cls, k, blockTokens_));
-        if (it == fullIndex_.end())
-            break;
-        ++m.fullLevels;
-        if (blocks_[it->second].refs > 0)
-            ++m.liveLevels;
+    // One class lookup, then the radix descent down its level vector.
+    auto cls_it = fullIndex_.find(cls);
+    if (cls_it != fullIndex_.end()) {
+        const std::vector<int> &levels = cls_it->second;
+        const int walk =
+            std::min(full_max, static_cast<int>(levels.size()));
+        for (int k = 0; k < walk && levels[k] >= 0; ++k) {
+            ++m.fullLevels;
+            if (blocks_[levels[k]].refs > 0)
+                ++m.liveLevels;
+        }
     }
     m.tokens = m.fullLevels * blockTokens_;
     const int p = r.request.prefixLen;
@@ -94,6 +86,37 @@ KvBlockStore::matchPrefix(const ActiveRequest &r) const
         }
     }
     return m;
+}
+
+int
+KvBlockStore::indexedLevel(int cls, int level) const
+{
+    auto it = fullIndex_.find(cls);
+    if (it == fullIndex_.end() ||
+        level >= static_cast<int>(it->second.size()))
+        return -1;
+    return it->second[level];
+}
+
+void
+KvBlockStore::publishLevel(int cls, int level, int id)
+{
+    std::vector<int> &levels = fullIndex_[cls];
+    if (level >= static_cast<int>(levels.size()))
+        levels.resize(level + 1, -1);
+    levels[level] = id;
+    if (id >= 0) {
+        blocks_[id].indexCls = cls;
+        blocks_[id].indexLevel = level;
+        return;
+    }
+    // Clients pick class ids (the ingress takes any prefix=<id>), so the
+    // index holds only what is resident: a class whose last level goes
+    // leaves no entry behind.
+    while (!levels.empty() && levels.back() < 0)
+        levels.pop_back();
+    if (levels.empty())
+        fullIndex_.erase(cls);
 }
 
 long
@@ -145,8 +168,8 @@ KvBlockStore::reclaimOneCached()
             "KvBlockStore: allocation exceeds the physical block budget");
     }
     Block &b = blocks_[victim];
-    if (b.indexed)
-        fullIndex_.erase(b.indexKey);
+    if (b.indexLevel >= 0)
+        publishLevel(b.indexCls, b.indexLevel, -1);
     if (b.tailDonor)
         tailIndex_.erase(b.tailKey);
     b = Block{};
@@ -183,7 +206,7 @@ KvBlockStore::dropRef(int id, wl::RequestId releaser)
     if (b.refs > 0)
         return;
     --liveBlocks_;
-    if (b.indexed || b.tailDonor) {
+    if (b.indexLevel >= 0 || b.tailDonor) {
         // Shared content stays resident as cached: evicted last, LRU,
         // only when an allocation actually needs the room.
         ++cachedBlocks_;
@@ -216,19 +239,16 @@ KvBlockStore::attach(ActiveRequest &r)
             const bool complete = held >= end;
             const bool in_prefix = end <= limit;
             if (complete && in_prefix) {
-                const std::uint64_t key =
-                    fullKey(cls, static_cast<int>(k), blockTokens_);
-                auto it = fullIndex_.find(key);
-                if (it != fullIndex_.end()) {
-                    takeRef(it->second);
-                    r.kvBlockIds.push_back(it->second);
+                const int level = static_cast<int>(k);
+                const int shared = indexedLevel(cls, level);
+                if (shared >= 0) {
+                    takeRef(shared);
+                    r.kvBlockIds.push_back(shared);
                     ++carryDedupBlocks_;
                     continue;
                 }
                 const int id = allocate();
-                blocks_[id].indexed = true;
-                blocks_[id].indexKey = key;
-                fullIndex_[key] = id;
+                publishLevel(cls, level, id);
                 r.kvBlockIds.push_back(id);
                 continue;
             }
@@ -244,7 +264,7 @@ KvBlockStore::attach(ActiveRequest &r)
     const Match m = matchPrefix(r);
     const int cls = r.request.prefixId;
     for (int k = 0; k < m.fullLevels; ++k) {
-        const int id = fullIndex_.at(fullKey(cls, k, blockTokens_));
+        const int id = indexedLevel(cls, k);
         takeRef(id);
         r.kvBlockIds.push_back(id);
     }
@@ -268,6 +288,7 @@ KvBlockStore::promoteCompletedLevels(ActiveRequest &r)
 {
     if (r.kvPrivatePrefixLevels == 0)
         return; // every in-prefix level is indexed or someone else's
+    const int cls = r.request.prefixId;
     const int limit = shareLimitTokens(r);
     const long held = r.kvTokensHeld();
     const long prefix_levels =
@@ -276,18 +297,15 @@ KvBlockStore::promoteCompletedLevels(ActiveRequest &r)
     for (long k = 0; k < prefix_levels; ++k) {
         const int id = r.kvBlockIds[static_cast<std::size_t>(k)];
         Block &b = blocks_[id];
-        if (b.indexed || b.writer != r.request.id)
+        if (b.indexLevel >= 0 || b.writer != r.request.id)
             continue;
         if (held < (k + 1) * blockTokens_)
             break; // level not fully committed yet
-        const std::uint64_t key =
-            fullKey(r.request.prefixId, static_cast<int>(k), blockTokens_);
-        if (fullIndex_.count(key))
+        const int level = static_cast<int>(k);
+        if (indexedLevel(cls, level) >= 0)
             continue; // someone published this level first; stay private
-        b.indexed = true;
-        b.indexKey = key;
         b.writer = wl::kInvalidRequest; // full: nobody appends here again
-        fullIndex_[key] = id;
+        publishLevel(cls, level, id);
         --r.kvPrivatePrefixLevels;
     }
 }
@@ -341,18 +359,15 @@ KvBlockStore::commitProgress(ActiveRequest &r)
             // A freshly completed in-prefix level: if the index already
             // holds it (published by a concurrent classmate), dedup the
             // physical pages even though the compute already happened.
-            const std::uint64_t key =
-                fullKey(cls, static_cast<int>(k), blockTokens_);
-            auto it = fullIndex_.find(key);
-            if (it != fullIndex_.end()) {
-                takeRef(it->second);
-                r.kvBlockIds.push_back(it->second);
+            const int level = static_cast<int>(k);
+            const int shared = indexedLevel(cls, level);
+            if (shared >= 0) {
+                takeRef(shared);
+                r.kvBlockIds.push_back(shared);
                 continue;
             }
             const int id = allocate();
-            blocks_[id].indexed = true;
-            blocks_[id].indexKey = key;
-            fullIndex_[key] = id;
+            publishLevel(cls, level, id);
             r.kvBlockIds.push_back(id);
             continue;
         }

@@ -9,10 +9,11 @@
  * gives blocks *identity* — a per-replica pool of physical block ids with
  * refcounts, a free list, and a prefix index in the paged-attention +
  * prefix-caching lineage (vLLM's radix/trie prefix cache): block level k
- * of prefix class c always holds the same tokens, so its content key is
- * the chain hash of (class, 0..k) and a lookup walks levels from 0,
- * stopping at the first miss — exactly a radix descent, with the chain
- * hash standing in for the edge labels.
+ * of prefix class c always holds the same tokens, so (c, k) is the whole
+ * content key.  The index keeps, per class, one vector of the block id
+ * holding each full level (-1 where none is resident); a lookup finds the
+ * class once and walks levels from 0, stopping at the first hole —
+ * exactly a radix descent, with the level number as the edge label.
  *
  * Sharing semantics
  *  - A *full* block (all block_tokens tokens inside the shared prefix)
@@ -159,9 +160,9 @@ class KvBlockStore
     {
         int refs = 0;
         long lastHit = 0;
-        std::uint64_t indexKey = 0;
+        int indexCls = -1;   ///< class of the full level it holds
+        int indexLevel = -1; ///< that level, or -1 if not indexed
         std::uint64_t tailKey = 0;
-        bool indexed = false;
         bool tailDonor = false;
         bool freed = false;
         wl::RequestId writer = wl::kInvalidRequest;
@@ -179,6 +180,11 @@ class KvBlockStore
      *  both the declared prefix and r's own prompt. */
     int shareLimitTokens(const ActiveRequest &r) const;
     Match matchPrefix(const ActiveRequest &r) const;
+    /** Block id holding full level @p level of class @p cls, or -1. */
+    int indexedLevel(int cls, int level) const;
+    /** Point full level @p level of class @p cls at block @p id and stamp
+     *  the block; @p id = -1 unpublishes the level. */
+    void publishLevel(int cls, int level, int id);
 
     int allocate();
     void reclaimOneCached();
@@ -189,8 +195,10 @@ class KvBlockStore
 
     std::vector<Block> blocks_;
     std::vector<int> freeList_;
-    /** chain hash of (class, levels 0..k) -> block id holding level k. */
-    std::unordered_map<std::uint64_t, int> fullIndex_;
+    /** prefix class -> block id holding each full level (-1: none); a
+     *  class with no resident level has no entry.  Looked up by class
+     *  only, never iterated. */
+    std::unordered_map<int, std::vector<int>> fullIndex_;
     /** tail hash of (class, tail level, prefixLen) -> donor block id. */
     std::unordered_map<std::uint64_t, int> tailIndex_;
 

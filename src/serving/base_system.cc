@@ -50,13 +50,17 @@ BaseServingSystem::rejectUnservableHeads(long budget_blocks, int block_tokens)
     long rejected = 0;
     while (!requests_.pendingEmpty()) {
         const engine::ActiveRequest &head = requests_.pending().front();
+        // A discount is never negative, so a head that fits undiscounted
+        // needs no prefix quote.
+        const long peak = head.kvPeakBlocks(block_tokens);
+        if (peak <= budget_blocks)
+            break;
         // A head that fits *because* of prefix sharing is servable: its
         // physical peak shrinks by the matched-and-live shared blocks
         // some replica already holds.  Restarted heads stay undiscounted
         // (the eviction-storm guard — they must fit worst case alone).
-        const long discount =
-            head.restarts == 0 ? bestPrefixDiscount(head) : 0;
-        if (head.kvPeakBlocks(block_tokens) - discount <= budget_blocks)
+        if (head.restarts == 0 &&
+            peak - bestPrefixDiscount(head) <= budget_blocks)
             break;
         // Even an empty replica cannot host this request: reject it
         // rather than letting it head-block the strict-FIFO queue.

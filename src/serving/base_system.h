@@ -295,9 +295,10 @@ class BaseServingSystem : public ServingSystem
      * Drop queue heads whose worst-case KV (in blocks of
      * @p block_tokens) exceeds @p budget_blocks (they can never be
      * served by any replica of the active configuration, so leaving them
-     * would head-block the strict-FIFO queue forever).  The peak is
-     * discounted by the best matched-and-live prefix quote
-     * any replica offers (bestPrefixDiscount): a head that fits *because*
+     * would head-block the strict-FIFO queue forever).  Only a head
+     * whose undiscounted peak exceeds the budget is quoted: its peak is
+     * then discounted by the best matched-and-live prefix quote any
+     * replica offers (bestPrefixDiscount), so a head that fits *because*
      * of sharing is not rejected.  Returns how many were rejected.
      */
     long rejectUnservableHeads(long budget_blocks, int block_tokens);
@@ -305,7 +306,8 @@ class BaseServingSystem : public ServingSystem
     /**
      * Best prefix-sharing admission quote (matched-and-live shared
      * blocks) any deployed replica offers @p head.  0 for a head with no
-     * shared prefix.
+     * shared prefix.  Called only for a fresh head that is over budget
+     * undiscounted: one quote per replica.
      */
     long bestPrefixDiscount(const engine::ActiveRequest &head) const;
 

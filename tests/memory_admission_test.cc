@@ -821,6 +821,7 @@ struct TestSystem : serving::BaseServingSystem
     using BaseServingSystem::dispatchAll;
     using BaseServingSystem::installDeployment;
     using BaseServingSystem::packedMesh;
+    using BaseServingSystem::rejectUnservableHeads;
     using BaseServingSystem::replicaKvBudget;
     using BaseServingSystem::setMemOptReserve;
 };
@@ -1490,6 +1491,75 @@ TEST(ReplicaBalancingTest, BoundaryAdmissionRejectsUnservablePeaks)
     ASSERT_EQ(third.size(), 1u);
     EXPECT_EQ(third[0].request.id, 3);
     EXPECT_EQ(requests.rejectedCount(), 2); // oversized dropped, not admitted
+}
+
+TEST(ReplicaBalancingTest, HeadServableOnlyThroughALiveSharedPrefixIsKept)
+{
+    // The unservable-head check quotes prefix sharing only for a head
+    // whose undiscounted peak is over the replica budget.  Pin that
+    // branch: a head over budget by fewer blocks than the shared prefix a
+    // busy replica keeps live fits once discounted and stays queued; the
+    // same head restarted (eviction-storm guard: no discount) is
+    // rejected.
+    const auto spec = model::ModelSpec::opt6_7b();
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    TestSystem system(sim, instances, requests, spec);
+
+    instances.loadTrace(AvailabilityTrace(
+        "steady", 100.0,
+        {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 2}}));
+    sim.run(1.0);
+    const par::ParallelConfig config{2, 2, 2, 8};
+    system.installDeployment(config,
+                             system.packedMesh(config,
+                                               instances.usableInstances()));
+    const auto &pipelines = system.deployment().pipelines;
+    const int blk = pipelines[0]->kvBlockTokens();
+    const long budget = pipelines[0]->kvBudgetBlocks();
+
+    // A long-running sharer keeps its 256-token prefix live on one
+    // replica.
+    constexpr int kClass = 7;
+    constexpr int kPrefixTokens = 256;
+    wl::Request sharer = makeRequest(0, sim.now(), 512, 4000);
+    sharer.prefixId = kClass;
+    sharer.prefixLen = kPrefixTokens;
+    requests.submit(sharer);
+    system.dispatchAll();
+    sim.run(sim.now() + 5.0);
+    ASSERT_TRUE(requests.pendingEmpty());
+    ASSERT_EQ(requests.completedCount(), 0);
+
+    // A classmate whose worst-case peak is one block over the budget.
+    wl::Request head = makeRequest(1, sim.now(), 512, 16);
+    head.outputCap = static_cast<int>((budget + 1) * blk) - head.inputLen;
+    head.prefixId = kClass;
+    head.prefixLen = kPrefixTokens;
+    engine::ActiveRequest probe;
+    probe.request = head;
+    const long over = probe.kvPeakBlocks(blk) - budget;
+    long live = 0;
+    for (const auto &p : pipelines)
+        live = std::max(live, p->kvStore().quoteSharedBlocks(probe));
+    ASSERT_EQ(over, 1);
+    ASSERT_GT(live, over); // fits only through the live shared prefix
+
+    // Restarted: charged its worst case alone, so it can never fit.
+    engine::ActiveRequest restarted = probe;
+    restarted.restarts = 1;
+    requests.requeue({restarted});
+    EXPECT_EQ(system.rejectUnservableHeads(budget, blk), 1);
+    EXPECT_TRUE(requests.pendingEmpty());
+
+    // Fresh: the discount makes it servable, so it is kept.
+    head.id = 2;
+    requests.submit(head);
+    EXPECT_EQ(system.rejectUnservableHeads(budget, blk), 0);
+    ASSERT_FALSE(requests.pendingEmpty());
+    EXPECT_EQ(requests.pending().front().request.id, 2);
+    EXPECT_EQ(requests.rejectedCount(), 1);
 }
 
 TEST(ReplicaBalancingTest, BudgetTracksTheMigrationReserveMode)

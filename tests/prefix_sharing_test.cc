@@ -286,6 +286,76 @@ TEST(KvBlockStoreTest, LevelLosingThePublishRaceIsPublishedOnceFreed)
     EXPECT_EQ(store.totalLiveRefs(), 0);
 }
 
+// The full-level index is a per-class vector of level slots, and a match
+// is a radix descent that stops at the first empty slot.  Build a hole at
+// level 1 of a sparse class id while levels 0 and 2 stay indexed *and
+// live*, so a walk that skipped the hole would over-quote.
+TEST(KvBlockStoreTest, MatchStopsAtTheFirstUnindexedLevel)
+{
+    constexpr int kClass = 1'000'003; // ids are not dense
+    engine::KvBlockStore store(/*capacity=*/5, 16);
+
+    // A and B fill class kClass's three prefix levels in 8-token chunks.
+    // A publishes levels 0 and 2; B completes level 1 first and publishes
+    // it, so A's own level-1 copy stays private.
+    auto a = makeActive(1, /*input=*/48, /*output=*/32, kClass,
+                        /*prefix_len=*/48);
+    auto b = makeActive(2, 48, 32, kClass, 48);
+    store.attach(a);
+    store.attach(b);
+    commitTo(store, a, 16, 0); // level 0: A's
+    commitTo(store, b, 8, 0);
+    commitTo(store, b, 16, 0); // B's level 0 lost the race
+    commitTo(store, a, 24, 0); // A's level 1 starts privately
+    commitTo(store, b, 32, 0); // level 1: B's
+    commitTo(store, a, 32, 0);
+    commitTo(store, a, 48, 0); // level 2: A's
+    ASSERT_EQ(a.kvBlockIds.size(), 3u);
+    EXPECT_EQ(a.kvPrivatePrefixLevels, 1);
+    auto probe = makeActive(3, 64, 8, kClass, 48);
+    EXPECT_EQ(store.quoteSharedBlocks(probe), 3);
+
+    // B leaves: its level 1 is cached, the only zero-ref block, and A's
+    // decode growth reclaims it.  Levels 0 and 2 stay indexed and live.
+    store.release(b);
+    commitTo(store, a, 48, 16);
+    commitTo(store, a, 48, 24);
+    EXPECT_EQ(store.cachedReclaims(), 1);
+    EXPECT_EQ(store.cachedBlocks(), 0);
+    EXPECT_EQ(store.quoteSharedBlocks(probe), 1);
+    EXPECT_EQ(store.attach(probe), 16);
+    ASSERT_EQ(probe.kvBlockIds.size(), 1u);
+    EXPECT_EQ(probe.kvBlockIds[0], a.kvBlockIds[0]);
+    store.release(probe);
+
+    // A's next commit crosses no level boundary yet publishes its private
+    // level-1 copy into the hole: the full match is back.
+    commitTo(store, a, 48, 25);
+    EXPECT_EQ(a.kvPrivatePrefixLevels, 0);
+    auto again = makeActive(4, 64, 8, kClass, 48);
+    EXPECT_EQ(store.quoteSharedBlocks(again), 3);
+    EXPECT_EQ(store.attach(again), 48);
+    for (std::size_t k = 0; k < 3; ++k)
+        EXPECT_EQ(again.kvBlockIds[k], a.kvBlockIds[k]);
+
+    // Asking for more levels than were ever published matches what is
+    // there and stops.
+    auto longer = makeActive(5, 128, 8, kClass, 128);
+    EXPECT_EQ(store.quoteSharedBlocks(longer), 3);
+    EXPECT_EQ(store.attach(longer), 48);
+
+    // No class, no quote; an unknown class, no quote.
+    auto none = makeActive(6, 64, 8, -1, 48);
+    EXPECT_EQ(store.quoteSharedBlocks(none), 0);
+    EXPECT_EQ(store.attach(none), 0);
+    auto stranger = makeActive(7, 64, 8, kClass + 1, 48);
+    EXPECT_EQ(store.quoteSharedBlocks(stranger), 0);
+
+    for (auto *r : {&a, &again, &longer, &none})
+        store.release(*r);
+    EXPECT_EQ(store.totalLiveRefs(), 0);
+}
+
 // ---------------------------------------------------------------------
 // System-level invariant matrix
 // ---------------------------------------------------------------------

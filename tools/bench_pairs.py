@@ -1,0 +1,171 @@
+#!/usr/bin/env python3
+"""Alternating-pair perfbench comparison of two source trees.
+
+    python3 tools/bench_pairs.py --parent TREE --change TREE \\
+        --workload steady-fewshot --seeds 631-636 --seconds 20 \\
+        [--cxxflags=-falign-functions=64] [--build-root DIR] [--out FILE]
+
+Runs perfbench/run.py (trace 0) from each tree on every seed, one parent
+and one change run per seed, flipping which side goes first every pair so
+neither side always runs on a warmer machine.  Each side builds into its
+own CARGO_TARGET_DIR, <build-root>/<tag>/{parent,change}, where the tag
+names the compiler flags: --cxxflags is handed to CMake as CXXFLAGS on
+the first configure of that directory (the layout check builds both sides
+with -falign-functions=64, so a gain is not an artefact of code layout).
+
+Prints every pair's sim_us_per_request, both medians, both interquartile
+ranges and "change faster in k/n".  Exits 1 if a run is not "correct" or
+if any simulated metric (every end-to-end metric of BENCHMARK.json except the
+wall-clock ones) differs within a pair.  --out writes the summary and
+every run's result line as JSON.
+"""
+
+import argparse
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# End-to-end metrics measured on the wall clock; every other one is
+# simulated and must be bit-identical between two trees that claim to
+# change only speed.
+WALL_CLOCK = {"setup_s", "peak_rss_mb", "sim_us_per_request"}
+METRIC = "sim_us_per_request"
+
+
+def parse_seeds(text):
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def check_flags(target_dir, cxxflags):
+    """Refuse to reuse a build tree configured with other flags."""
+    cache = os.path.join(target_dir, "perfbench", "CMakeCache.txt")
+    if not os.path.exists(cache):
+        return
+    with open(cache) as f:
+        m = re.search(r"^CMAKE_CXX_FLAGS:STRING=(.*)$", f.read(), re.M)
+    have = (m.group(1) if m else "").strip()
+    if have != cxxflags.strip():
+        sys.exit("bench_pairs: %s was configured with CXXFLAGS %r, not %r; "
+                 "pick another --build-root" % (target_dir, have, cxxflags))
+
+
+def run_side(tree, target_dir, cxxflags, workload, seed, seconds):
+    env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
+    if cxxflags:
+        env["CXXFLAGS"] = cxxflags
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        sys.exit("bench_pairs: run.py failed in %s (seed %d, exit %d)" %
+                 (tree, seed, done.returncode))
+    return json.loads(lines[-1])
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="parent source tree")
+    parser.add_argument("--change", required=True, help="changed source tree")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True,
+                        help="seed list, e.g. 631-636 or 1,4,9")
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--cxxflags", default="",
+                        help="CXXFLAGS for both sides' first configure")
+    parser.add_argument("--build-root", default=".bench_pairs",
+                        help="parent of the per-side CARGO_TARGET_DIRs")
+    parser.add_argument("--out", help="write summary and runs as JSON here")
+    args = parser.parse_args()
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        declared = json.load(f)
+    simulated = sorted(m["name"] for m in declared["end_to_end"]
+                       if m["name"] not in WALL_CLOCK)
+    tag = re.sub(r"[^A-Za-z0-9]+", "_", args.cxxflags).strip("_") or "default"
+    trees = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    targets = {side: os.path.abspath(os.path.join(args.build_root, tag, side))
+               for side in trees}
+    for side in trees:
+        check_flags(targets[side], args.cxxflags)
+
+    seeds = parse_seeds(args.seeds)
+    runs, values = [], {"parent": [], "change": []}
+    faster, identical = 0, True
+    print("%-6s %-6s %12s %12s %8s" % ("seed", "first", "parent", "change",
+                                       "delta"))
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {}
+        for side in order:
+            result = run_side(trees[side], targets[side], args.cxxflags,
+                              args.workload, seed, args.seconds)
+            pair[side] = result
+            runs.append(dict(workload=args.workload, side=side, seed=seed,
+                             seconds=args.seconds, trace=0,
+                             cxxflags=args.cxxflags, **result))
+            if not result.get("correct"):
+                print("run not correct: %s seed %d" % (side, seed))
+        got = {side: pair[side]["metrics"][METRIC]["value"]
+               for side in trees}
+        for side in trees:
+            values[side].append(got[side])
+        faster += got["change"] < got["parent"]
+        differ = [n for n in simulated
+                  if pair["parent"]["metrics"][n]["value"] !=
+                  pair["change"]["metrics"][n]["value"]]
+        print("%-6d %-6s %12.4f %12.4f %+7.1f%%%s" % (
+            seed, order[0], got["parent"], got["change"],
+            100.0 * (got["change"] / got["parent"] - 1.0),
+            "  DIFFERS: " + ", ".join(differ) if differ else ""))
+        identical = identical and not differ
+
+    stats = {side: quartiles(values[side]) for side in trees}
+    for side in trees:
+        q1, med, q3 = stats[side]
+        print("%s median %.4f (IQR %.4f-%.4f)" % (side, med, q1, q3))
+    change_pct = 100.0 * (stats["change"][1] / stats["parent"][1] - 1.0)
+    print("median change %+.1f%%; change faster in %d/%d" %
+          (change_pct, faster, len(seeds)))
+    correct = all(r.get("correct") for r in runs)
+    print("simulated metrics (%d) %s; all runs correct: %s" % (
+        len(simulated), "identical in every pair" if identical else "DIFFER",
+        correct))
+
+    if args.out:
+        summary = {
+            "workload": args.workload, "seconds": args.seconds,
+            "seeds": [seeds[0], seeds[-1]], "pairs": len(seeds),
+            "cxxflags": args.cxxflags, "change_faster_pairs": faster,
+            "simulated_metrics_bit_identical": identical,
+            "all_correct": correct,
+            METRIC: {side: dict(zip(("q1", "median", "q3"),
+                                    (round(v, 4) for v in stats[side])))
+                     for side in trees},
+            "median_change_pct": round(change_pct, 1),
+        }
+        with open(args.out, "w") as f:
+            json.dump({"summary": summary, "runs": runs}, f, indent=1)
+    sys.exit(0 if identical and correct else 1)
+
+
+if __name__ == "__main__":
+    main()
