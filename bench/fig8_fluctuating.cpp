@@ -62,8 +62,6 @@ writeJson(const std::string &path, const std::vector<JsonRow> &rows)
            << ", \"completed\": " << r.completed
            << ", \"arrived\": " << r.arrived
            << ", \"rejected\": " << r.rejected
-           << ", \"peak_kv_reserved\": " << r.peakKvReservedTokens
-           << ", \"peak_kv_held\": " << r.peakKvHeldTokens
            << ", \"peak_kv_held_blocks\": " << r.peakKvHeldBlocks
            << ", \"peak_kv_physical_blocks\": " << r.peakKvPhysicalBlocks
            << ", \"prefix_hits\": " << r.prefixHits
@@ -255,11 +253,11 @@ main(int argc, char **argv)
             auto mode_row = [](const char *label,
                                const serving::ExperimentResult &r) {
                 std::printf("  %-18s avg %7.2f  P99 %7.2f  done %ld/%ld  "
-                            "peak KV held %ld tok  peak conc %d  "
+                            "peak KV held %ld blk  peak conc %d  "
                             "evictions %ld\n",
                             label, r.latencies.mean(),
                             r.latencies.percentile(99), r.completed,
-                            r.arrived, r.peakKvHeldTokens,
+                            r.arrived, r.peakKvHeldBlocks,
                             r.peakConcurrentRequests, r.evictions);
             };
             mode_row("SpotServe-reserve", r_res);

@@ -721,12 +721,6 @@ SpotServeSystem::startMigration()
 
     // Assign inherited batches to the new replicas.
     pm.inherited.assign(pm.target.dp, {});
-    std::vector<bool> consumed(batches.size(), false);
-    for (int d = 0; d < pm.target.dp; ++d) {
-        const int od = pm.keptOldPipeline[d];
-        if (od >= 0 && od < static_cast<int>(consumed.size()))
-            consumed[od] = true; // batch stayed inside the live pipeline
-    }
     if (cache_ok) {
         for (int d = 0; d < pm.target.dp; ++d) {
             if (pm.keptOldPipeline[d] >= 0)
@@ -734,7 +728,6 @@ SpotServeSystem::startMigration()
             const int od = pm.mapping.inheritedOldPipeline[d];
             if (od < 0 || od >= static_cast<int>(batches.size()))
                 continue;
-            consumed[od] = true;
             auto &batch = batches[od];
             // Continuous batching drains mixed-progress batches: recover
             // each request's committed KV individually — decode tokens
@@ -772,7 +765,7 @@ SpotServeSystem::startMigration()
             // never stand on more blocks than the new replica's paged
             // allocator could hand out.
             const long budget = replicaKvBudgetBlocks(pm.target);
-            const int blk = effectiveKvBlockTokens(pm.target);
+            const int blk = serving::kKvBlockTokens;
             const engine::KvAdmissionMode mode =
                 engineOptions().kvAdmissionMode;
             // The inheriting replica holds (and the migration transfers)
@@ -815,9 +808,11 @@ SpotServeSystem::startMigration()
             pm.inherited[d] = std::move(recovered);
         }
     }
-    for (std::size_t od = 0; od < batches.size(); ++od) {
-        if (!consumed[od] && !batches[od].empty())
-            restartAndRequeue(std::move(batches[od]));
+    // Kept replicas' batches never left their pipelines and inherited
+    // ones were moved out above: what remains recomputes.
+    for (auto &batch : batches) {
+        if (!batch.empty())
+            restartAndRequeue(std::move(batch));
     }
 
     totalBytesMigrated_ += pm.plan.movedModelBytes + pm.plan.movedCacheBytes;

@@ -135,7 +135,6 @@ class SpotServeSystem : public serving::BaseServingSystem
     long pipelinesKeptServing() const { return pipelinesKeptServing_; }
     /** Reconfigurations where at least one replica never stopped. */
     int partialReconfigs() const { return partialReconfigs_; }
-    const SpotServeOptions &options() const { return options_; }
     /** @} */
 
   protected:

@@ -19,10 +19,11 @@
  *
  * The runtime budget is additionally exposed at KV *block* granularity
  * (kvBudgetBlocks): production engines allocate KV in fixed-size
- * pages/blocks of kvBlockTokens tokens (PagedAttention-style), so a
- * request holding t tokens really occupies ceil(t / blockTokens) blocks
- * and the replica can hand out at most floor(budgetTokens / blockTokens)
- * blocks.  blockTokens = 1 reproduces token-granular accounting exactly.
+ * pages/blocks (PagedAttention-style; the serving layer uses
+ * serving::kKvBlockTokens = 16), so a request holding t tokens really
+ * occupies ceil(t / blockTokens) blocks and the replica can hand out at
+ * most floor(budgetTokens / blockTokens) blocks.  blockTokens = 1
+ * reproduces token-granular accounting exactly.
  */
 
 #ifndef SPOTSERVE_COSTMODEL_MEMORY_MODEL_H
@@ -111,12 +112,12 @@ class MemoryModel
      * optimizer planned for.  (Under paged accounting that guarantee is
      * deliberately NOT carried into block space: a config sitting
      * exactly on the fits() frontier whose sequence length is not a
-     * multiple of kvBlockTokens can round to up to B extra blocks the
+     * multiple of the block size can round to up to B extra blocks the
      * allocator does not have, so block admission may cap the live
      * batch below B — that is the real capacity of a paged allocator,
      * and exactly the over-promise this accounting exists to surface;
-     * the fig8 token-vs-block row measures it.)  Returns 0 when even
-     * the weights do not fit.
+     * BlockAdmissionTest.TokenGranularAdmissionOverpromisesPagedBlocks
+     * shows it.)  Returns 0 when even the weights do not fit.
      */
     long kvBudgetTokens(const par::ParallelConfig &config,
                         bool mem_opt_planner = true) const;

@@ -48,12 +48,11 @@ kvBlocksFor(long tokens, int block_tokens)
 
 /**
  * Block granularity actually enforceable under @p budget_tokens: a
- * (degenerate, no-headroom) budget smaller than one block degrades to
- * token granularity, so it cannot round UP to a whole block and become
- * block_tokens times looser than the token budget it clamps.  The one
- * rule the engine and the serving-side pop paths must share — a charge
- * computed at a different granularity than the pipeline enforces trips
- * the budget-overflow throw at startBatch/admission.
+ * budget smaller than one block degrades to token granularity, so it
+ * cannot round UP to a whole block and become block_tokens times looser
+ * than the token budget it clamps.  InferencePipeline applies it to a
+ * hand-built engine budget; the serving layer never needs it, since it
+ * refuses a deployment with less than one block of headroom.
  */
 inline int
 effectiveKvBlockTokens(long budget_tokens, int block_tokens)

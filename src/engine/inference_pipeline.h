@@ -68,8 +68,8 @@ struct BatchingOptions
      * predicted and worst-case peak alike, rounded per request, not per
      * prefill chunk — and the budget is floored to whole blocks, exactly
      * what a PagedAttention-style allocator can hand out.  1 reproduces
-     * token-granular accounting bit-for-bit (the ablation); serving
-     * systems default to 16.
+     * token-granular accounting bit-for-bit (the engine tests' reference
+     * for the token path); every serving system uses 16.
      */
     int kvBlockTokens = 1;
 
@@ -220,8 +220,6 @@ class InferencePipeline
     long kvBlocksReserved() const;
     /** KV blocks the live batch is charged under the admission mode. */
     long kvBlocksCharged() const;
-    /** The token-denominated budget (kUnboundedKvTokens = none). */
-    long kvBudgetTokens() const { return batching_.kvBudgetTokens; }
     /**
      * The enforced per-replica budget in whole KV blocks:
      * floor(kvBudgetTokens / kvBlockTokens), clamped to at least one
@@ -230,7 +228,7 @@ class InferencePipeline
      * compares against.
      */
     long kvBudgetBlocks() const { return budgetBlocks_; }
-    /** Tokens per KV block (1 = token-granular ablation). */
+    /** Tokens per KV block (1 = token-granular accounting). */
     int kvBlockTokens() const { return batching_.kvBlockTokens; }
     /** The admission mode this pipeline charges requests under. */
     KvAdmissionMode kvAdmissionMode() const

@@ -226,39 +226,11 @@ KvBlockStore::attach(ActiveRequest &r)
     // per-token commits never regrow it.
     r.kvBlockIds.reserve(static_cast<std::size_t>(
         kvBlocksFor(r.kvPeakTokens(), blockTokens_)));
-    const long held = r.kvTokensHeld();
-    if (held > 0) {
+    if (r.kvTokensHeld() > 0) {
         // Carried progress (migration / inherited batch): rebuild the
         // block sequence, deduplicating shared prefix levels so each
         // shared block materializes once per replica.
-        const long levels = kvBlocksFor(held, blockTokens_);
-        const int limit = shareLimitTokens(r);
-        const int cls = r.request.prefixId;
-        for (long k = 0; k < levels; ++k) {
-            const long end = (k + 1) * blockTokens_;
-            const bool complete = held >= end;
-            const bool in_prefix = end <= limit;
-            if (complete && in_prefix) {
-                const int level = static_cast<int>(k);
-                const int shared = indexedLevel(cls, level);
-                if (shared >= 0) {
-                    takeRef(shared);
-                    r.kvBlockIds.push_back(shared);
-                    ++carryDedupBlocks_;
-                    continue;
-                }
-                const int id = allocate();
-                publishLevel(cls, level, id);
-                r.kvBlockIds.push_back(id);
-                continue;
-            }
-            const int id = allocate();
-            blocks_[id].writer = r.request.id;
-            r.kvBlockIds.push_back(id);
-            if (in_prefix)
-                ++r.kvPrivatePrefixLevels;
-        }
-        maybeRegisterTail(r);
+        carryDedupBlocks_ += appendLevels(r);
         return 0;
     }
     const Match m = matchPrefix(r);
@@ -350,20 +322,29 @@ KvBlockStore::commitProgress(ActiveRequest &r)
         ++cowCopies_;
     }
     promoteCompletedLevels(r);
+    appendLevels(r);
+}
+
+long
+KvBlockStore::appendLevels(ActiveRequest &r)
+{
+    const long held = r.kvTokensHeld();
     const long target = kvBlocksFor(held, blockTokens_);
     const int limit = shareLimitTokens(r);
     const int cls = r.request.prefixId;
+    long by_ref = 0;
     for (long k = static_cast<long>(r.kvBlockIds.size()); k < target; ++k) {
         const long end = (k + 1) * blockTokens_;
         if (held >= end && end <= limit) {
-            // A freshly completed in-prefix level: if the index already
-            // holds it (published by a concurrent classmate), dedup the
-            // physical pages even though the compute already happened.
+            // A complete in-prefix level: if the index already holds it
+            // (published by a classmate), dedup the physical pages even
+            // though the compute already happened.
             const int level = static_cast<int>(k);
             const int shared = indexedLevel(cls, level);
             if (shared >= 0) {
                 takeRef(shared);
                 r.kvBlockIds.push_back(shared);
+                ++by_ref;
                 continue;
             }
             const int id = allocate();
@@ -378,6 +359,7 @@ KvBlockStore::commitProgress(ActiveRequest &r)
             ++r.kvPrivatePrefixLevels; // published once it fills
     }
     maybeRegisterTail(r);
+    return by_ref;
 }
 
 void

@@ -192,6 +192,14 @@ class KvBlockStore
     void dropRef(int id, wl::RequestId releaser);
     void maybeRegisterTail(const ActiveRequest &r);
     void promoteCompletedLevels(ActiveRequest &r);
+    /**
+     * Extend @p r's block list to cover its held tokens, one block per
+     * level: a complete in-prefix level takes a reference on the indexed
+     * block if there is one, else allocates and publishes it; any other
+     * level gets a private block written by r.  Then offers r as tail
+     * donor.  Returns how many levels were taken by reference.
+     */
+    long appendLevels(ActiveRequest &r);
 
     std::vector<Block> blocks_;
     std::vector<int> freeList_;

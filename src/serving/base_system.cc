@@ -21,16 +21,11 @@ BaseServingSystem::BaseServingSystem(sim::Executor &executor,
       memory_(spec, params), throughput_(latency_),
       dataPlane_(executor, params), engine_(engine_options)
 {
-    if (engine_.kvBlockTokens < 1)
-        throw std::invalid_argument(
-            "EngineOptions: kvBlockTokens must be >= 1 token");
 }
 
 void
 BaseServingSystem::report(ExperimentResult &result) const
 {
-    result.peakKvReservedTokens = peakKvReservedTokens_;
-    result.peakKvHeldTokens = peakKvHeldTokens_;
     result.peakKvHeldBlocks = peakKvHeldBlocks_;
     result.peakKvPhysicalBlocks = peakKvPhysicalBlocks_;
     result.prefixHits = prefixHitsTotal_;
@@ -91,33 +86,18 @@ long
 BaseServingSystem::replicaKvBudget(const par::ParallelConfig &config) const
 {
     const long budget = memory_.kvBudgetTokens(config, memOptReserve_);
-    // A deployed configuration passed MemoryModel::fits, so the budget is
-    // positive; hand-built deployments that don't fit get a loud 1-token
-    // budget (they can admit nothing) rather than a crash or an overrun.
-    if (budget <= 0) {
-        sim::logWarn("replicaKvBudget: configuration " + config.str() +
-                     " has no KV headroom; admission will starve");
-        return 1;
-    }
+    if (budget < kKvBlockTokens)
+        throw std::logic_error("replicaKvBudget: configuration " +
+                               config.str() +
+                               " has less than one KV block of headroom");
     return budget;
-}
-
-int
-BaseServingSystem::effectiveKvBlockTokens(
-    const par::ParallelConfig &config) const
-{
-    // Shared engine rule: degenerate no-headroom budgets keep token
-    // granularity, so the pop-path charges match what the pipeline
-    // built for this config enforces.
-    return engine::effectiveKvBlockTokens(replicaKvBudget(config),
-                                          engine_.kvBlockTokens);
 }
 
 long
 BaseServingSystem::replicaKvBudgetBlocks(
     const par::ParallelConfig &config) const
 {
-    return replicaKvBudget(config) / effectiveKvBlockTokens(config);
+    return replicaKvBudget(config) / kKvBlockTokens;
 }
 
 void
@@ -237,13 +217,12 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
     };
     auto seen = std::make_shared<PrefixSeen>();
     cb.onBoundary = [this, seen](const engine::InferencePipeline &p) {
-        peakKvHeldTokens_ = std::max(peakKvHeldTokens_, p.kvTokensHeld());
-        peakKvReservedTokens_ =
-            std::max(peakKvReservedTokens_, p.kvTokensReserved());
-        peakKvHeldBlocks_ = std::max(peakKvHeldBlocks_, p.kvBlocksHeld());
+        const engine::KvBlockStore &store = p.kvStore();
+        // Each resident request holds one store reference per held
+        // level, so the live references are the logical block holding.
+        peakKvHeldBlocks_ = std::max(peakKvHeldBlocks_, store.totalLiveRefs());
         peakKvPhysicalBlocks_ =
             std::max(peakKvPhysicalBlocks_, p.kvPhysicalBlocksHeld());
-        const engine::KvBlockStore &store = p.kvStore();
         prefixHitsTotal_ += store.prefixHits() - seen->hits;
         seen->hits = store.prefixHits();
         prefixMatchedTokensTotal_ +=
@@ -276,7 +255,7 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
     };
     engine::BatchingOptions batching;
     batching.kvBudgetTokens = replicaKvBudget(config);
-    batching.kvBlockTokens = engine_.kvBlockTokens;
+    batching.kvBlockTokens = kKvBlockTokens;
     batching.prefillChunkTokens = engine_.prefillChunkTokens;
     batching.kvAdmissionMode = engine_.kvAdmissionMode;
     return std::make_unique<engine::InferencePipeline>(
@@ -378,12 +357,11 @@ BaseServingSystem::dispatchAll()
     // All budgets and charges are in whole KV blocks, matching what the
     // pipelines enforce.
     const long budget = replicaKvBudgetBlocks(deployment_->config);
-    const int blk = effectiveKvBlockTokens(deployment_->config);
     const engine::KvAdmissionMode mode = engine_.kvAdmissionMode;
     std::vector<std::vector<engine::ActiveRequest>> batches(ready.size());
     std::vector<long> charged(ready.size(), 0);
     while (!requests_.pendingEmpty()) {
-        if (rejectUnservableHeads(budget, blk) > 0)
+        if (rejectUnservableHeads(budget, kKvBlockTokens) > 0)
             continue;
         if (requests_.pendingEmpty())
             break;
@@ -392,7 +370,7 @@ BaseServingSystem::dispatchAll()
         // (strict head-blocking — nothing slips past it).  No prefix
         // discount: a ready replica is idle and the batches dealt here
         // start only below, so its store holds no live blocks to share.
-        const long head_charge = requests_.headKvCharge(mode, blk);
+        const long head_charge = requests_.headKvCharge(mode, kKvBlockTokens);
         int best = -1;
         for (int i = 0; i < static_cast<int>(ready.size()); ++i) {
             if (static_cast<int>(batches[i].size()) >=
@@ -409,10 +387,10 @@ BaseServingSystem::dispatchAll()
         if (best < 0)
             break;
         auto got = requests_.nextBatch(1, budget - charged[best], mode,
-                                       budget, blk);
+                                       budget, kKvBlockTokens);
         if (got.empty())
             break;
-        charged[best] += got.front().kvChargedBlocks(mode, blk);
+        charged[best] += got.front().kvChargedBlocks(mode, kKvBlockTokens);
         batches[best].push_back(std::move(got.front()));
     }
     for (std::size_t i = 0; i < ready.size(); ++i) {

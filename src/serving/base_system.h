@@ -40,6 +40,16 @@ namespace spotserve {
 namespace serving {
 
 /**
+ * Tokens per paged KV block in every serving-layer pipeline: the
+ * PagedAttention allocation unit.  Admission charges ceil-rounded whole
+ * blocks per request and the per-replica budget is floored to whole
+ * blocks, so the enforced budget matches what a paged allocator can hand
+ * out.  (The engine still takes any block size; its tests use 1 as the
+ * token-granular reference.)
+ */
+constexpr int kKvBlockTokens = 16;
+
+/**
  * The inference-engine knobs.  SpotServe and both baselines each carry one
  * of these and hand it to BaseServingSystem, which builds every pipeline
  * from it, so the engine the three systems run is one value declared
@@ -72,22 +82,12 @@ struct EngineOptions
      */
     engine::KvAdmissionMode kvAdmissionMode =
         engine::KvAdmissionMode::Optimistic;
-
-    /**
-     * KV allocation granularity in tokens per block (paged KV cache; must
-     * be >= 1).  Admission charges ceil-rounded whole blocks per request
-     * and the per-replica budget is floored to whole blocks, so the
-     * enforced budget matches what a PagedAttention-style allocator can
-     * hand out.  1 reproduces token-granular accounting bit-for-bit.
-     */
-    int kvBlockTokens = 16;
 };
 
 /** Common deployment + dispatch machinery. */
 class BaseServingSystem : public ServingSystem
 {
   public:
-    /** @throws std::invalid_argument if engine_options.kvBlockTokens < 1 */
     BaseServingSystem(sim::Executor &executor,
                       cluster::InstanceManager &instances,
                       RequestManager &requests, const model::ModelSpec &spec,
@@ -253,7 +253,7 @@ class BaseServingSystem : public ServingSystem
      * Iteration-level admission (continuous batching).  Called by an
      * executing pipeline at every iteration boundary with its free slot
      * count; packs the batch back toward capacity from the FIFO queue,
-     * bounded by the replica's remaining KV-token budget and by an even
+     * bounded by the replica's remaining KV block budget and by an even
      * share of the queue when other idle replicas could take the work.
      * Never called once a halt is pending on the pipeline.
      */
@@ -269,24 +269,18 @@ class BaseServingSystem : public ServingSystem
      */
     void setMemOptReserve(bool enabled) { memOptReserve_ = enabled; }
 
-    /** The KV token budget one replica of @p config gets at runtime. */
+    /**
+     * The KV token budget one replica of @p config gets at runtime.  A
+     * deployed configuration passed MemoryModel::fits, so it holds at
+     * least B worst-case sequences.
+     * @throws std::logic_error if the budget is under one KV block (the
+     *         configuration could not have passed fits).
+     */
     long replicaKvBudget(const par::ParallelConfig &config) const;
 
     /**
-     * Block granularity actually in force for replicas of @p config:
-     * EngineOptions::kvBlockTokens, except that a (degenerate, loudly
-     * warned) budget smaller than one block degrades to token granularity
-     * — the same fallback InferencePipeline applies — so a 1-token
-     * no-headroom budget keeps starving admission instead of rounding up
-     * to a whole block.  Every serving-side pop pairs this with
-     * replicaKvBudgetBlocks.
-     */
-    int effectiveKvBlockTokens(const par::ParallelConfig &config) const;
-
-    /**
-     * The per-replica budget in whole KV blocks of
-     * effectiveKvBlockTokens(config) tokens:
-     * floor(replicaKvBudget / block).  This is the budget every
+     * The per-replica budget in whole KV blocks:
+     * replicaKvBudget / kKvBlockTokens.  This is the budget every
      * admission path charges against.
      */
     long replicaKvBudgetBlocks(const par::ParallelConfig &config) const;
@@ -343,8 +337,6 @@ class BaseServingSystem : public ServingSystem
     bool memOptReserve_ = true;
     std::function<void(const engine::InferencePipeline &)> kvObserver_;
     std::function<void(const engine::ActiveRequest &)> tokenObserver_;
-    long peakKvHeldTokens_ = 0;
-    long peakKvReservedTokens_ = 0;
     long peakKvHeldBlocks_ = 0;
     long peakKvPhysicalBlocks_ = 0;
     long prefixHitsTotal_ = 0;

@@ -48,17 +48,10 @@ struct ExperimentResult
     double spotInstanceHours = 0.0;
     double ondemandInstanceHours = 0.0;
 
-    /**
-     * Largest worst-case KV reservation (and actual holding) any replica
-     * reached at an iteration boundary, in tokens — how close admission
-     * came to the memory model's budget (fig8 admission-ablation row).
-     */
-    long peakKvReservedTokens = 0;
-    long peakKvHeldTokens = 0;
-
-    /** Largest KV holding in whole blocks (per-request ceil rounding —
-     *  the footprint a paged allocator would really have handed out;
-     *  equals peakKvHeldTokens when kvBlockTokens = 1). */
+    /** Largest logical KV holding any replica reached at an iteration
+     *  boundary, in whole blocks (per-request ceil rounding — the
+     *  footprint a paged allocator would hand out without sharing; fig8
+     *  admission-ablation row). */
     long peakKvHeldBlocks = 0;
 
     /** Largest *physical* (deduplicated) block holding any replica

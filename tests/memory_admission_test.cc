@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -37,24 +36,6 @@ namespace spotserve {
 namespace {
 
 const cost::CostParams kParams = cost::CostParams::awsG4dn();
-
-/**
- * KV block size the system-level block-mode suites run with.  Defaults
- * to the serving layer's paged default (16); CI additionally runs the
- * whole binary with SPOTSERVE_TEST_KV_BLOCK_TOKENS=1 so both block
- * modes go through the full preemption/migration matrix (the ASan job
- * exercises both).
- */
-int
-testBlockTokens()
-{
-    if (const char *env = std::getenv("SPOTSERVE_TEST_KV_BLOCK_TOKENS")) {
-        const int v = std::atoi(env);
-        if (v >= 1)
-            return v;
-    }
-    return 16;
-}
 
 wl::Request
 makeRequest(wl::RequestId id, sim::SimTime arrival = 0.0, int input_len = 512,
@@ -80,10 +61,12 @@ makeCapped(wl::RequestId id, sim::SimTime arrival, int input_len,
 
 /**
  * Engine-level harness: one pipeline fed from a RequestManager through
- * the budget-aware admission paths, with the KV invariant checked at
- * every iteration boundary.
+ * both admission paths (idle-batch formation and boundary admission,
+ * charged under one admission mode), evictions requeued through the
+ * shared restart path, and the KV invariants checked at every iteration
+ * boundary.
  */
-struct BudgetedServer
+struct EngineServer
 {
     sim::Simulation sim;
     model::ModelSpec spec;
@@ -92,6 +75,7 @@ struct BudgetedServer
     serving::RequestManager requests{sim};
     std::unique_ptr<engine::InferencePipeline> pipeline;
 
+    engine::KvAdmissionMode mode;
     long budget;
     int blockTokens;
     /** Block size the *observer* checks the paged invariant with.  By
@@ -101,26 +85,41 @@ struct BudgetedServer
     int obsBlockTokens;
     long obsBudgetBlocks;
     long boundaries = 0;
+    /** Boundaries breaking the token invariant the mode promises:
+     *  Reserve keeps reserved <= budget and held <= reserved, Optimistic
+     *  keeps held <= budget. */
     long violations = 0;
     long blockViolations = 0;
+    /** Boundaries where a block = 1 pipeline's block-space accessors
+     *  diverged from the token accessors they must degenerate to. */
+    long tokenEquivalenceViolations = 0;
+    int peakConcurrency = 0;
     std::vector<wl::RequestId> admissionOrder;
     std::map<wl::RequestId, sim::SimTime> completedAt;
 
-    BudgetedServer(const model::ModelSpec &model_spec,
-                   const par::ParallelConfig &cfg, long kv_budget,
-                   int chunk_tokens, bool enforce_budget = true,
-                   int block_tokens = 1, int observe_block_tokens = 0)
+    /**
+     * @param enforce_budget false leaves the pipeline unbounded while the
+     *        observer still checks @p kv_budget (the fixed-B ablation).
+     * @param observe_block_tokens observer block size; 0 = the pipeline's.
+     */
+    EngineServer(const model::ModelSpec &model_spec,
+                 const par::ParallelConfig &cfg, long kv_budget,
+                 int chunk_tokens,
+                 engine::KvAdmissionMode admission_mode =
+                     engine::KvAdmissionMode::Reserve,
+                 int block_tokens = 1, bool enforce_budget = true,
+                 int observe_block_tokens = 0)
         : spec(model_spec), latency(spec, kParams), config(cfg),
-          budget(kv_budget),
-          // The shared engine rule: budgets smaller than one block
-          // degrade to token accounting.
+          mode(admission_mode), budget(kv_budget),
+          // The engine rule: budgets smaller than one block degrade to
+          // token accounting.
           blockTokens(engine::effectiveKvBlockTokens(kv_budget,
                                                      block_tokens)),
           obsBlockTokens(observe_block_tokens > 0 ? observe_block_tokens
                                                   : blockTokens),
           obsBudgetBlocks(kv_budget == engine::kUnboundedKvTokens
                               ? engine::kUnboundedKvBlocks
-                              : std::max(1L, kv_budget / obsBlockTokens))
+                              : kv_budget / obsBlockTokens)
     {
         engine::InferencePipeline::Callbacks cb;
         cb.onRequestComplete = [this](const engine::ActiveRequest &r) {
@@ -130,7 +129,7 @@ struct BudgetedServer
         cb.onIdle = [this](engine::InferencePipeline &) { dispatch(); };
         cb.onAdmit = [this](engine::InferencePipeline &p, int free_slots) {
             auto admitted = requests.admitAtBoundary(
-                free_slots, p.freeKvBlocks(), engine::KvAdmissionMode::Reserve,
+                free_slots, p.freeKvBlocks(), mode,
                 engine::kUnboundedKvBlocks, blockTokens);
             for (const auto &r : admitted)
                 admissionOrder.push_back(r.request.id);
@@ -138,34 +137,48 @@ struct BudgetedServer
         };
         cb.onBoundary = [this](const engine::InferencePipeline &p) {
             ++boundaries;
-            // The invariant is checked against the *reference* budget
-            // even when the pipeline itself does not enforce one
-            // (fixed-B ablation): that is how the harness detects the
-            // over-commitment fixed-B admission allows.
-            if (p.kvTokensReserved() > budget ||
-                p.kvTokensHeld() > p.kvTokensReserved())
+            // Checked against the *reference* budget even when the
+            // pipeline itself does not enforce one: that is how the
+            // harness detects the over-commitment fixed-B admission
+            // allows.
+            const bool over =
+                mode == engine::KvAdmissionMode::Reserve
+                    ? p.kvTokensReserved() > budget ||
+                          p.kvTokensHeld() > p.kvTokensReserved()
+                    : p.kvTokensHeld() > budget;
+            if (over)
                 ++violations;
-            // The paged-allocator invariant: ceil-rounded blocks (what a
-            // real allocator hands out) never exceed the whole blocks
-            // the budget contains.  Computed with this harness's
-            // reference block size even when the pipeline itself
-            // accounts at a different granularity — that is how the
-            // harness shows token-granular admission over-promising
-            // paged memory.
+            // The paged-allocator invariant: ceil-rounded held blocks
+            // (what a real allocator hands out) never exceed the whole
+            // blocks the budget contains, computed at the observer's
+            // block size even when the pipeline accounts at another.
             long held_blocks = 0;
             for (const auto &r : p.batch())
                 held_blocks += r.kvBlocksHeld(obsBlockTokens);
             if (held_blocks > obsBudgetBlocks)
                 ++blockViolations;
+            // At block = 1 every block accessor must equal the token
+            // accessor it generalises — checked against live batches,
+            // where a per-chunk-rounding regression would show up.
+            if (blockTokens == 1 &&
+                (p.kvBlocksHeld() != p.kvTokensHeld() ||
+                 p.kvBlocksCharged() != p.kvTokensCharged() ||
+                 p.kvBlocksReserved() != p.kvTokensReserved() ||
+                 p.freeKvBlocks() != p.freeKvTokens()))
+                ++tokenEquivalenceViolations;
+            peakConcurrency = std::max(peakConcurrency,
+                                       static_cast<int>(p.batch().size()));
+        };
+        cb.onEvict = [this](engine::InferencePipeline &,
+                            std::vector<engine::ActiveRequest> evicted) {
+            requests.requeueRestarted(std::move(evicted));
         };
         engine::BatchingOptions batching;
         batching.kvBudgetTokens =
             enforce_budget ? budget : engine::kUnboundedKvTokens;
         batching.kvBlockTokens = blockTokens;
         batching.prefillChunkTokens = chunk_tokens;
-        // This harness exercises the reservation-based (PR 2) admission
-        // semantics; the optimistic mode has its own harness below.
-        batching.kvAdmissionMode = engine::KvAdmissionMode::Reserve;
+        batching.kvAdmissionMode = mode;
         pipeline = std::make_unique<engine::InferencePipeline>(
             sim, latency, config, 0, std::move(cb), batching);
     }
@@ -177,8 +190,7 @@ struct BudgetedServer
             return;
         }
         auto batch =
-            requests.nextBatch(config.batch, pipeline->freeKvBlocks(),
-                               engine::KvAdmissionMode::Reserve,
+            requests.nextBatch(config.batch, pipeline->freeKvBlocks(), mode,
                                engine::kUnboundedKvBlocks, blockTokens);
         for (const auto &r : batch)
             admissionOrder.push_back(r.request.id);
@@ -308,7 +320,7 @@ TEST(MemoryAdmissionTest, InvariantHoldsAcrossModelConfigSeqSweep)
              {cost::SeqSpec{128, 32}, cost::SeqSpec{512, 128}}) {
             for (int chunk : {0, 96}) {
                 const long peak = seq.inputLen + seq.outputLen;
-                BudgetedServer s(setup.spec, setup.config, 3 * peak, chunk);
+                EngineServer s(setup.spec, setup.config, 3 * peak, chunk);
                 sim::Rng rng(99);
                 const auto workload =
                     wl::stationaryPoisson(0.3, 120.0, seq, rng);
@@ -333,9 +345,10 @@ TEST(MemoryAdmissionTest, FixedBAdmissionOvercommitsWhereBudgetDoesNot)
     // token-budget admission with the same inputs never does.
     const long budget = 3000; // tokens; one 2048+128 request fits alone
     auto run = [&](bool enforce) {
-        BudgetedServer s(model::ModelSpec::opt6_7b(),
-                         par::ParallelConfig{1, 1, 4, 8}, budget,
-                         /*chunk=*/0, enforce);
+        EngineServer s(model::ModelSpec::opt6_7b(),
+                       par::ParallelConfig{1, 1, 4, 8}, budget,
+                       /*chunk=*/0, engine::KvAdmissionMode::Reserve,
+                       /*block=*/1, enforce);
         wl::Workload workload;
         for (int i = 0; i < 8; ++i)
             workload.push_back(
@@ -351,9 +364,9 @@ TEST(MemoryAdmissionTest, FixedBAdmissionOvercommitsWhereBudgetDoesNot)
 
 TEST(MemoryAdmissionTest, StartBatchRejectsOverBudgetBatch)
 {
-    BudgetedServer s(model::ModelSpec::opt6_7b(),
-                     par::ParallelConfig{1, 1, 4, 8}, /*budget=*/1000,
-                     /*chunk=*/0);
+    EngineServer s(model::ModelSpec::opt6_7b(),
+                   par::ParallelConfig{1, 1, 4, 8}, /*budget=*/1000,
+                   /*chunk=*/0);
     std::vector<engine::ActiveRequest> batch(2);
     batch[0].request = makeRequest(1, 0.0, 512, 128); // peak 640
     batch[1].request = makeRequest(2, 0.0, 512, 128); // peak 640
@@ -534,9 +547,9 @@ TEST(MemoryAdmissionTest, InvariantHoldsAcrossTracesAndMigrations)
 TEST(ChunkedPrefillTest, InputShorterThanChunkMatchesUnchunked)
 {
     auto run = [&](int chunk) {
-        BudgetedServer s(model::ModelSpec::opt6_7b(),
-                         par::ParallelConfig{1, 1, 4, 8},
-                         engine::kUnboundedKvTokens - 1, chunk);
+        EngineServer s(model::ModelSpec::opt6_7b(),
+                       par::ParallelConfig{1, 1, 4, 8},
+                       engine::kUnboundedKvTokens - 1, chunk);
         s.drive({makeRequest(1, 0.0, /*input=*/256, /*output=*/16)});
         s.sim.run();
         EXPECT_EQ(s.requests.completedCount(), 1);
@@ -554,7 +567,7 @@ TEST(ChunkedPrefillTest, ExactMultipleChunksPrefillWithoutRemainder)
     const int chunk = 256;
     const int output = 4;
 
-    BudgetedServer s(spec, c, engine::kUnboundedKvTokens - 1, chunk);
+    EngineServer s(spec, c, engine::kUnboundedKvTokens - 1, chunk);
     s.drive({makeRequest(1, 0.0, input, output)});
     s.sim.run();
     ASSERT_EQ(s.requests.completedCount(), 1);
@@ -578,7 +591,7 @@ TEST(ChunkedPrefillTest, HaltMidPrefillResumesCommittedChunksOnNewConfig)
     const int input = 1024;
     const int chunk = 256;
 
-    BudgetedServer s(spec, c1, engine::kUnboundedKvTokens - 1, chunk);
+    EngineServer s(spec, c1, engine::kUnboundedKvTokens - 1, chunk);
     s.drive({makeRequest(1, 0.0, input, /*output=*/8)});
     // Run past the first chunk boundary, into the second chunk.
     const double first_chunk = latency.mixedIterTime(c1, 1, chunk, 0, 0, 0);
@@ -594,8 +607,8 @@ TEST(ChunkedPrefillTest, HaltMidPrefillResumesCommittedChunksOnNewConfig)
 
     // Requeue with committed chunks intact (cache context migrated), and
     // resume on a *different* parallel configuration.
-    BudgetedServer s2(spec, par::ParallelConfig{1, 2, 2, 4},
-                      engine::kUnboundedKvTokens - 1, chunk);
+    EngineServer s2(spec, par::ParallelConfig{1, 2, 2, 4},
+                    engine::kUnboundedKvTokens - 1, chunk);
     s2.requests.requeue(std::move(drained));
     s2.dispatch();
     s2.sim.run();
@@ -631,8 +644,8 @@ TEST(ChunkedPrefillTest, DecodeStallBoundedByOneChunk)
     const int chunk = 256;
 
     auto maxGap = [&](int chunk_tokens) {
-        BudgetedServer s(spec, c, engine::kUnboundedKvTokens - 1,
-                         chunk_tokens);
+        EngineServer s(spec, c, engine::kUnboundedKvTokens - 1,
+                       chunk_tokens);
         double last_commit = 0.0;
         int last_tokens = 0;
         double max_gap = 0.0;
@@ -719,8 +732,8 @@ TEST(FifoFairnessTest, LargeHeadIsNotStarvedUnderTightBudget)
     // ones.  The large request must be admitted (in arrival order) and
     // complete; admission order must equal arrival order throughout.
     const long budget = 1600; // large peak 1280; small peak 320
-    BudgetedServer s(model::ModelSpec::opt6_7b(),
-                     par::ParallelConfig{1, 1, 4, 8}, budget, /*chunk=*/0);
+    EngineServer s(model::ModelSpec::opt6_7b(),
+                   par::ParallelConfig{1, 1, 4, 8}, budget, /*chunk=*/0);
     wl::Workload workload;
     wl::RequestId id = 0;
     workload.push_back(makeRequest(id++, 0.0, 256, 64));  // small
@@ -931,121 +944,6 @@ TEST(ReplicaBalancingTest, OversizedRequestIsRejectedNotHeadBlocking)
 // Optimistic admission: predictor, eviction, watermarks
 // ---------------------------------------------------------------------
 
-/**
- * Engine-level harness for the optimistic mode: one pipeline fed from a
- * RequestManager with predictor-charged admission, eviction wired back
- * into the queue through the shared restart path, and the *held*-KV
- * invariant (the one optimistic mode guarantees) checked at every
- * boundary.
- */
-struct OptimisticServer
-{
-    sim::Simulation sim;
-    model::ModelSpec spec;
-    cost::LatencyModel latency;
-    par::ParallelConfig config;
-    serving::RequestManager requests{sim};
-    std::unique_ptr<engine::InferencePipeline> pipeline;
-
-    engine::KvAdmissionMode mode;
-    long budget;
-    int blockTokens;
-    long budgetBlocks;
-    long boundaries = 0;
-    long violations = 0;
-    long blockViolations = 0;
-    /** Boundaries where a block = 1 pipeline's block-space accessors
-     *  diverged from the token accessors they must degenerate to. */
-    long tokenEquivalenceViolations = 0;
-    int peakConcurrency = 0;
-    std::map<wl::RequestId, sim::SimTime> completedAt;
-
-    OptimisticServer(const model::ModelSpec &model_spec,
-                     const par::ParallelConfig &cfg, long kv_budget,
-                     int chunk_tokens, engine::KvAdmissionMode admission_mode,
-                     int block_tokens = 1)
-        : spec(model_spec), latency(spec, kParams), config(cfg),
-          mode(admission_mode), budget(kv_budget),
-          // The shared engine rule: budgets smaller than one block
-          // degrade to token accounting.
-          blockTokens(engine::effectiveKvBlockTokens(kv_budget,
-                                                     block_tokens)),
-          budgetBlocks(kv_budget == engine::kUnboundedKvTokens
-                           ? engine::kUnboundedKvBlocks
-                           : kv_budget / blockTokens)
-    {
-        engine::InferencePipeline::Callbacks cb;
-        cb.onRequestComplete = [this](const engine::ActiveRequest &r) {
-            completedAt[r.request.id] = sim.now();
-            requests.complete(r);
-        };
-        cb.onIdle = [this](engine::InferencePipeline &) { dispatch(); };
-        cb.onAdmit = [this](engine::InferencePipeline &p, int free_slots) {
-            return requests.admitAtBoundary(free_slots, p.freeKvBlocks(),
-                                            mode, engine::kUnboundedKvBlocks,
-                                            blockTokens);
-        };
-        cb.onBoundary = [this](const engine::InferencePipeline &p) {
-            ++boundaries;
-            // Optimistic mode promises the *held* tokens never exceed the
-            // budget at a boundary (worst-case reservations may).
-            if (p.kvTokensHeld() > budget)
-                ++violations;
-            // The paged invariant: ceil-rounded held blocks never exceed
-            // the whole blocks the budget can actually hand out.
-            if (p.kvBlocksHeld() > budgetBlocks)
-                ++blockViolations;
-            // At block = 1 every block accessor must equal the token
-            // accessor it generalises — checked against live batches,
-            // where a per-chunk-rounding regression would show up.
-            if (blockTokens == 1 &&
-                (p.kvBlocksHeld() != p.kvTokensHeld() ||
-                 p.kvBlocksCharged() != p.kvTokensCharged() ||
-                 p.kvBlocksReserved() != p.kvTokensReserved() ||
-                 p.freeKvBlocks() != p.freeKvTokens()))
-                ++tokenEquivalenceViolations;
-            peakConcurrency = std::max(peakConcurrency,
-                                       static_cast<int>(p.batch().size()));
-        };
-        cb.onEvict = [this](engine::InferencePipeline &,
-                            std::vector<engine::ActiveRequest> evicted) {
-            requests.requeueRestarted(std::move(evicted));
-        };
-        engine::BatchingOptions batching;
-        batching.kvBudgetTokens = budget;
-        batching.kvBlockTokens = blockTokens;
-        batching.prefillChunkTokens = chunk_tokens;
-        batching.kvAdmissionMode = mode;
-        pipeline = std::make_unique<engine::InferencePipeline>(
-            sim, latency, config, 0, std::move(cb), batching);
-    }
-
-    void dispatch()
-    {
-        if (!pipeline->idle() || pipeline->haltPending() ||
-            requests.pendingEmpty()) {
-            return;
-        }
-        auto batch =
-            requests.nextBatch(config.batch, pipeline->freeKvBlocks(), mode,
-                               engine::kUnboundedKvBlocks, blockTokens);
-        if (!batch.empty())
-            pipeline->startBatch(std::move(batch));
-    }
-
-    void submit(const wl::Request &r)
-    {
-        requests.submit(r);
-        dispatch();
-    }
-
-    void drive(const wl::Workload &workload)
-    {
-        for (const auto &req : workload)
-            sim.schedule(req.arrival, [this, req] { submit(req); });
-    }
-};
-
 TEST(OutputPredictorTest, ColdStartFallsBackToCap)
 {
     serving::OutputLengthPredictor p;
@@ -1113,9 +1011,9 @@ TEST(OptimisticAdmissionTest, ShortOutputsUnderLargeCapBeatReserve)
         long violations = 0;
     };
     auto run = [&](engine::KvAdmissionMode mode) {
-        OptimisticServer s(model::ModelSpec::opt6_7b(),
-                           par::ParallelConfig{1, 1, 4, 8}, budget,
-                           /*chunk=*/0, mode);
+        EngineServer s(model::ModelSpec::opt6_7b(),
+                       par::ParallelConfig{1, 1, 4, 8}, budget,
+                       /*chunk=*/0, mode);
         s.drive(workload);
         s.sim.run(240.0);
         Outcome o;
@@ -1186,10 +1084,10 @@ TEST(OptimisticAdmissionTest, HeldInvariantAcrossWorkloadShapes)
                              std::function<wl::Workload()>(longInput)}) {
         const auto workload = make();
         for (int chunk : {0, 128}) {
-            OptimisticServer s(model::ModelSpec::opt6_7b(),
-                               par::ParallelConfig{1, 1, 4, 8},
-                               /*budget=*/2600, chunk,
-                               engine::KvAdmissionMode::Optimistic);
+            EngineServer s(model::ModelSpec::opt6_7b(),
+                           par::ParallelConfig{1, 1, 4, 8},
+                           /*budget=*/2600, chunk,
+                           engine::KvAdmissionMode::Optimistic);
             s.drive(workload);
             s.sim.run();
             EXPECT_EQ(s.violations, 0)
@@ -1213,9 +1111,9 @@ TEST(OptimisticAdmissionTest, NoLivelockUnderSustainedOverload)
     // completing — no livelock, no starvation — with held KV under the
     // budget throughout.
     const long budget = 1200; // two full-cap peaks (512) plus slack
-    OptimisticServer s(model::ModelSpec::opt6_7b(),
-                       par::ParallelConfig{1, 1, 4, 8}, budget, /*chunk=*/0,
-                       engine::KvAdmissionMode::Optimistic);
+    EngineServer s(model::ModelSpec::opt6_7b(),
+                   par::ParallelConfig{1, 1, 4, 8}, budget, /*chunk=*/0,
+                   engine::KvAdmissionMode::Optimistic);
     wl::Workload workload;
     for (int i = 0; i < 80; ++i) {
         const int actual = (i % 4 == 3) ? 256 : 12;
@@ -1243,9 +1141,9 @@ TEST(OptimisticAdmissionTest, MispredictionBurstEvictsAndRecovers)
     // keep held KV under the budget at every boundary, and still finish
     // the whole burst.
     const long budget = 1400;
-    OptimisticServer s(model::ModelSpec::opt6_7b(),
-                       par::ParallelConfig{1, 1, 4, 8}, budget, /*chunk=*/0,
-                       engine::KvAdmissionMode::Optimistic);
+    EngineServer s(model::ModelSpec::opt6_7b(),
+                   par::ParallelConfig{1, 1, 4, 8}, budget, /*chunk=*/0,
+                   engine::KvAdmissionMode::Optimistic);
     for (int i = 0; i < 32; ++i)
         s.requests.outputPredictor().observe(16);
     ASSERT_TRUE(s.requests.outputPredictor().warm());
@@ -1279,9 +1177,9 @@ TEST(OptimisticAdmissionTest, DecodePriorityYieldsPrefillUnderPressure)
     // committing; the held tokens never exceed the budget.
     //   budget 1500 -> high 1407, low 1220 (deriveKvWatermarks, B=8).
     const long budget = 1500;
-    OptimisticServer s(model::ModelSpec::opt6_7b(),
-                       par::ParallelConfig{1, 1, 4, 8}, budget,
-                       /*chunk=*/16, engine::KvAdmissionMode::Optimistic);
+    EngineServer s(model::ModelSpec::opt6_7b(),
+                   par::ParallelConfig{1, 1, 4, 8}, budget,
+                   /*chunk=*/16, engine::KvAdmissionMode::Optimistic);
     std::vector<engine::ActiveRequest> batch(3);
     // Two incumbents: 512 input, 90 of 200 output tokens committed,
     // predicted to stop at 95 (held 602, charged 607 each).
@@ -1314,9 +1212,9 @@ TEST(OptimisticAdmissionTest, EvictionClearsYieldWhenLastDecoderLeaves)
     // iteration).
     //   budget 1900 -> high 1782 (deriveKvWatermarks, B=8).
     const long budget = 1900;
-    OptimisticServer s(model::ModelSpec::opt6_7b(),
-                       par::ParallelConfig{1, 1, 4, 8}, budget,
-                       /*chunk=*/128, engine::KvAdmissionMode::Optimistic);
+    EngineServer s(model::ModelSpec::opt6_7b(),
+                   par::ParallelConfig{1, 1, 4, 8}, budget,
+                   /*chunk=*/128, engine::KvAdmissionMode::Optimistic);
     std::vector<engine::ActiveRequest> batch(3);
     // Oldest member: mid-prefill (256 of 512 committed), short output.
     batch[0].request = makeCapped(0, 0.0, 512, 24, 256);
@@ -1386,9 +1284,7 @@ TEST(OptimisticSystemTest, MispredictedOutputsEvictThroughTheServingSystem)
     sim::Simulation sim;
     cluster::InstanceManager instances(sim, kParams);
     serving::RequestManager requests(sim);
-    serving::EngineOptions engine;
-    engine.kvBlockTokens = testBlockTokens();
-    TestSystem system(sim, instances, requests, spec, engine);
+    TestSystem system(sim, instances, requests, spec);
 
     instances.loadTrace(AvailabilityTrace(
         "steady", 100.0,
@@ -1584,6 +1480,30 @@ TEST(ReplicaBalancingTest, BudgetTracksTheMigrationReserveMode)
     EXPECT_EQ(naive, mem.kvBudgetTokens(config, false));
 }
 
+TEST(ReplicaBalancingTest, DeployingWithoutOneKvBlockOfHeadroomThrows)
+{
+    // A configuration that passed MemoryModel::fits holds B worst-case
+    // sequences, so a budget under one KV block means the deployment
+    // skipped that check: refuse it rather than serve on a clamped
+    // budget.  GPT-20B's weights alone overflow one GPU.
+    const auto spec = model::ModelSpec::gpt20b();
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    TestSystem system(sim, instances, requests, spec);
+    instances.loadTrace(AvailabilityTrace(
+        "steady", 100.0,
+        {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 1}}));
+    sim.run(1.0);
+    const par::ParallelConfig config{1, 1, 1, 1};
+    ASSERT_LT(cost::MemoryModel(spec, kParams).kvBudgetTokens(config),
+              serving::kKvBlockTokens);
+    EXPECT_THROW(system.installDeployment(
+                     config,
+                     system.packedMesh(config, instances.usableInstances())),
+                 std::logic_error);
+}
+
 // ---------------------------------------------------------------------
 // Block-granular (paged) KV accounting
 // ---------------------------------------------------------------------
@@ -1606,9 +1526,10 @@ TEST(BlockAdmissionTest, TokenGranularAdmissionOverpromisesPagedBlocks)
     auto run = [&](int pipeline_blk) {
         // The observer always checks the 16-token paged invariant,
         // whatever granularity the pipeline enforces.
-        BudgetedServer s(model::ModelSpec::opt6_7b(), cfg, budget,
-                         /*chunk=*/0, /*enforce=*/true, pipeline_blk,
-                         /*observe_block_tokens=*/16);
+        EngineServer s(model::ModelSpec::opt6_7b(), cfg, budget,
+                       /*chunk=*/0, engine::KvAdmissionMode::Reserve,
+                       pipeline_blk, /*enforce=*/true,
+                       /*observe_block_tokens=*/16);
         s.drive(workload);
         s.sim.run();
         EXPECT_EQ(s.requests.completedCount(), 10);
@@ -1621,14 +1542,15 @@ TEST(BlockAdmissionTest, TokenGranularAdmissionOverpromisesPagedBlocks)
 
 TEST(BlockAdmissionTest, DegenerateBudgetKeepsTokenGranularity)
 {
-    // A (loudly warned) budget smaller than one block — the no-headroom
-    // clamp path — must degrade to token granularity, not round up to a
-    // whole block: a 10-token budget under 16-token blocks would
-    // otherwise become a 1-block = 16-token budget and admit a request
-    // into a replica the memory model says has no real headroom.
-    BudgetedServer s(model::ModelSpec::opt6_7b(),
-                     par::ParallelConfig{1, 1, 4, 8}, /*budget=*/10,
-                     /*chunk=*/0, /*enforce=*/true, /*block=*/16);
+    // An engine budget smaller than one block (a hand-built pipeline;
+    // the serving layer refuses such a deployment) must degrade to token
+    // granularity, not round up to a whole block: a 10-token budget
+    // under 16-token blocks would otherwise become a 1-block = 16-token
+    // budget and admit a request the budget has no room for.
+    EngineServer s(model::ModelSpec::opt6_7b(),
+                   par::ParallelConfig{1, 1, 4, 8}, /*budget=*/10,
+                   /*chunk=*/0, engine::KvAdmissionMode::Reserve,
+                   /*block=*/16);
     EXPECT_EQ(s.pipeline->kvBlockTokens(), 1);
     EXPECT_EQ(s.pipeline->kvBudgetBlocks(), 10);
     // Peak 12 tokens: fits one 16-token block, but NOT the 10 tokens
@@ -1643,8 +1565,8 @@ TEST(BlockAdmissionTest, DegenerateBudgetKeepsTokenGranularity)
 
 TEST(BlockAdmissionTest, BlockOneReproducesTokenPathExactly)
 {
-    // kvBlockTokens = 1 is the ablation that must reproduce the
-    // token-granular path bit-for-bit: identical admission order,
+    // An engine block size of 1 is the token-granular reference and
+    // must reproduce the token path bit-for-bit: identical admission order,
     // identical completion times, identical boundary counts — and the
     // block-space accessors must equal the token accessors at every
     // boundary.
@@ -1658,10 +1580,10 @@ TEST(BlockAdmissionTest, BlockOneReproducesTokenPathExactly)
     }();
     auto run = [&](int blk, long &boundaries,
                    std::vector<wl::RequestId> &order) {
-        OptimisticServer s(model::ModelSpec::opt6_7b(),
-                           par::ParallelConfig{1, 1, 4, 8}, budget,
-                           /*chunk=*/128,
-                           engine::KvAdmissionMode::Optimistic, blk);
+        EngineServer s(model::ModelSpec::opt6_7b(),
+                       par::ParallelConfig{1, 1, 4, 8}, budget,
+                       /*chunk=*/128,
+                       engine::KvAdmissionMode::Optimistic, blk);
         if (blk == 1) {
             // At block = 1 the block budget degenerates to the token
             // budget the PR 3 path enforced.
@@ -1735,9 +1657,9 @@ TEST(BlockAdmissionTest, HeldBlocksInvariantEngineMatrix)
         for (int chunk : {0, 128}) {
             for (const auto mode : {engine::KvAdmissionMode::Reserve,
                                     engine::KvAdmissionMode::Optimistic}) {
-                OptimisticServer s(model::ModelSpec::opt6_7b(),
-                                   par::ParallelConfig{1, 1, 4, 8},
-                                   /*budget=*/2600, chunk, mode, blk);
+                EngineServer s(model::ModelSpec::opt6_7b(),
+                               par::ParallelConfig{1, 1, 4, 8},
+                               /*budget=*/2600, chunk, mode, blk);
                 s.drive(workload);
                 s.sim.run();
                 EXPECT_EQ(s.blockViolations, 0)
@@ -1759,14 +1681,13 @@ TEST(BlockAdmissionTest, HeldBlocksInvariantEngineMatrix)
 
 TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
 {
-    // Full-system matrix at the paged block size (or the value CI
-    // injects via SPOTSERVE_TEST_KV_BLOCK_TOKENS): Poisson, spike and
+    // Full-system matrix at the serving block size: Poisson, spike and
     // long-input early-stopping workloads across preemption-driven
     // migrations, chunked and unchunked, both admission modes — the
     // inherited mid-prefill batches of the chunked runs are trimmed in
     // block space against the inheriting replica.
     const cost::SeqSpec seq{};
-    const int blk = testBlockTokens();
+    const int blk = serving::kKvBlockTokens;
     auto poisson = [&] {
         sim::Rng rng(61);
         auto w = wl::stationaryPoisson(0.3, 900.0, seq, rng);
@@ -1803,7 +1724,6 @@ TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
                                     engine::KvAdmissionMode::Optimistic}) {
                 auto options = chunkedOptions(chunk);
                 options.engine.kvAdmissionMode = mode;
-                options.engine.kvBlockTokens = blk;
                 // Ceil-rounded held blocks (and, in Reserve mode, the
                 // reservations) fit the block budget, and the
                 // bottleneck stage stays under the memory line: it holds

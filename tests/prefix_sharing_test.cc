@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 #include <vector>
 
@@ -41,19 +40,6 @@ namespace spotserve {
 namespace {
 
 const cost::CostParams kParams = cost::CostParams::awsG4dn();
-
-/** Same CI hook as memory_admission_test: SPOTSERVE_TEST_KV_BLOCK_TOKENS
- *  reruns the whole binary at another block granularity. */
-int
-testBlockTokens()
-{
-    if (const char *env = std::getenv("SPOTSERVE_TEST_KV_BLOCK_TOKENS")) {
-        const int v = std::atoi(env);
-        if (v >= 1)
-            return v;
-    }
-    return 16;
-}
 
 engine::ActiveRequest
 makeActive(wl::RequestId id, int input_len, int output_len, int prefix_id,
@@ -385,6 +371,10 @@ struct PrefixInvariantResult
     long checks = 0;
     long violations = 0;
     long refLeaks = 0;
+    /** report().peakKvHeldBlocks, and the running max of
+     *  kvBlocksHeld() this observer saw at the same boundaries. */
+    long reportedPeakHeldBlocks = 0;
+    long observedPeakHeldBlocks = 0;
     long prefixHits = 0;
     long cowCopies = 0;
     int migrations = 0;
@@ -400,11 +390,14 @@ struct PrefixInvariantResult
  *  - the store's resident blocks fit its capacity and its live refs
  *    equal the batch's block-id holdings exactly (zero leaked refs; an
  *    empty batch therefore implies zero live blocks);
- *  - logical holdings fit the budget too (sharing only tightens).
+ *  - logical holdings fit the budget too (sharing only tightens), and
+ *    equal the store's live references (one per held level);
+ * and record the running max of the logical holding next to the
+ * report's peakKvHeldBlocks.
  */
 PrefixInvariantResult
 runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
-                         engine::KvAdmissionMode mode, int block_tokens)
+                         engine::KvAdmissionMode mode)
 {
     const auto spec = model::ModelSpec::gpt20b();
     const auto trace = churnTrace();
@@ -418,7 +411,6 @@ runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
     options.designArrivalRate = 0.35;
     options.engine.prefillChunkTokens = chunk_tokens;
     options.engine.kvAdmissionMode = mode;
-    options.engine.kvBlockTokens = block_tokens;
     core::SpotServeSystem system(sim, instances, requests, spec, kParams,
                                  seq, options);
 
@@ -426,7 +418,7 @@ runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
     system.setKvObserver([&](const engine::InferencePipeline &p) {
         ++out.checks;
         const long budget_blocks =
-            mem.kvBudgetBlocks(p.config(), block_tokens);
+            mem.kvBudgetBlocks(p.config(), serving::kKvBlockTokens);
         if (p.kvPhysicalBlocksHeld() > budget_blocks)
             ++out.violations;
         if (p.kvBlocksHeld() > budget_blocks)
@@ -440,6 +432,12 @@ runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
             held_refs += static_cast<long>(r.kvBlockIds.size());
         if (held_refs != store.totalLiveRefs())
             ++out.refLeaks;
+        // One reference per held level: the store's live references are
+        // the logical block holding the serving layer's peak gauge reads.
+        if (p.kvBlocksHeld() != store.totalLiveRefs())
+            ++out.violations;
+        out.observedPeakHeldBlocks =
+            std::max(out.observedPeakHeldBlocks, p.kvBlocksHeld());
         if (p.batch().empty() && store.liveBlocks() != 0)
             ++out.refLeaks;
     });
@@ -454,6 +452,7 @@ runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
 
     serving::ExperimentResult stats;
     system.report(stats);
+    out.reportedPeakHeldBlocks = stats.peakKvHeldBlocks;
     out.prefixHits = stats.prefixHits;
     out.cowCopies = stats.cowCopies;
     out.migrations = system.migrationsCompleted();
@@ -469,7 +468,6 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
     // multiple, so full-level sharing, tail donation and CoW all fire —
     // across preemption-driven migrations, in both admission modes.
     const cost::SeqSpec seq{};
-    const int blk = testBlockTokens();
     auto poisson = [&] {
         sim::Rng rng(71);
         auto w = wl::stationaryPoisson(0.3, 900.0, seq, rng);
@@ -509,14 +507,16 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
         for (int chunk : {0, 256}) {
             for (const auto mode : {engine::KvAdmissionMode::Reserve,
                                     engine::KvAdmissionMode::Optimistic}) {
-                const auto r =
-                    runPrefixSystemInvariant(workload, chunk, mode, blk);
+                const auto r = runPrefixSystemInvariant(workload, chunk, mode);
                 EXPECT_EQ(r.violations, 0)
                     << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode) << " blk " << blk;
+                    << " mode " << engine::toString(mode);
                 EXPECT_EQ(r.refLeaks, 0)
                     << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode) << " blk " << blk;
+                    << " mode " << engine::toString(mode);
+                EXPECT_EQ(r.reportedPeakHeldBlocks, r.observedPeakHeldBlocks)
+                    << "workload " << variant << " chunk " << chunk
+                    << " mode " << engine::toString(mode);
                 EXPECT_GT(r.checks, 0);
                 EXPECT_GT(r.prefixHits, 0)
                     << "workload " << variant << " chunk " << chunk
@@ -524,7 +524,7 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
                 EXPECT_GE(r.migrations, 2); // initial + preemption-driven
                 EXPECT_EQ(r.completed, r.arrived)
                     << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode) << " blk " << blk;
+                    << " mode " << engine::toString(mode);
             }
         }
         ++variant;
@@ -550,7 +550,6 @@ TEST(PrefixSystemTest, ReroutingLeakAuditCountsSlotPipelines)
     serving::RequestManager requests(sim);
     baselines::ReroutingOptions options;
     options.designArrivalRate = 0.3;
-    options.engine.kvBlockTokens = testBlockTokens();
     baselines::ReroutingSystem system(sim, instances, requests, spec,
                                       kParams, seq, options);
     long resident_refs = 0;

@@ -13,11 +13,15 @@ names the compiler flags: --cxxflags is handed to CMake as CXXFLAGS on
 the first configure of that directory (the layout check builds both sides
 with -falign-functions=64, so a gain is not an artefact of code layout).
 
-Prints every pair's sim_us_per_request, both medians, both interquartile
-ranges and "change faster in k/n".  Exits 1 if a run is not "correct" or
-if any simulated metric (every end-to-end metric of BENCHMARK.json except the
-wall-clock ones) differs within a pair.  --out writes the summary and
-every run's result line as JSON.
+Prints every pair's wall-clock metrics (sim_us_per_request, setup_s,
+peak_rss_mb), then for each of them both medians, both interquartile
+ranges, the median change in percent, "change better in k/n" and the
+verdict against that metric's "bound" and "better" in BENCHMARK.json.
+Exits 1 if a run is not "correct", if any simulated metric (every
+end-to-end metric of BENCHMARK.json except the wall-clock ones) differs
+within a pair, or if a wall-clock median is worse than the parent's by
+more than its bound (a fraction of the parent median).  --out writes the
+summary and every run's result line as JSON.
 """
 
 import argparse
@@ -32,8 +36,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # End-to-end metrics measured on the wall clock; every other one is
 # simulated and must be bit-identical between two trees that claim to
 # change only speed.
-WALL_CLOCK = {"setup_s", "peak_rss_mb", "sim_us_per_request"}
-METRIC = "sim_us_per_request"
+WALL_CLOCK = ("sim_us_per_request", "setup_s", "peak_rss_mb")
 
 
 def parse_seeds(text):
@@ -96,9 +99,8 @@ def main():
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        declared = json.load(f)
-    simulated = sorted(m["name"] for m in declared["end_to_end"]
-                       if m["name"] not in WALL_CLOCK)
+        declared = {m["name"]: m for m in json.load(f)["end_to_end"]}
+    simulated = sorted(n for n in declared if n not in WALL_CLOCK)
     tag = re.sub(r"[^A-Za-z0-9]+", "_", args.cxxflags).strip("_") or "default"
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
@@ -107,11 +109,16 @@ def main():
     for side in trees:
         check_flags(targets[side], args.cxxflags)
 
+    def lower_is_better(metric):
+        return declared[metric]["better"] == "lower"
+
     seeds = parse_seeds(args.seeds)
-    runs, values = [], {"parent": [], "change": []}
-    faster, identical = 0, True
-    print("%-6s %-6s %12s %12s %8s" % ("seed", "first", "parent", "change",
-                                       "delta"))
+    runs = []
+    values = {m: {"parent": [], "change": []} for m in WALL_CLOCK}
+    better = {m: 0 for m in WALL_CLOCK}
+    identical = True
+    print("%-6s %-6s" % ("seed", "first") +
+          "".join(" %26s" % m for m in WALL_CLOCK))
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {}
@@ -124,27 +131,50 @@ def main():
                              cxxflags=args.cxxflags, **result))
             if not result.get("correct"):
                 print("run not correct: %s seed %d" % (side, seed))
-        got = {side: pair[side]["metrics"][METRIC]["value"]
-               for side in trees}
-        for side in trees:
-            values[side].append(got[side])
-        faster += got["change"] < got["parent"]
+        cells = []
+        for m in WALL_CLOCK:
+            got = {side: pair[side]["metrics"][m]["value"] for side in trees}
+            for side in trees:
+                values[m][side].append(got[side])
+            if lower_is_better(m):
+                better[m] += got["change"] < got["parent"]
+            else:
+                better[m] += got["change"] > got["parent"]
+            cells.append("%9.4g %9.4g %+6.1f%%" % (
+                got["parent"], got["change"],
+                100.0 * (got["change"] / got["parent"] - 1.0)))
         differ = [n for n in simulated
                   if pair["parent"]["metrics"][n]["value"] !=
                   pair["change"]["metrics"][n]["value"]]
-        print("%-6d %-6s %12.4f %12.4f %+7.1f%%%s" % (
-            seed, order[0], got["parent"], got["change"],
-            100.0 * (got["change"] / got["parent"] - 1.0),
-            "  DIFFERS: " + ", ".join(differ) if differ else ""))
+        print("%-6d %-6s" % (seed, order[0]) +
+              "".join(" %26s" % c for c in cells) +
+              ("  DIFFERS: " + ", ".join(differ) if differ else ""))
         identical = identical and not differ
 
-    stats = {side: quartiles(values[side]) for side in trees}
-    for side in trees:
-        q1, med, q3 = stats[side]
-        print("%s median %.4f (IQR %.4f-%.4f)" % (side, med, q1, q3))
-    change_pct = 100.0 * (stats["change"][1] / stats["parent"][1] - 1.0)
-    print("median change %+.1f%%; change faster in %d/%d" %
-          (change_pct, faster, len(seeds)))
+    summary_metrics, within_bounds = {}, True
+    for m in WALL_CLOCK:
+        stats = {side: quartiles(values[m][side]) for side in trees}
+        change_pct = 100.0 * (stats["change"][1] / stats["parent"][1] - 1.0)
+        worse_pct = change_pct if lower_is_better(m) else -change_pct
+        bound_pct = 100.0 * declared[m]["bound"]
+        ok = worse_pct <= bound_pct
+        within_bounds = within_bounds and ok
+        print("%s (%s is better):" % (m, declared[m]["better"]))
+        for side in trees:
+            q1, med, q3 = stats[side]
+            print("  %s median %.4f (IQR %.4f-%.4f)" % (side, med, q1, q3))
+        print("  median change %+.1f%%; change better in %d/%d; bound %.0f%%"
+              " worse: %s" % (change_pct, better[m], len(seeds), bound_pct,
+                              "within" if ok else "EXCEEDED"))
+        summary_metrics[m] = {
+            **{side: dict(zip(("q1", "median", "q3"),
+                              (round(v, 4) for v in stats[side])))
+               for side in trees},
+            "median_change_pct": round(change_pct, 1),
+            "change_better_pairs": better[m],
+            "bound_pct": bound_pct,
+            "within_bound": ok,
+        }
     correct = all(r.get("correct") for r in runs)
     print("simulated metrics (%d) %s; all runs correct: %s" % (
         len(simulated), "identical in every pair" if identical else "DIFFER",
@@ -154,18 +184,14 @@ def main():
         summary = {
             "workload": args.workload, "seconds": args.seconds,
             "seeds": [seeds[0], seeds[-1]], "pairs": len(seeds),
-            "cxxflags": args.cxxflags, "change_faster_pairs": faster,
+            "cxxflags": args.cxxflags,
             "simulated_metrics_bit_identical": identical,
             "all_correct": correct,
-            METRIC: {side: dict(zip(("q1", "median", "q3"),
-                                    (round(v, 4) for v in stats[side])))
-                     for side in trees},
-            "median_change_pct": round(change_pct, 1),
+            **summary_metrics,
         }
         with open(args.out, "w") as f:
             json.dump({"summary": summary, "runs": runs}, f, indent=1)
-    sys.exit(0 if identical and correct else 1)
-
+    sys.exit(0 if identical and correct and within_bounds else 1)
 
 if __name__ == "__main__":
     main()
