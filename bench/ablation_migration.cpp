@@ -1,6 +1,6 @@
 /**
  * @file
- * Design-choice ablation for the migration machinery (DESIGN.md §4):
+ * Design-choice ablation for the migration machinery (§3.3–3.4):
  * for a set of realistic configuration transitions of GPT-20B, compare
  *
  *   - Kuhn-Munkres vs naive (id-order) device mapping: bytes moved;

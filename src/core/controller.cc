@@ -14,12 +14,7 @@ ParallelizationController::ParallelizationController(
     const cost::SeqSpec &seq, cost::ConfigSpaceOptions space_options,
     ControllerOptions options)
     : seq_(seq), options_(options), latency_(spec, params),
-      throughput_(latency_), space_(spec, params, seq,
-                                    [&space_options] {
-                                        auto so = space_options;
-                                        so.dominancePrune = true;
-                                        return so;
-                                    }())
+      throughput_(latency_), space_(spec, params, seq, space_options)
 {
 }
 

@@ -84,12 +84,12 @@ struct SweepStats
  * (configuration, alpha bucket) — arrival rates are quantised through
  * bucketAlpha() before any evaluation, so repeated sweeps over an
  * unchanged fleet re-use every entry and cost O(changed) model
- * evaluations instead of O(space).  The controller also enables
- * ConfigSpaceOptions::dominancePrune on its search space.  A regression
- * test pins the decisions byte-for-byte against the unpruned, uncached
- * reference sweep *at the bucketed rate* — the 2^-12 alpha quantisation
- * is this change's one intentional behavioral delta (≤ 0.025% rate
- * perturbation), shared by production and reference alike.
+ * evaluations instead of O(space).  Its search space is dominance-pruned
+ * (ConfigSpace::enumerate).  A regression test pins the decisions
+ * byte-for-byte against the unpruned, uncached reference sweep *at the
+ * bucketed rate* — the 2^-12 alpha quantisation is the one intentional
+ * behavioral delta (≤ 0.025% rate perturbation), shared by production
+ * and reference alike.
  */
 class ParallelizationController
 {

@@ -93,7 +93,7 @@ DeviceMapper::edgeWeight(const engine::HeldContext *held,
     if (!held || !held->ctx->hasModelContext)
         return 0.0;
     double w = engine::modelOverlapBytes(spec_, *held, target_topo, pos);
-    if (options_.preferCacheReuse && held->ctx->cacheTokens > 0.0 &&
+    if (held->ctx->cacheTokens > 0.0 &&
         inherited[pos.d] == held->ctx->position.d) {
         w += engine::cacheOverlapBytes(spec_, *held, target_topo, pos);
     }

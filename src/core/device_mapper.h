@@ -58,9 +58,6 @@ struct DeviceMapperOptions
      */
     bool useKuhnMunkres = true;
 
-    /** Add cache-context weights to the matching objective. */
-    bool preferCacheReuse = true;
-
     /**
      * Skip the two-step Hungarian solve when the surviving snapshot
      * already holds the exact target placement: every target position is
@@ -71,8 +68,9 @@ struct DeviceMapperOptions
      * That is a maximum of the matching objective, so the O(n^3) solve
      * cannot do better; with in-flight cache on every replica it is the
      * unique optimum and the fast path is byte-identical to the full
-     * solve (regression-tested).  Disable to force the full solve (used
-     * by the regression test and worst-case benches).
+     * solve (regression-tested).  Disable to force the full solve:
+     * core_mapper_test's differential test checks the fast path against
+     * it.
      */
     bool identityFastPath = true;
 };
@@ -124,7 +122,6 @@ class DeviceMapper
         const std::vector<double> &old_pipeline_tokens,
         const std::vector<ReplicaPin> &pins = {}) const;
 
-    const DeviceMapperOptions &options() const { return options_; }
 
   private:
     /**

@@ -23,16 +23,12 @@ SpotServeSystem::SpotServeSystem(sim::Executor &executor,
                         options.engine),
       options_(options),
       controller_(spec, params, seq,
-                  [&options] {
-                      cost::ConfigSpaceOptions so;
-                      so.memOptPlanner = options.enableMigrationPlanner;
-                      return so;
-                  }(),
+                  cost::ConfigSpaceOptions{
+                      .memOptPlanner = options.enableMigrationPlanner},
                   options.controller),
       mapper_(spec, params,
-              DeviceMapperOptions{options.enableDeviceMapper,
-                                  options.enableArranger,
-                                  /*identityFastPath=*/true}),
+              DeviceMapperOptions{.useKuhnMunkres = options.enableDeviceMapper,
+                                  .identityFastPath = true}),
       planner_(spec, params), arranger_(latency_),
       policy_(controller_, requests, options.designArrivalRate)
 {
@@ -731,13 +727,14 @@ SpotServeSystem::startMigration()
             auto &batch = batches[od];
             // Continuous batching drains mixed-progress batches: recover
             // each request's committed KV individually — decode tokens
-            // and prefill chunks alike.  Requests with any committed KV
-            // ride in the inherited batch of the replica that receives
-            // their cache, so the chunk KV stays accounted against that
-            // replica's budget from the moment it activates (a
-            // mid-prefill request resumes from its last chunk there).
-            // Requests that never committed anything recompute from the
-            // queue.
+            // and matched prefix tokens alike.  Requests with any
+            // committed KV ride in the inherited batch of the replica
+            // that receives their cache, so that KV stays accounted
+            // against that replica's budget from the moment it activates
+            // (a request that attached a shared prefix but has not yet
+            // prefilled the rest of its input resumes from the prefix
+            // there).  Requests that never committed anything recompute
+            // from the queue.
             std::vector<engine::ActiveRequest> recovered;
             std::vector<engine::ActiveRequest> lost;
             for (auto &r : batch)
@@ -751,9 +748,10 @@ SpotServeSystem::startMigration()
             // (§3.3).  Requests are charged under the active admission
             // mode, so an optimistic deployment inherits as many cache
             // contexts as their charges say fit — predicted footprints
-            // for never-restarted requests (mid-prefill ones included),
-            // full worst-case peaks for previously restarted ones (the
-            // storm guard applies across reconfigurations too).
+            // for never-restarted requests (prefix-matched mid-prefill
+            // ones included), full worst-case peaks for previously
+            // restarted ones (the storm guard applies across
+            // reconfigurations too).
             std::stable_sort(recovered.begin(), recovered.end(),
                              [](const engine::ActiveRequest &a,
                                 const engine::ActiveRequest &b) {
@@ -761,8 +759,8 @@ SpotServeSystem::startMigration()
                              });
             // Trimming charges whole KV blocks against the inheriting
             // replica's block budget — the same denomination every
-            // admission path uses, so an inherited mid-prefill batch can
-            // never stand on more blocks than the new replica's paged
+            // admission path uses, so an inherited batch can never
+            // stand on more blocks than the new replica's paged
             // allocator could hand out.
             const long budget = replicaKvBudgetBlocks(pm.target);
             const int blk = serving::kKvBlockTokens;

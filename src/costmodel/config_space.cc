@@ -1,14 +1,29 @@
 #include "costmodel/config_space.h"
 
 #include <algorithm>
+#include <span>
 
 namespace spotserve {
 namespace cost {
+namespace {
+
+/** §6.1's batch sizes and tensor degrees, and practical stage counts. */
+constexpr int kBatchChoices[] = {1, 2, 4, 8};
+constexpr int kTpChoices[] = {1, 2, 4, 8};
+constexpr int kPpChoices[] = {1, 2, 3, 4, 6, 8};
+
+bool
+isChoice(std::span<const int> choices, int value)
+{
+    return std::ranges::find(choices, value) != choices.end();
+}
+
+} // namespace
 
 ConfigSpace::ConfigSpace(const model::ModelSpec &spec,
                          const CostParams &params, const SeqSpec &seq,
                          ConfigSpaceOptions options)
-    : spec_(spec), params_(params), seq_(seq), options_(std::move(options)),
+    : spec_(spec), params_(params), seq_(seq), options_(options),
       memory_(spec, params), latency_(spec, params)
 {
 }
@@ -50,22 +65,14 @@ ConfigSpace::feasible(const par::ParallelConfig &config) const
         return false;
     if (config.pp > spec_.numLayers())
         return false;
-    if (std::find(options_.ppChoices.begin(), options_.ppChoices.end(),
-                  config.pp) == options_.ppChoices.end()) {
+    if (!isChoice(kPpChoices, config.pp) || !isChoice(kTpChoices, config.tp))
         return false;
-    }
-    if (std::find(options_.tpChoices.begin(), options_.tpChoices.end(),
-                  config.tp) == options_.tpChoices.end()) {
-        return false;
-    }
     const int gpi = params_.gpusPerInstance;
     // Tensor groups must pack onto whole instances.
     if (config.tp <= gpi ? gpi % config.tp != 0 : config.tp % gpi != 0)
         return false;
-    if (std::find(options_.batchChoices.begin(), options_.batchChoices.end(),
-                  config.batch) == options_.batchChoices.end()) {
+    if (!isChoice(kBatchChoices, config.batch))
         return false;
-    }
     return shapeFits(config.pp, config.tp, config.batch);
 }
 
@@ -76,13 +83,13 @@ ConfigSpace::enumerateAll(int num_instances) const
     if (num_instances <= 0)
         return out;
     const int max_gpus = num_instances * params_.gpusPerInstance;
-    for (int tp : options_.tpChoices) {
-        for (int pp : options_.ppChoices) {
+    for (int tp : kTpChoices) {
+        for (int pp : kPpChoices) {
             if (pp * tp > max_gpus)
                 continue;
             const int max_dp = max_gpus / (pp * tp);
             for (int dp = 1; dp <= max_dp; ++dp) {
-                for (int b : options_.batchChoices) {
+                for (int b : kBatchChoices) {
                     par::ParallelConfig c{dp, pp, tp, b};
                     if (!feasible(c))
                         continue;
@@ -182,9 +189,7 @@ ConfigSpace::enumerate(int num_instances) const
     const auto it = enumCache_.find(num_instances);
     if (it != enumCache_.end())
         return it->second;
-    auto out = enumerateAll(num_instances);
-    if (options_.dominancePrune)
-        out = prune(std::move(out));
+    auto out = prune(enumerateAll(num_instances));
     enumCache_.emplace(num_instances, out);
     return out;
 }

@@ -91,10 +91,11 @@ struct ActiveRequest
 
     /**
      * Input tokens whose KV is computed and committed by completed
-     * prefill chunks.  Equals request.inputLen once prefill finished;
-     * strictly between 0 and inputLen only while a chunked prefill is in
-     * flight.  Preserved across migration together with the cache
-     * context (a mid-prefill request resumes from its last chunk).
+     * prefill chunks or a matched shared prefix.  Equals request.inputLen
+     * once prefill finished; strictly between 0 and inputLen only while
+     * the rest of the input awaits prefill.  Preserved across migration
+     * together with the cache context (a mid-prefill request resumes
+     * from there).
      */
     int prefillTokens = 0;
 

@@ -256,7 +256,6 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
     engine::BatchingOptions batching;
     batching.kvBudgetTokens = replicaKvBudget(config);
     batching.kvBlockTokens = kKvBlockTokens;
-    batching.prefillChunkTokens = engine_.prefillChunkTokens;
     batching.kvAdmissionMode = engine_.kvAdmissionMode;
     return std::make_unique<engine::InferencePipeline>(
         sim_, latency_, config, index, std::move(cb), batching);

@@ -53,7 +53,9 @@ constexpr int kKvBlockTokens = 16;
  * The inference-engine knobs.  SpotServe and both baselines each carry one
  * of these and hand it to BaseServingSystem, which builds every pipeline
  * from it, so the engine the three systems run is one value declared
- * once.  Defaults are the serving defaults.
+ * once.  Defaults are the serving defaults.  Serving pipelines prefill
+ * each input whole: chunked prefill is an engine scheduling technique
+ * (BatchingOptions::prefillChunkTokens), not a SpotServe mechanism.
  */
 struct EngineOptions
 {
@@ -64,14 +66,6 @@ struct EngineOptions
      * paper inherits (batches only form when a pipeline is idle).
      */
     bool continuousBatching = true;
-
-    /**
-     * Chunked prefill: cap one request's prefill work per iteration at
-     * this many input tokens (0 = the whole input in one iteration),
-     * bounding the decode stall a long-input newcomer can inflict on the
-     * in-flight batch.
-     */
-    int prefillChunkTokens = 0;
 
     /**
      * How requests are charged against the KV budget.  Optimistic charges

@@ -384,18 +384,21 @@ TEST(ConfigSpaceTest, EnumerationRespectsBudget)
             EXPECT_LE(space.instancesNeeded(c), n) << c.str();
             EXPECT_TRUE(space.feasible(c)) << c.str();
         }
+        for (const auto &c : space.enumerateAll(n)) {
+            EXPECT_LE(space.instancesNeeded(c), n) << c.str();
+            EXPECT_TRUE(space.feasible(c)) << c.str();
+        }
     }
 }
 
-TEST(ConfigSpaceTest, EnumerateIsTheSingleEntryPoint)
+TEST(ConfigSpaceTest, SmallerBudgetEnumeratesTheLargerOneFiltered)
 {
-    // enumerate(n) is the one documented enumeration path (the former
-    // enumerateUpTo alias was only correct because enumerate filters by
-    // instancesNeeded(c) <= n).  Pin the contract both ways: nothing over
-    // budget leaks out, and enumerate(m) for a smaller budget m is
-    // exactly enumerate(n) filtered to instancesNeeded <= m — so callers
-    // that pass an upper bound (Algorithm 1 lines 2-3) see every config a
-    // larger fleet could host, no more and no less.
+    // enumerate(m) for a smaller budget m is exactly enumerate(n)
+    // filtered to instancesNeeded <= m: dominance pruning only compares a
+    // config with strictly cheaper ones, so what it drops does not depend
+    // on the budget.  Callers that pass an upper bound (Algorithm 1
+    // lines 2-3) therefore see every config a larger fleet could host,
+    // no more and no less.
     ConfigSpace space(ModelSpec::opt6_7b(), kParams, kSeq);
     const auto all = space.enumerate(12);
     ASSERT_FALSE(all.empty());
@@ -447,18 +450,24 @@ TEST(ConfigSpaceTest, NaivePlannerShrinksSpace)
     naive.memOptPlanner = false;
     ConfigSpace with(ModelSpec::gpt20b(), kParams, kSeq);
     ConfigSpace without(ModelSpec::gpt20b(), kParams, kSeq, naive);
-    EXPECT_GT(with.enumerate(12).size(), without.enumerate(12).size());
+    EXPECT_GT(with.enumerateAll(12).size(), without.enumerateAll(12).size());
     EXPECT_FALSE(without.feasible(ParallelConfig{1, 3, 4, 1}));
     EXPECT_TRUE(with.feasible(ParallelConfig{1, 3, 4, 1}));
 }
 
 TEST(ConfigSpaceTest, RejectsUnpackableTensorGroups)
 {
-    ConfigSpaceOptions opt;
-    opt.tpChoices = {1, 2, 3, 4, 8};
-    ConfigSpace space(ModelSpec::opt6_7b(), kParams, kSeq, opt);
-    // M=3 does not divide the 4 GPUs of an instance.
-    EXPECT_FALSE(space.feasible(ParallelConfig{1, 2, 3, 1}));
+    // On 6-GPU instances, M=4 is a §6.1 choice that does not divide an
+    // instance and M=8 is not a multiple of one: only the packing rule
+    // rejects them.  M=2 packs, and M=4 packs on 4-GPU instances.
+    CostParams six = kParams;
+    six.gpusPerInstance = 6;
+    ConfigSpace space(ModelSpec::opt6_7b(), six, kSeq);
+    EXPECT_FALSE(space.feasible(ParallelConfig{1, 2, 4, 1}));
+    EXPECT_FALSE(space.feasible(ParallelConfig{1, 1, 8, 1}));
+    EXPECT_TRUE(space.feasible(ParallelConfig{1, 2, 2, 1}));
+    ConfigSpace four(ModelSpec::opt6_7b(), kParams, kSeq);
+    EXPECT_TRUE(four.feasible(ParallelConfig{1, 2, 4, 1}));
 }
 
 } // namespace

@@ -7,11 +7,11 @@
  * reserved by the live batch never exceed the budget
  * MemoryModel::kvBudgetTokens promised for the deployed configuration —
  * across Poisson, spike and long-input workloads, across
- * preemption-driven migrations, in both chunked and unchunked prefill
- * modes.  Satellite regressions cover chunked-prefill edge cases, the
- * bounded decode-stall property, strict-FIFO fairness under tight
- * budgets, the shared popAdmissible bookkeeping, and least-loaded
- * replica balancing at batch formation.
+ * preemption-driven migrations.  Satellite regressions cover the
+ * engine's chunked-prefill edge cases, the bounded decode-stall
+ * property, strict-FIFO fairness under tight budgets, the shared
+ * popAdmissible bookkeeping, and least-loaded replica balancing at batch
+ * formation.
  */
 
 #include <gtest/gtest.h>
@@ -453,15 +453,6 @@ runSystemInvariant(const wl::Workload &workload,
     return out;
 }
 
-/** SpotServe options with @p chunk_tokens of prefill per chunk. */
-core::SpotServeOptions
-chunkedOptions(int chunk_tokens)
-{
-    core::SpotServeOptions options;
-    options.engine.prefillChunkTokens = chunk_tokens;
-    return options;
-}
-
 /**
  * 1 if one GPU of @p p would cross the memory line holding @p kv_bytes of
  * KV next to its weights, workspace and migration reserve, else 0.
@@ -517,25 +508,20 @@ TEST(MemoryAdmissionTest, InvariantHoldsAcrossTracesAndMigrations)
                              std::function<wl::Workload()>(spike),
                              std::function<wl::Workload()>(longInput)}) {
         const auto workload = make();
-        for (int chunk : {0, 256}) {
-            // Reserved KV tokens within the deployed configuration's
-            // budget, held within reserved, and under the memory line.
-            const auto r = runSystemInvariant(
-                workload, chunkedOptions(chunk),
-                [](const engine::InferencePipeline &p) {
-                    const long budget = kChurnMem.kvBudgetTokens(p.config());
-                    const bool over = p.kvTokensReserved() > budget ||
-                                      p.kvTokensHeld() > p.kvTokensReserved();
-                    return (over ? 1 : 0) +
-                           overGpuLine(p, heldKvBytesPerGpu(p));
-                });
-            EXPECT_EQ(r.violations, 0)
-                << "workload " << variant << " chunk " << chunk;
-            EXPECT_GT(r.checks, 0);
-            EXPECT_GE(r.migrations, 2); // initial + preemption-driven
-            EXPECT_EQ(r.completed, r.arrived)
-                << "workload " << variant << " chunk " << chunk;
-        }
+        // Reserved KV tokens within the deployed configuration's budget,
+        // held within reserved, and under the memory line.
+        const auto r = runSystemInvariant(
+            workload, core::SpotServeOptions{},
+            [](const engine::InferencePipeline &p) {
+                const long budget = kChurnMem.kvBudgetTokens(p.config());
+                const bool over = p.kvTokensReserved() > budget ||
+                                  p.kvTokensHeld() > p.kvTokensReserved();
+                return (over ? 1 : 0) + overGpuLine(p, heldKvBytesPerGpu(p));
+            });
+        EXPECT_EQ(r.violations, 0) << "workload " << variant;
+        EXPECT_GT(r.checks, 0);
+        EXPECT_GE(r.migrations, 2); // initial + preemption-driven
+        EXPECT_EQ(r.completed, r.arrived) << "workload " << variant;
         ++variant;
     }
 }
@@ -1243,10 +1229,9 @@ TEST(OptimisticAdmissionTest, EvictionClearsYieldWhenLastDecoderLeaves)
 TEST(OptimisticSystemTest, InvariantHoldsAcrossMigrationsWithEarlyStopping)
 {
     // Early-stopping workload (cap 4x the planning output) across the
-    // churn trace, unchunked and chunked — the chunked variant drives
-    // evicted-and-requeued work and mid-prefill requests through the
-    // migration inheritance path (committed chunks ride the inherited
-    // batch; optimistic trimming charges them under the active mode).
+    // churn trace: optimistic admission evicts and requeues work, and
+    // each migration's inheritance trim charges the inherited batch
+    // under the active mode.
     auto make = [] {
         sim::Rng rng(21);
         auto w = wl::stationaryPoisson(0.3, 900.0, cost::SeqSpec{}, rng);
@@ -1254,23 +1239,21 @@ TEST(OptimisticSystemTest, InvariantHoldsAcrossMigrationsWithEarlyStopping)
         return w;
     };
     const auto workload = make();
-    for (int chunk : {0, 256}) {
-        const auto options = chunkedOptions(chunk);
-        EXPECT_EQ(options.engine.kvAdmissionMode,
-                  engine::KvAdmissionMode::Optimistic)
-            << "optimistic admission should be the default";
-        // Held KV tokens within the budget and under the memory line.
-        const auto r = runSystemInvariant(
-            workload, options, [](const engine::InferencePipeline &p) {
-                const long budget = kChurnMem.kvBudgetTokens(p.config());
-                return (p.kvTokensHeld() > budget ? 1 : 0) +
-                       overGpuLine(p, heldKvBytesPerGpu(p));
-            });
-        EXPECT_EQ(r.violations, 0) << "chunk " << chunk;
-        EXPECT_GT(r.checks, 0);
-        EXPECT_GE(r.migrations, 2); // initial + preemption-driven
-        EXPECT_EQ(r.completed, r.arrived) << "chunk " << chunk;
-    }
+    const core::SpotServeOptions options{};
+    EXPECT_EQ(options.engine.kvAdmissionMode,
+              engine::KvAdmissionMode::Optimistic)
+        << "optimistic admission should be the default";
+    // Held KV tokens within the budget and under the memory line.
+    const auto r = runSystemInvariant(
+        workload, options, [](const engine::InferencePipeline &p) {
+            const long budget = kChurnMem.kvBudgetTokens(p.config());
+            return (p.kvTokensHeld() > budget ? 1 : 0) +
+                   overGpuLine(p, heldKvBytesPerGpu(p));
+        });
+    EXPECT_EQ(r.violations, 0);
+    EXPECT_GT(r.checks, 0);
+    EXPECT_GE(r.migrations, 2); // initial + preemption-driven
+    EXPECT_EQ(r.completed, r.arrived);
 }
 
 TEST(OptimisticSystemTest, MispredictedOutputsEvictThroughTheServingSystem)
@@ -1683,9 +1666,8 @@ TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
 {
     // Full-system matrix at the serving block size: Poisson, spike and
     // long-input early-stopping workloads across preemption-driven
-    // migrations, chunked and unchunked, both admission modes — the
-    // inherited mid-prefill batches of the chunked runs are trimmed in
-    // block space against the inheriting replica.
+    // migrations, both admission modes — inherited batches are trimmed
+    // in block space against the inheriting replica.
     const cost::SeqSpec seq{};
     const int blk = serving::kKvBlockTokens;
     auto poisson = [&] {
@@ -1719,40 +1701,37 @@ TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
                              std::function<wl::Workload()>(spike),
                              std::function<wl::Workload()>(longInput)}) {
         const auto workload = make();
-        for (int chunk : {0, 256}) {
-            for (const auto mode : {engine::KvAdmissionMode::Reserve,
-                                    engine::KvAdmissionMode::Optimistic}) {
-                auto options = chunkedOptions(chunk);
-                options.engine.kvAdmissionMode = mode;
-                // Ceil-rounded held blocks (and, in Reserve mode, the
-                // reservations) fit the block budget, and the
-                // bottleneck stage stays under the memory line: it holds
-                // ceil(L/P) layers of weights and of every held block.
-                const auto r = runSystemInvariant(
-                    workload, options,
-                    [mode, blk](const engine::InferencePipeline &p) {
-                        const auto &c = p.config();
-                        const long budget = kChurnMem.kvBudgetBlocks(c, blk);
-                        long v = p.kvBlocksHeld() > budget ? 1 : 0;
-                        if (mode == engine::KvAdmissionMode::Reserve &&
-                            p.kvBlocksReserved() > budget)
-                            ++v;
-                        const int bl =
-                            (kChurnSpec.numLayers() + c.pp - 1) / c.pp;
-                        const double kv_bytes =
-                            static_cast<double>(p.kvBlocksHeld()) * blk *
-                            kChurnSpec.kvBytesPerTokenPerLayer() * bl / c.tp;
-                        return v + overGpuLine(p, kv_bytes);
-                    });
-                EXPECT_EQ(r.violations, 0)
-                    << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode) << " blk " << blk;
-                EXPECT_GT(r.checks, 0);
-                EXPECT_GE(r.migrations, 2); // initial + preemption-driven
-                EXPECT_EQ(r.completed, r.arrived)
-                    << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode) << " blk " << blk;
-            }
+        for (const auto mode : {engine::KvAdmissionMode::Reserve,
+                                engine::KvAdmissionMode::Optimistic}) {
+            core::SpotServeOptions options;
+            options.engine.kvAdmissionMode = mode;
+            // Ceil-rounded held blocks (and, in Reserve mode, the
+            // reservations) fit the block budget, and the bottleneck
+            // stage stays under the memory line: it holds ceil(L/P)
+            // layers of weights and of every held block.
+            const auto r = runSystemInvariant(
+                workload, options,
+                [mode, blk](const engine::InferencePipeline &p) {
+                    const auto &c = p.config();
+                    const long budget = kChurnMem.kvBudgetBlocks(c, blk);
+                    long v = p.kvBlocksHeld() > budget ? 1 : 0;
+                    if (mode == engine::KvAdmissionMode::Reserve &&
+                        p.kvBlocksReserved() > budget)
+                        ++v;
+                    const int bl = (kChurnSpec.numLayers() + c.pp - 1) / c.pp;
+                    const double kv_bytes =
+                        static_cast<double>(p.kvBlocksHeld()) * blk *
+                        kChurnSpec.kvBytesPerTokenPerLayer() * bl / c.tp;
+                    return v + overGpuLine(p, kv_bytes);
+                });
+            EXPECT_EQ(r.violations, 0)
+                << "workload " << variant << " mode "
+                << engine::toString(mode) << " blk " << blk;
+            EXPECT_GT(r.checks, 0);
+            EXPECT_GE(r.migrations, 2); // initial + preemption-driven
+            EXPECT_EQ(r.completed, r.arrived)
+                << "workload " << variant << " mode "
+                << engine::toString(mode) << " blk " << blk;
         }
         ++variant;
     }

@@ -20,6 +20,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include <stdexcept>
@@ -380,10 +382,15 @@ struct PrefixInvariantResult
     int migrations = 0;
     long completed = 0;
     long arrived = 0;
+    /** Requests frozen in a draining replica with only their matched
+     *  prefix prefilled, then seen, not restarted, in a serving one:
+     *  mid-prefill work startMigration's inheritance trim handed over. */
+    long midPrefillInherited = 0;
 };
 
 /**
- * Run SpotServe with prefix sharing over the churn trace, asserting at
+ * Run SpotServe with prefix sharing over the churn trace (plus the
+ * yield-triggered notices described in the body), asserting at
  * every boundary of every replica:
  *  - physical (deduplicated) blocks held fit the block budget — the
  *    CI-gated invariant;
@@ -396,7 +403,7 @@ struct PrefixInvariantResult
  * report's peakKvHeldBlocks.
  */
 PrefixInvariantResult
-runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
+runPrefixSystemInvariant(const wl::Workload &workload,
                          engine::KvAdmissionMode mode)
 {
     const auto spec = model::ModelSpec::gpt20b();
@@ -409,14 +416,52 @@ runPrefixSystemInvariant(const wl::Workload &workload, int chunk_tokens,
     serving::RequestManager requests(sim);
     core::SpotServeOptions options;
     options.designArrivalRate = 0.35;
-    options.engine.prefillChunkTokens = chunk_tokens;
     options.engine.kvAdmissionMode = mode;
     core::SpotServeSystem system(sim, instances, requests, spec, kParams,
                                  seq, options);
 
     PrefixInvariantResult out;
+    // Without chunked prefill, a request reaches a drain mid-prefill only
+    // after matching a shared prefix at admission while its remaining
+    // prefill yields the step to the incumbents' decode (Optimistic
+    // watermark pressure).  Up to three extra notices, 100 s apart, fire
+    // at a boundary right after such a yield, so the drain catches the
+    // request still waiting.  (Yield counts are kept per replica address:
+    // a reused address only delays a notice, and no check reads them.)
+    std::map<const engine::InferencePipeline *, long> yields_seen;
+    std::map<wl::RequestId, int> frozen; // request id -> restarts
+    int yield_notices = 0;
+    sim::SimTime last_yield_notice = 0.0;
     system.setKvObserver([&](const engine::InferencePipeline &p) {
         ++out.checks;
+        bool waiting = false;
+        for (const auto &r : p.batch()) {
+            if (r.prefilled || r.prefillTokens == 0)
+                continue;
+            waiting = true;
+            if (p.haltPending()) {
+                frozen[r.request.id] = r.restarts;
+                continue;
+            }
+            const auto it = frozen.find(r.request.id);
+            if (it != frozen.end()) {
+                if (it->second == r.restarts)
+                    ++out.midPrefillInherited;
+                frozen.erase(it);
+            }
+        }
+        const long yields =
+            std::exchange(yields_seen[&p], p.prefillYields());
+        if (waiting && p.prefillYields() > yields && !p.haltPending() &&
+            yield_notices < 3 &&
+            (yield_notices == 0 || sim.now() >= last_yield_notice + 100.0)) {
+            ++yield_notices;
+            last_yield_notice = sim.now();
+            instances.loadTrace(AvailabilityTrace(
+                "yield-notice", sim.now(),
+                {TraceEvent{sim.now(), TraceEventKind::PreemptNotice,
+                            InstanceType::Spot, 1}}));
+        }
         const long budget_blocks =
             mem.kvBudgetBlocks(p.config(), serving::kKvBlockTokens);
         if (p.kvPhysicalBlocksHeld() > budget_blocks)
@@ -466,7 +511,10 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
     // Poisson, spike and long-input early-stopping workloads — each with
     // a shared-prefix mix whose class length is deliberately NOT a block
     // multiple, so full-level sharing, tail donation and CoW all fire —
-    // across preemption-driven migrations, in both admission modes.
+    // across preemption-driven migrations, in both admission modes.  The
+    // fourth fills each replica's KV budget with long few-shot prompts,
+    // so prefix-hit newcomers yield their prefill under Optimistic
+    // pressure and a drain hands them over mid-prefill.
     const cost::SeqSpec seq{};
     auto poisson = [&] {
         sim::Rng rng(71);
@@ -498,34 +546,39 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
                                 rng);
         return w;
     };
+    auto budgetBound = [&] {
+        sim::Rng rng(74);
+        auto w = wl::stationaryPoisson(0.3, 900.0, seq, rng);
+        wl::capOutputs(w, 512, 16, 48, rng);
+        for (auto &r : w)
+            r.inputLen = 6000;
+        wl::withFewShotPrefixes(w, 3, 168, rng);
+        return w;
+    };
 
     int variant = 0;
     for (const auto &make : {std::function<wl::Workload()>(poisson),
                              std::function<wl::Workload()>(spike),
-                             std::function<wl::Workload()>(longInput)}) {
+                             std::function<wl::Workload()>(longInput),
+                             std::function<wl::Workload()>(budgetBound)}) {
         const auto workload = make();
-        for (int chunk : {0, 256}) {
-            for (const auto mode : {engine::KvAdmissionMode::Reserve,
-                                    engine::KvAdmissionMode::Optimistic}) {
-                const auto r = runPrefixSystemInvariant(workload, chunk, mode);
-                EXPECT_EQ(r.violations, 0)
-                    << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode);
-                EXPECT_EQ(r.refLeaks, 0)
-                    << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode);
-                EXPECT_EQ(r.reportedPeakHeldBlocks, r.observedPeakHeldBlocks)
-                    << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode);
-                EXPECT_GT(r.checks, 0);
-                EXPECT_GT(r.prefixHits, 0)
-                    << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode);
-                EXPECT_GE(r.migrations, 2); // initial + preemption-driven
-                EXPECT_EQ(r.completed, r.arrived)
-                    << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode);
-            }
+        for (const auto mode : {engine::KvAdmissionMode::Reserve,
+                                engine::KvAdmissionMode::Optimistic}) {
+            const auto r = runPrefixSystemInvariant(workload, mode);
+            EXPECT_EQ(r.violations, 0)
+                << "workload " << variant << " mode " << engine::toString(mode);
+            EXPECT_EQ(r.refLeaks, 0)
+                << "workload " << variant << " mode " << engine::toString(mode);
+            EXPECT_EQ(r.reportedPeakHeldBlocks, r.observedPeakHeldBlocks)
+                << "workload " << variant << " mode " << engine::toString(mode);
+            EXPECT_GT(r.checks, 0);
+            EXPECT_GT(r.prefixHits, 0)
+                << "workload " << variant << " mode " << engine::toString(mode);
+            EXPECT_GE(r.migrations, 2); // initial + preemption-driven
+            EXPECT_EQ(r.completed, r.arrived)
+                << "workload " << variant << " mode " << engine::toString(mode);
+            if (variant == 3 && mode == engine::KvAdmissionMode::Optimistic)
+                EXPECT_GT(r.midPrefillInherited, 0);
         }
         ++variant;
     }
