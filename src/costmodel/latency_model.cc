@@ -127,15 +127,6 @@ LatencyModel::prefillTime(const par::ParallelConfig &config,
 double
 LatencyModel::mixedIterTime(const par::ParallelConfig &config,
                             int prefill_batch, int input_len,
-                            int decode_batch, int ctx_len) const
-{
-    return mixedIterTime(config, prefill_batch, input_len, 0, decode_batch,
-                         ctx_len);
-}
-
-double
-LatencyModel::mixedIterTime(const par::ParallelConfig &config,
-                            int prefill_batch, int input_len,
                             int prefill_ctx_len, int decode_batch,
                             int ctx_len) const
 {
@@ -150,9 +141,9 @@ LatencyModel::mixedIterTime(const par::ParallelConfig &config,
         c.batch = prefill_batch;
         total += prefillTime(c, input_len);
         if (prefill_ctx_len > 0) {
-            // A later chunk attends over the KV cache committed by the
-            // earlier chunks: memory-bound, same per-token read cost as
-            // the decode phase's cache traffic.
+            // The remaining input attends over the matched prefix's KV
+            // cache: memory-bound, same per-token read cost as the decode
+            // phase's cache traffic.
             total += kvReadTime(config, prefill_batch, prefill_ctx_len);
         }
     }
@@ -169,9 +160,9 @@ LatencyModel::prefillSavedTime(const par::ParallelConfig &config,
                                int matched_tokens) const
 {
     // The dual of recomputeTime's mid-prefill branch: a prefix-cache hit
-    // skips exactly the prefill of the matched tokens (the per-chunk
-    // committed-prefix re-reads still happen for the *remaining* input
-    // and are priced by mixedIterTime as usual).
+    // skips exactly the prefill of the matched tokens (the remaining
+    // input's re-read of the matched prefix still happens and is priced
+    // by mixedIterTime as usual).
     if (matched_tokens <= 0)
         return 0.0;
     return prefillTime(config, matched_tokens);
@@ -211,7 +202,7 @@ LatencyModel::recomputeTime(const par::ParallelConfig &config, int input_len,
     }
     if (prefill_tokens <= 0)
         return 0.0;
-    // Mid-prefill state: only the committed chunks are lost.
+    // Mid-prefill state: only the committed input tokens are lost.
     return prefillTime(config, std::min(prefill_tokens, input_len));
 }
 

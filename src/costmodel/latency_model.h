@@ -59,8 +59,8 @@ class LatencyModel
     /**
      * Time to stream @p ctx_len KV-cache tokens for each of @p batch
      * requests at the batch-derated effective bandwidth.  The shared
-     * cache-traffic term of decodeIterTime and the chunked-prefill
-     * committed-prefix re-read.
+     * cache-traffic term of decodeIterTime and of a prefill's re-read of
+     * a matched shared prefix.
      */
     double kvReadTime(const par::ParallelConfig &config, int batch,
                       int ctx_len) const;
@@ -81,21 +81,13 @@ class LatencyModel
 
     /**
      * Latency of one continuous-batching iteration that mixes the prefill
-     * of @p prefill_batch newly admitted requests (longest input
-     * @p input_len) with one decode step for @p decode_batch incumbent
-     * requests (longest context @p ctx_len).  Either side may be empty;
-     * with a single-phase batch this reduces exactly to prefillTime() or
+     * of @p prefill_batch newly admitted requests (longest remaining
+     * input @p input_len, whose attention also re-reads the KV of the
+     * longest matched shared prefix, @p prefill_ctx_len tokens) with one
+     * decode step for @p decode_batch incumbent requests (longest context
+     * @p ctx_len).  Either side may be empty; with a single-phase batch
+     * and no matched prefix this reduces exactly to prefillTime() or
      * decodeIterTime() at the corresponding batch size.
-     */
-    double mixedIterTime(const par::ParallelConfig &config, int prefill_batch,
-                         int input_len, int decode_batch, int ctx_len) const;
-
-    /**
-     * Chunked-prefill variant: the prefill side processes a partial chunk
-     * of @p input_len new tokens whose attention also re-reads the KV
-     * cache of the @p prefill_ctx_len input tokens committed by earlier
-     * chunks.  With prefill_ctx_len == 0 this is exactly the unchunked
-     * overload above.
      */
     double mixedIterTime(const par::ParallelConfig &config, int prefill_batch,
                          int input_len, int prefill_ctx_len, int decode_batch,

@@ -41,7 +41,7 @@ namespace cost {
  * denominated in whatever unit the budget they were derived from uses
  * (tokens, or KV blocks under paged accounting).  When the engine
  * predicts the next iteration would push the held KV past @c high it
- * first makes chunked prefills yield their mixed-iteration slot to the
+ * first makes prefills yield their mixed-iteration slot to the
  * incumbents' decode; past the full budget it evicts LIFO victims until
  * the held KV falls back to @c low (the hysteresis gap keeps one
  * overflow from causing an eviction per boundary).  Both are 0 when the

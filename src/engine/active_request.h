@@ -5,11 +5,11 @@
  * Stateful inference recovery (§4) commits progress at the token level:
  * committedTokens output tokens have been generated and their KV cache is
  * held by the context daemon, so a migrated request resumes from there
- * instead of recomputing.  With chunked prefill the input side commits at
- * chunk granularity too: prefillTokens input tokens have their KV cached,
- * and a mid-prefill request resumes from the last committed chunk.
- * Dropping the cache resets both counters to 0 (resetForRestart(), the
- * single reset shared by eviction, preemption-restart and drop paths).
+ * instead of recomputing.  A prefill never splits: prefillTokens is the
+ * whole input once its prefill step ran, and before that only the shared
+ * prefix matched at admission.  Dropping the cache resets both counters
+ * to 0 (resetForRestart(), the single reset shared by eviction,
+ * preemption-restart and drop paths).
  */
 
 #ifndef SPOTSERVE_ENGINE_ACTIVE_REQUEST_H
@@ -47,22 +47,6 @@ kvBlocksFor(long tokens, int block_tokens)
 }
 
 /**
- * Block granularity actually enforceable under @p budget_tokens: a
- * budget smaller than one block degrades to token granularity, so it
- * cannot round UP to a whole block and become block_tokens times looser
- * than the token budget it clamps.  InferencePipeline applies it to a
- * hand-built engine budget; the serving layer never needs it, since it
- * refuses a deployment with less than one block of headroom.
- */
-inline int
-effectiveKvBlockTokens(long budget_tokens, int block_tokens)
-{
-    if (budget_tokens != kUnboundedKvTokens && budget_tokens < block_tokens)
-        return 1;
-    return block_tokens;
-}
-
-/**
  * How admission charges a request against the KV-token budget.
  *
  * Reserve charges the worst case (prompt + full output cap) so an admitted
@@ -90,10 +74,10 @@ struct ActiveRequest
     int committedTokens = 0;
 
     /**
-     * Input tokens whose KV is computed and committed by completed
-     * prefill chunks or a matched shared prefix.  Equals request.inputLen
-     * once prefill finished; strictly between 0 and inputLen only while
-     * the rest of the input awaits prefill.  Preserved across migration
+     * Input tokens whose KV is computed and committed.  Equals
+     * request.inputLen once prefill finished; strictly between 0 and
+     * inputLen only when a matched shared prefix covers part of the input
+     * and the rest awaits its prefill step.  Preserved across migration
      * together with the cache context (a mid-prefill request resumes
      * from there).
      */
@@ -209,9 +193,8 @@ struct ActiveRequest
 
     /**
      * Blocks this request holds under a paged allocator with
-     * @p block_tokens tokens per block.  Rounded per *request*, not per
-     * chunk: a chunked prefill's committed chunks share blocks, so the
-     * charge is ceil(held / block), never a ceil per chunk.
+     * @p block_tokens tokens per block: ceil(held / block), rounded per
+     * request.
      */
     long kvBlocksHeld(int block_tokens) const
     {

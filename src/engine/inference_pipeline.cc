@@ -47,19 +47,16 @@ InferencePipeline::InferencePipeline(sim::Executor &executor,
         throw std::invalid_argument(
             "InferencePipeline: KV budget must be positive "
             "(use kUnboundedKvTokens to disable)");
-    if (batching_.prefillChunkTokens < 0)
-        throw std::invalid_argument(
-            "InferencePipeline: negative prefill chunk");
     if (batching_.kvBlockTokens < 1)
         throw std::invalid_argument(
             "InferencePipeline: kvBlockTokens must be >= 1");
     const bool bounded = batching_.kvBudgetTokens != kUnboundedKvTokens;
     if (bounded) {
-        // Degenerate no-headroom budgets degrade to token granularity
-        // (shared rule: effectiveKvBlockTokens), and a paged allocator
-        // hands out whole blocks: floor the budget.
-        batching_.kvBlockTokens = effectiveKvBlockTokens(
-            batching_.kvBudgetTokens, batching_.kvBlockTokens);
+        // A paged allocator hands out whole blocks: floor the budget,
+        // and refuse one too small to hold a single block.
+        if (batching_.kvBudgetTokens < batching_.kvBlockTokens)
+            throw std::invalid_argument(
+                "InferencePipeline: KV budget below one block");
         budgetBlocks_ =
             batching_.kvBudgetTokens / batching_.kvBlockTokens;
     }
@@ -107,8 +104,8 @@ InferencePipeline::startBatch(std::vector<ActiveRequest> batch)
     batch_ = std::move(batch);
     // Committed tokens imply the KV cache of the prior tokens survived
     // (stateful recovery, §4): such requests resume decoding directly;
-    // partially-prefilled ones resume from their last committed chunk and
-    // the rest run their prefill first.
+    // the rest run their prefill first (past a matched shared prefix,
+    // only the remaining input).
     for (auto &r : batch_) {
         normalizeProgress(r);
         attachToStore(r);
@@ -221,15 +218,6 @@ InferencePipeline::freeKvTokens() const
     return blocks * batching_.kvBlockTokens;
 }
 
-int
-InferencePipeline::prefillChunkFor(const ActiveRequest &r) const
-{
-    const int remaining = r.request.inputLen - r.prefillTokens;
-    if (batching_.prefillChunkTokens <= 0)
-        return remaining;
-    return std::min(batching_.prefillChunkTokens, remaining);
-}
-
 void
 InferencePipeline::observeBoundary()
 {
@@ -321,9 +309,9 @@ InferencePipeline::enforceKvPressure()
     std::vector<bool> gone;
     // Survivor scan, in physical block space, with the yield decision
     // applied: growth is the new block levels plus the pending tail CoW
-    // copy — one decode token per prefilled member, one chunk per
-    // non-frozen prefiller — and the held count comes from the store's
-    // refcount arithmetic (shared levels once).
+    // copy — one decode token per prefilled member, the whole remaining
+    // input per non-frozen prefiller — and the held count comes from the
+    // store's refcount arithmetic (shared levels once).
     struct Scan
     {
         long held = 0;
@@ -344,8 +332,8 @@ InferencePipeline::enforceKvPressure()
                 s.decodeGrowth += store_->projectedGrowthBlocks(r, 1);
             } else {
                 s.anyPrefiller = true;
-                s.prefillGrowth +=
-                    store_->projectedGrowthBlocks(r, prefillChunkFor(r));
+                s.prefillGrowth += store_->projectedGrowthBlocks(
+                    r, r.request.inputLen - r.prefillTokens);
             }
         }
         // A block frees only when every live reference belongs to a
@@ -355,7 +343,7 @@ InferencePipeline::enforceKvPressure()
         return s;
     };
     // Decode-priority boundary scheduling: when the next step threatens
-    // the eviction watermark, chunked prefills yield their slot and only
+    // the eviction watermark, prefills yield their slot and only
     // the incumbents' decode runs — near-complete deep decodes finish and
     // release their KV instead of being squeezed out by new prefill work.
     // Re-decided after every eviction: if the victims were the last
@@ -509,7 +497,7 @@ InferencePipeline::scheduleStep()
 
     int prefillers = 0;
     int decoders = 0;
-    int max_chunk = 0;
+    int max_input = 0;
     int max_prefix = 0;
     int max_ctx = 0;
     for (const auto &r : batch_) {
@@ -518,14 +506,15 @@ InferencePipeline::scheduleStep()
             max_ctx = std::max(max_ctx, r.nextContextLen());
         } else if (!prefillFrozen()) {
             // While draining, requests still awaiting (the rest of) their
-            // prefill are frozen: a prefill chunk cannot commit an output
-            // token before the halt, so spending arranged grace time on
-            // it would only delay the drain (already-committed chunks
-            // migrate with the cache; the tail resumes or recomputes).
-            // Under watermark pressure (deferPrefill_) prefills likewise
-            // yield the step to the incumbents' decode.
+            // prefill are frozen: a prefill step commits no output token
+            // before the halt, so spending arranged grace time on it
+            // would only delay the drain (a matched prefix migrates with
+            // the cache; the rest resumes or recomputes).  Under
+            // watermark pressure (deferPrefill_) prefills likewise yield
+            // the step to the incumbents' decode.
             ++prefillers;
-            max_chunk = std::max(max_chunk, prefillChunkFor(r));
+            max_input =
+                std::max(max_input, r.request.inputLen - r.prefillTokens);
             max_prefix = std::max(max_prefix, r.prefillTokens);
         }
     }
@@ -540,7 +529,7 @@ InferencePipeline::scheduleStep()
     }
     stepRanPrefill_ = prefillers > 0;
     phase_ = prefillers > 0 ? PipelinePhase::Prefill : PipelinePhase::Decode;
-    scheduleBoundary(latency_.mixedIterTime(config_, prefillers, max_chunk,
+    scheduleBoundary(latency_.mixedIterTime(config_, prefillers, max_input,
                                             max_prefix, decoders, max_ctx));
 }
 
@@ -556,9 +545,9 @@ InferencePipeline::onBoundary()
     pendingEvent_ = sim::kInvalidEventId;
 
     // Requests already prefilled when the elapsed step began were
-    // decoding: each commits one token.  The rest committed one prefill
-    // chunk (which yields no output token); a request whose final chunk
-    // just landed decodes from the next step on.
+    // decoding: each commits one token.  If the step ran prefill, the
+    // rest committed their whole remaining input (which yields no output
+    // token) and decode from the next step on.
     int decoded = 0;
     for (auto &r : batch_) {
         if (r.prefilled) {
@@ -567,8 +556,8 @@ InferencePipeline::onBoundary()
             if (callbacks_.onToken)
                 callbacks_.onToken(r);
         } else if (stepRanPrefill_) {
-            r.prefillTokens += prefillChunkFor(r);
-            r.prefilled = r.prefillTokens >= r.request.inputLen;
+            r.prefillTokens = r.request.inputLen;
+            r.prefilled = true;
         }
     }
     if (decoded > 0) {

@@ -6,15 +6,14 @@
  * level) batching: at every decode-iteration boundary, requests that
  * finished all their output tokens leave the batch individually, and new
  * requests are admitted into the free slots through the onAdmit callback
- * (ORCA-style).  Newly admitted requests run their prefill alongside the
- * incumbents' decode step — in bounded chunks when chunked prefill is
- * enabled — and the pipeline enforces the per-replica KV-cache token
- * budget the memory model promised (BatchingOptions); durations come from
- * the analytical LatencyModel.  Supports the interruption arranger's
- * just-in-time
- * halting (run at most S_t more iterations, then drain) and immediate
- * suspension, both preserving committed token progress (§4.1) — a drained
- * batch may therefore carry mixed per-request progress.
+ * (ORCA-style).  Newly admitted requests run their whole prefill in one
+ * step alongside the incumbents' decode step, and the pipeline enforces
+ * the per-replica KV-cache token budget the memory model promised
+ * (BatchingOptions); durations come from the analytical LatencyModel.
+ * Supports the interruption arranger's just-in-time halting (run at most
+ * S_t more iterations, then drain) and immediate suspension, both
+ * preserving committed token progress (§4.1) — a drained batch may
+ * therefore carry mixed per-request progress.
  */
 
 #ifndef SPOTSERVE_ENGINE_INFERENCE_PIPELINE_H
@@ -65,21 +64,14 @@ struct BatchingOptions
     /**
      * KV allocation granularity in tokens per block (paged KV cache).
      * Every request is charged ceil-rounded whole blocks — held,
-     * predicted and worst-case peak alike, rounded per request, not per
-     * prefill chunk — and the budget is floored to whole blocks, exactly
-     * what a PagedAttention-style allocator can hand out.  1 reproduces
-     * token-granular accounting bit-for-bit (the engine tests' reference
-     * for the token path); every serving system uses 16.
+     * predicted and worst-case peak alike, rounded per request — and the
+     * budget is floored to whole blocks, exactly what a PagedAttention-
+     * style allocator can hand out; a bounded budget below one block is
+     * refused.  1 reproduces token-granular accounting bit-for-bit (the
+     * engine tests' reference for the token path); every serving system
+     * uses 16.
      */
     int kvBlockTokens = 1;
-
-    /**
-     * Chunked prefill: at most this many input tokens of one request are
-     * prefilled per iteration, bounding how long a long-input newcomer
-     * can stall the incumbents' decode (Sarathi-style).  0 = the whole
-     * input prefills in a single iteration.
-     */
-    int prefillChunkTokens = 0;
 
     /**
      * How requests are charged against the budget (default-on optimistic
@@ -207,7 +199,8 @@ class InferencePipeline
     const par::ParallelConfig &config() const { return config_; }
     const BatchingOptions &batching() const { return batching_; }
 
-    /** KV tokens the live batch holds right now (committed chunks). */
+    /** KV tokens the live batch holds right now (committed input and
+     *  output tokens). */
     long kvTokensHeld() const;
     /** Worst-case KV tokens reserved by the live batch (sum of peaks). */
     long kvTokensReserved() const;
@@ -222,8 +215,8 @@ class InferencePipeline
     long kvBlocksCharged() const;
     /**
      * The enforced per-replica budget in whole KV blocks:
-     * floor(kvBudgetTokens / kvBlockTokens), clamped to at least one
-     * block for bounded budgets (kUnboundedKvBlocks = none).  This — not
+     * floor(kvBudgetTokens / kvBlockTokens), at least one block for
+     * bounded budgets (kUnboundedKvBlocks = none).  This — not
      * the token budget — is what every admission and eviction decision
      * compares against.
      */
@@ -258,7 +251,7 @@ class InferencePipeline
      *  time), keeping eviction costing single-source at the serving
      *  layer. */
     long evictionsPerformed() const { return evictions_; }
-    /** Steps in which prefill chunks yielded to decode (watermark). */
+    /** Steps in which prefills yielded to decode (watermark). */
     long prefillYields() const { return prefillYields_; }
 
     /**
@@ -299,8 +292,6 @@ class InferencePipeline
     /** Pull new work into the free slots through onAdmit. */
     void admitNewWork();
     void enterHalted();
-    /** Input tokens the next prefill iteration processes for @p r. */
-    int prefillChunkFor(const ActiveRequest &r) const;
     /** Recompute prefilled/prefillTokens consistency on (re)entry. */
     static void normalizeProgress(ActiveRequest &r);
     /** Give @p r its physical blocks (prefix hits skip prefill compute

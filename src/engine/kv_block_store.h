@@ -62,7 +62,7 @@ class KvBlockStore
     /**
      * @param capacity_blocks physical blocks this replica may ever hold
      *        (live + cached); kUnboundedKvBlocks disables the cap.
-     * @param block_tokens    tokens per block (post effectiveKvBlockTokens).
+     * @param block_tokens    tokens per block.
      */
     KvBlockStore(long capacity_blocks, int block_tokens);
 

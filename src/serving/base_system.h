@@ -53,9 +53,7 @@ constexpr int kKvBlockTokens = 16;
  * The inference-engine knobs.  SpotServe and both baselines each carry one
  * of these and hand it to BaseServingSystem, which builds every pipeline
  * from it, so the engine the three systems run is one value declared
- * once.  Defaults are the serving defaults.  Serving pipelines prefill
- * each input whole: chunked prefill is an engine scheduling technique
- * (BatchingOptions::prefillChunkTokens), not a SpotServe mechanism.
+ * once.  Defaults are the serving defaults.
  */
 struct EngineOptions
 {

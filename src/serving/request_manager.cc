@@ -20,16 +20,13 @@ RequestManager::submit(const wl::Request &request)
 }
 
 void
-RequestManager::requeue(std::vector<engine::ActiveRequest> requests)
+RequestManager::requeueRestarted(std::vector<engine::ActiveRequest> requests)
 {
     if (requests.empty())
         return;
-    for (const auto &r : requests) {
-        if (r.committedTokens != 0)
-            throw std::invalid_argument(
-                "RequestManager::requeue: reset decode progress before "
-                "requeueing");
-        pending_.push_back(r);
+    for (auto &r : requests) {
+        r.resetForRestart();
+        pending_.push_back(std::move(r));
     }
     // Restarted requests are older than fresh arrivals; restore FIFO order.
     std::stable_sort(pending_.begin(), pending_.end(),
@@ -37,14 +34,6 @@ RequestManager::requeue(std::vector<engine::ActiveRequest> requests)
                         const engine::ActiveRequest &b) {
                          return a.request.arrival < b.request.arrival;
                      });
-}
-
-void
-RequestManager::requeueRestarted(std::vector<engine::ActiveRequest> requests)
-{
-    for (auto &r : requests)
-        r.resetForRestart();
-    requeue(std::move(requests));
 }
 
 void

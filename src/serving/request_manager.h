@@ -49,23 +49,12 @@ class RequestManager
     void submit(const wl::Request &request);
 
     /**
-     * Re-queue interrupted requests (cache lost or batch displaced).
-     * Decode progress must already be reset by the caller when the cache
-     * was dropped.  A mid-prefill request may keep its committed prefill
-     * chunks (prefillTokens > 0) ONLY when the caller guarantees the
-     * chunk KV is available to whichever replica re-admits it (e.g. the
-     * cache context migrated to the deployment this queue feeds) — the
-     * queue itself tracks no cache locality; reset with restart()
-     * otherwise.  Requests keep their original arrival times and
-     * re-enter in arrival order.
-     */
-    void requeue(std::vector<engine::ActiveRequest> requests);
-
-    /**
      * Reset @p requests through ActiveRequest::resetForRestart (the
-     * single source of restart semantics) and requeue them.  The one path
-     * every cache-losing interruption shares: eviction, preemption
-     * restart, displaced-batch drops.
+     * single source of restart semantics) and requeue them.  The one
+     * requeue path, shared by every cache-losing interruption: eviction,
+     * preemption restart, displaced-batch drops.  Since every requeued
+     * request is reset, the queue never holds KV.  Requests keep their
+     * original arrival times and re-enter in arrival order.
      */
     void requeueRestarted(std::vector<engine::ActiveRequest> requests);
 
@@ -76,10 +65,10 @@ class RequestManager
      * it is popped) fits @p kv_budget.  Budgets are denominated in KV
      * blocks of @p block_tokens tokens each (block_tokens = 1 is the
      * token-granular form), matching the charges the pipelines enforce.
-     * Only fresh/restarted/mid-prefill work lives in the queue (committed
-     * decode progress == 0); recovered batches are handed to pipelines
-     * directly by the serving systems.  No prefix discount: an idle
-     * replica holds no live blocks to share.
+     * Only fresh and restarted work lives in the queue (no KV held);
+     * recovered batches are handed to pipelines directly by the serving
+     * systems.  No prefix discount: an idle replica holds no live blocks
+     * to share.
      */
     std::vector<engine::ActiveRequest>
     nextBatch(int max_size, long kv_budget = engine::kUnboundedKvBlocks,

@@ -149,15 +149,20 @@ TEST(ContinuousBatchingTest, NewcomerPrefillCostedByLatencyModel)
     d3.batch = 3;
 
     // Single-phase iterations reduce exactly to the base model...
-    EXPECT_DOUBLE_EQ(latency.mixedIterTime(c, 2, 512, 0, 0),
+    EXPECT_DOUBLE_EQ(latency.mixedIterTime(c, 2, 512, 0, 0, 0),
                      latency.prefillTime(p2, 512));
-    EXPECT_DOUBLE_EQ(latency.mixedIterTime(c, 0, 0, 3, 600),
+    EXPECT_DOUBLE_EQ(latency.mixedIterTime(c, 0, 0, 0, 3, 600),
                      latency.decodeIterTime(d3, 600));
     // ...and a mixed iteration pays both phases.
-    EXPECT_DOUBLE_EQ(latency.mixedIterTime(c, 2, 512, 3, 600),
+    EXPECT_DOUBLE_EQ(latency.mixedIterTime(c, 2, 512, 0, 3, 600),
                      latency.prefillTime(p2, 512) +
                          latency.decodeIterTime(d3, 600));
-    EXPECT_THROW(latency.mixedIterTime(c, 0, 0, 0, 0),
+    // A matched shared prefix adds exactly its KV re-read.
+    EXPECT_DOUBLE_EQ(latency.mixedIterTime(c, 2, 512, 256, 3, 600),
+                     latency.prefillTime(p2, 512) +
+                         latency.kvReadTime(c, 2, 256) +
+                         latency.decodeIterTime(d3, 600));
+    EXPECT_THROW(latency.mixedIterTime(c, 0, 0, 0, 0, 0),
                  std::invalid_argument);
 }
 
@@ -171,9 +176,7 @@ TEST(ContinuousBatchingTest, FifoFairnessAcrossRequeueAndInterruption)
     // Requests 0 and 1 enter a batch, get interrupted, lose their cache.
     auto batch = mgr.nextBatch(2);
     ASSERT_EQ(batch.size(), 2u);
-    for (auto &r : batch)
-        r.resetForRestart();
-    mgr.requeue(std::move(batch));
+    mgr.requeueRestarted(std::move(batch));
 
     // Boundary admission hands them back in arrival order, ahead of the
     // younger requests that never ran.

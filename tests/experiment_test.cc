@@ -47,25 +47,21 @@ TEST(RequestManagerTest, RequeueRestoresArrivalOrder)
     mgr.submit(req(1, 1.0));
     mgr.submit(req(2, 2.0));
     auto batch = mgr.nextBatch(2); // ids 0, 1 leave the queue
-    // They get interrupted and restarted.
-    for (auto &r : batch)
-        r.resetForRestart();
-    mgr.requeue(batch);
+    // They make progress, get interrupted and restarted.
+    batch[0].prefillTokens = batch[0].request.inputLen;
+    batch[0].committedTokens = 5;
+    batch[1].prefillTokens = 16;
+    mgr.requeueRestarted(batch);
     const auto next = mgr.nextBatch(3);
     ASSERT_EQ(next.size(), 3u);
     EXPECT_EQ(next[0].request.id, 0);
     EXPECT_EQ(next[1].request.id, 1);
     EXPECT_EQ(next[2].request.id, 2);
-}
-
-TEST(RequestManagerTest, RequeueRejectsUncommittedProgress)
-{
-    sim::Simulation sim;
-    RequestManager mgr(sim);
-    engine::ActiveRequest r;
-    r.request = req(0, 0.0);
-    r.committedTokens = 5;
-    EXPECT_THROW(mgr.requeue({r}), std::invalid_argument);
+    // The queue never holds KV: requeued work restarts from scratch.
+    for (const auto &r : next) {
+        EXPECT_EQ(r.kvTokensHeld(), 0);
+        EXPECT_EQ(r.restarts, r.request.id < 2 ? 1 : 0);
+    }
 }
 
 TEST(RequestManagerTest, ArrivalRateWindows)

@@ -32,7 +32,8 @@
 namespace spotserve {
 namespace {
 
-/** Blocking line-oriented loopback client with a receive timeout. */
+/** Blocking line-oriented loopback client with send and receive
+ *  timeouts, so no socket call of a test can block forever. */
 class LineClient
 {
   public:
@@ -44,6 +45,7 @@ class LineClient
         timeval tv{};
         tv.tv_sec = 20; // generous: CI machines stall
         ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+        ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
         if (rcvbufBytes > 0)
             ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbufBytes,
                          sizeof(rcvbufBytes));

@@ -1,17 +1,16 @@
 /**
  * @file
- * Memory-aware (KV-token-budget) admission and chunked prefill.
+ * Memory-aware (KV-token-budget) admission.
  *
  * The headline harness asserts the OOM-free invariant the cost model
  * assumes: at every iteration boundary of every replica, the KV tokens
  * reserved by the live batch never exceed the budget
  * MemoryModel::kvBudgetTokens promised for the deployed configuration —
  * across Poisson, spike and long-input workloads, across
- * preemption-driven migrations.  Satellite regressions cover the
- * engine's chunked-prefill edge cases, the bounded decode-stall
- * property, strict-FIFO fairness under tight budgets, the shared
- * popAdmissible bookkeeping, and least-loaded replica balancing at batch
- * formation.
+ * preemption-driven migrations.  Satellite regressions cover a halt
+ * between a prefix match and the rest of its prefill, strict-FIFO
+ * fairness under tight budgets, the shared popAdmissible bookkeeping,
+ * and least-loaded replica balancing at batch formation.
  */
 
 #include <gtest/gtest.h>
@@ -104,17 +103,12 @@ struct EngineServer
      */
     EngineServer(const model::ModelSpec &model_spec,
                  const par::ParallelConfig &cfg, long kv_budget,
-                 int chunk_tokens,
                  engine::KvAdmissionMode admission_mode =
                      engine::KvAdmissionMode::Reserve,
                  int block_tokens = 1, bool enforce_budget = true,
                  int observe_block_tokens = 0)
         : spec(model_spec), latency(spec, kParams), config(cfg),
-          mode(admission_mode), budget(kv_budget),
-          // The engine rule: budgets smaller than one block degrade to
-          // token accounting.
-          blockTokens(engine::effectiveKvBlockTokens(kv_budget,
-                                                     block_tokens)),
+          mode(admission_mode), budget(kv_budget), blockTokens(block_tokens),
           obsBlockTokens(observe_block_tokens > 0 ? observe_block_tokens
                                                   : blockTokens),
           obsBudgetBlocks(kv_budget == engine::kUnboundedKvTokens
@@ -158,8 +152,7 @@ struct EngineServer
             if (held_blocks > obsBudgetBlocks)
                 ++blockViolations;
             // At block = 1 every block accessor must equal the token
-            // accessor it generalises — checked against live batches,
-            // where a per-chunk-rounding regression would show up.
+            // accessor it generalises, checked against live batches.
             if (blockTokens == 1 &&
                 (p.kvBlocksHeld() != p.kvTokensHeld() ||
                  p.kvBlocksCharged() != p.kvTokensCharged() ||
@@ -177,7 +170,6 @@ struct EngineServer
         batching.kvBudgetTokens =
             enforce_budget ? budget : engine::kUnboundedKvTokens;
         batching.kvBlockTokens = blockTokens;
-        batching.prefillChunkTokens = chunk_tokens;
         batching.kvAdmissionMode = mode;
         pipeline = std::make_unique<engine::InferencePipeline>(
             sim, latency, config, 0, std::move(cb), batching);
@@ -279,23 +271,6 @@ TEST(KvBudgetModelTest, NaiveMigrationReserveShrinksTheBudget)
     }
 }
 
-TEST(KvBudgetModelTest, ChunkedMixedIterTimeReducesToUnchunked)
-{
-    const auto spec = model::ModelSpec::opt6_7b();
-    const cost::LatencyModel latency(spec, kParams);
-    const par::ParallelConfig c{1, 1, 4, 8};
-    // No committed prefix: the 6-arg overload is the 5-arg one.
-    EXPECT_DOUBLE_EQ(latency.mixedIterTime(c, 2, 256, 0, 3, 600),
-                     latency.mixedIterTime(c, 2, 256, 3, 600));
-    // A committed prefix adds its (memory-bound) KV re-read, nothing else.
-    EXPECT_GT(latency.mixedIterTime(c, 2, 256, 512, 3, 600),
-              latency.mixedIterTime(c, 2, 256, 3, 600));
-    // The re-read term scales with the prefix length.
-    const double short_pfx = latency.mixedIterTime(c, 1, 256, 256, 0, 0);
-    const double long_pfx = latency.mixedIterTime(c, 1, 256, 1792, 0, 0);
-    EXPECT_GT(long_pfx, short_pfx);
-}
-
 // ---------------------------------------------------------------------
 // Tentpole: the OOM-free invariant, engine level
 // ---------------------------------------------------------------------
@@ -303,7 +278,7 @@ TEST(KvBudgetModelTest, ChunkedMixedIterTimeReducesToUnchunked)
 TEST(MemoryAdmissionTest, InvariantHoldsAcrossModelConfigSeqSweep)
 {
     // Property-style sweep: tight budgets (3 worst-case sequences) over
-    // model x config x seq x chunk mode.  The invariant must hold at
+    // model x config x seq.  The invariant must hold at
     // every boundary and every request must still complete (no
     // admission deadlock, no starvation).
     const struct
@@ -318,21 +293,17 @@ TEST(MemoryAdmissionTest, InvariantHoldsAcrossModelConfigSeqSweep)
     for (const auto &setup : kSetups) {
         for (const auto &seq :
              {cost::SeqSpec{128, 32}, cost::SeqSpec{512, 128}}) {
-            for (int chunk : {0, 96}) {
-                const long peak = seq.inputLen + seq.outputLen;
-                EngineServer s(setup.spec, setup.config, 3 * peak, chunk);
-                sim::Rng rng(99);
-                const auto workload =
-                    wl::stationaryPoisson(0.3, 120.0, seq, rng);
-                s.drive(workload);
-                s.sim.run();
-                EXPECT_EQ(s.violations, 0)
-                    << setup.spec.name() << " " << setup.config.str()
-                    << " chunk " << chunk;
-                EXPECT_GT(s.boundaries, 0);
-                EXPECT_EQ(s.requests.completedCount(),
-                          static_cast<long>(workload.size()));
-            }
+            const long peak = seq.inputLen + seq.outputLen;
+            EngineServer s(setup.spec, setup.config, 3 * peak);
+            sim::Rng rng(99);
+            const auto workload = wl::stationaryPoisson(0.3, 120.0, seq, rng);
+            s.drive(workload);
+            s.sim.run();
+            EXPECT_EQ(s.violations, 0)
+                << setup.spec.name() << " " << setup.config.str();
+            EXPECT_GT(s.boundaries, 0);
+            EXPECT_EQ(s.requests.completedCount(),
+                      static_cast<long>(workload.size()));
         }
     }
 }
@@ -347,8 +318,8 @@ TEST(MemoryAdmissionTest, FixedBAdmissionOvercommitsWhereBudgetDoesNot)
     auto run = [&](bool enforce) {
         EngineServer s(model::ModelSpec::opt6_7b(),
                        par::ParallelConfig{1, 1, 4, 8}, budget,
-                       /*chunk=*/0, engine::KvAdmissionMode::Reserve,
-                       /*block=*/1, enforce);
+                       engine::KvAdmissionMode::Reserve, /*block=*/1,
+                       enforce);
         wl::Workload workload;
         for (int i = 0; i < 8; ++i)
             workload.push_back(
@@ -365,8 +336,7 @@ TEST(MemoryAdmissionTest, FixedBAdmissionOvercommitsWhereBudgetDoesNot)
 TEST(MemoryAdmissionTest, StartBatchRejectsOverBudgetBatch)
 {
     EngineServer s(model::ModelSpec::opt6_7b(),
-                   par::ParallelConfig{1, 1, 4, 8}, /*budget=*/1000,
-                   /*chunk=*/0);
+                   par::ParallelConfig{1, 1, 4, 8}, /*budget=*/1000);
     std::vector<engine::ActiveRequest> batch(2);
     batch[0].request = makeRequest(1, 0.0, 512, 128); // peak 640
     batch[1].request = makeRequest(2, 0.0, 512, 128); // peak 640
@@ -527,159 +497,74 @@ TEST(MemoryAdmissionTest, InvariantHoldsAcrossTracesAndMigrations)
 }
 
 // ---------------------------------------------------------------------
-// Chunked-prefill edge cases
+// A halt between a prefix match and the rest of its prefill
 // ---------------------------------------------------------------------
 
-TEST(ChunkedPrefillTest, InputShorterThanChunkMatchesUnchunked)
+TEST(PrefixPrefillTest, HaltAfterPrefixMatchResumesOnNewConfig)
 {
-    auto run = [&](int chunk) {
-        EngineServer s(model::ModelSpec::opt6_7b(),
-                       par::ParallelConfig{1, 1, 4, 8},
-                       engine::kUnboundedKvTokens - 1, chunk);
-        s.drive({makeRequest(1, 0.0, /*input=*/256, /*output=*/16)});
-        s.sim.run();
-        EXPECT_EQ(s.requests.completedCount(), 1);
-        return s.completedAt[1];
-    };
-    EXPECT_DOUBLE_EQ(run(512), run(0));
-}
-
-TEST(ChunkedPrefillTest, ExactMultipleChunksPrefillWithoutRemainder)
-{
-    const auto spec = model::ModelSpec::opt6_7b();
-    const cost::LatencyModel latency(spec, kParams);
-    const par::ParallelConfig c{1, 1, 4, 8};
-    const int input = 1024;
-    const int chunk = 256;
-    const int output = 4;
-
-    EngineServer s(spec, c, engine::kUnboundedKvTokens - 1, chunk);
-    s.drive({makeRequest(1, 0.0, input, output)});
-    s.sim.run();
-    ASSERT_EQ(s.requests.completedCount(), 1);
-    EXPECT_EQ(s.pipeline->tokensCommitted(), output);
-
-    // Exactly input/chunk prefill iterations (no zero-length remainder
-    // chunk), then `output` decode iterations at growing context.
-    double expected = 0.0;
-    for (int prefix = 0; prefix < input; prefix += chunk)
-        expected += latency.mixedIterTime(c, 1, chunk, prefix, 0, 0);
-    for (int i = 0; i < output; ++i)
-        expected += latency.mixedIterTime(c, 0, 0, 0, 1, input + i + 1);
-    EXPECT_NEAR(s.completedAt[1], expected, expected * 1e-9);
-}
-
-TEST(ChunkedPrefillTest, HaltMidPrefillResumesCommittedChunksOnNewConfig)
-{
+    // A prefill never splits, so a request holds part of its input only
+    // after matching a shared prefix.  Halt such a newcomer before its
+    // remainder step and restart it on another configuration: the
+    // matched tokens move with the cache, and the remainder step is
+    // priced as the rest of the input re-reading the matched prefix.
     const auto spec = model::ModelSpec::opt6_7b();
     const cost::LatencyModel latency(spec, kParams);
     const par::ParallelConfig c1{1, 1, 4, 8};
-    const int input = 1024;
-    const int chunk = 256;
-
-    EngineServer s(spec, c1, engine::kUnboundedKvTokens - 1, chunk);
-    s.drive({makeRequest(1, 0.0, input, /*output=*/8)});
-    // Run past the first chunk boundary, into the second chunk.
-    const double first_chunk = latency.mixedIterTime(c1, 1, chunk, 0, 0, 0);
-    s.sim.run(first_chunk * 1.5);
-    s.pipeline->haltNow();
-    auto drained = s.pipeline->takeBatch();
-    ASSERT_EQ(drained.size(), 1u);
-    // The in-flight second chunk is abandoned; the first one is
-    // committed and survives the halt.
-    EXPECT_EQ(drained[0].prefillTokens, chunk);
-    EXPECT_EQ(drained[0].committedTokens, 0);
-    EXPECT_FALSE(drained[0].prefilled);
-
-    // Requeue with committed chunks intact (cache context migrated), and
-    // resume on a *different* parallel configuration.
-    EngineServer s2(spec, par::ParallelConfig{1, 2, 2, 4},
-                    engine::kUnboundedKvTokens - 1, chunk);
-    s2.requests.requeue(std::move(drained));
-    s2.dispatch();
-    s2.sim.run();
-    ASSERT_EQ(s2.requests.completedCount(), 1);
-    // Only the remaining three chunks were prefilled: no restart, and
-    // the resumed run is exactly one chunk cheaper than a from-scratch
-    // run on the new config.
-    EXPECT_EQ(s2.pipeline->tokensCommitted(), 8);
     const par::ParallelConfig c2{1, 2, 2, 4};
-    double decodes = 0.0;
-    for (int i = 0; i < 8; ++i)
-        decodes += latency.mixedIterTime(c2, 0, 0, 0, 1, input + i + 1);
-    double resumed = decodes;
-    for (int prefix = chunk; prefix < input; prefix += chunk)
-        resumed += latency.mixedIterTime(c2, 1, chunk, prefix, 0, 0);
-    double from_scratch = decodes;
-    for (int prefix = 0; prefix < input; prefix += chunk)
-        from_scratch += latency.mixedIterTime(c2, 1, chunk, prefix, 0, 0);
-    EXPECT_NEAR(s2.completedAt[1], resumed, resumed * 1e-9);
-    EXPECT_LT(s2.completedAt[1], from_scratch);
-}
-
-TEST(ChunkedPrefillTest, DecodeStallBoundedByOneChunk)
-{
-    // Regression for the head-of-line-blocking bound: with chunked
-    // prefill, an incumbent's worst inter-token gap is one mixed
-    // iteration (one chunk's prefill + KV re-read + one decode), not the
-    // newcomer's whole prefill.
-    const auto spec = model::ModelSpec::opt6_7b();
-    const cost::LatencyModel latency(spec, kParams);
-    const par::ParallelConfig c{1, 1, 4, 8};
-    const int long_input = 2048;
-    const int chunk = 256;
-
-    auto maxGap = [&](int chunk_tokens) {
-        EngineServer s(spec, c, engine::kUnboundedKvTokens - 1,
-                       chunk_tokens);
-        double last_commit = 0.0;
-        int last_tokens = 0;
-        double max_gap = 0.0;
-        s.pipeline = nullptr; // rebuild with a commit-tracking observer
-        engine::InferencePipeline::Callbacks cb;
-        cb.onRequestComplete = [&s](const engine::ActiveRequest &r) {
-            s.completedAt[r.request.id] = s.sim.now();
-            s.requests.complete(r);
-        };
-        cb.onIdle = [&s](engine::InferencePipeline &) { s.dispatch(); };
-        cb.onAdmit = [&s](engine::InferencePipeline &p, int free_slots) {
-            return s.requests.admitAtBoundary(free_slots, p.freeKvTokens());
-        };
-        cb.onBoundary = [&](const engine::InferencePipeline &p) {
-            for (const auto &r : p.batch()) {
-                if (r.request.id != 1)
-                    continue;
-                if (r.committedTokens > last_tokens) {
-                    if (last_tokens > 0)
-                        max_gap =
-                            std::max(max_gap, s.sim.now() - last_commit);
-                    last_tokens = r.committedTokens;
-                    last_commit = s.sim.now();
-                }
-            }
-        };
-        engine::BatchingOptions batching;
-        batching.prefillChunkTokens = chunk_tokens;
-        s.pipeline = std::make_unique<engine::InferencePipeline>(
-            s.sim, s.latency, c, 0, std::move(cb), batching);
-        s.drive({makeRequest(1, 0.0, 512, 64),
-                 makeRequest(2, 2.0, long_input, 8)});
-        s.sim.run();
-        EXPECT_EQ(s.requests.completedCount(), 2);
-        return max_gap;
+    const int input = 256;
+    const int m = 64; // four whole 16-token prefix levels
+    const int output = 8;
+    auto withPrefix = [&](wl::RequestId id, sim::SimTime arrival,
+                          int output_len) {
+        wl::Request r = makeRequest(id, arrival, input, output_len);
+        r.prefixId = 7;
+        r.prefixLen = m;
+        return r;
     };
 
-    const double unchunked = maxGap(0);
-    const double chunked = maxGap(chunk);
-    // One chunk's worth of mixed iteration bounds the chunked stall...
-    const double bound =
-        latency.mixedIterTime(c, 1, chunk, long_input - chunk, 1,
-                              512 + 64 + 1);
-    EXPECT_LE(chunked, bound * (1.0 + 1e-9));
-    // ...while the unchunked stall pays the whole 2048-token prefill.
-    EXPECT_GT(unchunked, chunked);
-    EXPECT_GE(unchunked,
-              latency.mixedIterTime(c, 1, long_input, 0, 1, 512 + 1));
+    // A prefills alone and publishes the prefix; B arrives during A's
+    // first decode step and matches it at the next boundary.
+    EngineServer s(spec, c1, engine::kUnboundedKvTokens,
+                   engine::KvAdmissionMode::Reserve, /*block=*/16);
+    const double prefill = latency.mixedIterTime(c1, 1, input, 0, 0, 0);
+    const double decode = latency.mixedIterTime(c1, 0, 0, 0, 1, input + 1);
+    s.drive({withPrefix(1, 0.0, /*output=*/64),
+             withPrefix(2, prefill + 0.5 * decode, output)});
+    // Stop halfway through B's remainder step (run alongside A's second
+    // decode step).
+    const double remainder1 =
+        latency.mixedIterTime(c1, 1, input - m, m, 1, input + 2);
+    s.sim.run(prefill + decode + 0.5 * remainder1);
+    ASSERT_EQ(s.pipeline->batch().size(), 2u);
+    s.pipeline->haltNow();
+    EXPECT_DOUBLE_EQ(s.pipeline->savedPrefillSeconds(),
+                     latency.prefillSavedTime(c1, m));
+    auto drained = s.pipeline->takeBatch();
+    ASSERT_EQ(drained.size(), 2u);
+    engine::ActiveRequest b = drained[1];
+    ASSERT_EQ(b.request.id, 2);
+    EXPECT_EQ(b.sharedPrefixTokens, m);
+    EXPECT_EQ(b.prefillTokens, m);
+    EXPECT_EQ(b.committedTokens, 0);
+    EXPECT_FALSE(b.prefilled);
+
+    // The cache context migrated: B restarts directly on a pipeline with
+    // another configuration, keeping its matched prefix.
+    EngineServer s2(spec, c2, engine::kUnboundedKvTokens,
+                    engine::KvAdmissionMode::Reserve, /*block=*/16);
+    s2.pipeline->startBatch({b});
+    ASSERT_EQ(s2.pipeline->batch().size(), 1u);
+    EXPECT_EQ(s2.pipeline->batch()[0].prefillTokens, m);
+    EXPECT_FALSE(s2.pipeline->batch()[0].prefilled);
+    s2.sim.run();
+    ASSERT_EQ(s2.requests.completedCount(), 1);
+    EXPECT_EQ(s2.pipeline->tokensCommitted(), output);
+    // Only the remainder was prefilled, at exactly its mixed-step price,
+    // then `output` decode steps at growing context.
+    double expected = latency.mixedIterTime(c2, 1, input - m, m, 0, 0);
+    for (int i = 0; i < output; ++i)
+        expected += latency.mixedIterTime(c2, 0, 0, 0, 1, input + i + 1);
+    EXPECT_NEAR(s2.completedAt[2], expected, expected * 1e-9);
 }
 
 // ---------------------------------------------------------------------
@@ -719,7 +604,7 @@ TEST(FifoFairnessTest, LargeHeadIsNotStarvedUnderTightBudget)
     // complete; admission order must equal arrival order throughout.
     const long budget = 1600; // large peak 1280; small peak 320
     EngineServer s(model::ModelSpec::opt6_7b(),
-                   par::ParallelConfig{1, 1, 4, 8}, budget, /*chunk=*/0);
+                   par::ParallelConfig{1, 1, 4, 8}, budget);
     wl::Workload workload;
     wl::RequestId id = 0;
     workload.push_back(makeRequest(id++, 0.0, 256, 64));  // small
@@ -775,23 +660,6 @@ TEST(AdmissionBookkeepingTest, BothPopPathsAgreeAndCountConsistently)
     EXPECT_EQ(a.nextBatch(5).size(), 2u);
     EXPECT_EQ(b.admitAtBoundary(5).size(), 2u);
     EXPECT_EQ(b.midBatchAdmissions(), 4);
-}
-
-TEST(AdmissionBookkeepingTest, RequeuePreservesPrefillChunksOnly)
-{
-    sim::Simulation sim;
-    serving::RequestManager mgr(sim);
-    engine::ActiveRequest mid;
-    mid.request = makeRequest(7, 0.0, 1024, 128);
-    mid.prefillTokens = 512; // two committed chunks, no output yet
-    mgr.requeue({mid});
-    const auto got = mgr.nextBatch(1);
-    ASSERT_EQ(got.size(), 1u);
-    EXPECT_EQ(got[0].prefillTokens, 512);
-
-    engine::ActiveRequest decoded = mid;
-    decoded.committedTokens = 3;
-    EXPECT_THROW(mgr.requeue({decoded}), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -998,8 +866,7 @@ TEST(OptimisticAdmissionTest, ShortOutputsUnderLargeCapBeatReserve)
     };
     auto run = [&](engine::KvAdmissionMode mode) {
         EngineServer s(model::ModelSpec::opt6_7b(),
-                       par::ParallelConfig{1, 1, 4, 8}, budget,
-                       /*chunk=*/0, mode);
+                       par::ParallelConfig{1, 1, 4, 8}, budget, mode);
         s.drive(workload);
         s.sim.run(240.0);
         Outcome o;
@@ -1034,9 +901,9 @@ TEST(OptimisticAdmissionTest, ShortOutputsUnderLargeCapBeatReserve)
 
 TEST(OptimisticAdmissionTest, HeldInvariantAcrossWorkloadShapes)
 {
-    // Poisson, spike, and long-input early-stopping workloads, chunked
-    // and unchunked: held KV stays under the budget at every boundary
-    // and every request completes, evictions or not.
+    // Poisson, spike, and long-input early-stopping workloads: held KV
+    // stays under the budget at every boundary and every request
+    // completes, evictions or not.
     const cost::SeqSpec seq{256, 64};
     auto poisson = [&] {
         sim::Rng rng(15);
@@ -1069,20 +936,16 @@ TEST(OptimisticAdmissionTest, HeldInvariantAcrossWorkloadShapes)
                              std::function<wl::Workload()>(spike),
                              std::function<wl::Workload()>(longInput)}) {
         const auto workload = make();
-        for (int chunk : {0, 128}) {
-            EngineServer s(model::ModelSpec::opt6_7b(),
-                           par::ParallelConfig{1, 1, 4, 8},
-                           /*budget=*/2600, chunk,
-                           engine::KvAdmissionMode::Optimistic);
-            s.drive(workload);
-            s.sim.run();
-            EXPECT_EQ(s.violations, 0)
-                << "workload " << variant << " chunk " << chunk;
-            EXPECT_GT(s.boundaries, 0);
-            EXPECT_EQ(s.requests.completedCount(),
-                      static_cast<long>(workload.size()))
-                << "workload " << variant << " chunk " << chunk;
-        }
+        EngineServer s(model::ModelSpec::opt6_7b(),
+                       par::ParallelConfig{1, 1, 4, 8}, /*budget=*/2600,
+                       engine::KvAdmissionMode::Optimistic);
+        s.drive(workload);
+        s.sim.run();
+        EXPECT_EQ(s.violations, 0) << "workload " << variant;
+        EXPECT_GT(s.boundaries, 0);
+        EXPECT_EQ(s.requests.completedCount(),
+                  static_cast<long>(workload.size()))
+            << "workload " << variant;
         ++variant;
     }
 }
@@ -1098,7 +961,7 @@ TEST(OptimisticAdmissionTest, NoLivelockUnderSustainedOverload)
     // budget throughout.
     const long budget = 1200; // two full-cap peaks (512) plus slack
     EngineServer s(model::ModelSpec::opt6_7b(),
-                   par::ParallelConfig{1, 1, 4, 8}, budget, /*chunk=*/0,
+                   par::ParallelConfig{1, 1, 4, 8}, budget,
                    engine::KvAdmissionMode::Optimistic);
     wl::Workload workload;
     for (int i = 0; i < 80; ++i) {
@@ -1128,7 +991,7 @@ TEST(OptimisticAdmissionTest, MispredictionBurstEvictsAndRecovers)
     // the whole burst.
     const long budget = 1400;
     EngineServer s(model::ModelSpec::opt6_7b(),
-                   par::ParallelConfig{1, 1, 4, 8}, budget, /*chunk=*/0,
+                   par::ParallelConfig{1, 1, 4, 8}, budget,
                    engine::KvAdmissionMode::Optimistic);
     for (int i = 0; i < 32; ++i)
         s.requests.outputPredictor().observe(16);
@@ -1157,7 +1020,7 @@ TEST(OptimisticAdmissionTest, DecodePriorityYieldsPrefillUnderPressure)
 {
     // Deterministic watermark-pressure scenario (hand-built batch): two
     // deep decodes approaching the high watermark share the replica with
-    // a newcomer still in chunked prefill.  The moment the next step's
+    // a newcomer still awaiting its prefill.  The moment the next step's
     // growth would cross the high watermark, the prefill must yield its
     // mixed-iteration slot (decode-priority) so the incumbents keep
     // committing; the held tokens never exceed the budget.
@@ -1165,7 +1028,7 @@ TEST(OptimisticAdmissionTest, DecodePriorityYieldsPrefillUnderPressure)
     const long budget = 1500;
     EngineServer s(model::ModelSpec::opt6_7b(),
                    par::ParallelConfig{1, 1, 4, 8}, budget,
-                   /*chunk=*/16, engine::KvAdmissionMode::Optimistic);
+                   engine::KvAdmissionMode::Optimistic);
     std::vector<engine::ActiveRequest> batch(3);
     // Two incumbents: 512 input, 90 of 200 output tokens committed,
     // predicted to stop at 95 (held 602, charged 607 each).
@@ -1174,8 +1037,8 @@ TEST(OptimisticAdmissionTest, DecodePriorityYieldsPrefillUnderPressure)
         batch[i].committedTokens = 90;
         batch[i].predictedOutputTokens = 95;
     }
-    // The newcomer: 256 input in 16-token chunks, predicted 24 output
-    // (charged 280; total charge 1494 <= budget).
+    // The newcomer: 256 input, predicted 24 output (charged 280; total
+    // charge 1494 <= budget).
     batch[2].request = makeCapped(2, 1.0, 256, 24, 256);
     batch[2].predictedOutputTokens = 24;
     s.pipeline->startBatch(std::move(batch));
@@ -1200,9 +1063,10 @@ TEST(OptimisticAdmissionTest, EvictionClearsYieldWhenLastDecoderLeaves)
     const long budget = 1900;
     EngineServer s(model::ModelSpec::opt6_7b(),
                    par::ParallelConfig{1, 1, 4, 8}, budget,
-                   /*chunk=*/128, engine::KvAdmissionMode::Optimistic);
+                   engine::KvAdmissionMode::Optimistic);
     std::vector<engine::ActiveRequest> batch(3);
-    // Oldest member: mid-prefill (256 of 512 committed), short output.
+    // Oldest member: mid-prefill (256 of 512 input tokens cached, as after
+    // a prefix match), short output.
     batch[0].request = makeCapped(0, 0.0, 512, 24, 256);
     batch[0].prefillTokens = 256;
     batch[0].predictedOutputTokens = 24;
@@ -1426,9 +1290,7 @@ TEST(ReplicaBalancingTest, HeadServableOnlyThroughALiveSharedPrefixIsKept)
     ASSERT_GT(live, over); // fits only through the live shared prefix
 
     // Restarted: charged its worst case alone, so it can never fit.
-    engine::ActiveRequest restarted = probe;
-    restarted.restarts = 1;
-    requests.requeue({restarted});
+    requests.requeueRestarted({probe});
     EXPECT_EQ(system.rejectUnservableHeads(budget, blk), 1);
     EXPECT_TRUE(requests.pendingEmpty());
 
@@ -1510,9 +1372,8 @@ TEST(BlockAdmissionTest, TokenGranularAdmissionOverpromisesPagedBlocks)
         // The observer always checks the 16-token paged invariant,
         // whatever granularity the pipeline enforces.
         EngineServer s(model::ModelSpec::opt6_7b(), cfg, budget,
-                       /*chunk=*/0, engine::KvAdmissionMode::Reserve,
-                       pipeline_blk, /*enforce=*/true,
-                       /*observe_block_tokens=*/16);
+                       engine::KvAdmissionMode::Reserve, pipeline_blk,
+                       /*enforce=*/true, /*observe_block_tokens=*/16);
         s.drive(workload);
         s.sim.run();
         EXPECT_EQ(s.requests.completedCount(), 10);
@@ -1523,27 +1384,16 @@ TEST(BlockAdmissionTest, TokenGranularAdmissionOverpromisesPagedBlocks)
     EXPECT_EQ(run(16), 0); // block-granular admission holds it
 }
 
-TEST(BlockAdmissionTest, DegenerateBudgetKeepsTokenGranularity)
+TEST(BlockAdmissionTest, BudgetBelowOneBlockThrows)
 {
-    // An engine budget smaller than one block (a hand-built pipeline;
-    // the serving layer refuses such a deployment) must degrade to token
-    // granularity, not round up to a whole block: a 10-token budget
-    // under 16-token blocks would otherwise become a 1-block = 16-token
-    // budget and admit a request the budget has no room for.
-    EngineServer s(model::ModelSpec::opt6_7b(),
-                   par::ParallelConfig{1, 1, 4, 8}, /*budget=*/10,
-                   /*chunk=*/0, engine::KvAdmissionMode::Reserve,
-                   /*block=*/16);
-    EXPECT_EQ(s.pipeline->kvBlockTokens(), 1);
-    EXPECT_EQ(s.pipeline->kvBudgetBlocks(), 10);
-    // Peak 12 tokens: fits one 16-token block, but NOT the 10 tokens
-    // that actually exist — it must starve exactly as the token path
-    // always did.
-    s.drive({makeRequest(1, 0.0, /*input=*/8, /*output=*/4)});
-    s.sim.run();
-    EXPECT_EQ(s.requests.completedCount(), 0);
-    EXPECT_EQ(s.requests.pendingCount(), 1u);
-    EXPECT_EQ(s.violations, 0);
+    // An engine budget smaller than one block has no whole block to hand
+    // out: the pipeline refuses it, as the serving layer refuses such a
+    // deployment, rather than serve on a clamped budget.
+    EXPECT_THROW(EngineServer(model::ModelSpec::opt6_7b(),
+                              par::ParallelConfig{1, 1, 4, 8},
+                              /*budget=*/10, engine::KvAdmissionMode::Reserve,
+                              /*block=*/16),
+                 std::invalid_argument);
 }
 
 TEST(BlockAdmissionTest, BlockOneReproducesTokenPathExactly)
@@ -1565,7 +1415,6 @@ TEST(BlockAdmissionTest, BlockOneReproducesTokenPathExactly)
                    std::vector<wl::RequestId> &order) {
         EngineServer s(model::ModelSpec::opt6_7b(),
                        par::ParallelConfig{1, 1, 4, 8}, budget,
-                       /*chunk=*/128,
                        engine::KvAdmissionMode::Optimistic, blk);
         if (blk == 1) {
             // At block = 1 the block budget degenerates to the token
@@ -1601,7 +1450,7 @@ TEST(BlockAdmissionTest, BlockOneReproducesTokenPathExactly)
 TEST(BlockAdmissionTest, HeldBlocksInvariantEngineMatrix)
 {
     // Engine-level matrix: Poisson / spike / long-input early-stopping
-    // workloads, chunked and unchunked, both admission modes, at the
+    // workloads, both admission modes, at the
     // paged block size: ceil-rounded held blocks never exceed the whole
     // blocks the budget contains, and every request completes.
     const cost::SeqSpec seq{256, 64};
@@ -1637,26 +1486,24 @@ TEST(BlockAdmissionTest, HeldBlocksInvariantEngineMatrix)
                              std::function<wl::Workload()>(spike),
                              std::function<wl::Workload()>(longInput)}) {
         const auto workload = make();
-        for (int chunk : {0, 128}) {
-            for (const auto mode : {engine::KvAdmissionMode::Reserve,
-                                    engine::KvAdmissionMode::Optimistic}) {
-                EngineServer s(model::ModelSpec::opt6_7b(),
-                               par::ParallelConfig{1, 1, 4, 8},
-                               /*budget=*/2600, chunk, mode, blk);
-                s.drive(workload);
-                s.sim.run();
-                EXPECT_EQ(s.blockViolations, 0)
-                    << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode);
-                EXPECT_EQ(s.violations, 0)
-                    << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode);
-                EXPECT_GT(s.boundaries, 0);
-                EXPECT_EQ(s.requests.completedCount(),
-                          static_cast<long>(workload.size()))
-                    << "workload " << variant << " chunk " << chunk
-                    << " mode " << engine::toString(mode);
-            }
+        for (const auto mode : {engine::KvAdmissionMode::Reserve,
+                                engine::KvAdmissionMode::Optimistic}) {
+            EngineServer s(model::ModelSpec::opt6_7b(),
+                           par::ParallelConfig{1, 1, 4, 8}, /*budget=*/2600,
+                           mode, blk);
+            s.drive(workload);
+            s.sim.run();
+            EXPECT_EQ(s.blockViolations, 0)
+                << "workload " << variant << " mode "
+                << engine::toString(mode);
+            EXPECT_EQ(s.violations, 0)
+                << "workload " << variant << " mode "
+                << engine::toString(mode);
+            EXPECT_GT(s.boundaries, 0);
+            EXPECT_EQ(s.requests.completedCount(),
+                      static_cast<long>(workload.size()))
+                << "workload " << variant << " mode "
+                << engine::toString(mode);
         }
         ++variant;
     }
