@@ -66,7 +66,6 @@ writeJson(const std::string &path, const std::vector<JsonRow> &rows)
            << ", \"peak_kv_physical_blocks\": " << r.peakKvPhysicalBlocks
            << ", \"prefix_hits\": " << r.prefixHits
            << ", \"prefix_matched_tokens\": " << r.prefixMatchedTokens
-           << ", \"cow_copies\": " << r.cowCopies
            << ", \"saved_prefill_s\": " << r.savedPrefillSeconds
            << ", \"peak_concurrency\": " << r.peakConcurrentRequests
            << ", \"evictions\": " << r.evictions
@@ -329,14 +328,14 @@ main(int argc, char **argv)
             sharing_row("SpotServe-noPrefix", r_off);
             sharing_row("SpotServe-prefix", r_on);
             std::printf("  prefix hit rate %.1f%% (%ld hits, %ld tokens "
-                        "matched, %ld CoW copies), prefill skipped %.1fs; "
+                        "matched), prefill skipped %.1fs; "
                         "completions %+ld, peak physical blocks %+ld vs "
                         "logical\n",
                         r_on.arrived > 0
                             ? 100.0 * r_on.prefixHits / r_on.arrived
                             : 0.0,
                         r_on.prefixHits, r_on.prefixMatchedTokens,
-                        r_on.cowCopies, r_on.savedPrefillSeconds,
+                        r_on.savedPrefillSeconds,
                         r_on.completed - r_off.completed,
                         r_on.peakKvPhysicalBlocks - r_on.peakKvHeldBlocks);
             if (r_on.completed < r_off.completed) {

@@ -6,10 +6,10 @@
  * committedTokens output tokens have been generated and their KV cache is
  * held by the context daemon, so a migrated request resumes from there
  * instead of recomputing.  A prefill never splits: prefillTokens is the
- * whole input once its prefill step ran, and before that only the shared
- * prefix matched at admission.  Dropping the cache resets both counters
- * to 0 (resetForRestart(), the single reset shared by eviction,
- * preemption-restart and drop paths).
+ * whole input once its prefill step ran, and before that only the whole
+ * shared prefix blocks matched at admission.  Dropping the cache resets
+ * both counters to 0 (resetForRestart(), the single reset shared by
+ * eviction, preemption-restart and drop paths).
  */
 
 #ifndef SPOTSERVE_ENGINE_ACTIVE_REQUEST_H
@@ -76,10 +76,10 @@ struct ActiveRequest
     /**
      * Input tokens whose KV is computed and committed.  Equals
      * request.inputLen once prefill finished; strictly between 0 and
-     * inputLen only when a matched shared prefix covers part of the input
-     * and the rest awaits its prefill step.  Preserved across migration
-     * together with the cache context (a mid-prefill request resumes
-     * from there).
+     * inputLen only when matched shared prefix blocks (a block multiple)
+     * cover part of the input and the rest awaits its prefill step.
+     * Preserved across migration together with the cache context (a
+     * mid-prefill request resumes from there).
      */
     int prefillTokens = 0;
 
@@ -107,33 +107,13 @@ struct ActiveRequest
      * Physical KV block ids this request holds references on, one per
      * block level (level k covers tokens [k*B, (k+1)*B)), owned by the
      * pipeline's KvBlockStore.  Empty whenever the request is outside a
-     * pipeline.  Never travels across pipelines: release() clears it and
-     * the inheriting replica's store rebuilds it (deduplicating shared
-     * prefix levels) at attach.
+     * pipeline.  Entries for full shared prefix levels may be shared
+     * with classmates; every other entry is private to this request.
+     * Never travels across pipelines: release() clears it and the
+     * inheriting replica's store rebuilds it (deduplicating shared prefix
+     * levels) at attach.
      */
     std::vector<int> kvBlockIds;
-
-    /**
-     * Prefix tokens satisfied from the store's radix index at attach
-     * (prefill compute for these tokens was skipped).  Diagnostic;
-     * 0 when the request missed or declares no shared prefix.
-     */
-    int sharedPrefixTokens = 0;
-
-    /**
-     * The last entry of kvBlockIds is a shared partial tail block written
-     * by another request: the first token this request appends past the
-     * shared prefix copies that block (copy-on-write) before writing.
-     */
-    bool kvTailShared = false;
-
-    /**
-     * Levels of kvBlockIds inside the shared prefix that this request
-     * wrote and has not published to the store's index yet: the level is
-     * still filling, or a classmate published the same level first.
-     * While 0, commitProgress skips the publish walk.
-     */
-    int kvPrivatePrefixLevels = 0;
 
     /** All output tokens generated? */
     bool done() const { return committedTokens >= request.outputLen; }
@@ -225,9 +205,6 @@ struct ActiveRequest
         prefillTokens = 0;
         prefilled = false;
         kvBlockIds.clear();
-        sharedPrefixTokens = 0;
-        kvTailShared = false;
-        kvPrivatePrefixLevels = 0;
         ++restarts;
     }
 };

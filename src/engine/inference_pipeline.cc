@@ -181,12 +181,11 @@ InferencePipeline::kvBlocksReserved() const
 {
     // Physical form: resident live blocks (shared levels counted once)
     // plus each request's worst-case future growth — the levels it has
-    // yet to allocate and the pending CoW copy.
+    // yet to allocate.
     const int blk = batching_.kvBlockTokens;
     long reserved = store_->liveBlocks();
     for (const auto &r : batch_)
-        reserved += r.kvPeakBlocks(blk) - r.kvBlocksHeld(blk) +
-                    store_->pendingCowBlocks(r);
+        reserved += r.kvPeakBlocks(blk) - r.kvBlocksHeld(blk);
     return reserved;
 }
 
@@ -197,7 +196,7 @@ InferencePipeline::kvBlocksCharged() const
     long charged = store_->liveBlocks();
     for (const auto &r : batch_)
         charged += r.kvChargedBlocks(batching_.kvAdmissionMode, blk) -
-                   r.kvBlocksHeld(blk) + store_->pendingCowBlocks(r);
+                   r.kvBlocksHeld(blk);
     return charged;
 }
 
@@ -308,10 +307,10 @@ InferencePipeline::enforceKvPressure()
     // no-eviction boundary allocates nothing).
     std::vector<bool> gone;
     // Survivor scan, in physical block space, with the yield decision
-    // applied: growth is the new block levels plus the pending tail CoW
-    // copy — one decode token per prefilled member, the whole remaining
-    // input per non-frozen prefiller — and the held count comes from the
-    // store's refcount arithmetic (shared levels once).
+    // applied: growth is the new block levels — one decode token per
+    // prefilled member, the whole remaining input per non-frozen
+    // prefiller — and the held count comes from the store's refcount
+    // arithmetic (shared levels once).
     struct Scan
     {
         long held = 0;
@@ -375,12 +374,11 @@ InferencePipeline::enforceKvPressure()
     // Victim order: LIFO — youngest arrival first, least progress first.
     // Restarted members are spared first (their full worst case is
     // already charged; evicting them again would forfeit the storm
-    // guard), and the batch's oldest member is never evicted, which
-    // bounds the loop and guarantees forward progress.  (An oldest
-    // member admitted optimistically could in principle outgrow the
-    // budget alone — the serving layer prevents that by rejecting any
-    // request whose worst-case peak exceeds the replica budget on every
-    // admission path.)
+    // guard), and the batch's oldest member is spared until last, which
+    // bounds the loop and guarantees forward progress.  (The serving
+    // layer rejects any head whose worst-case peak exceeds the replica
+    // budget undiscounted by a live shared prefix, so only such a
+    // discounted head can outgrow the budget alone; see below.)
     std::size_t oldest = 0;
     for (std::size_t i = 1; i < batch_.size(); ++i) {
         if (batch_[i].request.arrival < batch_[oldest].request.arrival ||
@@ -421,12 +419,14 @@ InferencePipeline::enforceKvPressure()
             break;
         if (next >= order.size()) {
             // Only the protected oldest remains.  Without a shared
-            // prefix, admission rejects any head whose worst-case peak exceeds
-            // the replica budget, so this is unreachable.  A head
-            // admitted into a prefix-sharing discount, however, can
-            // outgrow the budget alone once its co-sharers leave —
-            // evict it too rather than overflow physical memory (it
-            // re-admits under the storm guard's full-peak charge).
+            // prefix, admission rejects any head whose worst-case peak
+            // exceeds the replica budget, so this is unreachable.  A head
+            // admitted through a live prefix discount, however, can
+            // outgrow the budget alone once its classmates leave: evict
+            // it too rather than overflow the store.  Requeued as a
+            // restart it gets no discount, so the serving layer rejects
+            // it (memory_admission_test:
+            // DiscountedHeadOutgrowingItsReplicaIsEvictedThenRejected).
             if (!gone[oldest]) {
                 gone[oldest] = true;
                 evicted.push_back(batch_[oldest]);
@@ -483,8 +483,8 @@ InferencePipeline::scheduleStep()
     // step, so the iteration that runs can never overflow the budget.
     enforceKvPressure();
     if (batch_.empty()) {
-        // Defensive: eviction spares the oldest member, so this only
-        // triggers on hand-built batches; fall through consistently.
+        // Eviction took the protected oldest member too (a discounted
+        // head that outgrew the budget alone): the replica goes idle.
         if (haltPending_) {
             enterHalted();
         } else {
@@ -565,8 +565,8 @@ InferencePipeline::onBoundary()
         tokensCommitted_ += decoded;
     }
     // Extend every request's physical blocks over the tokens that just
-    // committed: first divergence past a shared tail fires the CoW copy,
-    // freshly completed prefix levels publish to the index.
+    // committed: freshly completed prefix levels publish to the index
+    // (or dedup onto a classmate's), everything else is private.
     for (auto &r : batch_)
         store_->commitProgress(r);
 

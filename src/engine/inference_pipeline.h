@@ -209,9 +209,19 @@ class InferencePipeline
     long kvTokensCharged() const;
     /** KV blocks the live batch occupies (per-request ceil rounding). */
     long kvBlocksHeld() const;
-    /** Worst-case KV blocks reserved by the live batch. */
+    /**
+     * Worst-case KV blocks reserved by the live batch, in physical form:
+     * the store's live blocks (a shared prefix level counted once) plus
+     * each member's peak levels not yet held.
+     */
     long kvBlocksReserved() const;
-    /** KV blocks the live batch is charged under the admission mode. */
+    /**
+     * KV blocks the live batch is charged under the admission mode: the
+     * store's live blocks plus each member's charged levels not yet
+     * held.  Every level past a member's full shared prefix levels is
+     * private, so its growth is never deduplicated and the sum bounds
+     * the physical demand.
+     */
     long kvBlocksCharged() const;
     /**
      * The enforced per-replica budget in whole KV blocks:
@@ -305,7 +315,7 @@ class InferencePipeline
      * prefills yield their slot to the decoders (decode-priority
      * boundary scheduling); if it would overflow the block budget, evict
      * LIFO victims (youngest arrival, least progress first; restarted
-     * requests and the batch's oldest member are protected) until the
+     * requests and then the batch's oldest member go last) until the
      * held blocks plus the remaining growth fall to the low watermark,
      * firing onEvict with the victims.
      */

@@ -6,36 +6,6 @@
 namespace spotserve {
 namespace engine {
 
-namespace {
-
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffULL;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-/** Key of the partial tail [level*B, prefix_len) of class @p cls.  Keyed
- *  on the declared length too: clients may declare different lengths for
- *  the same class and only identical tails may be shared. */
-std::uint64_t
-tailKeyOf(int cls, int level, int prefix_len, int block_tokens)
-{
-    std::uint64_t h = mix(kFnvBasis, 0x7461696cULL); // "tail"
-    h = mix(h, static_cast<std::uint64_t>(cls));
-    h = mix(h, static_cast<std::uint64_t>(block_tokens));
-    h = mix(h, static_cast<std::uint64_t>(level));
-    return mix(h, static_cast<std::uint64_t>(prefix_len));
-}
-
-} // namespace
-
 KvBlockStore::KvBlockStore(long capacity_blocks, int block_tokens)
     : capacityBlocks_(capacity_blocks), blockTokens_(block_tokens)
 {
@@ -72,17 +42,6 @@ KvBlockStore::matchPrefix(const ActiveRequest &r) const
             ++m.fullLevels;
             if (blocks_[levels[k]].refs > 0)
                 ++m.liveLevels;
-        }
-    }
-    m.tokens = m.fullLevels * blockTokens_;
-    const int p = r.request.prefixLen;
-    if (m.fullLevels == full_max && p == limit && p % blockTokens_ != 0) {
-        auto it = tailIndex_.find(tailKeyOf(cls, full_max, p, blockTokens_));
-        // Only live donors: reviving a cached tail just to CoW it one
-        // boundary later would cost a block more than recomputing.
-        if (it != tailIndex_.end() && blocks_[it->second].refs > 0) {
-            m.tailBlock = it->second;
-            m.tokens = p;
         }
     }
     return m;
@@ -170,8 +129,6 @@ KvBlockStore::reclaimOneCached()
     Block &b = blocks_[victim];
     if (b.indexLevel >= 0)
         publishLevel(b.indexCls, b.indexLevel, -1);
-    if (b.tailDonor)
-        tailIndex_.erase(b.tailKey);
     b = Block{};
     b.freed = true;
     freeList_.push_back(victim);
@@ -193,7 +150,7 @@ KvBlockStore::takeRef(int id)
 }
 
 void
-KvBlockStore::dropRef(int id, wl::RequestId releaser)
+KvBlockStore::dropRef(int id)
 {
     Block &b = blocks_[id];
     if (b.refs <= 0)
@@ -201,12 +158,10 @@ KvBlockStore::dropRef(int id, wl::RequestId releaser)
     --b.refs;
     --liveRefs_;
     b.lastHit = ++clock_;
-    if (b.writer == releaser)
-        b.writer = wl::kInvalidRequest; // immutable once its writer leaves
     if (b.refs > 0)
         return;
     --liveBlocks_;
-    if (b.indexLevel >= 0 || b.tailDonor) {
+    if (b.indexLevel >= 0) {
         // Shared content stays resident as cached: evicted last, LRU,
         // only when an allocation actually needs the room.
         ++cachedBlocks_;
@@ -230,7 +185,7 @@ KvBlockStore::attach(ActiveRequest &r)
         // Carried progress (migration / inherited batch): rebuild the
         // block sequence, deduplicating shared prefix levels so each
         // shared block materializes once per replica.
-        carryDedupBlocks_ += appendLevels(r);
+        carryDedupBlocks_ += commitProgress(r);
         return 0;
     }
     const Match m = matchPrefix(r);
@@ -240,93 +195,18 @@ KvBlockStore::attach(ActiveRequest &r)
         takeRef(id);
         r.kvBlockIds.push_back(id);
     }
-    if (m.tailBlock >= 0) {
-        takeRef(m.tailBlock);
-        r.kvBlockIds.push_back(m.tailBlock);
-        r.kvTailShared = true;
-    }
-    r.prefillTokens = m.tokens;
+    const int tokens = m.fullLevels * blockTokens_;
+    r.prefillTokens = tokens;
     r.prefilled = r.prefillTokens >= r.request.inputLen;
-    r.sharedPrefixTokens = m.tokens;
-    if (m.tokens > 0) {
+    if (tokens > 0) {
         ++prefixHits_;
-        prefixMatchedTokens_ += m.tokens;
+        prefixMatchedTokens_ += tokens;
     }
-    return m.tokens;
-}
-
-void
-KvBlockStore::promoteCompletedLevels(ActiveRequest &r)
-{
-    if (r.kvPrivatePrefixLevels == 0)
-        return; // every in-prefix level is indexed or someone else's
-    const int cls = r.request.prefixId;
-    const int limit = shareLimitTokens(r);
-    const long held = r.kvTokensHeld();
-    const long prefix_levels =
-        std::min<long>(static_cast<long>(r.kvBlockIds.size()),
-                       limit / blockTokens_);
-    for (long k = 0; k < prefix_levels; ++k) {
-        const int id = r.kvBlockIds[static_cast<std::size_t>(k)];
-        Block &b = blocks_[id];
-        if (b.indexLevel >= 0 || b.writer != r.request.id)
-            continue;
-        if (held < (k + 1) * blockTokens_)
-            break; // level not fully committed yet
-        const int level = static_cast<int>(k);
-        if (indexedLevel(cls, level) >= 0)
-            continue; // someone published this level first; stay private
-        b.writer = wl::kInvalidRequest; // full: nobody appends here again
-        publishLevel(cls, level, id);
-        --r.kvPrivatePrefixLevels;
-    }
-}
-
-void
-KvBlockStore::maybeRegisterTail(const ActiveRequest &r)
-{
-    const int cls = r.request.prefixId;
-    const int p = r.request.prefixLen;
-    if (cls < 0 || p <= 0 || p > r.request.inputLen ||
-        p % blockTokens_ == 0)
-        return;
-    if (r.kvTokensHeld() < p)
-        return;
-    const int level = p / blockTokens_;
-    if (level >= static_cast<int>(r.kvBlockIds.size()))
-        return;
-    const int id = r.kvBlockIds[static_cast<std::size_t>(level)];
-    if (blocks_[id].writer != r.request.id || blocks_[id].tailDonor)
-        return; // shared, foreign, or already our donation
-    const std::uint64_t key = tailKeyOf(cls, level, p, blockTokens_);
-    if (tailIndex_.count(key))
-        return;
-    blocks_[id].tailDonor = true;
-    blocks_[id].tailKey = key;
-    tailIndex_[key] = id;
-}
-
-void
-KvBlockStore::commitProgress(ActiveRequest &r)
-{
-    const long held = r.kvTokensHeld();
-    if (r.kvTailShared && held > r.sharedPrefixTokens) {
-        // First append past the shared tail: copy-on-write the split
-        // block so the donor's continuation is untouched.
-        const int old_id = r.kvBlockIds.back();
-        const int new_id = allocate();
-        blocks_[new_id].writer = r.request.id;
-        r.kvBlockIds.back() = new_id;
-        dropRef(old_id, r.request.id);
-        r.kvTailShared = false;
-        ++cowCopies_;
-    }
-    promoteCompletedLevels(r);
-    appendLevels(r);
+    return tokens;
 }
 
 long
-KvBlockStore::appendLevels(ActiveRequest &r)
+KvBlockStore::commitProgress(ActiveRequest &r)
 {
     const long held = r.kvTokensHeld();
     const long target = kvBlocksFor(held, blockTokens_);
@@ -352,13 +232,8 @@ KvBlockStore::appendLevels(ActiveRequest &r)
             r.kvBlockIds.push_back(id);
             continue;
         }
-        const int id = allocate();
-        blocks_[id].writer = r.request.id;
-        r.kvBlockIds.push_back(id);
-        if (end <= limit)
-            ++r.kvPrivatePrefixLevels; // published once it fills
+        r.kvBlockIds.push_back(allocate());
     }
-    maybeRegisterTail(r);
     return by_ref;
 }
 
@@ -366,16 +241,8 @@ void
 KvBlockStore::release(ActiveRequest &r)
 {
     for (int id : r.kvBlockIds)
-        dropRef(id, r.request.id);
+        dropRef(id);
     r.kvBlockIds.clear();
-    r.kvTailShared = false;
-    r.kvPrivatePrefixLevels = 0;
-}
-
-long
-KvBlockStore::pendingCowBlocks(const ActiveRequest &r) const
-{
-    return r.kvTailShared ? 1 : 0;
 }
 
 long
@@ -385,9 +252,8 @@ KvBlockStore::projectedGrowthBlocks(const ActiveRequest &r,
     if (add_tokens <= 0)
         return 0;
     const long held = r.kvTokensHeld();
-    const long levels = kvBlocksFor(held + add_tokens, blockTokens_) -
-                        kvBlocksFor(held, blockTokens_);
-    return levels + pendingCowBlocks(r);
+    return kvBlocksFor(held + add_tokens, blockTokens_) -
+           kvBlocksFor(held, blockTokens_);
 }
 
 long

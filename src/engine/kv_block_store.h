@@ -1,14 +1,14 @@
 /**
  * @file
- * Refcounted physical KV block store with radix prefix sharing and
- * copy-on-write.
+ * Refcounted physical KV block store with radix prefix sharing over
+ * whole blocks.
  *
  * Every replica keeps its KV here.  Per-request block counters alone
  * would make two requests whose prompts start with the same system
  * prompt or few-shot template pay for those blocks twice; the store
  * gives blocks *identity* — a per-replica pool of physical block ids with
  * refcounts, a free list, and a prefix index in the paged-attention +
- * prefix-caching lineage (vLLM's radix/trie prefix cache): block level k
+ * prefix-caching lineage (vLLM's block-level prefix cache): block level k
  * of prefix class c always holds the same tokens, so (c, k) is the whole
  * content key.  The index keeps, per class, one vector of the block id
  * holding each full level (-1 where none is resident); a lookup finds the
@@ -16,17 +16,18 @@
  * exactly a radix descent, with the level number as the edge label.
  *
  * Sharing semantics
- *  - A *full* block (all block_tokens tokens inside the shared prefix)
- *    is published to the index when its last token commits; later
- *    requests of the same class take a reference instead of allocating,
- *    and skip the prefill compute for those tokens.
- *  - The *partial tail* of a prefix (prefixLen % block_tokens != 0)
- *    lives in a mixed block: its writer keeps appending its own private
- *    tokens after the shared ones.  That block is registered as a tail
- *    donor; a sharer may reference it (KV reads of a strict prefix of a
- *    block are sound — slots beyond the shared ones are simply not
- *    read), but the first token the sharer *appends* diverges from the
- *    donor's continuation and triggers copy-on-write of the split block.
+ *  - The full block is the only unit of sharing.  A *full* level (all
+ *    block_tokens tokens inside the shared prefix) is published to the
+ *    index when the request that allocates it has committed all of it —
+ *    or, if a classmate published it first, deduplicated onto the
+ *    indexed block.  A prefill runs whole, so every in-prefix level is
+ *    complete when it is allocated.  Later requests of the same class
+ *    take a reference instead of allocating, and skip the prefill
+ *    compute for those tokens.
+ *  - Everything past a request's last full prefix level is private to
+ *    it, including the partial tail of a prefix whose length is not a
+ *    block multiple: those tokens are recomputed, and no block is ever
+ *    written by two requests, so nothing is copied.
  *  - Releasing the last reference on an indexed block does not free it:
  *    the block stays resident as *cached* (still physical, still warm)
  *    and is reclaimed LRU over last-hit time only when allocation needs
@@ -34,19 +35,17 @@
  *
  * Accounting (the identity the serving layers rely on): the pipeline's
  * charged demand is liveBlocks() plus each request's future growth
- * (charged − held levels, plus one pending CoW copy), and the admission
- * quote for a waiting request discounts exactly the matched full blocks
- * that are currently *live* — those are already inside liveBlocks(), so
- * the sum of quotes never under-counts physical demand and the
- * budget-overflow throw stays a real invariant.  Cached (zero-ref) hits
- * still skip prefill compute but are charged: reviving them consumes
- * budget again.
+ * (charged − held levels), and the admission quote for a waiting request
+ * discounts exactly the matched full blocks that are currently *live* —
+ * those are already inside liveBlocks(), so the sum of quotes never
+ * under-counts physical demand and the budget-overflow throw stays a real
+ * invariant.  Cached (zero-ref) hits still skip prefill compute but are
+ * charged: reviving them consumes budget again.
  */
 
 #ifndef SPOTSERVE_ENGINE_KV_BLOCK_STORE_H
 #define SPOTSERVE_ENGINE_KV_BLOCK_STORE_H
 
-#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -81,44 +80,43 @@ class KvBlockStore
 
     /**
      * Give @p r its physical blocks.  Fresh requests (no held tokens)
-     * walk the radix index: matched prefix tokens are granted without
-     * compute (prefillTokens/sharedPrefixTokens are set; a full-input
-     * hit marks the request prefilled).  Requests arriving with held
-     * tokens (migrated-in / inherited batches) rebuild their block
-     * sequence, taking references on already-resident shared prefix
-     * levels instead of allocating — each shared block materializes once
-     * per replica no matter how many inheritors carry it.
+     * walk the radix index: matched full prefix levels are granted
+     * without compute (prefillTokens is set; a full-input hit marks the
+     * request prefilled).  Requests arriving with held tokens
+     * (migrated-in / inherited batches) rebuild their block sequence,
+     * taking references on already-resident shared prefix levels instead
+     * of allocating — each shared block materializes once per replica no
+     * matter how many inheritors carry it.
      *
      * @return prefix tokens newly matched from the index (0 for carries).
      */
     int attach(ActiveRequest &r);
 
     /**
-     * Extend @p r's blocks to cover its committed tokens; call at every
-     * iteration boundary after progress commits.  Fires copy-on-write
-     * when the request first appends past a shared tail block, publishes
-     * freshly completed prefix levels to the index, and registers the
-     * request as tail donor for its class when eligible.
+     * Extend @p r's block list to cover its committed tokens; call at
+     * every iteration boundary after progress commits.  One block per
+     * new level: a complete in-prefix level takes a reference on the
+     * indexed block if there is one, else allocates and publishes it;
+     * any other level gets a private block.
+     *
+     * @return levels taken by reference (attach counts these for
+     *         carried requests).
      */
-    void commitProgress(ActiveRequest &r);
+    long commitProgress(ActiveRequest &r);
 
     /**
      * Drop all of @p r's references (completion, eviction, or batch
-     * handoff).  Zero-ref indexed/donor blocks become cached; private
+     * handoff).  Zero-ref indexed blocks become cached; private
      * blocks return to the free list.  Clears r.kvBlockIds only —
      * committed progress is untouched (migration keeps it; restarts go
      * through resetForRestart as before).
      */
     void release(ActiveRequest &r);
 
-    /** 1 while r's tail block is shared and a CoW copy is still pending
-     *  (every live request eventually appends, so the copy is certain). */
-    long pendingCowBlocks(const ActiveRequest &r) const;
-
     /**
-     * Physical blocks appending @p add_tokens to @p r may allocate:
-     * new levels plus the pending tail copy.  An upper bound — shared
-     * hits on freshly completed levels can only allocate less.
+     * Physical blocks appending @p add_tokens to @p r may allocate: its
+     * new levels.  An upper bound — shared hits on freshly completed
+     * levels can only allocate less.
      */
     long projectedGrowthBlocks(const ActiveRequest &r, long add_tokens) const;
 
@@ -133,7 +131,7 @@ class KvBlockStore
 
     /** Blocks with at least one live reference. */
     long liveBlocks() const { return liveBlocks_; }
-    /** Zero-ref indexed/donor blocks kept warm for future hits. */
+    /** Zero-ref indexed blocks kept warm for future hits. */
     long cachedBlocks() const { return cachedBlocks_; }
     /** Total resident physical blocks (live + cached) — never exceeds
      *  capacityBlocks(). */
@@ -146,8 +144,6 @@ class KvBlockStore
     long prefixHits() const { return prefixHits_; }
     /** Prefix tokens whose prefill compute was skipped, total. */
     long prefixMatchedTokens() const { return prefixMatchedTokens_; }
-    /** Copy-on-write block copies performed. */
-    long cowCopies() const { return cowCopies_; }
     /** Cached blocks reclaimed (LRU) to make room for allocations. */
     long cachedReclaims() const { return cachedReclaims_; }
     /** Shared prefix blocks deduplicated while re-attaching carried
@@ -162,18 +158,13 @@ class KvBlockStore
         long lastHit = 0;
         int indexCls = -1;   ///< class of the full level it holds
         int indexLevel = -1; ///< that level, or -1 if not indexed
-        std::uint64_t tailKey = 0;
-        bool tailDonor = false;
         bool freed = false;
-        wl::RequestId writer = wl::kInvalidRequest;
     };
 
     struct Match
     {
-        int fullLevels = 0;  ///< consecutive resident full levels from 0
-        int liveLevels = 0;  ///< of those, how many have refs > 0
-        int tailBlock = -1;  ///< live tail-donor block id, or -1
-        int tokens = 0;      ///< prefix tokens covered by the match
+        int fullLevels = 0; ///< consecutive resident full levels from 0
+        int liveLevels = 0; ///< of those, how many have refs > 0
     };
 
     /** Shared full levels of r's class usable by r: (k+1)*B fits inside
@@ -189,17 +180,7 @@ class KvBlockStore
     int allocate();
     void reclaimOneCached();
     void takeRef(int id);
-    void dropRef(int id, wl::RequestId releaser);
-    void maybeRegisterTail(const ActiveRequest &r);
-    void promoteCompletedLevels(ActiveRequest &r);
-    /**
-     * Extend @p r's block list to cover its held tokens, one block per
-     * level: a complete in-prefix level takes a reference on the indexed
-     * block if there is one, else allocates and publishes it; any other
-     * level gets a private block written by r.  Then offers r as tail
-     * donor.  Returns how many levels were taken by reference.
-     */
-    long appendLevels(ActiveRequest &r);
+    void dropRef(int id);
 
     std::vector<Block> blocks_;
     std::vector<int> freeList_;
@@ -207,8 +188,6 @@ class KvBlockStore
      *  class with no resident level has no entry.  Looked up by class
      *  only, never iterated. */
     std::unordered_map<int, std::vector<int>> fullIndex_;
-    /** tail hash of (class, tail level, prefixLen) -> donor block id. */
-    std::unordered_map<std::uint64_t, int> tailIndex_;
 
     long capacityBlocks_;
     int blockTokens_;
@@ -219,7 +198,6 @@ class KvBlockStore
     long liveRefs_ = 0;
     long prefixHits_ = 0;
     long prefixMatchedTokens_ = 0;
-    long cowCopies_ = 0;
     long cachedReclaims_ = 0;
     long carryDedupBlocks_ = 0;
 };

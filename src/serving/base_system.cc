@@ -30,7 +30,6 @@ BaseServingSystem::report(ExperimentResult &result) const
     result.peakKvPhysicalBlocks = peakKvPhysicalBlocks_;
     result.prefixHits = prefixHitsTotal_;
     result.prefixMatchedTokens = prefixMatchedTokensTotal_;
-    result.cowCopies = cowCopiesTotal_;
     result.savedPrefillSeconds = savedPrefillSecondsTotal_;
     result.peakConcurrentRequests = peakConcurrentRequests_;
     result.evictions = evictionsTotal_;
@@ -40,14 +39,14 @@ BaseServingSystem::report(ExperimentResult &result) const
 }
 
 long
-BaseServingSystem::rejectUnservableHeads(long budget_blocks, int block_tokens)
+BaseServingSystem::rejectUnservableHeads(long budget_blocks)
 {
     long rejected = 0;
     while (!requests_.pendingEmpty()) {
         const engine::ActiveRequest &head = requests_.pending().front();
         // A discount is never negative, so a head that fits undiscounted
         // needs no prefix quote.
-        const long peak = head.kvPeakBlocks(block_tokens);
+        const long peak = head.kvPeakBlocks(kKvBlockTokens);
         if (peak <= budget_blocks)
             break;
         // A head that fits *because* of prefix sharing is servable: its
@@ -63,7 +62,7 @@ BaseServingSystem::rejectUnservableHeads(long budget_blocks, int block_tokens)
         sim::logWarn(name() + ": rejecting request " + std::to_string(id) +
                      " (KV peak exceeds the replica budget " +
                      std::to_string(budget_blocks) + " blocks of " +
-                     std::to_string(block_tokens) + " tokens)");
+                     std::to_string(kKvBlockTokens) + " tokens)");
         ++rejected;
     }
     return rejected;
@@ -212,7 +211,6 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
     {
         long hits = 0;
         long tokens = 0;
-        long cows = 0;
         double saved = 0.0;
     };
     auto seen = std::make_shared<PrefixSeen>();
@@ -228,8 +226,6 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
         prefixMatchedTokensTotal_ +=
             store.prefixMatchedTokens() - seen->tokens;
         seen->tokens = store.prefixMatchedTokens();
-        cowCopiesTotal_ += store.cowCopies() - seen->cows;
-        seen->cows = store.cowCopies();
         savedPrefillSecondsTotal_ += p.savedPrefillSeconds() - seen->saved;
         seen->saved = p.savedPrefillSeconds();
         peakConcurrentRequests_ = std::max(
@@ -360,7 +356,7 @@ BaseServingSystem::dispatchAll()
     std::vector<std::vector<engine::ActiveRequest>> batches(ready.size());
     std::vector<long> charged(ready.size(), 0);
     while (!requests_.pendingEmpty()) {
-        if (rejectUnservableHeads(budget, kKvBlockTokens) > 0)
+        if (rejectUnservableHeads(budget) > 0)
             continue;
         if (requests_.pendingEmpty())
             break;
@@ -556,12 +552,12 @@ BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
     // A head whose worst-case peak exceeds the whole replica budget is
     // unservable on every admission path.  Optimistic charging could
     // admit it (its *predicted* footprint fits), but if the output then
-    // ran toward its cap no eviction could restore the budget once it
-    // became the protected oldest member — so it is rejected here exactly
-    // as idle-batch formation rejects it, keeping a request's fate
-    // independent of which admission path reaches it first.
-    rejectUnservableHeads(pipeline.kvBudgetBlocks(),
-                          pipeline.kvBlockTokens());
+    // ran toward its cap it would outgrow the budget alone and be evicted
+    // even as the protected oldest member, its work lost — so it is
+    // rejected here exactly as idle-batch formation rejects it, keeping a
+    // request's fate independent of which admission path reaches it
+    // first.
+    rejectUnservableHeads(pipeline.kvBudgetBlocks());
     // Replica balancing at the boundary: when other idle replicas could
     // start this work immediately in fresh (faster, lighter) batches, the
     // boundary admission only claims its even split of the queue and the

@@ -278,16 +278,16 @@ class BaseServingSystem : public ServingSystem
     long replicaKvBudgetBlocks(const par::ParallelConfig &config) const;
 
     /**
-     * Drop queue heads whose worst-case KV (in blocks of
-     * @p block_tokens) exceeds @p budget_blocks (they can never be
-     * served by any replica of the active configuration, so leaving them
-     * would head-block the strict-FIFO queue forever).  Only a head
-     * whose undiscounted peak exceeds the budget is quoted: its peak is
-     * then discounted by the best matched-and-live prefix quote any
-     * replica offers (bestPrefixDiscount), so a head that fits *because*
-     * of sharing is not rejected.  Returns how many were rejected.
+     * Drop queue heads whose worst-case KV (in kKvBlockTokens blocks)
+     * exceeds @p budget_blocks (they can never be served by any replica
+     * of the active configuration, so leaving them would head-block the
+     * strict-FIFO queue forever).  Only a head whose undiscounted peak
+     * exceeds the budget is quoted: its peak is then discounted by the
+     * best matched-and-live prefix quote any replica offers
+     * (bestPrefixDiscount), so a head that fits *because* of sharing is
+     * not rejected.  Returns how many were rejected.
      */
-    long rejectUnservableHeads(long budget_blocks, int block_tokens);
+    long rejectUnservableHeads(long budget_blocks);
 
     /**
      * Best prefix-sharing admission quote (matched-and-live shared
@@ -333,7 +333,6 @@ class BaseServingSystem : public ServingSystem
     long peakKvPhysicalBlocks_ = 0;
     long prefixHitsTotal_ = 0;
     long prefixMatchedTokensTotal_ = 0;
-    long cowCopiesTotal_ = 0;
     double savedPrefillSecondsTotal_ = 0.0;
     int peakConcurrentRequests_ = 0;
     long evictionsTotal_ = 0;

@@ -61,16 +61,18 @@ struct ExperimentResult
 
     /**
      * Prefix-sharing diagnostics (KvBlockStore): attaches that matched a
-     * cached prefix, prefix tokens whose prefill compute was skipped,
-     * copy-on-write block copies, and the prefill seconds the hits saved
-     * (LatencyModel::prefillSavedTime).  All zero on a prefix-free
-     * workload.
+     * cached prefix, prefix tokens whose prefill compute was skipped, and
+     * the prefill seconds the hits saved (LatencyModel::prefillSavedTime).
+     * All zero on a prefix-free workload.
      * @{ */
     long prefixHits = 0;
     long prefixMatchedTokens = 0;
-    long cowCopies = 0;
     double savedPrefillSeconds = 0.0;
     /** @} */
+
+    /** Always 0: the store shares whole blocks only and copies none.
+     *  perfbench's `engine.cow_copies` reads it. */
+    long cowCopies = 0;
 
     /** Largest live batch any replica reached at a boundary (requests) —
      *  the admitted concurrency the Reserve/Optimistic ablation compares. */

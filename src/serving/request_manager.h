@@ -211,8 +211,8 @@ class RequestManager
      * a second victim out.  A head whose worst-case peak exceeds
      * @p replica_budget never pops, whatever its optimistic
      * charge: such a request is unservable (if its output ran to the cap
-     * no eviction could save the replica once it became the protected
-     * oldest member) and head-blocks until a rejection site
+     * it would outgrow the budget alone and be evicted even as the
+     * protected oldest member) and head-blocks until a rejection site
      * (rejectUnservableHeads) drops it — the check must live in this
      * shared pop, not only at the heads the call sites inspect, because
      * a multi-request pop exposes new heads mid-call.  All budgets and

@@ -543,7 +543,6 @@ TEST(PrefixPrefillTest, HaltAfterPrefixMatchResumesOnNewConfig)
     ASSERT_EQ(drained.size(), 2u);
     engine::ActiveRequest b = drained[1];
     ASSERT_EQ(b.request.id, 2);
-    EXPECT_EQ(b.sharedPrefixTokens, m);
     EXPECT_EQ(b.prefillTokens, m);
     EXPECT_EQ(b.committedTokens, 0);
     EXPECT_FALSE(b.prefilled);
@@ -684,6 +683,7 @@ struct TestSystem : serving::BaseServingSystem
     void onInstanceReleased(const cluster::Instance &) override {}
 
     using BaseServingSystem::admitAtBoundary;
+    using BaseServingSystem::bestPrefixDiscount;
     using BaseServingSystem::deployment;
     using BaseServingSystem::dispatchAll;
     using BaseServingSystem::installDeployment;
@@ -1291,16 +1291,129 @@ TEST(ReplicaBalancingTest, HeadServableOnlyThroughALiveSharedPrefixIsKept)
 
     // Restarted: charged its worst case alone, so it can never fit.
     requests.requeueRestarted({probe});
-    EXPECT_EQ(system.rejectUnservableHeads(budget, blk), 1);
+    EXPECT_EQ(system.rejectUnservableHeads(budget), 1);
     EXPECT_TRUE(requests.pendingEmpty());
 
     // Fresh: the discount makes it servable, so it is kept.
     head.id = 2;
     requests.submit(head);
-    EXPECT_EQ(system.rejectUnservableHeads(budget, blk), 0);
+    EXPECT_EQ(system.rejectUnservableHeads(budget), 0);
     ASSERT_FALSE(requests.pendingEmpty());
     EXPECT_EQ(requests.pending().front().request.id, 2);
     EXPECT_EQ(requests.rejectedCount(), 1);
+}
+
+TEST(ReplicaBalancingTest, DiscountedHeadOutgrowingItsReplicaIsEvictedThenRejected)
+{
+    // A head whose worst-case peak is over the replica budget is kept
+    // while a live shared prefix discounts it.  Its output then runs to
+    // its cap: once its classmate completes, it is its replica's only,
+    // and so protected oldest, member, and it outgrows the budget alone.
+    // Eviction must take it too rather than trip the store's capacity
+    // throw, and the emptied replica goes idle.  Requeued as a restart
+    // (restarts == 1: eviction is the only restart path in this run), it
+    // gets no discount and is rejected, though a fresh copy would still
+    // be kept.
+    const auto spec = model::ModelSpec::opt6_7b();
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    TestSystem system(sim, instances, requests, spec);
+
+    instances.loadTrace(AvailabilityTrace(
+        "steady", 100.0,
+        {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 2}}));
+    sim.run(1.0);
+    const par::ParallelConfig config{2, 2, 2, 8};
+    system.installDeployment(config,
+                             system.packedMesh(config,
+                                               instances.usableInstances()));
+    const auto &pipelines = system.deployment().pipelines;
+    const int blk = pipelines[0]->kvBlockTokens();
+    const long budget = pipelines[0]->kvBudgetBlocks();
+    ASSERT_EQ(pipelines[0]->kvAdmissionMode(),
+              engine::KvAdmissionMode::Optimistic);
+
+    constexpr int kClass = 7;
+    constexpr int kPrefixTokens = 256;
+    auto classmate = [&](wl::RequestId id, int input, int output, int cap) {
+        wl::Request r = makeCapped(id, sim.now(), input, output, cap);
+        r.prefixId = kClass;
+        r.prefixLen = kPrefixTokens;
+        return r;
+    };
+
+    // The keeper holds the prefix live on one replica for longer than
+    // the head takes to outgrow the other.  Admitted while the predictor
+    // is cold, it is charged its peak, exactly the budget, so that
+    // replica admits nothing else.
+    const int keeper_out = static_cast<int>(budget * blk) - 512;
+    requests.submit(classmate(0, 512, keeper_out, keeper_out));
+    system.dispatchAll();
+    sim.run(sim.now() + 5.0);
+    const std::size_t keeper = pipelines[0]->batch().empty() ? 1 : 0;
+    const std::size_t other = 1 - keeper;
+    ASSERT_EQ(pipelines[keeper]->batch().size(), 1u);
+    ASSERT_EQ(pipelines[keeper]->freeKvBlocks(), 0);
+    for (int i = 0; i < 32; ++i)
+        requests.outputPredictor().observe(16);
+
+    // A short classmate starts on the idle replica.  The head, whose peak
+    // is two blocks over the budget, waits: idle dispatch quotes no
+    // discount.  It joins at the classmate's first boundary, discounted
+    // by the prefix the classmate has just published.  (Two, not one: at
+    // one block over, the head's charge reaches its peak block count as
+    // it enters its last block, the under-covered shortcut skips the
+    // pressure scan, and the store throws instead.)
+    const int head_in = 4096;
+    const int head_cap = static_cast<int>((budget + 2) * blk) - head_in;
+    const wl::Request head = classmate(2, head_in, head_cap, head_cap);
+    engine::ActiveRequest fresh;
+    fresh.request = head;
+    const long over = fresh.kvPeakBlocks(blk) - budget;
+    ASSERT_EQ(over, 2);
+    ASSERT_GT(system.bestPrefixDiscount(fresh), over);
+    requests.submit(classmate(1, 512, 8, 8));
+    requests.submit(head);
+    system.dispatchAll();
+    ASSERT_EQ(pipelines[other]->batch().size(), 1u);
+    ASSERT_EQ(requests.pendingCount(), 1u);
+
+    std::vector<wl::RequestId> rejected;
+    long discount_at_rejection = -1;
+    requests.setRejectionObserver([&](wl::RequestId id) {
+        rejected.push_back(id);
+        discount_at_rejection = system.bestPrefixDiscount(fresh);
+    });
+    long over_budget = 0;
+    std::size_t head_peak_batch = 0;
+    system.setKvObserver([&](const engine::InferencePipeline &p) {
+        if (p.kvPhysicalBlocksHeld() > p.kvBudgetBlocks())
+            ++over_budget;
+        for (const auto &m : p.batch()) {
+            if (m.request.id == head.id)
+                head_peak_batch = std::max(head_peak_batch, p.batch().size());
+        }
+    });
+    ASSERT_NO_THROW(sim.run());
+
+    ASSERT_EQ(rejected.size(), 1u);
+    EXPECT_EQ(rejected[0], head.id);
+    EXPECT_EQ(head_peak_batch, 2u); // admitted beside its classmate
+    EXPECT_GT(discount_at_rejection, over); // the keeper was still live
+    EXPECT_EQ(pipelines[other]->evictionsPerformed(), 1);
+    EXPECT_TRUE(pipelines[other]->idle());
+    EXPECT_EQ(over_budget, 0);
+    serving::ExperimentResult r;
+    system.report(r);
+    EXPECT_EQ(r.evictions, 1);
+    EXPECT_EQ(requests.arrivedCount(), 3);
+    EXPECT_EQ(requests.completedCount(), 2);
+    EXPECT_EQ(requests.rejectedCount(), 1);
+    EXPECT_TRUE(requests.pendingEmpty());
+    for (const auto &c : requests.completions())
+        EXPECT_NE(c.id, head.id);
+    EXPECT_EQ(system.liveKvRefs(), 0);
 }
 
 TEST(ReplicaBalancingTest, BudgetTracksTheMigrationReserveMode)

@@ -1,12 +1,14 @@
 /**
  * @file
- * Refcounted paged-KV block store: radix prefix sharing + copy-on-write.
+ * Refcounted paged-KV block store: radix prefix sharing over whole
+ * blocks.
  *
  * Store unit tests pin the refcount/index semantics (full-block sharing,
- * partial-tail donation with CoW on divergence, cached-block LRU reclaim,
- * carry dedup for migrated-in batches).  The system-level matrix runs
- * SpotServe over the churn trace with shared-prefix workloads in both
- * admission modes, asserting at every boundary of every replica that the
+ * an unaligned prefix's partial tail kept private, cached-block LRU
+ * reclaim, the radix walk stopping at a reclaimed level, carry dedup for
+ * migrated-in batches).  The system-level matrix runs SpotServe over the
+ * churn trace with shared-prefix workloads in both admission modes,
+ * asserting at every boundary of every replica that the
  * *physical* (deduplicated) block holding fits the block budget and that
  * no reference leaks (the store's live refs equal the batch's block-id
  * holdings).  The oracle pin checks, at every boundary of a prefix-free
@@ -93,7 +95,6 @@ TEST(KvBlockStoreTest, FullBlockSharingRefcountsAndCaching)
     EXPECT_EQ(store.quoteSharedBlocks(b), 2);
     EXPECT_EQ(store.attach(b), 32);
     EXPECT_EQ(b.prefillTokens, 32);
-    EXPECT_EQ(b.sharedPrefixTokens, 32);
     EXPECT_EQ(store.prefixHits(), 1);
     EXPECT_EQ(store.prefixMatchedTokens(), 32);
     EXPECT_EQ(store.liveBlocks(), 4); // shared levels counted once
@@ -126,39 +127,41 @@ TEST(KvBlockStoreTest, FullBlockSharingRefcountsAndCaching)
     store.release(c);
 }
 
-TEST(KvBlockStoreTest, PartialTailCopyOnWriteAtDivergence)
+TEST(KvBlockStoreTest, UnalignedPrefixSharesOnlyItsFullBlocks)
 {
     engine::KvBlockStore store(100, 16);
 
-    // prefixLen 24 = one full level + an 8-token tail inside block 1.
+    // prefixLen 24 = one full level + an 8-token tail inside level 1.
     auto a = makeActive(1, /*input=*/40, /*output=*/8, 0, /*prefix_len=*/24);
     store.attach(a);
-    commitTo(store, a, 40, 0); // 3 blocks; level 1 becomes the tail donor
+    commitTo(store, a, 40, 0); // 3 blocks; only level 0 is indexed
     EXPECT_EQ(store.liveBlocks(), 3);
+    const std::vector<int> a_blocks = a.kvBlockIds;
 
-    // The sharer references the donor's tail (reading a strict prefix of
-    // a block is sound) and is granted the whole 24-token prefix.
+    // The classmate is quoted and granted the full level only: the tail
+    // is recomputed into a private block, so no block is ever written by
+    // two requests and nothing is copied.
     auto b = makeActive(2, /*input=*/50, 8, 0, 24);
-    EXPECT_EQ(store.quoteSharedBlocks(b), 1); // full levels only
-    EXPECT_EQ(store.attach(b), 24);
-    EXPECT_TRUE(b.kvTailShared);
-    EXPECT_EQ(store.pendingCowBlocks(b), 1);
+    EXPECT_EQ(store.quoteSharedBlocks(b), 1);
+    EXPECT_EQ(store.attach(b), 16);
+    EXPECT_EQ(b.prefillTokens, 16);
+    ASSERT_EQ(b.kvBlockIds.size(), 1u);
+    EXPECT_EQ(b.kvBlockIds[0], a.kvBlockIds[0]);
     EXPECT_EQ(store.liveBlocks(), 3);
-
-    // First append past the shared prefix diverges from the donor's
-    // continuation: exactly one copy-on-write, then growth is private.
     commitTo(store, b, 50, 0);
-    EXPECT_EQ(store.cowCopies(), 1);
-    EXPECT_FALSE(b.kvTailShared);
-    EXPECT_EQ(store.pendingCowBlocks(b), 0);
     ASSERT_EQ(b.kvBlockIds.size(), 4u); // ceil(50/16)
-    EXPECT_EQ(a.kvBlockIds[0], b.kvBlockIds[0]);
-    EXPECT_NE(a.kvBlockIds[1], b.kvBlockIds[1]); // the copied split block
+    EXPECT_NE(b.kvBlockIds[1], a.kvBlockIds[1]); // b's own level 1
+    EXPECT_EQ(store.liveBlocks(), 6);            // 1 shared + 2 + 3 private
     commitTo(store, b, 50, 8);
-    EXPECT_EQ(store.cowCopies(), 1); // never a second copy
+    EXPECT_EQ(store.liveBlocks(), 6);
+    EXPECT_EQ(store.totalLiveRefs(), 7);
+    EXPECT_EQ(a.kvBlockIds, a_blocks); // the first writer's blocks untouched
+
+    // Only the full level stays cached once both leave; the tails free.
     store.release(a);
     store.release(b);
     EXPECT_EQ(store.totalLiveRefs(), 0);
+    EXPECT_EQ(store.cachedBlocks(), 1);
 }
 
 TEST(KvBlockStoreTest, CachedBlocksReclaimedLruAndLiveOveruseThrows)
@@ -225,121 +228,76 @@ TEST(KvBlockStoreTest, CarriedBatchesDeduplicateSharedLevels)
     EXPECT_EQ(store.totalLiveRefs(), 0);
 }
 
-// Regression for the publish race: two classmates fill the same prefix
-// level privately; A publishes first, so B's copy stays private.  Once
-// A's copy is reclaimed from the index, B's next commit publishes its
-// own — commits between must not forget that B still has a level to
-// publish, even though they cross no level boundary of their own.
-TEST(KvBlockStoreTest, LevelLosingThePublishRaceIsPublishedOnceFreed)
-{
-    engine::KvBlockStore store(/*capacity=*/3, 16);
-    auto probe = makeActive(9, 40, 8, 0, 32);
-
-    // Both fill level 0 in 8-token prefill chunks, A first.
-    auto a = makeActive(1, /*input=*/40, 8, 0, /*prefix_len=*/32);
-    auto b = makeActive(2, 40, 8, 0, 32);
-    store.attach(a);
-    store.attach(b);
-    commitTo(store, a, 8, 0);
-    commitTo(store, b, 8, 0);
-    EXPECT_EQ(b.kvPrivatePrefixLevels, 1);
-    commitTo(store, a, 16, 0); // A publishes level 0
-    EXPECT_EQ(a.kvPrivatePrefixLevels, 0);
-    commitTo(store, b, 16, 0); // B completes it too, but lost the race
-    ASSERT_EQ(b.kvBlockIds.size(), 1u);
-    EXPECT_NE(a.kvBlockIds[0], b.kvBlockIds[0]);
-    EXPECT_EQ(b.kvPrivatePrefixLevels, 1);
-    EXPECT_EQ(store.quoteSharedBlocks(probe), 1); // A's copy is indexed
-
-    // A leaves: its level-0 copy stays indexed, cached.  B's level 1
-    // publishes on completion; its private level 2 needs the room, which
-    // reclaims A's copy after this commit's publish walk.
-    store.release(a);
-    commitTo(store, b, 32, 0);
-    commitTo(store, b, 40, 0);
-    EXPECT_EQ(store.cachedReclaims(), 1);
-    EXPECT_EQ(b.kvPrivatePrefixLevels, 1);
-    EXPECT_EQ(store.quoteSharedBlocks(probe), 0); // level 0 unindexed
-
-    // The next token crosses no level boundary, yet publishes B's copy.
-    commitTo(store, b, 40, 1);
-    ASSERT_EQ(b.kvBlockIds.size(), 3u);
-    EXPECT_EQ(b.kvPrivatePrefixLevels, 0);
-    EXPECT_EQ(store.quoteSharedBlocks(probe), 2);
-    EXPECT_EQ(store.attach(probe), 32);
-    EXPECT_EQ(probe.kvBlockIds[0], b.kvBlockIds[0]);
-    EXPECT_EQ(probe.kvBlockIds[1], b.kvBlockIds[1]);
-    store.release(b);
-    store.release(probe);
-    EXPECT_EQ(store.totalLiveRefs(), 0);
-}
-
 // The full-level index is a per-class vector of level slots, and a match
-// is a radix descent that stops at the first empty slot.  Build a hole at
-// level 1 of a sparse class id while levels 0 and 2 stay indexed *and
-// live*, so a walk that skipped the hole would over-quote.
+// is a radix descent that stops at the first empty slot.  Every holder of
+// level k holds levels 0..k, so a hole below an indexed level can only
+// open in the cached tier: LRU reclaim takes level 1 of a sparse class id
+// while levels 0 and 2 stay indexed, and a walk that skipped the hole
+// would grant level 2.
 TEST(KvBlockStoreTest, MatchStopsAtTheFirstUnindexedLevel)
 {
     constexpr int kClass = 1'000'003; // ids are not dense
-    engine::KvBlockStore store(/*capacity=*/5, 16);
+    engine::KvBlockStore store(/*capacity=*/4, 16);
 
-    // A and B fill class kClass's three prefix levels in 8-token chunks.
-    // A publishes levels 0 and 2; B completes level 1 first and publishes
-    // it, so A's own level-1 copy stays private.
-    auto a = makeActive(1, /*input=*/48, /*output=*/32, kClass,
+    // A prefills class kClass's three prefix levels whole and publishes
+    // them; B, declaring only the first level, shares level 0.
+    auto a = makeActive(1, /*input=*/48, /*output=*/8, kClass,
                         /*prefix_len=*/48);
-    auto b = makeActive(2, 48, 32, kClass, 48);
     store.attach(a);
-    store.attach(b);
-    commitTo(store, a, 16, 0); // level 0: A's
-    commitTo(store, b, 8, 0);
-    commitTo(store, b, 16, 0); // B's level 0 lost the race
-    commitTo(store, a, 24, 0); // A's level 1 starts privately
-    commitTo(store, b, 32, 0); // level 1: B's
-    commitTo(store, a, 32, 0);
-    commitTo(store, a, 48, 0); // level 2: A's
-    ASSERT_EQ(a.kvBlockIds.size(), 3u);
-    EXPECT_EQ(a.kvPrivatePrefixLevels, 1);
-    auto probe = makeActive(3, 64, 8, kClass, 48);
-    EXPECT_EQ(store.quoteSharedBlocks(probe), 3);
+    commitTo(store, a, 48, 0);
+    const std::vector<int> a_blocks = a.kvBlockIds;
+    ASSERT_EQ(a_blocks.size(), 3u);
+    auto b = makeActive(2, 32, 8, kClass, /*prefix_len=*/16);
+    EXPECT_EQ(store.attach(b), 16);
 
-    // B leaves: its level 1 is cached, the only zero-ref block, and A's
-    // decode growth reclaims it.  Levels 0 and 2 stay indexed and live.
+    // A leaves before B, so level 0 is the most recently used of the
+    // three cached levels and level 1 the least.  A private request then
+    // needs one more block than the free room: LRU reclaims level 1.
+    store.release(a);
     store.release(b);
-    commitTo(store, a, 48, 16);
-    commitTo(store, a, 48, 24);
+    EXPECT_EQ(store.cachedBlocks(), 3);
+    auto filler = makeActive(3, 32, 8, -1, 0);
+    store.attach(filler);
+    commitTo(store, filler, 32, 0);
     EXPECT_EQ(store.cachedReclaims(), 1);
-    EXPECT_EQ(store.cachedBlocks(), 0);
-    EXPECT_EQ(store.quoteSharedBlocks(probe), 1);
+    EXPECT_EQ(store.cachedBlocks(), 2);
+    store.release(filler);
+
+    // Cached levels are never quoted; the match stops at the hole.
+    auto probe = makeActive(4, 64, 8, kClass, 48);
+    EXPECT_EQ(store.quoteSharedBlocks(probe), 0);
     EXPECT_EQ(store.attach(probe), 16);
     ASSERT_EQ(probe.kvBlockIds.size(), 1u);
-    EXPECT_EQ(probe.kvBlockIds[0], a.kvBlockIds[0]);
-    store.release(probe);
+    EXPECT_EQ(probe.kvBlockIds[0], a_blocks[0]);
+    auto early = makeActive(5, 64, 8, kClass, 48);
+    EXPECT_EQ(store.quoteSharedBlocks(early), 1); // level 0 live, then hole
 
-    // A's next commit crosses no level boundary yet publishes its private
-    // level-1 copy into the hole: the full match is back.
-    commitTo(store, a, 48, 25);
-    EXPECT_EQ(a.kvPrivatePrefixLevels, 0);
-    auto again = makeActive(4, 64, 8, kClass, 48);
+    // The probe's whole prefill publishes a fresh level 1 into the hole
+    // and revives the cached level 2: the full match is back.
+    commitTo(store, probe, 64, 0);
+    ASSERT_EQ(probe.kvBlockIds.size(), 4u);
+    EXPECT_EQ(probe.kvBlockIds[2], a_blocks[2]);
+    EXPECT_EQ(store.cachedBlocks(), 0);
+    auto again = makeActive(6, 64, 8, kClass, 48);
     EXPECT_EQ(store.quoteSharedBlocks(again), 3);
     EXPECT_EQ(store.attach(again), 48);
     for (std::size_t k = 0; k < 3; ++k)
-        EXPECT_EQ(again.kvBlockIds[k], a.kvBlockIds[k]);
+        EXPECT_EQ(again.kvBlockIds[k], probe.kvBlockIds[k]);
 
     // Asking for more levels than were ever published matches what is
     // there and stops.
-    auto longer = makeActive(5, 128, 8, kClass, 128);
+    auto longer = makeActive(7, 128, 8, kClass, 128);
     EXPECT_EQ(store.quoteSharedBlocks(longer), 3);
     EXPECT_EQ(store.attach(longer), 48);
 
     // No class, no quote; an unknown class, no quote.
-    auto none = makeActive(6, 64, 8, -1, 48);
+    auto none = makeActive(8, 64, 8, -1, 48);
     EXPECT_EQ(store.quoteSharedBlocks(none), 0);
     EXPECT_EQ(store.attach(none), 0);
-    auto stranger = makeActive(7, 64, 8, kClass + 1, 48);
+    auto stranger = makeActive(9, 64, 8, kClass + 1, 48);
     EXPECT_EQ(store.quoteSharedBlocks(stranger), 0);
 
-    for (auto *r : {&a, &again, &longer, &none})
+    for (auto *r : {&probe, &again, &longer, &none})
         store.release(*r);
     EXPECT_EQ(store.totalLiveRefs(), 0);
 }
@@ -378,7 +336,6 @@ struct PrefixInvariantResult
     long reportedPeakHeldBlocks = 0;
     long observedPeakHeldBlocks = 0;
     long prefixHits = 0;
-    long cowCopies = 0;
     int migrations = 0;
     long completed = 0;
     long arrived = 0;
@@ -507,7 +464,6 @@ runPrefixSystemInvariant(const wl::Workload &workload,
     system.report(stats);
     out.reportedPeakHeldBlocks = stats.peakKvHeldBlocks;
     out.prefixHits = stats.prefixHits;
-    out.cowCopies = stats.cowCopies;
     out.migrations = system.migrationsCompleted();
     out.completed = requests.completedCount();
     out.arrived = requests.arrivedCount();
@@ -518,8 +474,9 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
 {
     // Poisson, spike and long-input early-stopping workloads — each with
     // a shared-prefix mix whose class length is deliberately NOT a block
-    // multiple, so full-level sharing, tail donation and CoW all fire —
-    // across preemption-driven migrations, in both admission modes.  The
+    // multiple, so full levels are shared while every partial tail stays
+    // private — across preemption-driven migrations, in both admission
+    // modes.  The
     // fourth fills each replica's KV budget with long few-shot prompts,
     // so prefix-hit newcomers yield their prefill under Optimistic
     // pressure and a drain hands them over mid-prefill.  The fifth mixes
@@ -687,7 +644,7 @@ TEST(PrefixAblationTest, StoreMatchesPerRequestOracleOnPrefixFreeWorkload)
     // migrations, in both admission modes — its physical accounting must
     // equal the per-request block formulas: live blocks == the logical
     // holding, and the charged / reserved totals == the per-request sums
-    // (no pending CoW, no shared level counted once).
+    // (no shared level counted once).
     sim::Rng rng(81);
     auto w = wl::stationaryPoisson(0.3, 600.0, cost::SeqSpec{}, rng);
     wl::capOutputs(w, 512, 16, 128, rng);
@@ -719,7 +676,6 @@ TEST(PrefixAblationTest, StoreMatchesPerRequestOracleOnPrefixFreeWorkload)
         EXPECT_GE(r.migrationsCompleted, 2); // initial + preemption-driven
         EXPECT_EQ(r.completed, r.arrived);
         EXPECT_EQ(r.prefixHits, 0);
-        EXPECT_EQ(r.cowCopies, 0);
         EXPECT_EQ(r.savedPrefillSeconds, 0.0);
         EXPECT_EQ(r.peakKvPhysicalBlocks, r.peakKvHeldBlocks);
     }
