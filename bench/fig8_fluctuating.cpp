@@ -221,7 +221,7 @@ main(int argc, char **argv)
         }
         // KV-charging ablation: Reserve (worst-case prompt + cap
         // reservation, PR 2's mode) vs Optimistic (predicted-output
-        // charging with watermark eviction, the default) on an
+        // charging with pre-step eviction, the default) on an
         // early-stopping variant of the same workload: same arrivals,
         // but every request declares a 8192-token cap (64x the typical
         // output) and actually stops at 16-128 tokens.  Reserving the

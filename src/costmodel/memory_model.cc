@@ -1,37 +1,9 @@
 #include "costmodel/memory_model.h"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace spotserve {
 namespace cost {
-
-KvWatermarks
-deriveKvWatermarks(long budget, int batch_slots)
-{
-    if (budget <= 0)
-        return {};
-    if (budget == std::numeric_limits<long>::max())
-        return {budget, budget};
-    if (budget == 1)
-        return {1, 1}; // no room for a hysteresis gap
-    const long slots = std::max(1, batch_slots);
-    // One worst-case decode round (every slot commits a token; in block
-    // space every slot crosses at most one block boundary) plus 1/16
-    // slack below the budget, so a boundary that crosses the high
-    // watermark still cannot overshoot the budget within one iteration.
-    const long margin = std::max(slots, budget / 16);
-    KvWatermarks wm;
-    // Ordering invariant for every budget > 1: low < high <= budget.
-    // Tiny budgets used to collapse both max(1, ...) clamps onto 1,
-    // erasing the hysteresis gap and letting eviction thrash at every
-    // boundary.
-    wm.high = std::clamp(budget - margin, 2L, budget);
-    wm.low = std::clamp(wm.high - std::max(slots, budget / 8), 1L,
-                        wm.high - 1);
-    return wm;
-}
 
 MemoryModel::MemoryModel(const model::ModelSpec &spec,
                          const CostParams &params)

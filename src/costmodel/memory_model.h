@@ -36,34 +36,6 @@
 namespace spotserve {
 namespace cost {
 
-/**
- * Eviction watermarks over a replica's *held* KV (optimistic admission),
- * denominated in whatever unit the budget they were derived from uses
- * (tokens, or KV blocks under paged accounting).  When the engine
- * predicts the next iteration would push the held KV past @c high it
- * first makes prefills yield their mixed-iteration slot to the
- * incumbents' decode; past the full budget it evicts LIFO victims until
- * the held KV falls back to @c low (the hysteresis gap keeps one
- * overflow from causing an eviction per boundary).  Both are 0 when the
- * budget itself is 0.
- */
-struct KvWatermarks
-{
-    long high = 0;
-    long low = 0;
-};
-
-/**
- * Watermarks for a given budget and batch-slot count: the high watermark
- * leaves one worst-case decode round (every slot commits a token, which
- * in block space grows every slot by at most one block) plus 1/16 slack
- * below the budget; the low watermark clears a further 1/8 of the budget
- * so eviction buys real headroom.  For any budget > 1 the ordering
- * invariant low < high <= budget holds, so hysteresis never degenerates
- * (a budget of exactly 1 has no room for a gap and pins both to 1).
- */
-KvWatermarks deriveKvWatermarks(long budget, int batch_slots);
-
 /** Memory accounting for one model on one cluster parameterisation. */
 class MemoryModel
 {

@@ -52,10 +52,11 @@ kvBlocksFor(long tokens, int block_tokens)
  * Reserve charges the worst case (prompt + full output cap) so an admitted
  * request can always run to completion; on workloads whose outputs finish
  * far below the cap most of the budget sits idle.  Optimistic charges the
- * held tokens plus the *predicted* output length and relies on watermark
- * eviction when predictions fall short (the engine evicts LIFO victims and
- * requeues them through the restart path, so the OOM-free invariant still
- * holds at every iteration boundary).
+ * held tokens plus the *predicted* output length and relies on eviction
+ * when predictions fall short (before each step the engine evicts LIFO
+ * victims until the step's KV blocks fit, and they are requeued through
+ * the restart path, so the OOM-free invariant still holds at every
+ * iteration boundary).
  */
 enum class KvAdmissionMode
 {

@@ -61,14 +61,12 @@ InferencePipeline::InferencePipeline(sim::Executor &executor,
             batching_.kvBudgetTokens / batching_.kvBlockTokens;
     }
     if (bounded &&
-        batching_.kvAdmissionMode == KvAdmissionMode::Optimistic) {
-        if (!callbacks_.onEvict)
-            throw std::invalid_argument(
-                "InferencePipeline: optimistic admission under a bounded "
-                "budget requires the onEvict callback (evicted requests "
-                "must be requeued, not dropped)");
-        watermarks_ = cost::deriveKvWatermarks(budgetBlocks_, config_.batch);
-    }
+        batching_.kvAdmissionMode == KvAdmissionMode::Optimistic &&
+        !callbacks_.onEvict)
+        throw std::invalid_argument(
+            "InferencePipeline: optimistic admission under a bounded "
+            "budget requires the onEvict callback (evicted requests "
+            "must be requeued, not dropped)");
     // The store's physical capacity IS the block budget: prefix sharing
     // may never let resident blocks exceed what admission promised
     // (allocation throws instead of over-committing).
@@ -279,106 +277,36 @@ InferencePipeline::executing() const
 void
 InferencePipeline::enforceKvPressure()
 {
-    deferPrefill_ = false;
     if (batching_.kvAdmissionMode != KvAdmissionMode::Optimistic ||
-        batching_.kvBudgetTokens == kUnboundedKvTokens || batch_.empty())
-        return;
-    // A fully-covered batch (every member charged its worst case) cannot
-    // overflow: admission bounded the sum of peak blocks by the block
-    // budget.  This keeps Reserve-equivalent workloads — cold predictor,
-    // or outputs that run to their cap — on the exact Reserve schedule.
-    const int blk = batching_.kvBlockTokens;
-    bool under_covered = false;
-    for (const auto &r : batch_) {
-        if (r.kvChargedBlocks(KvAdmissionMode::Optimistic, blk) <
-            r.kvPeakBlocks(blk)) {
-            under_covered = true;
-            break;
-        }
-    }
-    if (!under_covered)
+        budgetBlocks_ == kUnboundedKvBlocks || batch_.empty())
         return;
 
-    const long budget = budgetBlocks_;
-    const long high = watermarks_.high;
-    const long low = watermarks_.low;
-
-    // Members chosen as victims so far (empty: none, so the common
-    // no-eviction boundary allocates nothing).
+    // Members evicted so far (empty: none, so the common no-eviction
+    // boundary allocates nothing).
     std::vector<bool> gone;
-    // Survivor scan, in physical block space, with the yield decision
-    // applied: growth is the new block levels — one decode token per
-    // prefilled member, the whole remaining input per non-frozen
-    // prefiller — and the held count comes from the store's refcount
-    // arithmetic (shared levels once).
-    struct Scan
-    {
-        long held = 0;
-        long decodeGrowth = 0;
-        long prefillGrowth = 0;
-        bool anyDecoder = false;
-        bool anyPrefiller = false;
-    };
-    auto scan = [&] {
-        Scan s;
-        std::vector<const ActiveRequest *> victims;
+    // The next step's demand in physical blocks: the store's live blocks
+    // (shared levels once; evicted members' references already dropped)
+    // plus each survivor's new levels, one decode token per prefilled
+    // member and the whole remaining input per prefiller.
+    auto demand = [&] {
+        long blocks = store_->liveBlocks();
         for (std::size_t i = 0; i < batch_.size(); ++i) {
+            if (!gone.empty() && gone[i])
+                continue;
             const ActiveRequest &r = batch_[i];
-            if (i < gone.size() && gone[i]) {
-                victims.push_back(&r);
-            } else if (r.prefilled) {
-                s.anyDecoder = true;
-                s.decodeGrowth += store_->projectedGrowthBlocks(r, 1);
-            } else {
-                s.anyPrefiller = true;
-                s.prefillGrowth += store_->projectedGrowthBlocks(
-                    r, r.request.inputLen - r.prefillTokens);
-            }
+            blocks += store_->projectedGrowthBlocks(
+                r, r.prefilled ? 1 : r.request.inputLen - r.prefillTokens);
         }
-        // A block frees only when every live reference belongs to a
-        // victim: shared prefix blocks survive partial evictions, so
-        // evicting one sharer relieves exactly its sole blocks.
-        s.held = store_->liveBlocksExcluding(victims);
-        return s;
+        return blocks;
     };
-    // Decode-priority boundary scheduling: when the next step threatens
-    // the eviction watermark, prefills yield their slot and only
-    // the incumbents' decode runs — near-complete deep decodes finish and
-    // release their KV instead of being squeezed out by new prefill work.
-    // Re-decided after every eviction: if the victims were the last
-    // decoders, the yield is moot and prefill growth counts again.
-    auto decideDefer = [&](const Scan &s) {
-        const bool defer =
-            s.anyDecoder && s.anyPrefiller && !haltPending_ &&
-            s.held + s.decodeGrowth + s.prefillGrowth > high;
-        deferPrefill_ = defer;
-        return defer;
-    };
-    auto pressure = [&](const Scan &s) {
-        long p = s.held + s.decodeGrowth;
-        if (!haltPending_ && !decideDefer(s))
-            p += s.prefillGrowth;
-        return p;
-    };
-
-    // Common case: the next step fits the budget as is.  This is the
-    // yield decision the final re-scan below would reach, since nothing
-    // was evicted.
-    const Scan first = scan();
-    if (pressure(first) <= budget) {
-        if (decideDefer(first))
-            ++prefillYields_;
+    if (demand() <= budgetBlocks_)
         return;
-    }
 
     // Victim order: LIFO — youngest arrival first, least progress first.
-    // Restarted members are spared first (their full worst case is
+    // Restarted members go after fresh ones (their full worst case is
     // already charged; evicting them again would forfeit the storm
-    // guard), and the batch's oldest member is spared until last, which
-    // bounds the loop and guarantees forward progress.  (The serving
-    // layer rejects any head whose worst-case peak exceeds the replica
-    // budget undiscounted by a live shared prefix, so only such a
-    // discounted head can outgrow the budget alone; see below.)
+    // guard), and the batch's oldest member goes last, so it is evicted
+    // only if it alone overflows the budget.
     std::size_t oldest = 0;
     for (std::size_t i = 1; i < batch_.size(); ++i) {
         if (batch_[i].request.arrival < batch_[oldest].request.arrival ||
@@ -406,85 +334,45 @@ InferencePipeline::enforceKvPressure()
                              return ra.kvTokensHeld() < rb.kvTokensHeld();
                          return ra.request.id > rb.request.id;
                      });
+    order.push_back(oldest);
 
+    // Evict one victim at a time until the next step fits.  Dropping a
+    // victim's references frees only its sole blocks: shared prefix
+    // blocks stay live while a survivor holds them (and cached once the
+    // last sharer leaves, reclaimed LRU only under allocation pressure).
+    // With every member gone the demand is 0, so the loop ends in a fit.
     gone.assign(batch_.size(), false);
+    std::size_t victims = 0;
+    while (demand() > budgetBlocks_) {
+        const std::size_t idx = order[victims++];
+        gone[idx] = true;
+        store_->release(batch_[idx]);
+    }
     std::vector<ActiveRequest> evicted;
-    // Mandatory pass: the OOM-free invariant — evict one victim at a
-    // time, re-deciding the yield after each, until the next step's held
-    // tokens fit the budget.
-    std::size_t next = 0;
-    while (true) {
-        const Scan s = scan();
-        if (pressure(s) <= budget)
-            break;
-        if (next >= order.size()) {
-            // Only the protected oldest remains.  Without a shared
-            // prefix, admission rejects any head whose worst-case peak
-            // exceeds the replica budget, so this is unreachable.  A head
-            // admitted through a live prefix discount, however, can
-            // outgrow the budget alone once its classmates leave: evict
-            // it too rather than overflow the store.  Requeued as a
-            // restart it gets no discount, so the serving layer rejects
-            // it (memory_admission_test:
-            // DiscountedHeadOutgrowingItsReplicaIsEvictedThenRejected).
-            if (!gone[oldest]) {
-                gone[oldest] = true;
-                evicted.push_back(batch_[oldest]);
-                continue;
-            }
-            break;
-        }
-        gone[order[next]] = true;
-        evicted.push_back(batch_[order[next]]);
-        ++next;
+    evicted.reserve(victims);
+    for (std::size_t k = 0; k < victims; ++k)
+        evicted.push_back(std::move(batch_[order[k]]));
+    std::vector<ActiveRequest> survivors;
+    survivors.reserve(batch_.size() - victims);
+    for (std::size_t i = 0; i < batch_.size(); ++i) {
+        if (!gone[i])
+            survivors.push_back(std::move(batch_[i]));
     }
-    if (!evicted.empty()) {
-        // Hysteresis pass: clear on down to the low watermark, but only
-        // by shedding un-started decodes (no committed output tokens —
-        // losing them costs at most their prefill).  Deep decodes are
-        // never cut beyond what the budget strictly requires.
-        for (std::size_t idx : order) {
-            if (gone[idx] || batch_[idx].committedTokens > 0)
-                continue;
-            if (pressure(scan()) <= low)
-                break;
-            gone[idx] = true;
-            evicted.push_back(batch_[idx]);
-        }
-        std::vector<ActiveRequest> survivors;
-        survivors.reserve(batch_.size() - evicted.size());
-        for (std::size_t i = 0; i < batch_.size(); ++i) {
-            if (!gone[i])
-                survivors.push_back(std::move(batch_[i]));
-        }
-        batch_ = std::move(survivors);
-        evictions_ += static_cast<long>(evicted.size());
-        // Drop the victims' references now, before the final yield
-        // decision re-scans the store: their sole blocks free, shared
-        // prefix blocks stay (cached once the last sharer leaves,
-        // reclaimed LRU only under allocation pressure).
-        for (auto &e : evicted)
-            store_->release(e);
-    }
-    // Final yield decision over the surviving batch: this is the flag the
-    // upcoming scheduleStep honours.
-    gone.clear();
-    decideDefer(scan());
-    if (deferPrefill_)
-        ++prefillYields_;
-    if (!evicted.empty() && callbacks_.onEvict)
-        callbacks_.onEvict(*this, std::move(evicted));
+    batch_ = std::move(survivors);
+    evictions_ += static_cast<long>(victims);
+    callbacks_.onEvict(*this, std::move(evicted));
 }
 
 void
 InferencePipeline::scheduleStep()
 {
-    // Optimistic admission: decide yields and evict before sizing the
-    // step, so the iteration that runs can never overflow the budget.
+    // Optimistic admission: evict before sizing the step, so the
+    // iteration that runs can never overflow the budget.
     enforceKvPressure();
     if (batch_.empty()) {
-        // Eviction took the protected oldest member too (a discounted
-        // head that outgrew the budget alone): the replica goes idle.
+        // Eviction took the oldest member too (it outgrew the budget
+        // alone, e.g. carried by a migration trim onto a smaller
+        // replica): the replica goes idle.
         if (haltPending_) {
             enterHalted();
         } else {
@@ -495,6 +383,10 @@ InferencePipeline::scheduleStep()
         return;
     }
 
+    // Every unprefilled member runs its whole remaining input in this
+    // step, alongside the prefilled members' decode.  (A drain never
+    // holds one: a member is unprefilled only during the step right
+    // after it enters, and entry is closed while a halt is pending.)
     int prefillers = 0;
     int decoders = 0;
     int max_input = 0;
@@ -504,30 +396,13 @@ InferencePipeline::scheduleStep()
         if (r.prefilled) {
             ++decoders;
             max_ctx = std::max(max_ctx, r.nextContextLen());
-        } else if (!prefillFrozen()) {
-            // While draining, requests still awaiting (the rest of) their
-            // prefill are frozen: a prefill step commits no output token
-            // before the halt, so spending arranged grace time on it
-            // would only delay the drain (a matched prefix migrates with
-            // the cache; the rest resumes or recomputes).  Under
-            // watermark pressure (deferPrefill_) prefills likewise yield
-            // the step to the incumbents' decode.
+        } else {
             ++prefillers;
             max_input =
                 std::max(max_input, r.request.inputLen - r.prefillTokens);
             max_prefix = std::max(max_prefix, r.prefillTokens);
         }
     }
-    if (prefillers == 0 && decoders == 0) {
-        // Every survivor is a frozen prefiller.  During a drain nothing
-        // left can commit a token before the halt, so drain now (eviction
-        // may have removed the last decoder after onBoundary's check).
-        // Outside a drain the yield requires a surviving decoder, so this
-        // is unreachable — but never schedule an empty iteration.
-        enterHalted();
-        return;
-    }
-    stepRanPrefill_ = prefillers > 0;
     phase_ = prefillers > 0 ? PipelinePhase::Prefill : PipelinePhase::Decode;
     scheduleBoundary(latency_.mixedIterTime(config_, prefillers, max_input,
                                             max_prefix, decoders, max_ctx));
@@ -545,9 +420,9 @@ InferencePipeline::onBoundary()
     pendingEvent_ = sim::kInvalidEventId;
 
     // Requests already prefilled when the elapsed step began were
-    // decoding: each commits one token.  If the step ran prefill, the
-    // rest committed their whole remaining input (which yields no output
-    // token) and decode from the next step on.
+    // decoding: each commits one token.  The rest ran their whole
+    // remaining input in the step (which yields no output token) and
+    // decode from the next step on.
     int decoded = 0;
     for (auto &r : batch_) {
         if (r.prefilled) {
@@ -555,7 +430,7 @@ InferencePipeline::onBoundary()
             ++decoded;
             if (callbacks_.onToken)
                 callbacks_.onToken(r);
-        } else if (stepRanPrefill_) {
+        } else {
             r.prefillTokens = r.request.inputLen;
             r.prefilled = true;
         }
@@ -591,15 +466,6 @@ InferencePipeline::onBoundary()
         // Draining: no admission; spend the arranged decode budget, then
         // halt with whatever mixed-progress batch remains.
         if (batch_.empty() || allowedIters_ <= 0) {
-            enterHalted();
-            return;
-        }
-        // Only prefilled requests can commit tokens before the halt; if
-        // none remain (frozen newcomers only), drain immediately.
-        const bool any_decoder =
-            std::any_of(batch_.begin(), batch_.end(),
-                        [](const ActiveRequest &r) { return r.prefilled; });
-        if (!any_decoder) {
             enterHalted();
             return;
         }

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "costmodel/latency_model.h"
-#include "costmodel/memory_model.h"
 #include "engine/active_request.h"
 #include "engine/kv_block_store.h"
 #include "simcore/executor.h"
@@ -54,10 +53,10 @@ struct BatchingOptions
      * Per-replica KV-cache budget in tokens (MemoryModel::kvBudgetTokens).
      * The pipeline enforces sum of kvChargedBlocks() over the live batch
      * <= the block budget (floor(kvBudgetTokens / kvBlockTokens)) at
-     * startBatch and at every admission, and (optimistic mode) keeps the
-     * *held* blocks under the block budget at every iteration boundary
-     * by evicting victims.  kUnboundedKvTokens disables the check (the
-     * bare-engine default; serving systems always pass a real budget).
+     * startBatch and at every admission, and (optimistic mode) evicts
+     * before each step whatever the step's physical block demand cannot
+     * fit.  kUnboundedKvTokens disables the check (the bare-engine
+     * default; serving systems always pass a real budget).
      */
     long kvBudgetTokens = kUnboundedKvTokens;
 
@@ -75,9 +74,10 @@ struct BatchingOptions
 
     /**
      * How requests are charged against the budget (default-on optimistic
-     * admission; Reserve keeps the worst-case reservation for the
-     * ablation).  A bounded-budget Optimistic pipeline requires the
-     * onEvict callback.
+     * admission, which evicts LIFO victims when the next step cannot
+     * fit; Reserve keeps the worst-case reservation for the ablation).
+     * A bounded-budget Optimistic pipeline requires the onEvict
+     * callback.
      */
     KvAdmissionMode kvAdmissionMode = KvAdmissionMode::Optimistic;
 };
@@ -125,8 +125,8 @@ class InferencePipeline
          */
         std::function<void(const InferencePipeline &)> onBoundary;
         /**
-         * Optimistic admission evicted the given requests to keep the
-         * held KV tokens under the budget.  Their cache context is gone;
+         * Optimistic admission evicted the given requests so the next
+         * step's KV blocks fit the budget.  Their cache context is gone;
          * committed progress is still intact when the callback fires (so
          * the receiver can cost the lost work) and the receiver MUST
          * reset it via ActiveRequest::resetForRestart before requeueing
@@ -261,8 +261,6 @@ class InferencePipeline
      *  time), keeping eviction costing single-source at the serving
      *  layer. */
     long evictionsPerformed() const { return evictions_; }
-    /** Steps in which prefills yielded to decode (watermark). */
-    long prefillYields() const { return prefillYields_; }
 
     /**
      * The replica's refcounted physical block pool and prefix index: the
@@ -310,18 +308,15 @@ class InferencePipeline
     /** Fire the onBoundary observer. */
     void observeBoundary();
     /**
-     * Optimistic mode, before each step: if the next iteration's KV
-     * growth (in whole blocks) would cross the high watermark, make
-     * prefills yield their slot to the decoders (decode-priority
-     * boundary scheduling); if it would overflow the block budget, evict
-     * LIFO victims (youngest arrival, least progress first; restarted
-     * requests and then the batch's oldest member go last) until the
-     * held blocks plus the remaining growth fall to the low watermark,
-     * firing onEvict with the victims.
+     * Optimistic mode, before each step: the step's demand is the
+     * store's live blocks plus each member's new levels (one decode
+     * token per prefilled member, the whole remaining input per
+     * prefiller).  While it exceeds the block budget, evict LIFO victims
+     * (youngest arrival, least progress first; restarted members after
+     * fresh ones, the batch's oldest member last, so it goes only if it
+     * alone overflows), then fire onEvict with them.
      */
     void enforceKvPressure();
-    /** A prefiller is frozen this step (drain or decode-priority). */
-    bool prefillFrozen() const { return haltPending_ || deferPrefill_; }
 
     sim::Executor &sim_;
     const cost::LatencyModel &latency_;
@@ -331,11 +326,6 @@ class InferencePipeline
     BatchingOptions batching_;
     /** floor(kvBudgetTokens / kvBlockTokens); the enforced budget. */
     long budgetBlocks_ = kUnboundedKvBlocks;
-    /**
-     * Eviction watermarks over the held KV blocks (optimistic mode; see
-     * cost::KvWatermarks), derived from budgetBlocks_ and the batch size.
-     */
-    cost::KvWatermarks watermarks_;
     /** Physical block pool + prefix index. */
     std::unique_ptr<KvBlockStore> store_;
     double savedPrefillSeconds_ = 0.0;
@@ -346,16 +336,11 @@ class InferencePipeline
 
     bool haltPending_ = false;
     long allowedIters_ = 0;
-    /** The in-flight step includes prefill work (drain steps never do). */
-    bool stepRanPrefill_ = false;
-    /** Prefills yield the current step to decode (watermark pressure). */
-    bool deferPrefill_ = false;
 
     long itersExecuted_ = 0;
     long tokensCommitted_ = 0;
     long admittedMidBatch_ = 0;
     long evictions_ = 0;
-    long prefillYields_ = 0;
 };
 
 } // namespace engine

@@ -120,8 +120,8 @@ KvBlockStore::reclaimOneCached()
             victim = id;
     }
     if (victim < 0) {
-        // Every resident block is live: the admission/watermark layers
-        // above promised this could not happen.  Surface the accounting
+        // Every resident block is live: admission and the engine's
+        // pre-step eviction promised this could not happen.  Surface the accounting
         // bug instead of silently over-allocating.
         throw std::logic_error(
             "KvBlockStore: allocation exceeds the physical block budget");
@@ -254,27 +254,6 @@ KvBlockStore::projectedGrowthBlocks(const ActiveRequest &r,
     const long held = r.kvTokensHeld();
     return kvBlocksFor(held + add_tokens, blockTokens_) -
            kvBlocksFor(held, blockTokens_);
-}
-
-long
-KvBlockStore::liveBlocksExcluding(
-    const std::vector<const ActiveRequest *> &gone) const
-{
-    if (gone.empty())
-        return liveBlocks_;
-    std::unordered_map<int, int> drops;
-    for (const ActiveRequest *r : gone) {
-        if (!r)
-            continue;
-        for (int id : r->kvBlockIds)
-            ++drops[id];
-    }
-    long out = liveBlocks_;
-    for (const auto &kv : drops) {
-        if (blocks_[kv.first].refs == kv.second)
-            --out; // all live refs belong to victims: block frees
-    }
-    return out;
 }
 
 } // namespace engine

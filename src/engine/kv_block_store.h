@@ -120,15 +120,6 @@ class KvBlockStore
      */
     long projectedGrowthBlocks(const ActiveRequest &r, long add_tokens) const;
 
-    /**
-     * liveBlocks() after hypothetically releasing every request in
-     * @p gone: a block is freed only when *all* its live references
-     * belong to victims, so shared prefix blocks survive any partial
-     * eviction — the refcount arithmetic the watermark scan uses.
-     */
-    long
-    liveBlocksExcluding(const std::vector<const ActiveRequest *> &gone) const;
-
     /** Blocks with at least one live reference. */
     long liveBlocks() const { return liveBlocks_; }
     /** Zero-ref indexed blocks kept warm for future hits. */

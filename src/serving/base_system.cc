@@ -43,18 +43,10 @@ BaseServingSystem::rejectUnservableHeads(long budget_blocks)
 {
     long rejected = 0;
     while (!requests_.pendingEmpty()) {
-        const engine::ActiveRequest &head = requests_.pending().front();
-        // A discount is never negative, so a head that fits undiscounted
-        // needs no prefix quote.
-        const long peak = head.kvPeakBlocks(kKvBlockTokens);
-        if (peak <= budget_blocks)
-            break;
-        // A head that fits *because* of prefix sharing is servable: its
-        // physical peak shrinks by the matched-and-live shared blocks
-        // some replica already holds.  Restarted heads stay undiscounted
-        // (the eviction-storm guard — they must fit worst case alone).
-        if (head.restarts == 0 &&
-            peak - bestPrefixDiscount(head) <= budget_blocks)
+        // Undiscounted: a live shared prefix may leave before the head
+        // reaches its peak, so only a peak that fits alone is servable.
+        if (requests_.pending().front().kvPeakBlocks(kKvBlockTokens) <=
+            budget_blocks)
             break;
         // Even an empty replica cannot host this request: reject it
         // rather than letting it head-block the strict-FIFO queue.
@@ -66,19 +58,6 @@ BaseServingSystem::rejectUnservableHeads(long budget_blocks)
         ++rejected;
     }
     return rejected;
-}
-
-long
-BaseServingSystem::bestPrefixDiscount(const engine::ActiveRequest &head) const
-{
-    long best = 0;
-    if (!deployment_)
-        return best;
-    for (const auto &p : deployment_->pipelines) {
-        if (p)
-            best = std::max(best, p->kvStore().quoteSharedBlocks(head));
-    }
-    return best;
 }
 
 long
@@ -553,7 +532,7 @@ BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
     // unservable on every admission path.  Optimistic charging could
     // admit it (its *predicted* footprint fits), but if the output then
     // ran toward its cap it would outgrow the budget alone and be evicted
-    // even as the protected oldest member, its work lost — so it is
+    // even as the batch's oldest member, its work lost — so it is
     // rejected here exactly as idle-batch formation rejects it, keeping a
     // request's fate independent of which admission path reaches it
     // first.

@@ -68,9 +68,9 @@ struct EngineOptions
     /**
      * How requests are charged against the KV budget.  Optimistic charges
      * held + predicted-output tokens, learns the output-length
-     * distribution from completions, and evicts LIFO victims at watermark
-     * pressure; Reserve charges the worst case (prompt + output cap), the
-     * ablation.
+     * distribution from completions, and evicts LIFO victims when the
+     * next step's KV blocks would not fit the budget; Reserve charges the
+     * worst case (prompt + output cap), the ablation.
      */
     engine::KvAdmissionMode kvAdmissionMode =
         engine::KvAdmissionMode::Optimistic;
@@ -281,21 +281,12 @@ class BaseServingSystem : public ServingSystem
      * Drop queue heads whose worst-case KV (in kKvBlockTokens blocks)
      * exceeds @p budget_blocks (they can never be served by any replica
      * of the active configuration, so leaving them would head-block the
-     * strict-FIFO queue forever).  Only a head whose undiscounted peak
-     * exceeds the budget is quoted: its peak is then discounted by the
-     * best matched-and-live prefix quote any replica offers
-     * (bestPrefixDiscount), so a head that fits *because* of sharing is
-     * not rejected.  Returns how many were rejected.
+     * strict-FIFO queue forever).  The peak is undiscounted: a live
+     * shared prefix a replica holds now may be gone before the head
+     * reaches its peak, so a head that fits only through sharing is
+     * rejected too.  Returns how many were rejected.
      */
     long rejectUnservableHeads(long budget_blocks);
-
-    /**
-     * Best prefix-sharing admission quote (matched-and-live shared
-     * blocks) any deployed replica offers @p head.  0 for a head with no
-     * shared prefix.  Called only for a fresh head that is over budget
-     * undiscounted: one quote per replica.
-     */
-    long bestPrefixDiscount(const engine::ActiveRequest &head) const;
 
     /** Build a pipeline wired to this system's callbacks. */
     std::unique_ptr<engine::InferencePipeline>

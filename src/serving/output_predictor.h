@@ -10,7 +10,7 @@
  * charges instead of the cap.  Until it has seen enough completions it
  * falls back to the cap, so a cold system behaves exactly like
  * reservation-based admission; mispredictions are absorbed by the
- * engine's watermark eviction, never by an OOM.
+ * engine's pre-step eviction, never by an OOM.
  */
 
 #ifndef SPOTSERVE_SERVING_OUTPUT_PREDICTOR_H

@@ -57,19 +57,19 @@ RequestManager::popAdmissible(int max_count, long kv_budget,
     while (!pending_.empty() && static_cast<int>(batch.size()) < max_count) {
         engine::ActiveRequest &head = pending_.front();
         stampPrediction(head, mode);
-        // Prefix-sharing discount: matched-and-live shared blocks are
-        // already resident (and already inside the pipeline's charged
-        // total), so the head's marginal demand shrinks by that many
-        // blocks.  Restarted heads stay undiscounted (storm guard).
-        const long discount = (store != nullptr && head.restarts == 0)
-                                  ? store->quoteSharedBlocks(head)
-                                  : 0;
-        // Unservable whatever its optimistic charge: head-block until a
-        // rejection site drops it.
+        // Unservable whatever its charge: head-block until a rejection
+        // site drops it.
         if (replica_budget != engine::kUnboundedKvBlocks &&
-            head.kvPeakBlocks(block_tokens) - discount > replica_budget)
+            head.kvPeakBlocks(block_tokens) > replica_budget)
             break;
         if (remaining != engine::kUnboundedKvBlocks) {
+            // Prefix-sharing discount: matched-and-live shared blocks are
+            // already resident (and already inside the pipeline's charged
+            // total), so the head's marginal demand shrinks by that many
+            // blocks.  Restarted heads stay undiscounted (storm guard).
+            const long discount = (store != nullptr && head.restarts == 0)
+                                      ? store->quoteSharedBlocks(head)
+                                      : 0;
             const long charge = std::max(
                 0L, head.kvChargedBlocks(mode, block_tokens) - discount);
             if (charge > remaining)

@@ -208,24 +208,23 @@ class RequestManager
      * was restarted before, in which case it is charged its full peak —
      * the eviction-storm guard: a just-evicted request only re-admits
      * into genuine worst-case headroom, so it can never immediately push
-     * a second victim out.  A head whose worst-case peak exceeds
-     * @p replica_budget never pops, whatever its optimistic
-     * charge: such a request is unservable (if its output ran to the cap
-     * it would outgrow the budget alone and be evicted even as the
-     * protected oldest member) and head-blocks until a rejection site
+     * a second victim out.  A head whose undiscounted worst-case peak
+     * exceeds @p replica_budget never pops, whatever its charge: such a
+     * request is unservable (if its output ran to the cap it would
+     * outgrow the budget alone and be evicted even as the batch's oldest
+     * member) and head-blocks until a rejection site
      * (rejectUnservableHeads) drops it — the check must live in this
      * shared pop, not only at the heads the call sites inspect, because
      * a multi-request pop exposes new heads mid-call.  All budgets and
      * charges are in KV blocks of @p block_tokens tokens (1 = tokens).
      *
-     * With a block @p store, both the peak and the charge are
+     * With a block @p store, the charge (never the servability check) is
      * discounted by the head's matched-and-live shared blocks — those
      * blocks are already resident and counted in the pipeline's charged
-     * total, so the discounted value is the request's exact marginal
-     * physical demand (sound even in Reserve mode: the shared blocks
-     * stay referenced for the request's whole lifetime).  Restarted
-     * heads get no discount, extending the storm guard: a just-evicted
-     * request re-admits only into genuine worst-case headroom.
+     * total, so the discounted charge is the request's marginal physical
+     * demand.  Restarted heads get no discount, extending the storm
+     * guard: a just-evicted request re-admits only into genuine
+     * worst-case headroom.
      */
     std::vector<engine::ActiveRequest>
     popAdmissible(int max_count, long kv_budget,

@@ -175,32 +175,6 @@ TEST(MemoryModelTest, KvBudgetBlocksFloorsToWholeBlocks)
     EXPECT_THROW(mem.kvBudgetBlocks(c, 0), std::invalid_argument);
 }
 
-TEST(MemoryModelTest, WatermarkOrderingInvariant)
-{
-    // deriveKvWatermarks must keep low < high <= budget for every
-    // budget > 1 (the old double max(1, ...) clamp collapsed both onto
-    // 1 on tiny budgets, erasing hysteresis so eviction could thrash at
-    // every boundary).
-    for (long budget : {2L, 3L, 5L, 9L, 10L, 17L, 64L, 1500L, 100000L}) {
-        for (int slots : {1, 4, 8, 64}) {
-            const auto wm = deriveKvWatermarks(budget, slots);
-            EXPECT_LT(wm.low, wm.high)
-                << "budget " << budget << " slots " << slots;
-            EXPECT_LE(wm.high, budget)
-                << "budget " << budget << " slots " << slots;
-            EXPECT_GE(wm.low, 1) << "budget " << budget;
-        }
-    }
-    EXPECT_EQ(deriveKvWatermarks(1, 8).high, 1);
-    EXPECT_EQ(deriveKvWatermarks(1, 8).low, 1);
-    EXPECT_EQ(deriveKvWatermarks(0, 8).high, 0);
-    // Large budgets keep the PR 3 values (margin = budget/16, gap =
-    // budget/8): the fix only touches the degenerate small-budget cases.
-    const auto wm = deriveKvWatermarks(1500, 8);
-    EXPECT_EQ(wm.high, 1407);
-    EXPECT_EQ(wm.low, 1220);
-}
-
 TEST(MemoryModelTest, KvScalesWithBatch)
 {
     MemoryModel mem(ModelSpec::opt6_7b(), kParams);

@@ -510,8 +510,9 @@ TEST(ChaosSweepTest, SpotServeSurvivesRandomFaultSchedules)
         SCOPED_TRACE("seed=" + std::to_string(c.seed));
         const auto r = runChaos(c);
         expectCrashConsistent(r);
-        if (c.prefixed)
+        if (c.prefixed) {
             EXPECT_GT(r.prefixHits, 0);
+        }
         aborts += r.migrationAborts;
         restarts += r.restartedRequeues;
     }
@@ -531,8 +532,9 @@ TEST(ChaosSweepTest, BaselinesSurviveRandomFaultSchedules)
             SCOPED_TRACE(system + " seed=" + std::to_string(c.seed));
             const auto r = runChaos(c, true, system);
             expectCrashConsistent(r);
-            if (c.prefixed)
+            if (c.prefixed) {
                 EXPECT_GT(r.prefixHits, 0);
+            }
         }
     }
 }

@@ -683,7 +683,6 @@ struct TestSystem : serving::BaseServingSystem
     void onInstanceReleased(const cluster::Instance &) override {}
 
     using BaseServingSystem::admitAtBoundary;
-    using BaseServingSystem::bestPrefixDiscount;
     using BaseServingSystem::deployment;
     using BaseServingSystem::dispatchAll;
     using BaseServingSystem::installDeployment;
@@ -795,7 +794,7 @@ TEST(ReplicaBalancingTest, OversizedRequestIsRejectedNotHeadBlocking)
 }
 
 // ---------------------------------------------------------------------
-// Optimistic admission: predictor, eviction, watermarks
+// Optimistic admission: predictor and eviction
 // ---------------------------------------------------------------------
 
 TEST(OutputPredictorTest, ColdStartFallsBackToCap)
@@ -956,7 +955,7 @@ TEST(OptimisticAdmissionTest, NoLivelockUnderSustainedOverload)
     // tiny, a quarter run to the full cap, so the warm predictor
     // under-charges the long ones and evictions are inevitable.  The
     // storm guard (evicted requests re-admit at their full worst case)
-    // plus the protected oldest member must keep every admitted request
+    // plus the oldest member going last must keep every admitted request
     // completing — no livelock, no starvation — with held KV under the
     // budget throughout.
     const long budget = 1200; // two full-cap peaks (512) plus slack
@@ -986,7 +985,7 @@ TEST(OptimisticAdmissionTest, MispredictionBurstEvictsAndRecovers)
 {
     // Prime the predictor on short outputs, then hit the replica with a
     // burst whose outputs all run to the cap.  The optimistic charges
-    // admit too much; watermark eviction must shed the youngest victims,
+    // admit too much; eviction must shed the youngest victims,
     // keep held KV under the budget at every boundary, and still finish
     // the whole burst.
     const long budget = 1400;
@@ -1016,78 +1015,65 @@ TEST(OptimisticAdmissionTest, MispredictionBurstEvictsAndRecovers)
     EXPECT_GT(restarted, 0);
 }
 
-TEST(OptimisticAdmissionTest, DecodePriorityYieldsPrefillUnderPressure)
+TEST(OptimisticAdmissionTest, LoneMemberOutgrowingTheBudgetIsEvicted)
 {
-    // Deterministic watermark-pressure scenario (hand-built batch): two
-    // deep decodes approaching the high watermark share the replica with
-    // a newcomer still awaiting its prefill.  The moment the next step's
-    // growth would cross the high watermark, the prefill must yield its
-    // mixed-iteration slot (decode-priority) so the incumbents keep
-    // committing; the held tokens never exceed the budget.
-    //   budget 1500 -> high 1407, low 1220 (deriveKvWatermarks, B=8).
-    const long budget = 1500;
-    EngineServer s(model::ModelSpec::opt6_7b(),
-                   par::ParallelConfig{1, 1, 4, 8}, budget,
-                   engine::KvAdmissionMode::Optimistic);
-    std::vector<engine::ActiveRequest> batch(3);
-    // Two incumbents: 512 input, 90 of 200 output tokens committed,
-    // predicted to stop at 95 (held 602, charged 607 each).
-    for (int i = 0; i < 2; ++i) {
-        batch[i].request = makeCapped(i, 0.0, 512, 200, 512);
-        batch[i].committedTokens = 90;
-        batch[i].predictedOutputTokens = 95;
-    }
-    // The newcomer: 256 input, predicted 24 output (charged 280; total
-    // charge 1494 <= budget).
-    batch[2].request = makeCapped(2, 1.0, 256, 24, 256);
-    batch[2].predictedOutputTokens = 24;
-    s.pipeline->startBatch(std::move(batch));
-    s.sim.run();
+    // Regression: a request admitted on a small optimistic charge whose
+    // output runs to a cap one block over the whole budget.  It enters
+    // its last block as the batch's only, and so oldest, member; at that
+    // step its charge covers its peak, and the engine once skipped the
+    // pressure scan for a fully covered batch, so the store threw
+    // ("allocation exceeds the physical block budget").  The pre-step
+    // demand check must evict it instead, and the emptied pipeline goes
+    // idle.
+    const int blk = 16;
+    const long budget_blocks = 20;
+    sim::Simulation sim;
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency(spec, kParams);
+    std::vector<engine::ActiveRequest> evicted;
+    int idle = 0;
+    int completed = 0;
+    engine::InferencePipeline::Callbacks cb;
+    cb.onRequestComplete = [&](const engine::ActiveRequest &) {
+        ++completed;
+    };
+    cb.onIdle = [&](engine::InferencePipeline &) { ++idle; };
+    cb.onEvict = [&](engine::InferencePipeline &,
+                     std::vector<engine::ActiveRequest> victims) {
+        for (auto &v : victims)
+            evicted.push_back(std::move(v));
+    };
+    engine::BatchingOptions batching;
+    batching.kvBudgetTokens = budget_blocks * blk;
+    batching.kvBlockTokens = blk;
+    batching.kvAdmissionMode = engine::KvAdmissionMode::Optimistic;
+    engine::InferencePipeline pipeline(sim, latency,
+                                       par::ParallelConfig{1, 1, 4, 8}, 0,
+                                       std::move(cb), batching);
 
-    EXPECT_EQ(s.violations, 0);
-    EXPECT_EQ(s.requests.completedCount(), 3);
-    // The prefill yielded at least once while the incumbents pushed the
-    // held tokens toward the watermark.
-    EXPECT_GT(s.pipeline->prefillYields(), 0);
-}
+    // input + cap = 16 * budget + 1 tokens: a peak of budget + 1 blocks.
+    const int input = 64;
+    const int cap = static_cast<int>(budget_blocks * blk) + 1 - input;
+    engine::ActiveRequest r;
+    r.request = makeCapped(0, 0.0, input, cap, cap);
+    r.predictedOutputTokens = 16;
+    ASSERT_EQ(r.kvPeakBlocks(blk), budget_blocks + 1);
+    pipeline.startBatch({r});
+    ASSERT_NO_THROW(sim.run());
 
-TEST(OptimisticAdmissionTest, EvictionClearsYieldWhenLastDecoderLeaves)
-{
-    // Regression: watermark pressure defers a mid-prefill oldest member
-    // while deep decodes push the held tokens to the budget; the eviction
-    // that sheds a decoder must re-decide the yield so the surviving
-    // prefiller is not left frozen (the old single-decision code could
-    // strand a batch with nothing runnable and schedule an empty
-    // iteration).
-    //   budget 1900 -> high 1782 (deriveKvWatermarks, B=8).
-    const long budget = 1900;
-    EngineServer s(model::ModelSpec::opt6_7b(),
-                   par::ParallelConfig{1, 1, 4, 8}, budget,
-                   engine::KvAdmissionMode::Optimistic);
-    std::vector<engine::ActiveRequest> batch(3);
-    // Oldest member: mid-prefill (256 of 512 input tokens cached, as after
-    // a prefix match), short output.
-    batch[0].request = makeCapped(0, 0.0, 512, 24, 256);
-    batch[0].prefillTokens = 256;
-    batch[0].predictedOutputTokens = 24;
-    // Two deep decodes predicted to stop at 160 but running to 400.
-    for (int i = 1; i < 3; ++i) {
-        batch[i].request = makeCapped(i, static_cast<double>(i), 500, 400,
-                                      600);
-        batch[i].committedTokens = 150;
-        batch[i].predictedOutputTokens = 160;
-    }
-    s.pipeline->startBatch(std::move(batch));
-    s.sim.run();
-
-    EXPECT_EQ(s.violations, 0);
-    EXPECT_EQ(s.requests.completedCount(), 3);
-    EXPECT_GT(s.pipeline->prefillYields(), 0);
-    EXPECT_GE(s.pipeline->evictionsPerformed(), 1);
+    EXPECT_EQ(pipeline.evictionsPerformed(), 1);
+    ASSERT_EQ(evicted.size(), 1u);
+    EXPECT_EQ(evicted[0].request.id, 0);
+    // Evicted just before the token that needs block budget + 1.
+    EXPECT_EQ(evicted[0].committedTokens, cap - 1);
+    EXPECT_EQ(completed, 0);
+    EXPECT_EQ(idle, 1);
+    EXPECT_TRUE(pipeline.idle());
+    EXPECT_EQ(pipeline.kvStore().liveBlocks(), 0);
 }
 
 // ---------------------------------------------------------------------
-// Optimistic admission at the system level (migrations, mid-prefill)
+// Optimistic admission at the system level (migrations)
 // ---------------------------------------------------------------------
 
 TEST(OptimisticSystemTest, InvariantHoldsAcrossMigrationsWithEarlyStopping)
@@ -1123,7 +1109,7 @@ TEST(OptimisticSystemTest, InvariantHoldsAcrossMigrationsWithEarlyStopping)
 TEST(OptimisticSystemTest, MispredictedOutputsEvictThroughTheServingSystem)
 {
     // The serving-level eviction path: a deployed replica's pipeline
-    // evicts at watermark pressure and BaseServingSystem's onEvict
+    // evicts when the next step cannot fit and BaseServingSystem's onEvict
     // requeues the victims.  The predictor is primed on short outputs,
     // so admission packs the replica on ~16-token charges; the actual
     // outputs run close to their cap and outgrow the KV budget.
@@ -1182,8 +1168,8 @@ TEST(ReplicaBalancingTest, BoundaryAdmissionRejectsUnservablePeaks)
     // replica budget must be rejected on the *boundary* admission path
     // too, even when its optimistic charge would fit — otherwise its
     // fate depends on which admission path reaches it first, and once
-    // admitted it could outgrow the budget as the protected oldest
-    // member with no eviction able to help.
+    // admitted it could outgrow the budget alone and be evicted even as
+    // the batch's oldest member, its work lost.
     const auto spec = model::ModelSpec::opt6_7b();
     sim::Simulation sim;
     cluster::InstanceManager instances(sim, kParams);
@@ -1234,186 +1220,50 @@ TEST(ReplicaBalancingTest, BoundaryAdmissionRejectsUnservablePeaks)
     ASSERT_EQ(third.size(), 1u);
     EXPECT_EQ(third[0].request.id, 3);
     EXPECT_EQ(requests.rejectedCount(), 2); // oversized dropped, not admitted
-}
 
-TEST(ReplicaBalancingTest, HeadServableOnlyThroughALiveSharedPrefixIsKept)
-{
-    // The unservable-head check quotes prefix sharing only for a head
-    // whose undiscounted peak is over the replica budget.  Pin that
-    // branch: a head over budget by fewer blocks than the shared prefix a
-    // busy replica keeps live fits once discounted and stays queued; the
-    // same head restarted (eviction-storm guard: no discount) is
-    // rejected.
-    const auto spec = model::ModelSpec::opt6_7b();
-    sim::Simulation sim;
-    cluster::InstanceManager instances(sim, kParams);
-    serving::RequestManager requests(sim);
-    TestSystem system(sim, instances, requests, spec);
-
-    instances.loadTrace(AvailabilityTrace(
-        "steady", 100.0,
-        {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 2}}));
-    sim.run(1.0);
-    const par::ParallelConfig config{2, 2, 2, 8};
-    system.installDeployment(config,
-                             system.packedMesh(config,
-                                               instances.usableInstances()));
-    const auto &pipelines = system.deployment().pipelines;
-    const int blk = pipelines[0]->kvBlockTokens();
-    const long budget = pipelines[0]->kvBudgetBlocks();
-
-    // A long-running sharer keeps its 256-token prefix live on one
-    // replica.
+    // A live shared prefix does not make an oversized head servable: the
+    // sharer holding it may leave before the head reaches its peak.  A
+    // long-running sharer keeps a 256-token prefix live on the replica;
+    // a fresh classmate one block over the budget, which that prefix
+    // would discount below it, is rejected on both paths.
     constexpr int kClass = 7;
     constexpr int kPrefixTokens = 256;
-    wl::Request sharer = makeRequest(0, sim.now(), 512, 4000);
-    sharer.prefixId = kClass;
-    sharer.prefixLen = kPrefixTokens;
-    requests.submit(sharer);
-    system.dispatchAll();
-    sim.run(sim.now() + 5.0);
-    ASSERT_TRUE(requests.pendingEmpty());
-    ASSERT_EQ(requests.completedCount(), 0);
-
-    // A classmate whose worst-case peak is one block over the budget.
-    wl::Request head = makeRequest(1, sim.now(), 512, 16);
-    head.outputCap = static_cast<int>((budget + 1) * blk) - head.inputLen;
-    head.prefixId = kClass;
-    head.prefixLen = kPrefixTokens;
-    engine::ActiveRequest probe;
-    probe.request = head;
-    const long over = probe.kvPeakBlocks(blk) - budget;
-    long live = 0;
-    for (const auto &p : pipelines)
-        live = std::max(live, p->kvStore().quoteSharedBlocks(probe));
-    ASSERT_EQ(over, 1);
-    ASSERT_GT(live, over); // fits only through the live shared prefix
-
-    // Restarted: charged its worst case alone, so it can never fit.
-    requests.requeueRestarted({probe});
-    EXPECT_EQ(system.rejectUnservableHeads(budget), 1);
-    EXPECT_TRUE(requests.pendingEmpty());
-
-    // Fresh: the discount makes it servable, so it is kept.
-    head.id = 2;
-    requests.submit(head);
-    EXPECT_EQ(system.rejectUnservableHeads(budget), 0);
-    ASSERT_FALSE(requests.pendingEmpty());
-    EXPECT_EQ(requests.pending().front().request.id, 2);
-    EXPECT_EQ(requests.rejectedCount(), 1);
-}
-
-TEST(ReplicaBalancingTest, DiscountedHeadOutgrowingItsReplicaIsEvictedThenRejected)
-{
-    // A head whose worst-case peak is over the replica budget is kept
-    // while a live shared prefix discounts it.  Its output then runs to
-    // its cap: once its classmate completes, it is its replica's only,
-    // and so protected oldest, member, and it outgrows the budget alone.
-    // Eviction must take it too rather than trip the store's capacity
-    // throw, and the emptied replica goes idle.  Requeued as a restart
-    // (restarts == 1: eviction is the only restart path in this run), it
-    // gets no discount and is rejected, though a fresh copy would still
-    // be kept.
-    const auto spec = model::ModelSpec::opt6_7b();
-    sim::Simulation sim;
-    cluster::InstanceManager instances(sim, kParams);
-    serving::RequestManager requests(sim);
-    TestSystem system(sim, instances, requests, spec);
-
-    instances.loadTrace(AvailabilityTrace(
-        "steady", 100.0,
-        {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 2}}));
-    sim.run(1.0);
-    const par::ParallelConfig config{2, 2, 2, 8};
-    system.installDeployment(config,
-                             system.packedMesh(config,
-                                               instances.usableInstances()));
-    const auto &pipelines = system.deployment().pipelines;
-    const int blk = pipelines[0]->kvBlockTokens();
-    const long budget = pipelines[0]->kvBudgetBlocks();
-    ASSERT_EQ(pipelines[0]->kvAdmissionMode(),
-              engine::KvAdmissionMode::Optimistic);
-
-    constexpr int kClass = 7;
-    constexpr int kPrefixTokens = 256;
-    auto classmate = [&](wl::RequestId id, int input, int output, int cap) {
-        wl::Request r = makeCapped(id, sim.now(), input, output, cap);
+    auto classmate = [&](wl::RequestId id, int output, int cap) {
+        wl::Request r = makeCapped(id, sim.now(), 512, output, cap);
         r.prefixId = kClass;
         r.prefixLen = kPrefixTokens;
         return r;
     };
-
-    // The keeper holds the prefix live on one replica for longer than
-    // the head takes to outgrow the other.  Admitted while the predictor
-    // is cold, it is charged its peak, exactly the budget, so that
-    // replica admits nothing else.
-    const int keeper_out = static_cast<int>(budget * blk) - 512;
-    requests.submit(classmate(0, 512, keeper_out, keeper_out));
+    requests.submit(classmate(4, 4000, 4000));
     system.dispatchAll();
     sim.run(sim.now() + 5.0);
-    const std::size_t keeper = pipelines[0]->batch().empty() ? 1 : 0;
-    const std::size_t other = 1 - keeper;
-    ASSERT_EQ(pipelines[keeper]->batch().size(), 1u);
-    ASSERT_EQ(pipelines[keeper]->freeKvBlocks(), 0);
-    for (int i = 0; i < 32; ++i)
-        requests.outputPredictor().observe(16);
+    ASSERT_EQ(pipeline.batch().size(), 1u);
+    const int blk = pipeline.kvBlockTokens();
+    const long budget_blocks = pipeline.kvBudgetBlocks();
+    const int over_cap = static_cast<int>((budget_blocks + 1) * blk) - 512;
+    engine::ActiveRequest probe;
+    probe.request = classmate(5, 16, over_cap);
+    ASSERT_EQ(probe.kvPeakBlocks(blk) - budget_blocks, 1);
+    ASSERT_GT(pipeline.kvStore().quoteSharedBlocks(probe), 1);
 
-    // A short classmate starts on the idle replica.  The head, whose peak
-    // is two blocks over the budget, waits: idle dispatch quotes no
-    // discount.  It joins at the classmate's first boundary, discounted
-    // by the prefix the classmate has just published.  (Two, not one: at
-    // one block over, the head's charge reaches its peak block count as
-    // it enters its last block, the under-covered shortcut skips the
-    // pressure scan, and the store throws instead.)
-    const int head_in = 4096;
-    const int head_cap = static_cast<int>((budget + 2) * blk) - head_in;
-    const wl::Request head = classmate(2, head_in, head_cap, head_cap);
-    engine::ActiveRequest fresh;
-    fresh.request = head;
-    const long over = fresh.kvPeakBlocks(blk) - budget;
-    ASSERT_EQ(over, 2);
-    ASSERT_GT(system.bestPrefixDiscount(fresh), over);
-    requests.submit(classmate(1, 512, 8, 8));
-    requests.submit(head);
-    system.dispatchAll();
-    ASSERT_EQ(pipelines[other]->batch().size(), 1u);
-    ASSERT_EQ(requests.pendingCount(), 1u);
-
-    std::vector<wl::RequestId> rejected;
-    long discount_at_rejection = -1;
-    requests.setRejectionObserver([&](wl::RequestId id) {
-        rejected.push_back(id);
-        discount_at_rejection = system.bestPrefixDiscount(fresh);
-    });
-    long over_budget = 0;
-    std::size_t head_peak_batch = 0;
-    system.setKvObserver([&](const engine::InferencePipeline &p) {
-        if (p.kvPhysicalBlocksHeld() > p.kvBudgetBlocks())
-            ++over_budget;
-        for (const auto &m : p.batch()) {
-            if (m.request.id == head.id)
-                head_peak_batch = std::max(head_peak_batch, p.batch().size());
-        }
-    });
-    ASSERT_NO_THROW(sim.run());
-
-    ASSERT_EQ(rejected.size(), 1u);
-    EXPECT_EQ(rejected[0], head.id);
-    EXPECT_EQ(head_peak_batch, 2u); // admitted beside its classmate
-    EXPECT_GT(discount_at_rejection, over); // the keeper was still live
-    EXPECT_EQ(pipelines[other]->evictionsPerformed(), 1);
-    EXPECT_TRUE(pipelines[other]->idle());
-    EXPECT_EQ(over_budget, 0);
-    serving::ExperimentResult r;
-    system.report(r);
-    EXPECT_EQ(r.evictions, 1);
-    EXPECT_EQ(requests.arrivedCount(), 3);
-    EXPECT_EQ(requests.completedCount(), 2);
-    EXPECT_EQ(requests.rejectedCount(), 1);
+    // Idle-batch formation's rejection site.
+    requests.submit(probe.request);
+    EXPECT_EQ(system.rejectUnservableHeads(budget_blocks), 1);
+    EXPECT_EQ(requests.rejectedCount(), 3);
     EXPECT_TRUE(requests.pendingEmpty());
-    for (const auto &c : requests.completions())
-        EXPECT_NE(c.id, head.id);
-    EXPECT_EQ(system.liveKvRefs(), 0);
+
+    // The boundary pop: behind a normal head it head-blocks, and the
+    // next pass rejects it.
+    requests.submit(makeCapped(6, sim.now(), 512, 16, 128)); // normal
+    requests.submit(classmate(7, 16, over_cap));             // oversized
+    requests.submit(makeCapped(8, sim.now(), 512, 16, 128)); // normal
+    const auto fourth = system.admitAtBoundary(pipeline, 4);
+    ASSERT_EQ(fourth.size(), 1u);
+    EXPECT_EQ(fourth[0].request.id, 6);
+    const auto fifth = system.admitAtBoundary(pipeline, 4);
+    ASSERT_EQ(fifth.size(), 1u);
+    EXPECT_EQ(fifth[0].request.id, 8);
+    EXPECT_EQ(requests.rejectedCount(), 4);
 }
 
 TEST(ReplicaBalancingTest, BudgetTracksTheMigrationReserveMode)
@@ -1536,8 +1386,9 @@ TEST(BlockAdmissionTest, BlockOneReproducesTokenPathExactly)
         }
         s.drive(workload);
         s.sim.run();
-        if (blk == 1)
+        if (blk == 1) {
             EXPECT_EQ(s.tokenEquivalenceViolations, 0);
+        }
         boundaries = s.boundaries;
         order.clear();
         for (const auto &[id, t] : s.completedAt)

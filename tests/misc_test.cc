@@ -134,8 +134,9 @@ TEST(TraceMixing, SteadyStateMeetsTarget)
         if (s.time < 300.0 || s.time > mixed.duration() - lead)
             continue; // warm-up / trailing edge
         // Allow the transient dip while an allocation is in flight.
-        if (s.spot < target)
+        if (s.spot < target) {
             EXPECT_GE(s.total() + 2, target) << "t=" << s.time;
+        }
     }
 }
 

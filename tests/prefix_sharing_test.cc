@@ -22,8 +22,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include <stdexcept>
@@ -339,18 +337,13 @@ struct PrefixInvariantResult
     int migrations = 0;
     long completed = 0;
     long arrived = 0;
-    /** Requests frozen in a draining replica with only their matched
-     *  prefix prefilled, then seen, not restarted, in a serving one:
-     *  mid-prefill work startMigration's inheritance trim handed over. */
-    long midPrefillInherited = 0;
     /** Boundaries whose logical holding (a shared block counted once
      *  per sharer) exceeded the block budget. */
     long logicalOverBudget = 0;
 };
 
 /**
- * Run SpotServe with prefix sharing over the churn trace (plus the
- * yield-triggered notices described in the body), asserting at
+ * Run SpotServe with prefix sharing over the churn trace, asserting at
  * every boundary of every replica:
  *  - physical (deduplicated) blocks held fit the block budget — the
  *    CI-gated invariant;
@@ -384,47 +377,8 @@ runPrefixSystemInvariant(const wl::Workload &workload,
                                  seq, options);
 
     PrefixInvariantResult out;
-    // Without chunked prefill, a request reaches a drain mid-prefill only
-    // after matching a shared prefix at admission while its remaining
-    // prefill yields the step to the incumbents' decode (Optimistic
-    // watermark pressure).  Up to three extra notices, 100 s apart, fire
-    // at a boundary right after such a yield, so the drain catches the
-    // request still waiting.  (Yield counts are kept per replica address:
-    // a reused address only delays a notice, and no check reads them.)
-    std::map<const engine::InferencePipeline *, long> yields_seen;
-    std::map<wl::RequestId, int> frozen; // request id -> restarts
-    int yield_notices = 0;
-    sim::SimTime last_yield_notice = 0.0;
     system.setKvObserver([&](const engine::InferencePipeline &p) {
         ++out.checks;
-        bool waiting = false;
-        for (const auto &r : p.batch()) {
-            if (r.prefilled || r.prefillTokens == 0)
-                continue;
-            waiting = true;
-            if (p.haltPending()) {
-                frozen[r.request.id] = r.restarts;
-                continue;
-            }
-            const auto it = frozen.find(r.request.id);
-            if (it != frozen.end()) {
-                if (it->second == r.restarts)
-                    ++out.midPrefillInherited;
-                frozen.erase(it);
-            }
-        }
-        const long yields =
-            std::exchange(yields_seen[&p], p.prefillYields());
-        if (waiting && p.prefillYields() > yields && !p.haltPending() &&
-            yield_notices < 3 &&
-            (yield_notices == 0 || sim.now() >= last_yield_notice + 100.0)) {
-            ++yield_notices;
-            last_yield_notice = sim.now();
-            instances.loadTrace(AvailabilityTrace(
-                "yield-notice", sim.now(),
-                {TraceEvent{sim.now(), TraceEventKind::PreemptNotice,
-                            InstanceType::Spot, 1}}));
-        }
         const long budget_blocks =
             mem.kvBudgetBlocks(p.config(), serving::kKvBlockTokens);
         if (p.kvPhysicalBlocksHeld() > budget_blocks)
@@ -477,9 +431,8 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
     // multiple, so full levels are shared while every partial tail stays
     // private — across preemption-driven migrations, in both admission
     // modes.  The
-    // fourth fills each replica's KV budget with long few-shot prompts,
-    // so prefix-hit newcomers yield their prefill under Optimistic
-    // pressure and a drain hands them over mid-prefill.  The fifth mixes
+    // fourth fills each replica's KV budget with long few-shot prompts.
+    // The fifth mixes
     // long few-shot prompts with cap-length outputs, so Optimistic
     // admission's shared-block discount lets the logical holding exceed
     // the budget while the physical holding stays within it.
@@ -559,12 +512,11 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
             EXPECT_GE(r.migrations, 2); // initial + preemption-driven
             EXPECT_EQ(r.completed, r.arrived)
                 << "workload " << variant << " mode " << engine::toString(mode);
-            if (variant == 3 && mode == engine::KvAdmissionMode::Optimistic)
-                EXPECT_GT(r.midPrefillInherited, 0);
             // The physical holding never crossed the budget (violations
             // above), yet the logical one did: only the former is bounded.
-            if (variant == 4 && mode == engine::KvAdmissionMode::Optimistic)
+            if (variant == 4 && mode == engine::KvAdmissionMode::Optimistic) {
                 EXPECT_GT(r.logicalOverBudget, 0);
+            }
         }
         ++variant;
     }
