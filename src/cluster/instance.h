@@ -54,7 +54,6 @@ class Instance
     InstanceId id() const { return id_; }
     InstanceType type() const { return type_; }
     InstanceState state() const { return state_; }
-    int numGpus() const { return numGpus_; }
 
     /** Global GPU ids hosted by this instance. */
     std::vector<par::GpuId> gpuIds() const;

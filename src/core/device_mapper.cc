@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "matching/hungarian.h"
 
@@ -100,49 +99,6 @@ DeviceMapper::edgeWeight(const engine::HeldContext *held,
     return w;
 }
 
-std::vector<ReplicaPin>
-DeviceMapper::identityPins(
-    const engine::ContextSnapshot &snapshot,
-    const par::ParallelConfig &target,
-    const std::vector<const cluster::Instance *> &instance_list) const
-{
-    const par::Topology topo(target, spec_.numLayers());
-    std::unordered_set<cluster::InstanceId> usable;
-    for (const auto *inst : instance_list)
-        usable.insert(inst->id());
-
-    // Every target position must be held in place by exactly one
-    // surviving GPU of the same (D, P, M) shape.
-    std::vector<const engine::GpuContext *> holder(topo.size(), nullptr);
-    for (const auto &g : snapshot.gpus) {
-        if (!g.hasModelContext || !g.config.sameParallelism(target))
-            continue;
-        if (usable.find(g.instance) == usable.end())
-            continue;
-        const int idx = topo.flatIndex(g.position);
-        if (holder[idx] != nullptr)
-            return {}; // stale duplicate holdings: run the full solve
-        holder[idx] = &g;
-    }
-    for (const auto *held : holder) {
-        if (held == nullptr)
-            return {};
-    }
-
-    // Every replica keeps its own placement and its own batch exactly
-    // where its cache already lives, so the plan moves zero bytes.
-    const int per_replica = target.pp * target.tp;
-    std::vector<ReplicaPin> pins(target.dp);
-    for (int d = 0; d < target.dp; ++d) {
-        pins[d].newReplica = d;
-        pins[d].oldReplica = d;
-        pins[d].gpus.reserve(per_replica);
-        for (int k = 0; k < per_replica; ++k)
-            pins[d].gpus.push_back(holder[d * per_replica + k]->gpu);
-    }
-    return pins;
-}
-
 MappingResult
 DeviceMapper::map(const engine::ContextSnapshot &snapshot,
                   const par::ParallelConfig &target,
@@ -166,27 +122,21 @@ DeviceMapper::map(const engine::ContextSnapshot &snapshot,
         }
     }
 
-    // Keeping the snapshot's exact placement is the all-pinned case.
-    std::vector<ReplicaPin> identity;
-    if (pins.empty() && options_.useKuhnMunkres && options_.identityFastPath)
-        identity = identityPins(snapshot, target, instance_list);
-    const std::vector<ReplicaPin> &bound = identity.empty() ? pins : identity;
-
     // ------------------------------------------------------------------
     // Pinned replicas: bind them verbatim, pin their inheritance to their
     // own batch, and carve their GPUs/instances/slots out of the matching
     // problem below.
     // ------------------------------------------------------------------
     const int per_replica = target.pp * target.tp;
-    const bool all_pinned = static_cast<int>(bound.size()) == target.dp;
-    if (!bound.empty() && !all_pinned && per_replica % gpi != 0) {
+    const bool all_pinned = static_cast<int>(pins.size()) == target.dp;
+    if (!pins.empty() && !all_pinned && per_replica % gpi != 0) {
         throw std::invalid_argument(
             "DeviceMapper::map: pinned replicas must tile instances");
     }
     std::vector<bool> pinned_new(target.dp, false);
     std::vector<std::pair<int, int>> pinned_pairs;
-    pinned_pairs.reserve(bound.size());
-    for (const auto &pin : bound) {
+    pinned_pairs.reserve(pins.size());
+    for (const auto &pin : pins) {
         if (pin.newReplica < 0 || pin.newReplica >= target.dp ||
             static_cast<int>(pin.gpus.size()) != per_replica ||
             pinned_new[pin.newReplica]) {

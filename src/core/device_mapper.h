@@ -57,22 +57,6 @@ struct DeviceMapperOptions
      * only enables model context maintenance".
      */
     bool useKuhnMunkres = true;
-
-    /**
-     * Skip the two-step Hungarian solve when the surviving snapshot
-     * already holds the exact target placement: every target position is
-     * held, with model context, by exactly one surviving GPU of the same
-     * (D, P, M) shape.  Keeping that placement is the all-pinned case of
-     * ReplicaPin: each replica d is pinned to its own GPUs and its own
-     * batch (d -> d), so every byte and every live batch stays in place.
-     * That is a maximum of the matching objective, so the O(n^3) solve
-     * cannot do better; with in-flight cache on every replica it is the
-     * unique optimum and the fast path is byte-identical to the full
-     * solve (regression-tested).  Disable to force the full solve:
-     * core_mapper_test's differential test checks the fast path against
-     * it.
-     */
-    bool identityFastPath = true;
 };
 
 /**
@@ -84,7 +68,10 @@ struct DeviceMapperOptions
  * through it (partial drain): without pins, model-context weights tie
  * across same-shape replicas and the Hungarian solve may mix stages from
  * different old replicas into one new replica, silently breaking every
- * live pipeline for zero reuse gain.
+ * live pipeline for zero reuse gain.  Pins are the one way to keep a
+ * placement: pinning every replica d -> d to its own GPUs keeps the
+ * snapshot's placement and skips the solve; the mapper never infers
+ * such a placement on its own.
  */
 struct ReplicaPin
 {
@@ -132,23 +119,13 @@ class DeviceMapper
      * pairs up front: a pinned new replica keeps exactly that old
      * replica's batch in place (or nothing, when it has no progress) and
      * takes part in no further ranking.  One policy for the free solve
-     * and every ReplicaPin, the identity placement's included.
+     * and every ReplicaPin.
      */
     std::vector<int>
     planInheritance(int new_dp,
                     const std::vector<double> &old_pipeline_tokens,
                     const std::vector<std::pair<int, int>> &pinned = {})
         const;
-
-    /**
-     * The identity placement (see DeviceMapperOptions::identityFastPath)
-     * as one ReplicaPin{d, d, gpus} per replica, or nothing when the
-     * snapshot does not cover every target position in place.
-     */
-    std::vector<ReplicaPin> identityPins(
-        const engine::ContextSnapshot &snapshot,
-        const par::ParallelConfig &target,
-        const std::vector<const cluster::Instance *> &instance_list) const;
 
     /**
      * Bind the replicas @p pinned_new leaves open to the instances no pin

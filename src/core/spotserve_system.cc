@@ -27,8 +27,8 @@ SpotServeSystem::SpotServeSystem(sim::Executor &executor,
                       .memOptPlanner = options.enableMigrationPlanner},
                   options.controller),
       mapper_(spec, params,
-              DeviceMapperOptions{.useKuhnMunkres = options.enableDeviceMapper,
-                                  .identityFastPath = true}),
+              DeviceMapperOptions{.useKuhnMunkres =
+                                      options.enableDeviceMapper}),
       planner_(spec, params), arranger_(latency_),
       policy_(controller_, requests, options.designArrivalRate)
 {
@@ -271,23 +271,23 @@ SpotServeSystem::planningDuration(const par::ParallelConfig &target,
     const auto &stats = controller_.lastSweepStats();
     const int gpi = params_.gpusPerInstance;
     const int slots = (target.totalGpus() + gpi - 1) / gpi;
-    // Only a membership-only remap hits the mapper's identity fast path:
-    // the target must equal the deployed config AND every mesh member
-    // must still be a survivor — a forced remap after a loss runs the
-    // full two-step Hungarian solve even when the config is unchanged,
-    // and must be charged for it.
-    bool identity = hasDeployment() && deployment().config == target;
-    if (identity) {
+    // Charged as no solve only when every replica is kept in place: the
+    // target must equal the deployed config AND every mesh member must
+    // still be a survivor — a forced remap after a loss runs the full
+    // two-step Hungarian solve even when the config is unchanged, and
+    // must be charged for it.
+    bool every_kept = hasDeployment() && deployment().config == target;
+    if (every_kept) {
         for (cluster::InstanceId id : meshInstances()) {
             const auto *inst = instances_.get(id);
             if (!inst || inst->state() != cluster::InstanceState::Running ||
                 notices_.find(id) != notices_.end()) {
-                identity = false;
+                every_kept = false;
             }
         }
     }
     return planningModel_.totalTime(stats.candidates, stats.coldEvals,
-                                    survivors, slots, identity,
+                                    survivors, slots, every_kept,
                                     spec_.numLayers(), survivors * gpi);
 }
 
@@ -389,33 +389,14 @@ SpotServeSystem::workloadTick()
     }
 }
 
-std::vector<double>
-SpotServeSystem::pipelineCacheTokens() const
-{
-    std::vector<double> tokens;
-    if (!hasDeployment())
-        return tokens;
-    const auto &dep = deployment();
-    tokens.assign(dep.pipelines.size(), 0.0);
-    for (std::size_t d = 0; d < dep.pipelines.size(); ++d) {
-        if (!dep.pipelines[d])
-            continue;
-        // Physical (deduplicated) tokens: the KV bytes a migration must
-        // actually move; equals the logical sum when nothing is shared.
-        tokens[d] =
-            static_cast<double>(dep.pipelines[d]->kvTokensHeldPhysical());
-    }
-    return tokens;
-}
-
 SpotServeSystem::PendingMigration
 SpotServeSystem::planReconfig(const par::ParallelConfig &target,
                               const std::string &reason) const
 {
     const auto survivors = instances_.survivingInstances();
 
-    const auto snapshot = snapshotContext();
-    auto old_tokens = pipelineCacheTokens();
+    auto old_tokens = replicaCacheTokens();
+    const auto snapshot = snapshotContext(old_tokens);
 
     // A live pipeline can only be kept in place when the replica shape is
     // unchanged (its object serves the exact same (P, M, B) geometry).
@@ -864,8 +845,8 @@ SpotServeSystem::plannerOptions(bool migrate_cache) const
 MigrationPlan
 SpotServeSystem::planWithoutCache(const PendingMigration &pm) const
 {
-    return planner_.plan(snapshotContext(), pm.mapping, pm.target,
-                         pm.oldTokens, plannerOptions(false));
+    return planner_.plan(snapshotContext(replicaCacheTokens()), pm.mapping,
+                         pm.target, pm.oldTokens, plannerOptions(false));
 }
 
 void

@@ -272,9 +272,6 @@ class SpotServeSystem : public serving::BaseServingSystem
      */
     void dropVictimReplicas(cluster::InstanceId id);
 
-    /** Cached tokens per live replica (inheritance ranking). */
-    std::vector<double> pipelineCacheTokens() const;
-
     /** Tear everything down and queue all work (cannot serve). */
     void suspendServing();
 

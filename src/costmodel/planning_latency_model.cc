@@ -17,12 +17,12 @@ PlanningLatencyModel::chooseConfigTime(std::size_t candidates,
 
 double
 PlanningLatencyModel::mapperTime(int instances, int slots,
-                                 bool identity_fast_path) const
+                                 bool every_replica_kept) const
 {
     if (instances <= 0 || slots <= 0)
         return 0.0;
-    if (identity_fast_path) {
-        // One linear coverage probe over the held positions.
+    if (every_replica_kept) {
+        // No solve: each kept replica's slots are bound in one pass.
         return static_cast<double>(slots) * slotPairTime;
     }
     const double n = static_cast<double>(std::max(instances, slots));
@@ -45,11 +45,11 @@ PlanningLatencyModel::plannerTime(int layers, int snapshot_gpus) const
 double
 PlanningLatencyModel::totalTime(std::size_t candidates,
                                 std::size_t cold_evals, int instances,
-                                int slots, bool identity_fast_path,
+                                int slots, bool every_replica_kept,
                                 int layers, int snapshot_gpus) const
 {
     return fixedOverhead + chooseConfigTime(candidates, cold_evals) +
-           mapperTime(instances, slots, identity_fast_path) +
+           mapperTime(instances, slots, every_replica_kept) +
            plannerTime(layers, snapshot_gpus);
 }
 

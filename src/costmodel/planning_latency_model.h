@@ -58,18 +58,18 @@ struct PlanningLatencyModel
 
     /**
      * Device-mapper time for @p instances survivors and @p slots
-     * instance-sized position groups; @p identity_fast_path models the
-     * coverage probe that skips both Hungarian stages.
+     * instance-sized position groups; @p every_replica_kept models a pass
+     * that pins every replica in place, so neither Hungarian stage runs.
      */
     double mapperTime(int instances, int slots,
-                      bool identity_fast_path) const;
+                      bool every_replica_kept) const;
 
     /** Migration-planner time over @p layers and @p snapshot_gpus. */
     double plannerTime(int layers, int snapshot_gpus) const;
 
     /** One full pass: sweep + mapping + migration planning. */
     double totalTime(std::size_t candidates, std::size_t cold_evals,
-                     int instances, int slots, bool identity_fast_path,
+                     int instances, int slots, bool every_replica_kept,
                      int layers, int snapshot_gpus) const;
 };
 

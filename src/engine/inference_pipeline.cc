@@ -148,24 +148,6 @@ InferencePipeline::kvTokensHeld() const
 }
 
 long
-InferencePipeline::kvTokensReserved() const
-{
-    long reserved = 0;
-    for (const auto &r : batch_)
-        reserved += r.kvPeakTokens();
-    return reserved;
-}
-
-long
-InferencePipeline::kvTokensCharged() const
-{
-    long charged = 0;
-    for (const auto &r : batch_)
-        charged += r.kvChargedTokens(batching_.kvAdmissionMode);
-    return charged;
-}
-
-long
 InferencePipeline::kvBlocksHeld() const
 {
     long held = 0;
@@ -204,15 +186,6 @@ InferencePipeline::freeKvBlocks() const
     if (budgetBlocks_ == kUnboundedKvBlocks)
         return kUnboundedKvBlocks;
     return std::max(0L, budgetBlocks_ - kvBlocksCharged());
-}
-
-long
-InferencePipeline::freeKvTokens() const
-{
-    const long blocks = freeKvBlocks();
-    if (blocks == kUnboundedKvBlocks)
-        return kUnboundedKvTokens;
-    return blocks * batching_.kvBlockTokens;
 }
 
 void

@@ -202,11 +202,6 @@ class InferencePipeline
     /** KV tokens the live batch holds right now (committed input and
      *  output tokens). */
     long kvTokensHeld() const;
-    /** Worst-case KV tokens reserved by the live batch (sum of peaks). */
-    long kvTokensReserved() const;
-    /** KV tokens the live batch is charged under the admission mode
-     *  (== kvTokensReserved in Reserve mode). */
-    long kvTokensCharged() const;
     /** KV blocks the live batch occupies (per-request ceil rounding). */
     long kvBlocksHeld() const;
     /**
@@ -243,11 +238,6 @@ class InferencePipeline
      * blocks (kUnboundedKvBlocks when no budget is enforced).
      */
     long freeKvBlocks() const;
-    /**
-     * Token-space view of the headroom (freeKvBlocks * kvBlockTokens;
-     * identical to the PR 3 token form when kvBlockTokens = 1).
-     */
-    long freeKvTokens() const;
 
     /** Decode iterations executed over this pipeline's lifetime. */
     long iterationsExecuted() const { return itersExecuted_; }

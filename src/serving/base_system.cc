@@ -438,7 +438,8 @@ BaseServingSystem::recordConfig(const par::ParallelConfig &config,
 }
 
 engine::ContextSnapshot
-BaseServingSystem::snapshotContext() const
+BaseServingSystem::snapshotContext(
+    const std::vector<double> &replica_tokens) const
 {
     // Every GPU whose instance is still usable, in GPU order (a
     // deterministic order for the mapper).
@@ -463,15 +464,8 @@ BaseServingSystem::snapshotContext() const
         std::vector<int> slot_of(static_cast<std::size_t>(max_gpu + 1), -1);
         for (std::size_t i = 0; i < snap.gpus.size(); ++i)
             slot_of[snap.gpus[i].gpu] = static_cast<int>(i);
-        for (std::size_t d = 0; d < deployment_->pipelines.size(); ++d) {
-            const auto &p = deployment_->pipelines[d];
-            if (!p)
-                continue;
-            // Physical (deduplicated) tokens: the KV bytes a migration
-            // must move are the store's live blocks, not the per-request
-            // logical sum.
-            const double tokens =
-                static_cast<double>(p->kvTokensHeldPhysical());
+        for (std::size_t d = 0; d < replica_tokens.size(); ++d) {
+            const double tokens = replica_tokens[d];
             if (tokens <= 0.0)
                 continue;
             for (par::GpuId g :
@@ -566,6 +560,20 @@ BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
     if (idle_others > 0 && !requests_.pendingEmpty())
         dispatchAll();
     return admitted;
+}
+
+std::vector<double>
+BaseServingSystem::replicaCacheTokens() const
+{
+    std::vector<double> tokens;
+    if (!deployment_)
+        return tokens;
+    tokens.assign(deployment_->pipelines.size(), 0.0);
+    for (std::size_t d = 0; d < deployment_->pipelines.size(); ++d) {
+        if (const auto &p = deployment_->pipelines[d])
+            tokens[d] = static_cast<double>(p->kvTokensHeldPhysical());
+    }
+    return tokens;
 }
 
 } // namespace serving

@@ -224,10 +224,19 @@ class BaseServingSystem : public ServingSystem
                       const std::string &reason);
 
     /**
-     * Snapshot every usable GPU's context-daemon holdings, with cache
-     * tokens filled in from the live pipelines' batches.
+     * Physical (deduplicated) KV tokens per replica id, 0 for an empty
+     * slot; empty without a deployment.  Shared blocks transfer once, so
+     * these are the tokens a migration moves.
      */
-    engine::ContextSnapshot snapshotContext() const;
+    std::vector<double> replicaCacheTokens() const;
+
+    /**
+     * Snapshot every usable GPU's context-daemon holdings; every GPU of
+     * replica d holds @p replica_tokens[d] cache tokens (as returned by
+     * replicaCacheTokens()).
+     */
+    engine::ContextSnapshot
+    snapshotContext(const std::vector<double> &replica_tokens) const;
 
     /** Drop the holdings of an instance that left the cluster. */
     void forgetInstance(cluster::InstanceId id);

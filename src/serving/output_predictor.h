@@ -47,9 +47,6 @@ class OutputLengthPredictor
     /** Completions observed so far. */
     long observed() const { return observed_; }
 
-    /** Current quantile estimate (diagnostics; 0 before any sample). */
-    double quantileEstimate() const { return quantile_estimate_; }
-
   private:
     double quantile_;
     int warmup_;

@@ -59,9 +59,6 @@ class Simulation : public Executor
     /** Number of events fired since construction. */
     std::uint64_t eventsFired() const override { return eventsFired_; }
 
-    /** Pending-event count (live only). */
-    std::size_t pendingEvents() const { return queue_.size(); }
-
   private:
     EventQueue queue_;
     SimTime now_ = 0.0;

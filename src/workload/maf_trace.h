@@ -48,7 +48,6 @@ class MafTrace
     /** @} */
 
     sim::SimTime duration() const;
-    sim::SimTime bucketSeconds() const { return bucketSeconds_; }
     const std::vector<double> &rates() const { return rates_; }
 
   private:

@@ -190,15 +190,16 @@ TEST_F(MapperFixture, ThrowsWhenShort)
                  std::invalid_argument);
 }
 
-TEST_F(MapperFixture, IdentityFastPathByteIdenticalToFullSolve)
+TEST_F(MapperFixture, EveryReplicaPinnedInPlaceEqualsFullSolve)
 {
     // Membership-only remap: the snapshot already holds the exact target
-    // placement.  With live cache on every replica the identity is the
-    // full solve's unique optimum, so the fast path must reproduce the
-    // Hungarian result byte for byte — mesh, inheritance and both reuse
-    // accumulators.  The last two shapes put several replicas on one
-    // instance (and leave one instance partly empty): identity is the
-    // all-pinned case, which needs no instance tiling.
+    // placement, and the caller pins every replica d -> d to its own
+    // GPUs.  With live cache on every replica that placement is the full
+    // solve's unique optimum, so the all-pinned map (no solve) must
+    // reproduce the Hungarian result byte for byte — mesh, inheritance
+    // and both reuse accumulators.  The last two shapes put several
+    // replicas on one instance (and leave one instance partly empty):
+    // the all-pinned case needs no instance tiling.
     for (const par::ParallelConfig cfg :
          {par::ParallelConfig{2, 2, 8, 8}, par::ParallelConfig{2, 3, 4, 8},
           par::ParallelConfig{3, 2, 4, 8}, par::ParallelConfig{4, 1, 2, 8},
@@ -206,16 +207,22 @@ TEST_F(MapperFixture, IdentityFastPathByteIdenticalToFullSolve)
         makeInstances((cfg.totalGpus() + 3) / 4 + 1); // one cold spare
         const auto snap = packedSnapshot(cfg, /*cache_tokens=*/600.0);
         const std::vector<double> tokens(cfg.dp, 600.0);
+        const par::Topology topo(cfg, spec.numLayers());
+        std::vector<ReplicaPin> in_place(cfg.dp);
+        for (int d = 0; d < cfg.dp; ++d) {
+            in_place[d].newReplica = d;
+            in_place[d].oldReplica = d;
+            for (int p = 0; p < cfg.pp; ++p) {
+                for (int m = 0; m < cfg.tp; ++m)
+                    in_place[d].gpus.push_back(
+                        topo.flatIndex(par::Position{d, p, m}));
+            }
+        }
 
-        DeviceMapper fast(spec, kParams); // identityFastPath defaults on
-        DeviceMapperOptions full_opt;
-        full_opt.identityFastPath = false;
-        DeviceMapper full(spec, kParams, full_opt);
+        DeviceMapper mapper(spec, kParams);
+        const auto a = mapper.map(snap, cfg, instances, tokens, in_place);
+        const auto b = mapper.map(snap, cfg, instances, tokens);
 
-        const auto a = fast.map(snap, cfg, instances, tokens);
-        const auto b = full.map(snap, cfg, instances, tokens);
-
-        const auto &topo = a.mesh.topology();
         for (int i = 0; i < topo.size(); ++i) {
             const auto pos = topo.position(i);
             EXPECT_EQ(a.mesh.gpuAt(pos), b.mesh.gpuAt(pos))
@@ -240,10 +247,10 @@ TEST_F(MapperFixture, IdentityFastPathByteIdenticalToFullSolve)
                  std::invalid_argument);
 }
 
-TEST_F(MapperFixture, IdentityFastPathDeclinesPartialCoverage)
+TEST_F(MapperFixture, LostMemberIsRebuiltOnSurvivors)
 {
-    // One mesh member lost: the fast path must bail out and the full
-    // solve must still produce a complete mapping onto the survivors.
+    // One mesh member lost, nothing pinned: the full solve must still
+    // produce a complete mapping onto the survivors.
     par::ParallelConfig cfg{2, 2, 8, 8};
     const auto full_snap = packedSnapshot(cfg, 600.0);
     engine::ContextSnapshot snap;

@@ -1,16 +1,17 @@
 /**
  * @file
- * Memory-aware (KV-token-budget) admission.
+ * Memory-aware (KV-budget) admission.
  *
  * The headline harness asserts the OOM-free invariant the cost model
- * assumes: at every iteration boundary of every replica, the KV tokens
- * reserved by the live batch never exceed the budget
- * MemoryModel::kvBudgetTokens promised for the deployed configuration —
- * across Poisson, spike and long-input workloads, across
- * preemption-driven migrations.  Satellite regressions cover a halt
- * between a prefix match and the rest of its prefill, strict-FIFO
- * fairness under tight budgets, the shared popAdmissible bookkeeping,
- * and least-loaded replica balancing at batch formation.
+ * assumes: at every iteration boundary of every replica, the KV blocks
+ * the live batch holds (and, under Reserve admission, reserves) never
+ * exceed the whole blocks of the budget MemoryModel promised for the
+ * deployed configuration — across Poisson, spike and long-input
+ * workloads, across preemption-driven migrations.  Satellite
+ * regressions cover a halt between a prefix match and the rest of its
+ * prefill, strict-FIFO fairness under tight budgets, the shared
+ * popAdmissible bookkeeping, and least-loaded replica balancing at
+ * batch formation.
  */
 
 #include <gtest/gtest.h>
@@ -84,29 +85,22 @@ struct EngineServer
     int obsBlockTokens;
     long obsBudgetBlocks;
     long boundaries = 0;
-    /** Boundaries breaking the token invariant the mode promises:
-     *  Reserve keeps reserved <= budget and held <= reserved, Optimistic
-     *  keeps held <= budget. */
+    /** Boundaries breaking the promise the mode makes in the pipeline's
+     *  own blocks: Reserve keeps reserved <= budget, and both modes keep
+     *  the physical held blocks <= budget. */
     long violations = 0;
     long blockViolations = 0;
-    /** Boundaries where a block = 1 pipeline's block-space accessors
-     *  diverged from the token accessors they must degenerate to. */
-    long tokenEquivalenceViolations = 0;
     int peakConcurrency = 0;
     std::vector<wl::RequestId> admissionOrder;
     std::map<wl::RequestId, sim::SimTime> completedAt;
 
-    /**
-     * @param enforce_budget false leaves the pipeline unbounded while the
-     *        observer still checks @p kv_budget (the fixed-B ablation).
-     * @param observe_block_tokens observer block size; 0 = the pipeline's.
-     */
+    /** @param observe_block_tokens observer block size; 0 = the
+     *         pipeline's. */
     EngineServer(const model::ModelSpec &model_spec,
                  const par::ParallelConfig &cfg, long kv_budget,
                  engine::KvAdmissionMode admission_mode =
                      engine::KvAdmissionMode::Reserve,
-                 int block_tokens = 1, bool enforce_budget = true,
-                 int observe_block_tokens = 0)
+                 int block_tokens = 1, int observe_block_tokens = 0)
         : spec(model_spec), latency(spec, kParams), config(cfg),
           mode(admission_mode), budget(kv_budget), blockTokens(block_tokens),
           obsBlockTokens(observe_block_tokens > 0 ? observe_block_tokens
@@ -131,16 +125,10 @@ struct EngineServer
         };
         cb.onBoundary = [this](const engine::InferencePipeline &p) {
             ++boundaries;
-            // Checked against the *reference* budget even when the
-            // pipeline itself does not enforce one: that is how the
-            // harness detects the over-commitment fixed-B admission
-            // allows.
-            const bool over =
-                mode == engine::KvAdmissionMode::Reserve
-                    ? p.kvTokensReserved() > budget ||
-                          p.kvTokensHeld() > p.kvTokensReserved()
-                    : p.kvTokensHeld() > budget;
-            if (over)
+            const long budget_blocks = p.kvBudgetBlocks();
+            if ((mode == engine::KvAdmissionMode::Reserve &&
+                 p.kvBlocksReserved() > budget_blocks) ||
+                p.kvPhysicalBlocksHeld() > budget_blocks)
                 ++violations;
             // The paged-allocator invariant: ceil-rounded held blocks
             // (what a real allocator hands out) never exceed the whole
@@ -151,14 +139,6 @@ struct EngineServer
                 held_blocks += r.kvBlocksHeld(obsBlockTokens);
             if (held_blocks > obsBudgetBlocks)
                 ++blockViolations;
-            // At block = 1 every block accessor must equal the token
-            // accessor it generalises, checked against live batches.
-            if (blockTokens == 1 &&
-                (p.kvBlocksHeld() != p.kvTokensHeld() ||
-                 p.kvBlocksCharged() != p.kvTokensCharged() ||
-                 p.kvBlocksReserved() != p.kvTokensReserved() ||
-                 p.freeKvBlocks() != p.freeKvTokens()))
-                ++tokenEquivalenceViolations;
             peakConcurrency = std::max(peakConcurrency,
                                        static_cast<int>(p.batch().size()));
         };
@@ -167,8 +147,7 @@ struct EngineServer
             requests.requeueRestarted(std::move(evicted));
         };
         engine::BatchingOptions batching;
-        batching.kvBudgetTokens =
-            enforce_budget ? budget : engine::kUnboundedKvTokens;
+        batching.kvBudgetTokens = budget;
         batching.kvBlockTokens = blockTokens;
         batching.kvAdmissionMode = mode;
         pipeline = std::make_unique<engine::InferencePipeline>(
@@ -308,31 +287,6 @@ TEST(MemoryAdmissionTest, InvariantHoldsAcrossModelConfigSeqSweep)
     }
 }
 
-TEST(MemoryAdmissionTest, FixedBAdmissionOvercommitsWhereBudgetDoesNot)
-{
-    // The regression that motivates the whole feature: long-input
-    // requests under fixed-B admission (the reference budget observed
-    // but not enforced) overshoot the KV budget the cost model promised;
-    // token-budget admission with the same inputs never does.
-    const long budget = 3000; // tokens; one 2048+128 request fits alone
-    auto run = [&](bool enforce) {
-        EngineServer s(model::ModelSpec::opt6_7b(),
-                       par::ParallelConfig{1, 1, 4, 8}, budget,
-                       engine::KvAdmissionMode::Reserve, /*block=*/1,
-                       enforce);
-        wl::Workload workload;
-        for (int i = 0; i < 8; ++i)
-            workload.push_back(
-                makeRequest(i, 0.1 * i, /*input=*/2048, /*output=*/128));
-        s.drive(workload);
-        s.sim.run();
-        EXPECT_EQ(s.requests.completedCount(), 8);
-        return s.violations;
-    };
-    EXPECT_GT(run(false), 0); // fixed-B packs 8 x 2176 tokens into 3000
-    EXPECT_EQ(run(true), 0);  // budget admission holds the line
-}
-
 TEST(MemoryAdmissionTest, StartBatchRejectsOverBudgetBatch)
 {
     EngineServer s(model::ModelSpec::opt6_7b(),
@@ -436,64 +390,6 @@ overGpuLine(const engine::InferencePipeline &p, double kv_bytes)
                    kParams.gpu.memBytes
                ? 1
                : 0;
-}
-
-/** Held KV bytes per GPU, the held tokens spread over the pipeline. */
-double
-heldKvBytesPerGpu(const engine::InferencePipeline &p)
-{
-    return static_cast<double>(p.kvTokensHeld()) *
-           kChurnSpec.kvBytesPerToken() / p.config().gpusPerPipeline();
-}
-
-TEST(MemoryAdmissionTest, InvariantHoldsAcrossTracesAndMigrations)
-{
-    const cost::SeqSpec seq{};
-    // Poisson, spike, and long-input workloads; the long-input one mixes
-    // sequences up to 4x the planning length, which is exactly where
-    // fixed-B admission would overshoot the planned footprint.
-    auto poisson = [&] {
-        sim::Rng rng(5);
-        return wl::stationaryPoisson(0.3, 900.0, seq, rng);
-    };
-    auto spike = [&] {
-        sim::Rng rng(6);
-        return wl::fluctuating(
-            [](sim::SimTime t) {
-                return (t >= 300.0 && t < 420.0) ? 1.5 : 0.2;
-            },
-            1.0, 900.0, seq, rng);
-    };
-    auto longInput = [&] {
-        sim::Rng rng(7);
-        auto w = wl::stationaryPoisson(0.25, 900.0, seq, rng);
-        const int lens[] = {512, 1024, 2048};
-        for (std::size_t i = 0; i < w.size(); ++i)
-            w[i].inputLen = lens[i % 3];
-        return w;
-    };
-
-    int variant = 0;
-    for (const auto &make : {std::function<wl::Workload()>(poisson),
-                             std::function<wl::Workload()>(spike),
-                             std::function<wl::Workload()>(longInput)}) {
-        const auto workload = make();
-        // Reserved KV tokens within the deployed configuration's budget,
-        // held within reserved, and under the memory line.
-        const auto r = runSystemInvariant(
-            workload, core::SpotServeOptions{},
-            [](const engine::InferencePipeline &p) {
-                const long budget = kChurnMem.kvBudgetTokens(p.config());
-                const bool over = p.kvTokensReserved() > budget ||
-                                  p.kvTokensHeld() > p.kvTokensReserved();
-                return (over ? 1 : 0) + overGpuLine(p, heldKvBytesPerGpu(p));
-            });
-        EXPECT_EQ(r.violations, 0) << "workload " << variant;
-        EXPECT_GT(r.checks, 0);
-        EXPECT_GE(r.migrations, 2); // initial + preemption-driven
-        EXPECT_EQ(r.completed, r.arrived) << "workload " << variant;
-        ++variant;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1076,36 +972,6 @@ TEST(OptimisticAdmissionTest, LoneMemberOutgrowingTheBudgetIsEvicted)
 // Optimistic admission at the system level (migrations)
 // ---------------------------------------------------------------------
 
-TEST(OptimisticSystemTest, InvariantHoldsAcrossMigrationsWithEarlyStopping)
-{
-    // Early-stopping workload (cap 4x the planning output) across the
-    // churn trace: optimistic admission evicts and requeues work, and
-    // each migration's inheritance trim charges the inherited batch
-    // under the active mode.
-    auto make = [] {
-        sim::Rng rng(21);
-        auto w = wl::stationaryPoisson(0.3, 900.0, cost::SeqSpec{}, rng);
-        wl::capOutputs(w, /*cap=*/512, /*min=*/16, /*max=*/128, rng);
-        return w;
-    };
-    const auto workload = make();
-    const core::SpotServeOptions options{};
-    EXPECT_EQ(options.engine.kvAdmissionMode,
-              engine::KvAdmissionMode::Optimistic)
-        << "optimistic admission should be the default";
-    // Held KV tokens within the budget and under the memory line.
-    const auto r = runSystemInvariant(
-        workload, options, [](const engine::InferencePipeline &p) {
-            const long budget = kChurnMem.kvBudgetTokens(p.config());
-            return (p.kvTokensHeld() > budget ? 1 : 0) +
-                   overGpuLine(p, heldKvBytesPerGpu(p));
-        });
-    EXPECT_EQ(r.violations, 0);
-    EXPECT_GT(r.checks, 0);
-    EXPECT_GE(r.migrations, 2); // initial + preemption-driven
-    EXPECT_EQ(r.completed, r.arrived);
-}
-
 TEST(OptimisticSystemTest, MispredictedOutputsEvictThroughTheServingSystem)
 {
     // The serving-level eviction path: a deployed replica's pipeline
@@ -1336,11 +1202,11 @@ TEST(BlockAdmissionTest, TokenGranularAdmissionOverpromisesPagedBlocks)
         // whatever granularity the pipeline enforces.
         EngineServer s(model::ModelSpec::opt6_7b(), cfg, budget,
                        engine::KvAdmissionMode::Reserve, pipeline_blk,
-                       /*enforce=*/true, /*observe_block_tokens=*/16);
+                       /*observe_block_tokens=*/16);
         s.drive(workload);
         s.sim.run();
         EXPECT_EQ(s.requests.completedCount(), 10);
-        EXPECT_EQ(s.violations, 0); // token invariant holds either way
+        EXPECT_EQ(s.violations, 0); // its own block promise holds either way
         return s.blockViolations;
     };
     EXPECT_GT(run(1), 0);  // token-granular admission breaks the paged line
@@ -1357,58 +1223,6 @@ TEST(BlockAdmissionTest, BudgetBelowOneBlockThrows)
                               /*budget=*/10, engine::KvAdmissionMode::Reserve,
                               /*block=*/16),
                  std::invalid_argument);
-}
-
-TEST(BlockAdmissionTest, BlockOneReproducesTokenPathExactly)
-{
-    // An engine block size of 1 is the token-granular reference and
-    // must reproduce the token path bit-for-bit: identical admission order,
-    // identical completion times, identical boundary counts — and the
-    // block-space accessors must equal the token accessors at every
-    // boundary.
-    const long budget = 2600;
-    auto workload = [] {
-        sim::Rng rng(33);
-        auto w = wl::stationaryPoisson(0.8, 120.0, cost::SeqSpec{256, 64},
-                                       rng);
-        wl::capOutputs(w, 256, 8, 64, rng);
-        return w;
-    }();
-    auto run = [&](int blk, long &boundaries,
-                   std::vector<wl::RequestId> &order) {
-        EngineServer s(model::ModelSpec::opt6_7b(),
-                       par::ParallelConfig{1, 1, 4, 8}, budget,
-                       engine::KvAdmissionMode::Optimistic, blk);
-        if (blk == 1) {
-            // At block = 1 the block budget degenerates to the token
-            // budget the PR 3 path enforced.
-            EXPECT_EQ(s.pipeline->kvBudgetBlocks(), budget);
-        }
-        s.drive(workload);
-        s.sim.run();
-        if (blk == 1) {
-            EXPECT_EQ(s.tokenEquivalenceViolations, 0);
-        }
-        boundaries = s.boundaries;
-        order.clear();
-        for (const auto &[id, t] : s.completedAt)
-            order.push_back(id);
-        return s.completedAt;
-    };
-    long b1 = 0, b2 = 0;
-    std::vector<wl::RequestId> o1, o2;
-    const auto token_times = run(1, b1, o1);
-    // A second, independent run through the same block=1 path must be
-    // bit-identical (pins determinism of the ablation baseline)...
-    const auto again = run(1, b2, o2);
-    EXPECT_EQ(b1, b2);
-    ASSERT_EQ(token_times.size(), again.size());
-    for (const auto &[id, t] : token_times) {
-        auto it = again.find(id);
-        ASSERT_NE(it, again.end());
-        EXPECT_DOUBLE_EQ(t, it->second) << "request " << id;
-    }
-    EXPECT_EQ(token_times.size(), workload.size());
 }
 
 TEST(BlockAdmissionTest, HeldBlocksInvariantEngineMatrix)
@@ -1475,43 +1289,55 @@ TEST(BlockAdmissionTest, HeldBlocksInvariantEngineMatrix)
 
 TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
 {
-    // Full-system matrix at the serving block size: Poisson, spike and
-    // long-input early-stopping workloads across preemption-driven
-    // migrations, both admission modes — inherited batches are trimmed
-    // in block space against the inheriting replica.
+    // Full-system matrix at the serving block size across
+    // preemption-driven migrations, both admission modes, each checked
+    // against its own promise in blocks; inherited batches are trimmed
+    // in block space against the inheriting replica.  Inputs: Poisson,
+    // spike and long-input workloads whose outputs run to their cap
+    // (the long-input one mixes sequences up to 4x the planning length,
+    // where fixed-B admission would overshoot the planned footprint),
+    // and early-stopping ones capped at 4x the planning output.
     const cost::SeqSpec seq{};
     const int blk = serving::kKvBlockTokens;
-    auto poisson = [&] {
-        sim::Rng rng(61);
+    // Early stopping: actual outputs 16-128 under a 512-token cap.
+    auto stopEarly = [](bool early_stop, wl::Workload &w, sim::Rng &rng) {
+        if (early_stop)
+            wl::capOutputs(w, /*cap=*/512, /*min=*/16, /*max=*/128, rng);
+    };
+    auto poisson = [&](std::uint64_t seed, bool early_stop) {
+        sim::Rng rng(seed);
         auto w = wl::stationaryPoisson(0.3, 900.0, seq, rng);
-        wl::capOutputs(w, /*cap=*/512, /*min=*/16, /*max=*/128, rng);
+        stopEarly(early_stop, w, rng);
         return w;
     };
-    auto spike = [&] {
-        sim::Rng rng(62);
+    auto spike = [&](std::uint64_t seed, double peak, bool early_stop) {
+        sim::Rng rng(seed);
         auto w = wl::fluctuating(
-            [](sim::SimTime t) {
-                return (t >= 300.0 && t < 420.0) ? 1.2 : 0.2;
+            [peak](sim::SimTime t) {
+                return (t >= 300.0 && t < 420.0) ? peak : 0.2;
             },
             1.0, 900.0, seq, rng);
-        wl::capOutputs(w, /*cap=*/512, /*min=*/16, /*max=*/128, rng);
+        stopEarly(early_stop, w, rng);
         return w;
     };
-    auto longInput = [&] {
-        sim::Rng rng(63);
+    auto longInput = [&](std::uint64_t seed, bool early_stop) {
+        sim::Rng rng(seed);
         auto w = wl::stationaryPoisson(0.25, 900.0, seq, rng);
-        wl::capOutputs(w, /*cap=*/512, /*min=*/16, /*max=*/128, rng);
+        stopEarly(early_stop, w, rng);
         const int lens[] = {512, 1024, 2048};
         for (std::size_t i = 0; i < w.size(); ++i)
             w[i].inputLen = lens[i % 3];
         return w;
     };
+    const std::vector<wl::Workload> workloads{
+        poisson(5, false),  spike(6, 1.5, false), longInput(7, false),
+        poisson(21, true),  poisson(61, true),    spike(62, 1.2, true),
+        longInput(63, true)};
 
-    int variant = 0;
-    for (const auto &make : {std::function<wl::Workload()>(poisson),
-                             std::function<wl::Workload()>(spike),
-                             std::function<wl::Workload()>(longInput)}) {
-        const auto workload = make();
+    EXPECT_EQ(core::SpotServeOptions{}.engine.kvAdmissionMode,
+              engine::KvAdmissionMode::Optimistic)
+        << "optimistic admission should be the default";
+    for (std::size_t variant = 0; variant < workloads.size(); ++variant) {
         for (const auto mode : {engine::KvAdmissionMode::Reserve,
                                 engine::KvAdmissionMode::Optimistic}) {
             core::SpotServeOptions options;
@@ -1521,7 +1347,7 @@ TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
             // stage stays under the memory line: it holds ceil(L/P)
             // layers of weights and of every held block.
             const auto r = runSystemInvariant(
-                workload, options,
+                workloads[variant], options,
                 [mode, blk](const engine::InferencePipeline &p) {
                     const auto &c = p.config();
                     const long budget = kChurnMem.kvBudgetBlocks(c, blk);
@@ -1544,7 +1370,6 @@ TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
                 << "workload " << variant << " mode "
                 << engine::toString(mode) << " blk " << blk;
         }
-        ++variant;
     }
 }
 

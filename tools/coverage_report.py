@@ -9,6 +9,13 @@ Configure and run a coverage tree first:
     (cd build-cov && ctest -j)
     python3 tools/coverage_report.py build-cov > coverage.tsv
 
+To see what only unit tests reach, delete the .gcda files, run just the
+benches and examples, and report again (CI's coverage job does both):
+
+    find build-cov -name '*.gcda' -delete
+    (cd build-cov && ctest -L 'bench|example')
+    python3 tools/coverage_report.py build-cov > coverage-workloads.tsv
+
 The script runs gcov over every .gcda of the library's objects and merges
 the per-translation-unit counts by source line, so a header line counts
 as executed when any translation unit executed it.  It prints one
