@@ -744,7 +744,6 @@ SpotServeSystem::startMigration()
             // stand on more blocks than the new replica's paged
             // allocator could hand out.
             const long budget = replicaKvBudgetBlocks(pm.target);
-            const int blk = serving::kKvBlockTokens;
             const engine::KvAdmissionMode mode =
                 engineOptions().kvAdmissionMode;
             // The inheriting replica holds (and the migration transfers)
@@ -760,11 +759,12 @@ SpotServeSystem::startMigration()
             while (keep < recovered.size() &&
                    static_cast<int>(keep) < pm.target.batch) {
                 const auto &r = recovered[keep];
-                long charge = r.kvChargedBlocks(mode, blk);
+                long charge = r.kvChargedBlocks(mode);
                 if (r.request.prefixId >= 0) {
                     const long shared = std::min<long>(
                         r.kvTokensHeld(), r.request.prefixLen);
-                    for (long l = 0; l < shared / blk; ++l) {
+                    for (long l = 0; l < shared / engine::kKvBlockTokens;
+                         ++l) {
                         if (!cohort_levels
                                  .insert({r.request.prefixId, l})
                                  .second)

@@ -1,6 +1,6 @@
 #include "costmodel/memory_model.h"
 
-#include <stdexcept>
+#include "engine/active_request.h"
 
 namespace spotserve {
 namespace cost {
@@ -91,15 +91,12 @@ MemoryModel::kvBudgetTokens(const par::ParallelConfig &config,
 
 long
 MemoryModel::kvBudgetBlocks(const par::ParallelConfig &config,
-                            int block_tokens, bool mem_opt_planner) const
+                            bool mem_opt_planner) const
 {
-    if (block_tokens < 1)
-        throw std::invalid_argument(
-            "MemoryModel::kvBudgetBlocks: block_tokens must be >= 1");
     // A paged allocator can only hand out whole blocks: floor, never
     // round up (the final partial block's tokens are real slack a real
     // allocator cannot serve).
-    return kvBudgetTokens(config, mem_opt_planner) / block_tokens;
+    return kvBudgetTokens(config, mem_opt_planner) / engine::kKvBlockTokens;
 }
 
 int

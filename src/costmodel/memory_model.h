@@ -19,11 +19,10 @@
  *
  * The runtime budget is additionally exposed at KV *block* granularity
  * (kvBudgetBlocks): production engines allocate KV in fixed-size
- * pages/blocks (PagedAttention-style; the serving layer uses
- * serving::kKvBlockTokens = 16), so a request holding t tokens really
- * occupies ceil(t / blockTokens) blocks and the replica can hand out at
- * most floor(budgetTokens / blockTokens) blocks.  blockTokens = 1
- * reproduces token-granular accounting exactly.
+ * pages/blocks (PagedAttention-style; engine::kKvBlockTokens = 16
+ * tokens), so a request holding t tokens really occupies ceil(t / 16)
+ * blocks and the replica can hand out at most floor(budgetTokens / 16)
+ * blocks.
  */
 
 #ifndef SPOTSERVE_COSTMODEL_MEMORY_MODEL_H
@@ -95,15 +94,16 @@ class MemoryModel
                         bool mem_opt_planner = true) const;
 
     /**
-     * Per-replica KV budget in fixed-size blocks of @p block_tokens
-     * tokens: floor(kvBudgetTokens / block_tokens), the number of whole
+     * Per-replica KV budget in whole engine::kKvBlockTokens-token
+     * blocks: floor(kvBudgetTokens / kKvBlockTokens), the number of
      * blocks a paged allocator can actually carve out of the free
-     * memory.  block_tokens = 1 is exactly kvBudgetTokens.  A request
-     * holding t tokens occupies ceil(t / block_tokens) blocks, so the
-     * per-request rounding slack (up to block_tokens - 1 tokens) that
-     * token-granular accounting ignores is charged here.
+     * memory.  A request holding t tokens occupies
+     * ceil(t / kKvBlockTokens) blocks, so the per-request rounding slack
+     * (up to kKvBlockTokens - 1 tokens) that token-granular accounting
+     * ignores is charged here.  The one place the runtime budget is
+     * converted from tokens to blocks.
      */
-    long kvBudgetBlocks(const par::ParallelConfig &config, int block_tokens,
+    long kvBudgetBlocks(const par::ParallelConfig &config,
                         bool mem_opt_planner = true) const;
 
     /**

@@ -24,30 +24,30 @@
 namespace spotserve {
 namespace engine {
 
-/** "No KV budget": token budgets of this value are never binding. */
-constexpr long kUnboundedKvTokens = std::numeric_limits<long>::max();
-
-/** The same sentinel in KV-block space (kvBlocksFor preserves it). */
-constexpr long kUnboundedKvBlocks = kUnboundedKvTokens;
+/** "No KV budget": block budgets of this value are never binding. */
+constexpr long kUnboundedKvBlocks = std::numeric_limits<long>::max();
 
 /**
- * Ceil-divide a KV token count into fixed-size blocks of
- * @p block_tokens tokens each — the unit a paged (PagedAttention-style)
- * allocator actually hands out, so a request holding t tokens occupies
- * ceil(t / block_tokens) blocks.  block_tokens <= 1 is the token-
- * granular ablation (identity), and the unbounded sentinel stays
- * unbounded rather than being divided.
+ * Tokens per paged KV block: the PagedAttention allocation unit every
+ * pipeline, store and admission path counts in.  Admission charges
+ * ceil-rounded whole blocks per request and the per-replica budget is
+ * floored to whole blocks (MemoryModel::kvBudgetBlocks), so the enforced
+ * budget matches what a paged allocator can hand out.
+ */
+constexpr int kKvBlockTokens = 16;
+
+/**
+ * Ceil-divide a KV token count into kKvBlockTokens-token blocks: a
+ * request holding t tokens occupies ceil(t / kKvBlockTokens) blocks.
  */
 inline long
-kvBlocksFor(long tokens, int block_tokens)
+kvBlocksFor(long tokens)
 {
-    if (block_tokens <= 1 || tokens == kUnboundedKvTokens)
-        return tokens;
-    return (tokens + block_tokens - 1) / block_tokens;
+    return (tokens + kKvBlockTokens - 1) / kKvBlockTokens;
 }
 
 /**
- * How admission charges a request against the KV-token budget.
+ * How admission charges a request against the KV block budget.
  *
  * Reserve charges the worst case (prompt + full output cap) so an admitted
  * request can always run to completion; on workloads whose outputs finish
@@ -106,10 +106,11 @@ struct ActiveRequest
 
     /**
      * Physical KV block ids this request holds references on, one per
-     * block level (level k covers tokens [k*B, (k+1)*B)), owned by the
-     * pipeline's KvBlockStore.  Empty whenever the request is outside a
-     * pipeline.  Entries for full shared prefix levels may be shared
-     * with classmates; every other entry is private to this request.
+     * block level (level k covers tokens [k*B, (k+1)*B), B =
+     * kKvBlockTokens), owned by the pipeline's KvBlockStore.  Empty
+     * whenever the request is outside a pipeline.  Entries for full
+     * shared prefix levels may be shared with classmates; every other
+     * entry is private to this request.
      * Never travels across pipelines: release() clears it and the
      * inheriting replica's store rebuilds it (deduplicating shared prefix
      * levels) at attach.
@@ -172,26 +173,17 @@ struct ActiveRequest
         return static_cast<long>(request.inputLen) + expected;
     }
 
-    /**
-     * Blocks this request holds under a paged allocator with
-     * @p block_tokens tokens per block: ceil(held / block), rounded per
-     * request.
-     */
-    long kvBlocksHeld(int block_tokens) const
-    {
-        return kvBlocksFor(kvTokensHeld(), block_tokens);
-    }
+    /** Blocks this request holds: ceil(held / block), rounded per
+     *  request. */
+    long kvBlocksHeld() const { return kvBlocksFor(kvTokensHeld()); }
 
     /** Worst-case blocks the request will ever occupy (kvPeakTokens). */
-    long kvPeakBlocks(int block_tokens) const
-    {
-        return kvBlocksFor(kvPeakTokens(), block_tokens);
-    }
+    long kvPeakBlocks() const { return kvBlocksFor(kvPeakTokens()); }
 
     /** Blocks admission charges under @p mode (kvChargedTokens). */
-    long kvChargedBlocks(KvAdmissionMode mode, int block_tokens) const
+    long kvChargedBlocks(KvAdmissionMode mode) const
     {
-        return kvBlocksFor(kvChargedTokens(mode), block_tokens);
+        return kvBlocksFor(kvChargedTokens(mode));
     }
 
     /**

@@ -43,23 +43,11 @@ InferencePipeline::InferencePipeline(sim::Executor &executor,
     : sim_(executor), latency_(latency), config_(config), index_(index),
       callbacks_(std::move(callbacks)), batching_(batching)
 {
-    if (batching_.kvBudgetTokens <= 0)
+    if (batching_.kvBudgetBlocks <= 0)
         throw std::invalid_argument(
-            "InferencePipeline: KV budget must be positive "
-            "(use kUnboundedKvTokens to disable)");
-    if (batching_.kvBlockTokens < 1)
-        throw std::invalid_argument(
-            "InferencePipeline: kvBlockTokens must be >= 1");
-    const bool bounded = batching_.kvBudgetTokens != kUnboundedKvTokens;
-    if (bounded) {
-        // A paged allocator hands out whole blocks: floor the budget,
-        // and refuse one too small to hold a single block.
-        if (batching_.kvBudgetTokens < batching_.kvBlockTokens)
-            throw std::invalid_argument(
-                "InferencePipeline: KV budget below one block");
-        budgetBlocks_ =
-            batching_.kvBudgetTokens / batching_.kvBlockTokens;
-    }
+            "InferencePipeline: KV budget must be at least one block "
+            "(use kUnboundedKvBlocks to disable)");
+    const bool bounded = batching_.kvBudgetBlocks != kUnboundedKvBlocks;
     if (bounded &&
         batching_.kvAdmissionMode == KvAdmissionMode::Optimistic &&
         !callbacks_.onEvict)
@@ -70,8 +58,7 @@ InferencePipeline::InferencePipeline(sim::Executor &executor,
     // The store's physical capacity IS the block budget: prefix sharing
     // may never let resident blocks exceed what admission promised
     // (allocation throws instead of over-committing).
-    store_ = std::make_unique<KvBlockStore>(budgetBlocks_,
-                                            batching_.kvBlockTokens);
+    store_ = std::make_unique<KvBlockStore>(batching_.kvBudgetBlocks);
 }
 
 InferencePipeline::~InferencePipeline()
@@ -108,7 +95,7 @@ InferencePipeline::startBatch(std::vector<ActiveRequest> batch)
         normalizeProgress(r);
         attachToStore(r);
     }
-    if (kvBlocksCharged() > budgetBlocks_)
+    if (kvBlocksCharged() > batching_.kvBudgetBlocks)
         throw std::invalid_argument(
             "InferencePipeline::startBatch: batch exceeds the KV budget");
     observeBoundary();
@@ -152,7 +139,7 @@ InferencePipeline::kvBlocksHeld() const
 {
     long held = 0;
     for (const auto &r : batch_)
-        held += r.kvBlocksHeld(batching_.kvBlockTokens);
+        held += r.kvBlocksHeld();
     return held;
 }
 
@@ -162,30 +149,28 @@ InferencePipeline::kvBlocksReserved() const
     // Physical form: resident live blocks (shared levels counted once)
     // plus each request's worst-case future growth — the levels it has
     // yet to allocate.
-    const int blk = batching_.kvBlockTokens;
     long reserved = store_->liveBlocks();
     for (const auto &r : batch_)
-        reserved += r.kvPeakBlocks(blk) - r.kvBlocksHeld(blk);
+        reserved += r.kvPeakBlocks() - r.kvBlocksHeld();
     return reserved;
 }
 
 long
 InferencePipeline::kvBlocksCharged() const
 {
-    const int blk = batching_.kvBlockTokens;
     long charged = store_->liveBlocks();
     for (const auto &r : batch_)
-        charged += r.kvChargedBlocks(batching_.kvAdmissionMode, blk) -
-                   r.kvBlocksHeld(blk);
+        charged += r.kvChargedBlocks(batching_.kvAdmissionMode) -
+                   r.kvBlocksHeld();
     return charged;
 }
 
 long
 InferencePipeline::freeKvBlocks() const
 {
-    if (budgetBlocks_ == kUnboundedKvBlocks)
+    if (batching_.kvBudgetBlocks == kUnboundedKvBlocks)
         return kUnboundedKvBlocks;
-    return std::max(0L, budgetBlocks_ - kvBlocksCharged());
+    return std::max(0L, batching_.kvBudgetBlocks - kvBlocksCharged());
 }
 
 void
@@ -251,7 +236,7 @@ void
 InferencePipeline::enforceKvPressure()
 {
     if (batching_.kvAdmissionMode != KvAdmissionMode::Optimistic ||
-        budgetBlocks_ == kUnboundedKvBlocks || batch_.empty())
+        batching_.kvBudgetBlocks == kUnboundedKvBlocks || batch_.empty())
         return;
 
     // Members evicted so far (empty: none, so the common no-eviction
@@ -272,7 +257,7 @@ InferencePipeline::enforceKvPressure()
         }
         return blocks;
     };
-    if (demand() <= budgetBlocks_)
+    if (demand() <= batching_.kvBudgetBlocks)
         return;
 
     // Victim order: LIFO — youngest arrival first, least progress first.
@@ -316,7 +301,7 @@ InferencePipeline::enforceKvPressure()
     // With every member gone the demand is 0, so the loop ends in a fit.
     gone.assign(batch_.size(), false);
     std::size_t victims = 0;
-    while (demand() > budgetBlocks_) {
+    while (demand() > batching_.kvBudgetBlocks) {
         const std::size_t idx = order[victims++];
         gone[idx] = true;
         store_->release(batch_[idx]);
@@ -484,7 +469,7 @@ InferencePipeline::admitNewWork()
         batch_.push_back(std::move(r));
         ++admittedMidBatch_;
     }
-    if (kvBlocksCharged() > budgetBlocks_)
+    if (kvBlocksCharged() > batching_.kvBudgetBlocks)
         throw std::logic_error(
             "InferencePipeline::onAdmit overflowed the KV budget");
 }

@@ -50,27 +50,15 @@ const char *toString(PipelinePhase phase);
 struct BatchingOptions
 {
     /**
-     * Per-replica KV-cache budget in tokens (MemoryModel::kvBudgetTokens).
-     * The pipeline enforces sum of kvChargedBlocks() over the live batch
-     * <= the block budget (floor(kvBudgetTokens / kvBlockTokens)) at
-     * startBatch and at every admission, and (optimistic mode) evicts
-     * before each step whatever the step's physical block demand cannot
-     * fit.  kUnboundedKvTokens disables the check (the bare-engine
-     * default; serving systems always pass a real budget).
+     * Per-replica KV-cache budget in whole kKvBlockTokens-token blocks
+     * (MemoryModel::kvBudgetBlocks).  The pipeline enforces sum of
+     * kvChargedBlocks() over the live batch <= this budget at startBatch
+     * and at every admission, and (optimistic mode) evicts before each
+     * step whatever the step's physical block demand cannot fit.
+     * kUnboundedKvBlocks disables the check (the bare-engine default;
+     * serving systems always pass a real budget).
      */
-    long kvBudgetTokens = kUnboundedKvTokens;
-
-    /**
-     * KV allocation granularity in tokens per block (paged KV cache).
-     * Every request is charged ceil-rounded whole blocks — held,
-     * predicted and worst-case peak alike, rounded per request — and the
-     * budget is floored to whole blocks, exactly what a PagedAttention-
-     * style allocator can hand out; a bounded budget below one block is
-     * refused.  1 reproduces token-granular accounting bit-for-bit (the
-     * engine tests' reference for the token path); every serving system
-     * uses 16.
-     */
-    int kvBlockTokens = 1;
+    long kvBudgetBlocks = kUnboundedKvBlocks;
 
     /**
      * How requests are charged against the budget (default-on optimistic
@@ -219,15 +207,11 @@ class InferencePipeline
      */
     long kvBlocksCharged() const;
     /**
-     * The enforced per-replica budget in whole KV blocks:
-     * floor(kvBudgetTokens / kvBlockTokens), at least one block for
-     * bounded budgets (kUnboundedKvBlocks = none).  This — not
-     * the token budget — is what every admission and eviction decision
-     * compares against.
+     * The enforced per-replica budget in whole KV blocks
+     * (kUnboundedKvBlocks = none): what every admission and eviction
+     * decision compares against.
      */
-    long kvBudgetBlocks() const { return budgetBlocks_; }
-    /** Tokens per KV block (1 = token-granular accounting). */
-    int kvBlockTokens() const { return batching_.kvBlockTokens; }
+    long kvBudgetBlocks() const { return batching_.kvBudgetBlocks; }
     /** The admission mode this pipeline charges requests under. */
     KvAdmissionMode kvAdmissionMode() const
     {
@@ -274,8 +258,7 @@ class InferencePipeline
     long kvTokensHeldPhysical() const
     {
         return std::min(kvTokensHeld(),
-                        store_->liveBlocks() *
-                            static_cast<long>(batching_.kvBlockTokens));
+                        store_->liveBlocks() * kKvBlockTokens);
     }
 
     /** Prefill seconds skipped thanks to prefix hits (LatencyModel-
@@ -314,8 +297,6 @@ class InferencePipeline
     int index_;
     Callbacks callbacks_;
     BatchingOptions batching_;
-    /** floor(kvBudgetTokens / kvBlockTokens); the enforced budget. */
-    long budgetBlocks_ = kUnboundedKvBlocks;
     /** Physical block pool + prefix index. */
     std::unique_ptr<KvBlockStore> store_;
     double savedPrefillSeconds_ = 0.0;

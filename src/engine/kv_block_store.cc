@@ -6,13 +6,19 @@
 namespace spotserve {
 namespace engine {
 
-KvBlockStore::KvBlockStore(long capacity_blocks, int block_tokens)
-    : capacityBlocks_(capacity_blocks), blockTokens_(block_tokens)
+KvBlockStore::KvBlockStore(long capacity_blocks)
+    : capacityBlocks_(capacity_blocks)
 {
-    if (block_tokens < 1)
-        throw std::invalid_argument("KvBlockStore: block_tokens must be >= 1");
     if (capacity_blocks < 0)
         throw std::invalid_argument("KvBlockStore: negative capacity");
+}
+
+KvBlockStore::KvBlockStore(long capacity_blocks, int block_tokens)
+    : KvBlockStore(capacity_blocks)
+{
+    if (block_tokens != kKvBlockTokens)
+        throw std::invalid_argument(
+            "KvBlockStore: block_tokens must equal kKvBlockTokens");
 }
 
 int
@@ -31,7 +37,7 @@ KvBlockStore::matchPrefix(const ActiveRequest &r) const
     const int limit = shareLimitTokens(r);
     if (cls < 0 || limit <= 0)
         return m;
-    const int full_max = limit / blockTokens_;
+    const int full_max = limit / kKvBlockTokens;
     // One class lookup, then the radix descent down its level vector.
     auto cls_it = fullIndex_.find(cls);
     if (cls_it != fullIndex_.end()) {
@@ -179,8 +185,7 @@ KvBlockStore::attach(ActiveRequest &r)
         throw std::logic_error("KvBlockStore: request already attached");
     // Size the block list once for the request's worst case, so the
     // per-token commits never regrow it.
-    r.kvBlockIds.reserve(static_cast<std::size_t>(
-        kvBlocksFor(r.kvPeakTokens(), blockTokens_)));
+    r.kvBlockIds.reserve(static_cast<std::size_t>(r.kvPeakBlocks()));
     if (r.kvTokensHeld() > 0) {
         // Carried progress (migration / inherited batch): rebuild the
         // block sequence, deduplicating shared prefix levels so each
@@ -195,7 +200,7 @@ KvBlockStore::attach(ActiveRequest &r)
         takeRef(id);
         r.kvBlockIds.push_back(id);
     }
-    const int tokens = m.fullLevels * blockTokens_;
+    const int tokens = m.fullLevels * kKvBlockTokens;
     r.prefillTokens = tokens;
     r.prefilled = r.prefillTokens >= r.request.inputLen;
     if (tokens > 0) {
@@ -209,12 +214,12 @@ long
 KvBlockStore::commitProgress(ActiveRequest &r)
 {
     const long held = r.kvTokensHeld();
-    const long target = kvBlocksFor(held, blockTokens_);
+    const long target = kvBlocksFor(held);
     const int limit = shareLimitTokens(r);
     const int cls = r.request.prefixId;
     long by_ref = 0;
     for (long k = static_cast<long>(r.kvBlockIds.size()); k < target; ++k) {
-        const long end = (k + 1) * blockTokens_;
+        const long end = (k + 1) * kKvBlockTokens;
         if (held >= end && end <= limit) {
             // A complete in-prefix level: if the index already holds it
             // (published by a classmate), dedup the physical pages even
@@ -252,8 +257,7 @@ KvBlockStore::projectedGrowthBlocks(const ActiveRequest &r,
     if (add_tokens <= 0)
         return 0;
     const long held = r.kvTokensHeld();
-    return kvBlocksFor(held + add_tokens, blockTokens_) -
-           kvBlocksFor(held, blockTokens_);
+    return kvBlocksFor(held + add_tokens) - kvBlocksFor(held);
 }
 
 } // namespace engine

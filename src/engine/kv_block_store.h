@@ -17,7 +17,7 @@
  *
  * Sharing semantics
  *  - The full block is the only unit of sharing.  A *full* level (all
- *    block_tokens tokens inside the shared prefix) is published to the
+ *    kKvBlockTokens tokens inside the shared prefix) is published to the
  *    index when the request that allocates it has committed all of it —
  *    or, if a classmate published it first, deduplicated onto the
  *    indexed block.  A prefill runs whole, so every in-prefix level is
@@ -61,11 +61,12 @@ class KvBlockStore
     /**
      * @param capacity_blocks physical blocks this replica may ever hold
      *        (live + cached); kUnboundedKvBlocks disables the cap.
-     * @param block_tokens    tokens per block.
      */
+    explicit KvBlockStore(long capacity_blocks);
+    /** Kept only for perfbench's store replay, which passes 16.
+     *  @throws std::invalid_argument unless block_tokens == kKvBlockTokens. */
     KvBlockStore(long capacity_blocks, int block_tokens);
 
-    int blockTokens() const { return blockTokens_; }
     long capacityBlocks() const { return capacityBlocks_; }
 
     /**
@@ -181,7 +182,6 @@ class KvBlockStore
     std::unordered_map<int, std::vector<int>> fullIndex_;
 
     long capacityBlocks_;
-    int blockTokens_;
     long clock_ = 0;
 
     long liveBlocks_ = 0;

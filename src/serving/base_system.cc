@@ -45,8 +45,7 @@ BaseServingSystem::rejectUnservableHeads(long budget_blocks)
     while (!requests_.pendingEmpty()) {
         // Undiscounted: a live shared prefix may leave before the head
         // reaches its peak, so only a peak that fits alone is servable.
-        if (requests_.pending().front().kvPeakBlocks(kKvBlockTokens) <=
-            budget_blocks)
+        if (requests_.pending().front().kvPeakBlocks() <= budget_blocks)
             break;
         // Even an empty replica cannot host this request: reject it
         // rather than letting it head-block the strict-FIFO queue.
@@ -54,28 +53,22 @@ BaseServingSystem::rejectUnservableHeads(long budget_blocks)
         sim::logWarn(name() + ": rejecting request " + std::to_string(id) +
                      " (KV peak exceeds the replica budget " +
                      std::to_string(budget_blocks) + " blocks of " +
-                     std::to_string(kKvBlockTokens) + " tokens)");
+                     std::to_string(engine::kKvBlockTokens) + " tokens)");
         ++rejected;
     }
     return rejected;
 }
 
 long
-BaseServingSystem::replicaKvBudget(const par::ParallelConfig &config) const
-{
-    const long budget = memory_.kvBudgetTokens(config, memOptReserve_);
-    if (budget < kKvBlockTokens)
-        throw std::logic_error("replicaKvBudget: configuration " +
-                               config.str() +
-                               " has less than one KV block of headroom");
-    return budget;
-}
-
-long
 BaseServingSystem::replicaKvBudgetBlocks(
     const par::ParallelConfig &config) const
 {
-    return replicaKvBudget(config) / kKvBlockTokens;
+    const long budget = memory_.kvBudgetBlocks(config, memOptReserve_);
+    if (budget < 1)
+        throw std::logic_error("replicaKvBudgetBlocks: configuration " +
+                               config.str() +
+                               " has less than one KV block of headroom");
+    return budget;
 }
 
 void
@@ -229,8 +222,7 @@ BaseServingSystem::makePipeline(const par::ParallelConfig &config, int index)
         sim_.schedule(sim_.now(), [this] { dispatchAll(); });
     };
     engine::BatchingOptions batching;
-    batching.kvBudgetTokens = replicaKvBudget(config);
-    batching.kvBlockTokens = kKvBlockTokens;
+    batching.kvBudgetBlocks = replicaKvBudgetBlocks(config);
     batching.kvAdmissionMode = engine_.kvAdmissionMode;
     return std::make_unique<engine::InferencePipeline>(
         sim_, latency_, config, index, std::move(cb), batching);
@@ -344,7 +336,7 @@ BaseServingSystem::dispatchAll()
         // (strict head-blocking — nothing slips past it).  No prefix
         // discount: a ready replica is idle and the batches dealt here
         // start only below, so its store holds no live blocks to share.
-        const long head_charge = requests_.headKvCharge(mode, kKvBlockTokens);
+        const long head_charge = requests_.headKvCharge(mode);
         int best = -1;
         for (int i = 0; i < static_cast<int>(ready.size()); ++i) {
             if (static_cast<int>(batches[i].size()) >=
@@ -360,11 +352,11 @@ BaseServingSystem::dispatchAll()
         }
         if (best < 0)
             break;
-        auto got = requests_.nextBatch(1, budget - charged[best], mode,
-                                       budget, kKvBlockTokens);
+        auto got =
+            requests_.nextBatch(1, budget - charged[best], mode, budget);
         if (got.empty())
             break;
-        charged[best] += got.front().kvChargedBlocks(mode, kKvBlockTokens);
+        charged[best] += got.front().kvChargedBlocks(mode);
         batches[best].push_back(std::move(got.front()));
     }
     for (std::size_t i = 0; i < ready.size(); ++i) {
@@ -553,7 +545,6 @@ BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
     auto admitted = requests_.admitAtBoundary(slots, pipeline.freeKvBlocks(),
                                               pipeline.kvAdmissionMode(),
                                               pipeline.kvBudgetBlocks(),
-                                              pipeline.kvBlockTokens(),
                                               &pipeline.kvStore());
     // The asking pipeline is mid-boundary (not idle), so dispatchAll only
     // touches the others.

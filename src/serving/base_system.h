@@ -40,16 +40,6 @@ namespace spotserve {
 namespace serving {
 
 /**
- * Tokens per paged KV block in every serving-layer pipeline: the
- * PagedAttention allocation unit.  Admission charges ceil-rounded whole
- * blocks per request and the per-replica budget is floored to whole
- * blocks, so the enforced budget matches what a paged allocator can hand
- * out.  (The engine still takes any block size; its tests use 1 as the
- * token-granular reference.)
- */
-constexpr int kKvBlockTokens = 16;
-
-/**
  * The inference-engine knobs.  SpotServe and both baselines each carry one
  * of these and hand it to BaseServingSystem, which builds every pipeline
  * from it, so the engine the three systems run is one value declared
@@ -271,24 +261,19 @@ class BaseServingSystem : public ServingSystem
     void setMemOptReserve(bool enabled) { memOptReserve_ = enabled; }
 
     /**
-     * The KV token budget one replica of @p config gets at runtime.  A
-     * deployed configuration passed MemoryModel::fits, so it holds at
-     * least B worst-case sequences.
+     * The KV budget one replica of @p config gets at runtime, in whole
+     * KV blocks (MemoryModel::kvBudgetBlocks under this system's
+     * migration-reserve mode).  This is the budget every admission path
+     * charges against.  A deployed configuration passed
+     * MemoryModel::fits, so it holds at least B worst-case sequences.
      * @throws std::logic_error if the budget is under one KV block (the
      *         configuration could not have passed fits).
-     */
-    long replicaKvBudget(const par::ParallelConfig &config) const;
-
-    /**
-     * The per-replica budget in whole KV blocks:
-     * replicaKvBudget / kKvBlockTokens.  This is the budget every
-     * admission path charges against.
      */
     long replicaKvBudgetBlocks(const par::ParallelConfig &config) const;
 
     /**
-     * Drop queue heads whose worst-case KV (in kKvBlockTokens blocks)
-     * exceeds @p budget_blocks (they can never be served by any replica
+     * Drop queue heads whose worst-case KV blocks exceed
+     * @p budget_blocks (they can never be served by any replica
      * of the active configuration, so leaving them would head-block the
      * strict-FIFO queue forever).  The peak is undiscounted: a live
      * shared prefix a replica holds now may be gone before the head

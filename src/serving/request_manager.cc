@@ -49,7 +49,7 @@ RequestManager::stampPrediction(engine::ActiveRequest &request,
 std::vector<engine::ActiveRequest>
 RequestManager::popAdmissible(int max_count, long kv_budget,
                               engine::KvAdmissionMode mode,
-                              long replica_budget, int block_tokens,
+                              long replica_budget,
                               const engine::KvBlockStore *store)
 {
     std::vector<engine::ActiveRequest> batch;
@@ -60,7 +60,7 @@ RequestManager::popAdmissible(int max_count, long kv_budget,
         // Unservable whatever its charge: head-block until a rejection
         // site drops it.
         if (replica_budget != engine::kUnboundedKvBlocks &&
-            head.kvPeakBlocks(block_tokens) > replica_budget)
+            head.kvPeakBlocks() > replica_budget)
             break;
         if (remaining != engine::kUnboundedKvBlocks) {
             // Prefix-sharing discount: matched-and-live shared blocks are
@@ -71,7 +71,7 @@ RequestManager::popAdmissible(int max_count, long kv_budget,
                                       ? store->quoteSharedBlocks(head)
                                       : 0;
             const long charge = std::max(
-                0L, head.kvChargedBlocks(mode, block_tokens) - discount);
+                0L, head.kvChargedBlocks(mode) - discount);
             if (charge > remaining)
                 break; // strict FIFO: nothing may slip past the head
             remaining -= charge;
@@ -84,11 +84,21 @@ RequestManager::popAdmissible(int max_count, long kv_budget,
 
 std::vector<engine::ActiveRequest>
 RequestManager::nextBatch(int max_size, long kv_budget,
-                          engine::KvAdmissionMode mode, long replica_budget,
-                          int block_tokens)
+                          engine::KvAdmissionMode mode, long replica_budget)
 {
-    return popAdmissible(max_size, kv_budget, mode, replica_budget,
-                         block_tokens, nullptr);
+    return popAdmissible(max_size, kv_budget, mode, replica_budget, nullptr);
+}
+
+std::vector<engine::ActiveRequest>
+RequestManager::admitAtBoundary(int free_slots, long free_kv,
+                                engine::KvAdmissionMode mode,
+                                long replica_budget,
+                                const engine::KvBlockStore *store)
+{
+    auto admitted =
+        popAdmissible(free_slots, free_kv, mode, replica_budget, store);
+    midBatchAdmissions_ += static_cast<long>(admitted.size());
+    return admitted;
 }
 
 std::vector<engine::ActiveRequest>
@@ -97,20 +107,21 @@ RequestManager::admitAtBoundary(int free_slots, long free_kv,
                                 long replica_budget, int block_tokens,
                                 const engine::KvBlockStore *store)
 {
-    auto admitted = popAdmissible(free_slots, free_kv, mode, replica_budget,
-                                  block_tokens, store);
-    midBatchAdmissions_ += static_cast<long>(admitted.size());
-    return admitted;
+    if (block_tokens != engine::kKvBlockTokens)
+        throw std::invalid_argument(
+            "RequestManager::admitAtBoundary: block_tokens must equal "
+            "engine::kKvBlockTokens");
+    return admitAtBoundary(free_slots, free_kv, mode, replica_budget, store);
 }
 
 long
-RequestManager::headKvCharge(engine::KvAdmissionMode mode, int block_tokens)
+RequestManager::headKvCharge(engine::KvAdmissionMode mode)
 {
     if (pending_.empty())
         throw std::logic_error("RequestManager::headKvCharge: empty queue");
     engine::ActiveRequest &head = pending_.front();
     stampPrediction(head, mode);
-    return head.kvChargedBlocks(mode, block_tokens);
+    return head.kvChargedBlocks(mode);
 }
 
 wl::RequestId

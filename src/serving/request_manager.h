@@ -62,9 +62,9 @@ class RequestManager
      * Pop up to @p max_size pending requests, oldest first, whose KV
      * charge under @p mode (worst-case peak in Reserve, predicted output
      * in Optimistic — the predictor estimate is stamped on the request as
-     * it is popped) fits @p kv_budget.  Budgets are denominated in KV
-     * blocks of @p block_tokens tokens each (block_tokens = 1 is the
-     * token-granular form), matching the charges the pipelines enforce.
+     * it is popped) fits @p kv_budget.  Budgets are denominated in
+     * engine::kKvBlockTokens-token KV blocks, matching the charges the
+     * pipelines enforce.
      * Only fresh and restarted work lives in the queue (no KV held);
      * recovered batches are handed to pipelines directly by the serving
      * systems.  No prefix discount: an idle replica holds no live blocks
@@ -73,8 +73,7 @@ class RequestManager
     std::vector<engine::ActiveRequest>
     nextBatch(int max_size, long kv_budget = engine::kUnboundedKvBlocks,
               engine::KvAdmissionMode mode = engine::KvAdmissionMode::Reserve,
-              long replica_budget = engine::kUnboundedKvBlocks,
-              int block_tokens = 1);
+              long replica_budget = engine::kUnboundedKvBlocks);
 
     /**
      * Iteration-level scheduler (continuous batching): pack a live batch
@@ -92,17 +91,22 @@ class RequestManager
                     engine::KvAdmissionMode mode =
                         engine::KvAdmissionMode::Reserve,
                     long replica_budget = engine::kUnboundedKvBlocks,
-                    int block_tokens = 1,
                     const engine::KvBlockStore *store = nullptr);
+    /** Kept only for perfbench's admission replay, which passes 16.
+     *  @throws std::invalid_argument unless block_tokens ==
+     *          engine::kKvBlockTokens. */
+    std::vector<engine::ActiveRequest>
+    admitAtBoundary(int free_slots, long free_kv,
+                    engine::KvAdmissionMode mode, long replica_budget,
+                    int block_tokens, const engine::KvBlockStore *store);
 
     /**
-     * KV blocks (of @p block_tokens tokens; 1 = tokens) the queue head
-     * would be charged under @p mode (stamping a fresh prediction on it
-     * first).  Used by idle-batch formation to pick a replica with
-     * enough headroom before popping.
+     * KV blocks the queue head would be charged under @p mode (stamping
+     * a fresh prediction on it first).  Used by idle-batch formation to
+     * pick a replica with enough headroom before popping.
      * @pre the queue is not empty.
      */
-    long headKvCharge(engine::KvAdmissionMode mode, int block_tokens = 1);
+    long headKvCharge(engine::KvAdmissionMode mode);
 
     /** Requests admitted into live batches at iteration boundaries. */
     long midBatchAdmissions() const { return midBatchAdmissions_; }
@@ -216,7 +220,7 @@ class RequestManager
      * (rejectUnservableHeads) drops it — the check must live in this
      * shared pop, not only at the heads the call sites inspect, because
      * a multi-request pop exposes new heads mid-call.  All budgets and
-     * charges are in KV blocks of @p block_tokens tokens (1 = tokens).
+     * charges are in KV blocks.
      *
      * With a block @p store, the charge (never the servability check) is
      * discounted by the head's matched-and-live shared blocks — those
@@ -229,7 +233,7 @@ class RequestManager
     std::vector<engine::ActiveRequest>
     popAdmissible(int max_count, long kv_budget,
                   engine::KvAdmissionMode mode, long replica_budget,
-                  int block_tokens, const engine::KvBlockStore *store);
+                  const engine::KvBlockStore *store);
 
     /** Stamp a fresh predictor estimate on @p request (Optimistic). */
     void stampPrediction(engine::ActiveRequest &request,

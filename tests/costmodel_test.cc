@@ -14,6 +14,7 @@
 #include "costmodel/memory_model.h"
 #include "costmodel/migration_cost.h"
 #include "costmodel/throughput_model.h"
+#include "engine/active_request.h"
 #include "model/model_spec.h"
 
 namespace spotserve::cost {
@@ -160,19 +161,20 @@ TEST(MemoryModelTest, BottleneckStageSizingWhenLayersDontDivide)
 TEST(MemoryModelTest, KvBudgetBlocksFloorsToWholeBlocks)
 {
     MemoryModel mem(ModelSpec::opt6_7b(), kParams);
-    const ParallelConfig c{1, 2, 2, 8};
-    const long tokens = mem.kvBudgetTokens(c);
-    ASSERT_GT(tokens, 0);
-    // blockTokens = 1 reproduces the token budget exactly.
-    EXPECT_EQ(mem.kvBudgetBlocks(c, 1), tokens);
-    for (int blk : {8, 16, 64}) {
-        const long blocks = mem.kvBudgetBlocks(c, blk);
+    const ParallelConfig c{1, 2, 4, 8};
+    const long blk = engine::kKvBlockTokens;
+    for (const bool mem_opt : {true, false}) {
+        const long tokens = mem.kvBudgetTokens(c, mem_opt);
+        ASSERT_GT(tokens, 0);
+        ASSERT_NE(tokens % blk, 0) << "pick a budget with a partial block";
+        const long blocks = mem.kvBudgetBlocks(c, mem_opt);
         // Floor, never round up: whole blocks only...
-        EXPECT_EQ(blocks, tokens / blk) << "blk " << blk;
-        // ...so the block budget never promises more tokens than exist.
-        EXPECT_LE(blocks * static_cast<long>(blk), tokens) << "blk " << blk;
+        EXPECT_EQ(blocks, tokens / blk) << "mem_opt " << mem_opt;
+        // ...so the block budget never promises more tokens than exist,
+        // and drops only the final partial block.
+        EXPECT_LE(blocks * blk, tokens) << "mem_opt " << mem_opt;
+        EXPECT_GT((blocks + 1) * blk, tokens) << "mem_opt " << mem_opt;
     }
-    EXPECT_THROW(mem.kvBudgetBlocks(c, 0), std::invalid_argument);
 }
 
 TEST(MemoryModelTest, KvScalesWithBatch)

@@ -215,10 +215,8 @@ TEST(InferencePipelineTest, MiddleCompletionKeepsSurvivorsInOrder)
             blocks.back().push_back(r.kvBlockIds);
         }
     };
-    BatchingOptions batching;
-    batching.kvBlockTokens = 16;
     InferencePipeline pipeline(sim, latency, par::ParallelConfig{1, 1, 4, 8},
-                               0, cb, batching);
+                               0, cb);
     pipe = &pipeline;
     // Recovered members hold 612 tokens: the next two stay inside their
     // 39th block, so no survivor gains a block over the two boundaries.

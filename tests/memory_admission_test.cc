@@ -76,38 +76,25 @@ struct EngineServer
     std::unique_ptr<engine::InferencePipeline> pipeline;
 
     engine::KvAdmissionMode mode;
-    long budget;
-    int blockTokens;
-    /** Block size the *observer* checks the paged invariant with.  By
-     *  default the pipeline's own granularity; the token-over-promise
-     *  regression sets it above a token-granular pipeline to show what a
-     *  real paged allocator would have been asked for. */
-    int obsBlockTokens;
-    long obsBudgetBlocks;
     long boundaries = 0;
     /** Boundaries breaking the promise the mode makes in the pipeline's
-     *  own blocks: Reserve keeps reserved <= budget, and both modes keep
-     *  the physical held blocks <= budget. */
+     *  blocks: Reserve keeps reserved <= budget, and both modes keep the
+     *  physical held blocks <= budget. */
     long violations = 0;
-    long blockViolations = 0;
+    /** Most ceil-rounded blocks the batch held at one boundary, summed
+     *  per request: what a paged allocator was asked for. */
+    long peakHeldBlocks = 0;
     int peakConcurrency = 0;
     std::vector<wl::RequestId> admissionOrder;
     std::map<wl::RequestId, sim::SimTime> completedAt;
 
-    /** @param observe_block_tokens observer block size; 0 = the
-     *         pipeline's. */
+    /** @param kv_budget_blocks the pipeline's KV budget in blocks. */
     EngineServer(const model::ModelSpec &model_spec,
-                 const par::ParallelConfig &cfg, long kv_budget,
+                 const par::ParallelConfig &cfg, long kv_budget_blocks,
                  engine::KvAdmissionMode admission_mode =
-                     engine::KvAdmissionMode::Reserve,
-                 int block_tokens = 1, int observe_block_tokens = 0)
+                     engine::KvAdmissionMode::Reserve)
         : spec(model_spec), latency(spec, kParams), config(cfg),
-          mode(admission_mode), budget(kv_budget), blockTokens(block_tokens),
-          obsBlockTokens(observe_block_tokens > 0 ? observe_block_tokens
-                                                  : blockTokens),
-          obsBudgetBlocks(kv_budget == engine::kUnboundedKvTokens
-                              ? engine::kUnboundedKvBlocks
-                              : kv_budget / obsBlockTokens)
+          mode(admission_mode)
     {
         engine::InferencePipeline::Callbacks cb;
         cb.onRequestComplete = [this](const engine::ActiveRequest &r) {
@@ -117,8 +104,7 @@ struct EngineServer
         cb.onIdle = [this](engine::InferencePipeline &) { dispatch(); };
         cb.onAdmit = [this](engine::InferencePipeline &p, int free_slots) {
             auto admitted = requests.admitAtBoundary(
-                free_slots, p.freeKvBlocks(), mode,
-                engine::kUnboundedKvBlocks, blockTokens);
+                free_slots, p.freeKvBlocks(), mode);
             for (const auto &r : admitted)
                 admissionOrder.push_back(r.request.id);
             return admitted;
@@ -130,15 +116,7 @@ struct EngineServer
                  p.kvBlocksReserved() > budget_blocks) ||
                 p.kvPhysicalBlocksHeld() > budget_blocks)
                 ++violations;
-            // The paged-allocator invariant: ceil-rounded held blocks
-            // (what a real allocator hands out) never exceed the whole
-            // blocks the budget contains, computed at the observer's
-            // block size even when the pipeline accounts at another.
-            long held_blocks = 0;
-            for (const auto &r : p.batch())
-                held_blocks += r.kvBlocksHeld(obsBlockTokens);
-            if (held_blocks > obsBudgetBlocks)
-                ++blockViolations;
+            peakHeldBlocks = std::max(peakHeldBlocks, p.kvBlocksHeld());
             peakConcurrency = std::max(peakConcurrency,
                                        static_cast<int>(p.batch().size()));
         };
@@ -147,8 +125,7 @@ struct EngineServer
             requests.requeueRestarted(std::move(evicted));
         };
         engine::BatchingOptions batching;
-        batching.kvBudgetTokens = budget;
-        batching.kvBlockTokens = blockTokens;
+        batching.kvBudgetBlocks = kv_budget_blocks;
         batching.kvAdmissionMode = mode;
         pipeline = std::make_unique<engine::InferencePipeline>(
             sim, latency, config, 0, std::move(cb), batching);
@@ -161,8 +138,7 @@ struct EngineServer
             return;
         }
         auto batch =
-            requests.nextBatch(config.batch, pipeline->freeKvBlocks(), mode,
-                               engine::kUnboundedKvBlocks, blockTokens);
+            requests.nextBatch(config.batch, pipeline->freeKvBlocks(), mode);
         for (const auto &r : batch)
             admissionOrder.push_back(r.request.id);
         if (!batch.empty())
@@ -256,8 +232,8 @@ TEST(KvBudgetModelTest, NaiveMigrationReserveShrinksTheBudget)
 
 TEST(MemoryAdmissionTest, InvariantHoldsAcrossModelConfigSeqSweep)
 {
-    // Property-style sweep: tight budgets (3 worst-case sequences) over
-    // model x config x seq.  The invariant must hold at
+    // Property-style sweep: tight budgets (the blocks of 3 worst-case
+    // sequences) over model x config x seq.  The invariant must hold at
     // every boundary and every request must still complete (no
     // admission deadlock, no starvation).
     const struct
@@ -272,7 +248,7 @@ TEST(MemoryAdmissionTest, InvariantHoldsAcrossModelConfigSeqSweep)
     for (const auto &setup : kSetups) {
         for (const auto &seq :
              {cost::SeqSpec{128, 32}, cost::SeqSpec{512, 128}}) {
-            const long peak = seq.inputLen + seq.outputLen;
+            const long peak = engine::kvBlocksFor(seq.inputLen + seq.outputLen);
             EngineServer s(setup.spec, setup.config, 3 * peak);
             sim::Rng rng(99);
             const auto workload = wl::stationaryPoisson(0.3, 120.0, seq, rng);
@@ -290,10 +266,10 @@ TEST(MemoryAdmissionTest, InvariantHoldsAcrossModelConfigSeqSweep)
 TEST(MemoryAdmissionTest, StartBatchRejectsOverBudgetBatch)
 {
     EngineServer s(model::ModelSpec::opt6_7b(),
-                   par::ParallelConfig{1, 1, 4, 8}, /*budget=*/1000);
+                   par::ParallelConfig{1, 1, 4, 8}, /*budget_blocks=*/62);
     std::vector<engine::ActiveRequest> batch(2);
-    batch[0].request = makeRequest(1, 0.0, 512, 128); // peak 640
-    batch[1].request = makeRequest(2, 0.0, 512, 128); // peak 640
+    batch[0].request = makeRequest(1, 0.0, 512, 128); // peak 40 blocks
+    batch[1].request = makeRequest(2, 0.0, 512, 128); // peak 40 blocks
     EXPECT_THROW(s.pipeline->startBatch(std::move(batch)),
                  std::invalid_argument);
 }
@@ -420,8 +396,7 @@ TEST(PrefixPrefillTest, HaltAfterPrefixMatchResumesOnNewConfig)
 
     // A prefills alone and publishes the prefix; B arrives during A's
     // first decode step and matches it at the next boundary.
-    EngineServer s(spec, c1, engine::kUnboundedKvTokens,
-                   engine::KvAdmissionMode::Reserve, /*block=*/16);
+    EngineServer s(spec, c1, engine::kUnboundedKvBlocks);
     const double prefill = latency.mixedIterTime(c1, 1, input, 0, 0, 0);
     const double decode = latency.mixedIterTime(c1, 0, 0, 0, 1, input + 1);
     s.drive({withPrefix(1, 0.0, /*output=*/64),
@@ -445,8 +420,7 @@ TEST(PrefixPrefillTest, HaltAfterPrefixMatchResumesOnNewConfig)
 
     // The cache context migrated: B restarts directly on a pipeline with
     // another configuration, keeping its matched prefix.
-    EngineServer s2(spec, c2, engine::kUnboundedKvTokens,
-                    engine::KvAdmissionMode::Reserve, /*block=*/16);
+    EngineServer s2(spec, c2, engine::kUnboundedKvBlocks);
     s2.pipeline->startBatch({b});
     ASSERT_EQ(s2.pipeline->batch().size(), 1u);
     EXPECT_EQ(s2.pipeline->batch()[0].prefillTokens, m);
@@ -474,17 +448,19 @@ TEST(FifoFairnessTest, NothingSlipsPastABlockedHead)
     // be starved by a stream of small ones.
     sim::Simulation sim;
     serving::RequestManager mgr(sim);
-    mgr.submit(makeRequest(1, 0.0, 1000, 100)); // peak 1100
-    mgr.submit(makeRequest(2, 1.0, 100, 10));   // peak 110
-    mgr.submit(makeRequest(3, 2.0, 100, 10));   // peak 110
+    mgr.submit(makeRequest(1, 0.0, 1000, 100)); // peak 1100 tokens
+    mgr.submit(makeRequest(2, 1.0, 100, 10));   // peak 110 tokens
+    mgr.submit(makeRequest(3, 2.0, 100, 10));   // peak 110 tokens
+    const long head = engine::kvBlocksFor(1100); // 69 blocks
+    const long small = engine::kvBlocksFor(110); // 7 blocks
 
     // Head does not fit: nothing admits, even though the small ones fit.
-    EXPECT_TRUE(mgr.admitAtBoundary(4, 1000).empty());
+    EXPECT_TRUE(mgr.admitAtBoundary(4, head - 1).empty());
     EXPECT_EQ(mgr.midBatchAdmissions(), 0);
     EXPECT_EQ(mgr.pendingCount(), 3u);
 
     // Once the head fits, it leads and the rest follow in order.
-    const auto got = mgr.admitAtBoundary(4, 1210);
+    const auto got = mgr.admitAtBoundary(4, head + small);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0].request.id, 1);
     EXPECT_EQ(got[1].request.id, 2);
@@ -497,7 +473,7 @@ TEST(FifoFairnessTest, LargeHeadIsNotStarvedUnderTightBudget)
     // a budget that fits either the large request alone or a few small
     // ones.  The large request must be admitted (in arrival order) and
     // complete; admission order must equal arrival order throughout.
-    const long budget = 1600; // large peak 1280; small peak 320
+    const long budget = 100; // blocks: large peak 80; small peak 20
     EngineServer s(model::ModelSpec::opt6_7b(),
                    par::ParallelConfig{1, 1, 4, 8}, budget);
     wl::Workload workload;
@@ -539,7 +515,7 @@ TEST(AdmissionBookkeepingTest, BothPopPathsAgreeAndCountConsistently)
 
     // Same budget, same slots: idle-batch formation and boundary
     // admission pop the identical FIFO prefix (shared popAdmissible)...
-    const long budget = 2 * 640 + 100; // two requests fit
+    const long budget = 2 * engine::kvBlocksFor(640) + 6; // two fit
     const auto batch = a.nextBatch(3, budget);
     const auto admitted = b.admitAtBoundary(3, budget);
     ASSERT_EQ(batch.size(), 2u);
@@ -550,6 +526,14 @@ TEST(AdmissionBookkeepingTest, BothPopPathsAgreeAndCountConsistently)
     // ...but only boundary admission counts as mid-batch admission.
     EXPECT_EQ(a.midBatchAdmissions(), 0);
     EXPECT_EQ(b.midBatchAdmissions(), 2);
+
+    // The explicit-block-size form accepts only the one block size and
+    // pops nothing when it refuses.
+    EXPECT_THROW(b.admitAtBoundary(5, engine::kUnboundedKvBlocks,
+                                   engine::KvAdmissionMode::Reserve,
+                                   engine::kUnboundedKvBlocks, 1, nullptr),
+                 std::invalid_argument);
+    EXPECT_EQ(b.pendingCount(), 2u);
 
     // Unbudgeted defaults remain slot-limited only.
     EXPECT_EQ(a.nextBatch(5).size(), 2u);
@@ -584,7 +568,7 @@ struct TestSystem : serving::BaseServingSystem
     using BaseServingSystem::installDeployment;
     using BaseServingSystem::packedMesh;
     using BaseServingSystem::rejectUnservableHeads;
-    using BaseServingSystem::replicaKvBudget;
+    using BaseServingSystem::replicaKvBudgetBlocks;
     using BaseServingSystem::setMemOptReserve;
 };
 
@@ -678,10 +662,11 @@ TEST(ReplicaBalancingTest, OversizedRequestIsRejectedNotHeadBlocking)
     system.installDeployment(config,
                              system.packedMesh(config,
                                                instances.usableInstances()));
-    const long budget = system.replicaKvBudget(config);
+    const long budget = system.replicaKvBudgetBlocks(config);
 
     system.onRequestArrival(makeRequest(
-        0, sim.now(), static_cast<int>(budget) + 1, 100)); // unservable
+        0, sim.now(), static_cast<int>(budget * engine::kKvBlockTokens) + 1,
+        100)); // unservable
     system.onRequestArrival(makeRequest(1, sim.now()));    // normal
     EXPECT_EQ(requests.rejectedCount(), 1);
     sim.run();
@@ -738,12 +723,13 @@ TEST(OptimisticAdmissionTest, ShortOutputsUnderLargeCapBeatReserve)
 {
     // The acceptance scenario: a short-output/large-cap trace on a tight
     // budget.  Reserve charges every request input 512 + cap 512 = 1024
-    // tokens and caps concurrency at 3; optimistic learns outputs finish
-    // near 32 tokens and packs the replica, admitting strictly higher
-    // peak concurrency and completing strictly more requests per unit
-    // time — while the held-KV <= budget invariant holds at every
-    // boundary and every request still completes (no starvation).
-    const long budget = 3 * 1024;
+    // tokens (64 blocks) and caps concurrency at 3; optimistic learns
+    // outputs finish near 32 tokens and packs the replica, admitting
+    // strictly higher peak concurrency and completing strictly more
+    // requests per unit time — while the held-KV <= budget invariant
+    // holds at every boundary and every request still completes (no
+    // starvation).
+    const long budget = 3 * 64;
     auto workload = [] {
         sim::Rng rng(42);
         auto w = wl::stationaryPoisson(2.0, 240.0, cost::SeqSpec{512, 128},
@@ -832,7 +818,7 @@ TEST(OptimisticAdmissionTest, HeldInvariantAcrossWorkloadShapes)
                              std::function<wl::Workload()>(longInput)}) {
         const auto workload = make();
         EngineServer s(model::ModelSpec::opt6_7b(),
-                       par::ParallelConfig{1, 1, 4, 8}, /*budget=*/2600,
+                       par::ParallelConfig{1, 1, 4, 8}, /*budget_blocks=*/162,
                        engine::KvAdmissionMode::Optimistic);
         s.drive(workload);
         s.sim.run();
@@ -854,7 +840,7 @@ TEST(OptimisticAdmissionTest, NoLivelockUnderSustainedOverload)
     // plus the oldest member going last must keep every admitted request
     // completing — no livelock, no starvation — with held KV under the
     // budget throughout.
-    const long budget = 1200; // two full-cap peaks (512) plus slack
+    const long budget = 75; // blocks: two full-cap peaks (32) plus slack
     EngineServer s(model::ModelSpec::opt6_7b(),
                    par::ParallelConfig{1, 1, 4, 8}, budget,
                    engine::KvAdmissionMode::Optimistic);
@@ -884,7 +870,7 @@ TEST(OptimisticAdmissionTest, MispredictionBurstEvictsAndRecovers)
     // admit too much; eviction must shed the youngest victims,
     // keep held KV under the budget at every boundary, and still finish
     // the whole burst.
-    const long budget = 1400;
+    const long budget = 87; // blocks
     EngineServer s(model::ModelSpec::opt6_7b(),
                    par::ParallelConfig{1, 1, 4, 8}, budget,
                    engine::KvAdmissionMode::Optimistic);
@@ -921,7 +907,7 @@ TEST(OptimisticAdmissionTest, LoneMemberOutgrowingTheBudgetIsEvicted)
     // ("allocation exceeds the physical block budget").  The pre-step
     // demand check must evict it instead, and the emptied pipeline goes
     // idle.
-    const int blk = 16;
+    const int blk = engine::kKvBlockTokens;
     const long budget_blocks = 20;
     sim::Simulation sim;
     const auto spec = model::ModelSpec::opt6_7b();
@@ -940,8 +926,7 @@ TEST(OptimisticAdmissionTest, LoneMemberOutgrowingTheBudgetIsEvicted)
             evicted.push_back(std::move(v));
     };
     engine::BatchingOptions batching;
-    batching.kvBudgetTokens = budget_blocks * blk;
-    batching.kvBlockTokens = blk;
+    batching.kvBudgetBlocks = budget_blocks;
     batching.kvAdmissionMode = engine::KvAdmissionMode::Optimistic;
     engine::InferencePipeline pipeline(sim, latency,
                                        par::ParallelConfig{1, 1, 4, 8}, 0,
@@ -953,7 +938,7 @@ TEST(OptimisticAdmissionTest, LoneMemberOutgrowingTheBudgetIsEvicted)
     engine::ActiveRequest r;
     r.request = makeCapped(0, 0.0, input, cap, cap);
     r.predictedOutputTokens = 16;
-    ASSERT_EQ(r.kvPeakBlocks(blk), budget_blocks + 1);
+    ASSERT_EQ(r.kvPeakBlocks(), budget_blocks + 1);
     pipeline.startBatch({r});
     ASSERT_NO_THROW(sim.run());
 
@@ -993,7 +978,7 @@ TEST(OptimisticSystemTest, MispredictedOutputsEvictThroughTheServingSystem)
     system.installDeployment(config,
                              system.packedMesh(config,
                                                instances.usableInstances()));
-    const long budget = system.replicaKvBudget(config);
+    const long budget = system.replicaKvBudgetBlocks(config);
 
     for (int i = 0; i < 32; ++i)
         requests.outputPredictor().observe(16);
@@ -1002,7 +987,8 @@ TEST(OptimisticSystemTest, MispredictedOutputsEvictThroughTheServingSystem)
     // Every request fits the budget alone at its worst case (so none is
     // rejected), but the batch's actual growth does not fit together.
     const int input = 512;
-    const int cap = static_cast<int>(budget / 8) - input;
+    const int cap =
+        static_cast<int>(budget * engine::kKvBlockTokens / 8) - input;
     ASSERT_GT(cap, 64);
     const int requests_n = 24;
     for (int i = 0; i < requests_n; ++i) {
@@ -1052,16 +1038,16 @@ TEST(ReplicaBalancingTest, BoundaryAdmissionRejectsUnservablePeaks)
     system.installDeployment(config,
                              system.packedMesh(config,
                                                instances.usableInstances()));
-    const long budget = system.replicaKvBudget(config);
+    const long budget = system.replicaKvBudgetBlocks(config);
+    const int budget_tokens = static_cast<int>(budget * engine::kKvBlockTokens);
 
     // Warm predictor expecting ~16-token outputs, so the optimistic
     // charge of the oversized request would comfortably fit the budget.
     for (int i = 0; i < 32; ++i)
         requests.outputPredictor().observe(16);
-    requests.submit(makeCapped(0, sim.now(), 512, 16,
-                               static_cast<int>(budget)));
+    requests.submit(makeCapped(0, sim.now(), 512, 16, budget_tokens));
     ASSERT_GT(engine::ActiveRequest{requests.pending().front()}
-                  .kvPeakTokens(),
+                  .kvPeakBlocks(),
               budget);
 
     auto &pipeline = *system.deployment().pipelines[0];
@@ -1075,8 +1061,8 @@ TEST(ReplicaBalancingTest, BoundaryAdmissionRejectsUnservablePeaks)
     // shared pop head-blocks on it, and the next admission pass rejects
     // it once it is the head.
     requests.submit(makeCapped(1, sim.now(), 512, 16, 128)); // normal
-    requests.submit(makeCapped(2, sim.now(), 512, 16,
-                               static_cast<int>(budget))); // oversized
+    requests.submit(
+        makeCapped(2, sim.now(), 512, 16, budget_tokens)); // oversized
     requests.submit(makeCapped(3, sim.now(), 512, 16, 128)); // normal
     const auto second = system.admitAtBoundary(pipeline, 4);
     ASSERT_EQ(second.size(), 1u);
@@ -1104,12 +1090,12 @@ TEST(ReplicaBalancingTest, BoundaryAdmissionRejectsUnservablePeaks)
     system.dispatchAll();
     sim.run(sim.now() + 5.0);
     ASSERT_EQ(pipeline.batch().size(), 1u);
-    const int blk = pipeline.kvBlockTokens();
     const long budget_blocks = pipeline.kvBudgetBlocks();
-    const int over_cap = static_cast<int>((budget_blocks + 1) * blk) - 512;
+    const int over_cap =
+        static_cast<int>((budget_blocks + 1) * engine::kKvBlockTokens) - 512;
     engine::ActiveRequest probe;
     probe.request = classmate(5, 16, over_cap);
-    ASSERT_EQ(probe.kvPeakBlocks(blk) - budget_blocks, 1);
+    ASSERT_EQ(probe.kvPeakBlocks() - budget_blocks, 1);
     ASSERT_GT(pipeline.kvStore().quoteSharedBlocks(probe), 1);
 
     // Idle-batch formation's rejection site.
@@ -1145,13 +1131,13 @@ TEST(ReplicaBalancingTest, BudgetTracksTheMigrationReserveMode)
     // P*M = 8: the shard is small enough that even the naive
     // double-buffered reserve leaves positive KV headroom.
     const par::ParallelConfig config{1, 2, 4, 8};
-    const long opt = system.replicaKvBudget(config);
+    const long opt = system.replicaKvBudgetBlocks(config);
     system.setMemOptReserve(false);
-    const long naive = system.replicaKvBudget(config);
+    const long naive = system.replicaKvBudgetBlocks(config);
     EXPECT_LT(naive, opt);
     const cost::MemoryModel mem(spec, kParams);
-    EXPECT_EQ(opt, mem.kvBudgetTokens(config, true));
-    EXPECT_EQ(naive, mem.kvBudgetTokens(config, false));
+    EXPECT_EQ(opt, mem.kvBudgetBlocks(config, true));
+    EXPECT_EQ(naive, mem.kvBudgetBlocks(config, false));
 }
 
 TEST(ReplicaBalancingTest, DeployingWithoutOneKvBlockOfHeadroomThrows)
@@ -1170,8 +1156,7 @@ TEST(ReplicaBalancingTest, DeployingWithoutOneKvBlockOfHeadroomThrows)
         {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 1}}));
     sim.run(1.0);
     const par::ParallelConfig config{1, 1, 1, 1};
-    ASSERT_LT(cost::MemoryModel(spec, kParams).kvBudgetTokens(config),
-              serving::kKvBlockTokens);
+    ASSERT_LT(cost::MemoryModel(spec, kParams).kvBudgetBlocks(config), 1);
     EXPECT_THROW(system.installDeployment(
                      config,
                      system.packedMesh(config, instances.usableInstances())),
@@ -1191,26 +1176,27 @@ TEST(BlockAdmissionTest, TokenGranularAdmissionOverpromisesPagedBlocks)
     // blocks, i.e. 70 blocks: a real paged allocator OOMs on a batch
     // the token invariant calls safe.  Block-granular admission charges
     // the rounded blocks up front and never exceeds 62.
-    const long budget = 1000;
+    const long budget_tokens = 1000;
+    const long peak_tokens = 100;
+    const long budget_blocks = budget_tokens / engine::kKvBlockTokens;
+    ASSERT_EQ(budget_blocks, 62);
+    ASSERT_LE(10 * peak_tokens, budget_tokens); // token admission: all fit
+    ASSERT_EQ(10 * engine::kvBlocksFor(peak_tokens), 70); // > 62 blocks
+
     const par::ParallelConfig cfg{1, 1, 4, 12};
     wl::Workload workload;
     for (int i = 0; i < 10; ++i)
         workload.push_back(makeRequest(i, 0.01 * i, /*input=*/90,
                                        /*output=*/10)); // peak 100 tokens
-    auto run = [&](int pipeline_blk) {
-        // The observer always checks the 16-token paged invariant,
-        // whatever granularity the pipeline enforces.
-        EngineServer s(model::ModelSpec::opt6_7b(), cfg, budget,
-                       engine::KvAdmissionMode::Reserve, pipeline_blk,
-                       /*observe_block_tokens=*/16);
-        s.drive(workload);
-        s.sim.run();
-        EXPECT_EQ(s.requests.completedCount(), 10);
-        EXPECT_EQ(s.violations, 0); // its own block promise holds either way
-        return s.blockViolations;
-    };
-    EXPECT_GT(run(1), 0);  // token-granular admission breaks the paged line
-    EXPECT_EQ(run(16), 0); // block-granular admission holds it
+    EngineServer s(model::ModelSpec::opt6_7b(), cfg, budget_blocks);
+    s.drive(workload);
+    s.sim.run();
+    EXPECT_EQ(s.requests.completedCount(), 10);
+    EXPECT_EQ(s.violations, 0);
+    EXPECT_LE(s.peakHeldBlocks, budget_blocks);
+    // Eight 7-block peaks fit 62 blocks and a ninth would need 63, so
+    // admission stops at eight where token accounting admits all ten.
+    EXPECT_EQ(s.peakConcurrency, 8);
 }
 
 TEST(BlockAdmissionTest, BudgetBelowOneBlockThrows)
@@ -1220,8 +1206,7 @@ TEST(BlockAdmissionTest, BudgetBelowOneBlockThrows)
     // deployment, rather than serve on a clamped budget.
     EXPECT_THROW(EngineServer(model::ModelSpec::opt6_7b(),
                               par::ParallelConfig{1, 1, 4, 8},
-                              /*budget=*/10, engine::KvAdmissionMode::Reserve,
-                              /*block=*/16),
+                              /*budget_blocks=*/0),
                  std::invalid_argument);
 }
 
@@ -1258,7 +1243,7 @@ TEST(BlockAdmissionTest, HeldBlocksInvariantEngineMatrix)
         return w;
     };
 
-    const int blk = 16;
+    const long budget = 162;
     int variant = 0;
     for (const auto &make : {std::function<wl::Workload()>(poisson),
                              std::function<wl::Workload()>(spike),
@@ -1267,11 +1252,10 @@ TEST(BlockAdmissionTest, HeldBlocksInvariantEngineMatrix)
         for (const auto mode : {engine::KvAdmissionMode::Reserve,
                                 engine::KvAdmissionMode::Optimistic}) {
             EngineServer s(model::ModelSpec::opt6_7b(),
-                           par::ParallelConfig{1, 1, 4, 8}, /*budget=*/2600,
-                           mode, blk);
+                           par::ParallelConfig{1, 1, 4, 8}, budget, mode);
             s.drive(workload);
             s.sim.run();
-            EXPECT_EQ(s.blockViolations, 0)
+            EXPECT_LE(s.peakHeldBlocks, budget)
                 << "workload " << variant << " mode "
                 << engine::toString(mode);
             EXPECT_EQ(s.violations, 0)
@@ -1296,9 +1280,12 @@ TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
     // spike and long-input workloads whose outputs run to their cap
     // (the long-input one mixes sequences up to 4x the planning length,
     // where fixed-B admission would overshoot the planned footprint),
-    // and early-stopping ones capped at 4x the planning output.
+    // early-stopping ones capped at 4x the planning output, and one
+    // that fills Reserve's reservations: long inputs at twice the rate
+    // under a 3072-token cap that outputs stop far below, so every
+    // request reserves 224-320 blocks and the backlog loads a replica to
+    // its budget (a Reserve admission that under-reserved would show).
     const cost::SeqSpec seq{};
-    const int blk = serving::kKvBlockTokens;
     // Early stopping: actual outputs 16-128 under a 512-token cap.
     auto stopEarly = [](bool early_stop, wl::Workload &w, sim::Rng &rng) {
         if (early_stop)
@@ -1320,19 +1307,23 @@ TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
         stopEarly(early_stop, w, rng);
         return w;
     };
-    auto longInput = [&](std::uint64_t seed, bool early_stop) {
+    // cap 0: outputs run to their length.
+    auto longInput = [&](std::uint64_t seed, double rate, int cap) {
         sim::Rng rng(seed);
-        auto w = wl::stationaryPoisson(0.25, 900.0, seq, rng);
-        stopEarly(early_stop, w, rng);
+        auto w = wl::stationaryPoisson(rate, 900.0, seq, rng);
+        if (cap > 0)
+            wl::capOutputs(w, cap, /*min=*/16, /*max=*/128, rng);
         const int lens[] = {512, 1024, 2048};
         for (std::size_t i = 0; i < w.size(); ++i)
             w[i].inputLen = lens[i % 3];
         return w;
     };
     const std::vector<wl::Workload> workloads{
-        poisson(5, false),  spike(6, 1.5, false), longInput(7, false),
-        poisson(21, true),  poisson(61, true),    spike(62, 1.2, true),
-        longInput(63, true)};
+        poisson(5, false),        spike(6, 1.5, false),
+        longInput(7, 0.25, 0),    poisson(21, true),
+        poisson(61, true),        spike(62, 1.2, true),
+        longInput(63, 0.25, 512), longInput(70, 0.5, 3072)};
+    const std::size_t kReserveBound = workloads.size() - 1;
 
     EXPECT_EQ(core::SpotServeOptions{}.engine.kvAdmissionMode,
               engine::KvAdmissionMode::Optimistic)
@@ -1346,29 +1337,38 @@ TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
             // reservations) fit the block budget, and the bottleneck
             // stage stays under the memory line: it holds ceil(L/P)
             // layers of weights and of every held block.
+            double peak_fill = 0.0; // most reserved / budget, any replica
             const auto r = runSystemInvariant(
                 workloads[variant], options,
-                [mode, blk](const engine::InferencePipeline &p) {
+                [mode, &peak_fill](const engine::InferencePipeline &p) {
                     const auto &c = p.config();
-                    const long budget = kChurnMem.kvBudgetBlocks(c, blk);
+                    const long budget = kChurnMem.kvBudgetBlocks(c);
+                    peak_fill = std::max(
+                        peak_fill, static_cast<double>(p.kvBlocksReserved()) /
+                                       static_cast<double>(budget));
                     long v = p.kvBlocksHeld() > budget ? 1 : 0;
                     if (mode == engine::KvAdmissionMode::Reserve &&
                         p.kvBlocksReserved() > budget)
                         ++v;
                     const int bl = (kChurnSpec.numLayers() + c.pp - 1) / c.pp;
                     const double kv_bytes =
-                        static_cast<double>(p.kvBlocksHeld()) * blk *
+                        static_cast<double>(p.kvBlocksHeld()) *
+                        engine::kKvBlockTokens *
                         kChurnSpec.kvBytesPerTokenPerLayer() * bl / c.tp;
                     return v + overGpuLine(p, kv_bytes);
                 });
             EXPECT_EQ(r.violations, 0)
                 << "workload " << variant << " mode "
-                << engine::toString(mode) << " blk " << blk;
+                << engine::toString(mode);
             EXPECT_GT(r.checks, 0);
             EXPECT_GE(r.migrations, 2); // initial + preemption-driven
             EXPECT_EQ(r.completed, r.arrived)
                 << "workload " << variant << " mode "
-                << engine::toString(mode) << " blk " << blk;
+                << engine::toString(mode);
+            if (variant == kReserveBound &&
+                mode == engine::KvAdmissionMode::Reserve) {
+                EXPECT_GE(peak_fill, 0.9);
+            }
         }
     }
 }

@@ -74,7 +74,11 @@ commitTo(engine::KvBlockStore &store, engine::ActiveRequest &r, int prefill,
 
 TEST(KvBlockStoreTest, FullBlockSharingRefcountsAndCaching)
 {
-    engine::KvBlockStore store(/*capacity=*/100, /*block_tokens=*/16);
+    // The two-argument constructor accepts only the one block size.
+    EXPECT_NO_THROW(engine::KvBlockStore(100, engine::kKvBlockTokens));
+    EXPECT_THROW(engine::KvBlockStore(100, 1), std::invalid_argument);
+
+    engine::KvBlockStore store(/*capacity=*/100);
 
     // First writer of class 0: no match, computes everything, publishes
     // the two complete prefix levels on commit.
@@ -127,7 +131,7 @@ TEST(KvBlockStoreTest, FullBlockSharingRefcountsAndCaching)
 
 TEST(KvBlockStoreTest, UnalignedPrefixSharesOnlyItsFullBlocks)
 {
-    engine::KvBlockStore store(100, 16);
+    engine::KvBlockStore store(100);
 
     // prefixLen 24 = one full level + an 8-token tail inside level 1.
     auto a = makeActive(1, /*input=*/40, /*output=*/8, 0, /*prefix_len=*/24);
@@ -164,7 +168,7 @@ TEST(KvBlockStoreTest, UnalignedPrefixSharesOnlyItsFullBlocks)
 
 TEST(KvBlockStoreTest, CachedBlocksReclaimedLruAndLiveOveruseThrows)
 {
-    engine::KvBlockStore store(/*capacity=*/4, 16);
+    engine::KvBlockStore store(/*capacity=*/4);
 
     // Two classes fill the capacity with cached prefix blocks.
     auto a = makeActive(1, 32, 8, 0, 32);
@@ -204,7 +208,7 @@ TEST(KvBlockStoreTest, CachedBlocksReclaimedLruAndLiveOveruseThrows)
 
 TEST(KvBlockStoreTest, CarriedBatchesDeduplicateSharedLevels)
 {
-    engine::KvBlockStore store(100, 16);
+    engine::KvBlockStore store(100);
 
     // Two migrated-in classmates arrive with committed progress (the
     // inherited-batch path): each shared prefix level materializes once
@@ -235,7 +239,7 @@ TEST(KvBlockStoreTest, CarriedBatchesDeduplicateSharedLevels)
 TEST(KvBlockStoreTest, MatchStopsAtTheFirstUnindexedLevel)
 {
     constexpr int kClass = 1'000'003; // ids are not dense
-    engine::KvBlockStore store(/*capacity=*/4, 16);
+    engine::KvBlockStore store(/*capacity=*/4);
 
     // A prefills class kClass's three prefix levels whole and publishes
     // them; B, declaring only the first level, shares level 0.
@@ -379,8 +383,7 @@ runPrefixSystemInvariant(const wl::Workload &workload,
     PrefixInvariantResult out;
     system.setKvObserver([&](const engine::InferencePipeline &p) {
         ++out.checks;
-        const long budget_blocks =
-            mem.kvBudgetBlocks(p.config(), serving::kKvBlockTokens);
+        const long budget_blocks = mem.kvBudgetBlocks(p.config());
         if (p.kvPhysicalBlocksHeld() > budget_blocks)
             ++out.violations;
         if (p.kvBlocksHeld() > budget_blocks)
@@ -608,11 +611,10 @@ TEST(PrefixAblationTest, StoreMatchesPerRequestOracleOnPrefixFreeWorkload)
         const auto r = runSpotServe(
             w, mode, [&](const engine::InferencePipeline &p) {
                 ++boundaries;
-                const int blk = p.kvBlockTokens();
                 long charge = 0, peak = 0;
                 for (const auto &req : p.batch()) {
-                    charge += req.kvChargedBlocks(p.kvAdmissionMode(), blk);
-                    peak += req.kvPeakBlocks(blk);
+                    charge += req.kvChargedBlocks(p.kvAdmissionMode());
+                    peak += req.kvPeakBlocks();
                 }
                 if (p.kvPhysicalBlocksHeld() != p.kvBlocksHeld())
                     ++physical;
