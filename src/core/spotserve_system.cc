@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -740,43 +739,11 @@ SpotServeSystem::startMigration()
                              });
             // Trimming charges whole KV blocks against the inheriting
             // replica's block budget — the same denomination every
-            // admission path uses, so an inherited batch can never
-            // stand on more blocks than the new replica's paged
-            // allocator could hand out.
-            const long budget = replicaKvBudgetBlocks(pm.target);
-            const engine::KvAdmissionMode mode =
-                engineOptions().kvAdmissionMode;
-            // The inheriting replica holds (and the migration transfers)
-            // each complete shared prefix block once for the whole
-            // cohort: later members carrying a
-            // (class, level) pair an earlier kept member already brought
-            // are not charged for it again.  The store re-attaches the
-            // inherited batch with exactly this dedup, so the trim
-            // matches what the replica will really hold.
-            std::set<std::pair<int, long>> cohort_levels;
-            long charged = 0;
-            std::size_t keep = 0;
-            while (keep < recovered.size() &&
-                   static_cast<int>(keep) < pm.target.batch) {
-                const auto &r = recovered[keep];
-                long charge = r.kvChargedBlocks(mode);
-                if (r.request.prefixId >= 0) {
-                    const long shared = std::min<long>(
-                        r.kvTokensHeld(), r.request.prefixLen);
-                    for (long l = 0; l < shared / engine::kKvBlockTokens;
-                         ++l) {
-                        if (!cohort_levels
-                                 .insert({r.request.prefixId, l})
-                                 .second)
-                            --charge; // block already carried by cohort
-                    }
-                    charge = std::max(charge, 0L);
-                }
-                if (charged + charge > budget)
-                    break;
-                charged += charge;
-                ++keep;
-            }
+            // admission path uses — and each shared prefix block the
+            // cohort carries once, as the replica's store will hold it.
+            const std::size_t keep = engine::carriedCohortFit(
+                recovered, pm.target.batch, replicaKvBudgetBlocks(pm.target),
+                engineOptions().kvAdmissionMode);
             if (keep < recovered.size()) {
                 std::vector<engine::ActiveRequest> displaced(
                     std::make_move_iterator(recovered.begin() + keep),

@@ -260,5 +260,27 @@ KvBlockStore::projectedGrowthBlocks(const ActiveRequest &r,
     return kvBlocksFor(held + add_tokens) - kvBlocksFor(held);
 }
 
+std::size_t
+carriedCohortFit(const std::vector<ActiveRequest> &cohort, int max_count,
+                 long budget_blocks, KvAdmissionMode mode)
+{
+    KvBlockStore scratch(kUnboundedKvBlocks);
+    long charged = 0;
+    std::size_t keep = 0;
+    while (keep < cohort.size() && static_cast<int>(keep) < max_count) {
+        ActiveRequest carried = cohort[keep];
+        const long live = scratch.liveBlocks();
+        scratch.attach(carried);
+        const long charge = scratch.liveBlocks() - live +
+                            carried.kvChargedBlocks(mode) -
+                            carried.kvBlocksHeld();
+        if (charged + charge > budget_blocks)
+            break;
+        charged += charge;
+        ++keep;
+    }
+    return keep;
+}
+
 } // namespace engine
 } // namespace spotserve

@@ -193,6 +193,20 @@ class KvBlockStore
     long carryDedupBlocks_ = 0;
 };
 
+/**
+ * How many leading members of @p cohort (requests carrying committed KV
+ * into one replica, in keep order) that replica can take: at most
+ * @p max_count whose summed charges under @p mode fit @p budget_blocks.
+ * A scratch store attaches copies in order, so each shared prefix block
+ * the cohort carries is charged once, exactly as the replica's own store
+ * will hold it: a member is charged its new live blocks plus its charged
+ * but not yet held levels, the sum InferencePipeline::kvBlocksCharged
+ * checks when the batch starts.
+ */
+std::size_t carriedCohortFit(const std::vector<ActiveRequest> &cohort,
+                             int max_count, long budget_blocks,
+                             KvAdmissionMode mode);
+
 } // namespace engine
 } // namespace spotserve
 

@@ -39,27 +39,6 @@ BaseServingSystem::report(ExperimentResult &result) const
 }
 
 long
-BaseServingSystem::rejectUnservableHeads(long budget_blocks)
-{
-    long rejected = 0;
-    while (!requests_.pendingEmpty()) {
-        // Undiscounted: a live shared prefix may leave before the head
-        // reaches its peak, so only a peak that fits alone is servable.
-        if (requests_.pending().front().kvPeakBlocks() <= budget_blocks)
-            break;
-        // Even an empty replica cannot host this request: reject it
-        // rather than letting it head-block the strict-FIFO queue.
-        const wl::RequestId id = requests_.rejectHead();
-        sim::logWarn(name() + ": rejecting request " + std::to_string(id) +
-                     " (KV peak exceeds the replica budget " +
-                     std::to_string(budget_blocks) + " blocks of " +
-                     std::to_string(engine::kKvBlockTokens) + " tokens)");
-        ++rejected;
-    }
-    return rejected;
-}
-
-long
 BaseServingSystem::replicaKvBudgetBlocks(
     const par::ParallelConfig &config) const
 {
@@ -326,23 +305,23 @@ BaseServingSystem::dispatchAll()
     const engine::KvAdmissionMode mode = engine_.kvAdmissionMode;
     std::vector<std::vector<engine::ActiveRequest>> batches(ready.size());
     std::vector<long> charged(ready.size(), 0);
-    while (!requests_.pendingEmpty()) {
-        if (rejectUnservableHeads(budget) > 0)
-            continue;
-        if (requests_.pendingEmpty())
-            break;
+    for (;;) {
         // Least-loaded replica with a free slot AND enough KV headroom
         // for the FIFO head; stop only when the head fits no replica
         // (strict head-blocking — nothing slips past it).  No prefix
         // discount: a ready replica is idle and the batches dealt here
         // start only below, so its store holds no live blocks to share.
-        const long head_charge = requests_.headKvCharge(mode);
+        // The quote rejects heads no replica could ever hold.
+        const std::optional<long> head_charge =
+            requests_.headKvCharge(mode, budget);
+        if (!head_charge)
+            break;
         int best = -1;
         for (int i = 0; i < static_cast<int>(ready.size()); ++i) {
             if (static_cast<int>(batches[i].size()) >=
                 deployment_->config.batch)
                 continue;
-            if (charged[i] + head_charge > budget)
+            if (charged[i] + *head_charge > budget)
                 continue;
             if (best < 0 || batches[i].size() < batches[best].size() ||
                 (batches[i].size() == batches[best].size() &&
@@ -352,11 +331,10 @@ BaseServingSystem::dispatchAll()
         }
         if (best < 0)
             break;
-        auto got =
-            requests_.nextBatch(1, budget - charged[best], mode, budget);
-        if (got.empty())
-            break;
-        charged[best] += got.front().kvChargedBlocks(mode);
+        // Pop exactly the quoted head: it is servable and fits.
+        auto got = requests_.popAdmissible(1, engine::kUnboundedKvBlocks,
+                                           mode, budget);
+        charged[best] += *head_charge;
         batches[best].push_back(std::move(got.front()));
     }
     for (std::size_t i = 0; i < ready.size(); ++i) {
@@ -514,15 +492,6 @@ BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
 {
     if (requests_.pendingEmpty())
         return {}; // the common boundary: nothing waits
-    // A head whose worst-case peak exceeds the whole replica budget is
-    // unservable on every admission path.  Optimistic charging could
-    // admit it (its *predicted* footprint fits), but if the output then
-    // ran toward its cap it would outgrow the budget alone and be evicted
-    // even as the batch's oldest member, its work lost — so it is
-    // rejected here exactly as idle-batch formation rejects it, keeping a
-    // request's fate independent of which admission path reaches it
-    // first.
-    rejectUnservableHeads(pipeline.kvBudgetBlocks());
     // Replica balancing at the boundary: when other idle replicas could
     // start this work immediately in fresh (faster, lighter) batches, the
     // boundary admission only claims its even split of the queue and the
@@ -542,10 +511,10 @@ BaseServingSystem::admitAtBoundary(engine::InferencePipeline &pipeline,
         slots = static_cast<int>(
             std::min<long>(slots, std::max<long>(1, share)));
     }
-    auto admitted = requests_.admitAtBoundary(slots, pipeline.freeKvBlocks(),
-                                              pipeline.kvAdmissionMode(),
-                                              pipeline.kvBudgetBlocks(),
-                                              &pipeline.kvStore());
+    auto admitted = requests_.popAdmissible(slots, pipeline.freeKvBlocks(),
+                                            pipeline.kvAdmissionMode(),
+                                            pipeline.kvBudgetBlocks(),
+                                            &pipeline.kvStore());
     // The asking pipeline is mid-boundary (not idle), so dispatchAll only
     // touches the others.
     if (idle_others > 0 && !requests_.pendingEmpty())

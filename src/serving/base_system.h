@@ -191,7 +191,10 @@ class BaseServingSystem : public ServingSystem
      * across the least-loaded replicas (fewest live requests, then least
      * reserved KV): several small batches decode faster than one full
      * batch and keep per-replica KV headroom even across the
-     * data-parallel pipelines.
+     * data-parallel pipelines.  Each dealt head is quoted once
+     * (RequestManager::headKvCharge), placed, and popped; servability is
+     * the request manager's rule alone — a head that can never fit a
+     * replica is rejected when any pop reaches it.
      */
     void dispatchAll();
 
@@ -246,7 +249,9 @@ class BaseServingSystem : public ServingSystem
      * count; packs the batch back toward capacity from the FIFO queue,
      * bounded by the replica's remaining KV block budget and by an even
      * share of the queue when other idle replicas could take the work.
-     * Never called once a halt is pending on the pipeline.
+     * One RequestManager::popAdmissible call, which also rejects the
+     * heads it reaches that no replica could ever hold.  Never called
+     * once a halt is pending on the pipeline.
      */
     std::vector<engine::ActiveRequest>
     admitAtBoundary(engine::InferencePipeline &pipeline, int free_slots);
@@ -270,17 +275,6 @@ class BaseServingSystem : public ServingSystem
      *         configuration could not have passed fits).
      */
     long replicaKvBudgetBlocks(const par::ParallelConfig &config) const;
-
-    /**
-     * Drop queue heads whose worst-case KV blocks exceed
-     * @p budget_blocks (they can never be served by any replica
-     * of the active configuration, so leaving them would head-block the
-     * strict-FIFO queue forever).  The peak is undiscounted: a live
-     * shared prefix a replica holds now may be gone before the head
-     * reaches its peak, so a head that fits only through sharing is
-     * rejected too.  Returns how many were rejected.
-     */
-    long rejectUnservableHeads(long budget_blocks);
 
     /** Build a pipeline wired to this system's callbacks. */
     std::unique_ptr<engine::InferencePipeline>

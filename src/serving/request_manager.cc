@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "simcore/logging.h"
+
 namespace spotserve {
 namespace serving {
 
@@ -46,6 +48,36 @@ RequestManager::stampPrediction(engine::ActiveRequest &request,
         predictor_.predict(request.outputCapTokens());
 }
 
+bool
+RequestManager::servableHead(long replica_budget)
+{
+    // Undiscounted: a live shared prefix may leave before the head
+    // reaches its peak, so only a peak that fits alone is servable.
+    while (!pending_.empty()) {
+        if (replica_budget == engine::kUnboundedKvBlocks ||
+            pending_.front().kvPeakBlocks() <= replica_budget)
+            return true;
+        rejectHead(replica_budget);
+    }
+    return false;
+}
+
+void
+RequestManager::rejectHead(long replica_budget)
+{
+    const engine::ActiveRequest &head = pending_.front();
+    const wl::RequestId id = head.request.id;
+    sim::logWarn("rejecting request " + std::to_string(id) + " (KV peak " +
+                 std::to_string(head.kvPeakBlocks()) +
+                 " blocks exceeds the replica budget " +
+                 std::to_string(replica_budget) + " blocks of " +
+                 std::to_string(engine::kKvBlockTokens) + " tokens)");
+    pending_.pop_front();
+    ++rejected_;
+    if (rejectionObserver_)
+        rejectionObserver_(id);
+}
+
 std::vector<engine::ActiveRequest>
 RequestManager::popAdmissible(int max_count, long kv_budget,
                               engine::KvAdmissionMode mode,
@@ -54,14 +86,10 @@ RequestManager::popAdmissible(int max_count, long kv_budget,
 {
     std::vector<engine::ActiveRequest> batch;
     long remaining = kv_budget;
-    while (!pending_.empty() && static_cast<int>(batch.size()) < max_count) {
+    while (servableHead(replica_budget) &&
+           static_cast<int>(batch.size()) < max_count) {
         engine::ActiveRequest &head = pending_.front();
         stampPrediction(head, mode);
-        // Unservable whatever its charge: head-block until a rejection
-        // site drops it.
-        if (replica_budget != engine::kUnboundedKvBlocks &&
-            head.kvPeakBlocks() > replica_budget)
-            break;
         if (remaining != engine::kUnboundedKvBlocks) {
             // Prefix-sharing discount: matched-and-live shared blocks are
             // already resident (and already inside the pipeline's charged
@@ -83,25 +111,6 @@ RequestManager::popAdmissible(int max_count, long kv_budget,
 }
 
 std::vector<engine::ActiveRequest>
-RequestManager::nextBatch(int max_size, long kv_budget,
-                          engine::KvAdmissionMode mode, long replica_budget)
-{
-    return popAdmissible(max_size, kv_budget, mode, replica_budget, nullptr);
-}
-
-std::vector<engine::ActiveRequest>
-RequestManager::admitAtBoundary(int free_slots, long free_kv,
-                                engine::KvAdmissionMode mode,
-                                long replica_budget,
-                                const engine::KvBlockStore *store)
-{
-    auto admitted =
-        popAdmissible(free_slots, free_kv, mode, replica_budget, store);
-    midBatchAdmissions_ += static_cast<long>(admitted.size());
-    return admitted;
-}
-
-std::vector<engine::ActiveRequest>
 RequestManager::admitAtBoundary(int free_slots, long free_kv,
                                 engine::KvAdmissionMode mode,
                                 long replica_budget, int block_tokens,
@@ -111,30 +120,18 @@ RequestManager::admitAtBoundary(int free_slots, long free_kv,
         throw std::invalid_argument(
             "RequestManager::admitAtBoundary: block_tokens must equal "
             "engine::kKvBlockTokens");
-    return admitAtBoundary(free_slots, free_kv, mode, replica_budget, store);
+    return popAdmissible(free_slots, free_kv, mode, replica_budget, store);
 }
 
-long
-RequestManager::headKvCharge(engine::KvAdmissionMode mode)
+std::optional<long>
+RequestManager::headKvCharge(engine::KvAdmissionMode mode,
+                             long replica_budget)
 {
-    if (pending_.empty())
-        throw std::logic_error("RequestManager::headKvCharge: empty queue");
+    if (!servableHead(replica_budget))
+        return std::nullopt;
     engine::ActiveRequest &head = pending_.front();
     stampPrediction(head, mode);
     return head.kvChargedBlocks(mode);
-}
-
-wl::RequestId
-RequestManager::rejectHead()
-{
-    if (pending_.empty())
-        throw std::logic_error("RequestManager::rejectHead: empty queue");
-    const wl::RequestId id = pending_.front().request.id;
-    pending_.pop_front();
-    ++rejected_;
-    if (rejectionObserver_)
-        rejectionObserver_(id);
-    return id;
 }
 
 double

@@ -14,6 +14,7 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "engine/active_request.h"
@@ -59,40 +60,55 @@ class RequestManager
     void requeueRestarted(std::vector<engine::ActiveRequest> requests);
 
     /**
-     * Pop up to @p max_size pending requests, oldest first, whose KV
-     * charge under @p mode (worst-case peak in Reserve, predicted output
-     * in Optimistic — the predictor estimate is stamped on the request as
-     * it is popped) fits @p kv_budget.  Budgets are denominated in
-     * engine::kKvBlockTokens-token KV blocks, matching the charges the
-     * pipelines enforce.
-     * Only fresh and restarted work lives in the queue (no KV held);
-     * recovered batches are handed to pipelines directly by the serving
-     * systems.  No prefix discount: an idle replica holds no live blocks
-     * to share.
+     * The one admission pop: up to @p max_count pending requests, oldest
+     * first, whose KV charge under @p mode (worst-case peak in Reserve,
+     * predicted output in Optimistic — the predictor estimate is stamped
+     * on the request as it is popped) fits @p kv_budget.  Idle-batch
+     * formation pops one dealt head at a time with an unbounded
+     * @p kv_budget (it has already quoted the head); boundary admission
+     * pops into a live batch's remaining blocks.
+     *
+     * Deliberately strict FIFO head-blocking: the pop stops at the first
+     * head that does not fit the KV budget, so a large request is never
+     * overtaken by smaller newcomers and cannot be starved under a tight
+     * budget (it admits as soon as enough in-flight reservations drain).
+     * Restarted requests re-enter at their arrival position, so FIFO
+     * fairness holds across requeues and interruptions too.  Under
+     * Optimistic mode a restarted request is charged its full peak — the
+     * eviction-storm guard: a just-evicted request only re-admits into
+     * genuine worst-case headroom, so it can never immediately push a
+     * second victim out.
+     *
+     * A head that can never fit a replica is rejected when any pop
+     * reaches it: when its undiscounted worst-case peak exceeds
+     * @p replica_budget it is dropped (rejectedCount(), the rejection
+     * observer, one warning) the moment it reaches the front — even
+     * partway through a pop, which then carries on with the next head.
+     * Optimistic charging could admit it, but if its output ran to the
+     * cap it would outgrow the budget alone and be evicted even as the
+     * batch's oldest member; dropping it instead of waiting keeps the
+     * strict-FIFO queue from head-blocking forever.
+     *
+     * With a block @p store, the charge (never the servability test,
+     * which runs first) is discounted by the head's matched-and-live
+     * shared blocks — those blocks are already resident and counted in
+     * the pipeline's charged total, so the discounted charge is the
+     * request's marginal physical demand.  Restarted heads get no
+     * discount, extending the storm guard.  All budgets and charges are
+     * in engine::kKvBlockTokens-token KV blocks, matching what the
+     * pipelines enforce.  Only fresh and restarted work lives in the
+     * queue (no KV held); recovered batches are handed to pipelines
+     * directly by the serving systems.
      */
     std::vector<engine::ActiveRequest>
-    nextBatch(int max_size, long kv_budget = engine::kUnboundedKvBlocks,
-              engine::KvAdmissionMode mode = engine::KvAdmissionMode::Reserve,
-              long replica_budget = engine::kUnboundedKvBlocks);
+    popAdmissible(int max_count, long kv_budget = engine::kUnboundedKvBlocks,
+                  engine::KvAdmissionMode mode =
+                      engine::KvAdmissionMode::Reserve,
+                  long replica_budget = engine::kUnboundedKvBlocks,
+                  const engine::KvBlockStore *store = nullptr);
 
-    /**
-     * Iteration-level scheduler (continuous batching): pack a live batch
-     * back up to capacity at a decode-iteration boundary by popping up to
-     * @p free_slots pending requests whose KV charge under @p mode fits
-     * the replica's remaining block budget @p free_kv (same block
-     * denomination as nextBatch).  FIFO fairness holds across requeues
-     * and interruptions because the queue is kept in arrival order.
-     * Counted separately from idle-pipeline batch formation so benches
-     * and tests can observe mid-batch admission.
-     */
-    std::vector<engine::ActiveRequest>
-    admitAtBoundary(int free_slots,
-                    long free_kv = engine::kUnboundedKvBlocks,
-                    engine::KvAdmissionMode mode =
-                        engine::KvAdmissionMode::Reserve,
-                    long replica_budget = engine::kUnboundedKvBlocks,
-                    const engine::KvBlockStore *store = nullptr);
-    /** Kept only for perfbench's admission replay, which passes 16.
+    /** popAdmissible, kept only for perfbench's admission replay, which
+     *  passes 16.
      *  @throws std::invalid_argument unless block_tokens ==
      *          engine::kKvBlockTokens. */
     std::vector<engine::ActiveRequest>
@@ -101,25 +117,14 @@ class RequestManager
                     int block_tokens, const engine::KvBlockStore *store);
 
     /**
-     * KV blocks the queue head would be charged under @p mode (stamping
-     * a fresh prediction on it first).  Used by idle-batch formation to
-     * pick a replica with enough headroom before popping.
-     * @pre the queue is not empty.
+     * KV blocks the queue head would be charged under @p mode, undiscounted
+     * (stamping a fresh prediction on it first).  Heads that can never
+     * fit @p replica_budget are rejected first, exactly as popAdmissible
+     * rejects them.  Used by idle-batch formation to pick a replica with
+     * enough headroom before popping.  Empty when no head is left.
      */
-    long headKvCharge(engine::KvAdmissionMode mode);
-
-    /** Requests admitted into live batches at iteration boundaries. */
-    long midBatchAdmissions() const { return midBatchAdmissions_; }
-
-    /**
-     * Drop the queue head because admission found it unservable (its
-     * worst-case KV exceeds a whole replica's budget).  Dropping instead
-     * of waiting keeps the strict-FIFO queue from head-blocking forever;
-     * a production ingress would bounce such requests with an error.
-     * Returns the rejected request's id.
-     * @pre the queue is not empty.
-     */
-    wl::RequestId rejectHead();
+    std::optional<long> headKvCharge(engine::KvAdmissionMode mode,
+                                     long replica_budget);
 
     /** Requests dropped as unservable. */
     long rejectedCount() const { return rejected_; }
@@ -151,7 +156,7 @@ class RequestManager
     }
 
     /**
-     * Observer fired when rejectHead() drops an unservable request, so a
+     * Observer fired when a pop drops an unservable request, so a
      * live ingress can bounce it to the client instead of silently
      * swallowing it.  Runs on the executor's driver thread.
      */
@@ -202,38 +207,15 @@ class RequestManager
 
   private:
     /**
-     * The single budget-aware pop both admission paths share: oldest
-     * first, stopping at the first request that does not fit the slots or
-     * the KV budget.  Deliberately strict FIFO head-blocking — a large
-     * request at the queue head is never overtaken by smaller newcomers,
-     * so it cannot be starved under a tight budget (it admits as soon as
-     * enough in-flight reservations drain).  Under Optimistic mode a
-     * request is charged its predicted output (stamped here) unless it
-     * was restarted before, in which case it is charged its full peak —
-     * the eviction-storm guard: a just-evicted request only re-admits
-     * into genuine worst-case headroom, so it can never immediately push
-     * a second victim out.  A head whose undiscounted worst-case peak
-     * exceeds @p replica_budget never pops, whatever its charge: such a
-     * request is unservable (if its output ran to the cap it would
-     * outgrow the budget alone and be evicted even as the batch's oldest
-     * member) and head-blocks until a rejection site
-     * (rejectUnservableHeads) drops it — the check must live in this
-     * shared pop, not only at the heads the call sites inspect, because
-     * a multi-request pop exposes new heads mid-call.  All budgets and
-     * charges are in KV blocks.
-     *
-     * With a block @p store, the charge (never the servability check) is
-     * discounted by the head's matched-and-live shared blocks — those
-     * blocks are already resident and counted in the pipeline's charged
-     * total, so the discounted charge is the request's marginal physical
-     * demand.  Restarted heads get no discount, extending the storm
-     * guard: a just-evicted request re-admits only into genuine
-     * worst-case headroom.
+     * Reject every head whose undiscounted worst-case peak exceeds
+     * @p replica_budget (it can never be served by a replica of that
+     * budget).  Returns whether a servable head is left at the front.
      */
-    std::vector<engine::ActiveRequest>
-    popAdmissible(int max_count, long kv_budget,
-                  engine::KvAdmissionMode mode, long replica_budget,
-                  const engine::KvBlockStore *store);
+    bool servableHead(long replica_budget);
+
+    /** Drop the queue head as unservable under @p replica_budget: count
+     *  it, fire the rejection observer and log one warning. */
+    void rejectHead(long replica_budget);
 
     /** Stamp a fresh predictor estimate on @p request (Optimistic). */
     void stampPrediction(engine::ActiveRequest &request,
@@ -250,7 +232,6 @@ class RequestManager
     std::function<void(const CompletionRecord &)> completionObserver_;
     std::function<void(wl::RequestId)> rejectionObserver_;
     long arrived_ = 0;
-    long midBatchAdmissions_ = 0;
     long rejected_ = 0;
     double tokensGenerated_ = 0.0;
 };

@@ -89,7 +89,7 @@ void SocketIngress::start()
     }
     if (::bind(listenFd_, reinterpret_cast<const sockaddr *>(&addr),
                sizeof(addr)) != 0 ||
-        ::listen(listenFd_, options_.backlog) != 0) {
+        ::listen(listenFd_, kBacklog) != 0) {
         const std::string what = errnoMessage();
         closeFd(listenFd_);
         listenFd_ = -1;
@@ -207,7 +207,7 @@ void SocketIngress::pollLoop()
 
         const int ready =
             ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                   options_.pollIntervalMs);
+                   kPollIntervalMs);
         if (ready <= 0)
             continue; // timeout (stop re-checked) or EINTR
 
@@ -272,7 +272,7 @@ bool SocketIngress::readClient(int fd)
             return false;
         it->second.lastActivity = std::chrono::steady_clock::now();
         it->second.inbox.append(buf, static_cast<std::size_t>(n));
-        if (it->second.inbox.size() > options_.maxLineBytes) {
+        if (it->second.inbox.size() > kMaxLineBytes) {
             protocolErrors_.fetch_add(1);
             return false; // line too long: drop the connection
         }
@@ -377,9 +377,7 @@ void SocketIngress::handleLine(int fd, const std::string &line)
             sendToFd(fd, "error output_cap must be >= output_tokens");
             return;
         }
-        const wl::RequestId id =
-            injectRequest(fd, input, output, cap, prefix_id, prefix_len);
-        sendToFd(fd, "queued " + std::to_string(id));
+        injectRequest(fd, input, output, cap, prefix_id, prefix_len);
         return;
     }
 
@@ -387,9 +385,9 @@ void SocketIngress::handleLine(int fd, const std::string &line)
     sendToFd(fd, "error unknown command: " + verb);
 }
 
-wl::RequestId SocketIngress::injectRequest(int fd, int input_tokens,
-                                           int output_tokens, int output_cap,
-                                           int prefix_id, int prefix_len)
+void SocketIngress::injectRequest(int fd, int input_tokens,
+                                  int output_tokens, int output_cap,
+                                  int prefix_id, int prefix_len)
 {
     const wl::RequestId id =
         static_cast<wl::RequestId>(nextRequestId_.fetch_add(1));
@@ -405,6 +403,10 @@ wl::RequestId SocketIngress::injectRequest(int fd, int input_tokens,
     request.outputCap = output_cap;
     request.prefixId = prefix_id;
     request.prefixLen = prefix_len;
+    // Acknowledge before the arrival is scheduled: the driver thread may
+    // reject the request as soon as it sees it, and `rejected <id>` must
+    // not overtake `queued <id>` on the wire.
+    sendToFd(fd, "queued " + std::to_string(id));
 
     // The arrival timestamp is stamped on the driver thread right before
     // the system sees the request, so latency is measured from the moment
@@ -419,7 +421,6 @@ wl::RequestId SocketIngress::injectRequest(int fd, int input_tokens,
         sys->onRequestArrival(request);
     });
     requestsInjected_.fetch_add(1);
-    return id;
 }
 
 void SocketIngress::sendToFd(int fd, const std::string &line)

@@ -76,11 +76,6 @@ class SocketIngress
         std::string bindAddress = "127.0.0.1";
         /** TCP port; 0 picks an ephemeral port (see boundPort()). */
         int port = 0;
-        int backlog = 16;
-        /** poll() timeout — bounds stop() latency. */
-        int pollIntervalMs = 50;
-        /** Protocol guard: longest accepted request line. */
-        std::size_t maxLineBytes = 4096;
         /**
          * Per-client outbound buffer cap.  Completion/token lines are
          * queued here when the client's socket buffer is full and
@@ -136,6 +131,13 @@ class SocketIngress
     long clientsDroppedIdle() const { return clientsDroppedIdle_.load(); }
 
   private:
+    /** listen() backlog. */
+    static constexpr int kBacklog = 16;
+    /** poll() timeout in milliseconds — bounds stop() latency. */
+    static constexpr int kPollIntervalMs = 50;
+    /** Protocol guard: longest accepted request line, in bytes. */
+    static constexpr std::size_t kMaxLineBytes = 4096;
+
     struct Client
     {
         int fd = -1;
@@ -162,10 +164,10 @@ class SocketIngress
     /** Parse and act on one complete request line from @p fd. */
     void handleLine(int fd, const std::string &line)
         SPOTSERVE_EXCLUDES(clientsMutex_);
-    /** Inject one parsed request; returns its assigned id. */
-    wl::RequestId injectRequest(int fd, int input_tokens, int output_tokens,
-                                int output_cap, int prefix_id = -1,
-                                int prefix_len = 0)
+    /** Acknowledge (`queued <id>`) and inject one parsed request. */
+    void injectRequest(int fd, int input_tokens, int output_tokens,
+                       int output_cap, int prefix_id = -1,
+                       int prefix_len = 0)
         SPOTSERVE_EXCLUDES(clientsMutex_);
     /**
      * Queue a line (newline appended) for @p fd and flush as much as the

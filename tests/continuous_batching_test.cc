@@ -58,7 +58,7 @@ struct MiniServer
         cb.onIdle = [this](engine::InferencePipeline &) { dispatch(); };
         if (continuous) {
             cb.onAdmit = [this](engine::InferencePipeline &, int free_slots) {
-                return requests.admitAtBoundary(free_slots);
+                return requests.popAdmissible(free_slots);
             };
         }
         pipeline = std::make_unique<engine::InferencePipeline>(
@@ -71,7 +71,7 @@ struct MiniServer
             requests.pendingEmpty()) {
             return;
         }
-        auto batch = requests.nextBatch(config.batch);
+        auto batch = requests.popAdmissible(config.batch);
         if (!batch.empty())
             pipeline->startBatch(std::move(batch));
     }
@@ -100,7 +100,6 @@ TEST(ContinuousBatchingTest, AdmitsAtDecodeIterationBoundary)
     EXPECT_TRUE(s.pipeline->executing());
     EXPECT_EQ(s.pipeline->batch().size(), 2u);
     EXPECT_EQ(s.pipeline->admittedMidBatch(), 1);
-    EXPECT_EQ(s.requests.midBatchAdmissions(), 1);
 
     s.sim.run();
     EXPECT_EQ(s.requests.completedCount(), 2);
@@ -117,7 +116,7 @@ TEST(ContinuousBatchingTest, RigidBatchingWaitsForTheWholeBatch)
     EXPECT_EQ(s.requests.pendingCount(), 1u);
     s.sim.run();
     EXPECT_EQ(s.requests.completedCount(), 2);
-    EXPECT_EQ(s.requests.midBatchAdmissions(), 0);
+    EXPECT_EQ(s.pipeline->admittedMidBatch(), 0);
     // The second request could only start after the first one finished.
     EXPECT_GE(s.completedAt[2], s.completedAt[1]);
 }
@@ -174,19 +173,18 @@ TEST(ContinuousBatchingTest, FifoFairnessAcrossRequeueAndInterruption)
         mgr.submit(makeRequest(i, static_cast<double>(i)));
 
     // Requests 0 and 1 enter a batch, get interrupted, lose their cache.
-    auto batch = mgr.nextBatch(2);
+    auto batch = mgr.popAdmissible(2);
     ASSERT_EQ(batch.size(), 2u);
     mgr.requeueRestarted(std::move(batch));
 
     // Boundary admission hands them back in arrival order, ahead of the
     // younger requests that never ran.
-    const auto admitted = mgr.admitAtBoundary(3);
+    const auto admitted = mgr.popAdmissible(3);
     ASSERT_EQ(admitted.size(), 3u);
     EXPECT_EQ(admitted[0].request.id, 0);
     EXPECT_EQ(admitted[1].request.id, 1);
     EXPECT_EQ(admitted[2].request.id, 2);
     EXPECT_EQ(admitted[0].restarts, 1);
-    EXPECT_EQ(mgr.midBatchAdmissions(), 3);
     EXPECT_EQ(mgr.pendingCount(), 1u);
 }
 

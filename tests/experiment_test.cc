@@ -32,7 +32,7 @@ TEST(RequestManagerTest, FifoBatching)
     for (int i = 0; i < 5; ++i)
         mgr.submit(req(i, 0.0));
     EXPECT_EQ(mgr.pendingCount(), 5u);
-    const auto batch = mgr.nextBatch(3);
+    const auto batch = mgr.popAdmissible(3);
     ASSERT_EQ(batch.size(), 3u);
     EXPECT_EQ(batch[0].request.id, 0);
     EXPECT_EQ(batch[2].request.id, 2);
@@ -46,13 +46,13 @@ TEST(RequestManagerTest, RequeueRestoresArrivalOrder)
     mgr.submit(req(0, 0.0));
     mgr.submit(req(1, 1.0));
     mgr.submit(req(2, 2.0));
-    auto batch = mgr.nextBatch(2); // ids 0, 1 leave the queue
+    auto batch = mgr.popAdmissible(2); // ids 0, 1 leave the queue
     // They make progress, get interrupted and restarted.
     batch[0].prefillTokens = batch[0].request.inputLen;
     batch[0].committedTokens = 5;
     batch[1].prefillTokens = 16;
     mgr.requeueRestarted(batch);
-    const auto next = mgr.nextBatch(3);
+    const auto next = mgr.popAdmissible(3);
     ASSERT_EQ(next.size(), 3u);
     EXPECT_EQ(next[0].request.id, 0);
     EXPECT_EQ(next[1].request.id, 1);
@@ -86,7 +86,7 @@ TEST(RequestManagerTest, CompletionMetrics)
     sim::Simulation sim;
     RequestManager mgr(sim);
     mgr.submit(req(0, 0.0));
-    auto batch = mgr.nextBatch(1);
+    auto batch = mgr.popAdmissible(1);
     sim.schedule(12.5, [&] { mgr.complete(batch[0]); });
     sim.run();
     EXPECT_EQ(mgr.completedCount(), 1);

@@ -106,7 +106,7 @@ TEST(DynamicAllocationTest, BootstrapsFleetFromNothing)
     options.dynamicAllocation = true;
     options.designArrivalRate = 0.35;
     const auto r = runDynamic(options, empty, workload);
-    EXPECT_EQ(r.unfinished, 0);
+    EXPECT_EQ(serving::auditDrainedRun(r), "");
     EXPECT_GT(r.completed, 0);
     EXPECT_GT(r.costUsd, 0.0);
     EXPECT_FALSE(r.configHistory.empty());
@@ -233,8 +233,8 @@ TEST(FaultToleranceTest, MassPreemptionDuringMigration)
         presets::factoryByName("SpotServe", spec, kParams, kSeq, 0.35);
     const auto r =
         serving::runExperiment(spec, kParams, trace, workload, factory);
-    EXPECT_EQ(r.unfinished, 0);
-    EXPECT_EQ(r.arrived, r.completed);
+    EXPECT_EQ(serving::auditDrainedRun(r), "");
+    EXPECT_EQ(r.rejected, 0);
 }
 
 TEST(FaultToleranceTest, ReleaseOfMeshInstanceHandled)
@@ -253,7 +253,7 @@ TEST(FaultToleranceTest, ReleaseOfMeshInstanceHandled)
         presets::factoryByName("SpotServe", spec, kParams, kSeq, 0.2);
     const auto r =
         serving::runExperiment(spec, kParams, trace, workload, factory);
-    EXPECT_EQ(r.unfinished, 0);
+    EXPECT_EQ(serving::auditDrainedRun(r), "");
 }
 
 TEST(FaultToleranceTest, AllSystemsSurviveTheStorm)
@@ -276,7 +276,7 @@ TEST(FaultToleranceTest, AllSystemsSurviveTheStorm)
             presets::factoryByName(system, spec, kParams, kSeq, 1.5);
         const auto r =
             serving::runExperiment(spec, kParams, trace, workload, factory);
-        EXPECT_EQ(r.unfinished, 0) << system;
+        EXPECT_EQ(serving::auditDrainedRun(r), "") << system;
     }
 }
 

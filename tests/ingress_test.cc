@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "cluster/availability_trace.h"
+#include "costmodel/memory_model.h"
 #include "serving/experiment.h"
 #include "serving/presets.h"
 #include "serving/socket_ingress.h"
@@ -268,6 +270,54 @@ TEST_F(IngressFixture, PrefixDeclarationsFlowThroughAndBadOnesAreNonFatal)
     // Bare prefix=<id> declares the whole prompt as the class prefix.
     client.sendLine("gen 64 2 prefix=1");
     EXPECT_EQ(client.readUntil("done").back().substr(0, 4), "done");
+    EXPECT_EQ(ingress_->requestsInjected(), 3);
+}
+
+TEST_F(IngressFixture, UnservableRequestIsRejectedAndTheSessionGoesOn)
+{
+    // No replica on the fixture's 4-instance fleet holds more KV blocks
+    // than one replica spread over all of its GPUs would, so an input one
+    // block past that can never be served.
+    const auto params = cost::CostParams::awsG4dn();
+    const cost::MemoryModel memory(model::ModelSpec::opt6_7b(), params);
+    const int gpus = 4 * params.gpusPerInstance;
+    long most = 0;
+    for (int pp = 1; pp <= gpus; ++pp) {
+        for (int tp = 1; pp * tp <= gpus; tp *= 2) {
+            for (const bool mem_opt : {true, false})
+                most = std::max(most, memory.kvBudgetBlocks(
+                                          {1, pp, tp, 1}, mem_opt));
+        }
+    }
+    ASSERT_GT(most, 0);
+    const long input = (most + 1) * engine::kKvBlockTokens;
+
+    LineClient client(ingress_->boundPort());
+    // A first request runs to completion, so the deployment is serving
+    // and the oversized one is rejected the moment it arrives.
+    client.sendLine("gen 128 2");
+    EXPECT_EQ(client.readUntil("done").back().substr(0, 7), "done 0 ");
+
+    client.sendLine("gen " + std::to_string(input) + " 4");
+    // Acknowledged first, then bounced: `rejected` is its final line.
+    const auto bounced = client.readUntil("rejected");
+    EXPECT_EQ(bounced, (std::vector<std::string>{"queued 1", "rejected 1"}));
+
+    // The same connection still streams a servable request to the end,
+    // and nothing more arrives about the rejected one.
+    client.sendLine("gen 128 2");
+    const auto served = client.readUntil("done");
+    ASSERT_EQ(served.size(), 4u);
+    EXPECT_EQ(served[0], "queued 2");
+    EXPECT_EQ(served[1], "token 2 1");
+    EXPECT_EQ(served[2], "token 2 2");
+    EXPECT_EQ(served[3].substr(0, 7), "done 2 ");
+
+    std::promise<long> rejectedOnDriver;
+    executor_->scheduleAfter(0.0, [&] {
+        rejectedOnDriver.set_value(requests_->rejectedCount());
+    });
+    EXPECT_EQ(rejectedOnDriver.get_future().get(), 1);
     EXPECT_EQ(ingress_->requestsInjected(), 3);
 }
 

@@ -9,9 +9,9 @@
  * deployed configuration — across Poisson, spike and long-input
  * workloads, across preemption-driven migrations.  Satellite
  * regressions cover a halt between a prefix match and the rest of its
- * prefill, strict-FIFO fairness under tight budgets, the shared
- * popAdmissible bookkeeping, and least-loaded replica balancing at
- * batch formation.
+ * prefill, strict-FIFO fairness under tight budgets, the
+ * perfbench-shaped admission form, least-loaded replica balancing at
+ * batch formation, and the rejection of heads no replica can hold.
  */
 
 #include <gtest/gtest.h>
@@ -103,7 +103,7 @@ struct EngineServer
         };
         cb.onIdle = [this](engine::InferencePipeline &) { dispatch(); };
         cb.onAdmit = [this](engine::InferencePipeline &p, int free_slots) {
-            auto admitted = requests.admitAtBoundary(
+            auto admitted = requests.popAdmissible(
                 free_slots, p.freeKvBlocks(), mode);
             for (const auto &r : admitted)
                 admissionOrder.push_back(r.request.id);
@@ -138,7 +138,8 @@ struct EngineServer
             return;
         }
         auto batch =
-            requests.nextBatch(config.batch, pipeline->freeKvBlocks(), mode);
+            requests.popAdmissible(config.batch, pipeline->freeKvBlocks(),
+                                   mode);
         for (const auto &r : batch)
             admissionOrder.push_back(r.request.id);
         if (!batch.empty())
@@ -455,16 +456,15 @@ TEST(FifoFairnessTest, NothingSlipsPastABlockedHead)
     const long small = engine::kvBlocksFor(110); // 7 blocks
 
     // Head does not fit: nothing admits, even though the small ones fit.
-    EXPECT_TRUE(mgr.admitAtBoundary(4, head - 1).empty());
-    EXPECT_EQ(mgr.midBatchAdmissions(), 0);
+    EXPECT_TRUE(mgr.popAdmissible(4, head - 1).empty());
     EXPECT_EQ(mgr.pendingCount(), 3u);
 
     // Once the head fits, it leads and the rest follow in order.
-    const auto got = mgr.admitAtBoundary(4, head + small);
+    const auto got = mgr.popAdmissible(4, head + small);
     ASSERT_EQ(got.size(), 2u);
     EXPECT_EQ(got[0].request.id, 1);
     EXPECT_EQ(got[1].request.id, 2);
-    EXPECT_EQ(mgr.midBatchAdmissions(), 2);
+    EXPECT_EQ(mgr.pendingCount(), 1u);
 }
 
 TEST(FifoFairnessTest, LargeHeadIsNotStarvedUnderTightBudget)
@@ -496,10 +496,10 @@ TEST(FifoFairnessTest, LargeHeadIsNotStarvedUnderTightBudget)
 }
 
 // ---------------------------------------------------------------------
-// Shared popAdmissible bookkeeping (bugfix)
+// The perfbench-shaped admission form
 // ---------------------------------------------------------------------
 
-TEST(AdmissionBookkeepingTest, BothPopPathsAgreeAndCountConsistently)
+TEST(AdmissionBookkeepingTest, BlockSizeFormForwardsToTheOnePop)
 {
     auto fill = [](serving::RequestManager &mgr) {
         mgr.submit(makeRequest(1, 0.0, 512, 128));
@@ -513,22 +513,21 @@ TEST(AdmissionBookkeepingTest, BothPopPathsAgreeAndCountConsistently)
     fill(a);
     fill(b);
 
-    // Same budget, same slots: idle-batch formation and boundary
-    // admission pop the identical FIFO prefix (shared popAdmissible)...
+    // Same budget, same slots: the explicit-block-size form pops the
+    // identical FIFO prefix the one pop does.
     const long budget = 2 * engine::kvBlocksFor(640) + 6; // two fit
-    const auto batch = a.nextBatch(3, budget);
-    const auto admitted = b.admitAtBoundary(3, budget);
-    ASSERT_EQ(batch.size(), 2u);
+    const auto popped = a.popAdmissible(3, budget);
+    const auto admitted =
+        b.admitAtBoundary(3, budget, engine::KvAdmissionMode::Reserve,
+                          engine::kUnboundedKvBlocks, engine::kKvBlockTokens,
+                          nullptr);
+    ASSERT_EQ(popped.size(), 2u);
     ASSERT_EQ(admitted.size(), 2u);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        EXPECT_EQ(batch[i].request.id, admitted[i].request.id);
+    for (std::size_t i = 0; i < popped.size(); ++i)
+        EXPECT_EQ(popped[i].request.id, admitted[i].request.id);
 
-    // ...but only boundary admission counts as mid-batch admission.
-    EXPECT_EQ(a.midBatchAdmissions(), 0);
-    EXPECT_EQ(b.midBatchAdmissions(), 2);
-
-    // The explicit-block-size form accepts only the one block size and
-    // pops nothing when it refuses.
+    // It accepts only the one block size and pops nothing when it
+    // refuses.
     EXPECT_THROW(b.admitAtBoundary(5, engine::kUnboundedKvBlocks,
                                    engine::KvAdmissionMode::Reserve,
                                    engine::kUnboundedKvBlocks, 1, nullptr),
@@ -536,9 +535,8 @@ TEST(AdmissionBookkeepingTest, BothPopPathsAgreeAndCountConsistently)
     EXPECT_EQ(b.pendingCount(), 2u);
 
     // Unbudgeted defaults remain slot-limited only.
-    EXPECT_EQ(a.nextBatch(5).size(), 2u);
-    EXPECT_EQ(b.admitAtBoundary(5).size(), 2u);
-    EXPECT_EQ(b.midBatchAdmissions(), 4);
+    EXPECT_EQ(a.popAdmissible(5).size(), 2u);
+    EXPECT_TRUE(a.pendingEmpty());
 }
 
 // ---------------------------------------------------------------------
@@ -567,7 +565,6 @@ struct TestSystem : serving::BaseServingSystem
     using BaseServingSystem::dispatchAll;
     using BaseServingSystem::installDeployment;
     using BaseServingSystem::packedMesh;
-    using BaseServingSystem::rejectUnservableHeads;
     using BaseServingSystem::replicaKvBudgetBlocks;
     using BaseServingSystem::setMemOptReserve;
 };
@@ -1032,12 +1029,15 @@ TEST(ReplicaBalancingTest, BoundaryAdmissionRejectsUnservablePeaks)
         "steady", 100.0,
         {TraceEvent{0.0, TraceEventKind::Join, InstanceType::Spot, 2}}));
     sim.run(1.0);
-    // Single replica: no idle peer to balance onto, so the boundary
-    // admission path is exercised in isolation.
-    const par::ParallelConfig config{1, 2, 2, 8};
+    // Two replicas; the second is parked (awaiting a recovered batch) so
+    // it is no idle peer to balance onto, and the boundary admission
+    // path is exercised in isolation until the last clause.
+    const par::ParallelConfig config{2, 2, 2, 8};
     system.installDeployment(config,
                              system.packedMesh(config,
                                                instances.usableInstances()));
+    auto &dep = system.deployment();
+    dep.awaitingBatch = {false, true};
     const long budget = system.replicaKvBudgetBlocks(config);
     const int budget_tokens = static_cast<int>(budget * engine::kKvBlockTokens);
 
@@ -1050,28 +1050,24 @@ TEST(ReplicaBalancingTest, BoundaryAdmissionRejectsUnservablePeaks)
                   .kvPeakBlocks(),
               budget);
 
-    auto &pipeline = *system.deployment().pipelines[0];
+    auto &pipeline = *dep.pipelines[0];
     const auto admitted = system.admitAtBoundary(pipeline, 4);
     EXPECT_TRUE(admitted.empty());
     EXPECT_EQ(requests.rejectedCount(), 1);
     EXPECT_TRUE(requests.pendingEmpty());
 
-    // The multi-pop gap: an oversized request *behind* a normal head
-    // must not slip through when the pop exposes it mid-call — the
-    // shared pop head-blocks on it, and the next admission pass rejects
-    // it once it is the head.
+    // Mid-pop: an oversized request *behind* a normal head is rejected
+    // the moment the pop exposes it, and the same pop carries on past it.
     requests.submit(makeCapped(1, sim.now(), 512, 16, 128)); // normal
     requests.submit(
         makeCapped(2, sim.now(), 512, 16, budget_tokens)); // oversized
     requests.submit(makeCapped(3, sim.now(), 512, 16, 128)); // normal
     const auto second = system.admitAtBoundary(pipeline, 4);
-    ASSERT_EQ(second.size(), 1u);
+    ASSERT_EQ(second.size(), 2u);
     EXPECT_EQ(second[0].request.id, 1);
-    EXPECT_EQ(requests.rejectedCount(), 1); // not yet at the head check
-    const auto third = system.admitAtBoundary(pipeline, 4);
-    ASSERT_EQ(third.size(), 1u);
-    EXPECT_EQ(third[0].request.id, 3);
-    EXPECT_EQ(requests.rejectedCount(), 2); // oversized dropped, not admitted
+    EXPECT_EQ(second[1].request.id, 3);
+    EXPECT_EQ(requests.rejectedCount(), 2); // dropped, not admitted
+    EXPECT_TRUE(requests.pendingEmpty());
 
     // A live shared prefix does not make an oversized head servable: the
     // sharer holding it may leave before the head reaches its peak.  A
@@ -1098,24 +1094,26 @@ TEST(ReplicaBalancingTest, BoundaryAdmissionRejectsUnservablePeaks)
     ASSERT_EQ(probe.kvPeakBlocks() - budget_blocks, 1);
     ASSERT_GT(pipeline.kvStore().quoteSharedBlocks(probe), 1);
 
-    // Idle-batch formation's rejection site.
-    requests.submit(probe.request);
-    EXPECT_EQ(system.rejectUnservableHeads(budget_blocks), 1);
-    EXPECT_EQ(requests.rejectedCount(), 3);
-    EXPECT_TRUE(requests.pendingEmpty());
-
-    // The boundary pop: behind a normal head it head-blocks, and the
-    // next pass rejects it.
+    // The boundary pop, which quotes the sharer's store: the oversized
+    // classmate between two normal requests is rejected mid-pop.
     requests.submit(makeCapped(6, sim.now(), 512, 16, 128)); // normal
     requests.submit(classmate(7, 16, over_cap));             // oversized
     requests.submit(makeCapped(8, sim.now(), 512, 16, 128)); // normal
-    const auto fourth = system.admitAtBoundary(pipeline, 4);
-    ASSERT_EQ(fourth.size(), 1u);
-    EXPECT_EQ(fourth[0].request.id, 6);
-    const auto fifth = system.admitAtBoundary(pipeline, 4);
-    ASSERT_EQ(fifth.size(), 1u);
-    EXPECT_EQ(fifth[0].request.id, 8);
+    const auto third = system.admitAtBoundary(pipeline, 4);
+    ASSERT_EQ(third.size(), 2u);
+    EXPECT_EQ(third[0].request.id, 6);
+    EXPECT_EQ(third[1].request.id, 8);
+    EXPECT_EQ(requests.rejectedCount(), 3);
+
+    // Idle-batch formation: with the second replica ready, dispatchAll
+    // quotes the oversized head, rejects it and deals nothing.
+    dep.awaitingBatch = {false, false};
+    requests.submit(probe.request);
+    system.dispatchAll();
     EXPECT_EQ(requests.rejectedCount(), 4);
+    EXPECT_TRUE(requests.pendingEmpty());
+    EXPECT_TRUE(dep.pipelines[1]->idle());
+    EXPECT_TRUE(dep.pipelines[1]->batch().empty());
 }
 
 TEST(ReplicaBalancingTest, BudgetTracksTheMigrationReserveMode)

@@ -6,8 +6,9 @@
  * Store unit tests pin the refcount/index semantics (full-block sharing,
  * an unaligned prefix's partial tail kept private, cached-block LRU
  * reclaim, the radix walk stopping at a reclaimed level, carry dedup for
- * migrated-in batches).  The system-level matrix runs SpotServe over the
- * churn trace with shared-prefix workloads in both admission modes,
+ * migrated-in batches and the migration trim's cohort charge).  The
+ * system-level matrix runs SpotServe over the churn trace with
+ * shared-prefix workloads in both admission modes,
  * asserting at every boundary of every replica that the
  * *physical* (deduplicated) block holding fits the block budget and that
  * no reference leaks (the store's live refs equal the batch's block-id
@@ -228,6 +229,53 @@ TEST(KvBlockStoreTest, CarriedBatchesDeduplicateSharedLevels)
     store.release(a);
     store.release(b);
     EXPECT_EQ(store.totalLiveRefs(), 0);
+}
+
+// Migration trimming: a carried cohort is charged each shared prefix
+// block once, the same sum a pipeline checks when the batch starts.
+TEST(KvBlockStoreTest, CarriedCohortChargesSharedLevelsOnce)
+{
+    // Three classmates mid-decode: 512-token inputs whose first 256
+    // tokens (16 blocks) are the class prefix, 10 of 32 output tokens
+    // committed.  Each holds 33 blocks and peaks at 34.
+    auto carried = [](int prefix_id) {
+        std::vector<engine::ActiveRequest> cohort;
+        for (int i = 0; i < 3; ++i) {
+            auto r = makeActive(i, 512, 32, prefix_id, prefix_id < 0 ? 0 : 256);
+            r.prefillTokens = 512;
+            r.committedTokens = 10;
+            cohort.push_back(r);
+        }
+        return cohort;
+    };
+    const auto reserve = engine::KvAdmissionMode::Reserve;
+    const auto shared = carried(4);
+    ASSERT_EQ(shared[0].kvBlocksHeld(), 33);
+    ASSERT_EQ(shared[0].kvPeakBlocks(), 34);
+    // 34 for the first, then 34 - 16 carried levels for each classmate.
+    EXPECT_EQ(engine::carriedCohortFit(shared, 8, 70, reserve), 3u);
+    EXPECT_EQ(engine::carriedCohortFit(shared, 8, 69, reserve), 2u);
+    EXPECT_EQ(engine::carriedCohortFit(shared, 8, 33, reserve), 0u);
+    EXPECT_EQ(engine::carriedCohortFit(shared, 2, engine::kUnboundedKvBlocks,
+                                       reserve),
+              2u);
+    // Without a prefix class nothing is shared: 3 x 34.
+    const auto prefix_free = carried(-1);
+    EXPECT_EQ(engine::carriedCohortFit(prefix_free, 8, 101, reserve), 2u);
+    EXPECT_EQ(engine::carriedCohortFit(prefix_free, 8, 102, reserve), 3u);
+
+    // The kept cohort starts on a replica of exactly that budget.
+    sim::Simulation sim;
+    const auto spec = model::ModelSpec::opt6_7b();
+    const cost::LatencyModel latency(spec, kParams);
+    engine::BatchingOptions batching;
+    batching.kvBudgetBlocks = 70;
+    batching.kvAdmissionMode = reserve;
+    engine::InferencePipeline pipeline(sim, latency,
+                                       par::ParallelConfig{1, 1, 4, 8}, 0,
+                                       {}, batching);
+    pipeline.startBatch(shared);
+    EXPECT_EQ(pipeline.kvBlocksCharged(), 70);
 }
 
 // The full-level index is a per-class vector of level slots, and a match

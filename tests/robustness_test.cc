@@ -45,8 +45,8 @@ TEST_P(AblationComboSweep, CompletesHostileTrace)
         presets::spotServeFactory(spec, kParams, kSeq, options);
     const auto r =
         serving::runExperiment(spec, kParams, trace, workload, factory);
-    EXPECT_EQ(r.unfinished, 0) << "mask=" << mask;
-    EXPECT_EQ(r.arrived, r.completed) << "mask=" << mask;
+    EXPECT_EQ(serving::auditDrainedRun(r), "") << "mask=" << mask;
+    EXPECT_EQ(r.rejected, 0) << "mask=" << mask;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSwitches, AblationComboSweep,
@@ -136,7 +136,8 @@ TEST_P(TraceSystemSweep, CompletesEverything)
     const auto trace = cluster::figure5Traces()[trace_idx];
     const auto spec = model::ModelSpec::opt6_7b();
     const auto r = presets::runStable(spec, trace, system);
-    EXPECT_EQ(r.unfinished, 0) << system << " on " << trace.name();
+    EXPECT_EQ(serving::auditDrainedRun(r), "")
+        << system << " on " << trace.name();
     EXPECT_GT(r.costUsd, 0.0);
 }
 

@@ -64,9 +64,9 @@ TEST(SystemsIntegration, AllRequestsCompleteOnSteadyCluster)
     for (const char *system :
          {"SpotServe", "Reparallelization", "Rerouting"}) {
         const auto r = run(spec, steadyTrace(8), system);
-        EXPECT_EQ(r.unfinished, 0) << system;
+        EXPECT_EQ(serving::auditDrainedRun(r), "") << system;
         EXPECT_GT(r.completed, 0) << system;
-        EXPECT_EQ(r.arrived, r.completed) << system;
+        EXPECT_EQ(r.rejected, 0) << system;
     }
 }
 
@@ -106,7 +106,7 @@ TEST(SystemsIntegration, SpotServeRecoversStatefully)
     for (const auto &c : r.perRequest)
         restarted += c.restarts > 0 ? 1 : 0;
     EXPECT_LT(static_cast<double>(restarted), 0.1 * r.completed);
-    EXPECT_EQ(r.unfinished, 0);
+    EXPECT_EQ(serving::auditDrainedRun(r), "");
 }
 
 TEST(SystemsIntegration, ReparallelizationRestartsEverythingInFlight)
@@ -172,7 +172,7 @@ TEST(SystemsIntegration, SurvivesFleetCollapseAndRecovery)
         presets::factoryByName("SpotServe", spec, kParams, kSeq, 0.2);
     const auto r =
         serving::runExperiment(spec, kParams, trace, workload, factory);
-    EXPECT_EQ(r.unfinished, 0);
+    EXPECT_EQ(serving::auditDrainedRun(r), "");
 }
 
 TEST(SystemsIntegration, AblationOrderingOnHostileTrace)
@@ -348,7 +348,7 @@ TEST(SystemsIntegration, OverlappingGracePeriodsSurvived)
     // deadlock or lose requests.
     const auto spec = model::ModelSpec::opt6_7b();
     const auto r = run(spec, cluster::traceBS(), "SpotServe");
-    EXPECT_EQ(r.unfinished, 0);
+    EXPECT_EQ(serving::auditDrainedRun(r), "");
 }
 
 } // namespace

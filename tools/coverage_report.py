@@ -16,6 +16,20 @@ benches and examples, and report again (CI's coverage job does both):
     (cd build-cov && ctest -L 'bench|example')
     python3 tools/coverage_report.py build-cov > coverage-workloads.tsv
 
+The optional second argument names the library target whose objects are
+read (default spotserve).  The benchmark's own build compiles the same
+sources as spotserve_lib, so pre-configuring its tree with coverage flags
+shows what the benchmark workloads reach (CI's coverage job does this too):
+
+    cmake -S perfbench -B bench-cov/perfbench -DCMAKE_BUILD_TYPE=Debug \
+        "-DCMAKE_CXX_FLAGS=--coverage -O0"
+    for w in fig8-churn steady-fewshot fleet-churn; do
+        CARGO_TARGET_DIR=bench-cov python3 perfbench/run.py \
+            --workload $w --seed 1 --seconds 1
+    done
+    python3 tools/coverage_report.py bench-cov/perfbench spotserve_lib \
+        > coverage-benchmark.tsv
+
 The script runs gcov over every .gcda of the library's objects and merges
 the per-translation-unit counts by source line, so a header line counts
 as executed when any translation unit executed it.  It prints one
@@ -35,10 +49,11 @@ SRC = os.path.join(ROOT, "src") + os.sep
 
 
 def main():
-    if len(sys.argv) != 2:
-        sys.exit("usage: coverage_report.py BUILD_DIR")
+    if len(sys.argv) not in (2, 3):
+        sys.exit("usage: coverage_report.py BUILD_DIR [LIBRARY_TARGET]")
+    target = sys.argv[2] if len(sys.argv) == 3 else "spotserve"
     objdir = os.path.join(os.path.realpath(sys.argv[1]), "CMakeFiles",
-                          "spotserve.dir")
+                          target + ".dir")
     gcdas = sorted(os.path.join(dirpath, f)
                    for dirpath, _, files in os.walk(objdir)
                    for f in files if f.endswith(".gcda"))
