@@ -211,10 +211,9 @@ KvBlockStore::attach(ActiveRequest &r)
 }
 
 long
-KvBlockStore::commitProgress(ActiveRequest &r)
+KvBlockStore::appendLevels(ActiveRequest &r, long target)
 {
     const long held = r.kvTokensHeld();
-    const long target = kvBlocksFor(held);
     const int limit = shareLimitTokens(r);
     const int cls = r.request.prefixId;
     long by_ref = 0;
@@ -248,16 +247,6 @@ KvBlockStore::release(ActiveRequest &r)
     for (int id : r.kvBlockIds)
         dropRef(id);
     r.kvBlockIds.clear();
-}
-
-long
-KvBlockStore::projectedGrowthBlocks(const ActiveRequest &r,
-                                    long add_tokens) const
-{
-    if (add_tokens <= 0)
-        return 0;
-    const long held = r.kvTokensHeld();
-    return kvBlocksFor(held + add_tokens) - kvBlocksFor(held);
 }
 
 std::size_t

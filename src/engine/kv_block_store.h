@@ -103,7 +103,14 @@ class KvBlockStore
      * @return levels taken by reference (attach counts these for
      *         carried requests).
      */
-    long commitProgress(ActiveRequest &r);
+    long commitProgress(ActiveRequest &r)
+    {
+        // Inline: most commits are a token inside the last block.
+        const long target = r.kvBlocksHeld();
+        if (static_cast<long>(r.kvBlockIds.size()) >= target)
+            return 0;
+        return appendLevels(r, target);
+    }
 
     /**
      * Drop all of @p r's references (completion, eviction, or batch
@@ -119,7 +126,13 @@ class KvBlockStore
      * new levels.  An upper bound — shared hits on freshly completed
      * levels can only allocate less.
      */
-    long projectedGrowthBlocks(const ActiveRequest &r, long add_tokens) const;
+    long projectedGrowthBlocks(const ActiveRequest &r, long add_tokens) const
+    {
+        if (add_tokens <= 0)
+            return 0;
+        const long held = r.kvTokensHeld();
+        return kvBlocksFor(held + add_tokens) - kvBlocksFor(held);
+    }
 
     /** Blocks with at least one live reference. */
     long liveBlocks() const { return liveBlocks_; }
@@ -163,6 +176,8 @@ class KvBlockStore
      *  both the declared prefix and r's own prompt. */
     int shareLimitTokens(const ActiveRequest &r) const;
     Match matchPrefix(const ActiveRequest &r) const;
+    /** commitProgress's work: give @p r levels up to @p target. */
+    long appendLevels(ActiveRequest &r, long target);
     /** Block id holding full level @p level of class @p cls, or -1. */
     int indexedLevel(int cls, int level) const;
     /** Point full level @p level of class @p cls at block @p id and stamp

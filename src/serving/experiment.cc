@@ -1,6 +1,7 @@
 #include "serving/experiment.h"
 
 #include <set>
+#include <vector>
 
 #include "cluster/fault_injector.h"
 #include "simcore/simulation.h"
@@ -44,11 +45,16 @@ runExperimentOn(sim::Executor &executor, const model::ModelSpec &spec,
         injector->arm();
     }
 
-    for (const auto &req : workload) {
-        executor.schedule(req.arrival, [&system, req] {
-            system->onRequestArrival(req);
-        });
-    }
+    // The arrivals are one series: the simulator keeps only the next one
+    // in its event heap instead of the whole workload.
+    std::vector<sim::SimTime> arrivals;
+    arrivals.reserve(workload.size());
+    for (const auto &req : workload)
+        arrivals.push_back(req.arrival);
+    executor.scheduleSeries(std::move(arrivals),
+                            [&system, &workload](std::size_t i) {
+                                system->onRequestArrival(workload[i]);
+                            });
 
     const sim::SimTime horizon = trace.duration() + options.drainTimeout;
     executor.run(horizon);

@@ -33,10 +33,39 @@ EventQueue::schedule(SimTime when, EventCallback fn)
     s.seq = nextSeq_++;
     if (++s.gen == 0)
         s.gen = 1; // generation 0 would let the id collide with kInvalidEventId
-    heap_.push_back(Node{when, s.seq, slot});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    push(Node{when, s.seq, slot, 0});
     ++live_;
     return makeId(slot, s.gen);
+}
+
+void
+EventQueue::scheduleSeries(std::vector<SimTime> times, SeriesCallback fire)
+{
+    if (times.empty())
+        return;
+    auto series = std::make_shared<Series>();
+    series->fire = std::move(fire);
+    series->members.reserve(times.size());
+    for (std::size_t i = 0; i < times.size(); ++i)
+        series->members.emplace_back(times[i], i);
+    // (time, index) order is (time, seq) order: member i draws seq
+    // firstSeq + i, as the i-th of n schedule() calls would.
+    std::sort(series->members.begin(), series->members.end());
+    series->firstSeq = nextSeq_;
+    nextSeq_ += times.size();
+
+    std::uint32_t s;
+    if (!freeSeries_.empty()) {
+        s = freeSeries_.back();
+        freeSeries_.pop_back();
+        series_[s] = std::move(series);
+    } else {
+        s = static_cast<std::uint32_t>(series_.size());
+        series_.push_back(std::move(series));
+    }
+    live_ += times.size();
+    seriesWaiting_ += times.size();
+    pushSeriesMember(s);
 }
 
 bool
@@ -62,9 +91,25 @@ EventQueue::pop()
     assert(!heap_.empty() && "pop() on empty EventQueue");
     const Node top = heap_.front();
     popTop();
-    Slot &s = slots_[top.slot];
-    Fired out{top.time, makeId(top.slot, s.gen), std::move(s.fn)};
-    freeSlot(top.slot);
+    Fired out{top.time, kInvalidEventId, nullptr, nullptr};
+    if (top.slot == kNoSlot) {
+        // Hand the series to the member being fired, then queue the
+        // next member; the last one leaves the table.
+        std::shared_ptr<Series> &entry = series_[top.series];
+        out.index = entry->members[entry->next].second;
+        if (++entry->next < entry->members.size()) {
+            out.series = entry;
+            pushSeriesMember(top.series);
+        } else {
+            out.series = std::move(entry);
+            freeSeries_.push_back(top.series);
+        }
+    } else {
+        Slot &s = slots_[top.slot];
+        out.id = makeId(top.slot, s.gen);
+        out.fn = std::move(s.fn);
+        freeSlot(top.slot);
+    }
     --live_;
     purgeDeadTop();
     return out;
@@ -74,11 +119,30 @@ void
 EventQueue::clear()
 {
     for (const Node &n : heap_) {
-        if (!dead(n))
+        if (n.slot != kNoSlot && !dead(n))
             freeSlot(n.slot);
     }
     heap_.clear();
+    series_.clear();
+    freeSeries_.clear();
     live_ = 0;
+    seriesWaiting_ = 0;
+}
+
+void
+EventQueue::push(const Node &n)
+{
+    heap_.push_back(n);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+void
+EventQueue::pushSeriesMember(std::uint32_t s)
+{
+    const Series &series = *series_[s];
+    const auto &[time, index] = series.members[series.next];
+    push(Node{time, series.firstSeq + index, kNoSlot, s});
+    --seriesWaiting_;
 }
 
 void

@@ -15,7 +15,11 @@
 #ifndef SPOTSERVE_SIMCORE_EXECUTOR_H
 #define SPOTSERVE_SIMCORE_EXECUTOR_H
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "simcore/event_queue.h"
 #include "simcore/sim_time.h"
@@ -49,6 +53,23 @@ class Executor
 
     /** Schedule @p fn @p delay seconds from now (delay >= 0). */
     virtual EventId scheduleAfter(SimTime delay, EventCallback fn) = 0;
+
+    /**
+     * Schedule @p fire(i) at @p times[i] for every i, firing in exactly
+     * the order that times.size() schedule() calls made now in index
+     * order would.  Members cannot be cancelled.  This default makes
+     * those calls, so an executor that only decorates or forwards
+     * schedule() (the wall clock, a tracing wrapper) stays correct
+     * without knowing about series; sim::Simulation overrides it to keep
+     * one heap node per series instead of one per member.
+     */
+    virtual void
+    scheduleSeries(std::vector<SimTime> times, SeriesCallback fire)
+    {
+        auto shared = std::make_shared<SeriesCallback>(std::move(fire));
+        for (std::size_t i = 0; i < times.size(); ++i)
+            schedule(times[i], [shared, i] { (*shared)(i); });
+    }
 
     /** Cancel a pending event; no-op if already fired. */
     virtual bool cancel(EventId id) = 0;

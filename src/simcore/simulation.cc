@@ -23,6 +23,17 @@ Simulation::scheduleAfter(SimTime delay, EventCallback fn)
     return queue_.schedule(now_ + delay, std::move(fn));
 }
 
+void
+Simulation::scheduleSeries(std::vector<SimTime> times, SeriesCallback fire)
+{
+    for (SimTime when : times) {
+        if (when < now_)
+            throw std::invalid_argument(
+                "Simulation::scheduleSeries: time in the past");
+    }
+    queue_.scheduleSeries(std::move(times), std::move(fire));
+}
+
 std::uint64_t
 Simulation::run(SimTime until)
 {
@@ -31,7 +42,7 @@ Simulation::run(SimTime until)
         auto ev = queue_.pop();
         assert(ev.time >= now_ && "event queue went backwards in time");
         now_ = ev.time;
-        ev.fn();
+        ev.fire();
         ++eventsFired_;
         ++fired;
     }
@@ -49,7 +60,7 @@ Simulation::step()
         return false;
     auto ev = queue_.pop();
     now_ = ev.time;
-    ev.fn();
+    ev.fire();
     ++eventsFired_;
     return true;
 }

@@ -7,6 +7,7 @@
 #define SPOTSERVE_SIMCORE_SIMULATION_H
 
 #include <cstdint>
+#include <vector>
 
 #include "simcore/event_queue.h"
 #include "simcore/executor.h"
@@ -36,6 +37,14 @@ class Simulation : public Executor
 
     /** Schedule @p fn @p delay seconds from now (delay >= 0). */
     EventId scheduleAfter(SimTime delay, EventCallback fn) override;
+
+    /**
+     * Schedule @p fire(i) at @p times[i] as one queue series: its members
+     * share one heap node and fire as times.size() schedule() calls
+     * would.  Every time must be >= now().
+     */
+    void scheduleSeries(std::vector<SimTime> times,
+                        SeriesCallback fire) override;
 
     /** Cancel a pending event; no-op if already fired. */
     bool cancel(EventId id) override { return queue_.cancel(id); }

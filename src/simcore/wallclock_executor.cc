@@ -118,7 +118,7 @@ WallClockExecutor::drive(SimTime until, bool return_when_idle)
         }
         auto ev = queue_.pop();
         lk.unlock();
-        ev.fn();
+        ev.fire();
         ++eventsFired_;
         ++fired;
         lk.lock();
@@ -146,7 +146,7 @@ WallClockExecutor::step()
         }
         auto ev = queue_.pop();
         lk.unlock();
-        ev.fn();
+        ev.fire();
         ++eventsFired_;
         return true;
     }

@@ -231,6 +231,51 @@ TEST(KvBlockStoreTest, CarriedBatchesDeduplicateSharedLevels)
     EXPECT_EQ(store.totalLiveRefs(), 0);
 }
 
+// A decode token that stays inside the last block takes nothing from the
+// store; the token that crosses into the next block takes exactly one.
+TEST(KvBlockStoreTest, DecodeTokenInsideABlockAllocatesNothing)
+{
+    engine::KvBlockStore store(100);
+
+    // 49 prefilled tokens hold 4 blocks, the last with one token in it.
+    auto a = makeActive(1, /*input=*/49, /*output=*/40, /*prefix_id=*/0,
+                        /*prefix_len=*/32);
+    store.attach(a);
+    commitTo(store, a, 49, 0);
+    ASSERT_EQ(store.liveBlocks(), 4);
+    ASSERT_EQ(store.totalLiveRefs(), 4);
+
+    for (int t = 1; t < engine::kKvBlockTokens; ++t) {
+        a.committedTokens = t;
+        EXPECT_EQ(store.commitProgress(a), 0) << "token " << t;
+        EXPECT_EQ(store.liveBlocks(), 4) << "token " << t;
+        EXPECT_EQ(store.totalLiveRefs(), 4) << "token " << t;
+        EXPECT_EQ(a.kvBlockIds.size(), 4u) << "token " << t;
+    }
+    a.committedTokens = engine::kKvBlockTokens;
+    EXPECT_EQ(store.commitProgress(a), 0); // a private level, not a ref
+    EXPECT_EQ(store.liveBlocks(), 5);
+    EXPECT_EQ(store.totalLiveRefs(), 5);
+    EXPECT_EQ(a.kvBlockIds.size(), 5u);
+
+    // A carried classmate still takes references on the shared levels.
+    auto b = makeActive(2, 49, 40, 0, 32);
+    b.prefillTokens = 49;
+    b.prefilled = true;
+    b.committedTokens = 3;
+    EXPECT_EQ(store.attach(b), 0);
+    EXPECT_EQ(store.carryDedupBlocks(), 2);
+    EXPECT_EQ(b.kvBlockIds[0], a.kvBlockIds[0]);
+    EXPECT_EQ(b.kvBlockIds[1], a.kvBlockIds[1]);
+    EXPECT_EQ(store.liveBlocks(), 7); // 2 shared + 3 + 2 private
+    b.committedTokens = 4;
+    EXPECT_EQ(store.commitProgress(b), 0);
+    EXPECT_EQ(store.liveBlocks(), 7);
+    store.release(a);
+    store.release(b);
+    EXPECT_EQ(store.totalLiveRefs(), 0);
+}
+
 // Migration trimming: a carried cohort is charged each shared prefix
 // block once, the same sum a pipeline checks when the batch starts.
 TEST(KvBlockStoreTest, CarriedCohortChargesSharedLevelsOnce)

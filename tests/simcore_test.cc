@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "simcore/event_queue.h"
@@ -289,6 +291,196 @@ TEST(EventQueueTest, ClearEmptiesEverything)
     EXPECT_DOUBLE_EQ(q.nextTime(), kTimeInfinity);
 }
 
+/**
+ * One side of the series differential.  Events are labelled; firing one
+ * appends its label.  The reference side (@p expand) turns every series
+ * into plain schedule() calls made in index order, the order a series
+ * must fire in.  A series member whose label is a multiple of 3 schedules
+ * a nested series (negative labels, ties among themselves and with the
+ * current instant) and one plain event from inside its callback.
+ */
+struct SeriesSide
+{
+    SeriesSide(bool expand_, const std::vector<char> *is_series_)
+        : expand(expand_), isSeries(is_series_)
+    {
+    }
+
+    void
+    plain(SimTime t, int label)
+    {
+        if (label >= static_cast<int>(ids.size()))
+            ids.resize(static_cast<std::size_t>(label) + 1, kInvalidEventId);
+        ids[static_cast<std::size_t>(label)] =
+            q.schedule(t, [this, label] { onFire(label); });
+    }
+
+    /** Member i is labelled label(i). */
+    void
+    series(const std::vector<SimTime> &times, std::function<int(int)> label)
+    {
+        if (!expand) {
+            q.scheduleSeries(times, [this, label](std::size_t i) {
+                onFire(label(static_cast<int>(i)));
+            });
+            return;
+        }
+        for (std::size_t i = 0; i < times.size(); ++i) {
+            const int l = label(static_cast<int>(i));
+            q.schedule(times[i], [this, l] { onFire(l); });
+        }
+    }
+
+    bool
+    cancel(int label)
+    {
+        return q.cancel(ids[static_cast<std::size_t>(label)]);
+    }
+
+    /** Pop and fire one event; its series members carry no id. */
+    void
+    popAndFire()
+    {
+        auto ev = q.pop();
+        EXPECT_GE(ev.time, now);
+        now = ev.time;
+        times.push_back(ev.time);
+        ev.fire();
+        if (ev.id == kInvalidEventId)
+            ++seriesFired;
+    }
+
+    void
+    onFire(int label)
+    {
+        fired.push_back(label);
+        if (label < 0 || !(*isSeries)[static_cast<std::size_t>(label)] ||
+            label % 3 != 0)
+            return;
+        const SimTime t = now;
+        series({t + 1.0, t, t + 1.0, t},
+               [label](int i) { return -(label * 8 + i + 1); });
+        q.schedule(t, [this, label] { fired.push_back(-(label * 8 + 7)); });
+    }
+
+    bool expand;
+    const std::vector<char> *isSeries;
+    EventQueue q;
+    std::vector<int> fired;
+    std::vector<SimTime> times;
+    std::vector<EventId> ids; ///< by plain event label
+    SimTime now = 0.0;
+    std::size_t seriesFired = 0;
+};
+
+// Random mixes of schedule, scheduleSeries (unsorted times, ties inside a
+// series and with plain events scheduled before and after it, series
+// scheduled from inside a series callback) and cancel fire in exactly the
+// order of a queue fed only the equivalent schedule() calls, with equal
+// size(), empty(), nextTime() and cancelledBacklog() after every step.
+TEST(EventQueueTest, SeriesFiresLikeScheduleCallsInIndexOrder)
+{
+    std::vector<char> is_series;
+    SeriesSide test(false, &is_series), ref(true, &is_series);
+    SeriesSide *sides[] = {&test, &ref};
+    auto same_counts = [&] {
+        ASSERT_EQ(test.q.size(), ref.q.size());
+        ASSERT_EQ(test.q.empty(), ref.q.empty());
+        ASSERT_EQ(test.q.nextTime(), ref.q.nextTime());
+        ASSERT_EQ(test.q.cancelledBacklog(), ref.q.cancelledBacklog());
+    };
+    Rng rng(33);
+    std::vector<int> plain_labels;
+    for (int round = 0; round < 6000; ++round) {
+        const double u = rng.uniform();
+        // Coarse times, so ties inside a series and with plain events
+        // are common.
+        auto draw = [&] {
+            return test.now + std::floor(rng.uniform(0.0, 8.0));
+        };
+        if (u < 0.3) {
+            const SimTime t = draw();
+            const int label = static_cast<int>(is_series.size());
+            is_series.push_back(0);
+            plain_labels.push_back(label);
+            for (SeriesSide *s : sides)
+                s->plain(t, label);
+        } else if (u < 0.45) {
+            std::vector<SimTime> times(
+                static_cast<std::size_t>(rng.uniformInt(0, 12)));
+            for (SimTime &t : times)
+                t = draw();
+            const int first = static_cast<int>(is_series.size());
+            is_series.resize(is_series.size() + times.size(), 1);
+            for (SeriesSide *s : sides)
+                s->series(times, [first](int i) { return first + i; });
+        } else if (u < 0.6 && !plain_labels.empty()) {
+            // Live, fired or already cancelled: both sides must agree.
+            const int label = plain_labels[static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(
+                                      plain_labels.size()) - 1))];
+            EXPECT_EQ(test.cancel(label), ref.cancel(label));
+        } else if (!ref.q.empty()) {
+            for (SeriesSide *s : sides)
+                s->popAndFire();
+        }
+        same_counts();
+        if (HasFatalFailure())
+            return;
+    }
+    while (!ref.q.empty()) {
+        ASSERT_FALSE(test.q.empty());
+        for (SeriesSide *s : sides)
+            s->popAndFire();
+        same_counts();
+    }
+    EXPECT_TRUE(test.q.empty());
+    EXPECT_EQ(test.q.cancelledBacklog(), 0u);
+    EXPECT_EQ(test.fired, ref.fired);
+    EXPECT_EQ(test.times, ref.times);
+    EXPECT_GT(test.seriesFired, 1000u);
+    EXPECT_EQ(ref.seriesFired, 0u);
+    EXPECT_GT(std::count_if(test.fired.begin(), test.fired.end(),
+                            [](int l) { return l < 0; }),
+              100);
+}
+
+// clear() drops pending series members as well as plain events, also
+// from inside a series callback, and the queue is reusable afterwards.
+TEST(EventQueueTest, ClearDropsSeriesMembers)
+{
+    std::vector<char> is_series(3, 1);
+    SeriesSide test(false, &is_series), ref(true, &is_series);
+    for (SeriesSide *s : {&test, &ref}) {
+        s->series({4.0, 1.0, 4.0}, [](int i) { return i + 1; });
+        s->q.schedule(2.0, [] {});
+    }
+    test.popAndFire();
+    EXPECT_EQ(test.q.size(), 3u);
+    test.q.clear();
+    EXPECT_TRUE(test.q.empty());
+    EXPECT_EQ(test.q.size(), 0u);
+    EXPECT_EQ(test.q.cancelledBacklog(), 0u);
+    EXPECT_DOUBLE_EQ(test.q.nextTime(), kTimeInfinity);
+
+    // A member that clears the queue keeps running: its series outlives
+    // the table entry until the callback returns.
+    std::vector<int> seen;
+    test.q.scheduleSeries({5.0, 5.0}, [&](std::size_t i) {
+        test.q.clear();
+        for (int k = 0; k < 40; ++k)
+            test.q.scheduleSeries({6.0}, [](std::size_t) {});
+        seen.push_back(static_cast<int>(i));
+    });
+    test.popAndFire();
+    EXPECT_EQ(seen, (std::vector<int>{0}));
+    EXPECT_EQ(test.q.size(), 40u);
+    while (!test.q.empty())
+        test.popAndFire();
+    EXPECT_EQ(seen, (std::vector<int>{0}));
+    EXPECT_EQ(test.q.cancelledBacklog(), 0u);
+}
+
 TEST(SimulationTest, ClockAdvancesWithEvents)
 {
     Simulation sim;
@@ -356,6 +548,82 @@ TEST(SimulationTest, StepFiresExactlyOne)
     EXPECT_EQ(fired, 1);
     EXPECT_TRUE(sim.step());
     EXPECT_FALSE(sim.step());
+}
+
+/** An executor that forwards to a Simulation and keeps the default
+ *  scheduleSeries (one schedule() per member), as decorators do. */
+class ForwardingExecutor : public Executor
+{
+  public:
+    explicit ForwardingExecutor(Simulation &inner) : inner_(inner) {}
+    SimTime now() const override { return inner_.now(); }
+    EventId schedule(SimTime when, EventCallback fn) override
+    {
+        return inner_.schedule(when, std::move(fn));
+    }
+    EventId scheduleAfter(SimTime delay, EventCallback fn) override
+    {
+        return inner_.scheduleAfter(delay, std::move(fn));
+    }
+    bool cancel(EventId id) override { return inner_.cancel(id); }
+    std::uint64_t run(SimTime until) override { return inner_.run(until); }
+    bool step() override { return inner_.step(); }
+    bool idle() const override { return inner_.idle(); }
+    std::uint64_t eventsFired() const override { return inner_.eventsFired(); }
+
+  private:
+    Simulation &inner_;
+};
+
+// The simulator's series and the default loop over schedule() fire the
+// same members at the same times and count the same events, including a
+// series scheduled from inside a series callback.
+TEST(SimulationTest, SeriesMatchesTheDefaultScheduleLoop)
+{
+    auto drive = [](Executor &exec) {
+        std::vector<std::pair<SimTime, int>> log;
+        exec.schedule(3.0, [&] { log.emplace_back(exec.now(), -1); });
+        exec.scheduleSeries({3.0, 1.0, 3.0, 0.0}, [&](std::size_t i) {
+            log.emplace_back(exec.now(), static_cast<int>(i));
+            if (i == 1) {
+                exec.scheduleSeries({2.0, 1.0}, [&](std::size_t j) {
+                    log.emplace_back(exec.now(), 10 + static_cast<int>(j));
+                });
+            }
+        });
+        exec.schedule(3.0, [&] { log.emplace_back(exec.now(), -2); });
+        exec.run(kTimeInfinity);
+        return log;
+    };
+    Simulation sim, inner;
+    ForwardingExecutor forwarding(inner);
+    const auto got = drive(sim);
+    EXPECT_EQ(got, drive(forwarding));
+    const std::vector<std::pair<SimTime, int>> want = {
+        {0.0, 3}, {1.0, 1}, {1.0, 11}, {2.0, 10},
+        {3.0, -1}, {3.0, 0}, {3.0, 2}, {3.0, -2}};
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(sim.eventsFired(), 8u);
+    EXPECT_EQ(inner.eventsFired(), 8u);
+    EXPECT_TRUE(sim.idle());
+}
+
+TEST(SimulationTest, SeriesInThePastThrowsAndSchedulesNothing)
+{
+    Simulation sim;
+    sim.schedule(5.0, [] {});
+    sim.run();
+    int fired = 0;
+    EXPECT_THROW(sim.scheduleSeries({6.0, 4.0},
+                                    [&](std::size_t) { ++fired; }),
+                 std::invalid_argument);
+    EXPECT_TRUE(sim.idle());
+    sim.scheduleSeries({}, [&](std::size_t) { ++fired; });
+    EXPECT_TRUE(sim.idle());
+    sim.scheduleSeries({5.0, 6.0}, [&](std::size_t) { ++fired; });
+    EXPECT_EQ(sim.run(), 2u);
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(sim.eventsFired(), 3u);
 }
 
 TEST(RngTest, DeterministicPerSeed)
