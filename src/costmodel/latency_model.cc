@@ -56,13 +56,47 @@ LatencyModel::p2pTime(const par::ParallelConfig &config, double bytes) const
 }
 
 double
+LatencyModel::effectiveBandwidth(int tp, int batch) const
+{
+    const double batch_derate = 1.0 + params_.batchMemPenalty * (batch - 1);
+    return params_.gpu.memBandwidth * memEfficiency(tp) / batch_derate;
+}
+
+double
 LatencyModel::kvReadTime(const par::ParallelConfig &config, int batch,
                          int ctx_len) const
 {
-    const double batch_derate = 1.0 + params_.batchMemPenalty * (batch - 1);
-    const double eff_bw =
-        params_.gpu.memBandwidth * memEfficiency(config.tp) / batch_derate;
-    return batch * spec_.kvBytesPerToken() * ctx_len / (config.tp * eff_bw);
+    return batch * spec_.kvBytesPerToken() * ctx_len /
+           (config.tp * effectiveBandwidth(config.tp, batch));
+}
+
+LatencyModel::DecodeStep
+LatencyModel::decodeStep(const par::ParallelConfig &config) const
+{
+    const int tp = config.tp;
+    const int layers = spec_.numLayers();
+    const double eff_bw = effectiveBandwidth(tp, config.batch);
+    DecodeStep step;
+
+    // Stages run sequentially within one iteration, so the total weight
+    // traffic is the whole model divided across the M-wide shards.
+    step.weightRead = spec_.totalWeightBytes() / (tp * eff_bw);
+
+    // Attention reads the KV cache of every context token for every
+    // request in the batch (kvReadTime's term, split around ctx_len).
+    step.kvCoeff = config.batch * spec_.kvBytesPerToken();
+    step.kvDenom = tp * eff_bw;
+
+    // Two all-reduces per transformer layer on the activations.
+    const double act_bytes =
+        static_cast<double>(config.batch) * spec_.hiddenDim() * 2.0;
+    step.comm = 2.0 * layers * allReduceTime(tp, act_bytes);
+
+    // Pipeline hand-off between consecutive stages.
+    step.pipe = (config.pp - 1) * p2pTime(config, act_bytes);
+
+    step.kernels = layers * params_.kernelOverhead;
+    return step;
 }
 
 double
@@ -71,33 +105,7 @@ LatencyModel::decodeIterTime(const par::ParallelConfig &config,
 {
     if (ctx_len < 1)
         throw std::invalid_argument("decodeIterTime: ctx_len must be >= 1");
-    const int tp = config.tp;
-    const int pp = config.pp;
-    const int layers = spec_.numLayers();
-    const double batch_derate =
-        1.0 + params_.batchMemPenalty * (config.batch - 1);
-    const double eff_bw =
-        params_.gpu.memBandwidth * memEfficiency(tp) / batch_derate;
-
-    // Stages run sequentially within one iteration, so the total weight
-    // traffic is the whole model divided across the M-wide shards.
-    const double weight_read = spec_.totalWeightBytes() / (tp * eff_bw);
-
-    // Attention reads the KV cache of every context token for every
-    // request in the batch.
-    const double kv_read = kvReadTime(config, config.batch, ctx_len);
-
-    // Two all-reduces per transformer layer on the activations.
-    const double act_bytes =
-        static_cast<double>(config.batch) * spec_.hiddenDim() * 2.0;
-    const double comm = 2.0 * layers * allReduceTime(tp, act_bytes);
-
-    // Pipeline hand-off between consecutive stages.
-    const double pipe = (pp - 1) * p2pTime(config, act_bytes);
-
-    const double kernels = layers * params_.kernelOverhead;
-
-    return weight_read + kv_read + comm + pipe + kernels;
+    return decodeStep(config).at(ctx_len);
 }
 
 double
@@ -183,12 +191,14 @@ LatencyModel::decodeSpanTime(const par::ParallelConfig &config, int start_ctx,
 {
     if (num_iters <= 0)
         return 0.0;
-    // decodeIterTime is affine in ctx_len, so the span cost equals
+    if (start_ctx < 1)
+        throw std::invalid_argument("decodeSpanTime: start_ctx must be >= 1");
+    // A decode step is affine in ctx_len, so the span cost equals
     // num_iters times the cost at the mean context length.  Evaluate at
     // both ends to stay exact even if the model gains non-linear terms.
-    const double first = decodeIterTime(config, start_ctx);
-    const double last = decodeIterTime(config, start_ctx + num_iters - 1);
-    return 0.5 * (first + last) * num_iters;
+    const DecodeStep step = decodeStep(config);
+    return 0.5 * (step.at(start_ctx) + step.at(start_ctx + num_iters - 1)) *
+           num_iters;
 }
 
 double

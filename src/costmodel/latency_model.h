@@ -50,8 +50,37 @@ class LatencyModel
     double p2pTime(const par::ParallelConfig &config, double bytes) const;
 
     /**
+     * The terms of one incremental-decoding iteration that do not depend
+     * on the context length, for one (config, batch) shape.  Only the
+     * attention's KV-cache read grows with the context, so a decode step
+     * priced from a DecodeStep built once per batch shape is the same
+     * double as decodeIterTime().
+     */
+    struct DecodeStep
+    {
+        double weightRead = 0.0; ///< whole model over the M-wide shards
+        double kvCoeff = 0.0;    ///< batch * KV bytes per token
+        double kvDenom = 1.0;    ///< M * batch-derated effective bandwidth
+        double comm = 0.0;       ///< two all-reduces per layer
+        double pipe = 0.0;       ///< P-1 activation hand-offs
+        double kernels = 0.0;    ///< per-layer kernel launch overhead
+
+        /** Latency at context length @p ctx_len (>= 1).  The terms add
+         *  left to right in this order; tests pin the exact double. */
+        double at(int ctx_len) const
+        {
+            return weightRead + kvCoeff * ctx_len / kvDenom + comm + pipe +
+                   kernels;
+        }
+    };
+
+    /** The context-independent terms of a decode step for @p config
+     *  (config.batch requests). */
+    DecodeStep decodeStep(const par::ParallelConfig &config) const;
+
+    /**
      * Latency of one incremental-decoding iteration (one token per request
-     * in the batch) at context length @p ctx_len.
+     * in the batch) at context length @p ctx_len: decodeStep(config).at().
      */
     double decodeIterTime(const par::ParallelConfig &config,
                           int ctx_len) const;
@@ -136,6 +165,9 @@ class LatencyModel
     double coldLoadBytesPerInstance(const par::ParallelConfig &config) const;
 
   private:
+    /** Memory bandwidth each shard of an M-wide operator streams at when
+     *  @p batch requests share it (over-sharding and batch derates). */
+    double effectiveBandwidth(int tp, int batch) const;
     /** True if a pipeline's GPUs span more than one instance. */
     bool pipelineCrossesInstances(const par::ParallelConfig &config) const;
 

@@ -232,12 +232,12 @@ InferencePipeline::executing() const
     return phase_ == PipelinePhase::Prefill || phase_ == PipelinePhase::Decode;
 }
 
-void
+bool
 InferencePipeline::enforceKvPressure()
 {
     if (batching_.kvAdmissionMode != KvAdmissionMode::Optimistic ||
         batching_.kvBudgetBlocks == kUnboundedKvBlocks || batch_.empty())
-        return;
+        return false;
 
     // Members evicted so far (empty: none, so the common no-eviction
     // boundary allocates nothing).
@@ -258,7 +258,7 @@ InferencePipeline::enforceKvPressure()
         return blocks;
     };
     if (demand() <= batching_.kvBudgetBlocks)
-        return;
+        return false;
 
     // Victim order: LIFO — youngest arrival first, least progress first.
     // Restarted members go after fresh ones (their full worst case is
@@ -319,51 +319,84 @@ InferencePipeline::enforceKvPressure()
     batch_ = std::move(survivors);
     evictions_ += static_cast<long>(victims);
     callbacks_.onEvict(*this, std::move(evicted));
+    return true;
 }
 
 void
 InferencePipeline::scheduleStep()
 {
-    // Optimistic admission: evict before sizing the step, so the
-    // iteration that runs can never overflow the budget.
-    enforceKvPressure();
-    if (batch_.empty()) {
-        // Eviction took the oldest member too (it outgrew the budget
-        // alone, e.g. carried by a migration trim onto a smaller
-        // replica): the replica goes idle.
-        if (haltPending_) {
-            enterHalted();
-        } else {
-            phase_ = PipelinePhase::Idle;
-            if (callbacks_.onIdle)
-                callbacks_.onIdle(*this);
-        }
-        return;
-    }
-
     // Every unprefilled member runs its whole remaining input in this
     // step, alongside the prefilled members' decode.  (A drain never
     // holds one: a member is unprefilled only during the step right
     // after it enters, and entry is closed while a halt is pending.)
-    int prefillers = 0;
-    int decoders = 0;
-    int max_input = 0;
-    int max_prefix = 0;
-    int max_ctx = 0;
-    for (const auto &r : batch_) {
-        if (r.prefilled) {
-            ++decoders;
-            max_ctx = std::max(max_ctx, r.nextContextLen());
-        } else {
-            ++prefillers;
-            max_input =
-                std::max(max_input, r.request.inputLen - r.prefillTokens);
-            max_prefix = std::max(max_prefix, r.prefillTokens);
+    struct Shape
+    {
+        int prefillers = 0;
+        int decoders = 0;
+        int maxInput = 0;  ///< longest remaining input of a prefiller
+        int maxPrefix = 0; ///< longest matched prefix of a prefiller
+        int maxCtx = 0;    ///< longest next context of a decoder
+    };
+    auto size_step = [this] {
+        Shape step;
+        for (const auto &r : batch_) {
+            if (r.prefilled) {
+                ++step.decoders;
+                step.maxCtx = std::max(step.maxCtx, r.nextContextLen());
+            } else {
+                ++step.prefillers;
+                step.maxInput = std::max(
+                    step.maxInput, r.request.inputLen - r.prefillTokens);
+                step.maxPrefix = std::max(step.maxPrefix, r.prefillTokens);
+            }
         }
+        return step;
+    };
+
+    Shape step = size_step();
+    // Optimistic admission: evict before pricing the step, so the
+    // iteration that runs can never overflow the budget.  A decoding
+    // member adds at most one block, so a decode-only step whose live
+    // blocks plus one per member fit the budget cannot evict and skips
+    // the demand scan.
+    const bool may_evict =
+        step.prefillers > 0 ||
+        store_->liveBlocks() + static_cast<long>(batch_.size()) >
+            batching_.kvBudgetBlocks;
+    if (may_evict && enforceKvPressure()) {
+        if (batch_.empty()) {
+            // Eviction took the oldest member too (it outgrew the budget
+            // alone, e.g. carried by a migration trim onto a smaller
+            // replica): the replica goes idle.
+            if (haltPending_) {
+                enterHalted();
+            } else {
+                phase_ = PipelinePhase::Idle;
+                if (callbacks_.onIdle)
+                    callbacks_.onIdle(*this);
+            }
+            return;
+        }
+        step = size_step();
     }
-    phase_ = prefillers > 0 ? PipelinePhase::Prefill : PipelinePhase::Decode;
-    scheduleBoundary(latency_.mixedIterTime(config_, prefillers, max_input,
-                                            max_prefix, decoders, max_ctx));
+
+    if (step.prefillers > 0) {
+        phase_ = PipelinePhase::Prefill;
+        scheduleBoundary(latency_.mixedIterTime(
+            config_, step.prefillers, step.maxInput, step.maxPrefix,
+            step.decoders, step.maxCtx));
+        return;
+    }
+    // A decode-only step is priced from the cached terms of its batch
+    // shape: mixedIterTime's decode term, the same double.
+    if (step.decoders != decodeStepBatch_) {
+        par::ParallelConfig c = config_;
+        c.batch = step.decoders;
+        decodeStep_ = latency_.decodeStep(c);
+        decodeStepBatch_ = step.decoders;
+    }
+    phase_ = PipelinePhase::Decode;
+    scheduleBoundary(decodeStep_.at(step.maxCtx));
 }
 
 void

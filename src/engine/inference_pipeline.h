@@ -8,7 +8,7 @@
  * requests are admitted into the free slots through the onAdmit callback
  * (ORCA-style).  Newly admitted requests run their whole prefill in one
  * step alongside the incumbents' decode step, and the pipeline enforces
- * the per-replica KV-cache token budget the memory model promised
+ * the per-replica KV-cache block budget the memory model promised
  * (BatchingOptions); durations come from the analytical LatencyModel.
  * Supports the interruption arranger's just-in-time halting (run at most
  * S_t more iterations, then drain) and immediate suspension, both
@@ -266,7 +266,13 @@ class InferencePipeline
     double savedPrefillSeconds() const { return savedPrefillSeconds_; }
 
   private:
-    /** Size, cost and schedule the next iteration over the live batch. */
+    /**
+     * Size, cost and schedule the next iteration over the live batch.
+     * Runs enforceKvPressure first unless the step is decode-only and
+     * the store's live blocks plus one block per member fit the budget
+     * (no eviction is then possible); resizes the step if it evicted.
+     * A decode-only step is priced from decodeStep_.
+     */
     void scheduleStep();
     void scheduleBoundary(double delay);
     void onBoundary();
@@ -281,15 +287,18 @@ class InferencePipeline
     /** Fire the onBoundary observer. */
     void observeBoundary();
     /**
-     * Optimistic mode, before each step: the step's demand is the
-     * store's live blocks plus each member's new levels (one decode
-     * token per prefilled member, the whole remaining input per
-     * prefiller).  While it exceeds the block budget, evict LIFO victims
-     * (youngest arrival, least progress first; restarted members after
-     * fresh ones, the batch's oldest member last, so it goes only if it
-     * alone overflows), then fire onEvict with them.
+     * Optimistic mode, before a step that may evict (scheduleStep skips
+     * it for a decode-only step whose live blocks plus one block per
+     * member fit): the step's demand is the store's live blocks plus
+     * each member's new levels (one decode token per prefilled member,
+     * the whole remaining input per prefiller).  While it exceeds the
+     * block budget, evict LIFO victims (youngest arrival, least progress
+     * first; restarted members after fresh ones, the batch's oldest
+     * member last, so it goes only if it alone overflows), then fire
+     * onEvict with them.
+     * @return true if anyone was evicted.
      */
-    void enforceKvPressure();
+    bool enforceKvPressure();
 
     sim::Executor &sim_;
     const cost::LatencyModel &latency_;
@@ -300,6 +309,12 @@ class InferencePipeline
     /** Physical block pool + prefix index. */
     std::unique_ptr<KvBlockStore> store_;
     double savedPrefillSeconds_ = 0.0;
+
+    /** Priced terms of a decode-only step of decodeStepBatch_ members
+     *  (0: none yet); the config never changes, so only the member
+     *  count keys it. */
+    cost::LatencyModel::DecodeStep decodeStep_;
+    int decodeStepBatch_ = 0;
 
     PipelinePhase phase_ = PipelinePhase::Idle;
     std::vector<ActiveRequest> batch_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "costmodel/config_space.h"
 #include "costmodel/latency_model.h"
@@ -269,6 +270,55 @@ TEST(LatencyModelTest, DecodeSpanMatchesIterationSum)
         manual += lat.decodeIterTime(c, 513 + k);
     EXPECT_NEAR(lat.decodeSpanTime(c, 513, 16), manual, 1e-9);
     EXPECT_DOUBLE_EQ(lat.decodeSpanTime(c, 513, 0), 0.0);
+}
+
+TEST(LatencyModelTest, DecodeStepIsTheReferenceSumBitForBit)
+{
+    // The engine prices a decode-only step from a DecodeStep cached per
+    // batch shape, so its sum must stay the exact double of the
+    // term-by-term formula, added left to right.  A regrouped sum moves
+    // some prices in the last bits, which adding a step to the simulated
+    // clock usually rounds away, so only an exact check guards the order.
+    for (const ModelSpec &spec :
+         {ModelSpec::opt6_7b(), ModelSpec::gpt20b(), ModelSpec::llama30b()}) {
+        LatencyModel lat(spec, kParams);
+        const int layers = spec.numLayers();
+        for (int tp : {1, 2, 4, 8}) {
+            for (int pp = 1; pp <= 4; ++pp) {
+                for (int batch = 1; batch <= 32; ++batch) {
+                    const ParallelConfig c{1, pp, tp, batch};
+                    const LatencyModel::DecodeStep step = lat.decodeStep(c);
+                    const double eff_bw =
+                        kParams.gpu.memBandwidth * lat.memEfficiency(tp) /
+                        (1.0 + kParams.batchMemPenalty * (batch - 1));
+                    const double weight_read =
+                        spec.totalWeightBytes() / (tp * eff_bw);
+                    const double act_bytes =
+                        static_cast<double>(batch) * spec.hiddenDim() * 2.0;
+                    const double comm =
+                        2.0 * layers * lat.allReduceTime(tp, act_bytes);
+                    const double pipe = (pp - 1) * lat.p2pTime(c, act_bytes);
+                    const double kernels = layers * kParams.kernelOverhead;
+                    for (int ctx : {1, 16, 17, 512, 2047, 4096}) {
+                        const double reference =
+                            weight_read + lat.kvReadTime(c, batch, ctx) +
+                            comm + pipe + kernels;
+                        EXPECT_EQ(lat.decodeIterTime(c, ctx), reference)
+                            << spec.name() << " tp " << tp << " pp " << pp
+                            << " batch " << batch << " ctx " << ctx;
+                        EXPECT_EQ(step.at(ctx), reference)
+                            << spec.name() << " tp " << tp << " pp " << pp
+                            << " batch " << batch << " ctx " << ctx;
+                    }
+                }
+            }
+        }
+    }
+    LatencyModel lat(ModelSpec::opt6_7b(), kParams);
+    EXPECT_THROW(lat.decodeIterTime(ParallelConfig{1, 1, 4, 2}, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(lat.decodeIterTime(ParallelConfig{1, 1, 4, 2}, -3),
+                 std::invalid_argument);
 }
 
 TEST(LatencyModelTest, ColdLoadDominatedByDisk)

@@ -950,6 +950,89 @@ TEST(OptimisticAdmissionTest, LoneMemberOutgrowingTheBudgetIsEvicted)
     EXPECT_EQ(pipeline.kvStore().liveBlocks(), 0);
 }
 
+/**
+ * Three members carried in decoding (arrivals 0, 1, 2), each one token
+ * short of filling its 17th block, on an Optimistic pipeline with the
+ * given block budget.  Their first step fills the 17th block; in the
+ * second every member crosses into an 18th block at once, so that step's
+ * demand is the live blocks (51) plus one per member (54).  Each member
+ * finishes at 20 output tokens, still inside its 18th block.
+ */
+struct DecodingTrio
+{
+    long evictions = 0;
+    std::vector<engine::ActiveRequest> evicted;
+    int completed = 0;
+    long peakPhysicalBlocks = 0;
+
+    explicit DecodingTrio(long budget_blocks)
+    {
+        sim::Simulation sim;
+        const auto spec = model::ModelSpec::opt6_7b();
+        const cost::LatencyModel latency(spec, kParams);
+        engine::InferencePipeline::Callbacks cb;
+        cb.onRequestComplete = [&](const engine::ActiveRequest &) {
+            ++completed;
+        };
+        cb.onBoundary = [&](const engine::InferencePipeline &p) {
+            peakPhysicalBlocks =
+                std::max(peakPhysicalBlocks, p.kvPhysicalBlocksHeld());
+        };
+        cb.onEvict = [&](engine::InferencePipeline &,
+                         std::vector<engine::ActiveRequest> victims) {
+            for (auto &v : victims)
+                evicted.push_back(std::move(v));
+        };
+        engine::BatchingOptions batching;
+        batching.kvBudgetBlocks = budget_blocks;
+        batching.kvAdmissionMode = engine::KvAdmissionMode::Optimistic;
+        engine::InferencePipeline pipeline(sim, latency,
+                                           par::ParallelConfig{1, 1, 4, 8},
+                                           0, std::move(cb), batching);
+        std::vector<engine::ActiveRequest> batch;
+        for (int i = 0; i < 3; ++i) {
+            engine::ActiveRequest r;
+            r.request = makeRequest(i, /*arrival=*/1.0 * i, /*input=*/256,
+                                    /*output=*/20);
+            r.committedTokens = 15; // 271 tokens held: 17 blocks
+            r.predictedOutputTokens = 16;
+            batch.push_back(r);
+        }
+        pipeline.startBatch(std::move(batch));
+        EXPECT_EQ(pipeline.kvPhysicalBlocksHeld(), 51);
+        EXPECT_NO_THROW(sim.run());
+        evictions = pipeline.evictionsPerformed();
+    }
+};
+
+TEST(OptimisticAdmissionTest, DecodingBatchFillingTheBudgetExactlyEvictsNothing)
+{
+    // Live blocks plus one per decoding member equal the budget: the
+    // step where every member crosses a block fits exactly, so nobody is
+    // evicted and the store, whose capacity is the budget, never throws.
+    const DecodingTrio run(/*budget_blocks=*/54);
+    EXPECT_EQ(run.evictions, 0);
+    EXPECT_TRUE(run.evicted.empty());
+    EXPECT_EQ(run.completed, 3);
+    EXPECT_EQ(run.peakPhysicalBlocks, 54);
+}
+
+TEST(OptimisticAdmissionTest, DecodingBatchOneBlockOverTheBudgetEvictsTheYoungest)
+{
+    // One block less: the crossing step's demand (54) exceeds the budget
+    // (53), so the demand scan must run and evict the LIFO victim, the
+    // youngest arrival, with its 16 committed tokens intact; the two
+    // survivors then fit and finish.  Skipping the scan here would make
+    // the store throw on the third new block.
+    const DecodingTrio run(/*budget_blocks=*/53);
+    EXPECT_EQ(run.evictions, 1);
+    ASSERT_EQ(run.evicted.size(), 1u);
+    EXPECT_EQ(run.evicted[0].request.id, 2);
+    EXPECT_EQ(run.evicted[0].committedTokens, 16);
+    EXPECT_EQ(run.completed, 2);
+    EXPECT_LE(run.peakPhysicalBlocks, 53);
+}
+
 // ---------------------------------------------------------------------
 // Optimistic admission at the system level (migrations)
 // ---------------------------------------------------------------------

@@ -5,6 +5,8 @@
         --workload steady-fewshot --seeds 631-636 --seconds 20 \\
         [--cxxflags=-falign-functions=64] [--build-root DIR] [--out FILE]
 
+--workload takes one workload, a comma-separated list, or "all" (every
+workload BENCHMARK.json declares, in its order); each runs on every seed.
 Runs perfbench/run.py (trace 0) from each tree on every seed, one parent
 and one change run per seed, flipping which side goes first every pair so
 neither side always runs on a warmer machine.  Each side builds into its
@@ -13,15 +15,17 @@ names the compiler flags: --cxxflags is handed to CMake as CXXFLAGS on
 the first configure of that directory (the layout check builds both sides
 with -falign-functions=64, so a gain is not an artefact of code layout).
 
-Prints every pair's wall-clock metrics (sim_us_per_request, setup_s,
-peak_rss_mb), then for each of them both medians, both interquartile
-ranges, the median change in percent, "change better in k/n" and the
-verdict against that metric's "bound" and "better" in BENCHMARK.json.
-Exits 1 if a run is not "correct", if any simulated metric (every
-end-to-end metric of BENCHMARK.json except the wall-clock ones) differs
-within a pair, or if a wall-clock median is worse than the parent's by
-more than its bound (a fraction of the parent median).  --out writes the
-summary and every run's result line as JSON.
+Prints, per workload, every pair's wall-clock metrics
+(sim_us_per_request, setup_s, peak_rss_mb), then for each of them both
+medians, both interquartile ranges, the median change in percent, "change
+better in k/n" and the verdict against that metric's "bound" and
+"better" in BENCHMARK.json.  Exits 1 if a run is not "correct", if any
+simulated metric (every end-to-end metric of BENCHMARK.json except the
+wall-clock ones) differs within a pair on any workload, or if a
+wall-clock median is worse than the parent's by more than its bound (a
+fraction of the parent median).  --out writes one JSON with a section per
+workload under "workloads", each holding its summary and every run's
+result line.
 """
 
 import argparse
@@ -83,40 +87,18 @@ def run_side(tree, target_dir, cxxflags, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="parent source tree")
-    parser.add_argument("--change", required=True, help="changed source tree")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True,
-                        help="seed list, e.g. 631-636 or 1,4,9")
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--cxxflags", default="",
-                        help="CXXFLAGS for both sides' first configure")
-    parser.add_argument("--build-root", default=".bench_pairs",
-                        help="parent of the per-side CARGO_TARGET_DIRs")
-    parser.add_argument("--out", help="write summary and runs as JSON here")
-    args = parser.parse_args()
-
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        declared = {m["name"]: m for m in json.load(f)["end_to_end"]}
+def compare_workload(args, workload, seeds, trees, targets, declared):
+    """Run the pairs of one workload; return (summary, runs, ok)."""
     simulated = sorted(n for n in declared if n not in WALL_CLOCK)
-    tag = re.sub(r"[^A-Za-z0-9]+", "_", args.cxxflags).strip("_") or "default"
-    trees = {"parent": os.path.abspath(args.parent),
-             "change": os.path.abspath(args.change)}
-    targets = {side: os.path.abspath(os.path.join(args.build_root, tag, side))
-               for side in trees}
-    for side in trees:
-        check_flags(targets[side], args.cxxflags)
 
     def lower_is_better(metric):
         return declared[metric]["better"] == "lower"
 
-    seeds = parse_seeds(args.seeds)
     runs = []
     values = {m: {"parent": [], "change": []} for m in WALL_CLOCK}
     better = {m: 0 for m in WALL_CLOCK}
     identical = True
+    print("== %s" % workload)
     print("%-6s %-6s" % ("seed", "first") +
           "".join(" %26s" % m for m in WALL_CLOCK))
     for i, seed in enumerate(seeds):
@@ -124,9 +106,9 @@ def main():
         pair = {}
         for side in order:
             result = run_side(trees[side], targets[side], args.cxxflags,
-                              args.workload, seed, args.seconds)
+                              workload, seed, args.seconds)
             pair[side] = result
-            runs.append(dict(workload=args.workload, side=side, seed=seed,
+            runs.append(dict(workload=workload, side=side, seed=seed,
                              seconds=args.seconds, trace=0,
                              cxxflags=args.cxxflags, **result))
             if not result.get("correct"):
@@ -179,19 +161,65 @@ def main():
     print("simulated metrics (%d) %s; all runs correct: %s" % (
         len(simulated), "identical in every pair" if identical else "DIFFER",
         correct))
+    summary = {
+        "workload": workload, "seconds": args.seconds,
+        "seeds": [seeds[0], seeds[-1]], "pairs": len(seeds),
+        "cxxflags": args.cxxflags,
+        "simulated_metrics_bit_identical": identical,
+        "all_correct": correct,
+        **summary_metrics,
+    }
+    return summary, runs, identical and correct and within_bounds
 
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="parent source tree")
+    parser.add_argument("--change", required=True, help="changed source tree")
+    parser.add_argument("--workload", required=True,
+                        help="a workload, a comma-separated list, or all")
+    parser.add_argument("--seeds", required=True,
+                        help="seed list, e.g. 631-636 or 1,4,9")
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--cxxflags", default="",
+                        help="CXXFLAGS for both sides' first configure")
+    parser.add_argument("--build-root", default=".bench_pairs",
+                        help="parent of the per-side CARGO_TARGET_DIRs")
+    parser.add_argument("--out", help="write summaries and runs as JSON here")
+    args = parser.parse_args()
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        benchmark = json.load(f)
+    declared = {m["name"]: m for m in benchmark["end_to_end"]}
+    known = [w["name"] for w in benchmark["workloads"]]
+    if args.workload == "all":
+        workloads = known
+    else:
+        workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
+        unknown = [w for w in workloads if w not in known]
+        if unknown or not workloads:
+            sys.exit("bench_pairs: unknown workload(s) %s; BENCHMARK.json "
+                     "declares %s" % (", ".join(unknown) or "(none)",
+                                      ", ".join(known)))
+    tag = re.sub(r"[^A-Za-z0-9]+", "_", args.cxxflags).strip("_") or "default"
+    trees = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    targets = {side: os.path.abspath(os.path.join(args.build_root, tag, side))
+               for side in trees}
+    for side in trees:
+        check_flags(targets[side], args.cxxflags)
+
+    seeds = parse_seeds(args.seeds)
+    sections, all_ok = {}, True
+    for workload in workloads:
+        summary, runs, ok = compare_workload(args, workload, seeds, trees,
+                                             targets, declared)
+        sections[workload] = {"summary": summary, "runs": runs}
+        all_ok = all_ok and ok
     if args.out:
-        summary = {
-            "workload": args.workload, "seconds": args.seconds,
-            "seeds": [seeds[0], seeds[-1]], "pairs": len(seeds),
-            "cxxflags": args.cxxflags,
-            "simulated_metrics_bit_identical": identical,
-            "all_correct": correct,
-            **summary_metrics,
-        }
         with open(args.out, "w") as f:
-            json.dump({"summary": summary, "runs": runs}, f, indent=1)
-    sys.exit(0 if identical and correct and within_bounds else 1)
+            json.dump({"workloads": sections}, f, indent=1)
+    sys.exit(0 if all_ok else 1)
 
 if __name__ == "__main__":
     main()
