@@ -1,6 +1,9 @@
 #include "core/device_mapper.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 
@@ -225,35 +228,46 @@ DeviceMapper::matchUnpinned(
 
     // Step 1 (intra-instance): score every (instance, slot) pair by its
     // best internal GPU-to-position matching, remembering the assignment.
-    struct IntraResult
-    {
-        std::vector<int> gpuToSlotPos; // index into slot positions, -1
-        double weight = 0.0;
-    };
-    std::vector<std::vector<IntraResult>> intra(
-        num_instances, std::vector<IntraResult>(num_slots));
+    // The solve reads nothing but the weight matrix, and at fleet scale
+    // few matrices are distinct (fresh instances and stages an instance
+    // never held score all zeros), so pairs whose matrices agree in shape
+    // and in every weight's bits share one solve.  The memo lives for this
+    // call only: the snapshot and the inheritance behind the weights
+    // change between calls.
+    std::map<std::vector<std::uint64_t>, match::Assignment> solved;
+    std::vector<std::vector<const match::Assignment *>> intra(
+        num_instances,
+        std::vector<const match::Assignment *>(num_slots, nullptr));
     match::Matrix slot_weight(num_instances,
                               std::vector<double>(num_slots, 0.0));
 
     std::vector<const engine::HeldContext *> held;
+    std::vector<std::uint64_t> key; // rows, cols, then the weights' bits
     for (std::size_t i = 0; i < num_instances; ++i) {
         held.clear();
         for (par::GpuId g : free_instances[i]->gpuIds())
             held.push_back(index.find(g));
         for (std::size_t s = 0; s < num_slots; ++s) {
             const auto &positions = slots[s].positions;
-            match::Matrix w(held.size(),
-                            std::vector<double>(positions.size(), 0.0));
-            for (std::size_t u = 0; u < held.size(); ++u) {
-                for (std::size_t v = 0; v < positions.size(); ++v) {
-                    w[u][v] = edgeWeight(held[u], topo, positions[v],
-                                         result.inheritedOldPipeline);
+            key.assign({held.size(), positions.size()});
+            for (const engine::HeldContext *h : held) {
+                for (const par::Position &pos : positions) {
+                    key.push_back(std::bit_cast<std::uint64_t>(edgeWeight(
+                        h, topo, pos, result.inheritedOldPipeline)));
                 }
             }
-            auto a = match::maxWeightAssignment(w);
-            intra[i][s].gpuToSlotPos = a.rowToCol;
-            intra[i][s].weight = a.totalWeight;
-            slot_weight[i][s] = a.totalWeight;
+            auto it = solved.find(key);
+            if (it == solved.end()) {
+                match::Matrix w(held.size(),
+                                std::vector<double>(positions.size()));
+                for (std::size_t u = 0, k = 2; u < held.size(); ++u) {
+                    for (std::size_t v = 0; v < positions.size(); ++v, ++k)
+                        w[u][v] = std::bit_cast<double>(key[k]);
+                }
+                it = solved.emplace(key, match::maxWeightAssignment(w)).first;
+            }
+            intra[i][s] = &it->second;
+            slot_weight[i][s] = it->second.totalWeight;
         }
     }
 
@@ -267,7 +281,7 @@ DeviceMapper::matchUnpinned(
             throw std::logic_error("DeviceMapper::map: unmatched slot");
         const auto gpus = free_instances[i]->gpuIds();
         const auto &positions = slots[s].positions;
-        const auto &assignment = intra[i][s].gpuToSlotPos;
+        const auto &assignment = intra[i][s]->rowToCol;
 
         // Bind matched GPUs; positions a partial slot leaves unmatched get
         // the remaining GPUs in order.

@@ -135,6 +135,10 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
                                own->ctx->cacheTokens > 0.0 &&
                                own->ctx->position.d == inherit;
 
+        // The sources found for the last holder segment scanned.
+        int scanned_segment = -1;
+        const engine::GpuContext *best = nullptr;
+        const engine::GpuContext *best_cache = nullptr;
         for (int l = first; l < last; ++l) {
             const double own_frac = own && own->holds(l) ? own_cover : 0.0;
             double missing_frac = needed_frac - own_frac;
@@ -161,27 +165,32 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
             // Pick a source: a daemon holding this layer with the largest
             // interval overlap, preferring the destination instance.  The
             // holders come in snapshot order, so the first maximum wins.
-            const engine::GpuContext *best = nullptr;
-            double best_score = 0.0;
-            const engine::GpuContext *best_cache = nullptr;
-            double best_cache_score = 0.0;
-            for (const engine::HeldContext *h : index.holders(l)) {
-                const engine::GpuContext &g = *h->ctx;
-                if (g.gpu == gpu)
-                    continue;
-                const double cover = h->shardCover(lo, hi);
-                if (cover <= 0.0)
-                    continue;
-                const double local_bonus =
-                    g.instance == dst_inst ? 1e-6 : 0.0;
-                if (cover + local_bonus > best_score) {
-                    best_score = cover + local_bonus;
-                    best = &g;
-                }
-                if (g.cacheTokens > 0.0 && g.position.d == inherit &&
-                    cover + local_bonus > best_cache_score) {
-                    best_cache_score = cover + local_bonus;
-                    best_cache = &g;
+            // Nothing in the scan depends on the layer beyond its holder
+            // list, so one scan serves every layer of a holder segment.
+            if (index.segmentOfLayer(l) != scanned_segment) {
+                scanned_segment = index.segmentOfLayer(l);
+                best = nullptr;
+                double best_score = 0.0;
+                best_cache = nullptr;
+                double best_cache_score = 0.0;
+                for (const engine::HeldContext *h : index.holders(l)) {
+                    const engine::GpuContext &g = *h->ctx;
+                    if (g.gpu == gpu)
+                        continue;
+                    const double cover = h->shardCover(lo, hi);
+                    if (cover <= 0.0)
+                        continue;
+                    const double local_bonus =
+                        g.instance == dst_inst ? 1e-6 : 0.0;
+                    if (cover + local_bonus > best_score) {
+                        best_score = cover + local_bonus;
+                        best = &g;
+                    }
+                    if (g.cacheTokens > 0.0 && g.position.d == inherit &&
+                        cover + local_bonus > best_cache_score) {
+                        best_cache_score = cover + local_bonus;
+                        best_cache = &g;
+                    }
                 }
             }
 

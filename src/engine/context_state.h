@@ -108,6 +108,12 @@ class ContextIndex
     /** Entries holding @p layer's model context, in snapshot order. */
     std::span<const HeldContext *const> holders(int layer) const;
 
+    /**
+     * The segment @p layer belongs to: layers with equal segments have the
+     * same holders() list.  Segments are numbered in layer order.
+     */
+    int segmentOfLayer(int layer) const { return segmentOfLayer_[layer]; }
+
   private:
     std::vector<HeldContext> entries_;
     /** GpuId -> entry index, -1 when absent. */

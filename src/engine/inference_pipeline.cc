@@ -358,7 +358,13 @@ InferencePipeline::scheduleStep()
     // iteration that runs can never overflow the budget.  A decoding
     // member adds at most one block, so a decode-only step whose live
     // blocks plus one per member fit the budget cannot evict and skips
-    // the demand scan.
+    // the demand scan.  The prefiller clause is a guard, not a case the
+    // scan acts on today: a member prefills only in the step right after
+    // startBatch or admitNewWork, both of which throw unless
+    // kvBlocksCharged() <= kvBudgetBlocks, and every member's charge
+    // covers its growth for that step, so the scan cannot evict there.
+    // Dropping the clause would change no output (an equivalent mutant);
+    // it stays so the scan still runs if admission's charge ever changes.
     const bool may_evict =
         step.prefillers > 0 ||
         store_->liveBlocks() + static_cast<long>(batch_.size()) >

@@ -6,7 +6,7 @@
  * (among them: the link-scheduled makespan never exceeds the serialized
  * cursor, up to fleet-scale transitions over 128 instances).  Golden
  * digests pin the mapper's and planner's exact output on every transition
- * and on one churned 64-instance fleet.
+ * and on two churned fleets.
  */
 
 #include <gtest/gtest.h>
@@ -283,6 +283,51 @@ TEST_F(TransitionSweep, ChurnedFleetPlanDigestIsPinned)
     EXPECT_GT(plan.movedModelBytes, 0.0);
     EXPECT_GT(plan.movedCacheBytes, 0.0);
     EXPECT_EQ(planDigest(mapping, plan), 0x967a0bc93a0529eULL)
+        << std::hex << "0x" << planDigest(mapping, plan);
+}
+
+// The sweep's (2, 3, 4, 8) -> (2, 2, 8, 8) transition mid-churn: both
+// holders of old stage 1 (instances 1 and 4) are gone and four fresh
+// instances (daemons without model context) join.  The snapshot's holder
+// lists then have an empty segment between two held ones, the layers of
+// old stage 1 are cold-loaded, and the fresh instances give the mapper
+// many identical all-zero weight matrices.
+TEST_F(TransitionSweep, StageLostMidChurnPlanDigestIsPinned)
+{
+    const par::ParallelConfig from{2, 3, 4, 8};
+    const par::ParallelConfig to{2, 2, 8, 8};
+    const double tokens = 8 * 600.0;
+    const int gpi = kParams.gpusPerInstance;
+    const std::set<int> dropped = {1, 4};
+    makeInstances(10);
+    std::vector<const cluster::Instance *> survivors;
+    for (const auto *inst : instances) {
+        if (dropped.count(inst->id()) == 0)
+            survivors.push_back(inst);
+    }
+
+    engine::ContextSnapshot snap;
+    for (const auto &ctx : packedSnapshot(from, tokens).gpus) {
+        if (dropped.count(ctx.instance) == 0)
+            snap.gpus.push_back(ctx);
+    }
+    for (int g = 6 * gpi; g < 10 * gpi; ++g) {
+        engine::GpuContext fresh;
+        fresh.gpu = g;
+        fresh.instance = g / gpi;
+        snap.gpus.push_back(fresh);
+    }
+    const std::vector<double> old_tokens(from.dp, tokens);
+
+    const auto mapping = mapper.map(snap, to, survivors, old_tokens);
+    ASSERT_TRUE(mapping.mesh.complete());
+    const auto plan = planner.plan(snap, mapping, to, old_tokens);
+    EXPECT_GT(plan.coldLoadBytes, 0.0);
+    EXPECT_GT(plan.movedModelBytes - plan.coldLoadBytes, 0.0)
+        << "layers the survivors hold move from them, not from disk";
+    EXPECT_NEAR(plan.reusedBytes + plan.movedModelBytes,
+                mapping.neededModelBytes, mapping.neededModelBytes * 1e-6);
+    EXPECT_EQ(planDigest(mapping, plan), 0xb5e1d207dff401aULL)
         << std::hex << "0x" << planDigest(mapping, plan);
 }
 

@@ -4,6 +4,7 @@
     python3 tools/bench_pairs.py --parent TREE --change TREE \\
         --workload steady-fewshot --seeds 631-636 --seconds 20 \\
         [--cxxflags=-falign-functions=64] [--build-root DIR] [--out FILE]
+        [--trace 1]
 
 --workload takes one workload, a comma-separated list, or "all" (every
 workload BENCHMARK.json declares, in its order); each runs on every seed.
@@ -26,6 +27,13 @@ wall-clock median is worse than the parent's by more than its bound (a
 fraction of the parent median).  --out writes one JSON with a section per
 workload under "workloads", each holding its summary and every run's
 result line.
+
+--trace 1 runs both sides traced instead (run.py --trace 1) and compares
+their per-layer rows: per workload, every row BENCHMARK.json declares
+under "per_layer", with both sides' medians and interquartile ranges, the
+median change and "change better in k/n", side by side in the printout
+and in --out.  Per-layer rows declare no bound, so none is applied; the
+tool exits 1 only on a run that is not "correct".
 """
 
 import argparse
@@ -71,13 +79,13 @@ def check_flags(target_dir, cxxflags):
                  "pick another --build-root" % (target_dir, have, cxxflags))
 
 
-def run_side(tree, target_dir, cxxflags, workload, seed, seconds):
+def run_side(tree, target_dir, cxxflags, workload, seed, seconds, trace):
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
     if cxxflags:
         env["CXXFLAGS"] = cxxflags
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = done.stdout.strip().splitlines()
@@ -85,6 +93,76 @@ def run_side(tree, target_dir, cxxflags, workload, seed, seconds):
         sys.exit("bench_pairs: run.py failed in %s (seed %d, exit %d)" %
                  (tree, seed, done.returncode))
     return json.loads(lines[-1])
+
+
+def run_pairs(args, workload, seeds, trees, targets, runs):
+    """Yield (seed, first side, {side: result}) for every seed, flipping
+    which side runs first every pair; append each result to runs."""
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {}
+        for side in order:
+            result = run_side(trees[side], targets[side], args.cxxflags,
+                              workload, seed, args.seconds, args.trace)
+            pair[side] = result
+            runs.append(dict(workload=workload, side=side, seed=seed,
+                             seconds=args.seconds, trace=args.trace,
+                             cxxflags=args.cxxflags, **result))
+            if not result.get("correct"):
+                print("run not correct: %s seed %d" % (side, seed))
+        yield seed, order[0], pair
+
+
+def side_by_side(values, better_pairs):
+    """Quartiles of both sides, the median change and the better count."""
+    stats = {side: quartiles(v) for side, v in values.items()}
+    parent_median = stats["parent"][1]
+    change_pct = (100.0 * (stats["change"][1] / parent_median - 1.0)
+                  if parent_median else 0.0)
+    return {
+        **{side: dict(zip(("q1", "median", "q3"),
+                          (round(v, 4) for v in stats[side])))
+           for side in stats},
+        "median_change_pct": round(change_pct, 1),
+        "change_better_pairs": better_pairs,
+    }
+
+
+def compare_layers(args, workload, seeds, trees, targets, declared):
+    """Run traced pairs of one workload; return (summary, runs, ok).  The
+    per-layer rows carry no bound: they are reported, never judged."""
+    runs = []
+    values = {m: {"parent": [], "change": []} for m in declared}
+    better = {m: 0 for m in declared}
+    print("== %s (traced)" % workload)
+    for seed, first, pair in run_pairs(args, workload, seeds, trees,
+                                       targets, runs):
+        print("seed %d, %s first" % (seed, first))
+        for m in declared:
+            got = {side: pair[side]["metrics"][m]["value"] for side in trees}
+            for side in trees:
+                values[m][side].append(got[side])
+            if declared[m]["better"] == "lower":
+                better[m] += got["change"] < got["parent"]
+            else:
+                better[m] += got["change"] > got["parent"]
+    print("%-36s %12s %12s %8s %7s" % ("row", "parent", "change", "change",
+                                       "better"))
+    rows = {}
+    for m in declared:
+        rows[m] = side_by_side(values[m], better[m])
+        print("%-36s %12.6g %12.6g %+7.1f%% %3d/%-3d" % (
+            m, rows[m]["parent"]["median"], rows[m]["change"]["median"],
+            rows[m]["median_change_pct"], better[m], len(seeds)))
+    correct = all(r.get("correct") for r in runs)
+    print("all runs correct: %s" % correct)
+    summary = {
+        "workload": workload, "seconds": args.seconds, "trace": 1,
+        "seeds": [seeds[0], seeds[-1]], "pairs": len(seeds),
+        "cxxflags": args.cxxflags, "all_correct": correct,
+        "per_layer": rows,
+    }
+    return summary, runs, correct
 
 
 def compare_workload(args, workload, seeds, trees, targets, declared):
@@ -101,18 +179,8 @@ def compare_workload(args, workload, seeds, trees, targets, declared):
     print("== %s" % workload)
     print("%-6s %-6s" % ("seed", "first") +
           "".join(" %26s" % m for m in WALL_CLOCK))
-    for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {}
-        for side in order:
-            result = run_side(trees[side], targets[side], args.cxxflags,
-                              workload, seed, args.seconds)
-            pair[side] = result
-            runs.append(dict(workload=workload, side=side, seed=seed,
-                             seconds=args.seconds, trace=0,
-                             cxxflags=args.cxxflags, **result))
-            if not result.get("correct"):
-                print("run not correct: %s seed %d" % (side, seed))
+    for seed, first, pair in run_pairs(args, workload, seeds, trees,
+                                       targets, runs):
         cells = []
         for m in WALL_CLOCK:
             got = {side: pair[side]["metrics"][m]["value"] for side in trees}
@@ -128,35 +196,28 @@ def compare_workload(args, workload, seeds, trees, targets, declared):
         differ = [n for n in simulated
                   if pair["parent"]["metrics"][n]["value"] !=
                   pair["change"]["metrics"][n]["value"]]
-        print("%-6d %-6s" % (seed, order[0]) +
+        print("%-6d %-6s" % (seed, first) +
               "".join(" %26s" % c for c in cells) +
               ("  DIFFERS: " + ", ".join(differ) if differ else ""))
         identical = identical and not differ
 
     summary_metrics, within_bounds = {}, True
     for m in WALL_CLOCK:
-        stats = {side: quartiles(values[m][side]) for side in trees}
-        change_pct = 100.0 * (stats["change"][1] / stats["parent"][1] - 1.0)
+        row = side_by_side(values[m], better[m])
+        change_pct = row["median_change_pct"]
         worse_pct = change_pct if lower_is_better(m) else -change_pct
         bound_pct = 100.0 * declared[m]["bound"]
         ok = worse_pct <= bound_pct
         within_bounds = within_bounds and ok
         print("%s (%s is better):" % (m, declared[m]["better"]))
         for side in trees:
-            q1, med, q3 = stats[side]
-            print("  %s median %.4f (IQR %.4f-%.4f)" % (side, med, q1, q3))
+            print("  %s median %.4f (IQR %.4f-%.4f)" % (
+                side, row[side]["median"], row[side]["q1"], row[side]["q3"]))
         print("  median change %+.1f%%; change better in %d/%d; bound %.0f%%"
               " worse: %s" % (change_pct, better[m], len(seeds), bound_pct,
                               "within" if ok else "EXCEEDED"))
-        summary_metrics[m] = {
-            **{side: dict(zip(("q1", "median", "q3"),
-                              (round(v, 4) for v in stats[side])))
-               for side in trees},
-            "median_change_pct": round(change_pct, 1),
-            "change_better_pairs": better[m],
-            "bound_pct": bound_pct,
-            "within_bound": ok,
-        }
+        summary_metrics[m] = {**row, "bound_pct": bound_pct,
+                              "within_bound": ok}
     correct = all(r.get("correct") for r in runs)
     print("simulated metrics (%d) %s; all runs correct: %s" % (
         len(simulated), "identical in every pair" if identical else "DIFFER",
@@ -186,11 +247,15 @@ def main():
     parser.add_argument("--build-root", default=".bench_pairs",
                         help="parent of the per-side CARGO_TARGET_DIRs")
     parser.add_argument("--out", help="write summaries and runs as JSON here")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: compare the traced per-layer rows instead")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         benchmark = json.load(f)
-    declared = {m["name"]: m for m in benchmark["end_to_end"]}
+    section = "per_layer" if args.trace else "end_to_end"
+    declared = {m["name"]: m for m in benchmark[section]}
+    compare = compare_layers if args.trace else compare_workload
     known = [w["name"] for w in benchmark["workloads"]]
     if args.workload == "all":
         workloads = known
@@ -212,8 +277,8 @@ def main():
     seeds = parse_seeds(args.seeds)
     sections, all_ok = {}, True
     for workload in workloads:
-        summary, runs, ok = compare_workload(args, workload, seeds, trees,
-                                             targets, declared)
+        summary, runs, ok = compare(args, workload, seeds, trees, targets,
+                                    declared)
         sections[workload] = {"summary": summary, "runs": runs}
         all_ok = all_ok and ok
     if args.out:
