@@ -63,30 +63,6 @@ InstanceManager::requestInstances(int count, InstanceType type)
     return ids;
 }
 
-int
-InstanceManager::releaseInstances(int count, bool ondemand_first)
-{
-    int released = 0;
-    auto release_of_type = [&](InstanceType type) {
-        // Youngest-first so long-lived instances keep their warm context.
-        for (auto it = instances_.rbegin();
-             it != instances_.rend() && released < count; ++it) {
-            Instance &inst = **it;
-            if (inst.type() == type &&
-                inst.state() == InstanceState::Running) {
-                releaseInstance(inst.id());
-                ++released;
-            }
-        }
-    };
-    if (ondemand_first)
-        release_of_type(InstanceType::OnDemand);
-    release_of_type(InstanceType::Spot);
-    if (ondemand_first && released < count)
-        release_of_type(InstanceType::OnDemand);
-    return released;
-}
-
 void
 InstanceManager::releaseInstance(InstanceId id)
 {
@@ -127,17 +103,6 @@ InstanceManager::survivingInstances() const
     std::vector<const Instance *> out;
     for (const auto &inst : instances_) {
         if (inst->state() == InstanceState::Running)
-            out.push_back(inst.get());
-    }
-    return out;
-}
-
-std::vector<const Instance *>
-InstanceManager::provisioningInstances() const
-{
-    std::vector<const Instance *> out;
-    for (const auto &inst : instances_) {
-        if (inst->state() == InstanceState::Provisioning)
             out.push_back(inst.get());
     }
     return out;

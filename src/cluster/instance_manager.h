@@ -80,9 +80,6 @@ class InstanceManager
      */
     std::vector<InstanceId> requestInstances(int count, InstanceType type);
 
-    /** Release @p count usable instances, on-demand first (Alg. 1 l.10). */
-    int releaseInstances(int count, bool ondemand_first = true);
-
     /** Release one specific instance. */
     void releaseInstance(InstanceId id);
 
@@ -113,9 +110,6 @@ class InstanceManager
 
     /** Usable instances that are not under a preemption notice. */
     std::vector<const Instance *> survivingInstances() const;
-
-    /** Instances still provisioning (will join later). */
-    std::vector<const Instance *> provisioningInstances() const;
 
     /**
      * N_t for Algorithm 1: instances available for the *next*

@@ -55,27 +55,5 @@ MigrationCostModel::wireTime(const std::vector<Transfer> &transfers) const
                     pcie_bottleneck / params_.intraBandwidth);
 }
 
-double
-MigrationCostModel::interInstanceBytes(const std::vector<Transfer> &transfers)
-{
-    double sum = 0.0;
-    for (const auto &t : transfers) {
-        if (t.srcInstance != t.dstInstance)
-            sum += t.bytes;
-    }
-    return sum;
-}
-
-double
-MigrationCostModel::intraInstanceBytes(const std::vector<Transfer> &transfers)
-{
-    double sum = 0.0;
-    for (const auto &t : transfers) {
-        if (t.srcInstance == t.dstInstance)
-            sum += t.bytes;
-    }
-    return sum;
-}
-
 } // namespace cost
 } // namespace spotserve

@@ -52,12 +52,6 @@ class MigrationCostModel
      */
     double wireTime(const std::vector<Transfer> &transfers) const;
 
-    /** Total bytes crossing instance boundaries. */
-    static double interInstanceBytes(const std::vector<Transfer> &transfers);
-
-    /** Total bytes moved within one instance. */
-    static double intraInstanceBytes(const std::vector<Transfer> &transfers);
-
     const CostParams &params() const { return params_; }
 
   private:

@@ -142,14 +142,5 @@ neededModelBytes(const model::ModelSpec &spec, const par::Topology &target,
     return (last - first) * spec.layerWeightBytes() / target.config().tp;
 }
 
-double
-neededCacheBytes(const model::ModelSpec &spec, const par::Topology &target,
-                 const par::Position &pos, double cache_tokens)
-{
-    const auto [first, last] = target.stageLayers(pos.p);
-    return cache_tokens * spec.kvBytesPerTokenPerLayer() * (last - first) /
-           target.config().tp;
-}
-
 } // namespace engine
 } // namespace spotserve

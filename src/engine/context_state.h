@@ -150,14 +150,6 @@ double cacheOverlapBytes(const model::ModelSpec &spec,
 double neededModelBytes(const model::ModelSpec &spec,
                         const par::Topology &target, const par::Position &pos);
 
-/**
- * Cache-context bytes position @p pos must hold to serve @p cache_tokens
- * inherited tokens.
- */
-double neededCacheBytes(const model::ModelSpec &spec,
-                        const par::Topology &target, const par::Position &pos,
-                        double cache_tokens);
-
 } // namespace engine
 } // namespace spotserve
 

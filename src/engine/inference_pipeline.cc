@@ -135,27 +135,6 @@ InferencePipeline::kvTokensHeld() const
 }
 
 long
-InferencePipeline::kvBlocksHeld() const
-{
-    long held = 0;
-    for (const auto &r : batch_)
-        held += r.kvBlocksHeld();
-    return held;
-}
-
-long
-InferencePipeline::kvBlocksReserved() const
-{
-    // Physical form: resident live blocks (shared levels counted once)
-    // plus each request's worst-case future growth — the levels it has
-    // yet to allocate.
-    long reserved = store_->liveBlocks();
-    for (const auto &r : batch_)
-        reserved += r.kvPeakBlocks() - r.kvBlocksHeld();
-    return reserved;
-}
-
-long
 InferencePipeline::kvBlocksCharged() const
 {
     long charged = store_->liveBlocks();

@@ -190,14 +190,6 @@ class InferencePipeline
     /** KV tokens the live batch holds right now (committed input and
      *  output tokens). */
     long kvTokensHeld() const;
-    /** KV blocks the live batch occupies (per-request ceil rounding). */
-    long kvBlocksHeld() const;
-    /**
-     * Worst-case KV blocks reserved by the live batch, in physical form:
-     * the store's live blocks (a shared prefix level counted once) plus
-     * each member's peak levels not yet held.
-     */
-    long kvBlocksReserved() const;
     /**
      * KV blocks the live batch is charged under the admission mode: the
      * store's live blocks plus each member's charged levels not yet

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 namespace spotserve {
@@ -168,51 +167,6 @@ maxWeightAssignment(const Matrix &weights)
     Assignment r = minCostAssignment(neg);
     r.totalWeight = matchedSum(weights, r.rowToCol);
     return r;
-}
-
-Assignment
-bruteForceMaxWeight(const Matrix &weights)
-{
-    auto [rows, cols] = shapeOf(weights);
-    Assignment best;
-    best.rowToCol.assign(rows, -1);
-    if (rows == 0 || cols == 0)
-        return best;
-    // Permute the smaller side over subsets of the larger side.
-    const bool rows_small = rows <= cols;
-    const std::size_t small = rows_small ? rows : cols;
-    const std::size_t large = rows_small ? cols : rows;
-    if (large > 9)
-        throw std::invalid_argument("bruteForceMaxWeight: instance too large");
-
-    std::vector<int> perm(large);
-    std::iota(perm.begin(), perm.end(), 0);
-    double best_sum = -kInf;
-    std::vector<int> best_sel;
-
-    // Iterate over all ordered selections of `small` items from `large`
-    // via permutations of the full range (dedup overhead acceptable at
-    // test sizes).
-    do {
-        double sum = 0.0;
-        for (std::size_t k = 0; k < small; ++k) {
-            sum += rows_small ? weights[k][perm[k]] : weights[perm[k]][k];
-        }
-        if (sum > best_sum) {
-            best_sum = sum;
-            best_sel.assign(perm.begin(), perm.begin() + small);
-        }
-    } while (std::next_permutation(perm.begin(), perm.end()));
-
-    if (rows_small) {
-        for (std::size_t k = 0; k < small; ++k)
-            best.rowToCol[k] = best_sel[k];
-    } else {
-        for (std::size_t k = 0; k < small; ++k)
-            best.rowToCol[best_sel[k]] = static_cast<int>(k);
-    }
-    best.totalWeight = matchedSum(weights, best.rowToCol);
-    return best;
 }
 
 } // namespace match

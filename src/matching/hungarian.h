@@ -46,12 +46,6 @@ Assignment maxWeightAssignment(const Matrix &weights);
 /** Minimum-cost counterpart. */
 Assignment minCostAssignment(const Matrix &costs);
 
-/**
- * Exponential-time exact reference (max weight).  Only usable for tiny
- * instances (<= ~9 rows); the tests compare it against the KM solver.
- */
-Assignment bruteForceMaxWeight(const Matrix &weights);
-
 } // namespace match
 } // namespace spotserve
 

@@ -83,18 +83,5 @@ DeviceMesh::pipelineGpus(int d) const
     return out;
 }
 
-std::vector<GpuId>
-DeviceMesh::stageGpus(int d, int p) const
-{
-    const auto &cfg = config();
-    if (d < 0 || d >= cfg.dp || p < 0 || p >= cfg.pp)
-        throw std::out_of_range("DeviceMesh::stageGpus: bad stage");
-    std::vector<GpuId> out;
-    out.reserve(cfg.tp);
-    for (int m = 0; m < cfg.tp; ++m)
-        out.push_back(gpuAt(Position{d, p, m}));
-    return out;
-}
-
 } // namespace par
 } // namespace spotserve

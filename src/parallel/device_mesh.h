@@ -56,9 +56,6 @@ class DeviceMesh
     /** GPUs serving pipeline @p d, in (p, m) order. */
     std::vector<GpuId> pipelineGpus(int d) const;
 
-    /** GPUs serving stage @p p of pipeline @p d, in shard order. */
-    std::vector<GpuId> stageGpus(int d, int p) const;
-
   private:
     Topology topology_;
     std::vector<GpuId> byIndex_;

@@ -24,12 +24,6 @@ ParallelConfig::shortStr() const
     return buf;
 }
 
-bool
-ParallelConfig::sameParallelism(const ParallelConfig &o) const
-{
-    return dp == o.dp && pp == o.pp && tp == o.tp;
-}
-
 std::string
 Position::str() const
 {
@@ -67,16 +61,6 @@ Topology::flatIndex(const Position &pos) const
         throw std::out_of_range("Topology::flatIndex: bad position");
     }
     return (pos.d * config_.pp + pos.p) * config_.tp + pos.m;
-}
-
-std::vector<Position>
-Topology::allPositions() const
-{
-    std::vector<Position> out;
-    out.reserve(size());
-    for (int i = 0; i < size(); ++i)
-        out.push_back(position(i));
-    return out;
 }
 
 std::pair<int, int>

@@ -14,7 +14,7 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
+#include <utility>
 
 namespace spotserve {
 namespace par {
@@ -50,12 +50,6 @@ struct ParallelConfig
     std::string shortStr() const;
 
     bool operator==(const ParallelConfig &o) const = default;
-
-    /**
-     * True when the two configs describe the same parallelization (same D,
-     * P, M) regardless of batch size.
-     */
-    bool sameParallelism(const ParallelConfig &o) const;
 };
 
 /**
@@ -94,9 +88,6 @@ class Topology
 
     /** Inverse of position(). */
     int flatIndex(const Position &pos) const;
-
-    /** All positions, in flat order. */
-    std::vector<Position> allPositions() const;
 
     /**
      * Layer interval [first, last) owned by stage @p p.  Layers are split

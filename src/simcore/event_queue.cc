@@ -116,20 +116,6 @@ EventQueue::pop()
 }
 
 void
-EventQueue::clear()
-{
-    for (const Node &n : heap_) {
-        if (n.slot != kNoSlot && !dead(n))
-            freeSlot(n.slot);
-    }
-    heap_.clear();
-    series_.clear();
-    freeSeries_.clear();
-    live_ = 0;
-    seriesWaiting_ = 0;
-}
-
-void
 EventQueue::push(const Node &n)
 {
     heap_.push_back(n);

@@ -26,8 +26,8 @@
  * one the n separate events would have made, while the heap stays as
  * small as the plain events plus one node per series.  Each series is
  * held by a shared_ptr that the member being fired shares, so a callback
- * that schedules another series or clears the queue never moves or frees
- * the callback that is running.  Series members cannot be cancelled and
+ * that schedules another series never moves or frees the callback that is
+ * running.  Series members cannot be cancelled and
  * have no EventId.
  */
 
@@ -120,9 +120,6 @@ class EventQueue
     };
     /** @pre !empty() */
     Fired pop();
-
-    /** Drop every pending event (used when tearing a simulation down). */
-    void clear();
 
     /**
      * Heap nodes of cancelled events that have not surfaced yet

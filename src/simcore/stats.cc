@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 
 namespace spotserve {
@@ -22,14 +21,6 @@ LatencyRecorder::mean() const
         return 0.0;
     double sum = std::accumulate(samples_.begin(), samples_.end(), 0.0);
     return sum / static_cast<double>(samples_.size());
-}
-
-double
-LatencyRecorder::min() const
-{
-    if (samples_.empty())
-        return 0.0;
-    return *std::min_element(samples_.begin(), samples_.end());
 }
 
 double
@@ -73,14 +64,6 @@ LatencyRecorder::summary() const
 }
 
 void
-LatencyRecorder::clear()
-{
-    samples_.clear();
-    sorted_.clear();
-    dirty_ = false;
-}
-
-void
 LatencyRecorder::ensureSorted() const
 {
     if (dirty_ || sorted_.size() != samples_.size()) {
@@ -88,49 +71,6 @@ LatencyRecorder::ensureSorted() const
         std::sort(sorted_.begin(), sorted_.end());
         dirty_ = false;
     }
-}
-
-void
-RunningStat::add(double value)
-{
-    ++n_;
-    const double delta = value - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (value - mean_);
-}
-
-double
-RunningStat::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(n_);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-RunningStat::cv() const
-{
-    const double m = mean();
-    if (m == 0.0)
-        return 0.0;
-    return stddev() / m;
-}
-
-std::string
-formatSeconds(double seconds)
-{
-    char buf[32];
-    if (seconds >= 1.0)
-        std::snprintf(buf, sizeof(buf), "%.3fs", seconds);
-    else
-        std::snprintf(buf, sizeof(buf), "%.1fms", seconds * 1e3);
-    return buf;
 }
 
 } // namespace sim

@@ -1,6 +1,6 @@
 /**
  * @file
- * Statistics utilities: latency percentiles and streaming moments.
+ * Statistics utilities: latency percentiles.
  *
  * The paper reports Avg plus P90/P95/P96/P97/P98/P99 tail latencies
  * (Figure 6); LatencyRecorder::Summary carries exactly those columns.
@@ -10,7 +10,6 @@
 #define SPOTSERVE_SIMCORE_STATS_H
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace spotserve {
@@ -33,8 +32,7 @@ class LatencyRecorder
     /** Arithmetic mean; 0 when empty. */
     double mean() const;
 
-    /** Smallest / largest sample; 0 when empty. */
-    double min() const;
+    /** Largest sample; 0 when empty. */
     double max() const;
 
     /**
@@ -61,9 +59,6 @@ class LatencyRecorder
     /** All samples in insertion order (for per-request timelines). */
     const std::vector<double> &samples() const { return samples_; }
 
-    /** Drop all samples. */
-    void clear();
-
   private:
     /** Sort the cache if new samples arrived since the last query. */
     void ensureSorted() const;
@@ -72,29 +67,6 @@ class LatencyRecorder
     mutable std::vector<double> sorted_;
     mutable bool dirty_ = false;
 };
-
-/** Streaming mean/variance via Welford's algorithm. */
-class RunningStat
-{
-  public:
-    void add(double value);
-
-    std::size_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    /** Population variance; 0 with fewer than 2 samples. */
-    double variance() const;
-    double stddev() const;
-    /** Coefficient of variation (stddev / mean); 0 when mean is 0. */
-    double cv() const;
-
-  private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-};
-
-/** Render seconds as a short human string, e.g. "12.3s" or "450ms". */
-std::string formatSeconds(double seconds);
 
 } // namespace sim
 } // namespace spotserve

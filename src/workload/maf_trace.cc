@@ -49,23 +49,6 @@ MafTrace::rateAt(sim::SimTime t) const
     return rates_[idx];
 }
 
-MafTrace
-MafTrace::rescaled(double factor) const
-{
-    if (factor <= 0.0)
-        throw std::invalid_argument("MafTrace::rescaled: bad factor");
-    std::vector<double> scaled(rates_);
-    for (double &r : scaled)
-        r *= factor;
-    return MafTrace(std::move(scaled), bucketSeconds_);
-}
-
-MafTrace
-MafTrace::rescaledToPeak(double peak) const
-{
-    return rescaled(peak / peakRate());
-}
-
 double
 MafTrace::meanRate() const
 {

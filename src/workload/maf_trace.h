@@ -8,8 +8,7 @@
  * this module embeds a synthetic per-minute rate series with the same
  * character the paper describes and plots: a stable beginning, a steep
  * burst that overwhelms the serving capacity around t = 270 s, and decay
- * after t = 600 s.  rescale() reproduces the paper's intensity-rescaling
- * step for other models.
+ * after t = 600 s.
  */
 
 #ifndef SPOTSERVE_WORKLOAD_MAF_TRACE_H
@@ -35,12 +34,6 @@ class MafTrace
 
     /** Instantaneous mean rate at time @p t (clamps past the end). */
     double rateAt(sim::SimTime t) const;
-
-    /** Multiply every bucket by @p factor (the paper's rescaling step). */
-    MafTrace rescaled(double factor) const;
-
-    /** Rescale so the series' peak rate equals @p peak. */
-    MafTrace rescaledToPeak(double peak) const;
 
     /** Mean and peak of the series. @{ */
     double meanRate() const;

@@ -127,19 +127,6 @@ withSharedPrefixes(Workload &workload,
 }
 
 void
-withSystemPrompt(Workload &workload, int prompt_tokens)
-{
-    if (prompt_tokens < 1)
-        throw std::invalid_argument(
-            "withSystemPrompt: prompt tokens must be >= 1");
-    for (auto &r : workload) {
-        r.prefixId = 0;
-        r.prefixLen = prompt_tokens;
-        r.inputLen += prompt_tokens;
-    }
-}
-
-void
 withFewShotPrefixes(Workload &workload, int num_classes, int class_tokens,
                     sim::Rng &rng)
 {

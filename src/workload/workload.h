@@ -83,13 +83,6 @@ void withSharedPrefixes(Workload &workload,
                         bool prepend = true);
 
 /**
- * Preset: every request shares one system prompt of @p prompt_tokens
- * tokens prepended to its input (the single-class limit — maximum
- * sharing opportunity).
- */
-void withSystemPrompt(Workload &workload, int prompt_tokens);
-
-/**
  * Preset: @p num_classes few-shot templates of @p class_tokens tokens
  * each, drawn uniformly per request and prepended (the multi-tenant
  * template mix).

@@ -198,23 +198,6 @@ TEST(InstanceManagerTest, DynamicAllocationHasLeadTime)
     EXPECT_EQ(mgr.usableCount(), 2);
 }
 
-TEST(InstanceManagerTest, ReleaseOnDemandFirst)
-{
-    sim::Simulation sim;
-    InstanceManager mgr(sim, kParams);
-    mgr.requestInstances(2, InstanceType::Spot);
-    mgr.requestInstances(1, InstanceType::OnDemand);
-    sim.run(kParams.acquisitionLeadTime + 1.0);
-    EXPECT_EQ(mgr.releaseInstances(2, /*ondemand_first=*/true), 2);
-    int od_alive = 0;
-    for (const auto *inst : mgr.usableInstances()) {
-        if (inst->type() == InstanceType::OnDemand)
-            ++od_alive;
-    }
-    EXPECT_EQ(od_alive, 0);
-    EXPECT_EQ(mgr.usableCount(), 1);
-}
-
 TEST(InstanceManagerTest, BillingBySeconds)
 {
     sim::Simulation sim;

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <thread>
 
 #include "core/device_mapper.h"
 
@@ -335,6 +337,45 @@ TEST_F(MapperFixture, DeterministicMapping)
     for (int i = 0; i < a.mesh.topology().size(); ++i) {
         const auto pos = a.mesh.topology().position(i);
         EXPECT_EQ(a.mesh.gpuAt(pos), b.mesh.gpuAt(pos));
+    }
+}
+
+TEST_F(MapperFixture, ConcurrentMapsOnOneMapperMatchASerialMap)
+{
+    // map() is const: two threads mapping the same churned snapshot on one
+    // mapper must each get the serial answer and share no mutable state
+    // (the intra-instance memo lives for one call; a TSan build checks it).
+    const auto full = packedSnapshot(par::ParallelConfig{2, 2, 8, 8}, 512.0);
+    engine::ContextSnapshot snap;
+    for (const auto &g : full.gpus) {
+        if (g.instance != 0)
+            snap.gpus.push_back(g);
+    }
+    makeInstances(8);
+    instances.erase(instances.begin());
+    storage[0]->markPreempted(1.0);
+    const par::ParallelConfig target{2, 3, 4, 8};
+    const auto serial =
+        DeviceMapper(spec, kParams).map(snap, target, instances, {1.0, 1.0});
+
+    // A fresh mapper, so neither thread's call follows a serial one on it.
+    const DeviceMapper mapper(spec, kParams);
+
+    std::vector<std::optional<MappingResult>> results(2);
+    std::vector<std::thread> threads;
+    for (auto &r : results) {
+        threads.emplace_back([&, out = &r] {
+            out->emplace(mapper.map(snap, target, instances, {1.0, 1.0}));
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    for (const auto &r : results) {
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->mesh.gpus(), serial.mesh.gpus());
+        EXPECT_EQ(r->inheritedOldPipeline, serial.inheritedOldPipeline);
+        EXPECT_EQ(r->reusedModelBytes, serial.reusedModelBytes);
+        EXPECT_EQ(r->reusedCacheBytes, serial.reusedCacheBytes);
     }
 }
 

@@ -392,8 +392,6 @@ TEST(MigrationCostTest, IntraInstanceUsesPcie)
     EXPECT_NEAR(m.transferTime(ts),
                 kParams.migrationSetupTime + 16e9 / kParams.intraBandwidth,
                 1e-9);
-    EXPECT_DOUBLE_EQ(MigrationCostModel::intraInstanceBytes(ts), 16e9);
-    EXPECT_DOUBLE_EQ(MigrationCostModel::interInstanceBytes(ts), 0.0);
 }
 
 TEST(MigrationCostTest, EmptyIsFree)

@@ -206,6 +206,91 @@ TEST(DynamicAllocationTest, ScalesDownAfterBurst)
     EXPECT_EQ(requests.unfinishedCount(), 0);
 }
 
+/**
+ * SpotServe that checks every voluntary release against Algorithm 1
+ * line 10 before handling it: whether the active mesh stood on the
+ * instance, and, for a spot release, whether an idle on-demand
+ * instance was still running.
+ */
+class ReleaseAuditedSpotServe : public core::SpotServeSystem
+{
+  public:
+    using core::SpotServeSystem::SpotServeSystem;
+
+    void
+    onInstanceReleased(const cluster::Instance &instance) override
+    {
+        if (instance.type() == InstanceType::OnDemand)
+            ++ondemandReleased;
+        else
+            ++spotReleased;
+        if (currentConfig().has_value())
+            ++releasedWhileServing;
+        if (meshUsesInstance(instance.id()))
+            ++meshReleased;
+        if (instance.type() == InstanceType::Spot) {
+            for (const auto *other : instances_.usableInstances()) {
+                if (other->type() == InstanceType::OnDemand &&
+                    other->state() == cluster::InstanceState::Running &&
+                    !meshUsesInstance(other->id()))
+                    ++spotBeforeIdleOndemand;
+            }
+        }
+        SpotServeSystem::onInstanceReleased(instance);
+    }
+
+    int ondemandReleased = 0;
+    int spotReleased = 0;
+    int releasedWhileServing = 0;
+    int meshReleased = 0;
+    int spotBeforeIdleOndemand = 0;
+};
+
+TEST(DynamicAllocationTest, ScaleDownReleasesIdleOnDemandFirst)
+{
+    // Four on-demand instances join at t = 600 s, beyond what the fleet
+    // of dynamically allocated spot instances needs, while spot spares
+    // sit idle: they must go first.  After the first lull the fleet
+    // sheds its idle spot spares.  A second burst grows the mesh onto
+    // every instance, so when it decays the fleet wants fewer instances
+    // than the mesh stands on, and none of those may be released.
+    AvailabilityTrace trace(
+        "ondemand-join", 3600.0,
+        {TraceEvent{600.0, TraceEventKind::Join, InstanceType::OnDemand, 4}});
+    sim::Rng rng(5);
+    auto rate = [](sim::SimTime t) {
+        if (t < 1200.0)
+            return 0.3;
+        return t >= 1800.0 && t < 2400.0 ? 0.6 : 0.05;
+    };
+    const auto workload = wl::fluctuating(rate, 1.0, 3000.0, kSeq, rng);
+
+    sim::Simulation sim;
+    cluster::InstanceManager instances(sim, kParams);
+    serving::RequestManager requests(sim);
+    core::SpotServeOptions options;
+    options.dynamicAllocation = true;
+    options.designArrivalRate = 0.05;
+    options.controller.arrivalCv = 1.0;
+    ReleaseAuditedSpotServe system(sim, instances, requests,
+                                   model::ModelSpec::gpt20b(), kParams, kSeq,
+                                   options);
+    instances.setListener(&system);
+    instances.loadTrace(trace);
+    for (const auto &req : workload) {
+        sim.schedule(req.arrival,
+                     [&system, req] { system.onRequestArrival(req); });
+    }
+    sim.run(3600.0);
+    EXPECT_GT(system.ondemandReleased, 0);
+    EXPECT_GT(system.spotReleased, 0);
+    EXPECT_EQ(system.releasedWhileServing,
+              system.ondemandReleased + system.spotReleased);
+    EXPECT_EQ(system.spotBeforeIdleOndemand, 0);
+    EXPECT_EQ(system.meshReleased, 0);
+    EXPECT_EQ(requests.unfinishedCount(), 0);
+}
+
 // ---------------------------------------------------------------------
 // Fault tolerance (§4.2)
 // ---------------------------------------------------------------------

@@ -32,6 +32,8 @@
 #include "serving/request_manager.h"
 #include "workload/workload.h"
 
+#include "kv_block_counts.h"
+
 namespace spotserve {
 namespace {
 
@@ -113,10 +115,10 @@ struct EngineServer
             ++boundaries;
             const long budget_blocks = p.kvBudgetBlocks();
             if ((mode == engine::KvAdmissionMode::Reserve &&
-                 p.kvBlocksReserved() > budget_blocks) ||
+                 kvBlocksReserved(p) > budget_blocks) ||
                 p.kvPhysicalBlocksHeld() > budget_blocks)
                 ++violations;
-            peakHeldBlocks = std::max(peakHeldBlocks, p.kvBlocksHeld());
+            peakHeldBlocks = std::max(peakHeldBlocks, kvBlocksHeld(p));
             peakConcurrency = std::max(peakConcurrency,
                                        static_cast<int>(p.batch().size()));
         };
@@ -1425,15 +1427,15 @@ TEST(BlockSystemTest, HeldBlocksInvariantAcrossTracesAndMigrations)
                     const auto &c = p.config();
                     const long budget = kChurnMem.kvBudgetBlocks(c);
                     peak_fill = std::max(
-                        peak_fill, static_cast<double>(p.kvBlocksReserved()) /
+                        peak_fill, static_cast<double>(kvBlocksReserved(p)) /
                                        static_cast<double>(budget));
-                    long v = p.kvBlocksHeld() > budget ? 1 : 0;
+                    long v = kvBlocksHeld(p) > budget ? 1 : 0;
                     if (mode == engine::KvAdmissionMode::Reserve &&
-                        p.kvBlocksReserved() > budget)
+                        kvBlocksReserved(p) > budget)
                         ++v;
                     const int bl = (kChurnSpec.numLayers() + c.pp - 1) / c.pp;
                     const double kv_bytes =
-                        static_cast<double>(p.kvBlocksHeld()) *
+                        static_cast<double>(kvBlocksHeld(p)) *
                         engine::kKvBlockTokens *
                         kChurnSpec.kvBytesPerTokenPerLayer() * bl / c.tp;
                     return v + overGpuLine(p, kv_bytes);

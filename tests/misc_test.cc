@@ -60,7 +60,6 @@ TEST(InstanceManagerEdge, PlanningCountMix)
     EXPECT_EQ(mgr.planningCount(), 4);
     EXPECT_EQ(mgr.usableCount(), 3);
     EXPECT_EQ(mgr.survivingInstances().size(), 2u);
-    EXPECT_EQ(mgr.provisioningInstances().size(), 2u);
 }
 
 TEST(PipelineSequencing, BackToBackBatches)

@@ -22,16 +22,6 @@ TEST(ParallelConfigTest, DerivedCounts)
     EXPECT_EQ(c.shortStr(), "(2,3,4)");
 }
 
-TEST(ParallelConfigTest, SameParallelismIgnoresBatch)
-{
-    ParallelConfig a{2, 3, 4, 8};
-    ParallelConfig b{2, 3, 4, 1};
-    EXPECT_TRUE(a.sameParallelism(b));
-    EXPECT_FALSE(a == b);
-    b.dp = 3;
-    EXPECT_FALSE(a.sameParallelism(b));
-}
-
 TEST(ParallelConfigTest, InvalidConfigs)
 {
     EXPECT_FALSE((ParallelConfig{0, 1, 1, 1}).valid());
@@ -61,7 +51,6 @@ TEST_P(TopologyRoundTrip, FlatIndexIsInverse)
         EXPECT_GE(pos.m, 0);
         EXPECT_LT(pos.m, tp);
     }
-    EXPECT_EQ(static_cast<int>(topo.allPositions().size()), topo.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -171,8 +160,8 @@ TEST(DeviceMeshTest, AssignAndQuery)
     DeviceMesh mesh(ParallelConfig{2, 2, 2, 1}, 8);
     EXPECT_FALSE(mesh.complete());
     int gpu = 100;
-    for (const auto &pos : mesh.topology().allPositions())
-        mesh.assign(pos, gpu++);
+    for (int i = 0; i < mesh.topology().size(); ++i)
+        mesh.assign(mesh.topology().position(i), gpu++);
     EXPECT_TRUE(mesh.complete());
     EXPECT_EQ(mesh.gpuAt(Position{0, 0, 0}), 100);
     EXPECT_EQ(mesh.gpuAt(Position{1, 1, 1}), 107);
@@ -181,17 +170,15 @@ TEST(DeviceMeshTest, AssignAndQuery)
     EXPECT_FALSE(mesh.contains(99));
 }
 
-TEST(DeviceMeshTest, PipelineAndStageViews)
+TEST(DeviceMeshTest, PipelineViews)
 {
     DeviceMesh mesh(ParallelConfig{2, 2, 2, 1}, 8);
     int gpu = 0;
-    for (const auto &pos : mesh.topology().allPositions())
-        mesh.assign(pos, gpu++);
+    for (int i = 0; i < mesh.topology().size(); ++i)
+        mesh.assign(mesh.topology().position(i), gpu++);
     EXPECT_EQ(mesh.pipelineGpus(0), (std::vector<GpuId>{0, 1, 2, 3}));
     EXPECT_EQ(mesh.pipelineGpus(1), (std::vector<GpuId>{4, 5, 6, 7}));
-    EXPECT_EQ(mesh.stageGpus(1, 0), (std::vector<GpuId>{4, 5}));
     EXPECT_THROW(mesh.pipelineGpus(2), std::out_of_range);
-    EXPECT_THROW(mesh.stageGpus(0, 5), std::out_of_range);
 }
 
 TEST(DeviceMeshTest, DoubleBindingRejected)

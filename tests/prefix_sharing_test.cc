@@ -39,6 +39,8 @@
 #include "simcore/simulation.h"
 #include "workload/workload.h"
 
+#include "kv_block_counts.h"
+
 namespace spotserve {
 namespace {
 
@@ -427,7 +429,7 @@ struct PrefixInvariantResult
     long violations = 0;
     long refLeaks = 0;
     /** report().peakKvHeldBlocks, and the running max of
-     *  kvBlocksHeld() this observer saw at the same boundaries. */
+     *  kvBlocksHeld(p) this observer saw at the same boundaries. */
     long reportedPeakHeldBlocks = 0;
     long observedPeakHeldBlocks = 0;
     long prefixHits = 0;
@@ -479,7 +481,7 @@ runPrefixSystemInvariant(const wl::Workload &workload,
         const long budget_blocks = mem.kvBudgetBlocks(p.config());
         if (p.kvPhysicalBlocksHeld() > budget_blocks)
             ++out.violations;
-        if (p.kvBlocksHeld() > budget_blocks)
+        if (kvBlocksHeld(p) > budget_blocks)
             ++out.logicalOverBudget;
         const engine::KvBlockStore &store = p.kvStore();
         if (store.capacityBlocks() != engine::kUnboundedKvBlocks &&
@@ -492,10 +494,10 @@ runPrefixSystemInvariant(const wl::Workload &workload,
             ++out.refLeaks;
         // One reference per held level: the store's live references are
         // the logical block holding the serving layer's peak gauge reads.
-        if (p.kvBlocksHeld() != store.totalLiveRefs())
+        if (kvBlocksHeld(p) != store.totalLiveRefs())
             ++out.violations;
         out.observedPeakHeldBlocks =
-            std::max(out.observedPeakHeldBlocks, p.kvBlocksHeld());
+            std::max(out.observedPeakHeldBlocks, kvBlocksHeld(p));
         if (p.batch().empty() && store.liveBlocks() != 0)
             ++out.refLeaks;
     });
@@ -549,7 +551,8 @@ TEST(PrefixSystemTest, PhysicalBlocksAndRefsInvariantAcrossChurnMatrix)
             },
             1.0, 900.0, seq, rng);
         wl::capOutputs(w, 512, 16, 128, rng);
-        wl::withSystemPrompt(w, /*prompt_tokens=*/152);
+        // One 152-token system prompt shared by every request.
+        wl::withSharedPrefixes(w, {{152, 1.0}}, rng);
         return w;
     };
     auto longInput = [&] {
@@ -709,11 +712,11 @@ TEST(PrefixAblationTest, StoreMatchesPerRequestOracleOnPrefixFreeWorkload)
                     charge += req.kvChargedBlocks(p.kvAdmissionMode());
                     peak += req.kvPeakBlocks();
                 }
-                if (p.kvPhysicalBlocksHeld() != p.kvBlocksHeld())
+                if (p.kvPhysicalBlocksHeld() != kvBlocksHeld(p))
                     ++physical;
                 if (p.kvBlocksCharged() != charge)
                     ++charged;
-                if (p.kvBlocksReserved() != peak)
+                if (kvBlocksReserved(p) != peak)
                     ++reserved;
             });
         EXPECT_GT(boundaries, 0);
@@ -805,13 +808,7 @@ TEST(PrefixWorkloadTest, SharedPrefixDecorators)
                   std::min(1000, w[i].inputLen)); // clamped to the prompt
     }
 
-    // Presets.
-    auto sys = w;
-    wl::withSystemPrompt(sys, 128);
-    for (const auto &r : sys) {
-        EXPECT_EQ(r.prefixId, 0);
-        EXPECT_EQ(r.prefixLen, 128);
-    }
+    // Preset.
     auto few = w;
     wl::withFewShotPrefixes(few, 4, 96, rng);
     for (const auto &r : few) {

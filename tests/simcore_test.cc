@@ -19,6 +19,26 @@
 namespace spotserve::sim {
 namespace {
 
+/** Sample mean and coefficient of variation (population stddev / mean). */
+struct MeanCv
+{
+    double mean = 0.0;
+    double cv = 0.0;
+};
+
+MeanCv
+meanAndCv(const std::vector<double> &xs)
+{
+    double sum = 0.0;
+    for (double x : xs)
+        sum += x;
+    const double mean = sum / static_cast<double>(xs.size());
+    double squares = 0.0;
+    for (double x : xs)
+        squares += (x - mean) * (x - mean);
+    return {mean, std::sqrt(squares / static_cast<double>(xs.size())) / mean};
+}
+
 TEST(EventQueueTest, FiresInTimeOrder)
 {
     EventQueue q;
@@ -281,16 +301,6 @@ TEST(EventQueueTest, NextTimeSkipsCancelled)
     EXPECT_DOUBLE_EQ(q.nextTime(), 2.0);
 }
 
-TEST(EventQueueTest, ClearEmptiesEverything)
-{
-    EventQueue q;
-    q.schedule(1.0, [] {});
-    q.schedule(2.0, [] {});
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    EXPECT_DOUBLE_EQ(q.nextTime(), kTimeInfinity);
-}
-
 /**
  * One side of the series differential.  Events are labelled; firing one
  * appends its label.  The reference side (@p expand) turns every series
@@ -445,40 +455,26 @@ TEST(EventQueueTest, SeriesFiresLikeScheduleCallsInIndexOrder)
               100);
 }
 
-// clear() drops pending series members as well as plain events, also
-// from inside a series callback, and the queue is reusable afterwards.
-TEST(EventQueueTest, ClearDropsSeriesMembers)
+// A member that schedules more series keeps running: its series outlives
+// its table entry, which the last member frees and a new series reuses,
+// and the table grows (moves) under the running callback.
+TEST(EventQueueTest, SeriesMemberOutlivesItsTableEntry)
 {
-    std::vector<char> is_series(3, 1);
-    SeriesSide test(false, &is_series), ref(true, &is_series);
-    for (SeriesSide *s : {&test, &ref}) {
-        s->series({4.0, 1.0, 4.0}, [](int i) { return i + 1; });
-        s->q.schedule(2.0, [] {});
-    }
-    test.popAndFire();
-    EXPECT_EQ(test.q.size(), 3u);
-    test.q.clear();
-    EXPECT_TRUE(test.q.empty());
-    EXPECT_EQ(test.q.size(), 0u);
-    EXPECT_EQ(test.q.cancelledBacklog(), 0u);
-    EXPECT_DOUBLE_EQ(test.q.nextTime(), kTimeInfinity);
-
-    // A member that clears the queue keeps running: its series outlives
-    // the table entry until the callback returns.
+    EventQueue q;
     std::vector<int> seen;
-    test.q.scheduleSeries({5.0, 5.0}, [&](std::size_t i) {
-        test.q.clear();
+    q.scheduleSeries({5.0, 5.0}, [&](std::size_t i) {
         for (int k = 0; k < 40; ++k)
-            test.q.scheduleSeries({6.0}, [](std::size_t) {});
+            q.scheduleSeries({6.0}, [](std::size_t) {});
         seen.push_back(static_cast<int>(i));
     });
-    test.popAndFire();
-    EXPECT_EQ(seen, (std::vector<int>{0}));
-    EXPECT_EQ(test.q.size(), 40u);
-    while (!test.q.empty())
-        test.popAndFire();
-    EXPECT_EQ(seen, (std::vector<int>{0}));
-    EXPECT_EQ(test.q.cancelledBacklog(), 0u);
+    q.pop().fire();
+    q.pop().fire();
+    EXPECT_EQ(seen, (std::vector<int>{0, 1}));
+    EXPECT_EQ(q.size(), 80u);
+    while (!q.empty())
+        q.pop().fire();
+    EXPECT_EQ(seen, (std::vector<int>{0, 1}));
+    EXPECT_EQ(q.cancelledBacklog(), 0u);
 }
 
 TEST(SimulationTest, ClockAdvancesWithEvents)
@@ -661,10 +657,10 @@ TEST(RngTest, UniformIntInclusive)
 TEST(RngTest, ExponentialMeanMatchesRate)
 {
     Rng rng(3);
-    RunningStat stat;
+    std::vector<double> draws;
     for (int i = 0; i < 50000; ++i)
-        stat.add(rng.exponential(2.0));
-    EXPECT_NEAR(stat.mean(), 0.5, 0.02);
+        draws.push_back(rng.exponential(2.0));
+    EXPECT_NEAR(meanAndCv(draws).mean, 0.5, 0.02);
 }
 
 /** Gamma intervals must hit the requested mean and CV (paper: CV = 6). */
@@ -676,11 +672,12 @@ TEST_P(GammaCvTest, MeanAndCvMatch)
 {
     const double cv = GetParam();
     Rng rng(7);
-    RunningStat stat;
+    std::vector<double> draws;
     for (int i = 0; i < 200000; ++i)
-        stat.add(rng.gammaInterval(2.0, cv));
-    EXPECT_NEAR(stat.mean(), 2.0, 0.15 * cv);
-    EXPECT_NEAR(stat.cv(), cv, 0.15 * cv);
+        draws.push_back(rng.gammaInterval(2.0, cv));
+    const auto stat = meanAndCv(draws);
+    EXPECT_NEAR(stat.mean, 2.0, 0.15 * cv);
+    EXPECT_NEAR(stat.cv, cv, 0.15 * cv);
 }
 
 INSTANTIATE_TEST_SUITE_P(CvSweep, GammaCvTest,
@@ -709,7 +706,6 @@ TEST(LatencyRecorderTest, BasicMoments)
     for (double v : {1.0, 2.0, 3.0, 4.0})
         r.add(v);
     EXPECT_DOUBLE_EQ(r.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(r.min(), 1.0);
     EXPECT_DOUBLE_EQ(r.max(), 4.0);
     EXPECT_DOUBLE_EQ(r.percentile(0), 1.0);
     EXPECT_DOUBLE_EQ(r.percentile(100), 4.0);
@@ -760,24 +756,6 @@ TEST(LatencyRecorderTest, InterleavedAddAndQuery)
     EXPECT_DOUBLE_EQ(r.percentile(50), 5.0);
     r.add(1.0);
     EXPECT_DOUBLE_EQ(r.percentile(0), 1.0);
-    r.clear();
-    EXPECT_EQ(r.count(), 0u);
-}
-
-TEST(RunningStatTest, MatchesClosedForm)
-{
-    RunningStat s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.stddev(), 2.0, 1e-12);
-    EXPECT_NEAR(s.cv(), 0.4, 1e-12);
-}
-
-TEST(FormatSecondsTest, PicksUnits)
-{
-    EXPECT_EQ(formatSeconds(2.5), "2.500s");
-    EXPECT_EQ(formatSeconds(0.0421), "42.1ms");
 }
 
 } // namespace

@@ -30,12 +30,14 @@ shows what the benchmark workloads reach (CI's coverage job does this too):
     python3 tools/coverage_report.py bench-cov/perfbench spotserve_lib \
         > coverage-benchmark.tsv
 
-The script runs gcov over every .gcda of the library's objects and merges
+The script runs gcov over every .gcno of the library's objects and merges
 the per-translation-unit counts by source line, so a header line counts
-as executed when any translation unit executed it.  It prints one
-tab-separated row per file under src/: executed lines, unexecuted lines,
-and the unexecuted line numbers, then a TOTAL row.  Informational only;
-it never fails on low coverage.
+as executed when any translation unit executed it.  An object that no
+run reached has a .gcno but no .gcda; gcov reports its lines with count
+0, so a compiled file nothing executed still gets a row, with every line
+unexecuted.  It prints one tab-separated row per file under src/:
+executed lines, unexecuted lines, and the unexecuted line numbers, then
+a TOTAL row.  Informational only; it never fails on low coverage.
 """
 
 import json
@@ -54,18 +56,19 @@ def main():
     target = sys.argv[2] if len(sys.argv) == 3 else "spotserve"
     objdir = os.path.join(os.path.realpath(sys.argv[1]), "CMakeFiles",
                           target + ".dir")
-    gcdas = sorted(os.path.join(dirpath, f)
+    notes = sorted(os.path.join(dirpath, f)
                    for dirpath, _, files in os.walk(objdir)
-                   for f in files if f.endswith(".gcda"))
-    if not gcdas:
-        sys.exit("no .gcda under %s: build with --coverage and run the "
-                 "tests first" % objdir)
+                   for f in files if f.endswith(".gcno"))
+    if not notes:
+        sys.exit("no .gcno under %s: build with --coverage first" % objdir)
+    if not any(os.path.exists(n[:-len(".gcno")] + ".gcda") for n in notes):
+        sys.exit("no .gcda under %s: run the tests first" % objdir)
 
     # file -> line -> executed in any translation unit
     lines = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for gcda in gcdas:
-            out = subprocess.run(["gcov", "--json-format", "--stdout", gcda],
+        for gcno in notes:
+            out = subprocess.run(["gcov", "--json-format", "--stdout", gcno],
                                  cwd=tmp, capture_output=True, check=True)
             # One JSON document per input file, one per line.
             for doc in map(json.loads, out.stdout.splitlines()):
