@@ -20,6 +20,7 @@
 
 #include "core/device_mapper.h"
 #include "core/migration_planner.h"
+#include "costmodel/migration_cost.h"
 
 using namespace spotserve;
 
@@ -103,13 +104,16 @@ runTransition(const par::ParallelConfig &from, const par::ParallelConfig &to,
                 "(front-to-back); U_max %.1f GB\n",
                 p_full.peakBufferBytes / 1e9, p_plain.peakBufferBytes / 1e9,
                 s.params.migrationBufferBytes / 1e9);
+    const double serialized =
+        cost::MigrationCostModel(s.params).serializedDuration(
+            core::MigrationPlanner::transferSteps(p_full));
     std::printf("  data plane: link-level makespan %5.2fs vs serialized "
                 "cursor %5.2fs (%.2fx)\n\n",
-                p_full.totalDuration, p_full.serializedDuration,
+                p_full.totalDuration, serialized,
                 p_full.totalDuration > 0.0
-                    ? p_full.serializedDuration / p_full.totalDuration
+                    ? serialized / p_full.totalDuration
                     : 0.0);
-    return {p_full.totalDuration, p_full.serializedDuration};
+    return {p_full.totalDuration, serialized};
 }
 
 } // namespace

@@ -105,16 +105,18 @@ main()
     cost::LatencyModel latency(spec, params);
     core::InterruptionArranger arranger(latency);
     const double committed_work = arranger.recomputeTime(old_cfg, 512, 64);
-    const auto arrangement = arranger.arrangeForPreemption(
-        old_cfg, 512 + 64 + 1, 128 - 64, committed_work,
-        params.gracePeriod, plan.totalDuration);
+    const int iterations = arranger.arrangeForPreemption(
+        old_cfg, 512 + 64 + 1, 128 - 64, params.gracePeriod,
+        plan.totalDuration);
     std::printf("JIT arrangement for a %.0fs grace period:\n",
                 params.gracePeriod);
     std::printf("  run %d more decode iterations, then migrate "
                 "(T_mig %.2fs); cache migration %s (recompute would "
                 "cost %.1fs)\n",
-                arrangement.iterations, plan.totalDuration,
-                arrangement.migrateCache ? "worth it" : "not worth it",
+                iterations, plan.totalDuration,
+                arranger.migrateCache(plan.totalDuration, committed_work)
+                    ? "worth it"
+                    : "not worth it",
                 committed_work);
     return 0;
 }

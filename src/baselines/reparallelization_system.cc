@@ -135,7 +135,8 @@ ReparallelizationSystem::beginRestart(const par::ParallelConfig &target,
 
     // The per-instance weight loads run through the data plane's disk
     // links: with idle disks the stall is byte-identical to the
-    // closed-form coldLoadTime; a disk still draining a previous load
+    // closed-form cold start (engineRestartTime + bytes / diskBandwidth);
+    // a disk still draining a previous load
     // (back-to-back restarts) honestly delays this one.
     const double bytes = latency_.coldLoadBytesPerInstance(target);
     std::vector<std::pair<int, double>> loads;

@@ -167,9 +167,10 @@ ReroutingSystem::assemble()
         par::ParallelConfig pipe_cfg = *fixed_;
         pipe_cfg.dp = 1;
         // Cold members pull their shards over the data plane's disk
-        // links (identical to coldLoadTime when the disks are idle; a
-        // member re-pooled from a just-dropped replica may still have a
-        // load in flight and honestly delays the new replica).
+        // links (on idle disks exactly the closed-form cold start,
+        // engineRestartTime + bytes / diskBandwidth; a member re-pooled
+        // from a just-dropped replica may still have a load in flight
+        // and honestly delays the new replica).
         double delay = params_.engineRestartTime;
         if (!all_warm) {
             const double bytes = latency_.coldLoadBytesPerInstance(pipe_cfg);

@@ -10,28 +10,19 @@ InterruptionArranger::InterruptionArranger(const cost::LatencyModel &latency)
 {
 }
 
-Arrangement
+int
 InterruptionArranger::arrangeForPreemption(const par::ParallelConfig &config,
                                            int current_ctx,
                                            int remaining_tokens,
-                                           double committed_work,
                                            double remaining_grace,
                                            double migration_time) const
 {
-    Arrangement a;
-    // Reroute-vs-migrate guard: the arrangement must not increase request
-    // latency (T_mig < l_exe of the committed progress).  With little
-    // committed work, recomputing elsewhere is cheaper than moving KV.
-    a.migrateCache = migration_time < committed_work;
-
     // Budget for extra decoding: the grace period minus the migration,
     // minus one iteration of slack for the iteration already in flight.
     const double inflight = latency_.decodeIterTime(config, current_ctx);
     const double budget = remaining_grace - migration_time - inflight;
-    if (budget <= 0.0 || remaining_tokens <= 0) {
-        a.iterations = 0;
-        return a;
-    }
+    if (budget <= 0.0 || remaining_tokens <= 0)
+        return 0;
 
     // Largest S with decode span < budget; the span is monotone in S so a
     // linear scan over at most S_out iterations suffices.
@@ -40,8 +31,30 @@ InterruptionArranger::arrangeForPreemption(const par::ParallelConfig &config,
            latency_.decodeSpanTime(config, current_ctx, s + 1) < budget) {
         ++s;
     }
-    a.iterations = s;
-    return a;
+    return s;
+}
+
+double
+InterruptionArranger::committedWork(
+    par::ParallelConfig config,
+    const std::vector<engine::ActiveRequest> &batch) const
+{
+    config.batch = static_cast<int>(batch.size());
+    double work = 0.0;
+    for (const auto &r : batch) {
+        work = std::max(work, recomputeTime(config, r.request.inputLen,
+                                            r.committedTokens));
+    }
+    return work;
+}
+
+bool
+InterruptionArranger::migrateCache(double migration_time,
+                                   double committed_work) const
+{
+    // The arrangement must not increase request latency: with little
+    // committed work, recomputing elsewhere is cheaper than moving KV.
+    return migration_time < committed_work;
 }
 
 double

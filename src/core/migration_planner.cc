@@ -1,7 +1,6 @@
 #include "core/migration_planner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -41,62 +40,111 @@ class TransferAccumulator
     std::map<std::pair<int, int>, double> bytes_;
 };
 
-} // namespace
-
 /**
- * Everything the expensive snapshot pass produces: per-layer transfer
- * lists and buffer deltas, the cache step's transfers (empty unless the
- * options migrate cache), byte accounting, per-(d,p) dependency sets and
- * the Algorithm-2 layer order.
+ * Algorithm 2's layer order under the buffer model: migrating layer l
+ * raises each receiving instance's footprint by @p layer_in[l] and lowers
+ * it by the stale copies @p layer_freed[l] frees there.  With
+ * @p memory_opt, layers whose migration stays under @p buffer_bytes go
+ * front to back and the overflowing ones follow in min-max order;
+ * otherwise front to back.  @p peak receives the running peak reached.
  */
-struct MigrationPlanner::Analysis
+std::vector<int>
+orderLayers(const std::vector<std::map<int, double>> &layer_in,
+            const std::vector<std::map<int, double>> &layer_freed,
+            bool memory_opt, double buffer_bytes, double &peak)
 {
-    int layers = 0;
-    std::vector<std::vector<cost::Transfer>> layerTransfers;
-    /** Cold (disk/S3) bytes per layer, split by loading instance. */
-    std::vector<std::map<int, double>> layerCold;
-    std::vector<cost::Transfer> cacheTransfers;
+    const int layers = static_cast<int>(layer_in.size());
+    std::map<int, double> net; // cumulative footprint delta per instance
+    peak = 0.0;
 
-    double reusedBytes = 0.0;
-    double movedModelBytes = 0.0;
-    double movedCacheBytes = 0.0;
-    double coldLoadBytes = 0.0;
-    double peakBufferBytes = 0.0;
+    auto apply_layer = [&](int l) {
+        // Transient: the incoming tensors land before the stale copies
+        // swap out (per-layer double buffering).
+        for (const auto &[inst, bytes] : layer_in[l]) {
+            net[inst] += bytes;
+            peak = std::max(peak, net[inst]);
+        }
+        for (const auto &[inst, bytes] : layer_freed[l])
+            net[inst] -= bytes;
+    };
 
-    /** Which layers each (d, p) still needs; drives per-replica resume. */
-    std::vector<std::vector<std::vector<int>>> missingByDp;
-    /** Whether replica d takes part in the cache step. */
-    std::vector<bool> cacheInvolves;
+    auto max_after = [&](int l) {
+        double mx = 0.0;
+        for (const auto &[inst, delta] : net)
+            mx = std::max(mx, delta);
+        for (const auto &[inst, bytes] : layer_in[l]) {
+            auto it = net.find(inst);
+            const double base = it == net.end() ? 0.0 : it->second;
+            mx = std::max(mx, base + bytes);
+        }
+        return mx;
+    };
 
-    /** Algorithm 2's layer order (cache-independent: the buffer model
-     *  only tracks model-context bytes). */
     std::vector<int> order;
-};
+    order.reserve(layers);
+    if (memory_opt) {
+        // First pass: front-to-back layers whose migration stays under
+        // U_max; overflowing layers are deferred (Alg. 2 lines 12-17).
+        std::vector<int> deferred;
+        for (int l = 0; l < layers; ++l) {
+            if (max_after(l) <= buffer_bytes) {
+                order.push_back(l);
+                apply_layer(l);
+            } else {
+                deferred.push_back(l);
+            }
+        }
+        // Second pass: min-max selection (Alg. 2 lines 18-21).
+        while (!deferred.empty()) {
+            int best_l = deferred.front();
+            double best_peak = std::numeric_limits<double>::infinity();
+            for (int l : deferred) {
+                const double pk = max_after(l);
+                if (pk < best_peak) {
+                    best_peak = pk;
+                    best_l = l;
+                }
+            }
+            order.push_back(best_l);
+            apply_layer(best_l);
+            deferred.erase(
+                std::find(deferred.begin(), deferred.end(), best_l));
+        }
+    } else {
+        for (int l = 0; l < layers; ++l) {
+            order.push_back(l);
+            apply_layer(l);
+        }
+    }
+    return order;
+}
+
+} // namespace
 
 MigrationPlanner::MigrationPlanner(const model::ModelSpec &spec,
                                    const cost::CostParams &params)
-    : spec_(spec), params_(params), costModel_(params), linkScheduler_(params)
+    : spec_(spec), params_(params), linkScheduler_(params)
 {
 }
 
-MigrationPlanner::Analysis
-MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
-                          const MappingResult &mapping,
-                          const par::ParallelConfig &target,
-                          const std::vector<double> &old_pipeline_tokens,
-                          const PlannerOptions &options) const
+MigrationPlan
+MigrationPlanner::plan(const engine::ContextSnapshot &snapshot,
+                       const MappingResult &mapping,
+                       const par::ParallelConfig &target,
+                       const std::vector<double> &old_pipeline_tokens,
+                       PlannerOptions options) const
 {
-    Analysis out;
+    MigrationPlan out;
     const par::Topology &topo = mapping.mesh.topology();
     const int layers = spec_.numLayers();
     const int gpi = params_.gpusPerInstance;
-    out.layers = layers;
 
     // ------------------------------------------------------------------
     // 1. Compute per-layer model-context transfers and the cache step.
     // ------------------------------------------------------------------
     std::vector<TransferAccumulator> layer_acc(layers);
-    out.layerCold.assign(layers, {});
+    // Cold (disk/S3) bytes per layer, split by loading instance.
+    std::vector<std::map<int, double>> layer_cold(layers);
     TransferAccumulator cache_acc;
 
     // Algorithm 2's buffer model: migrating layer l raises each receiving
@@ -109,9 +157,11 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
     std::vector<std::map<int, double>> layer_in(layers);
     std::vector<std::map<int, double>> layer_freed(layers);
 
-    out.missingByDp.assign(target.dp,
-                           std::vector<std::vector<int>>(target.pp));
-    out.cacheInvolves.assign(target.dp, false);
+    // Which layers each (d, p) still needs, and whether replica d takes
+    // part in the cache step: these drive the per-replica resume.
+    std::vector<std::vector<std::vector<int>>> missing_by_dp(
+        target.dp, std::vector<std::vector<int>>(target.pp));
+    std::vector<bool> cache_involves(target.dp, false);
 
     const engine::ContextIndex index(snapshot, layers);
     for (int i = 0; i < topo.size(); ++i) {
@@ -201,16 +251,16 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
                     layer_acc[l].add(best->instance, dst_inst, bytes);
                 } else {
                     // No live replica: cold load from disk/S3 (§4.2).
-                    out.layerCold[l][dst_inst] += bytes;
+                    layer_cold[l][dst_inst] += bytes;
                     out.coldLoadBytes += bytes;
                 }
                 layer_in[l][dst_inst] += bytes;
-                out.missingByDp[pos.d][pos.p].push_back(l);
+                missing_by_dp[pos.d][pos.p].push_back(l);
             }
             if (cache_missing_frac > 0.0) {
                 const double bytes = cache_missing_frac * cache_layer_bytes;
                 out.movedCacheBytes += bytes;
-                out.cacheInvolves[pos.d] = true;
+                cache_involves[pos.d] = true;
                 // Cache with no live holder is lost: recomputed, never
                 // reloaded.
                 if (best_cache)
@@ -251,187 +301,66 @@ MigrationPlanner::analyze(const engine::ContextSnapshot &snapshot,
     }
 
     // ------------------------------------------------------------------
-    // 3. Order the layers (Algorithm 2).
+    // 3. Order the layers (Algorithm 2).  The order is cache-independent:
+    //    the buffer model only tracks model-context bytes.
     // ------------------------------------------------------------------
-    std::map<int, double> net; // cumulative footprint delta per instance
-    double peak = 0.0;
-
-    auto apply_layer = [&](int l) {
-        // Transient: the incoming tensors land before the stale copies
-        // swap out (per-layer double buffering).
-        for (const auto &[inst, bytes] : layer_in[l]) {
-            net[inst] += bytes;
-            peak = std::max(peak, net[inst]);
-        }
-        for (const auto &[inst, bytes] : layer_freed[l])
-            net[inst] -= bytes;
-    };
-
-    auto max_after = [&](int l) {
-        double mx = 0.0;
-        for (const auto &[inst, delta] : net)
-            mx = std::max(mx, delta);
-        for (const auto &[inst, bytes] : layer_in[l]) {
-            auto it = net.find(inst);
-            const double base = it == net.end() ? 0.0 : it->second;
-            mx = std::max(mx, base + bytes);
-        }
-        return mx;
-    };
-
-    out.order.reserve(layers);
-    if (options.memoryOpt) {
-        // First pass: front-to-back layers whose migration stays under
-        // U_max; overflowing layers are deferred (Alg. 2 lines 12-17).
-        std::vector<int> deferred;
-        for (int l = 0; l < layers; ++l) {
-            if (max_after(l) <= params_.migrationBufferBytes) {
-                out.order.push_back(l);
-                apply_layer(l);
-            } else {
-                deferred.push_back(l);
-            }
-        }
-        // Second pass: min-max selection (Alg. 2 lines 18-21).
-        while (!deferred.empty()) {
-            int best_l = deferred.front();
-            double best_peak = std::numeric_limits<double>::infinity();
-            for (int l : deferred) {
-                const double pk = max_after(l);
-                if (pk < best_peak) {
-                    best_peak = pk;
-                    best_l = l;
-                }
-            }
-            out.order.push_back(best_l);
-            apply_layer(best_l);
-            deferred.erase(
-                std::find(deferred.begin(), deferred.end(), best_l));
-        }
-    } else {
-        for (int l = 0; l < layers; ++l) {
-            out.order.push_back(l);
-            apply_layer(l);
-        }
-    }
-    out.peakBufferBytes = peak;
-
-    out.layerTransfers.resize(layers);
-    for (int l = 0; l < layers; ++l)
-        out.layerTransfers[l] = layer_acc[l].release();
-    out.cacheTransfers = cache_acc.release();
-    return out;
-}
-
-MigrationPlan
-MigrationPlanner::assemble(const Analysis &analysis,
-                           const par::ParallelConfig &target) const
-{
-    MigrationPlan plan;
-    const int layers = analysis.layers;
-    plan.reusedBytes = analysis.reusedBytes;
-    plan.movedModelBytes = analysis.movedModelBytes;
-    plan.coldLoadBytes = analysis.coldLoadBytes;
-    plan.peakBufferBytes = analysis.peakBufferBytes;
+    const std::vector<int> order =
+        orderLayers(layer_in, layer_freed, options.memoryOpt,
+                    params_.migrationBufferBytes, out.peakBufferBytes);
 
     // ------------------------------------------------------------------
-    // 4. Assemble the step list: cache first, then the ordered layers.
+    // 4. The step list: cache first, then the ordered layers.
     // ------------------------------------------------------------------
-    plan.cacheMigrated = analysis.movedCacheBytes > 0.0;
-    plan.movedCacheBytes = analysis.movedCacheBytes;
-    if (plan.cacheMigrated) {
+    out.cacheMigrated = out.movedCacheBytes > 0.0;
+    if (out.cacheMigrated) {
         MigrationStep step;
-        step.layer = -1;
-        step.transfers = analysis.cacheTransfers;
-        plan.steps.push_back(std::move(step));
+        step.transfers = cache_acc.release();
+        out.steps.push_back(std::move(step));
     }
     std::vector<int> step_of_layer(layers, -1);
-    for (int l : analysis.order) {
+    for (int l : order) {
         MigrationStep step;
         step.layer = l;
-        step.transfers = analysis.layerTransfers[l];
-        for (const auto &[inst, bytes] : analysis.layerCold[l])
+        step.transfers = layer_acc[l].release();
+        for (const auto &[inst, bytes] : layer_cold[l])
             step.coldLoads.emplace_back(inst, bytes);
-        step_of_layer[l] = static_cast<int>(plan.steps.size());
-        plan.steps.push_back(std::move(step));
+        step_of_layer[l] = static_cast<int>(out.steps.size());
+        out.steps.push_back(std::move(step));
     }
 
     // Dependency sets: which steps each (replica, stage) waits for.  The
     // timing below — and any later re-timing against live link state —
     // derives stageReady and the per-replica resumes from exactly these.
-    plan.dpStepDeps.assign(target.dp,
-                           std::vector<std::vector<int>>(target.pp));
+    out.dpStepDeps.assign(target.dp,
+                          std::vector<std::vector<int>>(target.pp));
     for (int d = 0; d < target.dp; ++d) {
         for (int p = 0; p < target.pp; ++p) {
-            auto &deps = plan.dpStepDeps[d][p];
-            if (plan.cacheMigrated && analysis.cacheInvolves[d])
+            auto &deps = out.dpStepDeps[d][p];
+            if (out.cacheMigrated && cache_involves[d])
                 deps.push_back(0); // cache precedes everything
-            for (int l : analysis.missingByDp[d][p]) {
+            for (int l : missing_by_dp[d][p]) {
                 if (step_of_layer[l] >= 0)
                     deps.push_back(step_of_layer[l]);
             }
         }
     }
 
-    return plan;
-}
-
-void
-MigrationPlanner::timeOnIdleLinks(MigrationPlan &plan,
-                                  const par::ParallelConfig &target,
-                                  const PlannerOptions &options) const
-{
     // ------------------------------------------------------------------
-    // 5. Timing.  The serialized cursor — setup charged exactly once,
-    //    then every step's closed-form port-bottleneck wire time back to
-    //    back, with per-instance disk/S3 cold loads overlapped — is
-    //    always computed as the reference bound tests and
-    //    bench_ablation_migration compare against.  The plan's actual
-    //    timeline comes from the link-level schedule: steps interleave
-    //    across disjoint instance pairs, and transfers sharing a port
-    //    serialize honestly.  The link schedule is adopted as is;
-    //    tests and bench_ablation_migration check that it never
-    //    exceeds the serialized cursor.
+    // 5. Timing on idle links: the link-level schedule from origin 0,
+    //    setup charged once.  Steps interleave across disjoint instance
+    //    pairs, and transfers sharing a port serialize honestly.
     // ------------------------------------------------------------------
-    const double setup = params_.migrationSetupTime;
-    {
-        double wire_cursor = setup;
-        std::map<int, double> disk_cursor; // per-instance disk completion
-        plan.serializedDuration = setup;
-        for (const MigrationStep &step : plan.steps) {
-            wire_cursor += costModel_.wireTime(step.transfers);
-            double step_end = wire_cursor;
-            for (const auto &[inst, bytes] : step.coldLoads) {
-                double &cursor = disk_cursor[inst];
-                cursor = std::max(cursor, setup) +
-                         bytes / params_.diskBandwidth;
-                step_end = std::max(step_end, cursor);
-            }
-            plan.serializedDuration =
-                std::max(plan.serializedDuration, step_end);
-        }
-    }
-
     cost::LinkScheduleOptions lopts;
-    lopts.startTime = 0.0;
-    lopts.setupTime = setup;
-    const auto sched = linkScheduler_.build(transferSteps(plan), lopts);
-    retime(plan, target, options, sched.stepStart, sched.stepFinish);
+    lopts.setupTime = params_.migrationSetupTime;
+    const auto sched = linkScheduler_.build(transferSteps(out), lopts);
+    retime(out, target, options, sched.stepStart, sched.stepFinish);
+    return out;
 }
 
 std::vector<cost::TransferStep>
 MigrationPlanner::transferSteps(const MigrationPlan &plan)
 {
-    std::vector<cost::TransferStep> steps;
-    steps.reserve(plan.steps.size());
-    for (const MigrationStep &s : plan.steps) {
-        cost::TransferStep t;
-        t.layer = s.layer;
-        t.transfers = s.transfers;
-        t.coldLoads = s.coldLoads;
-        steps.push_back(std::move(t));
-    }
-    return steps;
+    return {plan.steps.begin(), plan.steps.end()};
 }
 
 void
@@ -441,6 +370,10 @@ MigrationPlanner::retime(MigrationPlan &plan,
                          const std::vector<double> &step_start,
                          const std::vector<double> &step_finish) const
 {
+    if (step_start.size() != plan.steps.size() ||
+        step_finish.size() != plan.steps.size())
+        throw std::invalid_argument(
+            "MigrationPlanner::retime: one start and one finish per step");
     const double setup = params_.migrationSetupTime;
     const par::Topology topo(target, spec_.numLayers());
     plan.stageReady.assign(target.pp, setup);
@@ -448,9 +381,8 @@ MigrationPlanner::retime(MigrationPlan &plan,
     double last_end = setup;
     for (std::size_t i = 0; i < plan.steps.size(); ++i) {
         MigrationStep &step = plan.steps[i];
-        step.startOffset = i < step_start.size() ? step_start[i] : setup;
-        const double step_end =
-            i < step_finish.size() ? step_finish[i] : setup;
+        step.startOffset = step_start[i];
+        const double step_end = step_finish[i];
         // Incremental critical-path contribution: how much this step
         // extends the latest finish seen so far (zero when it completed
         // under the shadow of an earlier step).
@@ -506,20 +438,6 @@ MigrationPlanner::retime(MigrationPlan &plan,
         plan.resumeOffset =
             std::max(plan.resumeOffset, plan.pipelineResume[d]);
     }
-}
-
-MigrationPlan
-MigrationPlanner::plan(const engine::ContextSnapshot &snapshot,
-                       const MappingResult &mapping,
-                       const par::ParallelConfig &target,
-                       const std::vector<double> &old_pipeline_tokens,
-                       PlannerOptions options) const
-{
-    const Analysis analysis =
-        analyze(snapshot, mapping, target, old_pipeline_tokens, options);
-    MigrationPlan out = assemble(analysis, target);
-    timeOnIdleLinks(out, target, options);
-    return out;
 }
 
 } // namespace core

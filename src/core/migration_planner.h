@@ -32,38 +32,31 @@
 namespace spotserve {
 namespace core {
 
-/** One step of the migration schedule. */
-struct MigrationStep
+/**
+ * One step of the migration schedule: the link scheduler's TransferStep
+ * (cache step when layer < 0, else one model-context layer) plus the
+ * timing the planner derives for it.
+ */
+struct MigrationStep : cost::TransferStep
 {
-    /** Cache-context step (layer < 0) or model-context layer index. */
-    int layer = -1;
     bool isCache() const { return layer < 0; }
 
-    /** Tensor movements of this step. */
-    std::vector<cost::Transfer> transfers;
-
-    /**
-     * Bytes that must come from disk/S3 (no live replica), by loading
-     * instance (disk-link loads).
-     */
-    std::vector<std::pair<int, double>> coldLoads;
-
-    /** Wire time of this step (computed by the planner). */
+    /** Critical-path contribution: how far this step extends the latest
+     *  finish of the steps before it (computed by the planner). */
     double duration = 0.0;
 
     /**
      * Event schedule, as offsets from migration start: when this step's
-     * wire transfers begin (after the shared setup and every earlier
-     * step's wire time — batched NCCL send/recv serialise on the links)
-     * and when the step's context has fully landed (wire plus any
-     * overlapped per-instance disk loads).  Destination stages may start
-     * serving as soon as every step they depend on has finished — the
-     * plan's per-replica pipelineResume offsets (what the serving system
-     * schedules activation by) are derived from exactly these finishes,
-     * and the schedule itself is exposed for tests and tooling (the plan
-     * inspector prints it).  The buffer bound U_max is already honoured
-     * by the step *order* (Algorithm 2), so consumers need no extra
-     * memory checks.
+     * wire transfers begin (after the shared setup; steps interleave on
+     * the links, see cost::LinkSchedule) and when the step's context has
+     * fully landed (wire plus any overlapped per-instance disk loads).
+     * Destination stages may start serving as soon as every step they
+     * depend on has finished — the plan's per-replica pipelineResume
+     * offsets (what the serving system schedules activation by) are
+     * derived from exactly these finishes, and the schedule itself is
+     * exposed for tests and tooling (the plan inspector prints it).  The
+     * buffer bound U_max is already honoured by the step *order*
+     * (Algorithm 2), so consumers need no extra memory checks.
      */
     double startOffset = 0.0;
     double finishOffset = 0.0;
@@ -110,15 +103,6 @@ struct MigrationPlan
     bool cacheMigrated = false;
 
     /**
-     * The legacy serialized-cursor duration: setup + every step's
-     * closed-form port-bottleneck wire time back to back (disk loads
-     * overlapped).  Nothing in the planner reads it: it is the reference
-     * bound tests and bench_ablation_migration compare against, and the
-     * link-scheduled totalDuration never exceeds it.
-     */
-    double serializedDuration = 0.0;
-
-    /**
      * Step indices each (replica d, stage p) depends on — the cache step
      * when the replica inherits migrated cache, plus every step moving a
      * layer of that stage the position was missing.  This is what lets
@@ -151,7 +135,10 @@ class MigrationPlanner
 
     /**
      * Build the schedule realising @p mapping for @p target, given the
-     * context daemons' current holdings in @p snapshot.
+     * context daemons' current holdings in @p snapshot, in one pass:
+     * transfers, layer order, steps and dependency sets, then the timing
+     * on idle links (the link-level schedule from origin 0, setup charged
+     * once, read through retime()).
      *
      * @param old_pipeline_tokens cached tokens per old replica (sizing the
      *        cache step); may be empty.
@@ -163,15 +150,6 @@ class MigrationPlanner
                        PlannerOptions options = {}) const;
 
     /**
-     * Time @p plan on idle links: the serialized cursor (the reference
-     * bound, MigrationPlan::serializedDuration), then the link-level
-     * schedule from origin 0, and retime from its step offsets.
-     */
-    void timeOnIdleLinks(MigrationPlan &plan,
-                         const par::ParallelConfig &target,
-                         const PlannerOptions &options) const;
-
-    /**
      * Re-derive every timing field of @p plan (step offsets, stageReady,
      * the per-replica progressive resumes, totalDuration) from actual
      * per-step start/finish offsets — the transfer data plane calls this
@@ -179,33 +157,23 @@ class MigrationPlanner
      * so contention with other in-flight migrations propagates into the
      * serving system's activation events instead of being ignored.
      * Offsets are from migration start and include setup.
+     *
+     * @throws std::invalid_argument unless @p step_start and
+     *         @p step_finish hold one offset per step of @p plan.
      */
     void retime(MigrationPlan &plan, const par::ParallelConfig &target,
                 const PlannerOptions &options,
                 const std::vector<double> &step_start,
                 const std::vector<double> &step_finish) const;
 
-    /** The plan's steps as link-scheduler input (transfers + cold). */
+    /** The plan's steps as link-scheduler input (transfers + cold),
+     *  sliced to their cost::TransferStep part. */
     static std::vector<cost::TransferStep>
     transferSteps(const MigrationPlan &plan);
 
   private:
-    struct Analysis;
-
-    /** The expensive pass: transfers, buffer deltas, layer order. */
-    Analysis analyze(const engine::ContextSnapshot &snapshot,
-                     const MappingResult &mapping,
-                     const par::ParallelConfig &target,
-                     const std::vector<double> &old_pipeline_tokens,
-                     const PlannerOptions &options) const;
-
-    /** Cheap assembly: steps, bytes and dependency sets, untimed. */
-    MigrationPlan assemble(const Analysis &analysis,
-                           const par::ParallelConfig &target) const;
-
     model::ModelSpec spec_;
     cost::CostParams params_;
-    cost::MigrationCostModel costModel_;
     cost::LinkSchedule linkScheduler_;
 };
 

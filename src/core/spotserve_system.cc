@@ -481,17 +481,10 @@ SpotServeSystem::planReconfig(const par::ParallelConfig &target,
     double committed_work = 0.0;
     for (int od = 0; od < old_dp; ++od) {
         const auto &p = deployment().pipelines[od];
-        if (!p || p->batch().empty() || !touched[od])
-            continue;
-        par::ParallelConfig c = deployment().config;
-        c.batch = static_cast<int>(p->batch().size());
-        // Continuous batching: progress differs per request, so the
-        // batch is worth its most-progressed member's recompute time.
-        for (const auto &r : p->batch()) {
+        if (p && touched[od])
             committed_work = std::max(
-                committed_work, arranger_.recomputeTime(c, r.request.inputLen,
-                                                        r.committedTokens));
-        }
+                committed_work,
+                arranger_.committedWork(deployment().config, p->batch()));
     }
 
     PendingMigration pm{
@@ -501,13 +494,13 @@ SpotServeSystem::planReconfig(const par::ParallelConfig &target,
         .oldTokens = std::move(old_tokens),
         .reason = reason,
         .deadline = deadline,
-        .committedWork = committed_work,
         .hadDeployment = hasDeployment(),
         .keptOldPipeline = std::move(kept),
         .touchedOld = std::move(touched),
     };
-    pm.migrateCache = options_.enableArranger &&
-                      pm.plan.totalDuration < committed_work;
+    pm.migrateCache =
+        options_.enableArranger &&
+        arranger_.migrateCache(pm.plan.totalDuration, committed_work);
     if (!pm.migrateCache && pm.plan.cacheMigrated)
         pm.plan = planWithoutCache(pm);
     return pm;
@@ -563,10 +556,9 @@ SpotServeSystem::beginReconfig(PendingMigration pm)
                 max_remaining = std::max(
                     max_remaining, r.request.outputLen - r.committedTokens);
             }
-            const Arrangement a = arranger_.arrangeForPreemption(
-                c, max_ctx, max_remaining, pending_->committedWork,
-                remaining_grace, pending_->plan.totalDuration);
-            iters = a.iterations;
+            iters = arranger_.arrangeForPreemption(
+                c, max_ctx, max_remaining, remaining_grace,
+                pending_->plan.totalDuration);
         }
         p->haltAfter(iters);
     }

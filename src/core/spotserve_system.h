@@ -168,8 +168,6 @@ class SpotServeSystem : public serving::BaseServingSystem
         int waitingHalts = 0;
         sim::SimTime deadline = sim::kTimeInfinity;
         bool migrateCache = true;
-        /** What the drained cache is worth: its recompute time (§4.1). */
-        double committedWork = 0.0;
         bool hadDeployment = false;
         /**
          * keptOldPipeline[d] = old replica whose live pipeline the new

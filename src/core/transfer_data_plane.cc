@@ -104,17 +104,15 @@ TransferDataPlane::preview(std::vector<cost::TransferStep> steps,
 }
 
 TransferDataPlane::Result
-TransferDataPlane::submit(Quote quote)
-{
-    return submit(std::move(quote), SubmitOptions{});
-}
-
-TransferDataPlane::Result
 TransferDataPlane::submit(Quote quote, SubmitOptions options)
 {
     const double now = executor_.now();
     // A quote is the schedule of the link state it was built against;
     // once the clock or the horizons moved, schedule its steps afresh.
+    // Under sim::Simulation a preview and its submit share one event, so
+    // this never fires there; but WallClockExecutor::now() advances
+    // between SpotServeSystem::startMigration's preview and its submit,
+    // so wall-clock runs take this path on every migration.
     if (quote.epoch != busyEpoch_ || quote.now != now)
         quote = preview(std::move(quote.steps), quote.setupTime);
     const cost::LinkScheduleResult &sched = quote.schedule;
@@ -124,7 +122,6 @@ TransferDataPlane::submit(Quote quote, SubmitOptions options)
     plan.id = nextPlanId_++;
     plan.stepFinishAbs = sched.stepFinish;
     plan.finishAbs = now + std::max(out.makespan, 0.0);
-    plan.onDone = std::move(options.onDone);
     plan.onFail = std::move(options.onFail);
     // Remember which links this plan extends (and from where), so an
     // abort can hand back the unused reservation tail.
@@ -151,7 +148,6 @@ TransferDataPlane::submit(Quote quote, SubmitOptions options)
         ++contendedSubmissions_;
     plan.steps = std::move(quote.steps);
 
-    out.planId = plan.id;
     if (options.deadline > 0.0) {
         plan.deadlineAbs = now + options.deadline;
         executor_.schedule(plan.deadlineAbs, [this, id = plan.id] {
@@ -170,15 +166,11 @@ TransferDataPlane::submit(Quote quote, SubmitOptions options)
 
 double
 TransferDataPlane::submitColdLoad(
-    const std::vector<std::pair<int, double>> &loads,
-    std::function<void()> on_done)
+    const std::vector<std::pair<int, double>> &loads)
 {
     std::vector<cost::TransferStep> steps(1);
     steps[0].coldLoads = loads;
-    SubmitOptions options;
-    options.onDone = std::move(on_done);
-    return submit(preview(std::move(steps), /*setup_time=*/0.0),
-                  std::move(options))
+    return submit(preview(std::move(steps), /*setup_time=*/0.0), {})
         .makespan;
 }
 
@@ -197,10 +189,7 @@ TransferDataPlane::completePlan(PlanId id, long rev)
     auto it = inFlight_.find(id);
     if (it == inFlight_.end() || it->second.rev != rev)
         return; // Failed, or rescheduled behind a link fault.
-    auto on_done = std::move(it->second.onDone);
     inFlight_.erase(it);
-    if (on_done)
-        on_done();
 }
 
 void

@@ -64,8 +64,6 @@ class TransferDataPlane
         double makespan = 0.0;
         /** True when an already-busy link delayed part of the schedule. */
         bool contended = false;
-        /** Handle of the committed plan (-1 for previews). */
-        PlanId planId = -1;
     };
 
     /** Why an in-flight plan died. */
@@ -77,10 +75,9 @@ class TransferDataPlane
         bool timedOut = false;
     };
 
-    /** Per-submission callbacks and policy. */
+    /** Per-submission failure callback and policy. */
     struct SubmitOptions
     {
-        std::function<void()> onDone;
         std::function<void(const PlanFailure &)> onFail;
         /**
          * Seconds after submission at which a still-unfinished plan is
@@ -117,14 +114,11 @@ class TransferDataPlane
 
     /**
      * Commit @p quote: reserve every link slice its schedule occupies and
-     * fire options.onDone (if any) at the makespan.  A quote built at
+     * track the plan in flight until its makespan.  A quote built at
      * another instant, or followed by a write to the busy horizons, is
      * re-scheduled from its steps first.
      */
     Result submit(Quote quote, SubmitOptions options);
-
-    /** As above, with no callbacks and no deadline. */
-    Result submit(Quote quote);
 
     /**
      * Convenience for the restart-style baselines: per-instance cold
@@ -132,8 +126,7 @@ class TransferDataPlane
      * offset (equals bytes/diskBandwidth per instance when uncontended,
      * i.e. exactly the closed-form cold-load time).
      */
-    double submitColdLoad(const std::vector<std::pair<int, double>> &loads,
-                          std::function<void()> on_done = {});
+    double submitColdLoad(const std::vector<std::pair<int, double>> &loads);
 
     /**
      * An instance died: abort every in-flight plan whose *remaining*
@@ -192,7 +185,6 @@ class TransferDataPlane
         std::vector<double> stepFinishAbs;
         double finishAbs = 0.0;
         double deadlineAbs = 0.0; ///< 0: none.
-        std::function<void()> onDone;
         std::function<void(const PlanFailure &)> onFail;
         /** This plan's final horizon per link it occupies. */
         std::map<cost::LinkId, double> planBusy;

@@ -217,15 +217,6 @@ LatencyModel::recomputeTime(const par::ParallelConfig &config, int input_len,
 }
 
 double
-LatencyModel::coldLoadTime(const par::ParallelConfig &config) const
-{
-    // Every instance pulls the weight shards of its resident GPUs from
-    // disk/S3 in parallel: gpusPerInstance shards of W/(P*M) bytes each.
-    return params_.engineRestartTime +
-           coldLoadBytesPerInstance(config) / params_.diskBandwidth;
-}
-
-double
 LatencyModel::coldLoadBytesPerInstance(const par::ParallelConfig &config) const
 {
     const double per_gpu = spec_.totalWeightBytes() / config.gpusPerPipeline();

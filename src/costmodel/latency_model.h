@@ -150,17 +150,11 @@ class LatencyModel
                          int prefill_tokens, int committed_tokens) const;
 
     /**
-     * Cold-start time for a deployment: engine relaunch plus loading every
-     * instance's weight shards from disk/S3 in parallel.
-     */
-    double coldLoadTime(const par::ParallelConfig &config) const;
-
-    /**
      * Weight bytes one instance pulls from disk/S3 during a cold start
-     * (gpusPerInstance shards of W/(P*M) bytes).  coldLoadTime equals
-     * engineRestartTime + this / diskBandwidth; the baselines route the
-     * same bytes through the transfer data plane's disk links so
-     * successive restarts contend for them honestly.
+     * (gpusPerInstance shards of W/(P*M) bytes).  A cold start takes
+     * engineRestartTime + this / diskBandwidth on idle disks; the
+     * baselines route these bytes through the transfer data plane's disk
+     * links so successive restarts contend for them honestly.
      */
     double coldLoadBytesPerInstance(const par::ParallelConfig &config) const;
 

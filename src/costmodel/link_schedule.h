@@ -2,9 +2,10 @@
  * @file
  * Link-level transfer scheduling for context migration.
  *
- * The closed-form estimate in MigrationCostModel::transferTime charges a
- * step by its most-loaded instance port and the planner's legacy cursor
- * serializes whole steps — wrong in both directions: steps moving context
+ * The closed-form estimate in MigrationCostModel::wireTime charges a
+ * step by its most-loaded instance port and the serialized cursor
+ * (MigrationCostModel::serializedDuration) runs whole steps back to
+ * back — wrong in both directions: steps moving context
  * between disjoint instance pairs could overlap, and two transfers sharing
  * a port cannot actually run at full bandwidth together.  LinkSchedule
  * decomposes the movement matrix honestly: every per-instance NIC send
@@ -20,9 +21,9 @@
  * lower-priority transfer never delays a higher-priority one (it is
  * preempted at the next event when the earlier step's transfer can run),
  * which yields the key guarantee tests and bench_ablation_migration check:
- * the schedule is never slower than the planner's serialized cursor (a
- * reference bound nothing in src/ reads: every step's closed-form wire
- * time back to back, disk loads overlapped), and on single-pair/single-link
+ * the schedule is never slower than the serialized cursor (a reference
+ * bound nothing on the serving path computes: every step's closed-form
+ * wire time back to back, disk loads overlapped), and on single-pair/single-link
  * topologies the makespan equals the closed-form port-bottleneck estimate.
  *
  * There is one mode: steps always interleave.  A build works on flat
@@ -68,20 +69,6 @@ struct LinkId
     {
         return type == o.type && instance == o.instance;
     }
-};
-
-/**
- * One step of movement work handed to the scheduler: the migration
- * planner's per-layer (or cache) transfer list plus the per-instance cold
- * bytes that must come from disk because no live replica holds them.
- */
-struct TransferStep
-{
-    /** Cache step (layer < 0) or model-context layer index; tag only. */
-    int layer = -1;
-    std::vector<Transfer> transfers;
-    /** (instance, bytes) cold loads riding this step's disk links. */
-    std::vector<std::pair<int, double>> coldLoads;
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "costmodel/migration_cost.h"
 
 #include <algorithm>
+#include <map>
 
 namespace spotserve {
 namespace cost {
@@ -8,14 +9,6 @@ namespace cost {
 MigrationCostModel::MigrationCostModel(const CostParams &params)
     : params_(params)
 {
-}
-
-double
-MigrationCostModel::transferTime(const std::vector<Transfer> &transfers) const
-{
-    if (transfers.empty())
-        return 0.0;
-    return params_.migrationSetupTime + wireTime(transfers);
 }
 
 double
@@ -53,6 +46,27 @@ MigrationCostModel::wireTime(const std::vector<Transfer> &transfers) const
 
     return std::max(nic_bottleneck / params_.interBandwidth,
                     pcie_bottleneck / params_.intraBandwidth);
+}
+
+double
+MigrationCostModel::serializedDuration(
+    const std::vector<TransferStep> &steps) const
+{
+    const double setup = params_.migrationSetupTime;
+    double wire_cursor = setup;
+    std::map<int, double> disk_cursor; // per-instance disk completion
+    double out = setup;
+    for (const TransferStep &step : steps) {
+        wire_cursor += wireTime(step.transfers);
+        double step_end = wire_cursor;
+        for (const auto &[inst, bytes] : step.coldLoads) {
+            double &cursor = disk_cursor[inst];
+            cursor = std::max(cursor, setup) + bytes / params_.diskBandwidth;
+            step_end = std::max(step_end, cursor);
+        }
+        out = std::max(out, step_end);
+    }
+    return out;
 }
 
 } // namespace cost

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "costmodel/cost_params.h"
@@ -29,6 +30,20 @@ struct Transfer
     double bytes = 0.0;
 };
 
+/**
+ * One step of movement work: the migration planner's per-layer (or
+ * cache) transfer list plus the per-instance cold bytes that must come
+ * from disk because no live replica holds them.
+ */
+struct TransferStep
+{
+    /** Cache step (layer < 0) or model-context layer index; tag only. */
+    int layer = -1;
+    std::vector<Transfer> transfers;
+    /** (instance, bytes) cold loads riding this step's disk links. */
+    std::vector<std::pair<int, double>> coldLoads;
+};
+
 /** Estimates migration wall-clock time for a set of transfers. */
 class MigrationCostModel
 {
@@ -36,21 +51,23 @@ class MigrationCostModel
     explicit MigrationCostModel(const CostParams &params);
 
     /**
-     * Wall-clock time for @p transfers to complete assuming perfect
+     * Wall-clock time for @p transfers to cross the wire assuming perfect
      * pipelining across distinct instance pairs, i.e. the bottleneck is
      * max over instances of bytes in / NIC, bytes out / NIC, and
-     * intra-instance bytes / PCIe, plus the fixed setup cost.
-     * Exactly migrationSetupTime + wireTime(transfers).
-     */
-    double transferTime(const std::vector<Transfer> &transfers) const;
-
-    /**
-     * The port-bottleneck wire time alone, without the fixed setup cost —
-     * callers composing multi-step schedules (the planner's serialized
-     * cursor, a reference bound for the link schedule) charge setup exactly
-     * once themselves instead of subtracting it back out per step.
+     * intra-instance bytes / PCIe.  No setup cost: callers composing
+     * multi-step schedules charge it exactly once themselves.
      */
     double wireTime(const std::vector<Transfer> &transfers) const;
+
+    /**
+     * The serialized cursor over @p steps: migrationSetupTime charged
+     * once, then every step's wireTime back to back, with each
+     * instance's cold loads queued on its own disk from the setup on and
+     * overlapped with the wire.  The link schedule (LinkSchedule) never
+     * exceeds it; tests and bench_ablation_migration compare against it,
+     * and nothing on the serving path computes it.
+     */
+    double serializedDuration(const std::vector<TransferStep> &steps) const;
 
     const CostParams &params() const { return params_; }
 

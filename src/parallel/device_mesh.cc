@@ -1,6 +1,5 @@
 #include "parallel/device_mesh.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace spotserve {
@@ -47,13 +46,6 @@ DeviceMesh::contains(GpuId gpu) const
 {
     return gpu >= 0 && gpu < static_cast<GpuId>(indexOfGpu_.size()) &&
            indexOfGpu_[gpu] >= 0;
-}
-
-bool
-DeviceMesh::complete() const
-{
-    return std::none_of(byIndex_.begin(), byIndex_.end(),
-                        [](GpuId g) { return g == kInvalidGpu; });
 }
 
 std::vector<GpuId>

@@ -47,9 +47,6 @@ class DeviceMesh
     /** True when @p gpu is bound somewhere in the mesh. */
     bool contains(GpuId gpu) const;
 
-    /** True when every position has a GPU. */
-    bool complete() const;
-
     /** All bound GPUs in flat position order. */
     std::vector<GpuId> gpus() const;
 

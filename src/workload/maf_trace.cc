@@ -62,11 +62,5 @@ MafTrace::peakRate() const
     return *std::max_element(rates_.begin(), rates_.end());
 }
 
-sim::SimTime
-MafTrace::duration() const
-{
-    return bucketSeconds_ * static_cast<double>(rates_.size());
-}
-
 } // namespace wl
 } // namespace spotserve

@@ -40,7 +40,6 @@ class MafTrace
     double peakRate() const;
     /** @} */
 
-    sim::SimTime duration() const;
     const std::vector<double> &rates() const { return rates_; }
 
   private:

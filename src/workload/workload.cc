@@ -140,14 +140,6 @@ withFewShotPrefixes(Workload &workload, int num_classes, int class_tokens,
 }
 
 double
-meanRate(const Workload &workload, sim::SimTime duration)
-{
-    if (duration <= 0.0)
-        return 0.0;
-    return static_cast<double>(workload.size()) / duration;
-}
-
-double
 defaultRateForModel(const std::string &model_name)
 {
     if (model_name == "OPT-6.7B")

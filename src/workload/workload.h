@@ -90,9 +90,6 @@ void withSharedPrefixes(Workload &workload,
 void withFewShotPrefixes(Workload &workload, int num_classes,
                          int class_tokens, sim::Rng &rng);
 
-/** Empirical mean arrival rate of a workload over its span. */
-double meanRate(const Workload &workload, sim::SimTime duration);
-
 /** Default per-model stable rates from §6.1. */
 double defaultRateForModel(const std::string &model_name);
 

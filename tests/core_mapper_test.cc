@@ -9,6 +9,7 @@
 #include <optional>
 #include <thread>
 
+#include "closed_forms.h"
 #include "core/device_mapper.h"
 
 namespace spotserve::core {
@@ -66,7 +67,7 @@ TEST_F(MapperFixture, IdentityMappingReusesEverything)
     const auto snap = packedSnapshot(cfg);
     DeviceMapper mapper(spec, kParams);
     const auto result = mapper.map(snap, cfg, instances, {0.0, 0.0});
-    EXPECT_TRUE(result.mesh.complete());
+    EXPECT_TRUE(meshComplete(result.mesh));
     // Every byte of model context is reused: zero migration needed.
     EXPECT_NEAR(result.reusedModelBytes, result.neededModelBytes,
                 result.neededModelBytes * 1e-9);
@@ -153,8 +154,8 @@ TEST_F(MapperFixture, KmBeatsNaiveAfterLoss)
     const auto a = km.map(snap, target, instances, {0.0, 0.0});
     const auto b = naive.map(snap, target, instances, {0.0, 0.0});
     EXPECT_GT(a.reusedModelBytes, b.reusedModelBytes);
-    EXPECT_TRUE(a.mesh.complete());
-    EXPECT_TRUE(b.mesh.complete());
+    EXPECT_TRUE(meshComplete(a.mesh));
+    EXPECT_TRUE(meshComplete(b.mesh));
 }
 
 TEST_F(MapperFixture, InheritanceKeepsMostProgressedPipelines)
@@ -266,7 +267,7 @@ TEST_F(MapperFixture, LostMemberIsRebuiltOnSurvivors)
 
     DeviceMapper mapper(spec, kParams);
     const auto result = mapper.map(snap, cfg, instances, {600.0, 600.0});
-    EXPECT_TRUE(result.mesh.complete());
+    EXPECT_TRUE(meshComplete(result.mesh));
     // The lost instance's positions were rebuilt elsewhere: some model
     // context must move.
     EXPECT_LT(result.reusedModelBytes, result.neededModelBytes);
@@ -305,7 +306,7 @@ TEST_F(MapperFixture, ReplicaPinsSurviveWeightTies)
     DeviceMapper mapper(spec, kParams);
     const auto result =
         mapper.map(snap, cfg, instances, {0.0, 700.0, 300.0}, pins);
-    EXPECT_TRUE(result.mesh.complete());
+    EXPECT_TRUE(meshComplete(result.mesh));
     EXPECT_EQ(result.mesh.pipelineGpus(0), old_gpus(1));
     EXPECT_EQ(result.mesh.pipelineGpus(1), old_gpus(2));
     // Pinned replicas inherit themselves; the drained old replica 0 had

@@ -7,9 +7,13 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "core/device_mapper.h"
 #include "core/migration_planner.h"
+#include "costmodel/link_schedule.h"
+#include "costmodel/migration_cost.h"
 
 namespace spotserve::core {
 namespace {
@@ -324,10 +328,25 @@ TEST_F(PlannerFixture, LinkScheduledPlanBeatsOrMatchesSerializedCursor)
     const auto plan = planner.plan(snap, mapping, new_cfg, {600.0, 600.0});
     ASSERT_FALSE(plan.steps.empty());
 
-    EXPECT_LE(plan.totalDuration, plan.serializedDuration + 1e-9);
+    // The plan is timed on idle links: exactly a link schedule of its
+    // steps from origin 0 with the setup charged once.
+    const auto steps = MigrationPlanner::transferSteps(plan);
+    cost::LinkScheduleOptions lopts;
+    lopts.setupTime = kParams.migrationSetupTime;
+    const auto sched = cost::LinkSchedule(kParams).build(steps, lopts);
+    EXPECT_DOUBLE_EQ(sched.makespan, plan.totalDuration);
+    ASSERT_EQ(sched.stepFinish.size(), plan.steps.size());
+    for (std::size_t k = 0; k < plan.steps.size(); ++k) {
+        EXPECT_DOUBLE_EQ(sched.stepStart[k], plan.steps[k].startOffset);
+        EXPECT_DOUBLE_EQ(sched.stepFinish[k], plan.steps[k].finishOffset);
+    }
+
+    const double serialized =
+        cost::MigrationCostModel(kParams).serializedDuration(steps);
+    EXPECT_LE(plan.totalDuration, serialized + 1e-9);
     // This transition has two replicas exchanging context over disjoint
     // NIC pairs: interleaving must genuinely beat the serial cursor.
-    EXPECT_LT(plan.totalDuration, plan.serializedDuration - 1e-6);
+    EXPECT_LT(plan.totalDuration, serialized - 1e-6);
 
     std::vector<double> stage_latest(new_cfg.pp,
                                      kParams.migrationSetupTime);
@@ -379,6 +398,13 @@ TEST_F(PlannerFixture, RetimeShiftsResumesWithStepFinishes)
     EXPECT_LE(plan.resumeOffset, base_resume + shift + 1e-9);
     for (int d = 0; d < new_cfg.dp; ++d)
         EXPECT_LE(plan.pipelineResume[d], plan.totalDuration + 1e-9);
+
+    // One start and one finish per step, or nothing is retimed.
+    starts.pop_back();
+    EXPECT_THROW(
+        planner.retime(plan, new_cfg, PlannerOptions{}, starts, finishes),
+        std::invalid_argument);
+    EXPECT_NEAR(plan.totalDuration, base_total + shift, 1e-9);
 }
 
 } // namespace

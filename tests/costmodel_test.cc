@@ -10,6 +10,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "closed_forms.h"
 #include "costmodel/config_space.h"
 #include "costmodel/latency_model.h"
 #include "costmodel/memory_model.h"
@@ -330,7 +331,7 @@ TEST(LatencyModelTest, ColdLoadDominatedByDisk)
     const double expected = kParams.engineRestartTime +
                             per_gpu * kParams.gpusPerInstance /
                                 kParams.diskBandwidth;
-    EXPECT_NEAR(lat.coldLoadTime(c), expected, 1e-6);
+    EXPECT_NEAR(coldLoadTime(lat, c), expected, 1e-6);
 }
 
 TEST(ThroughputModelTest, ScalesWithReplicas)
@@ -373,7 +374,7 @@ TEST(MigrationCostTest, BottleneckIsBusiestPort)
     std::vector<Transfer> ts = {{0, 1, 10e9}, {2, 3, 20e9}};
     const double expected =
         kParams.migrationSetupTime + 20e9 / kParams.interBandwidth;
-    EXPECT_NEAR(m.transferTime(ts), expected, 1e-9);
+    EXPECT_NEAR(transferTime(m, ts), expected, 1e-9);
 }
 
 TEST(MigrationCostTest, IngressAggregatesAcrossSenders)
@@ -382,14 +383,14 @@ TEST(MigrationCostTest, IngressAggregatesAcrossSenders)
     std::vector<Transfer> ts = {{0, 2, 10e9}, {1, 2, 10e9}};
     const double expected =
         kParams.migrationSetupTime + 20e9 / kParams.interBandwidth;
-    EXPECT_NEAR(m.transferTime(ts), expected, 1e-9);
+    EXPECT_NEAR(transferTime(m, ts), expected, 1e-9);
 }
 
 TEST(MigrationCostTest, IntraInstanceUsesPcie)
 {
     MigrationCostModel m(kParams);
     std::vector<Transfer> ts = {{0, 0, 16e9}};
-    EXPECT_NEAR(m.transferTime(ts),
+    EXPECT_NEAR(transferTime(m, ts),
                 kParams.migrationSetupTime + 16e9 / kParams.intraBandwidth,
                 1e-9);
 }
@@ -397,7 +398,35 @@ TEST(MigrationCostTest, IntraInstanceUsesPcie)
 TEST(MigrationCostTest, EmptyIsFree)
 {
     MigrationCostModel m(kParams);
-    EXPECT_DOUBLE_EQ(m.transferTime({}), 0.0);
+    EXPECT_DOUBLE_EQ(transferTime(m, {}), 0.0);
+}
+
+TEST(MigrationCostTest, SerializedCursorChargesSetupOnceAndOverlapsDisks)
+{
+    MigrationCostModel m(kParams);
+    const double setup = kParams.migrationSetupTime;
+    const double disk = kParams.diskBandwidth;
+    EXPECT_DOUBLE_EQ(m.serializedDuration({}), setup);
+
+    // Wire-bound: three steps back to back after one setup; the small
+    // cold loads queue on their own disks from the setup on.
+    std::vector<TransferStep> steps(3);
+    steps[0].transfers = {{0, 1, 20e9}};
+    steps[1].transfers = {{1, 2, 10e9}, {3, 4, 5e9}};
+    steps[1].coldLoads = {{5, 0.1e9}};
+    steps[2].transfers = {{2, 2, 8e9}};
+    steps[2].coldLoads = {{5, 0.1e9}, {6, 0.2e9}};
+    const double wire = setup + m.wireTime(steps[0].transfers) +
+                        m.wireTime(steps[1].transfers) +
+                        m.wireTime(steps[2].transfers);
+    ASSERT_GT(wire, setup + 0.2e9 / disk);
+    EXPECT_DOUBLE_EQ(m.serializedDuration(steps), wire);
+
+    // Disk-bound: one instance's cold loads queue behind each other and
+    // overlap the wire.
+    steps[2].coldLoads = {{5, 300e9}};
+    EXPECT_DOUBLE_EQ(m.serializedDuration(steps),
+                     setup + 0.1e9 / disk + 300e9 / disk);
 }
 
 TEST(ConfigSpaceTest, EnumerationRespectsBudget)

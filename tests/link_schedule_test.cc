@@ -3,7 +3,7 @@
  * Invariants of the link-level transfer scheduler and the data plane
  * that executes its schedules: no link carries two slices at once, byte
  * accounting is exact, single-pair topologies reproduce the closed-form
- * estimate to the bit, the schedule is never slower than the planner's
+ * estimate to the bit, the schedule is never slower than the
  * serialized cursor, the flat-array build matches a straightforward
  * reference implementation exactly, and the TransferDataPlane makes
  * successive migrations honestly contend for shared links while
@@ -21,7 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/migration_planner.h"
+#include "closed_forms.h"
 #include "core/transfer_data_plane.h"
 #include "costmodel/link_schedule.h"
 #include "costmodel/migration_cost.h"
@@ -334,7 +334,7 @@ TEST_F(LinkScheduleFixture, SinglePairMakespanMatchesClosedForm)
         wireStep(0, {{0, 1, 3.2e9}})};
     LinkScheduleOptions options;
     options.setupTime = params.migrationSetupTime;
-    const double closed_form = costModel.transferTime(steps[0].transfers);
+    const double closed_form = transferTime(costModel, steps[0].transfers);
     const auto result = scheduler.build(steps, options);
     EXPECT_DOUBLE_EQ(result.makespan, closed_form);
     ASSERT_EQ(result.stepStart.size(), 1u);
@@ -406,42 +406,35 @@ TEST_F(LinkScheduleFixture, ChurnScheduleKeepsEveryInvariant)
     }
 }
 
-TEST_F(LinkScheduleFixture, NeverSlowerThanThePlannersSerializedCursor)
+TEST_F(LinkScheduleFixture, NeverSlowerThanTheSerializedCursor)
 {
     // The preemptive priority schedule guarantees step k is never
-    // delayed by step k' > k, so it can only beat the planner's
-    // serialized cursor (every step's closed-form wire time back to
-    // back, disk loads overlapped).  The planner times a plan both ways;
-    // sweep a family of fleet sizes and sharing patterns through it.
-    const model::ModelSpec spec = model::ModelSpec::gpt20b();
-    const core::MigrationPlanner planner(spec, params);
-    const par::ParallelConfig target{1, 1, 1, 1};
+    // delayed by step k' > k, so it can only beat the serialized cursor
+    // (MigrationCostModel::serializedDuration: every step's closed-form
+    // wire time back to back, disk loads overlapped).  Sweep a family of
+    // fleet sizes and sharing patterns through both.  (That a plan()'s
+    // own timing is exactly this build of its steps is checked in
+    // core_planner_test.)
     const double gb = 1e9;
     for (int fleet = 2; fleet <= 12; fleet += 2) {
-        core::MigrationPlan plan;
+        std::vector<TransferStep> steps;
         for (int layer = 0; layer < 8; ++layer) {
             const int src = layer % fleet;
             const int dst = (layer + 1 + layer / fleet) % fleet;
-            core::MigrationStep step;
-            step.layer = layer;
-            step.transfers = {{src, dst, (1.0 + 0.25 * layer) * gb}};
+            TransferStep step =
+                wireStep(layer, {{src, dst, (1.0 + 0.25 * layer) * gb}});
             if (layer % 3 == 0)
                 step.transfers.push_back(
                     {(src + 2) % fleet, (dst + 2) % fleet, 0.5 * gb});
             if (layer == 5)
                 step.coldLoads = {{dst, 2.0 * gb}};
-            plan.steps.push_back(step);
+            steps.push_back(step);
         }
-        plan.dpStepDeps.assign(1, std::vector<std::vector<int>>(1));
-        planner.timeOnIdleLinks(plan, target, core::PlannerOptions{});
-        EXPECT_LE(plan.totalDuration, plan.serializedDuration + 1e-9)
-            << "fleet=" << fleet;
-
-        const auto steps = core::MigrationPlanner::transferSteps(plan);
         LinkScheduleOptions options;
         options.setupTime = params.migrationSetupTime;
         const auto result = scheduler.build(steps, options);
-        EXPECT_DOUBLE_EQ(result.makespan, plan.totalDuration);
+        EXPECT_LE(result.makespan, costModel.serializedDuration(steps) + 1e-9)
+            << "fleet=" << fleet;
         expectNoOversubscription(result);
         expectExactBytes(steps, result);
     }
@@ -595,7 +588,7 @@ TEST_F(DataPlaneFixture, PreviewQuotesExactlyWhatSubmitCommits)
     std::vector<TransferStep> steps = {
         wireStep(0, {{0, 1, 2.0e9}, {1, 2, 1.0e9}})};
     const auto quote = plane.preview(steps, params.migrationSetupTime);
-    const auto committed = plane.submit(quote);
+    const auto committed = plane.submit(quote, {});
     ASSERT_EQ(quote.result.stepFinish.size(), committed.stepFinish.size());
     for (std::size_t k = 0; k < quote.result.stepFinish.size(); ++k) {
         EXPECT_DOUBLE_EQ(quote.result.stepStart[k], committed.stepStart[k]);
@@ -614,11 +607,11 @@ TEST_F(DataPlaneFixture, SecondMigrationContendsForSharedLinks)
     std::vector<TransferStep> steps = {
         wireStep(0, {{0, 1, 2.0e9}})};
     const auto first =
-        plane.submit(plane.preview(steps, params.migrationSetupTime));
+        plane.submit(plane.preview(steps, params.migrationSetupTime), {});
     // Same pair again, immediately: must queue behind the first wire
     // transfer rather than pretend the link is free.
     const auto second =
-        plane.submit(plane.preview(steps, params.migrationSetupTime));
+        plane.submit(plane.preview(steps, params.migrationSetupTime), {});
     EXPECT_TRUE(second.contended);
     const double w = costModel.wireTime(steps[0].transfers);
     EXPECT_NEAR(second.makespan, first.makespan + w, 1e-9);
@@ -636,13 +629,12 @@ TEST_F(DataPlaneFixture, ColdLoadMatchesClosedFormAndFiresCompletion)
 {
     const double bytes = 3.0e9;
     const double expected = bytes / params.diskBandwidth;
-    bool fired = false;
-    const double makespan = plane.submitColdLoad(
-        {{0, bytes}, {1, bytes}}, [&fired] { fired = true; });
+    const double makespan = plane.submitColdLoad({{0, bytes}, {1, bytes}});
     // Distinct disks load in parallel: the batch is one disk's time.
     EXPECT_NEAR(makespan, expected, 1e-9);
+    EXPECT_EQ(plane.inFlightCount(), 1);
     sim.run();
-    EXPECT_TRUE(fired);
+    EXPECT_EQ(plane.inFlightCount(), 0);
     EXPECT_NEAR(sim.now(), expected, 1e-9);
 
     // Back-to-back on the same disk honestly doubles.
@@ -662,11 +654,11 @@ TEST_F(DataPlaneFixture, QuoteCommittedAtTheSameInstantBuildsOnce)
     const std::vector<TransferStep> steps = {wireStep(0, {{0, 1, 2.0e9}})};
     auto quote = plane.preview(steps, params.migrationSetupTime);
     EXPECT_EQ(plane.schedulesBuilt(), 1);
-    const auto committed = plane.submit(std::move(quote));
+    const auto committed = plane.submit(std::move(quote), {});
     EXPECT_EQ(plane.schedulesBuilt(), 1);
     EXPECT_EQ(plane.submissions(), 1);
     EXPECT_DOUBLE_EQ(committed.makespan,
-                     costModel.transferTime(steps[0].transfers));
+                     transferTime(costModel, steps[0].transfers));
 }
 
 TEST_F(DataPlaneFixture, InterveningSubmitForcesARebuild)
@@ -676,9 +668,9 @@ TEST_F(DataPlaneFixture, InterveningSubmitForcesARebuild)
     EXPECT_FALSE(stale.result.contended);
     const double quoted = stale.result.makespan;
     // Another migration takes the same ports before the quote commits.
-    plane.submit(plane.preview(steps, params.migrationSetupTime));
+    plane.submit(plane.preview(steps, params.migrationSetupTime), {});
     EXPECT_EQ(plane.schedulesBuilt(), 2);
-    const auto committed = plane.submit(std::move(stale));
+    const auto committed = plane.submit(std::move(stale), {});
     EXPECT_EQ(plane.schedulesBuilt(), 3);
     // The rebuild queues behind the intervening plan, as a fresh quote
     // would have.
@@ -692,7 +684,7 @@ TEST_F(DataPlaneFixture, LinkStallForcesARebuild)
     const std::vector<TransferStep> steps = {wireStep(0, {{0, 1, 2.0e9}})};
     auto stale = plane.preview(steps, params.migrationSetupTime);
     plane.stallInstanceLinks(1, 3.0); // receiver dark until t = 3
-    const auto committed = plane.submit(std::move(stale));
+    const auto committed = plane.submit(std::move(stale), {});
     EXPECT_EQ(plane.schedulesBuilt(), 2);
     const double w = costModel.wireTime(steps[0].transfers);
     EXPECT_TRUE(committed.contended);
@@ -703,14 +695,14 @@ TEST_F(DataPlaneFixture, LinkStallForcesARebuild)
 TEST_F(DataPlaneFixture, AdvancingClockForcesARebuild)
 {
     const std::vector<TransferStep> steps = {wireStep(0, {{0, 1, 2.0e9}})};
-    plane.submit(plane.preview(steps, params.migrationSetupTime));
+    plane.submit(plane.preview(steps, params.migrationSetupTime), {});
     auto stale = plane.preview(steps, params.migrationSetupTime);
     const double quoted = stale.result.makespan;
     EXPECT_EQ(plane.schedulesBuilt(), 2);
     sim.schedule(0.25, [] {});
     sim.run(0.25);
     ASSERT_DOUBLE_EQ(sim.now(), 0.25);
-    const auto committed = plane.submit(std::move(stale));
+    const auto committed = plane.submit(std::move(stale), {});
     EXPECT_EQ(plane.schedulesBuilt(), 3);
     // Offsets are from the commit instant: the queued transfer lands a
     // quarter second sooner than the stale quote said.

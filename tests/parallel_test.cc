@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "closed_forms.h"
 #include "parallel/device_mesh.h"
 #include "parallel/parallel_config.h"
 
@@ -158,11 +159,11 @@ TEST(ShardOverlapTest, SumsOverTargetEqualSourceWidth)
 TEST(DeviceMeshTest, AssignAndQuery)
 {
     DeviceMesh mesh(ParallelConfig{2, 2, 2, 1}, 8);
-    EXPECT_FALSE(mesh.complete());
+    EXPECT_FALSE(meshComplete(mesh));
     int gpu = 100;
     for (int i = 0; i < mesh.topology().size(); ++i)
         mesh.assign(mesh.topology().position(i), gpu++);
-    EXPECT_TRUE(mesh.complete());
+    EXPECT_TRUE(meshComplete(mesh));
     EXPECT_EQ(mesh.gpuAt(Position{0, 0, 0}), 100);
     EXPECT_EQ(mesh.gpuAt(Position{1, 1, 1}), 107);
     EXPECT_EQ(mesh.positionOf(103), (Position{0, 1, 1}));

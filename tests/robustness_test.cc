@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "closed_forms.h"
 #include "cluster/trace_library.h"
 #include "costmodel/latency_model.h"
 #include "serving/presets.h"
@@ -117,8 +118,8 @@ TEST_P(ModelSweep, ColdLoadScalesInverselyWithParallelism)
 {
     cost::LatencyModel lat(spec(), kParams);
     const double narrow =
-        lat.coldLoadTime(par::ParallelConfig{1, 2, 4, 1});
-    const double wide = lat.coldLoadTime(par::ParallelConfig{1, 2, 8, 1});
+        coldLoadTime(lat, par::ParallelConfig{1, 2, 4, 1});
+    const double wide = coldLoadTime(lat, par::ParallelConfig{1, 2, 8, 1});
     EXPECT_GT(narrow, wide);
 }
 

@@ -17,8 +17,10 @@
 #include <memory>
 #include <set>
 
+#include "closed_forms.h"
 #include "core/device_mapper.h"
 #include "core/migration_planner.h"
+#include "costmodel/migration_cost.h"
 
 namespace spotserve::core {
 namespace {
@@ -104,10 +106,13 @@ planDigest(const MappingResult &mapping, const MigrationPlan &plan)
                 h = fnv1a(h, s);
         }
     }
-    for (double v : {plan.totalDuration, plan.resumeOffset,
-                     plan.serializedDuration, plan.movedModelBytes,
-                     plan.movedCacheBytes, plan.reusedBytes,
-                     plan.coldLoadBytes, plan.peakBufferBytes})
+    const double serialized =
+        cost::MigrationCostModel(kParams).serializedDuration(
+            MigrationPlanner::transferSteps(plan));
+    for (double v : {plan.totalDuration, plan.resumeOffset, serialized,
+                     plan.movedModelBytes, plan.movedCacheBytes,
+                     plan.reusedBytes, plan.coldLoadBytes,
+                     plan.peakBufferBytes})
         h = fnv1a(h, v);
     return h;
 }
@@ -168,7 +173,7 @@ TEST_P(TransitionSweep, MapperAndPlannerInvariants)
     const auto mapping = mapper.map(snap, to, instances, old_tokens);
 
     // Complete, co-located mesh.
-    ASSERT_TRUE(mapping.mesh.complete());
+    ASSERT_TRUE(meshComplete(mapping.mesh));
     const auto &topo = mapping.mesh.topology();
     for (int d = 0; d < to.dp; ++d) {
         for (int p = 0; p < to.pp; ++p) {
@@ -219,7 +224,10 @@ TEST_P(TransitionSweep, MapperAndPlannerInvariants)
     EXPECT_NEAR(sum, plan.totalDuration, 1e-6);
     // The interleaved link schedule is never slower than the serialized
     // cursor it is measured against.
-    EXPECT_LE(plan.totalDuration, plan.serializedDuration + 1e-9);
+    EXPECT_LE(plan.totalDuration,
+              cost::MigrationCostModel(kParams).serializedDuration(
+                  MigrationPlanner::transferSteps(plan)) +
+                  1e-9);
 
     // Every layer appears exactly once after the optional cache step.
     std::set<int> layers;
@@ -278,7 +286,7 @@ TEST_F(TransitionSweep, ChurnedFleetPlanDigestIsPinned)
     std::reverse(snap.gpus.begin(), snap.gpus.end());
 
     const auto mapping = mapper.map(snap, cfg, survivors, old_tokens);
-    ASSERT_TRUE(mapping.mesh.complete());
+    ASSERT_TRUE(meshComplete(mapping.mesh));
     const auto plan = planner.plan(snap, mapping, cfg, old_tokens);
     EXPECT_GT(plan.movedModelBytes, 0.0);
     EXPECT_GT(plan.movedCacheBytes, 0.0);
@@ -320,7 +328,7 @@ TEST_F(TransitionSweep, StageLostMidChurnPlanDigestIsPinned)
     const std::vector<double> old_tokens(from.dp, tokens);
 
     const auto mapping = mapper.map(snap, to, survivors, old_tokens);
-    ASSERT_TRUE(mapping.mesh.complete());
+    ASSERT_TRUE(meshComplete(mapping.mesh));
     const auto plan = planner.plan(snap, mapping, to, old_tokens);
     EXPECT_GT(plan.coldLoadBytes, 0.0);
     EXPECT_GT(plan.movedModelBytes - plan.coldLoadBytes, 0.0)

@@ -21,7 +21,7 @@ TEST(WorkloadTest, StationaryGammaHitsRate)
 {
     sim::Rng rng(3);
     const auto w = stationaryGamma(1.5, 6.0, 20000.0, kSeq, rng);
-    EXPECT_NEAR(meanRate(w, 20000.0), 1.5, 0.15);
+    EXPECT_NEAR(static_cast<double>(w.size()) / 20000.0, 1.5, 0.15);
 }
 
 TEST(WorkloadTest, ArrivalsSortedWithIdsAndLengths)
@@ -98,7 +98,8 @@ TEST(WorkloadTest, DefaultRatesMatchPaper)
 TEST(MafTraceTest, Fig8SegmentShape)
 {
     const auto maf = MafTrace::fig8Segment();
-    EXPECT_DOUBLE_EQ(maf.duration(), 1080.0);
+    // 18 one-minute buckets.
+    EXPECT_EQ(maf.rates().size(), 18u);
     // Stable start below capacity; burst peaks past the (2,2,8) capacity
     // region around t = 270-600 s; decay afterwards (§6.3).
     EXPECT_NEAR(maf.rateAt(0.0), 0.55, 1e-9);

@@ -2,6 +2,7 @@
 # Compare the deterministic outputs of two build trees.
 #
 # Usage: tools/compare_outputs.sh BASE_BUILD NEW_BUILD
+#        tools/compare_outputs.sh --list
 #
 # Runs the figure and table benches (fig5/6/7/8/9, table1,
 # ablation_migration) and the five non-server examples in both trees,
@@ -9,15 +10,10 @@
 # difference (0 when every output is byte-identical).  The wall-clock
 # server is left out: its output depends on the machine.  A non-zero exit of a binary is
 # reported but only a difference in output fails the comparison, so a
-# bench gate that goes red in both trees still compares.
+# bench gate that goes red in both trees still compares.  --list prints
+# the compared binaries, one per line (the CMake targets to build in
+# both trees).
 set -u
-
-if [ "$#" -ne 2 ]; then
-    echo "usage: $0 BASE_BUILD NEW_BUILD" >&2
-    exit 2
-fi
-base=$1
-new=$2
 
 binaries=(
     bench_fig5_traces
@@ -33,6 +29,17 @@ binaries=(
     example_custom_model_planning
     example_migration_plan_inspector
 )
+
+if [ "$#" -eq 1 ] && [ "$1" = --list ]; then
+    printf '%s\n' "${binaries[@]}"
+    exit 0
+fi
+if [ "$#" -ne 2 ]; then
+    echo "usage: $0 BASE_BUILD NEW_BUILD | --list" >&2
+    exit 2
+fi
+base=$1
+new=$2
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
